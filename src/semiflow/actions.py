@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .expr import Const, EvalDomainError, ExprError, substitute_many
-from .grids import SamplingGrid
+from .grids import SamplingGrid, _near_pairs
 from .maps import SmoothMap, finite_diff
-from .report import VerificationReport, Witness, deviation
+from .report import VerificationReport, Witness, deviation, max_norm
 from .rootfind import RootSearchError, bisect, scan_brackets
 
 
@@ -276,28 +276,36 @@ def _probe_1d(m: SmoothMap, grid: SamplingGrid, tol: float, unbounded_factor: fl
 
 
 def _probe_pairwise(m: SmoothMap, grid: SamplingGrid, tol: float) -> ProbeEvidence:
-    pts = list(grid.points())
-    if len(pts) > 4000:
-        raise ValueError("pairwise collision probe capped at 4000 grid points")
+    """Up to 8 pairs of grid points whose images agree to deviation <= tol;
+    pairs closer than 1e-6 of the widest axis span count as one point.
+
+    deviation(v1, v2) <= tol bounds every component gap by tol*(1 + M), M
+    the largest finite image max-norm, so the images go through a
+    neighbour-cell index of twice that side (`grids._near_pairs`): O(n)
+    for spread-out images plus one comparison per close pair. Pairs (i, j),
+    i < j, are tried in grid order, so the witnesses are the first 8 an
+    all-pairs scan would find.
+    """
     sep = 1e-6 * max(ax.hi - ax.lo for ax in grid.axes)
     images = []
     skipped = 0
-    for p in pts:
+    for p in grid.points():
         try:
             images.append((p, m.at(p)))
         except EvalDomainError:
             skipped += 1
+    norms = [max_norm(v) for _, v in images]
+    bound = max((x for x in norms if math.isfinite(x)), default=0.0)
     witnesses = []
-    for i in range(len(images)):
+    for i, j in _near_pairs([v for _, v in images], 2.0 * tol * (1.0 + bound)):
         p1, v1 = images[i]
-        for j in range(i + 1, len(images)):
-            p2, v2 = images[j]
-            if max(abs(a - b) for a, b in zip(p1, p2)) < sep:
-                continue
-            if deviation(v1, v2) <= tol:
-                witnesses.append(Witness((*p1, *p2), (*v1, *v2), "image collision"))
-                if len(witnesses) >= 8:
-                    return ProbeEvidence(witnesses, skipped=skipped)
+        p2, v2 = images[j]
+        if max(abs(a - b) for a, b in zip(p1, p2)) < sep:
+            continue
+        if deviation(v1, v2) <= tol:
+            witnesses.append(Witness((*p1, *p2), (*v1, *v2), "image collision"))
+            if len(witnesses) >= 8:
+                break
     return ProbeEvidence(witnesses, skipped=skipped)
 
 
@@ -315,6 +323,12 @@ def injectivity_probe(m: SmoothMap, grid: SamplingGrid, tol: float) -> Verificat
     passed=True means no collision was found on this grid (never a global
     certificate). For a found collision, max_deviation records the witness
     pair's separation, so a failing report's deviation is macroscopic.
+
+    A 1-D map is probed through the sign changes of its derivative. A map
+    of two or more variables is probed pairwise through a neighbour-cell
+    index of its images, at a cost of O(n) for spread-out images plus one
+    comparison per close pair, on grids of any size; the witnesses are the
+    first 8 colliding pairs (i, j), i < j, in grid order.
     """
     ev = probe_evidence(m, grid, tol)
     notes = []

@@ -42,6 +42,7 @@ from .grids import Axis, grid1d, grid2d
 from .maps import SmoothMap, scalar_map
 from .actions import noninvertibility_witness_sqrt
 from .reduction import (
+    IntegrationError,
     augment_system,
     gls_one_time_op,
     gls_slice,
@@ -386,9 +387,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
     spacing = args.spacing
     if spacing == "auto":
         spacing = "geometric" if args.eps_start > 0.0 else "uniform"
-    traj = integrate_flow(
-        sys_obj, args.t0, y0, args.t1, args.steps, eps_start=args.eps_start, spacing=spacing
-    )
+    try:
+        traj = integrate_flow(
+            sys_obj, args.t0, y0, args.t1, args.steps, eps_start=args.eps_start, spacing=spacing
+        )
+    except IntegrationError as err:
+        print(f"error: integration failed: {err}", file=sys.stderr)
+        return 2
     traj.write_csv(args.out)
     print(
         f"integrated {args.system} from t={args.t0 + args.eps_start:g} to {args.t1:g} "

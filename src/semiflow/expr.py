@@ -753,10 +753,3 @@ def compile_expr(e: Expr, params: tuple[str, ...]) -> Callable[..., float]:
             raise ExprError(f"parameter name {p!r} is not an identifier")
     src = f"lambda {', '.join(params)}: {_emit(e, params)}"
     return eval(src, dict(_COMPILE_NS))  # noqa: S307 - namespace is closed
-
-
-def eval_compiled(fn: Callable[..., float], *args: float) -> float:
-    try:
-        return fn(*args)
-    except ZeroDivisionError as err:
-        raise EvalDomainError("division by zero") from err

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 def linspace(lo: float, hi: float, count: int) -> list[float]:
@@ -15,13 +17,6 @@ def linspace(lo: float, hi: float, count: int) -> list[float]:
     pts = [lo + k * step for k in range(count)]
     pts[-1] = hi  # avoid drift at the right endpoint
     return pts
-
-
-def geomspace(lo: float, hi: float, count: int) -> list[float]:
-    if lo <= 0.0 or hi <= lo:
-        raise ValueError("geomspace needs 0 < lo < hi")
-    ratio = hi / lo
-    return [lo * ratio ** (k / (count - 1)) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -88,3 +83,52 @@ def grid2d(
     seed: int = 42, jitter: float = 0.0,
 ) -> SamplingGrid:
     return SamplingGrid((Axis(lo1, hi1, count1), Axis(lo2, hi2, count2)), seed=seed, jitter=jitter)
+
+
+def _cell_key(coords: Sequence[float], side: float) -> tuple[int, ...] | None:
+    try:
+        return tuple(math.floor(c / side) for c in coords)
+    except (ZeroDivisionError, OverflowError, ValueError):  # zero side, ±inf, NaN
+        return None
+
+
+def _near_pairs(points: Sequence[Sequence[float]], side: float) -> Iterator[tuple[int, int]]:
+    """Candidate index pairs (i, j), i < j, for points within side/2 per axis.
+
+    A fixed-radius near-neighbour cell index (Bentley, Stanat & Williams,
+    Inf. Proc. Letters 6, 1977): points are hashed into cubes of edge
+    `side`, and each is paired only with the later points of its own and
+    the 3^d neighbouring cells. That costs O(n) for spread-out points plus
+    one pair per close pair, instead of the n(n-1)/2 of a double loop.
+    Two points at most side/2 apart per axis have cell indices at most 1
+    apart even after the division rounds, so every such pair is yielded;
+    callers pass twice their tolerance and apply their exact predicate to
+    the candidates. A point whose cell cannot be computed (a NaN or
+    infinite coordinate or quotient, a zero side) is paired with every
+    other point.
+
+    Pairs come in the order of the double loop `for i: for j > i`, so a
+    caller that stops at its first (or first k) matches finds the same
+    ones as the loop.
+    """
+    keys = [_cell_key(p, side) for p in points]
+    cells: dict[tuple[int, ...], list[int]] = {}
+    loose = []
+    for i, key in enumerate(keys):
+        if key is None:
+            loose.append(i)
+        else:
+            cells.setdefault(key, []).append(i)
+    n = len(points)
+    offsets = list(itertools.product((-1, 0, 1), repeat=len(points[0]))) if n else []
+    for i, key in enumerate(keys):
+        if key is None:
+            later = range(i + 1, n)
+        else:
+            later = loose[bisect_right(loose, i):]
+            for off in offsets:
+                cell = cells.get(tuple(k + o for k, o in zip(key, off)), ())
+                later += cell[bisect_right(cell, i):]
+            later.sort()
+        for j in later:
+            yield i, j

@@ -3,18 +3,43 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
+
+
+def nan_max(values: Iterable[float]) -> float:
+    """The largest value, or NaN if any value is NaN.
+
+    The builtin max keeps or drops a NaN depending on where it stands, so a
+    check aggregated with it could pass on a value it never measured.
+    Raises ValueError on an empty input, like max.
+    """
+    it = iter(values)
+    try:
+        worst = next(it)
+    except StopIteration:
+        raise ValueError("nan_max() arg is an empty sequence") from None
+    if worst != worst:
+        return math.nan
+    for x in it:
+        if x > worst:
+            worst = x
+        elif x != x:
+            return math.nan
+    return worst
 
 
 def max_norm(v: Sequence[float]) -> float:
-    return max(abs(x) for x in v)
+    return nan_max(abs(x) for x in v)
 
 
 def deviation(lhs: Sequence[float], rhs: Sequence[float]) -> float:
     """Relative-absolute gap max|l-r|/(1+max|r|); states grow quadratically
-    in the worked examples, so a plain absolute gap would over-weight them."""
-    gap = max(abs(a - b) for a, b in zip(lhs, rhs))
+    in the worked examples, so a plain absolute gap would over-weight them.
+    A NaN in either vector makes the deviation NaN, so it fails every
+    `<= tol` test."""
+    gap = nan_max(abs(a - b) for a, b in zip(lhs, rhs))
     return gap / (1.0 + max_norm(rhs))
 
 
@@ -34,7 +59,9 @@ class VerificationReport:
 
     max_deviation is already normalized (see `deviation`), so the invariant
     passed == (max_deviation <= tolerance) holds literally; `inconclusive`
-    flags runs where too many grid points had to be skipped.
+    flags runs where too many grid points had to be skipped. A NaN or +inf
+    deviation, wherever it stands in the list, becomes max_deviation and
+    fails the report.
     """
 
     suite: str
@@ -60,7 +87,7 @@ class VerificationReport:
         inconclusive: bool = False,
         notes: tuple[str, ...] = (),
     ) -> "VerificationReport":
-        dev = max(deviations) if deviations else 0.0
+        dev = nan_max(deviations) if deviations else 0.0
         return cls(
             suite=suite,
             passed=dev <= tolerance and not inconclusive,

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semiflow.actions import (
     PreconditionError,
+    ProbeEvidence,
     TimeAction,
     classify_samples,
     composition_check,
@@ -13,6 +18,7 @@ from semiflow.actions import (
     identity_check,
     injectivity_probe,
     noninvertibility_witness_sqrt,
+    probe_evidence,
 )
 from semiflow.enforcing import (
     bump_map,
@@ -27,6 +33,7 @@ from semiflow.expr import EvalDomainError, parse_expr
 from semiflow.grids import grid1d, grid2d
 from semiflow.maps import SmoothMap, identity_map, scalar_map
 from semiflow.reduction import gls_time_action
+from semiflow.report import VerificationReport, Witness, deviation
 
 
 def identity_action() -> TimeAction:
@@ -144,9 +151,89 @@ class TestInjectivityProbe:
         rep = injectivity_probe(fold, grid2d(-2.0, 2.0, 9, -1.0, 1.0, 5), 1e-9)
         assert not rep.passed
 
+    def test_grid_beyond_4000_points(self):
+        fold = SmoothMap(("x", "y"), (parse_expr("x^2"), parse_expr("y")), name="fold")
+        grid = grid2d(-2.0, 2.0, 70, -1.0, 1.0, 70)
+        rep = injectivity_probe(fold, grid, 1e-9)
+        assert not rep.passed and rep.checked == 4900
+        xs, ys = grid.axis_values()
+        # the first 8 pairs in grid order: (-2, y_k) and its mirror (2, y_k)
+        assert [w.point for w in rep.witnesses] == [(-2.0, y, 2.0, y) for y in ys[:8]]
+        assert rep.max_deviation == 4.0
+
     def test_arity_requirement(self):
         with pytest.raises(Exception):
             injectivity_probe(scalar_map(("x", "y"), "x + y"), grid2d(0, 1, 3, 0, 1, 3), 1e-9)
+
+
+def all_pairs_probe(m, grid, tol):
+    """Reference: the all-pairs collision scan of the pairwise probe."""
+    sep = 1e-6 * max(ax.hi - ax.lo for ax in grid.axes)
+    images = []
+    skipped = 0
+    for p in grid.points():
+        try:
+            images.append((p, m.at(p)))
+        except EvalDomainError:
+            skipped += 1
+    witnesses = []
+    for i in range(len(images)):
+        p1, v1 = images[i]
+        for j in range(i + 1, len(images)):
+            p2, v2 = images[j]
+            if max(abs(a - b) for a, b in zip(p1, p2)) < sep:
+                continue
+            if deviation(v1, v2) <= tol:
+                witnesses.append(Witness((*p1, *p2), (*v1, *v2), "image collision"))
+                if len(witnesses) >= 8:
+                    return ProbeEvidence(witnesses, skipped=skipped)
+    return ProbeEvidence(witnesses, skipped=skipped)
+
+
+def tabulated_map(nx, ny, images):
+    """A map of the integer grid [0, nx-1] x [0, ny-1]; a None image is a domain error."""
+
+    def func(x, y):
+        v = images[int(x) * ny + int(y)]
+        if v is None:
+            raise EvalDomainError("no image")
+        return v
+
+    return SmoothMap(("x", "y"), func=func, out_dim=2), grid2d(0, nx - 1, nx, 0, ny - 1, ny)
+
+
+_ODD = [math.nan, math.inf, -math.inf, 1e300, -1e300, -0.0]
+
+
+@st.composite
+def probe_cases(draw):
+    # Image components on a lattice of a quarter tolerance collide often
+    # (more than 8 times on larger grids) and sit on cell boundaries; the odd
+    # values and free floats give loose images and a wide range of cell sides.
+    tol = draw(st.sampled_from([0.25, 1e-9, 0.5, 0.0]))
+    unit = tol / 4.0 if tol else 1.0
+    comp = st.one_of(
+        st.integers(-8, 8).map(lambda k: k * unit),
+        st.sampled_from(_ODD + [1e3]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    nx, ny = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    image = st.one_of(st.tuples(comp, comp), st.none())
+    images = draw(st.lists(image, min_size=nx * ny, max_size=nx * ny))
+    return tol, nx, ny, images
+
+
+class TestPairwiseProbeCellIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(probe_cases())
+    @example((0.25, 2, 2, [(10.0, 0.0), (12.0, 0.0), None, None]))  # gap 2 > tol, deviation 2/13
+    @example((0.25, 2, 2, [(0.0, 0.0), (-0.25, 0.0), (0.375, 0.0), (math.nan, 9.0)]))
+    @example((1e-9, 2, 2, [(1e300, 1.0), (1e300, 1.0), (math.inf, 1.0), (math.inf, 1.0)]))
+    @example((0.25, 3, 4, [(1.0, 1.0)] * 12))  # 66 collisions, the first 8 kept
+    def test_matches_all_pairs_scan(self, case):
+        tol, nx, ny, images = case
+        m, grid = tabulated_map(nx, ny, images)
+        assert repr(probe_evidence(m, grid, tol)) == repr(all_pairs_probe(m, grid, tol))
 
 
 class TestWitnessPair:
@@ -209,6 +296,32 @@ class TestReportInvariant:
         assert rep.passed == (rep.max_deviation <= rep.tolerance and not rep.inconclusive)
         rep2 = composition_check(sqrt_action(), [(1.0, 1.0)], grid1d(0.5, 1.5, 5), 1e-9)
         assert rep2.passed == (rep2.max_deviation <= rep2.tolerance and not rep2.inconclusive)
+
+    def test_nan_deviation_does_not_depend_on_position(self):
+        assert math.isnan(deviation((1.0, math.nan), (1.0, 2.0)))
+        assert math.isnan(deviation((math.nan, 1.0), (2.0, 1.0)))
+        assert math.isnan(deviation((1.0, 2.0), (1.0, math.nan)))
+
+    @pytest.mark.parametrize("devs", [[0.0, math.nan], [math.nan, 0.0]])
+    def test_nan_deviation_fails_the_report(self, devs):
+        rep = VerificationReport.from_deviations("x", devs, 1e-9)
+        assert not rep.passed and math.isnan(rep.max_deviation)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.floats(0.0, 1e-12), max_size=20),
+        st.lists(st.sampled_from([math.nan, math.inf]), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_non_finite_deviation_fails_the_report(self, finite, odd, rng):
+        devs = finite + odd
+        rng.shuffle(devs)
+        rep = VerificationReport.from_deviations("x", devs, 1e-9)
+        assert not rep.passed and rep.passed == (rep.max_deviation <= rep.tolerance)
+        if any(math.isnan(x) for x in odd):
+            assert math.isnan(rep.max_deviation)
+        else:
+            assert rep.max_deviation == math.inf
 
     def test_json_round_trip(self):
         import json

@@ -151,6 +151,21 @@ def test_flow_bad_arity(capsys):
     ) == 2
 
 
+def test_flow_integration_error_exits_two(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    rc = main(
+        [
+            "flow", "--system", "sqrt-ode-minus", "--t0", "0", "--t1", "1",
+            "--steps", "10", "--y0", "-100", "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: integration failed:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_flow_unknown_system(capsys):
     assert main(
         ["flow", "--system", "nope", "--t0", "0", "--t1", "1", "--steps", "10", "--out", "/tmp/x.csv"]

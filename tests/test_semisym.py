@@ -5,14 +5,18 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semiflow.actions import PreconditionError
 from semiflow.expr import EvalDomainError, ExprError
 from semiflow.grids import grid1d, grid2d
-from semiflow.maps import compose, identity_map, scalar_map
+from semiflow.maps import SmoothMap, compose, identity_map, scalar_map
+from semiflow.report import Witness
 from semiflow.semisym import (
     VALUE_MAPS,
     WAVE_PROFILES,
+    ParametricFunction,
     act,
     canonical_parametric,
     constrained_symmetry_scan,
@@ -115,6 +119,80 @@ class TestIsGraph:
                 assert ok
 
 
+def all_pairs_is_graph(V, grid, base_tol, value_gap):
+    """Reference: the all-pairs scan is_graph ran on bases of dimension >= 2."""
+    samples = []
+    for lam in grid.points():
+        try:
+            base, value = V.sample(lam)
+        except EvalDomainError:
+            continue
+        samples.append((base, value, lam))
+    for i, (base_i, val_i, lam_i) in enumerate(samples):
+        for j in range(i + 1, len(samples)):
+            base_j, val_j, lam_j = samples[j]
+            if max(abs(a - b) for a, b in zip(base_i, base_j)) <= base_tol:
+                if abs(val_j - val_i) > value_gap:
+                    return False, Witness(
+                        (*lam_i, *lam_j),
+                        (*base_i, val_i, *base_j, val_j),
+                        "same base point, two values",
+                    )
+    return True, None
+
+
+def tabulated_chart(rows):
+    """A chart k -> rows[k] over the grid 0, 1, ..., len(rows)-1."""
+    dim = len(rows[0][0])
+    chart = SmoothMap(("k",), func=lambda k: (*rows[int(k)][0], rows[int(k)][1]), out_dim=dim + 1)
+    return ParametricFunction(("k",), chart, dim), grid1d(0.0, len(rows) - 1.0, len(rows))
+
+
+_ODD = [math.nan, math.inf, -math.inf, 1e300, -1e300, -0.0]
+
+
+@st.composite
+def graph_samples(draw):
+    # Coordinates on a lattice of half the tolerance give duplicates, pairs
+    # exactly base_tol apart and pairs across cell boundaries; the odd values
+    # and free floats give loose samples and overflowing cell quotients.
+    base_tol = draw(st.sampled_from([0.25, 0.1, 1e-9, 0.0]))
+    unit = base_tol / 2.0 if base_tol else 1.0
+    coord = st.one_of(
+        st.integers(-8, 8).map(lambda k: k * unit),
+        st.sampled_from(_ODD),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.nan, math.inf]), st.floats())
+    dim = draw(st.sampled_from([2, 2, 3]))
+    rows = draw(
+        st.lists(st.tuples(st.tuples(*[coord] * dim), value), min_size=2, max_size=40)
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6))
+    return base_tol, rows
+
+
+class TestIsGraphCellIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_samples())
+    @example((0.25, [((0.375, 0.0), 0.0), ((0.625, 0.0), 1.0)]))  # across a cell edge
+    @example((0.25, [((0.0, 0.0), 0.0), ((-0.25, 0.25), 1.0)]))  # negative, base_tol apart
+    @example((0.25, [((0.0, math.nan), 0.0), ((0.0, 5.0), 1.0)]))  # NaN base matches
+    @example((0.25, [((0.0, 5.0), 0.0), ((0.0, math.nan), 1.0)]))  # ... also as the later one
+    @example((1e-9, [((1e300, 0.0), 0.0), ((1e300, 0.0), 1.0)]))  # quotient overflows
+    @example((1e-9, [((math.inf, 0.0), 0.0), ((1.0, 0.0), 1.0), ((1.0, 0.0), 1.0)]))
+    def test_matches_all_pairs_scan(self, case):
+        base_tol, rows = case
+        V, grid = tabulated_chart(rows)
+        expected = all_pairs_is_graph(V, grid, base_tol, 0.5)
+        assert repr(is_graph(V, grid, base_tol, 0.5)) == repr(expected)
+
+    def test_first_offending_pair_in_grid_order(self):
+        rows = [((0.0, 0.0), 0.0), ((5.0, 5.0), 0.0), ((5.0, 5.0), 3.0), ((0.0, 0.0), 1.0)]
+        ok, wit = is_graph(*tabulated_chart(rows))
+        assert not ok and wit.point == (0.0, 3.0)
+
+
 class TestRegraph:
     def test_reconstructs_values(self):
         V = canonical_parametric(scalar_map(("x",), "x^2"))
@@ -205,6 +283,16 @@ class TestSemiSymmetry:
                 self.grid,
                 1e-12,
             )
+
+    def test_nan_residual_fails(self):
+        # u*1e308*10 overflows for x > 0, so the residual U - U of the
+        # transformed member is inf - inf = NaN everywhere but at x = 0
+        pde = pde_from_text("U - U", "U", ("x",))
+        rep = semi_symmetry_check(
+            pde, vertical_map("u*1e308*10", ("x",)), [scalar_map(("x",), "x")],
+            grid1d(0.0, 1.0, 5), 1e-9,
+        )
+        assert not rep.passed and math.isnan(rep.max_deviation)
 
 
 class TestConstrainedScan:
