@@ -103,7 +103,7 @@ def identity_check(action: TimeAction, grid: SamplingGrid, tol: float) -> Verifi
         out = action(0.0, y)
         d = deviation(out, y)
         devs.append(d)
-        if d > tol:
+        if not d <= tol:
             witnesses.append(Witness(y, out, "H(0,y) != y"))
     return VerificationReport.from_deviations(
         f"identity[{action.name}]",
@@ -154,7 +154,7 @@ def composition_check(
                 continue
             d = deviation(lhs, rhs)
             devs.append(d)
-            if d > tol and len(witnesses) < 8:
+            if not d <= tol and len(witnesses) < 8:
                 witnesses.append(
                     Witness((t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")
                 )

@@ -10,6 +10,8 @@ Commands:
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 input/config error.
 Reports are byte-deterministic for a fixed scenario and seed.
+`run_suite(scenario)` is `semiflow verify` called from Python: the same
+function runs both, with the same exit codes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .enforcing import (
     square_map,
 )
 from .evolution_pde import burgers_residual, burgers_soliton, heat_flow_demo
-from .expr import ExprError, ParseError, free_vars, parse_expr
+from .expr import ExprError, free_vars, parse_expr
 from .grids import Axis, grid1d, grid2d
 from .maps import SmoothMap, scalar_map
 from .actions import noninvertibility_witness_sqrt
@@ -268,14 +270,7 @@ FLOW_SYSTEMS: dict[str, Callable[[], object]] = {
 
 def load_scenario(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("scenario must be a JSON object")
-    known = {"suite", "expressions", "grids", "tolerances", "seed", "out"}
-    stray = set(doc) - known
-    if stray:
-        raise ValueError(f"unknown scenario keys {sorted(stray)}; known: {sorted(known)}")
-    return doc
+        return json.load(fh)
 
 
 def config_from_scenario(doc: dict, seed_override: int | None) -> SuiteConfig:
@@ -334,15 +329,33 @@ def cmd_list(_args: argparse.Namespace) -> int:
 SUITE_ALIASES = {"identity": "identity-axiom"}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    doc = load_scenario(args.scenario) if args.scenario else {}
-    config = config_from_scenario(doc, args.seed)
-    suite = args.suite or doc.get("suite")
+def verify(
+    doc: dict,
+    suite: str | None = None,
+    seed: int | None = None,
+    out: str | None = None,
+    action: str | None = None,
+) -> int:
+    """Run the scenario `doc` under the command-line overrides; 0 if every
+    report passed, else 1.
+
+    The one body behind `semiflow verify` and `run_suite`. Bad input
+    raises one of INPUT_ERRORS, which both entry points turn into exit
+    code 2.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("scenario must be a JSON object")
+    known = {"suite", "expressions", "grids", "tolerances", "seed", "out"}
+    stray = set(doc) - known
+    if stray:
+        raise ValueError(f"unknown scenario keys {sorted(stray)}; known: {sorted(known)}")
+    config = config_from_scenario(doc, seed)
+    suite = suite or doc.get("suite")
     reports: dict[str, list[VerificationReport]] = {}
-    if args.action is not None:
+    if action is not None:
         # a user-declared action: check its identity axiom and nothing else
         reports["adhoc-identity"] = [
-            _adhoc_identity_report(args.action, config.tol("identity", 1e-12))
+            _adhoc_identity_report(action, config.tol("identity", 1e-12))
         ]
     else:
         if suite is None:
@@ -357,7 +370,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for note in rep.notes:
                 print(f"    note: {note}")
             all_passed &= rep.passed
-    out_path = args.out or doc.get("out")
+    out_path = out or doc.get("out")
     if out_path:
         write_report_file(
             out_path,
@@ -368,6 +381,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         print(f"report written to {out_path}")
     return 0 if all_passed else 1
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    doc = load_scenario(args.scenario) if args.scenario else {}
+    return verify(doc, args.suite, args.seed, args.out, args.action)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -439,39 +457,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_suite(scenario: dict) -> int:
-    """Programmatic entry point: run the scenario document, return the exit code."""
-    ns = argparse.Namespace(
-        suite=scenario.get("suite"),
-        scenario=None,
-        seed=scenario.get("seed"),
-        out=scenario.get("out"),
-        action=None,
-    )
+# bad input of any kind: a scenario, an expression, a name or a file
+INPUT_ERRORS = (KeyError, ValueError, ExprError, OSError)
+
+
+def _exit_code(command: Callable[..., int], *args) -> int:
     try:
-        config = config_from_scenario(scenario, ns.seed)
-        names = list(SUITES) if ns.suite == "all" else [ns.suite]
-        reports = run_suites(names, config)
-    except (KeyError, ValueError, ParseError, ExprError) as err:
+        return command(*args)
+    except INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    ok = all(r.passed for reps in reports.values() for r in reps)
-    if ns.out:
-        write_report_file(
-            ns.out,
-            {"seed": config.seed, "suites": {n: [r.to_dict() for r in reps] for n, reps in reports.items()}},
-        )
-    return 0 if ok else 1
+
+
+def run_suite(scenario: dict) -> int:
+    """Programmatic `semiflow verify`: run the scenario document, return the exit code."""
+    return _exit_code(verify, scenario)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (KeyError, ValueError, ParseError, ExprError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
+    return _exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -127,7 +127,7 @@ def param_flow_check(flow: ParamFlow, grid: SamplingGrid, tol: float) -> Verific
         a_direct, b_direct = flow.move(t + s, a, b)
         d = deviation((a_two, *b_two), (a_direct, *b_direct))
         devs.append(d)
-        if d > tol and len(witnesses) < 8:
+        if not d <= tol and len(witnesses) < 8:
             witnesses.append(Witness(point, (a_two, *b_two, a_direct, *b_direct)))
     return VerificationReport.from_deviations(
         "param-flow-cocycle", devs, tol, grid.summary(), witnesses
@@ -167,7 +167,7 @@ def soliton_translation_check(
         rhs = profile(moved_a, moved_b[0], moved_b[1], mu)(0.0, x)
         dev = deviation(lhs, rhs)
         devs.append(dev)
-        if dev > tol and len(witnesses) < 8:
+        if not dev <= tol and len(witnesses) < 8:
             witnesses.append(Witness(point, (*lhs, *rhs)))
     return VerificationReport.from_deviations(
         "soliton-translation", devs, tol, grid.summary(), witnesses, skipped

@@ -7,9 +7,14 @@ exponents, and derivative markers ``D(U, x[, x])`` used by PDE residual
 templates (markers are inert until resolved against a concrete map).
 
 Operations: a recursive-descent parser for the infix grammar below, a
-printer that round-trips through the parser, exact evaluation, exact
-symbolic differentiation and capture-free substitution (the variable
-namespace is flat).
+printer that round-trips through the parser, exact symbolic
+differentiation, capture-free substitution (the variable namespace is
+flat) and evaluation.
+
+Evaluation has one path: `compile_expr` turns a tree into a lambda, and
+every numeric caller in the package goes through it. The tree walk
+`evaluate` applies the same domain rules node by node; it is kept as the
+reference the compiled code is tested against.
 
 Grammar (whitespace-insensitive)::
 
@@ -198,6 +203,12 @@ def _safe_log(x: float) -> float:
     return math.log(x)
 
 
+def _safe_div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalDomainError("division by zero")
+    return a / b
+
+
 def _safe_exp(x: float) -> float:
     try:
         return math.exp(x)
@@ -231,7 +242,11 @@ def _safe_pow(base: float, expo: float) -> float:
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
-    """IEEE double value of `e` with every free variable bound."""
+    """IEEE double value of `e` with every free variable bound.
+
+    The reference tree walk: `compile_expr` code gives the same values and
+    raises the same errors, and it is what the package itself evaluates.
+    """
     kind = type(e)
     if kind is Const:
         return e.value
@@ -251,9 +266,7 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
         if op == "mul":
             return a * b
         if op == "div":
-            if b == 0.0:
-                raise EvalDomainError("division by zero")
-            return a / b
+            return _safe_div(a, b)
         if op == "pow":
             return _safe_pow(a, b)
         raise ExprError(f"unknown binary op {op!r}")
@@ -698,13 +711,14 @@ def parse_expr(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation for hot loops (integration, dense grids)
+# compiled evaluation: the package's one evaluation path
 
 
 def _emit(e: Expr, params: tuple[str, ...]) -> str:
     kind = type(e)
     if kind is Const:
-        return repr(e.value)
+        # inf and nan have no literal: rebuild them from their repr
+        return repr(e.value) if math.isfinite(e.value) else f"_float('{e.value!r}')"
     if kind is Var:
         if e.name not in params:
             raise UnboundVariableError(
@@ -714,9 +728,9 @@ def _emit(e: Expr, params: tuple[str, ...]) -> str:
     if kind is Binary:
         a = _emit(e.lhs, params)
         b = _emit(e.rhs, params)
-        if e.op == "pow":
-            return f"_pow({a}, {b})"
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[e.op]
+        if e.op in ("pow", "div"):
+            return f"_{e.op}({a}, {b})"
+        sym = {"add": "+", "sub": "-", "mul": "*"}[e.op]
         return f"({a} {sym} {b})"
     if kind is Unary:
         if e.op == "neg":
@@ -737,16 +751,19 @@ _COMPILE_NS = {
     "_exp": _safe_exp,
     "_log": _safe_log,
     "_pow": _safe_pow,
+    "_div": _safe_div,
+    "_float": float,
 }
 
 
 @lru_cache(maxsize=4096)
 def compile_expr(e: Expr, params: tuple[str, ...]) -> Callable[..., float]:
-    """Fast positional-argument evaluator for `e`, generated as one lambda.
+    """Positional-argument evaluator for `e`, generated as one lambda.
 
-    Division by zero surfaces as ZeroDivisionError from the generated code;
-    callers on hot paths should map it to EvalDomainError (``evaluate`` does
-    this implicitly by checking before dividing).
+    This is how the package evaluates expressions. The generated code
+    calls the same domain-checked helpers as `evaluate`, the reference
+    tree walk, so both give the same values and raise the same
+    EvalDomainError (division by zero included).
     """
     for p in params:
         if not p.isidentifier():

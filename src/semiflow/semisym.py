@@ -107,7 +107,10 @@ def is_graph(
     pair is returned as the witness. Sampling semantics only.
 
     A 1-D base is sorted and swept, O(n log n); the witness is the first
-    offending pair in base order. A higher-dimensional base goes through a
+    offending pair in base order. Samples with a NaN or infinite base are
+    left out of the sweep: under the exact predicate they are within
+    base_tol of no sample, and a NaN key would leave the sort unordered.
+    A higher-dimensional base goes through a
     neighbour-cell index of side 2*base_tol (`grids._near_pairs`), O(n)
     for spread-out samples plus one comparison per close pair; the witness
     is the first offending pair (i, j), i < j, in grid order, exactly as an
@@ -121,6 +124,7 @@ def is_graph(
             continue
         samples.append((base, value, lam))
     if V.base_dim == 1:
+        samples = [rec for rec in samples if math.isfinite(rec[0][0])]
         samples.sort(key=lambda rec: rec[0][0])
         for i, (base_i, val_i, lam_i) in enumerate(samples):
             for j in range(i + 1, len(samples)):
@@ -254,7 +258,7 @@ def residual_max(pde: PdeResidual, U: SmoothMap, grid: SamplingGrid) -> float:
     for point in grid.points():
         try:
             residuals.append(abs(fn(*point)))
-        except (EvalDomainError, ZeroDivisionError) as err:
+        except EvalDomainError as err:
             raise EvalDomainError(f"residual undefined at {point!r}: {err}") from err
     return nan_max(residuals)
 

@@ -84,6 +84,16 @@ class TestIdentityCheck:
         rep = identity_check(shifted, grid1d(-1.0, 1.0, 5), 1e-12)
         assert not rep.passed and rep.witnesses
 
+    def test_nan_deviation_carries_a_witness(self):
+        # y*1e308*10 overflows to inf, and inf - inf is NaN at every point
+        overflowing = TimeAction(
+            "overflowing", 1, "nonneg", "t", ("y",),
+            SmoothMap(("t", "y"), (parse_expr("y + (y*1e308*10 - y*1e308*10)"),)),
+        )
+        rep = identity_check(overflowing, grid1d(0.5, 1.0, 3), 1e-12)
+        assert not rep.passed and math.isnan(rep.max_deviation)
+        assert [w.point for w in rep.witnesses] == [(0.5,), (0.75,), (1.0,)]
+
 
 class TestCompositionCheck:
     def test_raw_sqrt_action_fails(self):
@@ -108,6 +118,16 @@ class TestCompositionCheck:
             grid1d(-3.0, 3.0, 22), 1e-12,
         )
         assert rep.passed
+
+    def test_nan_deviation_carries_a_witness(self):
+        # t*1e308*10 - t*1e308*10 is 0 at t = 0 and NaN for every t > 0
+        action = TimeAction(
+            "nan-for-positive-t", 1, "nonneg", "t", ("y",),
+            SmoothMap(("t", "y"), (parse_expr("y + (t*1e308*10 - t*1e308*10)"),)),
+        )
+        rep = composition_check(action, [(1.0, 1.0)], grid1d(0.5, 1.0, 3), 1e-9)
+        assert not rep.passed and math.isnan(rep.max_deviation)
+        assert len(rep.witnesses) == 3
 
     def test_zero_times_trivial(self):
         rep = composition_check(sqrt_action(), [(0.0, 0.0)], grid1d(-2.0, 2.0, 9), 1e-15)

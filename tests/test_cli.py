@@ -94,6 +94,36 @@ def test_run_suite_programmatic():
     assert run_suite({"suite": "does-not-exist"}) == 2
 
 
+def test_run_suite_resolves_suite_aliases(capsys):
+    assert run_suite({"suite": "identity"}) == 0
+    assert "identity[sqrt-action]" in capsys.readouterr().out
+
+
+def test_run_suite_rejects_unknown_scenario_keys(capsys):
+    assert run_suite({"suite": "negative-control", "bogus": 1}) == 2
+    assert "unknown scenario keys ['bogus']" in capsys.readouterr().err
+
+
+def test_run_suite_unwritable_report_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert run_suite({"suite": "negative-control", "out": str(out)}) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_scenario_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["verify", "--scenario", str(path)]) == 2
+    assert run_suite([1, 2]) == 2
+
+
+def test_cli_and_run_suite_write_the_same_report(tmp_path, capsys):
+    cli_out, lib_out = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert main(["verify", "--suite", "noninvertibility", "--seed", "5", "--out", str(cli_out)]) == 0
+    assert run_suite({"suite": "noninvertibility", "seed": 5, "out": str(lib_out)}) == 0
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
 def test_demo_quadratic_recovery(capsys):
     assert main(["demo", "--name", "quadratic-recovery"]) == 0
     out = capsys.readouterr().out

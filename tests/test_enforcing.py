@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiflow.enforcing import (
     BranchMismatchError,
@@ -32,11 +34,12 @@ from semiflow.enforcing import (
     sqrt_plus_branch,
     square_map,
 )
-from semiflow.expr import EvalDomainError, parse_expr
+from semiflow.expr import EvalDomainError, diff, evaluate, parse_expr
 from semiflow.grids import grid1d, grid2d
 from semiflow.maps import identity_map, scalar_map
 from semiflow.actions import TimeAction
 from semiflow.maps import SmoothMap
+from semiflow.rootfind import RootSearchError, bisect
 
 
 class TestRegisteredActions:
@@ -259,3 +262,133 @@ class TestDiffeoClassification:
         doc = report.to_dict()
         assert doc["entries"][0]["diffeo"] is True
         assert report.diffeo_times() == [t for t, _ in report.entries]
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against the tree walk: the functions above evaluate
+# compiled code; these references compute the same quantities with
+# `evaluate`, and the two must agree bit for bit
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EvalDomainError:
+        return "domain error"
+
+
+def _walk_explicit_residual(t, y, branch):
+    st_ = math.sqrt(t)
+    h = y + st_ * y * y
+    radicand = 1.0 + 4.0 * st_ * h
+    if radicand < 0.0:
+        raise EvalDomainError("negative radicand")
+    sign = 1.0 if branch.name == "plus" else -1.0
+    rhs = (1.0 + 2.0 * st_ * h + sign * math.sqrt(radicand)) / (4.0 * t * st_)
+    lhs = evaluate(diff(parse_expr("y + sqrt(t)*y^2"), "t"), {"t": t, "y": y})
+    return abs(lhs - rhs)
+
+
+def _walk_milder_residual(t, y, branch):
+    h = y + t * y * y
+    radicand = 1.0 + 4.0 * t * h
+    if radicand < 0.0:
+        raise EvalDomainError("negative radicand")
+    root = math.sqrt(radicand)
+    if branch.name == "regular":
+        if 1.0 + 2.0 * t * h + root == 0.0:
+            raise EvalDomainError("vanishing denominator")
+        rhs = 2.0 * h * h / (1.0 + 2.0 * t * h + root)
+    else:
+        rhs = (1.0 + 2.0 * t * h + root) / (2.0 * t * t)
+    lhs = evaluate(diff(parse_expr("y + t*y^2"), "t"), {"t": t, "y": y})
+    return abs(lhs - rhs)
+
+
+def _walk_homotopy_residual(f, g, t, y):
+    outputs = homotopy_action(f, g).map.outputs
+    bindings = {g.var: t, f.inputs[0]: y}
+    h = evaluate(outputs[0], bindings)
+    ht = evaluate(diff(outputs[0], g.var), bindings)
+    gv = evaluate(g.g, {g.var: t})
+    gp = evaluate(diff(g.g, g.var), {g.var: t})
+    arg = (gp * h - gv * ht) / gp
+    lhs = (1.0 - gv) * ht + gp * h
+    return max(abs(lhs - gp * f(arg)[0]), abs(arg - y), abs(lhs / gp - f(y)[0]))
+
+
+def _walk_slope_attains_zero(action, y_grid, t):
+    slope = diff(action.map.outputs[0], "y")
+    second = diff(slope, "y")
+    y_pts = y_grid.axis_values()[0]
+    crits = []
+    prev_y = prev_v = None
+    for y in y_pts:
+        try:
+            v = evaluate(second, {"t": t, "y": y})
+        except EvalDomainError:
+            prev_y = prev_v = None
+            continue
+        if prev_v is not None and (prev_v < 0.0) != (v < 0.0):
+            try:
+                crits.append(
+                    bisect(lambda z: evaluate(second, {"t": t, "y": z}), prev_y, y, tol=1e-12)
+                )
+            except (EvalDomainError, RootSearchError):
+                pass
+        prev_y, prev_v = y, v
+    values = []
+    for y in list(y_pts) + crits:
+        try:
+            values.append(evaluate(slope, {"t": t, "y": y}))
+        except EvalDomainError:
+            continue
+    return not values or min(values) <= 0.0 <= max(values)
+
+
+_MEDIATORS = ["sqrt(t)", "t^2", "3*t^2 - 2*t^3", "(exp(t) - 1)/(exp(1) - 1)", "t/(2 - t)"]
+
+
+class TestCompiledMatchesTreeWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(_MEDIATORS), st.floats(0.0, 10.0))
+    def test_mediator_value_and_slope(self, g_text, t):
+        g = MediatorFunction(parse_expr(g_text))
+        assert _outcome(g.value, t) == _outcome(evaluate, g.g, {"t": t})
+        assert _outcome(g.slope, t) == _outcome(evaluate, diff(g.g, "t"), {"t": t})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, 10.0), st.floats(-5.0, 5.0))
+    def test_explicit_residual(self, t, y):
+        branch = sqrt_branch_for(t, y)
+        assert _outcome(ode_residual_explicit, t, y, branch) == _outcome(
+            _walk_explicit_residual, t, y, branch
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-2.0, 2.0).filter(lambda t: t != 0.0), st.floats(-3.0, 3.0))
+    def test_milder_residual(self, t, y):
+        branch = milder_branch_for(t, y)
+        assert _outcome(ode_residual_milder, t, y, branch) == _outcome(
+            _walk_milder_residual, t, y, branch
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["square", "bump", "identity"]),
+        st.floats(1e-3, 10.0),
+        st.floats(-5.0, 5.0),
+    )
+    def test_homotopy_residual(self, name, t, y):
+        f = {"square": square_map(), "bump": bump_map(), "identity": identity_map(("y",))}[name]
+        g = sqrt_mediator()
+        assert ode_residual_homotopy(f, g, t, y) == _walk_homotopy_residual(f, g, t, y)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.05, 10.0), st.sampled_from(["bump", "square"]))
+    def test_slope_attains_zero(self, t, name):
+        f = bump_map() if name == "bump" else square_map()
+        action = homotopy_action(f, sqrt_mediator())
+        y_grid = grid1d(-3.0, 3.0, 61)
+        probe = diffeo_classifier(action, y_grid)
+        assert probe.slope_attains_zero(t) == _walk_slope_attains_zero(action, y_grid, t)

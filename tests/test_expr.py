@@ -148,6 +148,20 @@ class TestEvaluate:
         with pytest.raises(UnboundVariableError):
             evaluate(parse_expr("y + z"), {"y": 1.0})
 
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_compiled_division_by_zero_is_a_domain_error(self, x):
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            compile_expr(parse_expr("1/x"), ("x",))(x)
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            scalar_map(("x",), "x + 1/(x*x)")(x)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -0.0, 1e-300])
+    def test_compiled_constants_match_the_tree_walk(self, value):
+        e = Binary("add", Var("x"), Const(value))
+        got = compile_expr(e, ("x",))(1.0)
+        want = evaluate(e, {"x": 1.0})
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
     def test_cbrt_odd_extension(self):
         assert evaluate(parse_expr("cbrt(x)"), {"x": -8.0}) == pytest.approx(-2.0, rel=1e-15)
         assert evaluate(parse_expr("cbrt(x)"), {"x": 0.0}) == 0.0
@@ -378,6 +392,23 @@ def test_concurrent_evaluation_is_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         residuals = list(pool.map(work, range(400)))
     assert max(abs(r) for r in residuals) <= 1e-12
+
+
+def _outcome(fn, *args):
+    try:
+        v = fn(*args)
+    except (EvalDomainError, ValueError) as err:
+        return type(err).__name__
+    return "nan" if math.isnan(v) else v
+
+
+@given(_trees, _points)
+@settings(max_examples=300)
+def test_compiled_code_agrees_with_the_tree_walk(e, point):
+    # one division rule: the same values, and the same error where one is raised
+    fn = compile_expr(e, ("x", "y", "t"))
+    got = _outcome(fn, point["x"], point["y"], point["t"])
+    assert got == _outcome(evaluate, e, point)
 
 
 @given(_trees, _points)

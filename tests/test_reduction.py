@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semiflow.actions import TimeAction
 from semiflow.enforcing import cuberoot_group_action, sqrt_action
-from semiflow.expr import EvalDomainError
+from semiflow.expr import EvalDomainError, parse_expr
 from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
 from semiflow.maps import SmoothMap, map_from_exprs
 from semiflow.reduction import (
@@ -267,6 +268,16 @@ class TestOperatorLaws:
         rep = two_time_law_check(gls_two_time_op(), triples, grid1d(-0.1, 2.0, 22), 1e-9)
         assert rep.passed
 
+    def test_nan_deviation_carries_a_witness(self):
+        # E(s)(x) = x at s = 0 and NaN (inf - inf) for every s > 0
+        op = EvolutionOp(
+            "nan-op", "one_time", 1,
+            closed_form=SmoothMap(("s", "x"), (parse_expr("x + (s*1e308*10 - s*1e308*10)"),)),
+        )
+        rep = one_time_law_check(op, [(1.0, 1.0)], grid1d(0.0, 1.0, 3), 1e-9)
+        assert not rep.passed and math.isnan(rep.max_deviation)
+        assert len(rep.witnesses) == 3
+
     def test_beyond_fold_points_are_skipped_not_wrong(self):
         # y* < 0 with a large target time flips the bounded branch; the
         # operator's guard must exclude such inverse legs instead of
@@ -361,6 +372,15 @@ class TestFlowVsClosedForm:
             eps_start=0.0, steps=2_000, tol=1e-6,
         )
         assert rep.passed
+
+    def test_nan_deviation_carries_the_first_nan_as_witness(self):
+        # the closed form is y at t = 0 and NaN (inf - inf) for every t > 0
+        nan_later = SmoothMap(("t", "y"), (parse_expr("y + (t*1e308*10 - t*1e308*10)"),))
+        action = TimeAction("nan-later", 1, "nonneg", "t", ("y",), nan_later)
+        sys0 = OdeSystem("flat", "autonomous", 1, map_from_exprs(("y",), ["0"]))
+        rep = flow_vs_closed_form(action, sys0, 1.0, 1.0, 0.0, 4, 1e-9)
+        assert not rep.passed and math.isnan(rep.max_deviation)
+        assert len(rep.witnesses) == 1 and rep.witnesses[0].point == (0.25,)
 
     def test_constant_action_zero_rhs(self):
         still = SmoothMap(("t", "y"), func=lambda t, y: (y,), out_dim=1, name="still")

@@ -120,7 +120,7 @@ class TestIsGraph:
 
 
 def all_pairs_is_graph(V, grid, base_tol, value_gap):
-    """Reference: the all-pairs scan is_graph ran on bases of dimension >= 2."""
+    """Reference: an all-pairs scan under is_graph's exact predicate."""
     samples = []
     for lam in grid.points():
         try:
@@ -152,7 +152,7 @@ _ODD = [math.nan, math.inf, -math.inf, 1e300, -1e300, -0.0]
 
 
 @st.composite
-def graph_samples(draw):
+def graph_samples(draw, dims=(2, 2, 3)):
     # Coordinates on a lattice of half the tolerance give duplicates, pairs
     # exactly base_tol apart and pairs across cell boundaries; the odd values
     # and free floats give loose samples and overflowing cell quotients.
@@ -164,7 +164,7 @@ def graph_samples(draw):
         st.floats(allow_nan=True, allow_infinity=True),
     )
     value = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.nan, math.inf]), st.floats())
-    dim = draw(st.sampled_from([2, 2, 3]))
+    dim = draw(st.sampled_from(dims))
     rows = draw(
         st.lists(st.tuples(st.tuples(*[coord] * dim), value), min_size=2, max_size=40)
     )
@@ -191,6 +191,24 @@ class TestIsGraphCellIndex:
         rows = [((0.0, 0.0), 0.0), ((5.0, 5.0), 0.0), ((5.0, 5.0), 3.0), ((0.0, 0.0), 1.0)]
         ok, wit = is_graph(*tabulated_chart(rows))
         assert not ok and wit.point == (0.0, 3.0)
+
+
+class TestIsGraphOneDimensionalSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_samples(dims=(1,)))
+    @example((0.25, [((3.0,), 0.0), ((math.nan,), 0.0), ((1.0,), 5.0)]))
+    @example((0.25, [((math.inf,), 0.0), ((math.inf,), 5.0)]))  # inf - inf is NaN
+    @example((0.25, [((1.0,), 0.0), ((math.nan,), 0.0), ((1.1,), 5.0)]))  # NaN between a pair
+    def test_matches_all_pairs_scan(self, case):
+        # the sweep's witness is the first pair in base order, so only the verdict is compared
+        base_tol, rows = case
+        V, grid = tabulated_chart(rows)
+        expected, _ = all_pairs_is_graph(V, grid, base_tol, 0.5)
+        assert is_graph(V, grid, base_tol, 0.5)[0] == expected
+
+    def test_nan_base_matches_nothing(self):
+        rows = [((3.0,), 0.0), ((math.nan,), 0.0), ((1.0,), 5.0)]
+        assert is_graph(*tabulated_chart(rows)) == (True, None)
 
 
 class TestRegraph:
