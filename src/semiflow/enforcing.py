@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .expr import (
@@ -249,6 +249,13 @@ def ode_residual_explicit(t: float, y: float, branch: BranchSelector) -> float:
     return abs(lhs - rhs)
 
 
+@lru_cache(maxsize=32)
+def _homotopy_maps(f: SmoothMap, g: MediatorFunction) -> tuple[SmoothMap, SmoothMap]:
+    """The homotopy action's map and its exact t-partial, built once per (f, g)."""
+    h = homotopy_action(f, g).map
+    return h, h.partial(g.var)
+
+
 def ode_residual_homotopy(
     f: SmoothMap, g: MediatorFunction, t: float, y: float | Sequence[float]
 ) -> float:
@@ -258,13 +265,13 @@ def ode_residual_homotopy(
     if t <= 0.0:
         raise EvalDomainError("the homotopy ODE is posed on t > 0")
     ys = (y,) if isinstance(y, (int, float)) else tuple(y)
-    action = homotopy_action(f, g)
+    h_map, ht_map = _homotopy_maps(f, g)
     gv = g.value(t)
     gp = g.slope(t)
     if gp == 0.0:
         raise EvalDomainError(f"mediator derivative vanishes at t={t!r}")
-    h_val = action.map(t, *ys)
-    ht_val = action.map.partial(g.var)(t, *ys)
+    h_val = h_map(t, *ys)
+    ht_val = ht_map(t, *ys)
     arg = [(gp * h - gv * ht) / gp for h, ht in zip(h_val, ht_val)]
     f_at_arg = f.at(arg)
     f_at_y = f.at(ys)

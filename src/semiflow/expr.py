@@ -12,7 +12,9 @@ differentiation, capture-free substitution (the variable namespace is
 flat) and evaluation.
 
 Evaluation has one path: `compile_expr` turns a tree into a lambda, and
-every numeric caller in the package goes through it. The tree walk
+every numeric caller in the package goes through it (`compile_system`
+emits the same code for a tuple of trees, computing shared subtrees
+once, for the ODE right-hand sides the flow integrator calls). The tree walk
 `evaluate` applies the same domain rules node by node; it is kept as the
 reference the compiled code is tested against.
 
@@ -30,6 +32,7 @@ turn binds tighter than ``*``/``/``, so ``-x^2`` means ``-(x^2)`` and
 
 from __future__ import annotations
 
+import keyword
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -730,8 +733,7 @@ def _emit(e: Expr, params: tuple[str, ...]) -> str:
         b = _emit(e.rhs, params)
         if e.op in ("pow", "div"):
             return f"_{e.op}({a}, {b})"
-        sym = {"add": "+", "sub": "-", "mul": "*"}[e.op]
-        return f"({a} {sym} {b})"
+        return f"({a} {_INFIX[e.op]} {b})"
     if kind is Unary:
         if e.op == "neg":
             return f"(-{_emit(e.arg, params)})"
@@ -740,6 +742,8 @@ def _emit(e: Expr, params: tuple[str, ...]) -> str:
         raise UnresolvedMarkerError("cannot compile an unresolved derivative marker")
     raise ExprError(f"unknown node {e!r}")
 
+
+_INFIX = {"add": "+", "sub": "-", "mul": "*"}
 
 _COMPILE_NS = {
     "__builtins__": {},
@@ -756,6 +760,19 @@ _COMPILE_NS = {
 }
 
 
+def _check_params(params: tuple[str, ...]) -> None:
+    # compiled code owns every name that starts with "_": its helpers are
+    # globals (_sqrt, _div, ...) and its shared subtrees locals (_c0, ...)
+    for p in params:
+        if not p.isidentifier() or keyword.iskeyword(p):
+            raise ExprError(f"parameter name {p!r} is not an identifier")
+        if p.startswith("_"):
+            raise ExprError(
+                f"parameter name {p!r} is reserved: names starting with '_' "
+                "belong to compiled code"
+            )
+
+
 @lru_cache(maxsize=4096)
 def compile_expr(e: Expr, params: tuple[str, ...]) -> Callable[..., float]:
     """Positional-argument evaluator for `e`, generated as one lambda.
@@ -763,10 +780,110 @@ def compile_expr(e: Expr, params: tuple[str, ...]) -> Callable[..., float]:
     This is how the package evaluates expressions. The generated code
     calls the same domain-checked helpers as `evaluate`, the reference
     tree walk, so both give the same values and raise the same
-    EvalDomainError (division by zero included).
+    EvalDomainError (division by zero included). Parameter names must be
+    identifiers that do not start with "_".
+
+    No common-subexpression elimination here: the structural hashing it
+    needs would be paid on every one of the many small compiles of
+    symbolic work, where repeated subtrees are rare; `compile_system`
+    does it for the few systems that are evaluated many times.
     """
-    for p in params:
-        if not p.isidentifier():
-            raise ExprError(f"parameter name {p!r} is not an identifier")
+    _check_params(params)
     src = f"lambda {', '.join(params)}: {_emit(e, params)}"
+    return eval(src, dict(_COMPILE_NS))  # noqa: S307 - namespace is closed
+
+
+def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str]:
+    """Code of each output, with every repeated subtree computed once.
+
+    Subtrees are hash-consed (Filliatre & Conchon, "Type-safe modular
+    hash-consing", 2006): a node's key is its operation and the numbers of
+    its children, and a leaf's key is its own code, so equal subtrees get
+    one number without rehashing whole trees. A subtree referenced more
+    than once is bound with an assignment expression where it first
+    appears in the code, and read by name afterwards. Python evaluates the
+    code left to right, so the first appearance is also the first
+    evaluation: values, and the first error raised, are those of the
+    outputs evaluated one after another.
+    """
+    numbers: dict[tuple, int] = {}
+    nodes: list[tuple[Expr, tuple[int, ...], str]] = []  # node, children, leaf code
+    by_object: dict[int, int] = {}  # id() of a node object already numbered
+
+    def intern(e: Expr) -> int:
+        n = by_object.get(id(e))
+        if n is not None:
+            return n
+        kind = type(e)
+        code = ""
+        if kind is Binary:
+            kids = (intern(e.lhs), intern(e.rhs))
+            key = (e.op, *kids)
+        elif kind is Unary:
+            kids = (intern(e.arg),)
+            key = (e.op, *kids)
+        else:
+            kids = ()
+            code = _emit(e, params)
+            key = ("leaf", code)
+        n = numbers.setdefault(key, len(numbers))
+        if n == len(nodes):
+            nodes.append((e, kids, code))
+        by_object[id(e)] = n
+        return n
+
+    roots = [intern(e) for e in outputs]
+    refs = [0] * len(nodes)
+
+    def count(n: int) -> None:
+        refs[n] += 1
+        if refs[n] == 1:
+            for k in nodes[n][1]:
+                count(k)
+
+    for r in roots:
+        count(r)
+    names: dict[int, str] = {}
+
+    def code_of(n: int) -> str:
+        if n in names:
+            return names[n]
+        e, kids, code = nodes[n]
+        if not kids:
+            return code
+        args = [code_of(k) for k in kids]
+        # the node code of `_emit`, which keeps its own f-strings: a shared
+        # formatter would cost compile_expr a call per node
+        if type(e) is Binary:
+            if e.op in ("pow", "div"):
+                code = f"_{e.op}({args[0]}, {args[1]})"
+            else:
+                code = f"({args[0]} {_INFIX[e.op]} {args[1]})"
+        elif e.op == "neg":
+            code = f"(-{args[0]})"
+        else:
+            code = f"_{e.op}({args[0]})"
+        if refs[n] == 1:
+            return code
+        names[n] = name = f"_c{len(names)}"
+        return f"({name} := {code})"
+
+    return [code_of(r) for r in roots]
+
+
+@lru_cache(maxsize=256)
+def compile_system(
+    outputs: tuple[Expr, ...], params: tuple[str, ...]
+) -> Callable[..., tuple[float, ...]]:
+    """One lambda returning the tuple of every output's value.
+
+    Gives what calling `compile_expr(o, params)` for each output in turn
+    gives: the same values, and the same first EvalDomainError. Repeated
+    subtrees, within an output or across outputs, are computed once (see
+    `_emit_system`); the flow integrator calls this lambda once per RK4
+    stage.
+    """
+    _check_params(params)
+    codes = _emit_system(outputs, params)
+    src = f"lambda {', '.join(params)}: ({', '.join(codes)},)"
     return eval(src, dict(_COMPILE_NS))  # noqa: S307 - namespace is closed

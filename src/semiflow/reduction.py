@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 from .actions import TimeAction
-from .expr import Const, EvalDomainError, compile_expr
+from .expr import Const, EvalDomainError, compile_expr, compile_system
 from .grids import SamplingGrid
 from .maps import SmoothMap
 from .report import VerificationReport, Witness, deviation
@@ -121,16 +122,26 @@ class Trajectory:
     def final(self) -> tuple[float, ...]:
         return self.states[-1]
 
+    def _header(self) -> str:
+        return "t," + ",".join(f"y{i + 1}" for i in range(self.dim)) + "\n"
+
+    def _rows(self) -> Iterator[str]:
+        row = ",".join(["%.17g"] * (self.dim + 1)) + "\n"
+        return (row % (t, *y) for t, y in zip(self.times, self.states))
+
     def to_csv(self) -> str:
-        header = "t," + ",".join(f"y{i + 1}" for i in range(self.dim))
-        lines = [header]
-        for t, y in zip(self.times, self.states):
-            lines.append(",".join(f"{v:.17g}" for v in (t, *y)))
-        return "\n".join(lines) + "\n"
+        return self._header() + "".join(self._rows())
 
     def write_csv(self, path: str) -> None:
+        """Write `to_csv()` to `path`, one formatted row at a time.
+
+        Each row is one `%` of a "%.17g,...\n" template, the same text as
+        `format(v, ".17g")` per value, so the bytes equal `to_csv()`
+        without the whole file ever being held as one string.
+        """
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_csv())
+            fh.write(self._header())
+            fh.writelines(self._rows())
 
 
 def _time_mesh(a: float, b: float, steps: int, spacing: str) -> list[float]:
@@ -162,102 +173,104 @@ def integrate_flow(
     already moved to t_start + eps_start (e.g. through a known closed
     form); spacing="geometric" grades the fixed step count toward the
     singular end; the mesh is predetermined, never adaptive.
+
+    Every system runs through one RK4 kernel, generated once per
+    dimension and autonomy (`_rk4_kernel`), which calls the right-hand
+    side once per stage: a symbolic RHS as one `compile_system` lambda
+    that computes shared subtrees once, a callable RHS as it is. The
+    kernel does the textbook scheme's floating-point operations in the
+    textbook order, so states and times are bit for bit those of the
+    plain loop over tuples.
     """
     if steps < 1:
         raise ValueError("need at least one step")
+    if len(y0) != sys.dim:
+        raise ValueError(f"{sys.name} needs {sys.dim} initial values, got {len(y0)}")
     a = t_start + eps_start
     if t_end <= a:
         raise ValueError("integration runs forward: t_end must exceed the start")
     if not sys.valid_at(a, y0):
         raise IntegrationError("RHS invalid at the starting point", a)
     mesh = _time_mesh(a, t_end, steps, spacing)
-    if sys.dim == 1:
-        return _integrate_scalar(sys, mesh, float(y0[0]), steps, eps_start, spacing)
+    rhs = sys.rhs
+    f = compile_system(rhs.outputs, rhs.inputs) if rhs.is_symbolic else rhs.func
+    kernel = _rk4_kernel(sys.dim, sys.kind == "autonomous")
+    states = kernel(f, mesh, *(float(v) for v in y0), sys.validity)
+    return Trajectory(mesh, states, steps, eps_start, spacing)
 
-    if sys.rhs.is_symbolic:
-        comps = tuple(compile_expr(c, sys.rhs.inputs) for c in sys.rhs.outputs)
-        if sys.kind == "autonomous":
-            def f(t: float, y: tuple) -> tuple:
-                return tuple(c(*y) for c in comps)
-        else:
-            def f(t: float, y: tuple) -> tuple:
-                return tuple(c(t, *y) for c in comps)
-    else:
-        raw = sys.rhs.func
-        if sys.kind == "autonomous":
-            def f(t: float, y: tuple) -> tuple:
-                return tuple(raw(*y))
-        else:
-            def f(t: float, y: tuple) -> tuple:
-                return tuple(raw(t, *y))
 
-    y = tuple(float(v) for v in y0)
-    times = [mesh[0]]
-    states = [y]
-    for k in range(steps):
-        t0, t1 = mesh[k], mesh[k + 1]
+_RK4_SOURCE = """\
+def rk4(f, mesh, {y}, validity):
+    states = [({y},)]
+    append = states.append
+    t0 = mesh[0]
+    for t1 in mesh[1:]:
         h = t1 - t0
-        tm = t0 + 0.5 * h
+        hh = 0.5 * h
+        tm = t0 + hh
         try:
-            k1 = f(t0, y)
-            k2 = f(tm, tuple(v + 0.5 * h * d for v, d in zip(y, k1)))
-            k3 = f(tm, tuple(v + 0.5 * h * d for v, d in zip(y, k2)))
-            k4 = f(t1, tuple(v + h * d for v, d in zip(y, k3)))
+            ({k1},) = f({at_t0}{y})
+            ({k2},) = f({at_tm}{y_k1})
+            ({k3},) = f({at_tm}{y_k2})
+            ({k4},) = f({at_t1}{y_k3})
         except EvalDomainError as err:
-            raise IntegrationError(f"RHS domain error: {err}", t0) from err
-        y = tuple(
-            v + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
-            for v, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
-        )
-        if not all(math.isfinite(v) for v in y):
+            raise IntegrationError(f"RHS domain error: {{err}}", t0) from err
+        h6 = h / 6.0
+{update}
+        if not ({finite}):
             raise IntegrationError("state became nonfinite", t1)
-        if not sys.valid_at(t1, y):
+        state = ({y},)
+        if validity is not None and not validity(t1, state):
             raise IntegrationError("state left the validity region", t1)
-        times.append(t1)
-        states.append(y)
-    return Trajectory(times, states, steps, eps_start, spacing)
+        append(state)
+        t0 = t1
+    return states
+"""
 
 
-def _integrate_scalar(
-    sys: OdeSystem, mesh: list[float], y: float, steps: int, eps_start: float, spacing: str
-) -> Trajectory:
-    # unboxed RK4 for 1-D systems: the long singular runs live here
-    if sys.rhs.is_symbolic:
-        body = compile_expr(sys.rhs.outputs[0], sys.rhs.inputs)
-        if sys.kind == "autonomous":
-            f = lambda t, v: body(v)  # noqa: E731
-        else:
-            f = body
-    else:
-        raw = sys.rhs.func
-        if sys.kind == "autonomous":
-            f = lambda t, v: raw(v)[0]  # noqa: E731
-        else:
-            f = lambda t, v: raw(t, v)[0]  # noqa: E731
-    times = [mesh[0]]
-    states = [(y,)]
-    isfinite = math.isfinite
-    validity = sys.validity
-    for k in range(steps):
-        t0 = mesh[k]
-        t1 = mesh[k + 1]
-        h = t1 - t0
-        tm = t0 + 0.5 * h
-        try:
-            k1 = f(t0, y)
-            k2 = f(tm, y + 0.5 * h * k1)
-            k3 = f(tm, y + 0.5 * h * k2)
-            k4 = f(t1, y + h * k3)
-        except EvalDomainError as err:
-            raise IntegrationError(f"RHS domain error: {err}", t0) from err
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not isfinite(y):
-            raise IntegrationError("state became nonfinite", t1)
-        if validity is not None and not validity(t1, (y,)):
-            raise IntegrationError("state left the validity region", t1)
-        times.append(t1)
-        states.append((y,))
-    return Trajectory(times, states, steps, eps_start, spacing)
+@lru_cache(maxsize=64)
+def _rk4_kernel(dim: int, autonomous: bool) -> Callable[..., list[tuple[float, ...]]]:
+    """RK4 over a fixed mesh for `dim` components, as straight-line code.
+
+    `kernel(f, mesh, y1, ..., ydim, validity)` returns the states at every
+    mesh time. Each component is a local, and each stage is one call
+    `f([t,] y1, ..., ydim)` unpacked into locals. The arithmetic is
+    `y + 0.5*h*k` for the midpoint stages, `y + h*k` for the last and
+    `y + (h/6)*(k1 + 2*(k2 + k3) + k4)` for the step, with `0.5*h` and
+    `h/6` computed once per step, which Python's left-to-right evaluation
+    makes the same operations. Errors carry the times the plain loop
+    reports: a domain error in the RHS the step's start, a non-finite
+    state or a validity exit the step's end.
+    """
+
+    def cols(template: str) -> str:
+        return ", ".join(template.format(i=i) for i in range(dim))
+
+    source = _RK4_SOURCE.format(
+        y=cols("y{i}"),
+        k1=cols("a{i}"),
+        k2=cols("b{i}"),
+        k3=cols("c{i}"),
+        k4=cols("d{i}"),
+        at_t0="" if autonomous else "t0, ",
+        at_tm="" if autonomous else "tm, ",
+        at_t1="" if autonomous else "t1, ",
+        y_k1=cols("y{i} + hh * a{i}"),
+        y_k2=cols("y{i} + hh * b{i}"),
+        y_k3=cols("y{i} + h * c{i}"),
+        update="\n".join(
+            f"        y{i} = y{i} + h6 * (a{i} + 2.0 * (b{i} + c{i}) + d{i})"
+            for i in range(dim)
+        ),
+        finite=" and ".join(f"isfinite(y{i})" for i in range(dim)),
+    )
+    namespace = {
+        "EvalDomainError": EvalDomainError,
+        "IntegrationError": IntegrationError,
+        "isfinite": math.isfinite,
+    }
+    exec(source, namespace)  # noqa: S102 - source built from the template above
+    return namespace["rk4"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semiflow.expr import (
@@ -19,7 +19,9 @@ from semiflow.expr import (
     Unary,
     UnresolvedMarkerError,
     Var,
+    BINARY_OPS,
     compile_expr,
+    compile_system,
     cos,
     diff,
     evaluate,
@@ -34,6 +36,7 @@ from semiflow.expr import (
     tanh,
     to_text,
 )
+from semiflow.expr import _emit_system
 from semiflow.maps import SmoothMap, finite_diff, scalar_map
 
 
@@ -413,12 +416,127 @@ def test_compiled_code_agrees_with_the_tree_walk(e, point):
 
 @given(_trees, _points)
 @settings(max_examples=150)
+# 4/y overflows to inf at a subnormal y, and sin(inf) raises ValueError
+@example(sin(Binary("div", Const(4.0), Var("y"))), {"x": 0.0, "y": 2.2250738585072014e-308, "t": 0.0})
 def test_simplify_and_compile_preserve_values(e, point):
+    args = (point["x"], point["y"], point["t"])
     try:
         want = evaluate(e, point)
     except EvalDomainError:
         assume(False)
+    except Exception as err:
+        # any other error: the compiled code must fail the same way
+        assert _outcome(compile_expr(e, ("x", "y", "t")), *args) == type(err).__name__
+        return
     assume(math.isfinite(want) and abs(want) < 1e12)
     assert evaluate(simplify(e), point) == pytest.approx(want, rel=1e-12, abs=1e-12)
     fn = compile_expr(e, ("x", "y", "t"))
-    assert fn(point["x"], point["y"], point["t"]) == want
+    assert fn(*args) == want
+
+
+class TestReservedNames:
+    # compiled code looks its helpers up as globals and binds shared
+    # subtrees as locals named _c0, _c1, ...; parameters may not shadow them
+
+    def test_helper_name_is_rejected_not_shadowed(self):
+        e = parse_expr("sqrt(_sqrt)")
+        assert evaluate(e, {"_sqrt": 4.0}) == 2.0
+        with pytest.raises(ExprError, match="reserved"):
+            compile_expr(e, ("_sqrt",))
+
+    @pytest.mark.parametrize("name", ["_", "_x", "_c0", "_div", "__builtins__"])
+    def test_underscore_names_are_rejected(self, name):
+        with pytest.raises(ExprError, match="reserved"):
+            compile_expr(Var(name), (name,))
+        with pytest.raises(ExprError, match="reserved"):
+            compile_system((Var(name),), (name,))
+
+    def test_system_input_named_like_a_shared_local_is_rejected(self):
+        # with _c0 as an input, sqrt(t) bound to _c0 would overwrite it
+        outputs = (parse_expr("sqrt(t) + sqrt(t)*_c0"),)
+        with pytest.raises(ExprError, match="reserved"):
+            compile_system(outputs, ("t", "_c0"))
+        m = SmoothMap(("t", "_c0"), outputs)
+        from semiflow.reduction import OdeSystem, integrate_flow
+
+        sys_c0 = OdeSystem("c0", "nonautonomous", 1, m)
+        with pytest.raises(ExprError, match="reserved"):
+            integrate_flow(sys_c0, 1.0, (3.0,), 2.0, 4)
+
+    def test_keywords_are_rejected(self):
+        e = parse_expr("lambda + 1")
+        assert evaluate(e, {"lambda": 1.0}) == 2.0
+        with pytest.raises(ExprError, match="not an identifier"):
+            compile_expr(e, ("lambda",))
+
+
+class TestCompileSystem:
+    def test_sqrt_rhs_takes_the_square_root_of_t_once(self):
+        rhs = parse_expr("(1 + 2*sqrt(t)*y - sqrt(1 + 4*sqrt(t)*y))/(4*t*sqrt(t))")
+        (code,) = _emit_system((rhs,), ("t", "y"))
+        assert code.count("_sqrt(t)") == 1 and code.count("_c0") == 3
+        fn = compile_system((rhs,), ("t", "y"))
+        assert fn(0.25, 1.5) == (compile_expr(rhs, ("t", "y"))(0.25, 1.5),)
+
+    def test_subtrees_shared_across_outputs(self):
+        outputs = (parse_expr("exp(x*y) + 1"), parse_expr("exp(x*y)*2"), parse_expr("x"))
+        codes = _emit_system(outputs, ("x", "y"))
+        assert codes == ["((_c0 := _exp((x * y))) + 1.0)", "(_c0 * 2.0)", "x"]
+
+    def test_signed_zero_constants_are_not_merged(self):
+        outputs = (Binary("add", Var("x"), Const(0.0)), Binary("add", Var("x"), Const(-0.0)))
+        assert _emit_system(outputs, ("x",)) == ["(x + 0.0)", "(x + -0.0)"]
+
+    def test_the_first_error_is_the_first_output_to_fail(self):
+        outputs = (parse_expr("sqrt(x)"), parse_expr("log(x)"))
+        with pytest.raises(EvalDomainError, match="sqrt of negative"):
+            compile_system(outputs, ("x",))(-1.0)
+        with pytest.raises(EvalDomainError, match="log of non-positive"):
+            compile_system(outputs, ("x",))(0.0)
+
+    def test_compile_errors_match_compile_expr(self):
+        with pytest.raises(UnboundVariableError):
+            compile_system((Var("x"), Var("z")), ("x",))
+        with pytest.raises(UnresolvedMarkerError):
+            compile_system((Deriv("U", ("t",)),), ("t",))
+
+
+def _sequential(outputs, args):
+    """Each output through its own compile_expr code, first error wins."""
+    try:
+        return tuple(repr(compile_expr.__wrapped__(o, ("x", "y", "t"))(*args)) for o in outputs)
+    except (EvalDomainError, ValueError) as err:
+        return (type(err).__name__, str(err))
+
+
+def _combine(parts):
+    pair = st.tuples(st.sampled_from(BINARY_OPS[:4]), parts, parts)
+    return st.one_of(
+        parts,
+        pair.map(lambda oab: Binary(*oab)),
+        parts.map(sin),
+        parts.map(exp),
+    )
+
+
+@st.composite
+def _shared_outputs(draw):
+    # outputs assembled from a small pool of subtrees, reused both as the
+    # same object and as a structurally equal copy, two levels deep
+    pool = draw(st.lists(_trees, min_size=1, max_size=3))
+    parts = st.sampled_from(pool + [parse_expr(to_text(e)) for e in pool])
+    return tuple(draw(st.lists(_combine(_combine(parts)), min_size=1, max_size=3)))
+
+
+@given(_shared_outputs(), _points)
+@settings(max_examples=200)
+def test_system_lambda_agrees_with_compile_expr_per_output(outputs, point):
+    # the uncached compilers: the caches key on tree equality, under which
+    # Const(0.0) == Const(-0.0), so a cached lambda may be a signed-zero twin
+    args = (point["x"], point["y"], point["t"])
+    fn = compile_system.__wrapped__(outputs, ("x", "y", "t"))
+    try:
+        got = tuple(repr(v) for v in fn(*args))
+    except (EvalDomainError, ValueError) as err:
+        got = (type(err).__name__, str(err))
+    assert got == _sequential(outputs, args)

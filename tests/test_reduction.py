@@ -2,15 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semiflow.actions import TimeAction
+from semiflow.cli import FLOW_SYSTEMS
 from semiflow.enforcing import cuberoot_group_action, sqrt_action
-from semiflow.expr import EvalDomainError, parse_expr
+from semiflow.expr import (
+    Binary,
+    Const,
+    EvalDomainError,
+    Var,
+    compile_expr,
+    exp,
+    log,
+    neg,
+    parse_expr,
+    sin,
+    sqrt,
+    substitute,
+)
 from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
 from semiflow.maps import SmoothMap, map_from_exprs
 from semiflow.reduction import (
@@ -37,6 +52,7 @@ from semiflow.reduction import (
     two_time_law_check,
     ystar_branch,
 )
+from semiflow.reduction import _time_mesh  # the reference loop's mesh
 from semiflow.rootfind import RootSearchError
 from semiflow.suites import cuberoot_ode_system, sqrt_ode_system
 
@@ -143,6 +159,180 @@ class TestTrajectory:
     def test_strictly_increasing_times_enforced(self):
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.0], [(1.0,), (1.0,)], 1, 0.0, "uniform")
+
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(-10, 10)), min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_csv_rows_match_per_value_formatting(self, rows):
+        # inf, nan, signed zeros, subnormals and int entries included
+        times = [float(k) for k in range(len(rows))]
+        traj = Trajectory(times, rows, len(rows) - 1, 0.0, "uniform")
+        want = "t,y1,y2,y3\n" + "".join(
+            ",".join(f"{v:.17g}" for v in (t, *y)) + "\n" for t, y in zip(times, rows)
+        )
+        assert traj.to_csv() == want
+
+    def test_write_csv_writes_the_to_csv_bytes(self, tmp_path):
+        traj = integrate_flow(augment_system(quadratic_system()), 0.0, (0.0, 1.5), 2.0, 50)
+        out = tmp_path / "f.csv"
+        traj.write_csv(str(out))
+        assert out.read_bytes() == traj.to_csv().encode("ascii")
+
+
+# sha256 of the CSV bytes of three runs, taken from the plain RK4 loop
+# over tuples that the generated kernel replaced
+_GOLDEN_Y = 1.25
+GOLDEN_RUNS = [
+    ("sqrt-ode-minus", (_GOLDEN_Y + math.sqrt(1e-8) * _GOLDEN_Y * _GOLDEN_Y,), 1.0, 3000, 1e-8, "geometric",
+     "481cda675a3e219329b2efd507eba9c5256d20701610686889dbec16993ed860"),
+    ("quadratic-augmented", (0.0, _GOLDEN_Y), 2.0, 2000, 0.0, "uniform",
+     "c8c278b8ebd7c7c54dc3cf4e58c4cc59a36a55a16fe7bf800a7592cdd37f3ba6"),
+    ("cuberoot-ode", (1.0,), 1.0, 2000, 0.0, "uniform",
+     "2ecd4522454bfb6d579153c54f0ceedad50291420197ffe05b7bb04f720c3cb5"),
+]
+
+
+@pytest.mark.parametrize("name,y0,t_end,steps,eps,spacing,digest", GOLDEN_RUNS,
+                         ids=[run[0] for run in GOLDEN_RUNS])
+def test_trajectory_csv_bytes_are_pinned(tmp_path, name, y0, t_end, steps, eps, spacing, digest):
+    traj = integrate_flow(FLOW_SYSTEMS[name](), 0.0, y0, t_end, steps, eps, spacing)
+    out = tmp_path / "f.csv"
+    traj.write_csv(str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _reference_rk4(sys, t_start, y0, t_end, steps, eps_start, spacing):
+    """Classical RK4 as a plain loop over tuples, one lambda per component."""
+    comps = [compile_expr(c, sys.rhs.inputs) for c in sys.rhs.outputs]
+    autonomous = sys.kind == "autonomous"
+
+    def f(t, y):
+        args = y if autonomous else (t, *y)
+        return tuple(c(*args) for c in comps)
+
+    a = t_start + eps_start
+    if not sys.valid_at(a, y0):
+        raise IntegrationError("RHS invalid at the starting point", a)
+    mesh = _time_mesh(a, t_end, steps, spacing)
+    y = tuple(float(v) for v in y0)
+    times, states = [mesh[0]], [y]
+    for k in range(steps):
+        t0, t1 = mesh[k], mesh[k + 1]
+        h = t1 - t0
+        tm = t0 + 0.5 * h
+        try:
+            k1 = f(t0, y)
+            k2 = f(tm, tuple(v + 0.5 * h * d for v, d in zip(y, k1)))
+            k3 = f(tm, tuple(v + 0.5 * h * d for v, d in zip(y, k2)))
+            k4 = f(t1, tuple(v + h * d for v, d in zip(y, k3)))
+        except EvalDomainError as err:
+            raise IntegrationError(f"RHS domain error: {err}", t0) from err
+        y = tuple(
+            v + (h / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
+            for v, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+        )
+        if not all(math.isfinite(v) for v in y):
+            raise IntegrationError("state became nonfinite", t1)
+        if not sys.valid_at(t1, y):
+            raise IntegrationError("state left the validity region", t1)
+        times.append(t1)
+        states.append(y)
+    return times, states
+
+
+_LEAF_CONSTANTS = st.sampled_from([-1.0, 0.5, 2.0]).map(Const)
+
+
+def _extend_rhs(children):
+    pair = st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), children, children)
+    return st.one_of(
+        pair.map(lambda oab: Binary(*oab)),
+        st.tuples(children, st.sampled_from([2.0, 3.0, -1.0])).map(
+            lambda ae: Binary("pow", ae[0], Const(ae[1]))
+        ),
+        children.map(neg),
+        children.map(sqrt),
+        children.map(log),
+        children.map(exp),
+        children.map(sin),
+    )
+
+
+_RHS_TREES = {
+    names: st.recursive(_LEAF_CONSTANTS | st.sampled_from(names).map(Var), _extend_rhs, max_leaves=4)
+    for names in (("y1",), ("y1", "y2"), ("y1", "y2", "y3"))
+}
+
+
+@st.composite
+def _flow_cases(draw):
+    dim = draw(st.integers(1, 3))
+    autonomous = draw(st.booleans())
+    names = tuple(f"y{i + 1}" for i in range(dim))
+    inputs = names if autonomous else ("t", *names)
+    trees = _RHS_TREES[names]
+    # a subtree that recurs in every output, as sqrt(t) does in the sqrt
+    # ODE: it stands for each occurrence of y1 (or of t, when there is one)
+    common = draw(trees)
+    outputs = tuple(substitute(draw(trees), inputs[0], common) for _ in range(dim))
+    bound = draw(st.none() | st.floats(0.5, 20.0))
+    validity = None if bound is None else (lambda t, y: abs(y[0]) < bound)
+    sys = OdeSystem(
+        "random", "autonomous" if autonomous else "nonautonomous", dim,
+        SmoothMap(inputs, outputs), validity,
+    )
+    spacing = draw(st.sampled_from(["uniform", "geometric"]))
+    t_start = draw(st.floats(0.01, 1.0) if spacing == "geometric" else st.floats(-1.0, 1.0))
+    t_end = t_start + draw(st.floats(0.1, 3.0))
+    y0 = tuple(draw(st.floats(-4.0, 4.0)) for _ in range(dim))
+    return sys, t_start, y0, t_end, draw(st.integers(1, 30)), spacing
+
+
+def _flow_outcome(run, *args):
+    try:
+        times, states = run(*args)
+    except IntegrationError as err:
+        return ("error", str(err), repr(err.time))
+    return ("ok", [repr(t) for t in times], [tuple(repr(v) for v in y) for y in states])
+
+
+def _kernel_run(sys, t_start, y0, t_end, steps, eps_start, spacing):
+    traj = integrate_flow(sys, t_start, y0, t_end, steps, eps_start, spacing)
+    return traj.times, traj.states
+
+
+_BLOW_UP = OdeSystem("blow-up", "autonomous", 2, map_from_exprs(("y1", "y2"), ["y1*y1*y1*y2", "y2*y1"]))
+_DRAIN = OdeSystem(
+    "drain", "nonautonomous", 3, map_from_exprs(("t", "y1", "y2", "y3"), ["-1 - t", "y3", "-y2"]),
+    validity=lambda t, y: y[0] > 0.0,
+)
+
+
+@given(_flow_cases())
+@settings(max_examples=200, deadline=None)
+@example((_BLOW_UP, 0.0, (2.0, 1.0), 3.0, 30, "uniform"))  # a non-finite state
+@example((_DRAIN, 0.5, (1.0, 0.0, 1.0), 3.0, 25, "geometric"))  # a validity exit
+def test_generated_kernel_matches_the_plain_loop(case):
+    sys, t_start, y0, t_end, steps, spacing = case
+    args = (sys, t_start, y0, t_end, steps, 0.0, spacing)
+    assert _flow_outcome(_kernel_run, *args) == _flow_outcome(_reference_rk4, *args)
+
+
+def test_callable_rhs_runs_through_the_same_kernel():
+    symbolic = augment_system(sqrt_ode_system("minus"))
+    plain = OdeSystem(
+        "plain", "autonomous", 2,
+        SmoothMap(symbolic.rhs.inputs, func=symbolic.rhs, out_dim=2),
+        symbolic.validity,
+    )
+    y0 = (1e-8, sqrt_action().call1(1e-8, 1.0))
+    want = integrate_flow(symbolic, 1e-8, y0, 1.0, 500, spacing="geometric")
+    got = integrate_flow(plain, 1e-8, y0, 1.0, 500, spacing="geometric")
+    assert got.states == want.states and got.times == want.times
+
+
+def test_initial_state_must_match_the_dimension():
+    with pytest.raises(ValueError, match="needs 2 initial values"):
+        integrate_flow(augment_system(quadratic_system()), 0.0, (1.0,), 1.0, 10)
 
 
 class TestEvolutionOps:
