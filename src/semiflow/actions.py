@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .expr import Const, EvalDomainError, ExprError, substitute_many
 from .grids import SamplingGrid, _near_pairs
 from .maps import SmoothMap, finite_diff
-from .report import VerificationReport, Witness, deviation, max_norm
+from .report import Tally, VerificationReport, Witness, deviation, max_norm
 from .rootfind import RootSearchError, bisect, scan_brackets
 
 
@@ -92,28 +92,16 @@ def identity_check(action: TimeAction, grid: SamplingGrid, tol: float) -> Verifi
 
     Grid points outside the action's validity region are skipped (the state
     domain need not be a box); evaluation failures inside it propagate.
+    Witnesses and the inconclusive verdict follow `report.Tally`.
     """
-    devs = []
-    witnesses = []
-    skipped = 0
+    tally = Tally(tol)
     for y in grid.points():
         if not action.valid_at(0.0, y):
-            skipped += 1
+            tally.skip()
             continue
         out = action(0.0, y)
-        d = deviation(out, y)
-        devs.append(d)
-        if not d <= tol:
-            witnesses.append(Witness(y, out, "H(0,y) != y"))
-    return VerificationReport.from_deviations(
-        f"identity[{action.name}]",
-        devs,
-        tol,
-        grid.summary(),
-        witnesses,
-        skipped=skipped,
-        inconclusive=not devs,
-    )
+        tally.add(deviation(out, y), y, out, "H(0,y) != y")
+    return tally.report(f"identity[{action.name}]", grid.summary())
 
 
 def composition_check(
@@ -125,49 +113,30 @@ def composition_check(
     """Max gap between H(t, H(s, y)) and H(t+s, y).
 
     Grid points that leave the action's validity region at any stage are
-    skipped and counted; a run with more than half its points skipped is
-    reported inconclusive.
+    skipped; witnesses and the inconclusive verdict follow `report.Tally`.
     """
     for t, s in times:
         for v in (t, s, t + s):
             if not action.time_ok(v):
                 raise PreconditionError(f"time {v!r} outside the action's domain")
-    devs = []
-    witnesses = []
-    skipped = 0
-    total = 0
+    tally = Tally(tol)
     for t, s in times:
         for y in grid.points():
-            total += 1
             if not action.valid_at(s, y) or not action.valid_at(t + s, y):
-                skipped += 1
+                tally.skip()
                 continue
             try:
                 mid = action(s, y)
                 if not action.valid_at(t, mid):
-                    skipped += 1
+                    tally.skip()
                     continue
                 lhs = action(t, mid)
                 rhs = action(t + s, y)
             except EvalDomainError:
-                skipped += 1
+                tally.skip()
                 continue
-            d = deviation(lhs, rhs)
-            devs.append(d)
-            if not d <= tol and len(witnesses) < 8:
-                witnesses.append(
-                    Witness((t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")
-                )
-    inconclusive = total > 0 and skipped > 0.5 * total
-    return VerificationReport.from_deviations(
-        f"composition[{action.name}]",
-        devs,
-        tol,
-        grid.summary(),
-        witnesses,
-        skipped=skipped,
-        inconclusive=inconclusive,
-    )
+            tally.add(deviation(lhs, rhs), (t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")
+    return tally.report(f"composition[{action.name}]", grid.summary())
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Callable, Sequence
 
@@ -38,10 +37,10 @@ from .enforcing import (
     sqrt_mediator,
     square_map,
 )
-from .evolution_pde import burgers_residual, burgers_soliton, heat_flow_demo
+from .evolution_pde import burgers_residual, burgers_soliton
 from .expr import ExprError, free_vars, parse_expr
 from .grids import Axis, grid1d, grid2d
-from .maps import SmoothMap, scalar_map
+from .maps import SmoothMap
 from .actions import noninvertibility_witness_sqrt
 from .reduction import (
     IntegrationError,
@@ -55,10 +54,7 @@ from .reduction import (
 )
 from .report import VerificationReport
 from .semisym import (
-    canonical_parametric,
     constrained_symmetry_scan,
-    is_graph,
-    rotation_map,
     scaling_action,
     strip_predicate,
     value_shift_action,
@@ -69,6 +65,8 @@ from .suites import (
     cuberoot_ode_system,
     run_suites,
     sqrt_ode_system,
+    suite_heat_flow,
+    suite_parametric_graph,
 )
 
 
@@ -186,34 +184,34 @@ def _demo_burgers(config: SuiteConfig) -> str:
     )
 
 
-def _demo_rotated_parabola(config: SuiteConfig) -> str:
-    parabola = canonical_parametric(scalar_map(("x",), "x^2", name="parabola"))
-    from .semisym import act
+def _report_lines(reports: list[VerificationReport]) -> list[str]:
+    """A demo's view of suite reports: status line, notes, witnesses."""
+    lines = []
+    for rep in reports:
+        lines.append(f"  {rep.one_line()}")
+        lines.extend(f"    note: {n}" for n in rep.notes)
+        for w in rep.witnesses:
+            point = ", ".join(f"{v:.6g}" for v in w.point)
+            values = ", ".join(f"{v:.6g}" for v in w.values)
+            lines.append(f"    witness at ({point}): values ({values}) {w.note}".rstrip())
+    return lines
 
-    grid = grid1d(-2.0, 2.0, 401)
-    ok4, wit = is_graph(act(rotation_map(math.pi / 4.0), parabola), grid)
-    okpi, _ = is_graph(act(rotation_map(math.pi), parabola), grid)
-    lines = [
-        "parametric chart of the parabola u = x^2 under plane rotations",
-        f"  rotated by pi/4: graph of a function? {ok4}",
-    ]
-    if wit is not None:
-        lines.append(
-            f"    witness parameters {wit.point[0]:g} and {wit.point[1]:g}: same base "
-            f"coordinate, values {wit.values[1]:.6g} vs {wit.values[3]:.6g}"
-        )
-    lines.append(f"  rotated by pi: graph of a function? {okpi}")
-    lines.append("  the chart survives either way: composition never needs an inverse")
-    return "\n".join(lines)
+
+def _demo_rotated_parabola(config: SuiteConfig) -> str:
+    return "\n".join(
+        [
+            "parametric chart of the parabola u = x^2 under plane rotations",
+            *_report_lines(suite_parametric_graph(config)),
+            "  the chart survives either way: composition never needs an inverse",
+        ]
+    )
 
 
 def _demo_heat_flow(config: SuiteConfig) -> str:
-    rep = heat_flow_demo(grid2d(0.5, 2.0, 16, -3.0, 3.0, 21), 1e-10)
     return "\n".join(
         [
             "heat-kernel family exp(-x^2/(4 tau))/sqrt(tau) under time advance",
-            f"  {rep.one_line()}",
-            *(f"  {n}" for n in rep.notes),
+            *_report_lines(suite_heat_flow(config)),
         ]
     )
 
@@ -341,7 +339,8 @@ def verify(
 
     The one body behind `semiflow verify` and `run_suite`. Bad input
     raises one of INPUT_ERRORS, which both entry points turn into exit
-    code 2.
+    code 2; that includes a scenario tolerance, grid or expression that
+    none of the checks run has read.
     """
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
@@ -363,6 +362,9 @@ def verify(
         suite = SUITE_ALIASES.get(suite, suite)
         names = list(SUITES) if suite == "all" else [suite]
         reports.update(run_suites(names, config))
+    unread = config.unread()
+    if unread:
+        raise ValueError(f"scenario overrides no check read: {unread}")
     all_passed = True
     for name, reps in reports.items():
         for rep in reps:

@@ -35,7 +35,7 @@ from .expr import (
 )
 from .grids import SamplingGrid
 from .maps import SmoothMap, scalar_map
-from .report import VerificationReport, Witness, deviation, max_norm
+from .report import Tally, VerificationReport, Witness, deviation, max_norm
 from .actions import TimeAction
 from .rootfind import RootSearchError, bisect
 
@@ -205,23 +205,18 @@ def k_action_relation_check(grid: SamplingGrid, tol: float) -> VerificationRepor
 
     K itself has no singularity, yet precomposing with sqrt(t) is what makes
     H fail to be C^1 at t = 0: the singularity lives in the time variable.
+    Witnesses follow `report.Tally`.
     """
     action = sqrt_action()
-    devs = []
-    witnesses = []
+    tally = Tally(tol)
     for t, y in grid.points():
         if t < 0.0:
             raise ValueError("grid must satisfy t >= 0")
         s = math.sqrt(t)
         k_val = y + s * y * y
         h_val = action.call1(t, y)
-        d = deviation((h_val,), (k_val,))
-        devs.append(d)
-        if not d <= tol:
-            witnesses.append(Witness((t, y), (h_val, k_val)))
-    return VerificationReport.from_deviations(
-        "sqrt-action-vs-smooth-family", devs, tol, grid.summary(), witnesses
-    )
+        tally.add(deviation((h_val,), (k_val,)), (t, y), (h_val, k_val))
+    return tally.report("sqrt-action-vs-smooth-family", grid.summary())
 
 
 # ---------------------------------------------------------------------------

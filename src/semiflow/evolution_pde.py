@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .expr import Const, Deriv, Var, tanh
 from .grids import SamplingGrid
 from .maps import SmoothMap, map_from_exprs, scalar_map
-from .report import VerificationReport, Witness, deviation
+from .report import Tally, VerificationReport, deviation
 from .semisym import PdeResidual, residual_max
 
 
@@ -113,25 +113,21 @@ def param_flow_check(flow: ParamFlow, grid: SamplingGrid, tol: float) -> Verific
 
     alpha(t+s,a,b) = alpha(s, alpha(t,a,b), beta(t,a,b)) and the same
     shape for beta; with beta constant the second identity is trivial and
-    the first is the one-parameter law for each frozen b.
+    the first is the one-parameter law for each frozen b. Witnesses follow
+    `report.Tally`.
     """
     if len(grid.axes) != 2 + 1 + flow.b_dim:
         raise ValueError(f"grid must sample (t, s, a, {flow.b_dim} b-axes)")
-    devs = []
-    witnesses = []
+    tally = Tally(tol)
     for point in grid.points():
         t, s, a = point[0], point[1], point[2]
         b = point[3:]
         a_mid, b_mid = flow.move(t, a, b)
         a_two, b_two = flow.move(s, a_mid, b_mid)
         a_direct, b_direct = flow.move(t + s, a, b)
-        d = deviation((a_two, *b_two), (a_direct, *b_direct))
-        devs.append(d)
-        if not d <= tol and len(witnesses) < 8:
-            witnesses.append(Witness(point, (a_two, *b_two, a_direct, *b_direct)))
-    return VerificationReport.from_deviations(
-        "param-flow-cocycle", devs, tol, grid.summary(), witnesses
-    )
+        two, direct = (a_two, *b_two), (a_direct, *b_direct)
+        tally.add(deviation(two, direct), point, (*two, *direct))
+    return tally.report("param-flow-cocycle", grid.summary())
 
 
 def soliton_translation_check(
@@ -144,11 +140,10 @@ def soliton_translation_check(
 
     `family` is the constructor (x0, c, d, mu) -> SmoothMap. Grid axes:
     (t, x, x0, c, d, mu); parameter tuples with c^2 + d <= 0 or mu <= 0
-    are skipped.
+    are skipped. Witnesses and the inconclusive verdict follow
+    `report.Tally`.
     """
-    devs = []
-    witnesses = []
-    skipped = 0
+    tally = Tally(tol)
     cache: dict[tuple[float, float, float, float], SmoothMap] = {}
 
     def profile(x0: float, c: float, d: float, mu: float) -> SmoothMap:
@@ -160,18 +155,13 @@ def soliton_translation_check(
     for point in grid.points():
         t, x, x0, c, d, mu = point
         if c * c + d <= 0.0 or mu <= 0.0:
-            skipped += 1
+            tally.skip()
             continue
         moved_a, moved_b = flow.move(t, x0, (c, d))
         lhs = profile(x0, c, d, mu)(t, x)
         rhs = profile(moved_a, moved_b[0], moved_b[1], mu)(0.0, x)
-        dev = deviation(lhs, rhs)
-        devs.append(dev)
-        if not dev <= tol and len(witnesses) < 8:
-            witnesses.append(Witness(point, (*lhs, *rhs)))
-    return VerificationReport.from_deviations(
-        "soliton-translation", devs, tol, grid.summary(), witnesses, skipped
-    )
+        tally.add(deviation(lhs, rhs), point, (*lhs, *rhs))
+    return tally.report("soliton-translation", grid.summary())
 
 
 # ---------------------------------------------------------------------------

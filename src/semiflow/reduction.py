@@ -32,7 +32,7 @@ from .actions import TimeAction
 from .expr import Const, EvalDomainError, compile_expr, compile_system
 from .grids import SamplingGrid
 from .maps import SmoothMap
-from .report import VerificationReport, Witness, deviation
+from .report import Tally, VerificationReport, Witness, deviation
 from .rootfind import (
     RootSearchError,
     hybrid_root,
@@ -514,28 +514,22 @@ def quadratic_slice(t: float, z: float) -> float:
 def first_component_check(op: EvolutionOp, grid: SamplingGrid, tol: float) -> VerificationReport:
     """First output of an augmented one-time operator must be exactly t + s.
 
-    Grid axes: (s, t, y1..yl).
+    Grid axes: (s, t, y1..yl). Points outside the operator's domain are
+    skipped; witnesses and the inconclusive verdict follow `report.Tally`.
     """
-    devs = []
-    witnesses = []
-    skipped = 0
+    tally = Tally(tol)
     for point in grid.points():
         s, t, y = point[0], point[1], point[2:]
         if not op.valid_one(s, (t, *y)):
-            skipped += 1
+            tally.skip()
             continue
         try:
             out = op.apply_one(s, (t, *y))
         except EvalDomainError:
-            skipped += 1
+            tally.skip()
             continue
-        d = abs(out[0] - (t + s)) / (1.0 + abs(t + s))
-        devs.append(d)
-        if not d <= tol:
-            witnesses.append(Witness(point, out))
-    return VerificationReport.from_deviations(
-        f"first-component[{op.name}]", devs, tol, grid.summary(), witnesses, skipped
-    )
+        tally.add(abs(out[0] - (t + s)) / (1.0 + abs(t + s)), point, out)
+    return tally.report(f"first-component[{op.name}]", grid.summary())
 
 
 def one_time_law_check(
@@ -544,39 +538,29 @@ def one_time_law_check(
     grid: SamplingGrid,
     tol: float,
 ) -> VerificationReport:
-    """Max gap of E(r)(E(s)(x)) against E(s+r)(x) over the state grid."""
-    devs = []
-    witnesses = []
-    skipped = 0
+    """Max gap of E(r)(E(s)(x)) against E(s+r)(x) over the state grid.
+
+    Points that leave the operator's domain are skipped; witnesses and the
+    inconclusive verdict follow `report.Tally`.
+    """
+    tally = Tally(tol)
     for s, r in pairs:
         for x in grid.points():
             if not op.valid_one(s, x):
-                skipped += 1
+                tally.skip()
                 continue
             try:
                 mid = op.apply_one(s, x)
                 if not op.valid_one(r, mid):
-                    skipped += 1
+                    tally.skip()
                     continue
                 lhs = op.apply_one(r, mid)
                 rhs = op.apply_one(s + r, x)
             except EvalDomainError:
-                skipped += 1
+                tally.skip()
                 continue
-            d = deviation(lhs, rhs)
-            devs.append(d)
-            if not d <= tol and len(witnesses) < 8:
-                witnesses.append(Witness((s, r, *x), (*lhs, *rhs)))
-    total = len(devs) + skipped
-    return VerificationReport.from_deviations(
-        f"one-time-law[{op.name}]",
-        devs,
-        tol,
-        grid.summary(),
-        witnesses,
-        skipped,
-        inconclusive=total > 0 and skipped > 0.5 * total,
-    )
+            tally.add(deviation(lhs, rhs), (s, r, *x), (*lhs, *rhs))
+    return tally.report(f"one-time-law[{op.name}]", grid.summary())
 
 
 def two_time_law_check(
@@ -588,10 +572,9 @@ def two_time_law_check(
 ) -> VerificationReport:
     """Max gap of E(s,r)(E(t,s)(y)) against E(t,r)(y), plus the inverse
     identities E(t,s)∘E(s,t) = id = E(s,t)∘E(t,s) wherever both orders
-    stay inside the operator's (branch-)domain."""
-    devs = []
-    witnesses = []
-    skipped = 0
+    stay inside the operator's (branch-)domain. Both loops feed one
+    `report.Tally`, which sets the witnesses and the inconclusive verdict."""
+    tally = Tally(tol)
 
     def try_leg(a: float, b: float, x: tuple) -> tuple | None:
         if not op.valid_two(a, b, x):
@@ -607,12 +590,9 @@ def two_time_law_check(
             out = None if mid is None else try_leg(s, r, mid)
             ref = try_leg(t, r, x)
             if out is None or ref is None:
-                skipped += 1
+                tally.skip()
             else:
-                d = deviation(out, ref)
-                devs.append(d)
-                if not d <= tol and len(witnesses) < 8:
-                    witnesses.append(Witness((t, s, r, *x), (*out, *ref)))
+                tally.add(deviation(out, ref), (t, s, r, *x), (*out, *ref))
     if check_inverses:
         seen = set()
         for t, s, _ in triples:
@@ -622,27 +602,15 @@ def two_time_law_check(
             for x in grid.points():
                 for a, b in ((t, s), (s, t)):
                     if op.inverse_domain is not None and not op.inverse_domain(a, b, tuple(x)):
-                        skipped += 1
+                        tally.skip()
                         continue
                     fwd = try_leg(a, b, x)
                     back = None if fwd is None else try_leg(b, a, fwd)
                     if back is None:
-                        skipped += 1
+                        tally.skip()
                         continue
-                    d = deviation(back, x)
-                    devs.append(d)
-                    if not d <= tol and len(witnesses) < 8:
-                        witnesses.append(Witness((a, b, *x), (*back,), "inverse identity"))
-    total = len(devs) + skipped
-    return VerificationReport.from_deviations(
-        f"two-time-law[{op.name}]",
-        devs,
-        tol,
-        grid.summary(),
-        witnesses,
-        skipped,
-        inconclusive=total > 0 and skipped > 0.5 * total,
-    )
+                    tally.add(deviation(back, x), (a, b, *x), back, "inverse identity")
+    return tally.report(f"two-time-law[{op.name}]", grid.summary())
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ class VerificationReport:
 
     max_deviation is already normalized (see `deviation`), so the invariant
     passed == (max_deviation <= tolerance) holds literally; `inconclusive`
-    flags runs where too many grid points had to be skipped. A NaN or +inf
-    deviation, wherever it stands in the list, becomes max_deviation and
-    fails the report.
+    flags runs where too many grid points had to be skipped (see `Tally`).
+    A NaN or +inf deviation, wherever it stands in the list, becomes
+    max_deviation and fails the report.
     """
 
     suite: str
@@ -123,4 +123,45 @@ class VerificationReport:
         return (
             f"{status:12s} {self.suite}: max dev {self.max_deviation:.3e} "
             f"(tol {self.tolerance:.1e}, {self.checked} checked, {self.skipped} skipped)"
+        )
+
+
+WITNESS_CAP = 8  # failing points kept as witnesses, in sampling order
+SKIP_SHARE = 0.5  # a run that skips more than this share of its points is inconclusive
+
+
+class Tally:
+    """The bookkeeping of one sampled check, and its one rule.
+
+    `add` records the deviation measured at a point; the first WITNESS_CAP
+    points whose deviation is not <= tol (a NaN too) become witnesses.
+    `skip` counts a point outside the checked map's domain. The report is
+    inconclusive when at least one point was sampled and more than
+    SKIP_SHARE of them were skipped.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.deviations: list[float] = []
+        self.witnesses: list[Witness] = []
+        self.skipped = 0
+
+    def add(self, d: float, point: tuple[float, ...], values: tuple[float, ...], note: str = "") -> None:
+        self.deviations.append(d)
+        if not d <= self.tol and len(self.witnesses) < WITNESS_CAP:
+            self.witnesses.append(Witness(point, values, note))
+
+    def skip(self) -> None:
+        self.skipped += 1
+
+    def report(self, suite: str, grid: str = "") -> VerificationReport:
+        sampled = len(self.deviations) + self.skipped
+        return VerificationReport.from_deviations(
+            suite,
+            self.deviations,
+            self.tol,
+            grid,
+            self.witnesses,
+            self.skipped,
+            inconclusive=self.skipped > SKIP_SHARE * sampled,
         )

@@ -62,10 +62,11 @@ from .reduction import (
     recover_evolution,
     two_time_law_check,
 )
-from .report import VerificationReport, Witness
+from .report import Tally, VerificationReport, Witness
 from .semisym import (
     VALUE_MAPS,
     WAVE_PROFILES,
+    act,
     canonical_parametric,
     is_graph,
     pde_from_text,
@@ -78,16 +79,43 @@ from .semisym import (
 
 @dataclass
 class SuiteConfig:
+    """Seed and scenario overrides for the suites.
+
+    Suites read overrides only through `tol`, `axis` and `expr`, which
+    record each name read, so `unread` can name the scenario keys no suite
+    looked at.
+    """
+
     seed: int = 42
     tolerances: dict[str, float] = field(default_factory=dict)
     grids: dict[str, Axis] = field(default_factory=dict)
     expressions: dict[str, str] = field(default_factory=dict)
+    _read: set[tuple[str, str]] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def tol(self, name: str, default: float) -> float:
+        self._read.add(("tolerances", name))
         return float(self.tolerances.get(name, default))
 
     def axis(self, name: str, default: Axis) -> Axis:
+        self._read.add(("grids", name))
         return self.grids.get(name, default)
+
+    def expr(self, name: str, default: str) -> str:
+        self._read.add(("expressions", name))
+        return self.expressions.get(name, default)
+
+    def unread(self) -> list[str]:
+        """The overrides no `tol`, `axis` or `expr` call has read, as kind.name."""
+        return [
+            f"{kind}.{name}"
+            for kind, given in (
+                ("tolerances", self.tolerances),
+                ("grids", self.grids),
+                ("expressions", self.expressions),
+            )
+            for name in sorted(given)
+            if (kind, name) not in self._read
+        ]
 
 
 # expressions exercised by the symbolic-engine suite and available to demos;
@@ -240,43 +268,36 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
     reports = []
 
     grid = SamplingGrid((config.axis("t", Axis(1e-3, 10.0, 50)), config.axis("y", Axis(-5.0, 5.0, 50))))
-    devs = []
-    skipped = 0
+    tally = Tally(tol_explicit)
     for t, y in grid.points():
+        branch = sqrt_branch_for(t, y)
         try:
-            devs.append(ode_residual_explicit(t, y, sqrt_branch_for(t, y)))
+            r = ode_residual_explicit(t, y, branch)
         except EvalDomainError:
-            skipped += 1
-    reports.append(
-        VerificationReport.from_deviations(
-            "ode-residual[sqrt-branches]", devs, tol_explicit, grid.summary(), skipped=skipped
-        )
-    )
+            tally.skip()
+            continue
+        tally.add(r, (t, y), (r,), branch.name)
+    reports.append(tally.report("ode-residual[sqrt-branches]", grid.summary()))
 
     med = sqrt_mediator()
     hgrid = grid2d(1e-3, 10.0, 25, -5.0, 5.0, 21)
     for name, f in (("square", square_map()), ("bump", bump_map())):
-        hdevs = [ode_residual_homotopy(f, med, t, y) for t, y in hgrid.points()]
-        reports.append(
-            VerificationReport.from_deviations(
-                f"ode-residual[homotopy-{name}]", hdevs, tol_homotopy, hgrid.summary()
-            )
-        )
+        tally = Tally(tol_homotopy)
+        for t, y in hgrid.points():
+            r = ode_residual_homotopy(f, med, t, y)
+            tally.add(r, (t, y), (r,))
+        reports.append(tally.report(f"ode-residual[homotopy-{name}]", hgrid.summary()))
 
     mgrid = grid2d(-2.0, 2.0, 41, -3.0, 3.0, 41)
-    mdevs = []
-    mskip = 0
+    tally = Tally(tol_milder)
     for t, y in mgrid.points():
         branch = milder_branch_for(t, y)
         if branch.name == "singular" and t == 0.0:
-            mskip += 1
+            tally.skip()
             continue
-        mdevs.append(ode_residual_milder(t, y, branch))
-    reports.append(
-        VerificationReport.from_deviations(
-            "ode-residual[milder-branches]", mdevs, tol_milder, mgrid.summary(), skipped=mskip
-        )
-    )
+        r = ode_residual_milder(t, y, branch)
+        tally.add(r, (t, y), (r,), branch.name)
+    reports.append(tally.report("ode-residual[milder-branches]", mgrid.summary()))
     return reports
 
 
@@ -328,29 +349,21 @@ def suite_reduction_algebra(config: SuiteConfig) -> list[VerificationReport]:
             gls_two_time_op(), gls_triples, grid1d(-0.1, 2.0, 22), config.tol("gls_law", 1e-9)
         )
     )
-    devs = []
-    witnesses = []
+    tally = Tally(tol_rec)
     for t in (0.0, 0.5, 1.0, 2.0, 3.0):
         for s in (0.0, 0.5, 1.0, 2.0, 3.0):
             for y in (-5.0, -1.0, 0.0, 2.0, 5.0):
                 got = recover_evolution(quadratic_slice, t, s, y)
                 want = s * s - t * t + y
-                devs.append(abs(got - want) / (1.0 + abs(want)))
-                if not devs[-1] <= tol_rec:
-                    witnesses.append(Witness((t, s, y), (got, want)))
-    reports.append(
-        VerificationReport.from_deviations(
-            "recovery[quadratic]", devs, tol_rec, "t,s in {0..3}, y in {-5..5}", witnesses
-        )
-    )
+                tally.add(abs(got - want) / (1.0 + abs(want)), (t, s, y), (got, want))
+    reports.append(tally.report("recovery[quadratic]", "t,s in {0..3}, y in {-5..5}"))
     return reports
 
 
 def suite_recovery_cross_check(config: SuiteConfig) -> list[VerificationReport]:
     tol = config.tol("recovery", 1e-9)
     rng = random.Random(config.seed)
-    devs = []
-    witnesses = []
+    tally = Tally(tol)
     for _ in range(100):
         t = rng.uniform(0.05, 2.0)
         s = rng.uniform(0.0, 2.0)
@@ -358,16 +371,10 @@ def suite_recovery_cross_check(config: SuiteConfig) -> list[VerificationReport]:
         y = rng.uniform(y_min, 4.0)
         got = recover_evolution(gls_slice, t, s, y)
         want = gls_two_time(t, s, y)
-        devs.append(abs(got - want) / (1.0 + abs(want)))
-        if not devs[-1] <= tol:
-            witnesses.append(Witness((t, s, y), (got, want)))
+        tally.add(abs(got - want) / (1.0 + abs(want)), (t, s, y), (got, want))
     return [
-        VerificationReport.from_deviations(
-            "recovery-vs-closed-form[sqrt-gls]",
-            devs,
-            tol,
-            f"100 random valid (t,s,y), seed={config.seed}",
-            witnesses,
+        tally.report(
+            "recovery-vs-closed-form[sqrt-gls]", f"100 random valid (t,s,y), seed={config.seed}"
         )
     ]
 
@@ -379,9 +386,9 @@ def suite_semi_symmetry(config: SuiteConfig) -> list[VerificationReport]:
     residual = "D(U,t) - D(U,x)", unknown = "U", vars = "t,x".
     """
     tol = config.tol("residual", 1e-12)
-    residual = config.expressions.get("residual", "D(U,t) - D(U,x)")
-    unknown = config.expressions.get("unknown", "U")
-    variables = tuple(v.strip() for v in config.expressions.get("vars", "t,x").split(","))
+    residual = config.expr("residual", "D(U,t) - D(U,x)")
+    unknown = config.expr("unknown", "U")
+    variables = tuple(v.strip() for v in config.expr("vars", "t,x").split(","))
     pde = pde_from_text(residual, unknown, variables)
     family = [translation_wave(profile) for profile in WAVE_PROFILES.values()]
     grid = grid2d(0.0, 1.0, 21, 0.0, 1.0, 21)
@@ -394,8 +401,6 @@ def suite_semi_symmetry(config: SuiteConfig) -> list[VerificationReport]:
 def suite_parametric_graph(config: SuiteConfig) -> list[VerificationReport]:
     parabola = canonical_parametric(scalar_map(("x",), "x^2", name="parabola"))
     grid = grid1d(-2.0, 2.0, 401)
-    from .semisym import act
-
     tilted_ok, tilted_wit = is_graph(act(rotation_map(math.pi / 4.0), parabola), grid)
     half_turn_ok, _ = is_graph(act(rotation_map(math.pi), parabola), grid)
     base_ok, _ = is_graph(parabola, grid)
@@ -419,25 +424,16 @@ def suite_burgers(config: SuiteConfig) -> list[VerificationReport]:
     tol_alg = config.tol("algebra", 1e-12)
     rng = random.Random(config.seed)
     grid = grid2d(0.0, 1.0, 5, -5.0, 5.0, 11)
-    devs = []
-    witnesses = []
+    tally = Tally(tol_res)
     for _ in range(20):
         c = rng.uniform(-2.0, 2.0)
         d = rng.uniform(max(-c * c + 0.1, -2.0), 2.0)
         mu = rng.uniform(0.1, 1.0)
         x0 = rng.uniform(-2.0, 2.0)
         r = burgers_residual(burgers_soliton(x0, c, d, mu), mu, grid)
-        devs.append(r)
-        if not r <= tol_res:
-            witnesses.append(Witness((x0, c, d, mu), (r,)))
+        tally.add(r, (x0, c, d, mu), (r,))
     reports = [
-        VerificationReport.from_deviations(
-            "burgers-soliton-residual",
-            devs,
-            tol_res,
-            f"20 random parameter tuples, seed={config.seed}",
-            witnesses,
-        )
+        tally.report("burgers-soliton-residual", f"20 random parameter tuples, seed={config.seed}")
     ]
     flow = soliton_param_flow()
     reports.append(
@@ -569,8 +565,7 @@ def suite_symbolic_engine(config: SuiteConfig) -> list[VerificationReport]:
     rng = random.Random(config.seed)
     rel_tol = config.tol("derivative", 1e-6)
     catalog = list(EXPRESSION_CATALOG.items())
-    devs = []
-    witnesses = []
+    tally = Tally(rel_tol)
     cases = 0
     while cases < 100:
         name, (text, box) = catalog[cases % len(catalog)]
@@ -583,17 +578,12 @@ def suite_symbolic_engine(config: SuiteConfig) -> list[VerificationReport]:
         exact = m.partial(var)(*args)[0]
         approx = finite_diff(m, args, var, 1e-5)
         dev = abs(exact - approx) / (1.0 + abs(exact))
-        devs.append(dev)
-        if not dev <= rel_tol:
-            witnesses.append(Witness(tuple(point.values()), (exact, approx), f"{name} d/d{var}"))
+        tally.add(dev, tuple(point.values()), (exact, approx), f"{name} d/d{var}")
         cases += 1
     reports = [
-        VerificationReport.from_deviations(
+        tally.report(
             "derivative-vs-central-difference",
-            devs,
-            rel_tol,
             f"100 randomized cases over {len(catalog)} registered expressions, seed={config.seed}",
-            witnesses,
         )
     ]
     bad = [

@@ -94,6 +94,18 @@ class TestIdentityCheck:
         assert not rep.passed and math.isnan(rep.max_deviation)
         assert [w.point for w in rep.witnesses] == [(0.5,), (0.75,), (1.0,)]
 
+    def test_mostly_skipped_is_inconclusive(self):
+        # 2 of 21 points lie in the validity region: the exact identity
+        # must not pass on a tenth of its grid
+        guarded = TimeAction(
+            "guarded", 1, "nonneg", "t", ("y",),
+            SmoothMap(("t", "y"), (parse_expr("y"),)),
+            validity=lambda t, y: y[0] > 0.85,
+        )
+        rep = identity_check(guarded, grid1d(-1.0, 1.0, 21), 1e-12)
+        assert rep.checked == 2 and rep.skipped == 19
+        assert rep.inconclusive and not rep.passed
+
 
 class TestCompositionCheck:
     def test_raw_sqrt_action_fails(self):

@@ -99,6 +99,38 @@ def test_run_suite_resolves_suite_aliases(capsys):
     assert "identity[sqrt-action]" in capsys.readouterr().out
 
 
+def test_failing_ode_residuals_carry_witnesses():
+    from semiflow.suites import SuiteConfig, suite_ode_residuals
+
+    rep = suite_ode_residuals(SuiteConfig(tolerances={"explicit": -1.0}))[0]
+    assert rep.suite == "ode-residual[sqrt-branches]" and not rep.passed
+    assert len(rep.witnesses) == 8
+    assert all(w.values[0] > -1.0 for w in rep.witnesses)
+
+
+@pytest.mark.parametrize(
+    "overrides, unread",
+    [
+        ({"tolerances": {"bogus": 1}}, "tolerances.bogus"),
+        ({"tolerances": {"law": 1e-9}}, "tolerances.law"),
+        ({"grids": {"zz": {"lo": 0, "hi": 1, "count": 3}}}, "grids.zz"),
+        ({"expressions": {"a": "x + 1"}}, "expressions.a"),
+    ],
+)
+def test_unread_scenario_override_exits_two(overrides, unread, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_suite({"suite": "identity-axiom", "out": str(out), **overrides}) == 2
+    captured = capsys.readouterr()
+    assert unread in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_read_scenario_overrides_are_accepted(capsys):
+    assert run_suite({"suite": "identity-axiom", "tolerances": {"identity": 1e-12}}) == 0
+    grid = {"lo": 0.0, "hi": 1.0, "count": 5}
+    assert run_suite({"suite": "gls-semigroup", "grids": {"t": grid}}) == 0
+
+
 def test_run_suite_rejects_unknown_scenario_keys(capsys):
     assert run_suite({"suite": "negative-control", "bogus": 1}) == 2
     assert "unknown scenario keys ['bogus']" in capsys.readouterr().err

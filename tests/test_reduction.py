@@ -439,6 +439,17 @@ class TestOperatorLaws:
         rep = first_component_check(quadratic_one_time_op(), grid, 1e-12)
         assert rep.passed and rep.max_deviation == 0.0
 
+    def test_first_component_keeps_the_first_eight_witnesses(self):
+        # the first output is t + s + 1 everywhere: all 27 points fail
+        op = EvolutionOp(
+            "off-by-one", "one_time", 2,
+            closed_form=map_from_exprs(("s", "t", "y"), ["t + s + 1", "y"]),
+        )
+        grid = SamplingGrid((Axis(0.0, 2.0, 3), Axis(0.0, 2.0, 3), Axis(-1.0, 1.0, 3)))
+        rep = first_component_check(op, grid, 1e-12)
+        assert not rep.passed and rep.checked == 27
+        assert [w.point for w in rep.witnesses] == list(grid.points())[:8]
+
     def test_quadratic_two_time_law(self):
         times = (0.0, 1.0, 2.0, 3.0)
         triples = [(t, s, r) for t in times for s in times for r in times]

@@ -1,0 +1,82 @@
+"""The one tally behind every sampled check: witnesses, skips, inconclusive."""
+
+from __future__ import annotations
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semiflow.report import VerificationReport, Tally, Witness, nan_max
+
+TOL = 1e-9
+
+# a deviation, or None for a skipped point
+_events = st.lists(
+    st.one_of(
+        st.none(),
+        st.floats(0.0, 1e-8),
+        st.sampled_from([0.0, TOL, 2 * TOL, math.nan, math.inf, -math.inf]),
+    ),
+    max_size=40,
+)
+
+
+def reference_report(events: list[float | None]) -> VerificationReport:
+    """The rule written out plainly, to hold `Tally` to it."""
+    devs = [d for d in events if d is not None]
+    skipped = len(events) - len(devs)
+    failing = [i for i, d in enumerate(devs) if not d <= TOL][:8]
+    dev = nan_max(devs) if devs else 0.0
+    inconclusive = bool(events) and skipped > len(events) / 2
+    return VerificationReport(
+        suite="s",
+        passed=dev <= TOL and not inconclusive,
+        max_deviation=dev,
+        tolerance=TOL,
+        grid="g",
+        witnesses=[Witness((float(i),), (devs[i],), "n") for i in failing],
+        checked=len(devs),
+        skipped=skipped,
+        inconclusive=inconclusive,
+    )
+
+
+@settings(max_examples=300)
+@given(_events)
+def test_tally_matches_the_plain_rule(events):
+    tally = Tally(TOL)
+    k = 0
+    for d in events:
+        if d is None:
+            tally.skip()
+        else:
+            tally.add(d, (float(k),), (d,), "n")
+            k += 1
+    got, want = tally.report("s", "g"), reference_report(events)
+    # NaN != NaN, so compare the JSON text, where NaN prints as NaN
+    assert got.to_json() == want.to_json()
+
+
+def test_a_nan_deviation_gets_a_witness_and_fails():
+    tally = Tally(TOL)
+    tally.add(0.0, (0.0,), ())
+    tally.add(math.nan, (1.0,), ())
+    rep = tally.report("s")
+    assert not rep.passed and math.isnan(rep.max_deviation)
+    assert [w.point for w in rep.witnesses] == [(1.0,)]
+
+
+def test_half_skipped_is_still_conclusive():
+    tally = Tally(TOL)
+    tally.add(0.0, (0.0,), ())
+    tally.skip()
+    assert tally.report("s").passed
+    tally.skip()
+    rep = tally.report("s")
+    assert rep.inconclusive and not rep.passed
+
+
+def test_nothing_sampled_is_vacuous():
+    rep = Tally(TOL).report("s")
+    assert rep.passed and not rep.inconclusive and rep.checked == 0
