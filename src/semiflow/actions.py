@@ -14,10 +14,10 @@ possibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .expr import Const, EvalDomainError, ExprError, substitute_many
+from .expr import EvalDomainError, ExprError
 from .grids import SamplingGrid, _near_pairs
 from .maps import SmoothMap, finite_diff
 from .report import Tally, VerificationReport, Witness, deviation, max_norm
@@ -72,18 +72,14 @@ class TimeAction:
 
     def frozen_map(self, t: float) -> SmoothMap:
         """The self-map H(t, .) with the time parameter fixed."""
+        name = f"{self.name}@t={t:g}"
         if self.map.is_symbolic:
-            frozen = {self.time_var: Const(float(t))}
-            return SmoothMap(
-                self.state_vars,
-                tuple(substitute_many(c, frozen) for c in self.map.outputs),
-                name=f"{self.name}@t={t:g}",
-            )
+            return replace(self.map.freeze(**{self.time_var: t}), name=name)
         return SmoothMap(
             self.state_vars,
             func=lambda *y, _t=float(t): self.map.func(_t, *y),
             out_dim=self.dim,
-            name=f"{self.name}@t={t:g}",
+            name=name,
         )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -271,11 +272,14 @@ def load_scenario(path: str) -> dict:
         return json.load(fh)
 
 
-def config_from_scenario(doc: dict, seed_override: int | None) -> SuiteConfig:
+def config_from_scenario(doc: dict, seed_override: int | None, suite: str) -> SuiteConfig:
     grids = {}
     for name, spec in dict(doc.get("grids", {})).items():
         grids[name] = Axis(float(spec["lo"]), float(spec["hi"]), int(spec["count"]))
     tolerances = {k: float(v) for k, v in dict(doc.get("tolerances", {})).items()}
+    for key, tol in tolerances.items():
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"suite '{suite}': tolerance '{key}' must be finite and > 0, got {tol!r}")
     seed = int(doc.get("seed", 42)) if seed_override is None else seed_override
     declarations = {"unknown", "vars"}  # symbol lists, not expressions
     for name, text in dict(doc.get("expressions", {})).items():
@@ -348,18 +352,16 @@ def verify(
     stray = set(doc) - known
     if stray:
         raise ValueError(f"unknown scenario keys {sorted(stray)}; known: {sorted(known)}")
-    config = config_from_scenario(doc, seed)
-    suite = suite or doc.get("suite")
+    # a user-declared action: check its identity axiom and nothing else
+    suite = "adhoc-identity" if action is not None else suite or doc.get("suite")
+    if suite is None:
+        raise ValueError("no suite named: pass --suite or a scenario with a 'suite' key")
+    suite = SUITE_ALIASES.get(suite, suite)
+    config = config_from_scenario(doc, seed, suite)
     reports: dict[str, list[VerificationReport]] = {}
     if action is not None:
-        # a user-declared action: check its identity axiom and nothing else
-        reports["adhoc-identity"] = [
-            _adhoc_identity_report(action, config.tol("identity", 1e-12))
-        ]
+        reports[suite] = [_adhoc_identity_report(action, config.tol("identity", 1e-12))]
     else:
-        if suite is None:
-            raise ValueError("no suite named: pass --suite or a scenario with a 'suite' key")
-        suite = SUITE_ALIASES.get(suite, suite)
         names = list(SUITES) if suite == "all" else [suite]
         reports.update(run_suites(names, config))
     unread = config.unread()

@@ -11,12 +11,12 @@ printer that round-trips through the parser, exact symbolic
 differentiation, capture-free substitution (the variable namespace is
 flat) and evaluation.
 
-Evaluation has one path: `compile_expr` turns a tree into a lambda, and
-every numeric caller in the package goes through it (`compile_system`
-emits the same code for a tuple of trees, computing shared subtrees
-once, for the ODE right-hand sides the flow integrator calls). The tree walk
-`evaluate` applies the same domain rules node by node; it is kept as the
-reference the compiled code is tested against.
+Evaluation has one path: compiled code. Every expression-backed
+`SmoothMap` compiles its outputs once into one `compile_system` lambda,
+which computes shared subtrees once; `compile_expr` emits the same code
+for a bare tree. The tree walk `evaluate` applies the same domain rules
+node by node; it is kept as the reference the compiled code is tested
+against.
 
 Grammar (whitespace-insensitive)::
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import keyword
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -103,7 +104,19 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
+    """A real constant. Equality and hash tell 0.0 from -0.0 (x + 0.0 and
+    x + -0.0 differ at x = -0.0), so equal trees always compute alike."""
+
     value: float
+
+    def _key(self) -> tuple[float, float]:
+        return self.value, math.copysign(1.0, self.value)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Const else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -244,6 +257,15 @@ def _safe_pow(base: float, expo: float) -> float:
         raise EvalDomainError("pow overflow") from err
 
 
+_BINARY_FN: dict[str, Callable[[float, float], float]] = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": _safe_div,
+    "pow": _safe_pow,
+}
+
+
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """IEEE double value of `e` with every free variable bound.
 
@@ -259,20 +281,7 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
         except KeyError:
             raise UnboundVariableError(f"unbound variable '{e.name}'") from None
     if kind is Binary:
-        a = evaluate(e.lhs, bindings)
-        b = evaluate(e.rhs, bindings)
-        op = e.op
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            return _safe_div(a, b)
-        if op == "pow":
-            return _safe_pow(a, b)
-        raise ExprError(f"unknown binary op {op!r}")
+        return _BINARY_FN[e.op](evaluate(e.lhs, bindings), evaluate(e.rhs, bindings))
     if kind is Unary:
         return _UNARY_FN[e.op](evaluate(e.arg, bindings))
     if kind is Deriv:
@@ -505,14 +514,14 @@ _PREC_ATOM = 4.0
 
 def format_number(v: float) -> str:
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return f"{v:.0f}"  # the integer's digits, and "-0" for -0.0
     return repr(v)
 
 
 def _node_prec(e: Expr) -> float:
     kind = type(e)
     if kind is Const:
-        return _PREC_ATOM if e.value >= 0.0 else _PREC_NEG
+        return _PREC_ATOM if math.copysign(1.0, e.value) > 0.0 else _PREC_NEG
     if kind is Var or kind is Deriv:
         return _PREC_ATOM
     if kind is Unary:
@@ -729,15 +738,9 @@ def _emit(e: Expr, params: tuple[str, ...]) -> str:
             )
         return e.name
     if kind is Binary:
-        a = _emit(e.lhs, params)
-        b = _emit(e.rhs, params)
-        if e.op in ("pow", "div"):
-            return f"_{e.op}({a}, {b})"
-        return f"({a} {_INFIX[e.op]} {b})"
+        return _node_code(e.op, _emit(e.lhs, params), _emit(e.rhs, params))
     if kind is Unary:
-        if e.op == "neg":
-            return f"(-{_emit(e.arg, params)})"
-        return f"_{e.op}({_emit(e.arg, params)})"
+        return _node_code(e.op, _emit(e.arg, params))
     if kind is Deriv:
         raise UnresolvedMarkerError("cannot compile an unresolved derivative marker")
     raise ExprError(f"unknown node {e!r}")
@@ -745,17 +748,20 @@ def _emit(e: Expr, params: tuple[str, ...]) -> str:
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*"}
 
+
+def _node_code(op: str, *args: str) -> str:
+    """Code of one operation applied to the code of its operands."""
+    if op in _INFIX:
+        return f"({args[0]} {_INFIX[op]} {args[1]})"
+    if op == "neg":
+        return f"(-{args[0]})"
+    return f"_{op}({', '.join(args)})"
+
+
+# compiled code calls the helpers `evaluate` calls, under the op's name
 _COMPILE_NS = {
     "__builtins__": {},
-    "_sqrt": _safe_sqrt,
-    "_cbrt": _cbrt,
-    "_tanh": math.tanh,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_exp": _safe_exp,
-    "_log": _safe_log,
-    "_pow": _safe_pow,
-    "_div": _safe_div,
+    **{f"_{op}": fn for op, fn in (*_UNARY_FN.items(), *_BINARY_FN.items())},
     "_float": float,
 }
 
@@ -783,10 +789,8 @@ def compile_expr(e: Expr, params: tuple[str, ...]) -> Callable[..., float]:
     EvalDomainError (division by zero included). Parameter names must be
     identifiers that do not start with "_".
 
-    No common-subexpression elimination here: the structural hashing it
-    needs would be paid on every one of the many small compiles of
-    symbolic work, where repeated subtrees are rare; `compile_system`
-    does it for the few systems that are evaluated many times.
+    No common-subexpression elimination here: this is the per-tree code
+    that `compile_system`, which maps use, is tested against.
     """
     _check_params(params)
     src = f"lambda {', '.join(params)}: {_emit(e, params)}"
@@ -851,18 +855,7 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
         e, kids, code = nodes[n]
         if not kids:
             return code
-        args = [code_of(k) for k in kids]
-        # the node code of `_emit`, which keeps its own f-strings: a shared
-        # formatter would cost compile_expr a call per node
-        if type(e) is Binary:
-            if e.op in ("pow", "div"):
-                code = f"_{e.op}({args[0]}, {args[1]})"
-            else:
-                code = f"({args[0]} {_INFIX[e.op]} {args[1]})"
-        elif e.op == "neg":
-            code = f"(-{args[0]})"
-        else:
-            code = f"_{e.op}({args[0]})"
+        code = _node_code(e.op, *[code_of(k) for k in kids])
         if refs[n] == 1:
             return code
         names[n] = name = f"_c{len(names)}"
@@ -871,7 +864,6 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
     return [code_of(r) for r in roots]
 
 
-@lru_cache(maxsize=256)
 def compile_system(
     outputs: tuple[Expr, ...], params: tuple[str, ...]
 ) -> Callable[..., tuple[float, ...]]:
@@ -880,8 +872,8 @@ def compile_system(
     Gives what calling `compile_expr(o, params)` for each output in turn
     gives: the same values, and the same first EvalDomainError. Repeated
     subtrees, within an output or across outputs, are computed once (see
-    `_emit_system`); the flow integrator calls this lambda once per RK4
-    stage.
+    `_emit_system`). Uncached: a `SmoothMap` keeps the lambda of its
+    outputs, which the flow integrator calls once per RK4 stage.
     """
     _check_params(params)
     codes = _emit_system(outputs, params)

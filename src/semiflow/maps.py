@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
+    Const,
     EvalDomainError,  # noqa: F401 - what a call raises off its domain; kept importable here
     Expr,
     ExprError,
     Var,
-    compile_expr,
+    compile_system,
     diff,
     free_vars,
     parse_expr,
@@ -24,7 +26,8 @@ class SmoothMap:
     """A map given per-coordinate by expressions, or by a named builtin callable.
 
     Expression-backed maps support exact differentiation and symbolic
-    composition; callable-backed ones only evaluation.
+    composition; callable-backed ones only evaluation. Expression-backed
+    maps compile their outputs into one lambda on first call (`compiled`).
     """
 
     inputs: tuple[str, ...]
@@ -63,17 +66,18 @@ class SmoothMap:
                 f"expected {self.in_dim} arguments ({self.inputs}), got {len(args)}"
             )
         if self.func is not None:
-            out = self.func(*args)
-            return tuple(float(v) for v in out)
-        return tuple(compile_expr(c, self.inputs)(*args) for c in self.outputs)
+            return tuple(float(v) for v in self.func(*args))
+        return self.compiled(*args)
+
+    @cached_property
+    def compiled(self) -> Callable[..., tuple[float, ...]]:
+        """All outputs as one lambda of the inputs, compiled on first use."""
+        if not self.is_symbolic:
+            raise ExprError("callable-backed map has no compiled outputs")
+        return compile_system(self.outputs, self.inputs)
 
     def at(self, point: Sequence[float]) -> tuple[float, ...]:
         return self(*point)
-
-    def component(self, i: int) -> Expr:
-        if not self.is_symbolic:
-            raise ExprError("callable-backed map has no expression components")
-        return self.outputs[i]
 
     def partial(self, var: str) -> "SmoothMap":
         """Coordinate-wise exact partial derivative (symbolic backing only)."""
@@ -87,8 +91,6 @@ class SmoothMap:
 
     def freeze(self, **values: float) -> "SmoothMap":
         """Substitute constants for some inputs, dropping them from the signature."""
-        from .expr import Const
-
         if not self.is_symbolic:
             raise ExprError("cannot freeze inputs of a callable-backed map")
         mapping = {k: Const(float(v)) for k, v in values.items()}

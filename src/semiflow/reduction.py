@@ -29,9 +29,9 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .actions import TimeAction
-from .expr import Const, EvalDomainError, compile_expr, compile_system
+from .expr import Const, EvalDomainError
 from .grids import SamplingGrid
-from .maps import SmoothMap
+from .maps import SmoothMap, map_from_exprs
 from .report import Tally, VerificationReport, Witness, deviation
 from .rootfind import (
     RootSearchError,
@@ -176,8 +176,8 @@ def integrate_flow(
 
     Every system runs through one RK4 kernel, generated once per
     dimension and autonomy (`_rk4_kernel`), which calls the right-hand
-    side once per stage: a symbolic RHS as one `compile_system` lambda
-    that computes shared subtrees once, a callable RHS as it is. The
+    side once per stage: a symbolic RHS as the map's own `compiled`
+    lambda, which computes shared subtrees once, a callable RHS as it is. The
     kernel does the textbook scheme's floating-point operations in the
     textbook order, so states and times are bit for bit those of the
     plain loop over tuples.
@@ -192,8 +192,7 @@ def integrate_flow(
     if not sys.valid_at(a, y0):
         raise IntegrationError("RHS invalid at the starting point", a)
     mesh = _time_mesh(a, t_end, steps, spacing)
-    rhs = sys.rhs
-    f = compile_system(rhs.outputs, rhs.inputs) if rhs.is_symbolic else rhs.func
+    f = sys.rhs.compiled if sys.rhs.is_symbolic else sys.rhs.func
     kernel = _rk4_kernel(sys.dim, sys.kind == "autonomous")
     states = kernel(f, mesh, *(float(v) for v in y0), sys.validity)
     return Trajectory(mesh, states, steps, eps_start, spacing)
@@ -464,8 +463,6 @@ def gls_time_action() -> TimeAction:
 
 
 def quadratic_system() -> OdeSystem:
-    from .maps import map_from_exprs
-
     return OdeSystem(
         name="quadratic",
         kind="nonautonomous",
@@ -743,10 +740,7 @@ def flow_vs_closed_form(
     start_state = action(eps_start if eps_start > 0.0 else 0.0, ys)
     traj = integrate_flow(sys, 0.0, start_state, t_end, steps, eps_start, spacing)
     if action.map.is_symbolic:
-        comps = tuple(
-            compile_expr(c, action.map.inputs) for c in action.map.outputs
-        )
-        reference = lambda tau: tuple(c(tau, *ys) for c in comps)  # noqa: E731
+        reference = lambda tau, f=action.map.compiled: f(tau, *ys)  # noqa: E731
     else:
         reference = lambda tau: action(tau, ys)  # noqa: E731
     devs = []

@@ -38,7 +38,9 @@ def deviation(lhs: Sequence[float], rhs: Sequence[float]) -> float:
     """Relative-absolute gap max|l-r|/(1+max|r|); states grow quadratically
     in the worked examples, so a plain absolute gap would over-weight them.
     A NaN in either vector makes the deviation NaN, so it fails every
-    `<= tol` test."""
+    `<= tol` test, as IEEE arithmetic does on its own for 1-vectors."""
+    if len(lhs) == 1 == len(rhs):
+        return abs(lhs[0] - rhs[0]) / (1.0 + abs(rhs[0]))
     gap = nan_max(abs(a - b) for a, b in zip(lhs, rhs))
     return gap / (1.0 + max_norm(rhs))
 

@@ -20,6 +20,7 @@ from .actions import (
     noninvertibility_witness_sqrt,
 )
 from .enforcing import (
+    BranchMismatchError,
     bump_map,
     cuberoot_group_action,
     diffeo_time_set,
@@ -565,18 +566,20 @@ def suite_symbolic_engine(config: SuiteConfig) -> list[VerificationReport]:
     rng = random.Random(config.seed)
     rel_tol = config.tol("derivative", 1e-6)
     catalog = list(EXPRESSION_CATALOG.items())
+    # one map and one partial per expression and variable, each compiled once
+    maps = {name: SmoothMap(tuple(sorted(box)), (parse_expr(text),), name=name)
+            for name, (text, box) in catalog}
+    slopes = {(name, v): m.partial(v) for name, m in maps.items() for v in m.inputs}
     tally = Tally(rel_tol)
     cases = 0
     while cases < 100:
-        name, (text, box) = catalog[cases % len(catalog)]
-        expr = parse_expr(text)
+        name, (_, box) = catalog[cases % len(catalog)]
         variables = sorted(box)
         point = {v: rng.uniform(*box[v]) for v in variables}
         var = variables[cases % len(variables)]
-        m = SmoothMap(tuple(variables), (expr,), name=name)
         args = [point[v] for v in variables]
-        exact = m.partial(var)(*args)[0]
-        approx = finite_diff(m, args, var, 1e-5)
+        exact = slopes[name, var](*args)[0]
+        approx = finite_diff(maps[name], args, var, 1e-5)
         dev = abs(exact - approx) / (1.0 + abs(exact))
         tally.add(dev, tuple(point.values()), (exact, approx), f"{name} d/d{var}")
         cases += 1
@@ -624,9 +627,17 @@ SUITES: dict[str, Callable[[SuiteConfig], list[VerificationReport]]] = {
 
 
 def run_suites(names: Sequence[str], config: SuiteConfig) -> dict[str, list[VerificationReport]]:
+    """Each named suite's reports. A suite that leaves its domain under
+    scenario grid overrides raises ValueError naming it and the overrides."""
     out: dict[str, list[VerificationReport]] = {}
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite '{name}'; known: {', '.join(sorted(SUITES))}")
-        out[name] = SUITES[name](config)
+        try:
+            out[name] = SUITES[name](config)
+        except (ArithmeticError, ValueError, EvalDomainError, BranchMismatchError) as err:
+            if not config.grids:
+                raise
+            given = ", ".join(f"grids.{k} = {config.grids[k]}" for k in sorted(config.grids))
+            raise ValueError(f"suite '{name}' cannot run on the scenario's {given}: {err}") from err
     return out

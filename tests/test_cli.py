@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -232,3 +234,33 @@ def test_flow_unknown_system(capsys):
     assert main(
         ["flow", "--system", "nope", "--t0", "0", "--t1", "1", "--steps", "10", "--out", "/tmp/x.csv"]
     ) == 2
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_scenario_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    scenario = {"suite": "identity-axiom", "tolerances": {"identity": tol}, "out": str(out)}
+    assert run_suite(scenario) == 2
+    captured = capsys.readouterr()
+    assert "suite 'identity-axiom'" in captured.err and "tolerance 'identity'" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, name",
+    [
+        ({"lo": -1.0, "hi": 1.0, "count": 3}, "t"),  # sqrt(t) at t < 0
+        ({"lo": -1e308, "hi": 1e308, "count": 3}, "y"),  # sqrt(t)*y^2 overflows
+    ],
+)
+def test_grid_override_outside_a_suite_domain_exits_two(grid, name, capsys):
+    assert run_suite({"suite": "ode-residuals", "grids": {name: grid}}) == 2
+    err = capsys.readouterr().err
+    assert "suite 'ode-residuals'" in err and f"grids.{name} = " in err
+
+
+def test_seed_42_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--seed", "42", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "d7b78e265e2f2da52033e7a369806f55c7ed096c5ec2a7edc6969ddfccb43e3b"

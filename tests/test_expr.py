@@ -358,6 +358,8 @@ _points = st.fixed_dictionaries(
 
 @given(_trees)
 @settings(max_examples=200)
+@example(neg(exp(Const(-0.0))))  # -0.0 prints as -0, not 0
+@example(Binary("pow", Const(-0.0), Const(2.0)))  # and binds like a negative literal
 def test_print_parse_round_trip(e):
     assert parse_expr(to_text(e)) == e
 
@@ -434,6 +436,47 @@ def test_simplify_and_compile_preserve_values(e, point):
     assert fn(*args) == want
 
 
+def test_signed_zero_twins_do_not_share_compiled_code():
+    # x + 0.0 and x + -0.0 differ at x = -0.0, so the compile cache must not
+    # hand one the other's lambda
+    assert Const(0.0) != Const(-0.0) and hash(Const(0.0)) != hash(Const(-0.0))
+    assert repr(compile_expr(parse_expr("x + 0"), ("x",))(-0.0)) == "0.0"
+    twin = Binary("add", Var("x"), Const(-0.0))
+    assert repr(compile_expr(twin, ("x",))(-0.0)) == "-0.0"
+    nan = math.nan
+    assert Const(nan) == Const(nan) and Const(nan) != Const(float("nan"))
+
+
+# signed zeros, libm domain edges, and values whose products overflow to inf
+_edge_values = st.sampled_from([
+    0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    709.78, 710.0, -745.2, 1e154, 1e308, -1e308, math.inf, -math.inf, math.nan,
+])
+_edge_points = st.fixed_dictionaries(
+    {n: st.one_of(_edge_values, st.floats()) for n in ("x", "y", "t")}
+)
+_edge_leaf = st.one_of(_leaf, st.sampled_from([Const(-0.0), Const(1e308), Const(-1e308)]))
+
+
+def _values_or_first_error(values):
+    try:
+        return tuple(repr(v) for v in values())
+    except (EvalDomainError, ArithmeticError, ValueError) as err:
+        return type(err).__name__
+
+
+@given(st.lists(st.recursive(_edge_leaf, _extend, max_leaves=10), min_size=1, max_size=3),
+       _edge_points)
+@settings(max_examples=300)
+@example([Binary("add", Var("x"), Const(-0.0)), parse_expr("x + 0")], {"x": -0.0, "y": 0.0, "t": 0.0})
+@example([sin(Binary("mul", Var("x"), Var("x"))), exp(Var("y"))], {"x": 1e200, "y": 710.0, "t": 0.0})
+def test_smooth_map_agrees_with_evaluate_output_by_output(outputs, point):
+    m = SmoothMap(("x", "y", "t"), tuple(outputs))
+    got = _values_or_first_error(lambda: m(point["x"], point["y"], point["t"]))
+    want = _values_or_first_error(lambda: [evaluate(c, point) for c in outputs])
+    assert got == want
+
+
 class TestReservedNames:
     # compiled code looks its helpers up as globals and binds shared
     # subtrees as locals named _c0, _c1, ...; parameters may not shadow them
@@ -504,7 +547,7 @@ class TestCompileSystem:
 def _sequential(outputs, args):
     """Each output through its own compile_expr code, first error wins."""
     try:
-        return tuple(repr(compile_expr.__wrapped__(o, ("x", "y", "t"))(*args)) for o in outputs)
+        return tuple(repr(compile_expr(o, ("x", "y", "t"))(*args)) for o in outputs)
     except (EvalDomainError, ValueError) as err:
         return (type(err).__name__, str(err))
 
@@ -531,10 +574,8 @@ def _shared_outputs(draw):
 @given(_shared_outputs(), _points)
 @settings(max_examples=200)
 def test_system_lambda_agrees_with_compile_expr_per_output(outputs, point):
-    # the uncached compilers: the caches key on tree equality, under which
-    # Const(0.0) == Const(-0.0), so a cached lambda may be a signed-zero twin
     args = (point["x"], point["y"], point["t"])
-    fn = compile_system.__wrapped__(outputs, ("x", "y", "t"))
+    fn = compile_system(outputs, ("x", "y", "t"))
     try:
         got = tuple(repr(v) for v in fn(*args))
     except (EvalDomainError, ValueError) as err:

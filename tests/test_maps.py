@@ -36,6 +36,25 @@ class TestSmoothMap:
         with pytest.raises(ExprError):
             m(1.0)
 
+    def test_outputs_compile_once_per_map(self, monkeypatch):
+        import semiflow.maps as maps
+
+        systems = []
+        real = maps.compile_system
+        monkeypatch.setattr(maps, "compile_system", lambda *a: systems.append(a) or real(*a))
+        m = map_from_exprs(("x",), ["sin(x)^2 + exp(-x)*x", "exp(-x)*x"])
+        values = [m(0.1 * k) for k in range(10)]
+        assert systems == [(m.outputs, m.inputs)]
+        x = 0.1 * 3
+        assert values[3] == (math.sin(x) ** 2 + math.exp(-x) * x, math.exp(-x) * x)
+        assert m.partial("x")(0.0) == (1.0, 1.0) and len(systems) == 2  # a new map compiles anew
+
+    def test_callable_backed_map_has_no_compiled_outputs(self):
+        m = SmoothMap(("x",), func=lambda x: (2 * x,), out_dim=1)
+        assert m(2) == (4.0,)
+        with pytest.raises(ExprError, match="no compiled outputs"):
+            m.compiled
+
     def test_builtin_backing(self):
         m = SmoothMap(("x",), func=lambda x: (x * 2.0,), out_dim=1)
         assert m(4.0) == (8.0,)

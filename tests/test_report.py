@@ -7,7 +7,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiflow.report import VerificationReport, Tally, Witness, nan_max
+from semiflow.report import VerificationReport, Tally, Witness, deviation, nan_max
 
 TOL = 1e-9
 
@@ -80,3 +80,24 @@ def test_half_skipped_is_still_conclusive():
 def test_nothing_sampled_is_vacuous():
     rep = Tally(TOL).report("s")
     assert rep.passed and not rep.inconclusive and rep.checked == 0
+
+
+def nan_max_deviation(lhs, rhs) -> float:
+    """`deviation` as one formula for every length, through `nan_max`."""
+    gap = nan_max(abs(a - b) for a, b in zip(lhs, rhs))
+    return gap / (1.0 + nan_max(abs(x) for x in rhs))
+
+
+_components = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(_components, min_size=n, max_size=n)] * 2)
+))
+@settings(max_examples=500)
+def test_deviation_matches_the_nan_max_formula(pair):
+    lhs, rhs = pair
+    got = deviation(lhs, rhs)
+    assert repr(got) == repr(nan_max_deviation(lhs, rhs))
+    if any(math.isnan(v) for v in (*lhs, *rhs)):
+        assert math.isnan(got)
