@@ -191,7 +191,18 @@ def _collision_pair(
     return None
 
 
-def _probe_1d(m: SmoothMap, grid: SamplingGrid, tol: float, unbounded_factor: float) -> ProbeEvidence:
+def _grows_at_ends(f: Callable[[float], float], lo: float, hi: float) -> bool:
+    """Sampling proxy for the surjectivity of a scalar map on [lo, hi]: f
+    has opposite signs at the ends and |f(y)| >= 0.05*max(1, |y|) at both."""
+    f_lo, f_hi = f(lo), f(hi)
+    return (
+        f_lo * f_hi < 0.0
+        and abs(f_lo) >= 0.05 * max(1.0, abs(lo))
+        and abs(f_hi) >= 0.05 * max(1.0, abs(hi))
+    )
+
+
+def _probe_1d(m: SmoothMap, grid: SamplingGrid, tol: float) -> ProbeEvidence:
     axis = grid.axes[0]
     pts = grid.axis_values()[0]
     dfn = _derivative_fn(m)
@@ -226,17 +237,10 @@ def _probe_1d(m: SmoothMap, grid: SamplingGrid, tol: float, unbounded_factor: fl
                 )
             last_x, last_sign = y, sign
     sign_constant = not (seen_pos and seen_neg)
-    unbounded = None
     try:
-        m_lo = m(axis.lo)[0]
-        m_hi = m(axis.hi)[0]
-        unbounded = (
-            m_lo * m_hi < 0.0
-            and abs(m_lo) >= unbounded_factor * max(1.0, abs(axis.lo))
-            and abs(m_hi) >= unbounded_factor * max(1.0, abs(axis.hi))
-        )
+        unbounded = _grows_at_ends(lambda y: m(y)[0], axis.lo, axis.hi)
     except EvalDomainError:
-        pass
+        unbounded = None
     return ProbeEvidence(witnesses, sign_constant, unbounded, skipped)
 
 
@@ -274,11 +278,11 @@ def _probe_pairwise(m: SmoothMap, grid: SamplingGrid, tol: float) -> ProbeEviden
     return ProbeEvidence(witnesses, skipped=skipped)
 
 
-def probe_evidence(m: SmoothMap, grid: SamplingGrid, tol: float, unbounded_factor: float = 0.05) -> ProbeEvidence:
+def probe_evidence(m: SmoothMap, grid: SamplingGrid, tol: float) -> ProbeEvidence:
     if m.in_dim != m.out_dim:
         raise ExprError("injectivity probe needs equal input/output arity")
     if m.in_dim == 1:
-        return _probe_1d(m, grid, tol, unbounded_factor)
+        return _probe_1d(m, grid, tol)
     return _probe_pairwise(m, grid, tol)
 
 
@@ -337,7 +341,7 @@ def noninvertibility_witness_sqrt(t: float) -> tuple[float, float]:
 class InvertibilitySample:
     t: float
     status: str  # "invertible" | "noninvertible" | "unknown"
-    witnesses: list[Witness]
+    evidence: ProbeEvidence
 
 
 @dataclass
@@ -346,17 +350,6 @@ class DichotomyResult:
     samples: list[InvertibilitySample]
     identity_report: VerificationReport
     composition_report: VerificationReport
-
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "samples": [
-                {"t": s.t, "status": s.status, "witnesses": [w.to_dict() for w in s.witnesses]}
-                for s in self.samples
-            ],
-            "identity": self.identity_report.to_dict(),
-            "composition": self.composition_report.to_dict(),
-        }
 
 
 def classify_samples(statuses: Sequence[str]) -> str:
@@ -408,6 +401,6 @@ def dichotomy_classify(
             status = "invertible"
         else:
             status = "unknown"
-        samples.append(InvertibilitySample(t, status, ev.witnesses))
+        samples.append(InvertibilitySample(t, status, ev))
     classification = classify_samples([s.status for s in samples])
     return DichotomyResult(classification, samples, ident, comp)

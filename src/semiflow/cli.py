@@ -127,14 +127,12 @@ def _demo_homotopy(config: SuiteConfig) -> str:
     lines = ["homotopy action H(t,y) = (1 - g(t))*y + g(t)*f(y), g = sqrt(t)"]
     for name, f in (("square", square_map()), ("bump", bump_map())):
         action = homotopy_action(f, med)
+        residual = ode_residual_homotopy(f, med, action.map, action.map.partial("t"), 0.25, 2.0)
         lines.append(
             f"  f = {name}: H(0,3) = {action.call1(0.0, 3.0):g}, "
             f"H(1,3) = {action.call1(1.0, 3.0):g} = f(3)"
         )
-        lines.append(
-            f"    implicit-ODE residual at (t=0.25, y=2): "
-            f"{ode_residual_homotopy(f, med, 0.25, 2.0):.3e}"
-        )
+        lines.append(f"    implicit-ODE residual at (t=0.25, y=2): {residual:.3e}")
     return "\n".join(lines)
 
 
@@ -211,7 +209,7 @@ def _demo_rotated_parabola(config: SuiteConfig) -> str:
 def _demo_heat_flow(config: SuiteConfig) -> str:
     return "\n".join(
         [
-            "heat-kernel family exp(-x^2/(4 tau))/sqrt(tau) under time advance",
+            "heat kernel exp(-x^2/(4 t))/sqrt(t) against U_t = U_xx",
             *_report_lines(suite_heat_flow(config)),
         ]
     )
@@ -249,7 +247,7 @@ DEMOS: dict[str, tuple[str, Callable[[SuiteConfig], str]]] = {
     "quadratic-recovery": ("two-time evolution recovered from one slice by root finding", _demo_quadratic_recovery),
     "burgers-soliton": ("Burgers traveling kink and its parameter flow", _demo_burgers),
     "rotated-parabola": ("parametric charts vs graphs under rotations", _demo_rotated_parabola),
-    "heat-flow": ("heat-kernel family: a parameter semigroup without inverses", _demo_heat_flow),
+    "heat-flow": ("heat kernel: an exact solution of U_t = U_xx", _demo_heat_flow),
     "constrained-scaling": ("subset-preserving parameter scans", _demo_constrained),
 }
 

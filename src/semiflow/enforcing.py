@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
@@ -36,7 +36,7 @@ from .expr import (
 from .grids import SamplingGrid
 from .maps import SmoothMap, scalar_map
 from .report import Tally, VerificationReport, Witness, deviation, max_norm
-from .actions import TimeAction
+from .actions import TimeAction, _grows_at_ends
 from .rootfind import RootSearchError, bisect
 
 
@@ -79,18 +79,17 @@ def milder_branch_for(t: float, y: float) -> BranchSelector:
 
 @dataclass(frozen=True)
 class MediatorFunction:
-    """Time reparametrization g with g(0)=0, g(1)=1 and g'(t) != 0 on (0, T]."""
+    """Time reparametrization g(t) with g(0)=0, g(1)=1 and g'(t) != 0 on (0, T]."""
 
     g: Expr
-    var: str = "t"
 
     @property
     def dg(self) -> Expr:
-        return diff(self.g, self.var)
+        return diff(self.g, "t")
 
     @cached_property
     def _compiled(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        return compile_expr(self.g, (self.var,)), compile_expr(self.dg, (self.var,))
+        return compile_expr(self.g, ("t",)), compile_expr(self.dg, ("t",))
 
     def value(self, t: float) -> float:
         return self._compiled[0](t)
@@ -99,9 +98,11 @@ class MediatorFunction:
         return self._compiled[1](t)
 
 
-def mediator(g: Expr | str, var: str = "t", horizon: float = 10.0) -> MediatorFunction:
+def mediator(g: Expr | str) -> MediatorFunction:
+    """Validate g(t): the endpoint values, and a derivative that neither
+    vanishes nor changes sign at 64 times spread over (0, 10]."""
     expr = parse_expr(g) if isinstance(g, str) else g
-    med = MediatorFunction(expr, var)
+    med = MediatorFunction(expr)
     if abs(med.value(0.0)) > 1e-12 or abs(med.value(1.0) - 1.0) > 1e-12:
         raise ValueError(
             f"mediator must satisfy g(0)=0, g(1)=1; got g(0)={med.value(0.0)!r}, "
@@ -109,7 +110,7 @@ def mediator(g: Expr | str, var: str = "t", horizon: float = 10.0) -> MediatorFu
         )
     last_sign = 0
     for k in range(1, 65):
-        t = horizon * (k / 64.0) ** 2
+        t = 10.0 * (k / 64.0) ** 2
         slope = med.slope(t)
         if slope == 0.0:
             raise ValueError(f"mediator derivative vanishes at t={t!r}")
@@ -184,8 +185,8 @@ def homotopy_action(f: SmoothMap, g: MediatorFunction) -> TimeAction:
         raise ValueError("homotopy target must have equal input/output arity")
     if not f.is_symbolic:
         raise ValueError("homotopy target must be expression-backed")
-    if g.var in f.inputs:
-        raise ValueError(f"mediator variable '{g.var}' collides with a state variable")
+    if "t" in f.inputs:
+        raise ValueError("the mediator's time variable 't' collides with a state variable")
     one_minus_g = Const(1.0) - g.g
     outputs = tuple(
         one_minus_g * Var(y) + g.g * f_i for y, f_i in zip(f.inputs, f.outputs)
@@ -194,9 +195,9 @@ def homotopy_action(f: SmoothMap, g: MediatorFunction) -> TimeAction:
         name=f"homotopy[{f.name or 'f'}]",
         dim=f.in_dim,
         time_domain="nonneg",
-        time_var=g.var,
+        time_var="t",
         state_vars=f.inputs,
-        map=SmoothMap((g.var, *f.inputs), outputs, name=f"homotopy[{f.name or 'f'}]"),
+        map=SmoothMap(("t", *f.inputs), outputs, name=f"homotopy[{f.name or 'f'}]"),
     )
 
 
@@ -244,23 +245,23 @@ def ode_residual_explicit(t: float, y: float, branch: BranchSelector) -> float:
     return abs(lhs - rhs)
 
 
-@lru_cache(maxsize=32)
-def _homotopy_maps(f: SmoothMap, g: MediatorFunction) -> tuple[SmoothMap, SmoothMap]:
-    """The homotopy action's map and its exact t-partial, built once per (f, g)."""
-    h = homotopy_action(f, g).map
-    return h, h.partial(g.var)
-
-
 def ode_residual_homotopy(
-    f: SmoothMap, g: MediatorFunction, t: float, y: float | Sequence[float]
+    f: SmoothMap,
+    g: MediatorFunction,
+    h_map: SmoothMap,
+    ht_map: SmoothMap,
+    t: float,
+    y: float | Sequence[float],
 ) -> float:
     """Residual of the implicit homotopy ODE
     (1-g)*dY/dt + g'*Y = g' * f((g'*Y - g*dY/dt)/g'), plus the pointwise
-    recovery of y and f(y) from (Y, dY/dt)."""
+    recovery of y and f(y) from (Y, dY/dt).
+
+    `h_map` is `homotopy_action(f, g).map` and `ht_map` its exact t-partial;
+    callers build both once per target and pass them to every point."""
     if t <= 0.0:
         raise EvalDomainError("the homotopy ODE is posed on t > 0")
     ys = (y,) if isinstance(y, (int, float)) else tuple(y)
-    h_map, ht_map = _homotopy_maps(f, g)
     gv = g.value(t)
     gp = g.slope(t)
     if gp == 0.0:
@@ -369,17 +370,6 @@ def one_sided_quotients(
 class DiffeoTimeReport:
     entries: list[tuple[float, bool]]
     thresholds: list[float]
-    notes: tuple[str, ...] = ()
-
-    def diffeo_times(self) -> list[float]:
-        return [t for t, ok in self.entries if ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [{"t": t, "diffeo": ok} for t, ok in self.entries],
-            "thresholds": self.thresholds,
-            "notes": list(self.notes),
-        }
 
 
 def _critical_points(
@@ -411,7 +401,6 @@ class DiffeoClassifier:
 
     action: TimeAction
     y_grid: SamplingGrid
-    growth_factor: float = 0.05
 
     @cached_property
     def _derivatives(self) -> tuple[Callable[[float, float], float], ...]:
@@ -439,18 +428,12 @@ class DiffeoClassifier:
 
     def growth_ok(self, t: float) -> bool:
         """Sampling proxy for surjectivity: |H| grows at the grid ends and
-        the end values have opposite signs."""
-        y_lo, y_hi = self.y_grid.axes[0].lo, self.y_grid.axes[0].hi
+        the end values have opposite signs (`actions._grows_at_ends`)."""
+        axis = self.y_grid.axes[0]
         try:
-            m_lo = self.action.call1(t, y_lo)
-            m_hi = self.action.call1(t, y_hi)
+            return _grows_at_ends(lambda y: self.action.call1(t, y), axis.lo, axis.hi)
         except EvalDomainError:
             return False
-        return (
-            m_lo * m_hi < 0.0
-            and abs(m_lo) >= self.growth_factor * max(1.0, abs(y_lo))
-            and abs(m_hi) >= self.growth_factor * max(1.0, abs(y_hi))
-        )
 
     def is_diffeo(self, t: float) -> bool:
         return (not self.slope_attains_zero(t)) and self.growth_ok(t)
@@ -463,20 +446,14 @@ def diffeo_classifier(action: TimeAction, y_grid: SamplingGrid) -> DiffeoClassif
 
 
 def diffeo_time_set(
-    action: TimeAction,
-    t_grid: SamplingGrid,
-    y_grid: SamplingGrid,
-    threshold_tol: float = 1e-6,
-    growth_factor: float = 0.05,
+    action: TimeAction, t_grid: SamplingGrid, y_grid: SamplingGrid
 ) -> DiffeoTimeReport:
     """Classify each sampled t: is H(t, .) a diffeomorphism of the line?
 
     Boundaries between classified regions are located by bisection on the
-    slope-reaches-zero predicate to threshold_tol in t.
+    slope-reaches-zero predicate to 1e-6 in t.
     """
-    if action.dim != 1 or not action.map.is_symbolic:
-        raise ValueError("classification needs a 1-D, expression-backed action")
-    probe = DiffeoClassifier(action, y_grid, growth_factor)
+    probe = diffeo_classifier(action, y_grid)
     entries = []
     for (t,) in t_grid.points():
         entries.append((t, probe.is_diffeo(t)))
@@ -487,7 +464,7 @@ def diffeo_time_set(
         if p0 == probe.slope_attains_zero(t1):
             continue
         lo, hi = t0, t1
-        while hi - lo > threshold_tol:
+        while hi - lo > 1e-6:
             mid = 0.5 * (lo + hi)
             if probe.slope_attains_zero(mid) == p0:
                 lo = mid

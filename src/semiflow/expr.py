@@ -149,8 +149,6 @@ class Deriv(Expr):
     wrt: tuple[str, ...]
 
 
-UNARY_OPS = ("neg", "sqrt", "cbrt", "tanh", "sin", "cos", "exp", "log")
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 FUNCTION_NAMES = ("sqrt", "cbrt", "tanh", "sin", "cos", "exp", "log")
 
 
@@ -170,32 +168,8 @@ def neg(e: Expr) -> Expr:
     return Unary("neg", e)
 
 
-def sqrt(e) -> Expr:
-    return Unary("sqrt", as_expr(e))
-
-
-def cbrt(e) -> Expr:
-    return Unary("cbrt", as_expr(e))
-
-
 def tanh(e) -> Expr:
     return Unary("tanh", as_expr(e))
-
-
-def sin(e) -> Expr:
-    return Unary("sin", as_expr(e))
-
-
-def cos(e) -> Expr:
-    return Unary("cos", as_expr(e))
-
-
-def exp(e) -> Expr:
-    return Unary("exp", as_expr(e))
-
-
-def log(e) -> Expr:
-    return Unary("log", as_expr(e))
 
 
 # ---------------------------------------------------------------------------
@@ -369,36 +343,6 @@ def fold_pow(a: Expr, b: Expr) -> Expr:
     return Binary("pow", a, b)
 
 
-_FOLD_BINARY = {
-    "add": fold_add,
-    "sub": fold_sub,
-    "mul": fold_mul,
-    "div": fold_div,
-    "pow": fold_pow,
-}
-
-
-def fold_unary(op: str, a: Expr) -> Expr:
-    if op == "neg":
-        return neg(a)
-    if isinstance(a, Const):
-        try:
-            return Const(_UNARY_FN[op](a.value))
-        except EvalDomainError:
-            pass
-    return Unary(op, a)
-
-
-def simplify(e: Expr) -> Expr:
-    """Constant folding and 0/1 identities, applied bottom-up. No canonicalization."""
-    kind = type(e)
-    if kind is Binary:
-        return _FOLD_BINARY[e.op](simplify(e.lhs), simplify(e.rhs))
-    if kind is Unary:
-        return fold_unary(e.op, simplify(e.arg))
-    return e
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -496,10 +440,6 @@ def substitute_many(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
             e.op, substitute_many(e.lhs, mapping), substitute_many(e.rhs, mapping)
         )
     return e
-
-
-def substitute(e: Expr, var: str, replacement: Expr) -> Expr:
-    return substitute_many(e, {var: as_expr(replacement)})
 
 
 # ---------------------------------------------------------------------------

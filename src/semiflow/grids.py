@@ -73,16 +73,14 @@ class SamplingGrid:
         return spans + tag
 
 
-def grid1d(lo: float, hi: float, count: int, seed: int = 42, jitter: float = 0.0) -> SamplingGrid:
-    return SamplingGrid((Axis(lo, hi, count),), seed=seed, jitter=jitter)
+def grid1d(lo: float, hi: float, count: int) -> SamplingGrid:
+    return SamplingGrid((Axis(lo, hi, count),))
 
 
 def grid2d(
-    lo1: float, hi1: float, count1: int,
-    lo2: float, hi2: float, count2: int,
-    seed: int = 42, jitter: float = 0.0,
+    lo1: float, hi1: float, count1: int, lo2: float, hi2: float, count2: int
 ) -> SamplingGrid:
-    return SamplingGrid((Axis(lo1, hi1, count1), Axis(lo2, hi2, count2)), seed=seed, jitter=jitter)
+    return SamplingGrid((Axis(lo1, hi1, count1), Axis(lo2, hi2, count2)))
 
 
 def _cell_key(coords: Sequence[float], side: float) -> tuple[int, ...] | None:

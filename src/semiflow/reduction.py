@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .actions import TimeAction
 from .expr import Const, EvalDomainError
@@ -122,26 +122,17 @@ class Trajectory:
     def final(self) -> tuple[float, ...]:
         return self.states[-1]
 
-    def _header(self) -> str:
-        return "t," + ",".join(f"y{i + 1}" for i in range(self.dim)) + "\n"
-
-    def _rows(self) -> Iterator[str]:
-        row = ",".join(["%.17g"] * (self.dim + 1)) + "\n"
-        return (row % (t, *y) for t, y in zip(self.times, self.states))
-
-    def to_csv(self) -> str:
-        return self._header() + "".join(self._rows())
-
     def write_csv(self, path: str) -> None:
-        """Write `to_csv()` to `path`, one formatted row at a time.
+        """Write the header `t,y1,...,yl` and one row per sample to `path`.
 
         Each row is one `%` of a "%.17g,...\n" template, the same text as
-        `format(v, ".17g")` per value, so the bytes equal `to_csv()`
-        without the whole file ever being held as one string.
+        `format(v, ".17g")` per value, written one row at a time so the
+        whole file is never held as one string.
         """
+        row = ",".join(["%.17g"] * (self.dim + 1)) + "\n"
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(self._header())
-            fh.writelines(self._rows())
+            fh.write("t," + ",".join(f"y{i + 1}" for i in range(self.dim)) + "\n")
+            fh.writelines(row % (t, *y) for t, y in zip(self.times, self.states))
 
 
 def _time_mesh(a: float, b: float, steps: int, spacing: str) -> list[float]:
@@ -278,19 +269,13 @@ def _rk4_kernel(dim: int, autonomous: bool) -> Callable[..., list[tuple[float, .
 
 @dataclass(frozen=True)
 class EvolutionOp:
-    """One-time E(s) (autonomous) or two-time E(t0, t1) (non-autonomous) operator.
-
-    Backed by a closed-form SmoothMap with inputs (s, x...) or (t0, t1, x...),
-    or by numerically flowing an OdeSystem. Closed forms are the definition
-    wherever present; numeric flows serve as independent oracles.
-    """
+    """One-time E(s) (autonomous) or two-time E(t0, t1) (non-autonomous) operator,
+    given by a closed-form SmoothMap with inputs (s, x...) or (t0, t1, x...)."""
 
     name: str
     kind: str  # "one_time" | "two_time"
     dim: int
-    closed_form: SmoothMap | None = None
-    flow: OdeSystem | None = None
-    flow_steps: int = 400
+    closed_form: SmoothMap
     time_domain: str = "full"  # "nonneg": times outside [0, inf) are domain errors
     validity: Callable[..., bool] | None = None
     inverse_domain: Callable[..., bool] | None = None
@@ -298,8 +283,6 @@ class EvolutionOp:
     def __post_init__(self):
         if self.kind not in ("one_time", "two_time"):
             raise ValueError("kind must be 'one_time' or 'two_time'")
-        if (self.closed_form is None) == (self.flow is None):
-            raise ValueError("need exactly one backing: closed_form or flow")
 
     def _check_time(self, *ts: float) -> None:
         if self.time_domain == "nonneg" and any(t < 0.0 for t in ts):
@@ -311,21 +294,13 @@ class EvolutionOp:
         if self.kind != "one_time":
             raise ValueError("not a one-time operator")
         self._check_time(s)
-        if self.closed_form is not None:
-            return self.closed_form(s, *x)
-        if s == 0.0:
-            return tuple(float(v) for v in x)
-        return integrate_flow(self.flow, 0.0, x, s, self.flow_steps).final()
+        return self.closed_form(s, *x)
 
     def apply_two(self, t0: float, t1: float, x: Sequence[float]) -> tuple[float, ...]:
         if self.kind != "two_time":
             raise ValueError("not a two-time operator")
         self._check_time(t0, t1)
-        if self.closed_form is not None:
-            return self.closed_form(t0, t1, *x)
-        if t0 == t1:
-            return tuple(float(v) for v in x)
-        return integrate_flow(self.flow, t0, x, t1, self.flow_steps).final()
+        return self.closed_form(t0, t1, *x)
 
     def valid_one(self, s: float, x: Sequence[float]) -> bool:
         if self.time_domain == "nonneg" and s < 0.0:
@@ -565,7 +540,6 @@ def two_time_law_check(
     triples: Sequence[tuple[float, float, float]],
     grid: SamplingGrid,
     tol: float,
-    check_inverses: bool = True,
 ) -> VerificationReport:
     """Max gap of E(s,r)(E(t,s)(y)) against E(t,r)(y), plus the inverse
     identities E(t,s)∘E(s,t) = id = E(s,t)∘E(t,s) wherever both orders
@@ -590,23 +564,22 @@ def two_time_law_check(
                 tally.skip()
             else:
                 tally.add(deviation(out, ref), (t, s, r, *x), (*out, *ref))
-    if check_inverses:
-        seen = set()
-        for t, s, _ in triples:
-            if (t, s) in seen or t == s:
-                continue
-            seen.add((t, s))
-            for x in grid.points():
-                for a, b in ((t, s), (s, t)):
-                    if op.inverse_domain is not None and not op.inverse_domain(a, b, tuple(x)):
-                        tally.skip()
-                        continue
-                    fwd = try_leg(a, b, x)
-                    back = None if fwd is None else try_leg(b, a, fwd)
-                    if back is None:
-                        tally.skip()
-                        continue
-                    tally.add(deviation(back, x), (a, b, *x), back, "inverse identity")
+    seen = set()
+    for t, s, _ in triples:
+        if (t, s) in seen or t == s:
+            continue
+        seen.add((t, s))
+        for x in grid.points():
+            for a, b in ((t, s), (s, t)):
+                if op.inverse_domain is not None and not op.inverse_domain(a, b, tuple(x)):
+                    tally.skip()
+                    continue
+                fwd = try_leg(a, b, x)
+                back = None if fwd is None else try_leg(b, a, fwd)
+                if back is None:
+                    tally.skip()
+                    continue
+                tally.add(deviation(back, x), (a, b, *x), back, "inverse identity")
     return tally.report(f"two-time-law[{op.name}]", grid.summary())
 
 
@@ -640,15 +613,13 @@ def _continuation_root(
     t: float,
     y: float,
     steps: int,
-    dslice: Callable[[float, float], float] | None,
 ) -> float:
     """Track the root of slice(tau, z) = y from tau=t0 (where z=y) to tau=t."""
     z = y
     for k in range(1, steps + 1):
         tau = t0 + (t - t0) * k / steps
         g = lambda w: slice_map(tau, w) - y  # noqa: E731
-        dg = (lambda w: dslice(tau, w)) if dslice is not None else numeric_derivative(g)
-        nxt = newton(g, dg, z)
+        nxt = newton(g, numeric_derivative(g), z)
         if nxt is not None:
             z = nxt
     return z
@@ -660,7 +631,6 @@ def recover_evolution_detailed(
     s: float,
     y: float,
     settings: RecoverySettings = RecoverySettings(),
-    dslice: Callable[[float, float], float] | None = None,
 ) -> RecoveryResult:
     """E(t,s)(y) from the single slice tau -> E(t0, tau), by root finding.
 
@@ -677,22 +647,19 @@ def recover_evolution_detailed(
             f"no sign change for the slice equation in "
             f"[{settings.search_lo!r}, {settings.search_hi!r}]"
         )
-    dg = (lambda z: dslice(t, z)) if dslice is not None else None
     roots: list[float] = []
     for a, b in brackets:
-        r = hybrid_root(g, a, b, df=dg, tol=settings.root_tol)
+        r = hybrid_root(g, a, b, tol=settings.root_tol)
         if not any(abs(r - q) <= 1e-9 * (1.0 + abs(q)) for q in roots):
             roots.append(r)
     notes: tuple[str, ...] = ()
     if len(roots) > 1:
-        guide = _continuation_root(
-            slice_map, settings.t0, t, y, settings.continuation_steps, dslice
-        )
+        guide = _continuation_root(slice_map, settings.t0, t, y, settings.continuation_steps)
         chosen = min(roots, key=lambda r: abs(r - guide))
         notes = (f"{len(roots)} roots; continuation from t0={settings.t0:g} selected the bounded branch",)
     else:
         chosen = roots[0]
-    dval = (dg or numeric_derivative(g))(chosen)
+    dval = numeric_derivative(g)(chosen)
     condition = math.inf if dval == 0.0 else 1.0 / abs(dval)
     return RecoveryResult(
         value=slice_map(s, chosen),
@@ -710,9 +677,8 @@ def recover_evolution(
     s: float,
     y: float,
     settings: RecoverySettings = RecoverySettings(),
-    dslice: Callable[[float, float], float] | None = None,
 ) -> float:
-    return recover_evolution_detailed(slice_map, t, s, y, settings, dslice).value
+    return recover_evolution_detailed(slice_map, t, s, y, settings).value
 
 
 # ---------------------------------------------------------------------------

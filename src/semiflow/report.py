@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -87,7 +86,6 @@ class VerificationReport:
         witnesses: list[Witness] | None = None,
         skipped: int = 0,
         inconclusive: bool = False,
-        notes: tuple[str, ...] = (),
     ) -> "VerificationReport":
         dev = nan_max(deviations) if deviations else 0.0
         return cls(
@@ -100,7 +98,6 @@ class VerificationReport:
             checked=len(deviations),
             skipped=skipped,
             inconclusive=inconclusive,
-            notes=notes,
         )
 
     def to_dict(self) -> dict:
@@ -116,9 +113,6 @@ class VerificationReport:
             "notes": list(self.notes),
             "witnesses": [w.to_dict() for w in self.witnesses],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def one_line(self) -> str:
         status = "PASS" if self.passed else ("INCONCLUSIVE" if self.inconclusive else "FAIL")

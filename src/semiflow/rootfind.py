@@ -38,13 +38,9 @@ def scan_brackets(
     return brackets
 
 
-def bisect(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
+def bisect(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
+    """A root of f in the sign-change interval [a, b], to width `tol`
+    (at most 200 halvings)."""
     if a == b:
         return a
     fa, fb = f(a), f(b)
@@ -54,7 +50,7 @@ def bisect(
         return b
     if (fa < 0.0) == (fb < 0.0):
         raise RootSearchError(f"no sign change on [{a!r}, {b!r}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         m = 0.5 * (a + b)
         if b - a <= tol:
             return m
@@ -69,15 +65,12 @@ def bisect(
 
 
 def newton(
-    f: Callable[[float], float],
-    df: Callable[[float], float],
-    x0: float,
-    tol: float = 1e-14,
-    max_iter: int = 60,
+    f: Callable[[float], float], df: Callable[[float], float], x0: float
 ) -> float | None:
-    """Newton iteration; returns None instead of diverging or looping."""
+    """Newton iteration to a relative step of 1e-14; returns None instead
+    of diverging or looping past 60 steps."""
     x = x0
-    for _ in range(max_iter):
+    for _ in range(60):
         try:
             y = f(x)
             d = df(x)
@@ -87,30 +80,27 @@ def newton(
             return None
         step = y / d
         x_new = x - step
-        if abs(step) <= tol * (1.0 + abs(x)):
+        if abs(step) <= 1e-14 * (1.0 + abs(x)):
             return x_new
         x = x_new
     return None
 
 
-def numeric_derivative(f: Callable[[float], float], h_rel: float = 1e-7) -> Callable[[float], float]:
+def numeric_derivative(f: Callable[[float], float]) -> Callable[[float], float]:
+    """Central difference of f with step 1e-7 * (1 + |x|)."""
+
     def df(x: float) -> float:
-        h = h_rel * (1.0 + abs(x))
+        h = 1e-7 * (1.0 + abs(x))
         return (f(x + h) - f(x - h)) / (2.0 * h)
 
     return df
 
 
-def hybrid_root(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    df: Callable[[float], float] | None = None,
-    tol: float = 1e-12,
-) -> float:
-    """Bisection to `tol`, then a Newton polish when a derivative is usable."""
+def hybrid_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
+    """Bisection to `tol`, then a Newton polish on the central-difference
+    derivative, kept when it stays in [a, b] and does not raise |f|."""
     x = bisect(f, a, b, tol=tol)
-    polished = newton(f, df or numeric_derivative(f), x)
+    polished = newton(f, numeric_derivative(f), x)
     if polished is not None and min(a, b) - tol <= polished <= max(a, b) + tol:
         try:
             if abs(f(polished)) <= abs(f(x)):

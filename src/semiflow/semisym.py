@@ -267,13 +267,13 @@ def residual_max(pde: PdeResidual, U: SmoothMap, grid: SamplingGrid) -> float:
 # vertical maps and the semi-symmetry check
 
 
-def vertical_map(g: Expr | str, base_vars: Sequence[str], value_var: str = "u") -> SmoothMap:
-    """(x, u) -> (x, g(u)): acts on the value coordinate only."""
+def vertical_map(g: Expr | str, base_vars: Sequence[str]) -> SmoothMap:
+    """(x, u) -> (x, g(u)): acts on the value coordinate u only."""
     g_expr = parse_expr(g) if isinstance(g, str) else g
-    stray = free_vars(g_expr) - {value_var}
+    stray = free_vars(g_expr) - {"u"}
     if stray:
-        raise ExprError(f"vertical value map may only use '{value_var}'; got {sorted(stray)}")
-    inputs = (*base_vars, value_var)
+        raise ExprError(f"vertical value map may only use 'u'; got {sorted(stray)}")
+    inputs = (*base_vars, "u")
     outputs = tuple(Var(v) for v in base_vars) + (g_expr,)
     return SmoothMap(inputs, outputs, name=f"vertical[{to_text(g_expr)}]")
 
@@ -287,38 +287,24 @@ def is_vertical(f: SmoothMap) -> bool:
     return free_vars(f.outputs[-1]) <= {value_var}
 
 
-def rotation_map(theta: float, x: str = "x", u: str = "u") -> SmoothMap:
+def rotation_map(theta: float) -> SmoothMap:
     """Rotation of the (x, u) plane about the origin."""
     c, s = math.cos(theta), math.sin(theta)
+    x, u = Var("x"), Var("u")
     return SmoothMap(
-        (x, u),
-        (Const(c) * Var(x) - Const(s) * Var(u), Const(s) * Var(x) + Const(c) * Var(u)),
+        ("x", "u"),
+        (Const(c) * x - Const(s) * u, Const(s) * x + Const(c) * u),
         name=f"rotation[{theta:g}]",
     )
 
 
-def rotation_xu_map(theta: float, vars: Sequence[str] = ("t", "x", "u")) -> SmoothMap:
-    """Rotation in the (x, u) plane of a (t, x, u) ambient space."""
-    t, x, u = vars
-    c, s = math.cos(theta), math.sin(theta)
-    return SmoothMap(
-        (t, x, u),
-        (
-            Var(t),
-            Const(c) * Var(x) - Const(s) * Var(u),
-            Const(s) * Var(x) + Const(c) * Var(u),
-        ),
-        name=f"rotation-xu[{theta:g}]",
-    )
-
-
-def translation_wave(h: Expr | str, hvar: str = "z") -> SmoothMap:
-    """U(t,x) = h(t + x): the general solution of U_t = U_x."""
+def translation_wave(h: Expr | str) -> SmoothMap:
+    """U(t,x) = h(t + x) for a profile h(z): the general solution of U_t = U_x."""
     h_expr = parse_expr(h) if isinstance(h, str) else h
-    stray = free_vars(h_expr) - {hvar}
+    stray = free_vars(h_expr) - {"z"}
     if stray:
-        raise ExprError(f"profile may only use '{hvar}'; got {sorted(stray)}")
-    body = substitute_many(h_expr, {hvar: Var("t") + Var("x")})
+        raise ExprError(f"profile may only use 'z'; got {sorted(stray)}")
+    body = substitute_many(h_expr, {"z": Var("t") + Var("x")})
     return SmoothMap(("t", "x"), (body,), name=f"wave[{to_text(h_expr)}]")
 
 
@@ -413,14 +399,6 @@ class ConstrainedScanReport:
     @property
     def invariant_params(self) -> list[float]:
         return [g for g, ok, _ in self.entries if ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {"param": g, "invariant": ok, "witness": None if w is None else w.to_dict()}
-                for g, ok, w in self.entries
-            ]
-        }
 
 
 def constrained_symmetry_scan(

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .actions import (
+    DichotomyResult,
     TimeAction,
     composition_check,
     dichotomy_classify,
@@ -26,6 +27,8 @@ from .enforcing import (
     diffeo_time_set,
     diffeo_classifier,
     homotopy_action,
+    k_action_relation_check,
+    limit_ic_check,
     milder_action,
     milder_branch_for,
     ode_residual_explicit,
@@ -71,6 +74,7 @@ from .semisym import (
     canonical_parametric,
     is_graph,
     pde_from_text,
+    regraph,
     rotation_map,
     semi_symmetry_check,
     translation_wave,
@@ -177,7 +181,26 @@ def homotopy_family() -> list[tuple[str, SmoothMap]]:
     ]
 
 
-def _bool_report(suite: str, ok: bool, detail: str, witnesses: list[Witness] | None = None) -> VerificationReport:
+# pinned tolerances of the checks that read no scenario key
+K_RELATION_TOL = 1e-12  # H(t, y) = K(sqrt(t), y) is exact up to rounding
+LIMIT_IC_TOL = 1e-5  # |H(eps, y) - y|/(1 + |y|) at the smallest eps
+LIMIT_IC_EPS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+# Linear interpolation on knots h apart errs by at most h^2/8*max|U''|;
+# for U = -x^2 on knots 0.01 apart that is 2.5e-5, and the measured
+# midpoint error is that bound itself, so a relative 1e-6 absorbs rounding.
+REGRAPH_TOL = 0.01**2 / 8.0 * 2.0 * (1.0 + 1e-6)
+
+
+def _bool_report(
+    suite: str,
+    ok: bool,
+    checked: int,
+    detail: str,
+    witnesses: list[Witness] | None = None,
+    skipped: int = 0,
+) -> VerificationReport:
+    """A pass/fail verdict over `checked` sampled points (`skipped` more
+    were outside a checked map's domain)."""
     return VerificationReport(
         suite=suite,
         passed=ok,
@@ -185,7 +208,20 @@ def _bool_report(suite: str, ok: bool, detail: str, witnesses: list[Witness] | N
         tolerance=0.5,
         notes=(detail,),
         witnesses=witnesses or [],
+        checked=checked,
+        skipped=skipped,
     )
+
+
+def _dichotomy_counts(result: DichotomyResult, grid: SamplingGrid) -> tuple[int, int]:
+    """Points checked and skipped by a classification: its identity and
+    composition checks, and one injectivity probe of the grid per time."""
+    checked = result.identity_report.checked + result.composition_report.checked
+    skipped = result.identity_report.skipped + result.composition_report.skipped
+    for sample in result.samples:
+        checked += grid.size - sample.evidence.skipped
+        skipped += sample.evidence.skipped
+    return checked, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -231,34 +267,41 @@ def suite_noninvertibility(config: SuiteConfig) -> list[VerificationReport]:
             "sqrt-witness-collision", devs, tol, "t in {0.25, 1, 4}", witnesses
         )
     ]
+    gls_grid = grid2d(0.0, 1.0, 3, -2.0, 2.0, 41)
     gls = dichotomy_classify(
         gls_time_action(),
         [0.25, 1.0, 4.0],
-        grid2d(0.0, 1.0, 3, -2.0, 2.0, 41),
+        gls_grid,
         config.tol("dichotomy", 1e-9),
         composition_times=[(0.25, 0.25), (0.25, 0.5), (0.5, 0.5)],
     )
+    checked, skipped = _dichotomy_counts(gls, gls_grid)
     reports.append(
         _bool_report(
             "dichotomy[sqrt-gls-evolution]",
             gls.classification == "genuine_semigroup",
+            checked,
             f"classified {gls.classification} (expected genuine_semigroup)",
-            [w for s in gls.samples for w in s.witnesses[:1]],
+            [w for s in gls.samples for w in s.evidence.witnesses[:1]],
+            skipped=skipped,
         )
     )
+    cube_grid = grid1d(-3.0, 3.0, 22)
     cube = dichotomy_classify(
-        cuberoot_group_action(),
-        [0.5, 1.0, 2.0],
-        grid1d(-3.0, 3.0, 22),
-        config.tol("dichotomy", 1e-9),
+        cuberoot_group_action(), [0.5, 1.0, 2.0], cube_grid, config.tol("dichotomy", 1e-9)
     )
+    checked, skipped = _dichotomy_counts(cube, cube_grid)
     reports.append(
         _bool_report(
             "dichotomy[cuberoot-action]",
             cube.classification == "group_like",
+            checked,
             f"classified {cube.classification} (expected group_like)",
+            skipped=skipped,
         )
     )
+    # the singularity lives in the time variable: H(t, y) = K(sqrt(t), y), K smooth
+    reports.append(k_action_relation_check(grid2d(0.0, 9.0, 19, -3.0, 3.0, 25), K_RELATION_TOL))
     return reports
 
 
@@ -282,12 +325,15 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
 
     med = sqrt_mediator()
     hgrid = grid2d(1e-3, 10.0, 25, -5.0, 5.0, 21)
-    for name, f in (("square", square_map()), ("bump", bump_map())):
+    targets = (square_map(), bump_map())
+    homotopies = [homotopy_action(f, med) for f in targets]
+    for f, action in zip(targets, homotopies):
+        h_map, ht_map = action.map, action.map.partial("t")
         tally = Tally(tol_homotopy)
         for t, y in hgrid.points():
-            r = ode_residual_homotopy(f, med, t, y)
+            r = ode_residual_homotopy(f, med, h_map, ht_map, t, y)
             tally.add(r, (t, y), (r,))
-        reports.append(tally.report(f"ode-residual[homotopy-{name}]", hgrid.summary()))
+        reports.append(tally.report(f"ode-residual[homotopy-{f.name}]", hgrid.summary()))
 
     mgrid = grid2d(-2.0, 2.0, 41, -3.0, 3.0, 41)
     tally = Tally(tol_milder)
@@ -299,6 +345,10 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
         r = ode_residual_milder(t, y, branch)
         tally.add(r, (t, y), (r,), branch.name)
     reports.append(tally.report("ode-residual[milder-branches]", mgrid.summary()))
+    # the singular ODEs admit only the limit-type initial condition H(0+, y) = y
+    reports.append(limit_ic_check(sqrt_action(), 1.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
+    for action in homotopies:
+        reports.append(limit_ic_check(action, 2.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
     return reports
 
 
@@ -403,21 +453,39 @@ def suite_parametric_graph(config: SuiteConfig) -> list[VerificationReport]:
     parabola = canonical_parametric(scalar_map(("x",), "x^2", name="parabola"))
     grid = grid1d(-2.0, 2.0, 401)
     tilted_ok, tilted_wit = is_graph(act(rotation_map(math.pi / 4.0), parabola), grid)
-    half_turn_ok, _ = is_graph(act(rotation_map(math.pi), parabola), grid)
+    half_turn = act(rotation_map(math.pi), parabola)
+    half_turn_ok, _ = is_graph(half_turn, grid)
     base_ok, _ = is_graph(parabola, grid)
-    return [
+    reports = [
         _bool_report(
             "rotated-parabola[pi/4]",
             (not tilted_ok) and tilted_wit is not None,
+            grid.size,
             "quarter-turn rotation must break the graph property and return a witness",
             [tilted_wit] if tilted_wit else [],
         ),
         _bool_report(
             "rotated-parabola[pi]",
             half_turn_ok and base_ok,
+            2 * grid.size,
             "half-turn rotation keeps the graph property",
         ),
     ]
+    # re-graphed, the half-turn chart is u = -x^2, checked midway between its knots
+    U = regraph(half_turn, grid)
+    midpoints = grid1d(-1.995, 1.995, 400)
+    tally = Tally(REGRAPH_TOL)
+    for (x,) in midpoints.points():
+        u = U(x)[0]
+        tally.add(abs(u + x * x), (x,), (u, -x * x))
+    report = tally.report("regraph[half-turn-parabola]", midpoints.summary())
+    notes = (
+        f"knots {grid.summary()} 0.01 apart; linear interpolation errs by at most "
+        "h^2/8*max|U''| = 2.5e-05 for U = -x^2, and the tolerance adds a relative "
+        "1e-6 for rounding",
+    )
+    reports.append(replace(report, notes=notes))
+    return reports
 
 
 def suite_burgers(config: SuiteConfig) -> list[VerificationReport]:
@@ -484,13 +552,17 @@ def suite_burgers(config: SuiteConfig) -> list[VerificationReport]:
             out_dim=1,
         ),
     )
-    verdict = dichotomy_classify(position, [0.5, 1.0, 2.0], grid1d(-3.0, 3.0, 21), tol_alg)
+    position_grid = grid1d(-3.0, 3.0, 21)
+    verdict = dichotomy_classify(position, [0.5, 1.0, 2.0], position_grid, tol_alg)
+    checked, skipped = _dichotomy_counts(verdict, position_grid)
     reports.append(
         _bool_report(
             "dichotomy[soliton-position-flow]",
             verdict.classification == "group_like",
+            checked,
             f"classified {verdict.classification}: every frozen-parameter advance is an "
             "invertible translation, so this induced flow is NOT a genuine semigroup",
+            skipped=skipped,
         )
     )
     return reports
@@ -527,6 +599,7 @@ def suite_diffeo_thresholds(config: SuiteConfig) -> list[VerificationReport]:
             max_deviation=dev,
             tolerance=tol,
             grid=f"t {report.entries[0][0]:g}..{report.entries[-1][0]:g}, y {y_grid.summary()}",
+            checked=len(report.entries) + 3,  # the grid times and the spot times
             notes=notes,
         )
     ]
@@ -543,6 +616,7 @@ def suite_negative_control(config: SuiteConfig) -> list[VerificationReport]:
         _bool_report(
             "negative-control[raw-sqrt-action]",
             ok,
+            comp.checked + 1,
             "the raw singular action must FAIL the composition law "
             f"(H(1,H(1,1))={lhs:.6f} vs H(2,1)={rhs:.6f}, normalized gap {point_dev:.3f} > 0.1); "
             "the semigroup only appears one dimension up",
@@ -555,6 +629,7 @@ def suite_negative_control(config: SuiteConfig) -> list[VerificationReport]:
         _bool_report(
             "negative-control[raw-homotopy-action]",
             not comp_h.passed,
+            comp_h.checked,
             "the raw identity-to-f deformation must FAIL the composition law too "
             f"(max normalized gap {comp_h.max_deviation:.3f})",
         )
@@ -598,6 +673,7 @@ def suite_symbolic_engine(config: SuiteConfig) -> list[VerificationReport]:
         _bool_report(
             "parser-round-trip",
             not bad,
+            len(EXPRESSION_CATALOG),
             f"print-then-parse must reproduce every registered expression; failures: {bad!r}",
         )
     )

@@ -47,7 +47,10 @@ def test_criterion_03_noninvertibility_and_dichotomy():
         and by_name["dichotomy[sqrt-gls-evolution]"].passed
         and by_name["dichotomy[cuberoot-action]"].passed
     )
-    _line(3, ok, "witness pairs collide within 1e-12; genuine semigroup vs group-like classified")
+    k_rel = by_name["sqrt-action-vs-smooth-family"]
+    ok = ok and k_rel.passed and k_rel.tolerance == 1e-12 and k_rel.checked == 19 * 25
+    _line(3, ok, "witness pairs collide within 1e-12; genuine semigroup vs group-like classified; "
+          "H(t,y) = K(sqrt(t),y) within 1e-12")
     assert ok
 
 
@@ -62,7 +65,10 @@ def test_criterion_04_ode_residuals():
         and reps["ode-residual[milder-branches]"].passed
         and reps["ode-residual[milder-branches]"].tolerance == 1e-10
     )
-    _line(4, ok, "branch ODEs <= 1e-10, homotopy ODE <= 1e-9, smooth-variant ODEs <= 1e-10")
+    for name in ("limit-ic[sqrt-action]", "limit-ic[homotopy[square]]", "limit-ic[homotopy[bump]]"):
+        ok = ok and reps[name].passed and reps[name].tolerance == 1e-5 and reps[name].checked == 5
+    _line(4, ok, "branch ODEs <= 1e-10, homotopy ODE <= 1e-9, smooth-variant ODEs <= 1e-10, "
+          "limit-type initial conditions <= 1e-5")
     assert ok
 
 
@@ -127,7 +133,12 @@ def test_criterion_09_parametric_representation():
     reps = {r.suite: r for r in _run("parametric-graph")}
     ok = reps["rotated-parabola[pi/4]"].passed and reps["rotated-parabola[pi]"].passed
     has_witness = bool(reps["rotated-parabola[pi/4]"].witnesses)
-    _line(9, ok and has_witness, "pi/4 rotation breaks the graph (witness returned); pi keeps it")
+    regraphed = reps["regraph[half-turn-parabola]"]
+    # linear interpolation on knots 0.01 apart: h^2/8 * |U''| = 2.5e-5 for U = -x^2
+    ok = ok and regraphed.passed and regraphed.tolerance == 2.5e-5 * (1.0 + 1e-6)
+    ok = ok and regraphed.checked == 400
+    _line(9, ok and has_witness, "pi/4 rotation breaks the graph (witness returned); pi keeps it, "
+          "and its re-graphed chart matches u = -x^2 within h^2/8*|U''|")
     assert ok and has_witness
 
 
@@ -183,3 +194,26 @@ def test_criterion_13_symbolic_engine():
     )
     _line(13, ok, f"100 randomized derivative checks <= 1e-6 relative; parser round-trip clean")
     assert ok
+
+
+# points each pass/fail verdict sampled, and skipped: the charts' grid
+# points, a classification's identity, composition and probe points, the
+# composition points plus the spot point, the catalog, the classified times
+SAMPLED = {
+    "rotated-parabola[pi/4]": (401, 0),
+    "rotated-parabola[pi]": (802, 0),
+    "dichotomy[sqrt-gls-evolution]": (571, 290),
+    "dichotomy[cuberoot-action]": (286, 0),
+    "dichotomy[soliton-position-flow]": (273, 0),
+    "negative-control[raw-sqrt-action]": (6, 0),
+    "negative-control[raw-homotopy-action]": (7, 0),
+    "parser-round-trip": (12, 0),
+    "diffeo-thresholds[bump-homotopy]": (44, 0),
+    "heat-flow-demo": (16 * 21, 0),
+}
+
+
+def test_every_report_counts_the_points_it_sampled():
+    reports = {r.suite: r for name in SUITES for r in _run(name)}
+    assert [name for name, r in reports.items() if r.checked == 0] == []
+    assert {name: (reports[name].checked, reports[name].skipped) for name in SAMPLED} == SAMPLED

@@ -311,7 +311,7 @@ class TestDichotomy:
         )
         assert res.classification == "genuine_semigroup"
         for sample in res.samples:
-            assert sample.status == "noninvertible" and sample.witnesses
+            assert sample.status == "noninvertible" and sample.evidence.witnesses
 
     def test_raw_action_rejected(self):
         with pytest.raises(PreconditionError):
@@ -359,5 +359,5 @@ class TestReportInvariant:
         import json
 
         rep = identity_check(sqrt_action(), grid1d(-2.0, 2.0, 11), 1e-12)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(rep.to_dict(), sort_keys=True))
         assert doc["suite"] == rep.suite and doc["passed"] is True

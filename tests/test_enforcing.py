@@ -143,27 +143,33 @@ class TestExplicitOdeResiduals:
         assert worst <= 1e-10
 
 
+def homotopy_residual(f, g, t, y):
+    """`ode_residual_homotopy` with the homotopy map and its t-partial built here."""
+    h = homotopy_action(f, g).map
+    return ode_residual_homotopy(f, g, h, h.partial("t"), t, y)
+
+
 class TestHomotopyOdeResidual:
     def test_square_target(self):
-        assert ode_residual_homotopy(square_map(), sqrt_mediator(), 0.25, 2.0) <= 1e-10
+        assert homotopy_residual(square_map(), sqrt_mediator(), 0.25, 2.0) <= 1e-10
 
     def test_identity_target_is_exact(self):
         f = identity_map(("y",))
         for t in (0.01, 0.5, 2.0):
             for y in (-3.0, 0.0, 4.0):
-                assert ode_residual_homotopy(f, sqrt_mediator(), t, y) == 0.0
+                assert homotopy_residual(f, sqrt_mediator(), t, y) == 0.0
 
     def test_bump_target(self):
-        assert ode_residual_homotopy(bump_map(), sqrt_mediator(), 1.0, 1.0) <= 1e-10
+        assert homotopy_residual(bump_map(), sqrt_mediator(), 1.0, 1.0) <= 1e-10
 
     def test_vanishing_slope_is_domain_error(self):
         dead = MediatorFunction(parse_expr("3*t^2 - 2*t^3"))  # slope 0 at t=1
         with pytest.raises(EvalDomainError):
-            ode_residual_homotopy(square_map(), dead, 1.0, 2.0)
+            homotopy_residual(square_map(), dead, 1.0, 2.0)
 
     def test_positive_time_required(self):
         with pytest.raises(EvalDomainError):
-            ode_residual_homotopy(square_map(), sqrt_mediator(), 0.0, 1.0)
+            homotopy_residual(square_map(), sqrt_mediator(), 0.0, 1.0)
 
 
 class TestMilderOdeResidual:
@@ -254,15 +260,6 @@ class TestDiffeoClassification:
         assert all(ok for _, ok in report.entries)
         assert report.thresholds == []
 
-    def test_report_dict(self):
-        ident = TimeAction(
-            "still", 1, "nonneg", "t", ("y",), SmoothMap(("t", "y"), (parse_expr("y"),))
-        )
-        report = diffeo_time_set(ident, grid1d(0.1, 1.0, 3), grid1d(-1.0, 1.0, 11))
-        doc = report.to_dict()
-        assert doc["entries"][0]["diffeo"] is True
-        assert report.diffeo_times() == [t for t, _ in report.entries]
-
 
 # ---------------------------------------------------------------------------
 # compiled evaluation against the tree walk: the functions above evaluate
@@ -307,11 +304,11 @@ def _walk_milder_residual(t, y, branch):
 
 def _walk_homotopy_residual(f, g, t, y):
     outputs = homotopy_action(f, g).map.outputs
-    bindings = {g.var: t, f.inputs[0]: y}
+    bindings = {"t": t, f.inputs[0]: y}
     h = evaluate(outputs[0], bindings)
-    ht = evaluate(diff(outputs[0], g.var), bindings)
-    gv = evaluate(g.g, {g.var: t})
-    gp = evaluate(diff(g.g, g.var), {g.var: t})
+    ht = evaluate(diff(outputs[0], "t"), bindings)
+    gv = evaluate(g.g, {"t": t})
+    gp = evaluate(diff(g.g, "t"), {"t": t})
     arg = (gp * h - gv * ht) / gp
     lhs = (1.0 - gv) * ht + gp * h
     return max(abs(lhs - gp * f(arg)[0]), abs(arg - y), abs(lhs / gp - f(y)[0]))
@@ -382,7 +379,7 @@ class TestCompiledMatchesTreeWalk:
     def test_homotopy_residual(self, name, t, y):
         f = {"square": square_map(), "bump": bump_map(), "identity": identity_map(("y",))}[name]
         g = sqrt_mediator()
-        assert ode_residual_homotopy(f, g, t, y) == _walk_homotopy_residual(f, g, t, y)
+        assert homotopy_residual(f, g, t, y) == _walk_homotopy_residual(f, g, t, y)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.05, 10.0), st.sampled_from(["bump", "square"]))

@@ -8,7 +8,6 @@ import pytest
 
 from semiflow.evolution_pde import (
     ParamFlow,
-    SolitonFamily,
     burgers_residual,
     burgers_soliton,
     heat_flow_demo,
@@ -47,11 +46,12 @@ class TestSoliton:
         with pytest.raises(ValueError):
             burgers_soliton(0.0, 1.0, 1.0, 0.0)  # mu = 0
         with pytest.raises(ValueError):
-            SolitonFamily(0.0, 0.5, -0.25, 0.5)
+            burgers_soliton(0.0, 0.5, -0.25, 0.5)  # c^2 + d = 0
 
     def test_family_profile(self):
-        fam = SolitonFamily(1.0, -0.5, 1.0, 0.25)
-        assert fam.profile()(0.0, 1.0)[0] == pytest.approx(-0.5, rel=1e-14)
+        # at its center x = x0 + c*t the kink takes the value c
+        U = burgers_soliton(1.0, -0.5, 1.0, 0.25)
+        assert U(0.0, 1.0)[0] == pytest.approx(-0.5, rel=1e-14)
 
     def test_symbolic_residual(self):
         U = burgers_soliton(0.0, 1.0, 1.0, 0.5)
@@ -166,9 +166,10 @@ class TestHeatDemo:
         assert residual_max(heat_pde(), heat_kernel(), grid) <= 1e-12
 
     def test_demo_report(self):
-        rep = heat_flow_demo(grid2d(0.5, 2.0, 9, -3.0, 3.0, 11), 1e-10)
-        assert rep.passed
-        assert any("no inverse" in n or "not surjective" in n for n in rep.notes)
+        grid = grid2d(0.5, 2.0, 9, -3.0, 3.0, 11)
+        rep = heat_flow_demo(grid, 1e-10)
+        assert rep.passed and rep.max_deviation == residual_max(heat_pde(), heat_kernel(), grid)
+        assert rep.checked == 9 * 11 and rep.notes == ()
 
     def test_kernel_fd_oracle(self):
         K = heat_kernel()

@@ -19,25 +19,31 @@ from semiflow.expr import (
     Unary,
     UnresolvedMarkerError,
     Var,
-    BINARY_OPS,
     compile_expr,
     compile_system,
-    cos,
     diff,
     evaluate,
-    exp,
     free_vars,
     neg,
     parse_expr,
-    simplify,
-    sin,
-    substitute,
     substitute_many,
     tanh,
     to_text,
 )
 from semiflow.expr import _emit_system
 from semiflow.maps import SmoothMap, finite_diff, scalar_map
+
+
+def sin(e):
+    return Unary("sin", e)
+
+
+def cos(e):
+    return Unary("cos", e)
+
+
+def exp(e):
+    return Unary("exp", e)
 
 
 class TestParser:
@@ -241,17 +247,17 @@ class TestFiniteDiff:
 class TestSubstitute:
     def test_wave_composition(self):
         g_of_u = parse_expr("u^3 - u")
-        composed = substitute(g_of_u, "u", parse_expr("sin(t + x)"))
+        composed = substitute_many(g_of_u, {"u": parse_expr("sin(t + x)")})
         for t, x in ((0.0, 0.0), (0.3, 0.7), (1.0, -1.0)):
             h = math.sin(t + x)
             assert evaluate(composed, {"t": t, "x": x}) == pytest.approx(h**3 - h, abs=1e-15)
 
     def test_identity_replacement(self):
         e = parse_expr("y^2 + sqrt(y)")
-        assert substitute(e, "y", Var("y")) == e
+        assert substitute_many(e, {"y": Var("y")}) == e
 
     def test_structural_replacement(self):
-        got = substitute(parse_expr("y^2"), "y", parse_expr("sqrt(t)"))
+        got = substitute_many(parse_expr("y^2"), {"y": parse_expr("sqrt(t)")})
         assert got == parse_expr("sqrt(t)^2")
 
     def test_simultaneous_swap_is_capture_free(self):
@@ -284,22 +290,6 @@ class TestPrinter:
         assert parse_expr(to_text(e)) == e
         e2 = Binary("pow", Const(-3.0), Const(2.0))
         assert parse_expr(to_text(e2)) == e2
-
-
-class TestSimplify:
-    def test_constant_folding(self):
-        assert simplify(parse_expr("2*3 + 1")) == Const(7.0)
-
-    def test_zero_one_identities(self):
-        y = Var("y")
-        assert simplify(Binary("mul", Const(1.0), y)) == y
-        assert simplify(Binary("add", Const(0.0), y)) == y
-        assert simplify(Binary("pow", y, Const(1.0))) == y
-
-    def test_no_canonicalization(self):
-        # x + x stays structural; only constants and 0/1 identities fold
-        e = parse_expr("x + x")
-        assert simplify(e) == e
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +358,7 @@ def test_print_parse_round_trip(e):
 @settings(max_examples=100)
 def test_substitute_self_is_identity(e):
     for v in free_vars(e):
-        assert substitute(e, v, Var(v)) == e
+        assert substitute_many(e, {v: Var(v)}) == e
 
 
 @given(_smooth_trees, _points)
@@ -431,7 +421,6 @@ def test_simplify_and_compile_preserve_values(e, point):
         assert _outcome(compile_expr(e, ("x", "y", "t")), *args) == type(err).__name__
         return
     assume(math.isfinite(want) and abs(want) < 1e12)
-    assert evaluate(simplify(e), point) == pytest.approx(want, rel=1e-12, abs=1e-12)
     fn = compile_expr(e, ("x", "y", "t"))
     assert fn(*args) == want
 
@@ -553,7 +542,7 @@ def _sequential(outputs, args):
 
 
 def _combine(parts):
-    pair = st.tuples(st.sampled_from(BINARY_OPS[:4]), parts, parts)
+    pair = st.tuples(st.sampled_from(("add", "sub", "mul", "div")), parts, parts)
     return st.one_of(
         parts,
         pair.map(lambda oab: Binary(*oab)),

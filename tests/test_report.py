@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 from hypothesis import given, settings
@@ -55,7 +56,7 @@ def test_tally_matches_the_plain_rule(events):
             k += 1
     got, want = tally.report("s", "g"), reference_report(events)
     # NaN != NaN, so compare the JSON text, where NaN prints as NaN
-    assert got.to_json() == want.to_json()
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_a_nan_deviation_gets_a_witness_and_fails():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflow.actions import PreconditionError
-from semiflow.expr import EvalDomainError, ExprError
+from semiflow.expr import EvalDomainError, ExprError, Var
 from semiflow.grids import grid1d, grid2d
 from semiflow.maps import SmoothMap, compose, identity_map, scalar_map
 from semiflow.report import Witness
@@ -25,7 +25,6 @@ from semiflow.semisym import (
     regraph,
     residual_max,
     rotation_map,
-    rotation_xu_map,
     scaling_action,
     semi_symmetry_check,
     strip_predicate,
@@ -75,7 +74,7 @@ class TestAct:
     def test_arity_mismatch(self):
         V = canonical_parametric(scalar_map(("x",), "x^2"))
         with pytest.raises(ExprError):
-            act(rotation_xu_map(0.5), V)
+            act(identity_map(("t", "x", "u")), V)  # three coordinates for a plane chart
 
     def test_functoriality_on_grid(self):
         V = canonical_parametric(scalar_map(("x",), "x^2"))
@@ -285,9 +284,11 @@ class TestSemiSymmetry:
         assert rep.passed
 
     def test_rotation_reports_graph_failure(self):
-        rep = semi_symmetry_check(
-            self.pde, rotation_xu_map(math.pi / 4.0), self.family, self.grid, 1e-12
-        )
+        # a quarter turn of the (x, u) plane, t fixed
+        c = s = math.sqrt(0.5)
+        t, x, u = Var("t"), Var("x"), Var("u")
+        turn = SmoothMap(("t", "x", "u"), (t, c * x - s * u, s * x + c * u))
+        rep = semi_symmetry_check(self.pde, turn, self.family, self.grid, 1e-12)
         assert not rep.passed
         assert any("function category" in note for note in rep.notes)
         assert rep.witnesses

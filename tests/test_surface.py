@@ -1,0 +1,188 @@
+"""Every public name of the package has a caller in the package's entry points.
+
+The entry points are the suites registered in `semiflow.suites.SUITES`,
+the command line (`semiflow.cli.main` and its Python twin `run_suite`)
+and every experiment script under `scripts/`. The walk is static: it
+parses the sources with `ast`, starts at those entry points, and follows
+every name a reached definition loads (through `from ... import`) to the
+definition it names. Type annotations are not followed: they run no code.
+
+A method is reached when its class is reached and some reached code reads
+an attribute of the method's name, so a method that shares its name with
+a reached one counts as reached too; dunder methods are reached with
+their class. The public surface checked is every name `semiflow/__init__.py`
+exports, every public module-level name of a `semiflow` module, and every
+public method of a reached class.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# public names no entry point reaches, each with the reason it stays
+ALLOWED_UNREACHED = {
+    # perfbench/tracer.py patches this name to time the probe layer
+    ("semiflow.actions", "injectivity_probe"),
+}
+
+ENTRY_POINTS = [
+    ("semiflow.suites", "SUITES"),
+    ("semiflow.cli", "main"),
+    ("semiflow.cli", "run_suite"),
+]
+
+
+def _children(node: ast.AST):
+    """Every node below `node`, annotations left out."""
+    for name, value in ast.iter_fields(node):
+        if name in ("annotation", "returns"):
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, ast.AST):
+                yield item
+                yield from _children(item)
+
+
+class _Module:
+    """The top-level definitions, imports and bare statements of one file."""
+
+    def __init__(self, path: pathlib.Path):
+        self.defs: dict[str, ast.AST] = {}
+        self.methods: dict[tuple[str, str], ast.AST] = {}
+        self.imports: dict[str, tuple[str, str]] = {}
+        self.statements: list[ast.AST] = []  # run on import, defining nothing
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ImportFrom):
+                source = stmt.module or ""
+                if stmt.level == 1:
+                    source = f"semiflow.{source}".rstrip(".")
+                if source.split(".")[0] == "semiflow":
+                    for alias in stmt.names:
+                        self.imports[alias.asname or alias.name] = (source, alias.name)
+            elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                self.defs[stmt.name] = stmt
+                if isinstance(stmt, ast.ClassDef):
+                    for item in stmt.body:
+                        if isinstance(item, ast.FunctionDef):
+                            self.methods[stmt.name, item.name] = item
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        self.defs[target.id] = stmt
+            elif isinstance(stmt, ast.Import) or (
+                isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            ):
+                continue  # a module import or a docstring
+            else:
+                self.statements.append(stmt)
+
+    def body(self, key: tuple[str, ...]) -> list[ast.AST]:
+        """The code of a definition: a class without its methods, which are
+        definitions of their own."""
+        if len(key) == 2:
+            return [self.methods[key]]
+        node = self.defs[key[0]]
+        if not isinstance(node, ast.ClassDef):
+            return [node]
+        return [
+            *node.decorator_list,
+            *node.bases,
+            *(kw.value for kw in node.keywords),
+            *(item for item in node.body if not isinstance(item, ast.FunctionDef)),
+        ]
+
+
+def _modules() -> dict[str, _Module]:
+    mods = {}
+    for path in sorted((ROOT / "src" / "semiflow").glob("*.py")):
+        name = "semiflow" if path.stem == "__init__" else f"semiflow.{path.stem}"
+        mods[name] = _Module(path)
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        mods[f"scripts.{path.stem}"] = _Module(path)
+    return mods
+
+
+def _resolve(mods: dict[str, _Module], module: str, name: str) -> tuple[str, str] | None:
+    """The (module, name) that defines `name` as seen from `module`."""
+    mod = mods[module]
+    if name in mod.defs:
+        return module, name
+    if name in mod.imports:
+        return _resolve(mods, *mod.imports[name])
+    return None
+
+
+def reached_definitions(mods: dict[str, _Module]) -> set[tuple[str, ...]]:
+    """Keys (module, name) and (module, class, method) reached from the entry points."""
+    reached: set[tuple[str, ...]] = set()
+    attributes: set[str] = set()
+    todo: list[tuple[str, ...]] = []
+
+    def load(module: str, nodes: list[ast.AST]) -> None:
+        for node in nodes:
+            for sub in (node, *_children(node)):
+                if isinstance(sub, ast.Name):
+                    key = _resolve(mods, module, sub.id)
+                    if key is not None and key not in reached:
+                        reached.add(key)
+                        todo.append(key)
+                elif isinstance(sub, ast.Attribute):
+                    attributes.add(sub.attr)
+
+    reached.update(ENTRY_POINTS)
+    todo.extend(ENTRY_POINTS)
+    for name, mod in mods.items():
+        if name.startswith("scripts.") or name == "semiflow.cli":
+            load(name, mod.statements)
+    while todo:
+        while todo:
+            key = todo.pop()
+            load(key[0], mods[key[0]].body(key[1:]))
+        for name, mod in mods.items():
+            for cls, meth in mod.methods:
+                key = (name, cls, meth)
+                dunder = meth.startswith("__") and meth.endswith("__")
+                if key not in reached and (name, cls) in reached and (dunder or meth in attributes):
+                    reached.add(key)
+                    todo.append(key)
+    return reached
+
+
+def unreached_public_names() -> list[tuple[str, ...]]:
+    mods = _modules()
+    reached = reached_definitions(mods)
+    surface = {_resolve(mods, *source) for source in mods["semiflow"].imports.values()}
+    for name, mod in mods.items():
+        if name.startswith("semiflow."):
+            surface |= {(name, d) for d in mod.defs if not d.startswith("_")}
+            surface |= {
+                (name, cls, meth)
+                for cls, meth in mod.methods
+                if not meth.startswith("_") and (name, cls) in reached
+            }
+    return sorted(key for key in surface if key not in reached)
+
+
+def test_every_public_name_is_reached_from_an_entry_point():
+    unreached = [key for key in unreached_public_names() if key not in ALLOWED_UNREACHED]
+    assert unreached == [], "public names no suite, cli path or script reaches: " + ", ".join(
+        ".".join(key) for key in unreached
+    )
+
+
+def test_every_allowed_exception_is_still_public_and_unreached():
+    assert set(unreached_public_names()) >= ALLOWED_UNREACHED
+
+
+def test_the_walk_follows_imports_and_methods():
+    reached = reached_definitions(_modules())
+    # a suite reaches the checks it runs, through `from .x import y`
+    assert ("semiflow.reduction", "one_time_law_check") in reached
+    # the cli reaches the flow export, a method read as an attribute
+    assert ("semiflow.reduction", "Trajectory", "write_csv") in reached
+    # a script reaches what it imports
+    assert ("semiflow.enforcing", "diffeo_time_set") in reached
