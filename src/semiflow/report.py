@@ -59,8 +59,10 @@ class VerificationReport:
     """Outcome of one property suite over a sampling grid.
 
     max_deviation is already normalized (see `deviation`), so the invariant
-    passed == (max_deviation <= tolerance) holds literally; `inconclusive`
-    flags runs where too many grid points had to be skipped (see `Tally`).
+    passed == (max_deviation <= tolerance and not inconclusive) holds
+    literally; `inconclusive` flags runs that could not establish their
+    result: too many grid points skipped (see `Tally`), or a flow whose
+    error estimate missed its target (see `reduction.flow_vs_closed_form`).
     A NaN or +inf deviation, wherever it stands in the list, becomes
     max_deviation and fails the report.
     """
@@ -86,6 +88,7 @@ class VerificationReport:
         witnesses: list[Witness] | None = None,
         skipped: int = 0,
         inconclusive: bool = False,
+        notes: tuple[str, ...] = (),
     ) -> "VerificationReport":
         dev = nan_max(deviations) if deviations else 0.0
         return cls(
@@ -98,6 +101,7 @@ class VerificationReport:
             checked=len(deviations),
             skipped=skipped,
             inconclusive=inconclusive,
+            notes=notes,
         )
 
     def to_dict(self) -> dict:

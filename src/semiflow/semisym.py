@@ -335,7 +335,8 @@ def semi_symmetry_check(
     chart, pushed through f, and required to remain a graph; vertical maps
     are resolved symbolically and the transformed residual checked against
     tol. A chart that stops being a graph is reported as
-    not-a-semi-symmetry-candidate in the function sense.
+    not-a-semi-symmetry-candidate in the function sense. `checked` counts
+    the grid points at which a transformed residual was evaluated.
     """
     devs = []
     witnesses = []
@@ -382,7 +383,7 @@ def semi_symmetry_check(
         tolerance=tol,
         grid=grid.summary(),
         witnesses=witnesses,
-        checked=len(solution_family),
+        checked=len(devs) * grid.size,
         inconclusive=inconclusive,
         notes=tuple(notes),
     )

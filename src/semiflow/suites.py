@@ -359,7 +359,6 @@ def suite_flow_oracle(config: SuiteConfig) -> list[VerificationReport]:
         1.0,
         1.0,
         eps_start=1e-8,
-        steps=100_000,
         tol=config.tol("sqrt_flow", 1e-5),
     )
     rep_cbrt = flow_vs_closed_form(
@@ -368,7 +367,6 @@ def suite_flow_oracle(config: SuiteConfig) -> list[VerificationReport]:
         1.0,
         1.0,
         eps_start=0.0,
-        steps=2_000,
         tol=config.tol("cuberoot_flow", 1e-6),
     )
     return [rep_sqrt, rep_cbrt]

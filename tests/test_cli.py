@@ -263,4 +263,4 @@ def test_seed_42_report_is_pinned(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "all", "--seed", "42", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "5b189c79ac3ad82da768c1b884f1dcb2b017c5e73d4300396eeb020f12864249"
+    assert digest == "332c10d8f7c1edf23e85a3ecb219da5a31dd61b099b7d74ca1515ee28ad0945e"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import tempfile
 from functools import partial
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from semiflow import reduction
 from semiflow.actions import TimeAction
 from semiflow.cli import FLOW_SYSTEMS
 from semiflow.enforcing import cuberoot_group_action, sqrt_action
@@ -28,6 +30,9 @@ from semiflow.expr import (
 from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
 from semiflow.maps import SmoothMap, map_from_exprs
 from semiflow.reduction import (
+    FLOW_MAX_STEPS,
+    FLOW_START_STEPS,
+    FLOW_TARGET_RATIO,
     EvolutionOp,
     IntegrationError,
     OdeSystem,
@@ -53,7 +58,7 @@ from semiflow.reduction import (
 )
 from semiflow.reduction import _time_mesh  # the reference loop's mesh
 from semiflow.rootfind import RootSearchError
-from semiflow.suites import cuberoot_ode_system, sqrt_ode_system
+from semiflow.suites import SuiteConfig, cuberoot_ode_system, sqrt_ode_system, suite_flow_oracle
 
 
 class TestAugmentation:
@@ -560,30 +565,76 @@ class TestRecovery:
         assert len(near.roots) == 2
 
 
+def _estimate_and_target(rep):
+    """The Richardson estimate and its target, as the report's first note gives them."""
+    found = re.search(r"Richardson estimate (\S+) \(target (\S+)\)", rep.notes[0])
+    return float(found.group(1)), float(found.group(2))
+
+
 class TestFlowVsClosedForm:
     def test_sqrt_action_from_singular_start(self):
         rep = flow_vs_closed_form(
-            sqrt_action(), sqrt_ode_system("minus"), 1.0, 1.0,
-            eps_start=1e-8, steps=20_000, tol=1e-5,
+            sqrt_action(), sqrt_ode_system("minus"), 1.0, 1.0, eps_start=1e-8, tol=1e-5,
         )
         assert rep.passed
-        assert rep.grid.endswith("eps_start=1e-08")
+        assert rep.grid == "1250 steps, geometric mesh, eps_start=1e-08"
+        assert rep.checked == 2 * FLOW_START_STEPS + 1 == 1251
+        assert rep.notes[0].startswith("1250 steps by step doubling from 625: ")
+        assert rep.notes[0].endswith(f"actual max deviation {rep.max_deviation:.3e}")
+
+    def test_sqrt_estimate_is_within_a_factor_2_of_the_actual_error(self):
+        rep = flow_vs_closed_form(
+            sqrt_action(), sqrt_ode_system("minus"), 1.0, 1.0, eps_start=1e-8, tol=1e-5,
+        )
+        estimate, target = _estimate_and_target(rep)
+        assert estimate <= target == FLOW_TARGET_RATIO * 1e-5
+        assert 0.5 <= estimate / rep.max_deviation <= 2.0
 
     def test_cuberoot_flow(self):
         rep = flow_vs_closed_form(
-            cuberoot_group_action(), cuberoot_ode_system(), 1.0, 1.0,
-            eps_start=0.0, steps=2_000, tol=1e-6,
+            cuberoot_group_action(), cuberoot_ode_system(), 1.0, 1.0, eps_start=0.0, tol=1e-6,
         )
-        assert rep.passed
+        assert rep.passed and rep.checked == 1251
+        estimate, target = _estimate_and_target(rep)
+        assert estimate <= target
+
+    def test_a_tighter_sqrt_flow_tolerance_selects_more_steps_and_passes(self):
+        default = suite_flow_oracle(SuiteConfig())[0]
+        tight = suite_flow_oracle(SuiteConfig(tolerances={"sqrt_flow": 1e-9}))[0]
+        assert default.passed and tight.passed and tight.tolerance == 1e-9
+        # the error falls ~16-fold per doubling: 9.5e-11, 6.0e-12, 3.7e-13 <= 1e-12
+        assert (default.checked, tight.checked) == (1251, 5001)
+        estimate, target = _estimate_and_target(tight)
+        assert estimate <= target == 1e-12
+
+    def test_reaching_the_cap_fails_with_a_note(self):
+        # 1e-16 is below the rounding floor: no step count meets its target
+        rep = flow_vs_closed_form(
+            sqrt_action(), sqrt_ode_system("minus"), 1.0, 1.0, eps_start=1e-8, tol=1e-16,
+        )
+        assert not rep.passed and rep.inconclusive
+        assert rep.checked == FLOW_MAX_STEPS + 1
+        assert f"cap of {FLOW_MAX_STEPS} steps" in rep.notes[1]
+
+    def test_the_cap_fails_a_run_inside_its_tolerance(self, monkeypatch):
+        # at 1250 steps the error is 9.6e-11 <= 1e-9, but the estimate misses 1e-12
+        monkeypatch.setattr(reduction, "FLOW_MAX_STEPS", 1250)
+        rep = flow_vs_closed_form(
+            sqrt_action(), sqrt_ode_system("minus"), 1.0, 1.0, eps_start=1e-8, tol=1e-9,
+        )
+        assert rep.max_deviation <= rep.tolerance
+        assert not rep.passed and rep.inconclusive and rep.checked == 1251
+        assert "cap of 1250 steps" in rep.notes[1]
 
     def test_nan_deviation_carries_the_first_nan_as_witness(self):
-        # the closed form is y at t = 0 and NaN (inf - inf) for every t > 0
+        # the closed form is NaN (inf - inf) once t*1e308*10 overflows, t > 0.1797...;
+        # on the 1250-step mesh the first such time is 225/1250 = 0.18
         nan_later = SmoothMap(("t", "y"), (parse_expr("y + (t*1e308*10 - t*1e308*10)"),))
         action = TimeAction("nan-later", 1, "nonneg", "t", ("y",), nan_later)
         sys0 = OdeSystem("flat", "autonomous", 1, map_from_exprs(("y",), ["0"]))
-        rep = flow_vs_closed_form(action, sys0, 1.0, 1.0, 0.0, 4, 1e-9)
+        rep = flow_vs_closed_form(action, sys0, 1.0, 1.0, 0.0, 1e-9)
         assert not rep.passed and math.isnan(rep.max_deviation)
-        assert len(rep.witnesses) == 1 and rep.witnesses[0].point == (0.25,)
+        assert len(rep.witnesses) == 1 and rep.witnesses[0].point == (225 / 1250,) == (0.18,)
 
     def test_constant_action_zero_rhs(self):
         still = SmoothMap(("t", "y"), func=lambda t, y: (y,), out_dim=1, name="still")
@@ -591,5 +642,21 @@ class TestFlowVsClosedForm:
 
         action = TimeAction("still", 1, "nonneg", "t", ("y",), still)
         sys0 = OdeSystem("flat", "autonomous", 1, map_from_exprs(("y",), ["0"]))
-        rep = flow_vs_closed_form(action, sys0, 4.2, 1.0, 0.0, 10, 1e-15)
+        rep = flow_vs_closed_form(action, sys0, 4.2, 1.0, 0.0, 1e-15)
         assert rep.passed and rep.max_deviation == 0.0
+
+
+@given(
+    st.floats(-1e3, 1e3),
+    st.floats(1e-6, 1e3),
+    st.integers(1, 5000),
+)
+@settings(max_examples=300)
+def test_the_n_step_mesh_is_every_other_point_of_the_2n_step_mesh(a, width, steps):
+    b = a + width
+    assume(b > a)
+    coarse = _time_mesh(a, b, steps, "uniform")
+    assert coarse == _time_mesh(a, b, 2 * steps, "uniform")[::2]
+    if a > 0.0:
+        coarse = _time_mesh(a, b, steps, "geometric")
+        assert coarse == _time_mesh(a, b, 2 * steps, "geometric")[::2]

@@ -277,6 +277,18 @@ class TestSemiSymmetry:
             )
             assert rep.passed and rep.max_deviation <= 1e-12
 
+    def test_checked_counts_the_grid_points_evaluated(self):
+        # every member stays a graph, and its residual is evaluated at all 21 x 21 points
+        rep = semi_symmetry_check(
+            self.pde, vertical_map("2*u", ("t", "x")), self.family, self.grid, 1e-12
+        )
+        assert rep.checked == len(self.family) * 441 == 4 * 441
+        small = grid2d(0.0, 1.0, 3, 0.0, 1.0, 5)
+        rep = semi_symmetry_check(
+            self.pde, vertical_map("2*u", ("t", "x")), self.family[:2], small, 1e-12
+        )
+        assert rep.checked == 2 * 15
+
     def test_identity_is_trivially_semi_symmetry(self):
         rep = semi_symmetry_check(
             self.pde, vertical_map("u", ("t", "x")), self.family, self.grid, 1e-12
@@ -292,6 +304,7 @@ class TestSemiSymmetry:
         assert not rep.passed
         assert any("function category" in note for note in rep.notes)
         assert rep.witnesses
+        assert rep.checked == 0  # no member kept the graph, so no residual was evaluated
 
     def test_non_solution_member_is_precondition_error(self):
         with pytest.raises(PreconditionError):
