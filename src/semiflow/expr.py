@@ -6,10 +6,17 @@ Nodes: real constants, variables, the unary operations
 exponents, and derivative markers ``D(U, x[, x])`` used by PDE residual
 templates (markers are inert until resolved against a concrete map).
 
-Operations: a recursive-descent parser for the infix grammar below, a
-printer that round-trips through the parser, exact symbolic
-differentiation, capture-free substitution (the variable namespace is
-flat) and evaluation.
+Operations: a parser for the infix grammar below, a printer that
+round-trips through the parser, exact symbolic differentiation,
+capture-free substitution (the variable namespace is flat) and evaluation.
+
+Nodes are frozen, slotted dataclasses. The parser splits the text into a
+token list with one compiled regular expression, whose character classes
+are those of `str.isspace`, `str.isdigit` and `str.isalpha`, and then runs
+one recursive descent over that list; token offsets are recovered only for
+a `ParseError`. Differentiation and the folding constructors return shared
+leaves for the constants 0, 1 and 2 (`_ZERO`, `_ONE`, `_TWO`), which make
+up most of the leaves a derivative creates before folding drops them.
 
 Evaluation has one path: compiled code. Every expression-backed
 `SmoothMap` compiles its outputs once into one `compile_system` lambda,
@@ -35,6 +42,7 @@ from __future__ import annotations
 import keyword
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -64,7 +72,7 @@ class UnresolvedMarkerError(ExprError):
     """A derivative marker D(...) reached evaluation or differentiation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     """Immutable expression node; subclasses carry the actual payload."""
 
@@ -102,7 +110,7 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     """A real constant. Equality and hash tell 0.0 from -0.0 (x + 0.0 and
     x + -0.0 differ at x = -0.0), so equal trees always compute alike."""
@@ -119,7 +127,7 @@ class Const(Expr):
         return hash(self._key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
@@ -128,20 +136,20 @@ class Var(Expr):
             raise ExprError("variable name must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary(Expr):
     op: str
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deriv(Expr):
     """Inert derivative marker: D(func, *wrt). Resolved by PDE templates."""
 
@@ -221,7 +229,7 @@ _UNARY_FN: dict[str, Callable[[float], float]] = {
 def _safe_pow(base: float, expo: float) -> float:
     if base == 0.0 and expo < 0.0:
         raise EvalDomainError("zero raised to a negative power")
-    if base < 0.0 and expo != int(expo):
+    if base < 0.0 and not float(expo).is_integer():  # an infinite or NaN exponent too
         raise EvalDomainError(
             f"negative base {base!r} with non-integer exponent {expo!r}"
         )
@@ -265,81 +273,96 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     raise ExprError(f"unknown node {e!r}")
 
 
-def free_vars(e: Expr) -> frozenset[str]:
-    kind = type(e)
-    if kind is Const:
-        return frozenset()
-    if kind is Var:
-        return frozenset((e.name,))
-    if kind is Unary:
-        return free_vars(e.arg)
-    if kind is Binary:
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    if kind is Deriv:
-        return frozenset((e.func,))
-    raise ExprError(f"unknown node {e!r}")
+def free_vars(e: Expr) -> set[str]:
+    """Names of the variables in `e`, and of the functions its markers name."""
+    names: set[str] = set()
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        kind = type(e)
+        if kind is Binary:
+            stack += (e.lhs, e.rhs)
+        elif kind is Unary:
+            stack.append(e.arg)
+        elif kind is Var:
+            names.add(e.name)
+        elif kind is Deriv:
+            names.add(e.func)
+        elif kind is not Const:
+            raise ExprError(f"unknown node {e!r}")
+    return names
 
 
 # ---------------------------------------------------------------------------
 # folding constructors (constant folding and 0/1 identities only)
 
 
-def _is_const(e: Expr, v: float | None = None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
+# shared leaves: differentiation makes a 0 or a 1 for nearly every node
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
+_TWO = Const(2.0)
 
 
 def fold_add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value == 0.0:
         return a
     return Binary("add", a, b)
 
 
 def fold_sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    if type(b) is Const:
+        if type(a) is Const:
+            return Const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif type(a) is Const and a.value == 0.0:
         return neg(b)
     return Binary("sub", a, b)
 
 
 def fold_mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value * b.value)
+        if a.value == 0.0:
+            return _ZERO
+        if a.value == 1.0:
+            return b
+    elif type(b) is Const:
+        if b.value == 0.0:
+            return _ZERO
+        if b.value == 1.0:
+            return a
     return Binary("mul", a, b)
 
 
 def fold_div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b) and b.value != 0.0:
-        return Const(a.value / b.value)
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, 0.0):
-        return Const(0.0)
+    if type(b) is Const:
+        if type(a) is Const and b.value != 0.0:
+            return Const(a.value / b.value)
+        if b.value == 1.0:
+            return a
+    if type(a) is Const and a.value == 0.0:
+        return _ZERO
     return Binary("div", a, b)
 
 
 def fold_pow(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(b, 0.0):
-        return Const(1.0)
-    if _is_const(a) and _is_const(b):
-        try:
-            return Const(_safe_pow(a.value, b.value))
-        except EvalDomainError:
-            pass
+    if type(b) is Const:
+        if b.value == 1.0:
+            return a
+        if b.value == 0.0:
+            return _ONE
+        if type(a) is Const:
+            try:
+                return Const(_safe_pow(a.value, b.value))
+            except EvalDomainError:
+                pass
     return Binary("pow", a, b)
 
 
@@ -361,9 +384,9 @@ def diff(e: Expr, var: str) -> Expr:
     """Exact symbolic partial derivative of `e` with respect to `var`."""
     kind = type(e)
     if kind is Const:
-        return Const(0.0)
+        return _ZERO
     if kind is Var:
-        return Const(1.0) if e.name == var else Const(0.0)
+        return _ONE if e.name == var else _ZERO
     if kind is Binary:
         op = e.op
         if op == "add":
@@ -381,12 +404,12 @@ def diff(e: Expr, var: str) -> Expr:
                     fold_mul(diff(e.lhs, var), e.rhs),
                     fold_mul(e.lhs, diff(e.rhs, var)),
                 ),
-                fold_pow(e.rhs, Const(2.0)),
+                fold_pow(e.rhs, _TWO),
             )
         if op == "pow":
             c = _constant_exponent(e.rhs)
             if c == 0.0:
-                return Const(0.0)
+                return _ZERO
             du = diff(e.lhs, var)
             return fold_mul(
                 fold_mul(Const(c), fold_pow(e.lhs, Const(c - 1.0))), du
@@ -399,14 +422,14 @@ def diff(e: Expr, var: str) -> Expr:
             return neg(du)
         if op == "sqrt":
             # singular where u = 0; surfaces as a domain error at eval time
-            return fold_div(du, fold_mul(Const(2.0), Unary("sqrt", u)))
+            return fold_div(du, fold_mul(_TWO, Unary("sqrt", u)))
         if op == "cbrt":
             return fold_div(
-                du, fold_mul(Const(3.0), fold_pow(Unary("cbrt", u), Const(2.0)))
+                du, fold_mul(Const(3.0), fold_pow(Unary("cbrt", u), _TWO))
             )
         if op == "tanh":
             return fold_mul(
-                fold_sub(Const(1.0), fold_pow(Unary("tanh", u), Const(2.0))), du
+                fold_sub(_ONE, fold_pow(Unary("tanh", u), _TWO)), du
             )
         if op == "sin":
             return fold_mul(Unary("cos", u), du)
@@ -511,71 +534,116 @@ def to_text(e: Expr) -> str:
 # parsing
 
 
+def _token_pattern(digits: str = "", numerals: str = "") -> re.Pattern[str]:
+    r"""One token per match, after optional white space: a number, a name or
+    any other single character, in the groups (number, name, other).
+
+    The classes are those of `str`: ``\s`` is `isspace`, ``\d`` is
+    `isdecimal` and ``\w`` is `isalnum` or "_". A number is
+    ``digits ['.' digits] [('e'|'E') ['+'|'-'] digits+]`` and starts with a
+    digit or '.', where a digit is anything `isdigit` accepts: `digits` adds
+    the ones that are not decimal (superscripts, circled digits), so that
+    "1²" is one (bad) number literal. A name starts with a letter or "_"
+    (``[^\W\d]``, less the `numerals` that `isalpha` rejects, such as
+    roman numerals) and goes on with word characters. `re` caches the
+    compiled pattern of each pair.
+    """
+    digit = rf"[\d{digits}]"
+    name_start = rf"(?![{numerals}])[^\W\d]" if numerals else r"[^\W\d]"
+    return re.compile(
+        rf"\s*(?:((?=[\d{digits}.]){digit}*(?:\.{digit}*)?(?:[eE][+-]?{digit}+)?)"
+        rf"|({name_start}\w*)|(\S))"
+    )
+
+
+_TOKENS = _token_pattern()
+
+
+def _tokenizer(text: str) -> re.Pattern[str]:
+    if text.isascii():
+        return _TOKENS
+    digits = {c for c in text if c.isdigit() and not c.isdecimal()}
+    numerals = {c for c in text if c.isnumeric() and not c.isdigit() and not c.isalpha()}
+    return _token_pattern(
+        re.escape("".join(sorted(digits))), re.escape("".join(sorted(numerals)))
+    )
+
+
+_END = ("", "", "")  # the token after the last one
+
+
 class _Parser:
+    """Recursive descent over the token list of `text`.
+
+    A token is a (number, name, other) triple with exactly one part
+    nonempty. Offsets are recovered only when an error needs one.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.n = len(text)
+        self.pattern = _tokenizer(text)
+        self.tokens = self.pattern.findall(text)
+        self.tokens.append(_END)
+        self.i = 0
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.pos)
+    def offset(self, index: int) -> int:
+        starts = [m.start(m.lastindex) for m in self.pattern.finditer(self.text)]
+        return (*starts, len(self.text))[index]
 
-    def skip_ws(self):
-        while self.pos < self.n and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        return ParseError(message, self.offset(self.i if index is None else index))
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < self.n else ""
-
-    def accept(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+    def found(self) -> str:
+        """The character where the current token starts; '' at the end."""
+        offset = self.offset(self.i)
+        return self.text[offset:offset + 1]
 
     def expect(self, ch: str):
-        if not self.accept(ch):
+        if self.tokens[self.i][2] != ch:
             raise self.error(f"expected '{ch}'")
+        self.i += 1
 
     def parse(self) -> Expr:
         e = self.expr()
-        self.skip_ws()
-        if self.pos < self.n:
-            raise self.error(f"unexpected trailing input {self.text[self.pos]!r}")
+        if self.tokens[self.i] is not _END:
+            raise self.error(f"unexpected trailing input {self.found()!r}")
         return e
 
     def expr(self) -> Expr:
         e = self.term()
+        tokens = self.tokens
         while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
+            op = tokens[self.i][2]
+            if op == "+":
+                self.i += 1
                 e = Binary("add", e, self.term())
-            elif c == "-":
-                self.pos += 1
+            elif op == "-":
+                self.i += 1
                 e = Binary("sub", e, self.term())
             else:
                 return e
 
     def term(self) -> Expr:
         e = self.factor()
+        tokens = self.tokens
         while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
+            op = tokens[self.i][2]
+            if op == "*":
+                self.i += 1
                 e = Binary("mul", e, self.factor())
-            elif c == "/":
-                self.pos += 1
+            elif op == "/":
+                self.i += 1
                 e = Binary("div", e, self.factor())
             else:
                 return e
 
     def factor(self) -> Expr:
-        if self.accept("-"):
+        if self.tokens[self.i][2] == "-":
+            self.i += 1
             return neg(self.factor())
         e = self.base()
-        if self.accept("^"):
+        if self.tokens[self.i][2] == "^":
+            self.i += 1
             expo = self.factor()  # right-associative
             if free_vars(expo):
                 raise self.error("pow exponent must be a rational constant")
@@ -583,76 +651,46 @@ class _Parser:
         return e
 
     def base(self) -> Expr:
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
+        number, name, other = self.tokens[self.i]
+        if number:
+            try:
+                value = float(number)
+            except ValueError:
+                raise self.error(f"bad number literal {number!r}") from None
+            self.i += 1
+            return Const(value)
+        if name:
+            self.i += 1
+            if self.tokens[self.i][2] != "(":
+                return Var(name)
+            if name == "D":
+                return self.deriv_marker()
+            if name not in FUNCTION_NAMES:
+                raise self.error(f"unknown function name '{name}'", self.i - 1)
+            self.i += 1
+            arg = self.expr()
+            if self.tokens[self.i][2] == ",":
+                raise self.error(f"function '{name}' takes exactly one argument")
+            self.expect(")")
+            return Unary(name, arg)
+        if other == "(":
+            self.i += 1
             e = self.expr()
             self.expect(")")
             return e
-        if c.isdigit() or c == ".":
-            return self.number()
-        if c.isalpha() or c == "_":
-            return self.ident()
-        raise self.error(f"expected a number, name or '(' but found {c!r}")
+        raise self.error(f"expected a number, name or '(' but found {self.found()!r}")
 
-    def number(self) -> Expr:
-        start = self.pos
-        text = self.text
-        while self.pos < self.n and text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < self.n and text[self.pos] == ".":
-            self.pos += 1
-            while self.pos < self.n and text[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < self.n and text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < self.n and text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < self.n and text[self.pos].isdigit():
-                while self.pos < self.n and text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent suffix; e.g. "2e" -> "2", ident "e"
-        lexeme = text[start:self.pos]
-        try:
-            return Const(float(lexeme))
-        except ValueError:
-            self.pos = start
-            raise self.error(f"bad number literal {lexeme!r}") from None
-
-    def ident(self) -> Expr:
-        start = self.pos
-        text = self.text
-        while self.pos < self.n and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        name = text[start:self.pos]
-        if self.peek() != "(":
-            return Var(name)
-        if name == "D":
-            return self.deriv_marker(start)
-        if name not in FUNCTION_NAMES:
-            self.pos = start
-            raise self.error(f"unknown function name '{name}'")
-        self.skip_ws()
-        self.pos += 1  # consume "("
-        arg = self.expr()
-        if self.peek() == ",":
-            raise self.error(f"function '{name}' takes exactly one argument")
-        self.expect(")")
-        return Unary(name, arg)
-
-    def deriv_marker(self, start: int) -> Expr:
-        self.skip_ws()
-        self.pos += 1  # consume "("
+    def deriv_marker(self) -> Expr:
+        start = self.i - 1  # the name "D"
+        self.i += 1
         args = [self.expr()]
-        while self.accept(","):
+        while self.tokens[self.i][2] == ",":
+            self.i += 1
             args.append(self.expr())
         self.expect(")")
-        if len(args) < 2 or not all(isinstance(a, Var) for a in args):
-            self.pos = start
+        if len(args) < 2 or not all(type(a) is Var for a in args):
             raise self.error(
-                "derivative marker must be D(name, var[, var...]) with plain names"
+                "derivative marker must be D(name, var[, var...]) with plain names", start
             )
         return Deriv(args[0].name, tuple(a.name for a in args[1:]))
 
@@ -743,59 +781,58 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
     Subtrees are hash-consed (Filliatre & Conchon, "Type-safe modular
     hash-consing", 2006): a node's key is its operation and the numbers of
     its children, and a leaf's key is its own code, so equal subtrees get
-    one number without rehashing whole trees. A subtree referenced more
+    one number without rehashing whole trees. Each node's references are
+    counted when the node is first numbered. A subtree referenced more
     than once is bound with an assignment expression where it first
     appears in the code, and read by name afterwards. Python evaluates the
     code left to right, so the first appearance is also the first
     evaluation: values, and the first error raised, are those of the
     outputs evaluated one after another.
     """
-    numbers: dict[tuple, int] = {}
-    nodes: list[tuple[Expr, tuple[int, ...], str]] = []  # node, children, leaf code
+    numbers: dict[str | tuple, int] = {}
+    keys: list[str | tuple] = []  # a leaf's code, or (op, *child numbers)
+    refs: list[int] = []  # references from numbered nodes and from the outputs
     by_object: dict[int, int] = {}  # id() of a node object already numbered
+    seen = by_object.get
 
     def intern(e: Expr) -> int:
-        n = by_object.get(id(e))
+        n = seen(id(e))
         if n is not None:
             return n
         kind = type(e)
-        code = ""
         if kind is Binary:
-            kids = (intern(e.lhs), intern(e.rhs))
-            key = (e.op, *kids)
+            a, b = intern(e.lhs), intern(e.rhs)
+            key = (e.op, a, b)
         elif kind is Unary:
-            kids = (intern(e.arg),)
-            key = (e.op, *kids)
+            a = intern(e.arg)
+            key = (e.op, a)
         else:
-            kids = ()
-            code = _emit(e, params)
-            key = ("leaf", code)
-        n = numbers.setdefault(key, len(numbers))
-        if n == len(nodes):
-            nodes.append((e, kids, code))
+            key = _emit(e, params)
+        n = numbers.setdefault(key, len(keys))
+        if n == len(keys):  # a new node: count its references to its children
+            keys.append(key)
+            refs.append(0)
+            if kind is Binary:
+                refs[a] += 1
+                refs[b] += 1
+            elif kind is Unary:
+                refs[a] += 1
         by_object[id(e)] = n
         return n
 
     roots = [intern(e) for e in outputs]
-    refs = [0] * len(nodes)
-
-    def count(n: int) -> None:
-        refs[n] += 1
-        if refs[n] == 1:
-            for k in nodes[n][1]:
-                count(k)
-
     for r in roots:
-        count(r)
+        refs[r] += 1
     names: dict[int, str] = {}
 
     def code_of(n: int) -> str:
-        if n in names:
-            return names[n]
-        e, kids, code = nodes[n]
-        if not kids:
-            return code
-        code = _node_code(e.op, *[code_of(k) for k in kids])
+        name = names.get(n)
+        if name is not None:
+            return name
+        key = keys[n]
+        if type(key) is str:
+            return key
+        code = _node_code(key[0], *map(code_of, key[1:]))
         if refs[n] == 1:
             return code
         names[n] = name = f"_c{len(names)}"

@@ -180,6 +180,15 @@ class TestEvaluate:
         with pytest.raises(EvalDomainError):
             evaluate(parse_expr("x^0.5"), {"x": -2.0})
 
+    @pytest.mark.parametrize("text", ["x^(1e308*10)", "x^(0*(1e308*10))", "x^-(1e308*10)"])
+    def test_negative_base_non_finite_exponent_is_a_domain_error(self, text):
+        # the exponent is inf or NaN, which has no integer value
+        e = parse_expr(text)
+        with pytest.raises(EvalDomainError, match="non-integer exponent"):
+            evaluate(e, {"x": -2.0})
+        with pytest.raises(EvalDomainError, match="non-integer exponent"):
+            SmoothMap(("x",), (e,))(-2.0)
+
     def test_marker_is_inert(self):
         with pytest.raises(UnresolvedMarkerError):
             evaluate(parse_expr("D(U,t)"), {"t": 1.0})

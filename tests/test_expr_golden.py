@@ -7,7 +7,9 @@ text, a derivative, the generated code or a parse error shows up here.
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 import random
 from dataclasses import FrozenInstanceError
 
@@ -183,14 +185,33 @@ def test_every_probe_character_parses_or_fails_as_pinned():
     assert _digest(lines) == "3814f5169824d935c1acc5a4a05957f804486ea44157e9966db3573a94581674"
 
 
-def test_nodes_are_immutable():
-    for node in (Const(1.0), Var("x"), Unary("neg", Var("x")),
-                 Binary("add", Var("x"), Const(1.0)), Deriv("U", ("x",))):
-        with pytest.raises(FrozenInstanceError):
-            node.extra = 1
-        field = next(iter(node.__dataclass_fields__))
-        with pytest.raises(FrozenInstanceError):
-            setattr(node, field, None)
+NODES = (
+    Const(1.0),
+    Var("x"),
+    Unary("neg", Var("x")),
+    Binary("add", Var("x"), Const(1.0)),
+    Deriv("U", ("x",)),
+)
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_nodes_are_immutable_and_slotted(node):
+    field = next(iter(node.__dataclass_fields__))
+    with pytest.raises(FrozenInstanceError):
+        setattr(node, field, None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(node, field)
+    assert not hasattr(node, "__dict__")
+    # no attribute can be added: dataclasses raise TypeError here for a
+    # frozen slotted class on Python 3.10 and 3.11, FrozenInstanceError later
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        node.extra = 1
+    assert not hasattr(node, "extra")
+
+
+def test_nodes_survive_copy_and_pickle():
+    e = parse_expr("x + sin(-0)*y^2 - D(U,x,x)")
+    assert copy.copy(e) == copy.deepcopy(e) == pickle.loads(pickle.dumps(e)) == e
 
 
 def test_signed_zero_constants_stay_distinct():

@@ -626,6 +626,23 @@ class TestFlowVsClosedForm:
         assert not rep.passed and rep.inconclusive and rep.checked == 1251
         assert "cap of 1250 steps" in rep.notes[1]
 
+    def test_a_tolerance_near_the_rounding_floor_stops_where_the_estimate_stalls(self):
+        # target 1e-16 is below the floor; the estimate goes 1.95e-15, 1.90e-16, 2.46e-16
+        rep = suite_flow_oracle(SuiteConfig(tolerances={"cuberoot_flow": 1e-13}))[1]
+        assert rep.passed and not rep.inconclusive
+        assert rep.checked == 8 * FLOW_START_STEPS + 1 == 5001
+        assert rep.max_deviation <= 1e-13
+        assert "rounding floor" in rep.notes[1]
+
+    def test_a_stalled_run_outside_its_tolerance_fails(self):
+        # the estimate stalls at 2.46e-16 <= 2e-15, the actual error is 3.3e-15
+        rep = flow_vs_closed_form(
+            cuberoot_group_action(), cuberoot_ode_system(), 1.0, 1.0, eps_start=0.0, tol=2e-15,
+        )
+        assert rep.checked == 5001 and "rounding floor" in rep.notes[1]
+        assert not rep.passed and not rep.inconclusive
+        assert rep.max_deviation > rep.tolerance and len(rep.witnesses) == 1
+
     def test_nan_deviation_carries_the_first_nan_as_witness(self):
         # the closed form is NaN (inf - inf) once t*1e308*10 overflows, t > 0.1797...;
         # on the 1250-step mesh the first such time is 225/1250 = 0.18
