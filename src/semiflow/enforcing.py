@@ -454,14 +454,14 @@ def diffeo_time_set(
     slope-reaches-zero predicate to 1e-6 in t.
     """
     probe = diffeo_classifier(action, y_grid)
-    entries = []
-    for (t,) in t_grid.points():
-        entries.append((t, probe.is_diffeo(t)))
+    times = [t for (t,) in t_grid.points()]
+    # the predicate the scan bisects, evaluated once per grid time
+    slope_zero = [probe.slope_attains_zero(t) for t in times]
+    entries = [(t, not sz and probe.growth_ok(t)) for t, sz in zip(times, slope_zero)]
 
     thresholds = []
-    for (t0, _), (t1, _) in zip(entries, entries[1:]):
-        p0 = probe.slope_attains_zero(t0)
-        if p0 == probe.slope_attains_zero(t1):
+    for t0, t1, p0, p1 in zip(times, times[1:], slope_zero, slope_zero[1:]):
+        if p0 == p1:
             continue
         lo, hi = t0, t1
         while hi - lo > 1e-6:

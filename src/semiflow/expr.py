@@ -273,17 +273,27 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     raise ExprError(f"unknown node {e!r}")
 
 
-def free_vars(e: Expr) -> set[str]:
-    """Names of the variables in `e`, and of the functions its markers name."""
+def free_vars(*exprs: Expr) -> set[str]:
+    """Names of the variables in `exprs`, and of the functions their markers name.
+
+    One walk over all of them that enters each inner node object once, so
+    subtrees shared within or across the expressions (a derivative shares
+    many with its expression) cost one visit, not one per occurrence.
+    """
     names: set[str] = set()
-    stack = [e]
+    seen: set[int] = set()
+    stack = list(exprs)
     while stack:
         e = stack.pop()
         kind = type(e)
         if kind is Binary:
-            stack += (e.lhs, e.rhs)
+            if id(e) not in seen:
+                seen.add(id(e))
+                stack += (e.lhs, e.rhs)
         elif kind is Unary:
-            stack.append(e.arg)
+            if id(e) not in seen:
+                seen.add(id(e))
+                stack.append(e.arg)
         elif kind is Var:
             names.add(e.name)
         elif kind is Deriv:

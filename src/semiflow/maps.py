@@ -42,13 +42,15 @@ class SmoothMap:
         if self.outputs:
             object.__setattr__(self, "out_dim", len(self.outputs))
             declared = set(self.inputs)
-            for coord in self.outputs:
-                stray = free_vars(coord) - declared
-                if stray:
-                    raise ExprError(
-                        f"output '{to_text(coord)}' uses undeclared "
-                        f"variables {sorted(stray)}"
-                    )
+            if not free_vars(*self.outputs) <= declared:
+                # cold path: name the first output that strays
+                for coord in self.outputs:
+                    stray = free_vars(coord) - declared
+                    if stray:
+                        raise ExprError(
+                            f"output '{to_text(coord)}' uses undeclared "
+                            f"variables {sorted(stray)}"
+                        )
         if self.out_dim < 1:
             raise ExprError("output arity must be >= 1")
 
@@ -66,7 +68,7 @@ class SmoothMap:
                 f"expected {self.in_dim} arguments ({self.inputs}), got {len(args)}"
             )
         if self.func is not None:
-            return tuple(float(v) for v in self.func(*args))
+            return tuple(map(float, self.func(*args)))
         return self.compiled(*args)
 
     @cached_property

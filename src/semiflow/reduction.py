@@ -25,8 +25,10 @@ an RK4 flow with a closed form at a step count chosen by step doubling.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 from .actions import TimeAction
@@ -102,48 +104,64 @@ def augment_system(sys: OdeSystem) -> OdeSystem:
     )
 
 
+_CSV_BLOCK = 512  # rows per `%` in Trajectory.write_csv
+
+
 @dataclass
 class Trajectory:
-    """Ordered (time, state) samples from one integration run."""
+    """Samples from one integration run, stored as columns.
 
-    times: list[float]
-    states: list[tuple[float, ...]]
+    `times` holds the mesh and `columns[i]` the values of state component
+    i + 1 at those times, each an `array('d')`; sample k is `times[k]`
+    with `tuple(c[k] for c in columns)`.
+    """
+
+    times: array
+    columns: tuple[array, ...]
     steps: int
     eps_start: float
     spacing: str
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if any(b <= a for a, b in zip(self.times, islice(self.times, 1, None))):
             raise ValueError("trajectory times must increase strictly")
+        if any(len(c) != len(self.times) for c in self.columns):
+            raise ValueError("every column needs one value per time")
 
     @property
     def dim(self) -> int:
-        return len(self.states[0])
+        return len(self.columns)
 
     def final(self) -> tuple[float, ...]:
-        return self.states[-1]
+        return tuple(c[-1] for c in self.columns)
 
     def write_csv(self, path: str) -> None:
         """Write the header `t,y1,...,yl` and one row per sample to `path`.
 
-        Each row is one `%` of a "%.17g,...\n" template, the same text as
-        `format(v, ".17g")` per value, written one row at a time so the
-        whole file is never held as one string.
+        Each block of up to `_CSV_BLOCK` rows is one `%` of a repeated
+        "%.17g,...\n" template, the same text as `format(v, ".17g")` per
+        value, so the whole file is never held as one string.
         """
         row = ",".join(["%.17g"] * (self.dim + 1)) + "\n"
+        full = row * _CSV_BLOCK
+        total = len(self.times)
+        rows = zip(self.times, *self.columns)
         with open(path, "w", encoding="ascii") as fh:
             fh.write("t," + ",".join(f"y{i + 1}" for i in range(self.dim)) + "\n")
-            fh.writelines(row % (t, *y) for t, y in zip(self.times, self.states))
+            for start in range(0, total, _CSV_BLOCK):
+                count = min(_CSV_BLOCK, total - start)
+                template = full if count == _CSV_BLOCK else row * count
+                fh.write(template % tuple(chain.from_iterable(islice(rows, count))))
 
 
-def _time_mesh(a: float, b: float, steps: int, spacing: str) -> list[float]:
+def _time_mesh(a: float, b: float, steps: int, spacing: str) -> array:
     if spacing == "uniform":
-        mesh = [a + (b - a) * k / steps for k in range(steps + 1)]
+        mesh = array("d", (a + (b - a) * k / steps for k in range(steps + 1)))
     elif spacing == "geometric":
         if not 0.0 < a < b:
             raise ValueError("geometric spacing needs 0 < start < end")
         ratio = b / a
-        mesh = [a * ratio ** (k / steps) for k in range(steps + 1)]
+        mesh = array("d", (a * ratio ** (k / steps) for k in range(steps + 1)))
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
     mesh[-1] = b
@@ -172,7 +190,8 @@ def integrate_flow(
     lambda, which computes shared subtrees once, a callable RHS as it is. The
     kernel does the textbook scheme's floating-point operations in the
     textbook order, so states and times are bit for bit those of the
-    plain loop over tuples.
+    plain loop over tuples. The trajectory keeps the mesh and one
+    `array('d')` column of steps + 1 values per state component.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -186,16 +205,17 @@ def integrate_flow(
     mesh = _time_mesh(a, t_end, steps, spacing)
     f = sys.rhs.compiled if sys.rhs.is_symbolic else sys.rhs.func
     kernel = _rk4_kernel(sys.dim, sys.kind == "autonomous")
-    states = kernel(f, mesh, *(float(v) for v in y0), sys.validity)
-    return Trajectory(mesh, states, steps, eps_start, spacing)
+    columns = kernel(f, mesh, *(float(v) for v in y0), sys.validity)
+    return Trajectory(mesh, columns, steps, eps_start, spacing)
 
 
 _RK4_SOURCE = """\
 def rk4(f, mesh, {y}, validity):
-    states = [({y},)]
-    append = states.append
-    t0 = mesh[0]
-    for t1 in mesh[1:]:
+    columns = ({new_columns})
+    ({push}) = [column.append for column in columns]
+    times = iter(mesh)
+    t0 = next(times)
+    for t1 in times:
         h = t1 - t0
         hh = 0.5 * h
         tm = t0 + hh
@@ -210,27 +230,27 @@ def rk4(f, mesh, {y}, validity):
 {update}
         if not ({finite}):
             raise IntegrationError("state became nonfinite", t1)
-        state = ({y},)
-        if validity is not None and not validity(t1, state):
+        if validity is not None and not validity(t1, ({y},)):
             raise IntegrationError("state left the validity region", t1)
-        append(state)
+{append}
         t0 = t1
-    return states
+    return columns
 """
 
 
 @lru_cache(maxsize=64)
-def _rk4_kernel(dim: int, autonomous: bool) -> Callable[..., list[tuple[float, ...]]]:
+def _rk4_kernel(dim: int, autonomous: bool) -> Callable[..., tuple[array, ...]]:
     """RK4 over a fixed mesh for `dim` components, as straight-line code.
 
-    `kernel(f, mesh, y1, ..., ydim, validity)` returns the states at every
-    mesh time. Each component is a local, and each stage is one call
-    `f([t,] y1, ..., ydim)` unpacked into locals. The arithmetic is
-    `y + 0.5*h*k` for the midpoint stages, `y + h*k` for the last and
-    `y + (h/6)*(k1 + 2*(k2 + k3) + k4)` for the step, with `0.5*h` and
-    `h/6` computed once per step, which Python's left-to-right evaluation
-    makes the same operations. Errors carry the times the plain loop
-    reports: a domain error in the RHS the step's start, a non-finite
+    `kernel(f, mesh, y1, ..., ydim, validity)` returns one `array('d')`
+    column per component, holding its value at every mesh time. Each
+    component is a local, appended to its column after every step, and
+    each stage is one call `f([t,] y1, ..., ydim)` unpacked into locals.
+    The arithmetic is `y + 0.5*h*k` for the midpoint stages, `y + h*k` for
+    the last and `y + (h/6)*(k1 + 2*(k2 + k3) + k4)` for the step, with
+    `0.5*h` and `h/6` computed once per step, which Python's left-to-right
+    evaluation makes the same operations. Errors carry the times the plain
+    loop reports: a domain error in the RHS the step's start, a non-finite
     state or a validity exit the step's end.
     """
 
@@ -239,6 +259,8 @@ def _rk4_kernel(dim: int, autonomous: bool) -> Callable[..., list[tuple[float, .
 
     source = _RK4_SOURCE.format(
         y=cols("y{i}"),
+        new_columns=cols("array('d', (y{i},))") + ",",
+        push=cols("push{i}") + ",",
         k1=cols("a{i}"),
         k2=cols("b{i}"),
         k3=cols("c{i}"),
@@ -254,10 +276,12 @@ def _rk4_kernel(dim: int, autonomous: bool) -> Callable[..., list[tuple[float, .
             for i in range(dim)
         ),
         finite=" and ".join(f"isfinite(y{i})" for i in range(dim)),
+        append="\n".join(f"        push{i}(y{i})" for i in range(dim)),
     )
     namespace = {
         "EvalDomainError": EvalDomainError,
         "IntegrationError": IntegrationError,
+        "array": array,
         "isfinite": math.isfinite,
     }
     exec(source, namespace)  # noqa: S102 - source built from the template above
@@ -719,7 +743,8 @@ def richardson_doubling(
     coarse = integrate_flow(sys, 0.0, y0, t_end, FLOW_START_STEPS, eps_start, spacing)
     while True:
         fine = integrate_flow(sys, 0.0, y0, t_end, 2 * coarse.steps, eps_start, spacing)
-        gap = nan_max(deviation(c, f) for c, f in zip(coarse.states, fine.states[::2]))
+        halved = (column[::2] for column in fine.columns)
+        gap = nan_max(deviation(c, f) for c, f in zip(zip(*coarse.columns), zip(*halved)))
         yield fine, gap / RK4_RICHARDSON
         coarse = fine
 
@@ -735,7 +760,8 @@ def closed_form_deviations(
 ) -> list[float]:
     """The `deviation` of every sample of `traj` from the action's value at ys."""
     reference = _closed_form(action, ys)
-    return [deviation(state, reference(tau)) for tau, state in zip(traj.times, traj.states)]
+    states = zip(*traj.columns)
+    return [deviation(state, reference(tau)) for tau, state in zip(traj.times, states)]
 
 
 def flow_vs_closed_form(
@@ -790,7 +816,8 @@ def flow_vs_closed_form(
         # the first NaN, else the first largest deviation, is the worst point
         i = next(i for i, d in enumerate(devs) if d != d or d == max_dev)
         tau = traj.times[i]
-        witnesses.append(Witness((tau,), (*traj.states[i], *_closed_form(action, ys)(tau))))
+        state = (column[i] for column in traj.columns)
+        witnesses.append(Witness((tau,), (*state, *_closed_form(action, ys)(tau))))
     return VerificationReport.from_deviations(
         f"flow-vs-closed-form[{action.name}]",
         devs,

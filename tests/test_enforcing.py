@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from semiflow.enforcing import (
     BranchMismatchError,
+    DiffeoClassifier,
     MediatorFunction,
     bump_map,
     cuberoot_group_action,
@@ -251,6 +252,21 @@ class TestDiffeoClassification:
         lo, hi = sorted(report.thresholds)
         assert lo == pytest.approx((1.0 / (1.0 + peak)) ** 2, abs=1e-4)
         assert hi == pytest.approx((1.0 / (1.0 - peak)) ** 2, abs=1e-4)
+
+    def test_scan_evaluates_each_grid_time_once(self, monkeypatch):
+        # the scan reuses the predicate of the entries loop: 41 grid times
+        # plus the bisection steps, where it used to take 157 calls
+        calls = []
+        probe = DiffeoClassifier.slope_attains_zero
+        monkeypatch.setattr(
+            DiffeoClassifier, "slope_attains_zero", lambda self, t: calls.append(t) or probe(self, t)
+        )
+        action = homotopy_action(bump_map(), sqrt_mediator())
+        report = diffeo_time_set(action, grid1d(0.05, 10.0, 41), grid1d(-3.0, 3.0, 121))
+        assert len(calls) <= 80 and len(calls) == len(set(calls))
+        # the thresholds of the scan that re-evaluated both ends of every pair
+        assert report.thresholds == [0.36752338171005244, 8.14087642908096]
+        assert sum(ok for _, ok in report.entries) == 10
 
     def test_identity_always_diffeo(self):
         ident = TimeAction(

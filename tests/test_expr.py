@@ -370,6 +370,15 @@ def test_substitute_self_is_identity(e):
         assert substitute_many(e, {v: Var(v)}) == e
 
 
+def test_free_vars_visits_each_shared_node_once():
+    # 61 node objects, 2**60 leaves as a tree: a tree walk would not finish
+    e = Var("x")
+    for _ in range(60):
+        e = Binary("mul", e, e)
+    assert free_vars(e) == {"x"}
+    assert free_vars(e, Binary("add", e, Var("y")), Deriv("g", ("x",))) == {"x", "y", "g"}
+
+
 @given(_smooth_trees, _points)
 @settings(max_examples=200)
 def test_derivative_matches_central_difference(e, point):

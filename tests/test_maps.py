@@ -29,6 +29,10 @@ class TestSmoothMap:
         with pytest.raises(ExprError):
             map_from_exprs(("x",), ["x + y"])
 
+    def test_undeclared_variable_message_names_the_first_stray_output(self):
+        with pytest.raises(ExprError, match=r"output 'x \+ y' uses undeclared variables \['y'\]"):
+            map_from_exprs(("x",), ["x", "x + y", "z"])
+
     def test_call_and_at(self):
         m = map_from_exprs(("t", "y"), ["t + y", "t*y"])
         assert m(2.0, 3.0) == (5.0, 6.0)

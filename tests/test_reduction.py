@@ -6,6 +6,7 @@ import hashlib
 import math
 import re
 import tempfile
+from array import array
 from functools import partial
 
 import pytest
@@ -100,12 +101,12 @@ class TestIntegrateFlow:
     def test_constant_for_zero_rhs(self):
         sys0 = OdeSystem("flat", "nonautonomous", 1, map_from_exprs(("t", "y"), ["0"]))
         traj = integrate_flow(sys0, 0.0, (3.5,), 1.0, 50)
-        assert all(state == (3.5,) for state in traj.states)
+        assert all(state == (3.5,) for state in zip(*traj.columns))
 
     def test_augmented_first_coordinate_tracks_time(self):
         aug = augment_system(quadratic_system())
         traj = integrate_flow(aug, 0.0, (0.0, 5.0), 2.0, 200)
-        for tau, state in zip(traj.times, traj.states):
+        for tau, state in zip(traj.times, zip(*traj.columns)):
             assert abs(state[0] - tau) <= 1e-12
 
     def test_augmented_singular_run_matches_closed_form(self):
@@ -169,18 +170,49 @@ class TestTrajectory:
 
     def test_strictly_increasing_times_enforced(self):
         with pytest.raises(ValueError):
-            Trajectory([0.0, 0.0], [(1.0,), (1.0,)], 1, 0.0, "uniform")
+            Trajectory(array("d", [0.0, 0.0]), (array("d", [1.0, 1.0]),), 1, 0.0, "uniform")
+
+    def test_every_column_has_one_value_per_time(self):
+        with pytest.raises(ValueError, match="one value per time"):
+            Trajectory(array("d", [0.0, 1.0]), (array("d", [1.0]),), 1, 0.0, "uniform")
 
     @given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(-10, 10)), min_size=1, max_size=8))
     @settings(max_examples=100)
     def test_csv_rows_match_per_value_formatting(self, rows):
         # inf, nan, signed zeros, subnormals and int entries included
         times = [float(k) for k in range(len(rows))]
-        traj = Trajectory(times, rows, len(rows) - 1, 0.0, "uniform")
+        columns = tuple(array("d", column) for column in zip(*rows))
+        traj = Trajectory(array("d", times), columns, len(rows) - 1, 0.0, "uniform")
         want = "t,y1,y2,y3\n" + "".join(
             ",".join(f"{v:.17g}" for v in (t, *y)) + "\n" for t, y in zip(times, rows)
         )
         assert _csv_text(traj) == want
+
+
+@pytest.mark.parametrize("rows", [1, reduction._CSV_BLOCK - 1, reduction._CSV_BLOCK,
+                                  reduction._CSV_BLOCK + 1, 2 * reduction._CSV_BLOCK + 1])
+def test_csv_blocks_write_every_row_once(rows):
+    times = array("d", (0.5 * k for k in range(rows)))
+    columns = (array("d", (-1.0 / (k + 1) for k in range(rows))), array("d", range(rows)))
+    want = "t,y1,y2\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in zip(times, *columns)
+    )
+    assert _csv_text(Trajectory(times, columns, rows - 1, 0.0, "uniform")) == want
+
+
+@pytest.mark.parametrize("name,y0,t_end,eps,spacing", [
+    ("sqrt-ode-minus", (1.0001,), 1.0, 1e-8, "geometric"),
+    ("quadratic-augmented", (0.0, 1.25), 2.0, 0.0, "uniform"),
+])
+def test_flow_columns_are_arrays_of_the_reference_states(name, y0, t_end, eps, spacing):
+    sys = FLOW_SYSTEMS[name]()
+    traj = integrate_flow(sys, 0.0, y0, t_end, 300, eps, spacing)
+    assert len(traj.columns) == traj.dim == sys.dim
+    for column in traj.columns:
+        assert type(column) is array and column.typecode == "d" and len(column) == 301
+    times, states = _reference_rk4(sys, 0.0, y0, t_end, 300, eps, spacing)
+    assert list(traj.times) == times
+    assert list(zip(*traj.columns)) == states
 
 
 # sha256 of the CSV bytes of three runs, taken from the plain RK4 loop
@@ -299,7 +331,7 @@ def _flow_outcome(run, *args):
 
 def _kernel_run(sys, t_start, y0, t_end, steps, eps_start, spacing):
     traj = integrate_flow(sys, t_start, y0, t_end, steps, eps_start, spacing)
-    return traj.times, traj.states
+    return traj.times, list(zip(*traj.columns))
 
 
 _BLOW_UP = OdeSystem("blow-up", "autonomous", 2, map_from_exprs(("y1", "y2"), ["y1*y1*y1*y2", "y2*y1"]))
@@ -329,7 +361,7 @@ def test_callable_rhs_runs_through_the_same_kernel():
     y0 = (1e-8, sqrt_action().call1(1e-8, 1.0))
     want = integrate_flow(symbolic, 1e-8, y0, 1.0, 500, spacing="geometric")
     got = integrate_flow(plain, 1e-8, y0, 1.0, 500, spacing="geometric")
-    assert got.states == want.states and got.times == want.times
+    assert got.columns == want.columns and got.times == want.times
 
 
 def test_initial_state_must_match_the_dimension():
