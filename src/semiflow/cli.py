@@ -270,21 +270,48 @@ def load_scenario(path: str) -> dict:
         return json.load(fh)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _scenario_value(doc: dict, key: str, kind: type, what: str, default):
+    """`doc[key]`, or `default` when absent; a bool is never an int here."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"scenario key '{key}' must be {what}, got {value!r}")
+    return value
+
+
 def config_from_scenario(doc: dict, seed_override: int | None, suite: str) -> SuiteConfig:
     grids = {}
-    for name, spec in dict(doc.get("grids", {})).items():
+    for name, spec in _scenario_value(doc, "grids", dict, "an object", {}).items():
+        if not (
+            isinstance(spec, dict)
+            and all(_is_number(spec.get(k)) for k in ("lo", "hi", "count"))
+            and float(spec["count"]).is_integer()
+        ):
+            raise ValueError(
+                f"grids.{name} must be an object with numbers 'lo' and 'hi' and "
+                f"an integral 'count', got {spec!r}"
+            )
         grids[name] = Axis(float(spec["lo"]), float(spec["hi"]), int(spec["count"]))
-    tolerances = {k: float(v) for k, v in dict(doc.get("tolerances", {})).items()}
-    for key, tol in tolerances.items():
-        if not 0.0 < tol < math.inf:
-            raise ValueError(f"suite '{suite}': tolerance '{key}' must be finite and > 0, got {tol!r}")
-    seed = int(doc.get("seed", 42)) if seed_override is None else seed_override
+    tolerances = {}
+    for key, tol in _scenario_value(doc, "tolerances", dict, "an object", {}).items():
+        if not (_is_number(tol) and 0.0 < tol < math.inf):
+            raise ValueError(
+                f"suite '{suite}': tolerance '{key}' must be a finite number > 0, got {tol!r}"
+            )
+        tolerances[key] = float(tol)
+    seed = _scenario_value(doc, "seed", int, "an integer", 42)
+    expressions = _scenario_value(doc, "expressions", dict, "an object", {})
     declarations = {"unknown", "vars"}  # symbol lists, not expressions
-    for name, text in dict(doc.get("expressions", {})).items():
+    for name, text in expressions.items():
+        if not isinstance(text, str):
+            raise ValueError(f"expressions.{name} must be a string, got {text!r}")
         if name not in declarations:
             parse_expr(text)  # malformed expressions fail here, with an offset
-    return SuiteConfig(seed=seed, tolerances=tolerances, grids=grids,
-                       expressions=dict(doc.get("expressions", {})))
+    return SuiteConfig(seed=seed if seed_override is None else seed_override,
+                       tolerances=tolerances, grids=grids, expressions=dict(expressions))
 
 
 def _adhoc_identity_report(text: str, tol: float) -> VerificationReport:
@@ -350,9 +377,11 @@ def verify(
     stray = set(doc) - known
     if stray:
         raise ValueError(f"unknown scenario keys {sorted(stray)}; known: {sorted(known)}")
+    doc_suite = _scenario_value(doc, "suite", str, "a string", "")
+    out_path = out or _scenario_value(doc, "out", str, "a string", "")
     # a user-declared action: check its identity axiom and nothing else
-    suite = "adhoc-identity" if action is not None else suite or doc.get("suite")
-    if suite is None:
+    suite = "adhoc-identity" if action is not None else suite or doc_suite
+    if not suite:
         raise ValueError("no suite named: pass --suite or a scenario with a 'suite' key")
     suite = SUITE_ALIASES.get(suite, suite)
     config = config_from_scenario(doc, seed, suite)
@@ -372,7 +401,6 @@ def verify(
             for note in rep.notes:
                 print(f"    note: {note}")
             all_passed &= rep.passed
-    out_path = out or doc.get("out")
     if out_path:
         write_report_file(
             out_path,

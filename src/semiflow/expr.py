@@ -18,12 +18,12 @@ a `ParseError`. Differentiation and the folding constructors return shared
 leaves for the constants 0, 1 and 2 (`_ZERO`, `_ONE`, `_TWO`), which make
 up most of the leaves a derivative creates before folding drops them.
 
-Evaluation has one path: compiled code. Every expression-backed
-`SmoothMap` compiles its outputs once into one `compile_system` lambda,
-which computes shared subtrees once; `compile_expr` emits the same code
-for a bare tree. The tree walk `evaluate` applies the same domain rules
-node by node; it is kept as the reference the compiled code is tested
-against.
+Evaluation has one path: compiled code from one generator,
+`_emit_system`, which computes shared subtrees once. Every
+expression-backed `SmoothMap` compiles its outputs once into one
+`compile_system` lambda; `compile_expr` is its one-output case. The tree
+walk `evaluate` applies the same domain rules node by node; it is kept as
+the reference the compiled code is tested against.
 
 Grammar (whitespace-insensitive)::
 
@@ -251,8 +251,9 @@ _BINARY_FN: dict[str, Callable[[float, float], float]] = {
 def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """IEEE double value of `e` with every free variable bound.
 
-    The reference tree walk: `compile_expr` code gives the same values and
-    raises the same errors, and it is what the package itself evaluates.
+    The reference tree walk: the code `_emit_system` generates, which is
+    what the package itself evaluates, gives the same values and raises
+    the same first error.
     """
     kind = type(e)
     if kind is Const:
@@ -715,6 +716,7 @@ def parse_expr(text: str) -> Expr:
 
 
 def _emit(e: Expr, params: tuple[str, ...]) -> str:
+    """Code of a leaf; `_emit_system` writes the code of inner nodes."""
     kind = type(e)
     if kind is Const:
         # inf and nan have no literal: rebuild them from their repr
@@ -725,10 +727,6 @@ def _emit(e: Expr, params: tuple[str, ...]) -> str:
                 f"variable '{e.name}' not among parameters {params!r}"
             )
         return e.name
-    if kind is Binary:
-        return _node_code(e.op, _emit(e.lhs, params), _emit(e.rhs, params))
-    if kind is Unary:
-        return _node_code(e.op, _emit(e.arg, params))
     if kind is Deriv:
         raise UnresolvedMarkerError("cannot compile an unresolved derivative marker")
     raise ExprError(f"unknown node {e!r}")
@@ -767,22 +765,24 @@ def _check_params(params: tuple[str, ...]) -> None:
             )
 
 
+def _lambda(params: tuple[str, ...], body: str) -> Callable:
+    return eval(f"lambda {', '.join(params)}: {body}", dict(_COMPILE_NS))  # noqa: S307 - closed namespace
+
+
+# cached only because perfbench/child.py reads `compile_expr.cache_info()`
 @lru_cache(maxsize=4096)
 def compile_expr(e: Expr, params: tuple[str, ...]) -> Callable[..., float]:
-    """Positional-argument evaluator for `e`, generated as one lambda.
+    """Positional-argument evaluator for `e`: `compile_system` of one
+    output, returning the value itself rather than a 1-tuple.
 
-    This is how the package evaluates expressions. The generated code
-    calls the same domain-checked helpers as `evaluate`, the reference
+    The code calls the domain-checked helpers of `evaluate`, the reference
     tree walk, so both give the same values and raise the same
-    EvalDomainError (division by zero included). Parameter names must be
-    identifiers that do not start with "_".
-
-    No common-subexpression elimination here: this is the per-tree code
-    that `compile_system`, which maps use, is tested against.
+    EvalDomainError; a subtree that recurs in `e` is computed once.
+    Parameter names must be identifiers that do not start with "_".
     """
     _check_params(params)
-    src = f"lambda {', '.join(params)}: {_emit(e, params)}"
-    return eval(src, dict(_COMPILE_NS))  # noqa: S307 - namespace is closed
+    (code,) = _emit_system((e,), params)
+    return _lambda(params, code)
 
 
 def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str]:
@@ -856,13 +856,11 @@ def compile_system(
 ) -> Callable[..., tuple[float, ...]]:
     """One lambda returning the tuple of every output's value.
 
-    Gives what calling `compile_expr(o, params)` for each output in turn
-    gives: the same values, and the same first EvalDomainError. Repeated
-    subtrees, within an output or across outputs, are computed once (see
-    `_emit_system`). Uncached: a `SmoothMap` keeps the lambda of its
-    outputs, which the flow integrator calls once per RK4 stage.
+    Values, and the first EvalDomainError, are those of `evaluate` applied
+    to each output in turn. Repeated subtrees, within an output or across
+    outputs, are computed once (see `_emit_system`). Uncached: a
+    `SmoothMap` keeps the lambda of its outputs, which the flow integrator
+    calls once per RK4 stage.
     """
     _check_params(params)
-    codes = _emit_system(outputs, params)
-    src = f"lambda {', '.join(params)}: ({', '.join(codes)},)"
-    return eval(src, dict(_COMPILE_NS))  # noqa: S307 - namespace is closed
+    return _lambda(params, f"({', '.join(_emit_system(outputs, params))},)")

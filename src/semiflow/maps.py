@@ -1,4 +1,8 @@
-"""Smooth maps R^m -> R^n backed by expression trees or plain callables."""
+"""Smooth maps R^m -> R^n backed by expression trees or plain callables.
+
+Differentiation, freezing and composition are symbolic: they take and
+return expression-backed maps. A callable-backed map can only be called.
+"""
 
 from __future__ import annotations
 
@@ -117,22 +121,17 @@ def identity_map(inputs: Sequence[str]) -> SmoothMap:
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    """outer after inner; symbolic when both backings are expression trees."""
+    """outer after inner, by substituting inner's outputs into outer's."""
     if outer.in_dim != inner.out_dim:
         raise ExprError(
             f"arity mismatch: outer expects {outer.in_dim}, inner yields {inner.out_dim}"
         )
-    if outer.is_symbolic and inner.is_symbolic:
-        mapping = dict(zip(outer.inputs, inner.outputs))
-        return SmoothMap(
-            inner.inputs,
-            tuple(substitute_many(c, mapping) for c in outer.outputs),
-            name=f"{outer.name or 'outer'}∘{inner.name or 'inner'}",
-        )
+    if not (outer.is_symbolic and inner.is_symbolic):
+        raise ExprError("cannot compose a callable-backed map symbolically")
+    mapping = dict(zip(outer.inputs, inner.outputs))
     return SmoothMap(
         inner.inputs,
-        func=lambda *args: outer(*inner(*args)),
-        out_dim=outer.out_dim,
+        tuple(substitute_many(c, mapping) for c in outer.outputs),
         name=f"{outer.name or 'outer'}∘{inner.name or 'inner'}",
     )
 

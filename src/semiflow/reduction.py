@@ -53,7 +53,8 @@ class IntegrationError(Exception):
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """Explicit first-order system; the RHS takes (t, y...) or just (y...)."""
+    """Explicit first-order system; the RHS is an expression-backed map of
+    (t, y...) or just (y...)."""
 
     name: str
     kind: str  # "autonomous" | "nonautonomous"
@@ -64,6 +65,8 @@ class OdeSystem:
     def __post_init__(self):
         if self.kind not in ("autonomous", "nonautonomous"):
             raise ValueError("kind must be 'autonomous' or 'nonautonomous'")
+        if not self.rhs.is_symbolic:
+            raise ValueError("the RHS must be an expression-backed map")
         want = self.dim if self.kind == "autonomous" else self.dim + 1
         if self.rhs.in_dim != want or self.rhs.out_dim != self.dim:
             raise ValueError(
@@ -79,19 +82,9 @@ def augment_system(sys: OdeSystem) -> OdeSystem:
     """Adjoin time as the first state coordinate with derivative 1."""
     if sys.kind != "nonautonomous":
         raise ValueError("only non-autonomous systems are augmented")
-    if sys.rhs.is_symbolic:
-        rhs = SmoothMap(
-            sys.rhs.inputs,
-            (Const(1.0), *sys.rhs.outputs),
-            name=f"augmented[{sys.name}]",
-        )
-    else:
-        rhs = SmoothMap(
-            sys.rhs.inputs,
-            func=lambda *args: (1.0, *sys.rhs.func(*args)),
-            out_dim=sys.dim + 1,
-            name=f"augmented[{sys.name}]",
-        )
+    rhs = SmoothMap(
+        sys.rhs.inputs, (Const(1.0), *sys.rhs.outputs), name=f"augmented[{sys.name}]"
+    )
     validity = None
     if sys.validity is not None:
         validity = lambda _t, state: sys.validity(state[0], state[1:])  # noqa: E731
@@ -186,11 +179,10 @@ def integrate_flow(
 
     Every system runs through one RK4 kernel, generated once per
     dimension and autonomy (`_rk4_kernel`), which calls the right-hand
-    side once per stage: a symbolic RHS as the map's own `compiled`
-    lambda, which computes shared subtrees once, a callable RHS as it is. The
-    kernel does the textbook scheme's floating-point operations in the
-    textbook order, so states and times are bit for bit those of the
-    plain loop over tuples. The trajectory keeps the mesh and one
+    side once per stage as the map's own `compiled` lambda, which
+    computes shared subtrees once. The kernel does the textbook scheme's
+    floating-point operations in the textbook order, so states and times
+    are bit for bit those of the plain loop over tuples. The trajectory keeps the mesh and one
     `array('d')` column of steps + 1 values per state component.
     """
     if steps < 1:
@@ -203,9 +195,8 @@ def integrate_flow(
     if not sys.valid_at(a, y0):
         raise IntegrationError("RHS invalid at the starting point", a)
     mesh = _time_mesh(a, t_end, steps, spacing)
-    f = sys.rhs.compiled if sys.rhs.is_symbolic else sys.rhs.func
     kernel = _rk4_kernel(sys.dim, sys.kind == "autonomous")
-    columns = kernel(f, mesh, *(float(v) for v in y0), sys.validity)
+    columns = kernel(sys.rhs.compiled, mesh, *(float(v) for v in y0), sys.validity)
     return Trajectory(mesh, columns, steps, eps_start, spacing)
 
 
@@ -749,19 +740,14 @@ def richardson_doubling(
         coarse = fine
 
 
-def _closed_form(action: TimeAction, ys: tuple[float, ...]) -> Callable[[float], tuple[float, ...]]:
-    if action.map.is_symbolic:
-        return lambda tau, f=action.map.compiled: f(tau, *ys)
-    return lambda tau: action(tau, ys)
-
-
 def closed_form_deviations(
     action: TimeAction, ys: tuple[float, ...], traj: Trajectory
 ) -> list[float]:
-    """The `deviation` of every sample of `traj` from the action's value at ys."""
-    reference = _closed_form(action, ys)
+    """The `deviation` of every sample of `traj` from the action's value at
+    ys, through the compiled outputs of its expression-backed map."""
+    reference = action.map.compiled
     states = zip(*traj.columns)
-    return [deviation(state, reference(tau)) for tau, state in zip(traj.times, states)]
+    return [deviation(state, reference(tau, *ys)) for tau, state in zip(traj.times, states)]
 
 
 def flow_vs_closed_form(
@@ -817,7 +803,7 @@ def flow_vs_closed_form(
         i = next(i for i, d in enumerate(devs) if d != d or d == max_dev)
         tau = traj.times[i]
         state = (column[i] for column in traj.columns)
-        witnesses.append(Witness((tau,), (*state, *_closed_form(action, ys)(tau))))
+        witnesses.append(Witness((tau,), (*state, *action.map.compiled(tau, *ys))))
     return VerificationReport.from_deviations(
         f"flow-vs-closed-form[{action.name}]",
         devs,

@@ -66,18 +66,12 @@ def canonical_parametric(U: SmoothMap) -> ParametricFunction:
     if U.out_dim != 1:
         raise ExprError("canonical chart needs a single-output map")
     if not U.is_symbolic:
-        chart = SmoothMap(
-            U.inputs,
-            func=lambda *x: (*x, U(*x)[0]),
-            out_dim=U.in_dim + 1,
-            name=f"graph[{U.name or 'U'}]",
-        )
-    else:
-        chart = SmoothMap(
-            U.inputs,
-            tuple(Var(v) for v in U.inputs) + (U.outputs[0],),
-            name=f"graph[{U.name or 'U'}]",
-        )
+        raise ExprError("canonical chart needs an expression-backed map")
+    chart = SmoothMap(
+        U.inputs,
+        tuple(Var(v) for v in U.inputs) + (U.outputs[0],),
+        name=f"graph[{U.name or 'U'}]",
+    )
     return ParametricFunction(U.inputs, chart, U.in_dim)
 
 

@@ -247,6 +247,30 @@ def test_scenario_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "scenario, key",
+    [
+        ({"suite": "burgers", "expressions": {"foo": 1}}, "expressions.foo"),
+        ({"suite": "burgers", "expressions": ["foo"]}, "'expressions'"),
+        ({"suite": "identity-axiom", "tolerances": [1, 2]}, "'tolerances'"),
+        ({"suite": "identity-axiom", "tolerances": {"identity": True}}, "tolerance 'identity'"),
+        ({"suite": "identity-axiom", "tolerances": {"identity": "1e-3"}}, "tolerance 'identity'"),
+        ({"suite": "gls-semigroup", "grids": {"t": [0, 1, 3]}}, "grids.t"),
+        ({"suite": "gls-semigroup", "grids": {"t": {"lo": 0, "hi": 1, "count": 2.5}}}, "grids.t"),
+        ({"suite": "gls-semigroup", "grids": {"t": {"lo": "0", "hi": 1, "count": 3}}}, "grids.t"),
+        ({"suite": ["a"]}, "'suite'"),
+        ({"suite": "heat-flow", "out": 1}, "'out'"),
+        ({"suite": "heat-flow", "out": True}, "'out'"),
+        ({"suite": "identity-axiom", "seed": 1.5}, "'seed'"),
+        ({"suite": "identity-axiom", "seed": True}, "'seed'"),
+    ],
+)
+def test_scenario_value_of_the_wrong_type_exits_two(scenario, key, capsys):
+    assert run_suite(scenario) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "grid, name",
     [
         ({"lo": -1.0, "hi": 1.0, "count": 3}, "t"),  # sqrt(t) at t < 0

@@ -526,7 +526,12 @@ class TestCompileSystem:
         (code,) = _emit_system((rhs,), ("t", "y"))
         assert code.count("_sqrt(t)") == 1 and code.count("_c0") == 3
         fn = compile_system((rhs,), ("t", "y"))
-        assert fn(0.25, 1.5) == (compile_expr(rhs, ("t", "y"))(0.25, 1.5),)
+        assert fn(0.25, 1.5) == (evaluate(rhs, {"t": 0.25, "y": 1.5}),)
+
+    def test_compile_expr_computes_a_repeated_subtree_once(self):
+        fn = compile_expr(parse_expr("sqrt(t)*sqrt(t)"), ("t",))
+        assert "_c0" in fn.__code__.co_varnames
+        assert fn(4.0) == 4.0
 
     def test_subtrees_shared_across_outputs(self):
         outputs = (parse_expr("exp(x*y) + 1"), parse_expr("exp(x*y)*2"), parse_expr("x"))
@@ -551,10 +556,10 @@ class TestCompileSystem:
             compile_system((Deriv("U", ("t",)),), ("t",))
 
 
-def _sequential(outputs, args):
-    """Each output through its own compile_expr code, first error wins."""
+def _sequential(outputs, point):
+    """Each output through the tree walk `evaluate` in turn, first error wins."""
     try:
-        return tuple(repr(compile_expr(o, ("x", "y", "t"))(*args)) for o in outputs)
+        return tuple(repr(evaluate(o, point)) for o in outputs)
     except (EvalDomainError, ValueError) as err:
         return (type(err).__name__, str(err))
 
@@ -587,4 +592,4 @@ def test_system_lambda_agrees_with_compile_expr_per_output(outputs, point):
         got = tuple(repr(v) for v in fn(*args))
     except (EvalDomainError, ValueError) as err:
         got = (type(err).__name__, str(err))
-    assert got == _sequential(outputs, args)
+    assert got == _sequential(outputs, point)

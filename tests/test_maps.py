@@ -87,12 +87,12 @@ class TestSmoothMap:
         with pytest.raises(ExprError):
             compose(scalar_map(("u", "v"), "u + v"), scalar_map(("x",), "x"))
 
-    def test_compose_numeric_fallback(self):
-        outer = SmoothMap(("u",), func=lambda u: (u * 2.0,), out_dim=1)
-        inner = scalar_map(("x",), "x + 1")
-        c = compose(outer, inner)
-        assert not c.is_symbolic
-        assert c(2.0)[0] == 6.0
+    def test_compose_rejects_a_callable_operand(self):
+        plain = SmoothMap(("u",), func=lambda u: (u * 2.0,), out_dim=1)
+        symbolic = scalar_map(("x",), "x + 1")
+        for outer, inner in ((plain, symbolic), (symbolic, plain)):
+            with pytest.raises(ExprError, match="callable-backed"):
+                compose(outer, inner)
 
     def test_identity_map(self):
         m = identity_map(("a", "b"))

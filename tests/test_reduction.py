@@ -351,17 +351,11 @@ def test_generated_kernel_matches_the_plain_loop(case):
     assert _flow_outcome(_kernel_run, *args) == _flow_outcome(_reference_rk4, *args)
 
 
-def test_callable_rhs_runs_through_the_same_kernel():
+def test_ode_system_rejects_a_callable_rhs():
     symbolic = augment_system(sqrt_ode_system("minus"))
-    plain = OdeSystem(
-        "plain", "autonomous", 2,
-        SmoothMap(symbolic.rhs.inputs, func=symbolic.rhs, out_dim=2),
-        symbolic.validity,
-    )
-    y0 = (1e-8, sqrt_action().call1(1e-8, 1.0))
-    want = integrate_flow(symbolic, 1e-8, y0, 1.0, 500, spacing="geometric")
-    got = integrate_flow(plain, 1e-8, y0, 1.0, 500, spacing="geometric")
-    assert got.columns == want.columns and got.times == want.times
+    plain = SmoothMap(symbolic.rhs.inputs, func=symbolic.rhs, out_dim=2)
+    with pytest.raises(ValueError, match="expression-backed"):
+        OdeSystem("plain", "autonomous", 2, plain, symbolic.validity)
 
 
 def test_initial_state_must_match_the_dimension():
@@ -686,9 +680,7 @@ class TestFlowVsClosedForm:
         assert len(rep.witnesses) == 1 and rep.witnesses[0].point == (225 / 1250,) == (0.18,)
 
     def test_constant_action_zero_rhs(self):
-        still = SmoothMap(("t", "y"), func=lambda t, y: (y,), out_dim=1, name="still")
-        from semiflow.actions import TimeAction
-
+        still = map_from_exprs(("t", "y"), ["y"], name="still")
         action = TimeAction("still", 1, "nonneg", "t", ("y",), still)
         sys0 = OdeSystem("flat", "autonomous", 1, map_from_exprs(("y",), ["0"]))
         rep = flow_vs_closed_form(action, sys0, 4.2, 1.0, 0.0, 1e-15)

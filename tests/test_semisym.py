@@ -55,6 +55,11 @@ class TestCanonicalParametric:
         with pytest.raises(ExprError):
             canonical_parametric(identity_map(("x", "y")))
 
+    def test_rejects_a_callable_backed_map(self):
+        U = SmoothMap(("x",), func=lambda x: (x * x,), out_dim=1)
+        with pytest.raises(ExprError, match="expression-backed"):
+            canonical_parametric(U)
+
 
 class TestAct:
     def test_identity_action_is_structural_identity(self):
