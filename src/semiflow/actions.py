@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .expr import EvalDomainError, ExprError
 from .grids import SamplingGrid, _near_pairs
-from .maps import SmoothMap, finite_diff
+from .maps import SmoothMap
 from .report import Tally, VerificationReport, Witness, deviation, max_norm
 from .rootfind import RootSearchError, bisect, scan_brackets
 
@@ -72,15 +72,7 @@ class TimeAction:
 
     def frozen_map(self, t: float) -> SmoothMap:
         """The self-map H(t, .) with the time parameter fixed."""
-        name = f"{self.name}@t={t:g}"
-        if self.map.is_symbolic:
-            return replace(self.map.freeze(**{self.time_var: t}), name=name)
-        return SmoothMap(
-            self.state_vars,
-            func=lambda *y, _t=float(t): self.map.func(_t, *y),
-            out_dim=self.dim,
-            name=name,
-        )
+        return replace(self.map.freeze(**{self.time_var: t}), name=f"{self.name}@t={t:g}")
 
 
 def identity_check(action: TimeAction, grid: SamplingGrid, tol: float) -> VerificationReport:
@@ -158,10 +150,8 @@ class ProbeEvidence:
 
 
 def _derivative_fn(m: SmoothMap) -> Callable[[float], float]:
-    if m.is_symbolic:
-        d = m.partial(m.inputs[0])
-        return lambda y: d(y)[0]
-    return lambda y: finite_diff(m, (y,), m.inputs[0], 1e-6)
+    d = m.partial(m.inputs[0])
+    return lambda y: d(y)[0]
 
 
 def _collision_pair(

@@ -138,9 +138,9 @@ def _demo_homotopy(config: SuiteConfig) -> str:
 
 def _demo_gls_evolution(config: SuiteConfig) -> str:
     op = gls_one_time_op()
-    a = op.apply_one(1.0, (0.0, 2.0))
-    b = op.apply_one(3.0, a)
-    c = op.apply_one(4.0, (0.0, 2.0))
+    a = op(1.0, (0.0, 2.0))
+    b = op(3.0, a)
+    c = op(4.0, (0.0, 2.0))
     return "\n".join(
         [
             "genuine-semigroup evolution one dimension up: E(s)(t,y) = (t+s, E(t,t+s)(y))",
@@ -293,6 +293,12 @@ def config_from_scenario(doc: dict, seed_override: int | None, suite: str) -> Su
             raise ValueError(
                 f"grids.{name} must be an object with numbers 'lo' and 'hi' and "
                 f"an integral 'count', got {spec!r}"
+            )
+        stray = set(spec) - {"lo", "hi", "count"}
+        if stray:
+            raise ValueError(
+                f"grids.{name} has unknown keys {sorted(stray)}; a grid spec takes "
+                "only 'lo', 'hi' and 'count'"
             )
         grids[name] = Axis(float(spec["lo"]), float(spec["hi"]), int(spec["count"]))
     tolerances = {}

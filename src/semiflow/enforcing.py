@@ -183,8 +183,6 @@ def homotopy_action(f: SmoothMap, g: MediatorFunction) -> TimeAction:
     """H(t,y) = (1 - g(t))*y + g(t)*f(y): identity at t=0, exactly f at t=1."""
     if f.in_dim != f.out_dim:
         raise ValueError("homotopy target must have equal input/output arity")
-    if not f.is_symbolic:
-        raise ValueError("homotopy target must be expression-backed")
     if "t" in f.inputs:
         raise ValueError("the mediator's time variable 't' collides with a state variable")
     one_minus_g = Const(1.0) - g.g
@@ -397,7 +395,7 @@ def _critical_points(
 
 @dataclass(frozen=True)
 class DiffeoClassifier:
-    """Per-time diffeomorphism probe for a 1-D expression-backed action."""
+    """Per-time diffeomorphism probe for a 1-D action."""
 
     action: TimeAction
     y_grid: SamplingGrid
@@ -440,8 +438,8 @@ class DiffeoClassifier:
 
 
 def diffeo_classifier(action: TimeAction, y_grid: SamplingGrid) -> DiffeoClassifier:
-    if action.dim != 1 or not action.map.is_symbolic:
-        raise ValueError("classification needs a 1-D, expression-backed action")
+    if action.dim != 1:
+        raise ValueError("classification needs a 1-D action")
     return DiffeoClassifier(action, y_grid)
 
 

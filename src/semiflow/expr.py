@@ -20,7 +20,7 @@ up most of the leaves a derivative creates before folding drops them.
 
 Evaluation has one path: compiled code from one generator,
 `_emit_system`, which computes shared subtrees once. Every
-expression-backed `SmoothMap` compiles its outputs once into one
+`SmoothMap` compiles its outputs once into one
 `compile_system` lambda; `compile_expr` is its one-output case. The tree
 walk `evaluate` applies the same domain rules node by node; it is kept as
 the reference the compiled code is tested against.

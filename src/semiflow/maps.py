@@ -1,7 +1,8 @@
-"""Smooth maps R^m -> R^n backed by expression trees or plain callables.
+"""Smooth maps R^m -> R^n given per coordinate by expression trees.
 
 Differentiation, freezing and composition are symbolic: they take and
-return expression-backed maps. A callable-backed map can only be called.
+return maps. Every map evaluates through the compiled code of its
+outputs.
 """
 
 from __future__ import annotations
@@ -27,68 +28,55 @@ from .expr import (
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A map given per-coordinate by expressions, or by a named builtin callable.
+    """A map given per coordinate by expressions in its named inputs.
 
-    Expression-backed maps support exact differentiation and symbolic
-    composition; callable-backed ones only evaluation. Expression-backed
-    maps compile their outputs into one lambda on first call (`compiled`).
+    Supports exact differentiation and symbolic composition; the outputs
+    compile into one lambda on first call (`compiled`).
     """
 
     inputs: tuple[str, ...]
     outputs: tuple[Expr, ...] = ()
-    func: Callable[..., tuple[float, ...]] | None = None
-    out_dim: int = 0
     name: str = ""
 
     def __post_init__(self):
-        if bool(self.outputs) == (self.func is not None):
-            raise ExprError("SmoothMap needs exactly one backing: outputs or func")
-        if self.outputs:
-            object.__setattr__(self, "out_dim", len(self.outputs))
-            declared = set(self.inputs)
-            if not free_vars(*self.outputs) <= declared:
-                # cold path: name the first output that strays
-                for coord in self.outputs:
-                    stray = free_vars(coord) - declared
-                    if stray:
-                        raise ExprError(
-                            f"output '{to_text(coord)}' uses undeclared "
-                            f"variables {sorted(stray)}"
-                        )
-        if self.out_dim < 1:
-            raise ExprError("output arity must be >= 1")
+        if not self.outputs:
+            raise ExprError("a SmoothMap needs at least one output expression")
+        declared = set(self.inputs)
+        if not free_vars(*self.outputs) <= declared:
+            # cold path: name the first output that strays
+            for coord in self.outputs:
+                stray = free_vars(coord) - declared
+                if stray:
+                    raise ExprError(
+                        f"output '{to_text(coord)}' uses undeclared "
+                        f"variables {sorted(stray)}"
+                    )
 
     @property
     def in_dim(self) -> int:
         return len(self.inputs)
 
     @property
-    def is_symbolic(self) -> bool:
-        return bool(self.outputs)
+    def out_dim(self) -> int:
+        return len(self.outputs)
 
     def __call__(self, *args: float) -> tuple[float, ...]:
         if len(args) != self.in_dim:
             raise ExprError(
                 f"expected {self.in_dim} arguments ({self.inputs}), got {len(args)}"
             )
-        if self.func is not None:
-            return tuple(map(float, self.func(*args)))
         return self.compiled(*args)
 
     @cached_property
     def compiled(self) -> Callable[..., tuple[float, ...]]:
         """All outputs as one lambda of the inputs, compiled on first use."""
-        if not self.is_symbolic:
-            raise ExprError("callable-backed map has no compiled outputs")
         return compile_system(self.outputs, self.inputs)
 
     def at(self, point: Sequence[float]) -> tuple[float, ...]:
         return self(*point)
 
     def partial(self, var: str) -> "SmoothMap":
-        """Coordinate-wise exact partial derivative (symbolic backing only)."""
-        if not self.is_symbolic:
-            raise ExprError("cannot differentiate a callable-backed map exactly")
+        """Coordinate-wise exact partial derivative."""
         return SmoothMap(
             self.inputs,
             tuple(diff(c, var) for c in self.outputs),
@@ -97,8 +85,6 @@ class SmoothMap:
 
     def freeze(self, **values: float) -> "SmoothMap":
         """Substitute constants for some inputs, dropping them from the signature."""
-        if not self.is_symbolic:
-            raise ExprError("cannot freeze inputs of a callable-backed map")
         mapping = {k: Const(float(v)) for k, v in values.items()}
         remaining = tuple(v for v in self.inputs if v not in values)
         return SmoothMap(
@@ -126,8 +112,6 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
         raise ExprError(
             f"arity mismatch: outer expects {outer.in_dim}, inner yields {inner.out_dim}"
         )
-    if not (outer.is_symbolic and inner.is_symbolic):
-        raise ExprError("cannot compose a callable-backed map symbolically")
     mapping = dict(zip(outer.inputs, inner.outputs))
     return SmoothMap(
         inner.inputs,

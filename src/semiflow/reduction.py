@@ -6,7 +6,9 @@ coordinate with derivative 1. Its one-time evolution operator E_A(s)
 then packages the full two-time operator: the first component is t + s
 and the second is E(t, t+s), so the two-time algebra
 E(s,r)∘E(t,s) = E(t,r) becomes the one-parameter law
-E_A(r)∘E_A(s) = E_A(s+r) one dimension up.
+E_A(r)∘E_A(s) = E_A(s+r) one dimension up. E_A is therefore a plain
+`TimeAction` in (s, t, Y), and the two-time operator an `EvolutionOp`;
+both are given by expressions.
 
 For the square-root action y + sqrt(t)*y^2 the two-time operator has the
 closed form E(t,s)(y) = y* + sqrt(s)*y*^2 with
@@ -32,7 +34,7 @@ from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 from .actions import TimeAction
-from .expr import Const, EvalDomainError
+from .expr import Const, EvalDomainError, Expr, parse_expr, substitute_many
 from .grids import SamplingGrid
 from .maps import SmoothMap, map_from_exprs
 from .report import Tally, VerificationReport, Witness, deviation, nan_max
@@ -53,8 +55,8 @@ class IntegrationError(Exception):
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """Explicit first-order system; the RHS is an expression-backed map of
-    (t, y...) or just (y...)."""
+    """Explicit first-order system; the RHS is a SmoothMap of (t, y...) or
+    just (y...)."""
 
     name: str
     kind: str  # "autonomous" | "nonautonomous"
@@ -65,8 +67,6 @@ class OdeSystem:
     def __post_init__(self):
         if self.kind not in ("autonomous", "nonautonomous"):
             raise ValueError("kind must be 'autonomous' or 'nonautonomous'")
-        if not self.rhs.is_symbolic:
-            raise ValueError("the RHS must be an expression-backed map")
         want = self.dim if self.kind == "autonomous" else self.dim + 1
         if self.rhs.in_dim != want or self.rhs.out_dim != self.dim:
             raise ValueError(
@@ -285,69 +285,31 @@ def _rk4_kernel(dim: int, autonomous: bool) -> Callable[..., tuple[array, ...]]:
 
 @dataclass(frozen=True)
 class EvolutionOp:
-    """One-time E(s) (autonomous) or two-time E(t0, t1) (non-autonomous) operator,
-    given by a closed-form SmoothMap with inputs (s, x...) or (t0, t1, x...)."""
+    """The two-time operator E(t0, t1) of a non-autonomous system, given by a
+    closed-form SmoothMap with inputs (t0, t1, x...).
+
+    The one-time operator E_A(s) one dimension up is a plain `TimeAction`
+    in (s, t, x...), which the axiom checks of `actions` take directly.
+    """
 
     name: str
-    kind: str  # "one_time" | "two_time"
     dim: int
     closed_form: SmoothMap
     time_domain: str = "full"  # "nonneg": times outside [0, inf) are domain errors
     validity: Callable[..., bool] | None = None
     inverse_domain: Callable[..., bool] | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("one_time", "two_time"):
-            raise ValueError("kind must be 'one_time' or 'two_time'")
-
-    def _check_time(self, *ts: float) -> None:
-        if self.time_domain == "nonneg" and any(t < 0.0 for t in ts):
-            raise EvalDomainError(
-                f"time arguments {ts!r} outside the operator's domain [0, inf)"
-            )
-
-    def apply_one(self, s: float, x: Sequence[float]) -> tuple[float, ...]:
-        if self.kind != "one_time":
-            raise ValueError("not a one-time operator")
-        self._check_time(s)
-        return self.closed_form(s, *x)
-
     def apply_two(self, t0: float, t1: float, x: Sequence[float]) -> tuple[float, ...]:
-        if self.kind != "two_time":
-            raise ValueError("not a two-time operator")
-        self._check_time(t0, t1)
+        if self.time_domain == "nonneg" and (t0 < 0.0 or t1 < 0.0):
+            raise EvalDomainError(
+                f"time arguments {(t0, t1)!r} outside the operator's domain [0, inf)"
+            )
         return self.closed_form(t0, t1, *x)
-
-    def valid_one(self, s: float, x: Sequence[float]) -> bool:
-        if self.time_domain == "nonneg" and s < 0.0:
-            return False
-        return self.validity is None or self.validity(s, tuple(x))
 
     def valid_two(self, t0: float, t1: float, x: Sequence[float]) -> bool:
         if self.time_domain == "nonneg" and (t0 < 0.0 or t1 < 0.0):
             return False
         return self.validity is None or self.validity(t0, t1, tuple(x))
-
-
-def as_time_action(op: EvolutionOp, state_names: Sequence[str] | None = None) -> TimeAction:
-    """View a one-time operator as a TimeAction so the axiom checks apply."""
-    if op.kind != "one_time":
-        raise ValueError("only one-time operators act as one-parameter families")
-    names = tuple(state_names or (f"x{i + 1}" for i in range(op.dim)))
-    return TimeAction(
-        name=op.name,
-        dim=op.dim,
-        time_domain="nonneg" if op.time_domain == "nonneg" else "full",
-        time_var="s",
-        state_vars=names,
-        map=SmoothMap(
-            ("s", *names),
-            func=lambda s, *x: op.apply_one(s, x),
-            out_dim=op.dim,
-            name=op.name,
-        ),
-        validity=lambda s, x: op.valid_one(s, x),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +349,9 @@ def gls_slice(t: float, z: float) -> float:
 
 
 def _gls_valid_state(t: float, y: float) -> bool:
-    return t >= 0.0 and 1.0 + 4.0 * math.sqrt(t) * y >= -1e-12
+    """(t, y) lies in the closed form's domain: t >= 0 and a radicand
+    1 + 4*sqrt(t)*y >= 0, computed as the closed form computes it."""
+    return t >= 0.0 and 1.0 + 4.0 * math.sqrt(t) * y >= 0.0
 
 
 def _gls_branch_ok(s: float, t: float, y: float) -> bool:
@@ -404,6 +368,14 @@ def _gls_branch_ok(s: float, t: float, y: float) -> bool:
         return False
 
 
+def _gls_closed_form(t: str, s: str) -> Expr:
+    """E(t,s)(y) as an expression: y* + sqrt(s)*y*^2 with one shared y* node
+    2*y/(1 + sqrt(1 + 4*sqrt(t)*y)), the arithmetic of `gls_two_time` in
+    its order, without its clamp: a negative radicand is a domain error."""
+    ystar = parse_expr(f"2*y/(1 + sqrt(1 + 4*sqrt({t})*y))")
+    return substitute_many(parse_expr(f"z + sqrt({s})*z*z"), {"z": ystar})
+
+
 def gls_two_time_op() -> EvolutionOp:
     def guard(a: float, b: float, x: tuple[float, ...]) -> bool:
         # the bounded root at time max(a,b) must recover the same branch
@@ -414,13 +386,9 @@ def gls_two_time_op() -> EvolutionOp:
 
     return EvolutionOp(
         name="sqrt-gls-two-time",
-        kind="two_time",
         dim=1,
         closed_form=SmoothMap(
-            ("t0", "t1", "y"),
-            func=lambda t0, t1, y: (gls_two_time(t0, t1, y),),
-            out_dim=1,
-            name="sqrt-gls-two-time",
+            ("t0", "t1", "y"), (_gls_closed_form("t0", "t1"),), name="sqrt-gls-two-time"
         ),
         time_domain="nonneg",
         validity=lambda t0, t1, x: _gls_valid_state(t0, x[0]),
@@ -428,25 +396,21 @@ def gls_two_time_op() -> EvolutionOp:
     )
 
 
-def gls_one_time_op() -> EvolutionOp:
+def gls_one_time_op() -> TimeAction:
     """The autonomous operator one dimension up: E_A(s)(t,y) = (t+s, E(t,t+s)(y))."""
-    return EvolutionOp(
+    return TimeAction(
         name="sqrt-gls-evolution",
-        kind="one_time",
         dim=2,
-        closed_form=SmoothMap(
+        time_domain="nonneg",
+        time_var="s",
+        state_vars=("t", "y"),
+        map=SmoothMap(
             ("s", "t", "y"),
-            func=lambda s, t, y: (t + s, gls_two_time(t, t + s, y)),
-            out_dim=2,
+            (parse_expr("t + s"), _gls_closed_form("t", "t + s")),
             name="sqrt-gls-evolution",
         ),
-        time_domain="nonneg",
-        validity=lambda s, x: _gls_valid_state(x[0], x[1]) and _gls_branch_ok(s, x[0], x[1]),
+        validity=lambda s, x: _gls_valid_state(*x) and _gls_branch_ok(s, *x),
     )
-
-
-def gls_time_action() -> TimeAction:
-    return as_time_action(gls_one_time_op(), ("t", "y"))
 
 
 # ---------------------------------------------------------------------------
@@ -465,27 +429,22 @@ def quadratic_system() -> OdeSystem:
 def quadratic_two_time_op() -> EvolutionOp:
     return EvolutionOp(
         name="quadratic-two-time",
-        kind="two_time",
         dim=1,
-        closed_form=SmoothMap(
-            ("t0", "t1", "y"),
-            func=lambda t0, t1, y: (t1 * t1 - t0 * t0 + y,),
-            out_dim=1,
-            name="quadratic-two-time",
+        closed_form=map_from_exprs(
+            ("t0", "t1", "y"), ["t1*t1 - t0*t0 + y"], name="quadratic-two-time"
         ),
     )
 
 
-def quadratic_one_time_op() -> EvolutionOp:
-    return EvolutionOp(
+def quadratic_one_time_op() -> TimeAction:
+    return TimeAction(
         name="quadratic-evolution",
-        kind="one_time",
         dim=2,
-        closed_form=SmoothMap(
-            ("s", "t", "y"),
-            func=lambda s, t, y: (t + s, s * s + 2.0 * s * t + y),
-            out_dim=2,
-            name="quadratic-evolution",
+        time_domain="full",
+        time_var="s",
+        state_vars=("t", "y"),
+        map=map_from_exprs(
+            ("s", "t", "y"), ["t + s", "s*s + 2*s*t + y"], name="quadratic-evolution"
         ),
     )
 
@@ -499,7 +458,7 @@ def quadratic_slice(t: float, z: float) -> float:
 # operator-law verification
 
 
-def first_component_check(op: EvolutionOp, grid: SamplingGrid, tol: float) -> VerificationReport:
+def first_component_check(op: TimeAction, grid: SamplingGrid, tol: float) -> VerificationReport:
     """First output of an augmented one-time operator must be exactly t + s.
 
     Grid axes: (s, t, y1..yl). Points outside the operator's domain are
@@ -507,12 +466,12 @@ def first_component_check(op: EvolutionOp, grid: SamplingGrid, tol: float) -> Ve
     """
     tally = Tally(tol)
     for point in grid.points():
-        s, t, y = point[0], point[1], point[2:]
-        if not op.valid_one(s, (t, *y)):
+        s, t, x = point[0], point[1], point[1:]
+        if not op.valid_at(s, x):
             tally.skip()
             continue
         try:
-            out = op.apply_one(s, (t, *y))
+            out = op(s, x)
         except EvalDomainError:
             tally.skip()
             continue
@@ -521,7 +480,7 @@ def first_component_check(op: EvolutionOp, grid: SamplingGrid, tol: float) -> Ve
 
 
 def one_time_law_check(
-    op: EvolutionOp,
+    op: TimeAction,
     pairs: Sequence[tuple[float, float]],
     grid: SamplingGrid,
     tol: float,
@@ -534,16 +493,16 @@ def one_time_law_check(
     tally = Tally(tol)
     for s, r in pairs:
         for x in grid.points():
-            if not op.valid_one(s, x):
+            if not op.valid_at(s, x):
                 tally.skip()
                 continue
             try:
-                mid = op.apply_one(s, x)
-                if not op.valid_one(r, mid):
+                mid = op(s, x)
+                if not op.valid_at(r, mid):
                     tally.skip()
                     continue
-                lhs = op.apply_one(r, mid)
-                rhs = op.apply_one(s + r, x)
+                lhs = op(r, mid)
+                rhs = op(s + r, x)
             except EvalDomainError:
                 tally.skip()
                 continue
@@ -744,7 +703,7 @@ def closed_form_deviations(
     action: TimeAction, ys: tuple[float, ...], traj: Trajectory
 ) -> list[float]:
     """The `deviation` of every sample of `traj` from the action's value at
-    ys, through the compiled outputs of its expression-backed map."""
+    ys, through the compiled outputs of its map."""
     reference = action.map.compiled
     states = zip(*traj.columns)
     return [deviation(state, reference(tau, *ys)) for tau, state in zip(traj.times, states)]

@@ -65,8 +65,6 @@ def canonical_parametric(U: SmoothMap) -> ParametricFunction:
     """The chart x -> (x, U(x)); its image is the graph of U by construction."""
     if U.out_dim != 1:
         raise ExprError("canonical chart needs a single-output map")
-    if not U.is_symbolic:
-        raise ExprError("canonical chart needs an expression-backed map")
     chart = SmoothMap(
         U.inputs,
         tuple(Var(v) for v in U.inputs) + (U.outputs[0],),
@@ -145,12 +143,13 @@ def is_graph(
     return True, None
 
 
-def regraph(V: ParametricFunction, grid: SamplingGrid) -> SmoothMap:
+def regraph(V: ParametricFunction, grid: SamplingGrid) -> Callable[[float], float]:
     """Rebuild a numeric U from a 1-D-base chart that passed is_graph.
 
     Monotone re-parametrization: samples are sorted by base coordinate and
-    linearly interpolated. Queries outside the sampled base range are
-    domain errors.
+    linearly interpolated. The result is a plain function x -> U(x), not a
+    SmoothMap: it has no formula to differentiate or compose. Queries
+    outside the sampled base range raise EvalDomainError.
     """
     if V.base_dim != 1:
         raise ExprError("re-graphing is implemented for 1-D bases")
@@ -162,17 +161,17 @@ def regraph(V: ParametricFunction, grid: SamplingGrid) -> SmoothMap:
     xs = [p[0] for p in pts]
     us = [p[1] for p in pts]
 
-    def interp(x: float) -> tuple[float]:
+    def interp(x: float) -> float:
         if not xs[0] <= x <= xs[-1]:
             raise EvalDomainError(f"query {x!r} outside the sampled base range")
         i = min(max(bisect_left(xs, x), 1), len(xs) - 1)
         x0, x1 = xs[i - 1], xs[i]
         if x1 == x0:
-            return (us[i],)
+            return us[i]
         w = (x - x0) / (x1 - x0)
-        return (us[i - 1] * (1.0 - w) + us[i] * w,)
+        return us[i - 1] * (1.0 - w) + us[i] * w
 
-    return SmoothMap(("x",), func=interp, out_dim=1, name="regraph")
+    return interp
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,6 @@ def resolve_residual(pde: PdeResidual, U: SmoothMap) -> Expr:
             f"solution must be a single-output map of {pde.vars!r}; got "
             f"{U.inputs!r} -> {U.out_dim}"
         )
-    if not U.is_symbolic:
-        raise ExprError("residual resolution needs an expression-backed solution")
     body = U.outputs[0]
 
     def walk(e: Expr) -> Expr:
@@ -273,7 +270,7 @@ def vertical_map(g: Expr | str, base_vars: Sequence[str]) -> SmoothMap:
 
 
 def is_vertical(f: SmoothMap) -> bool:
-    if not f.is_symbolic or f.in_dim != f.out_dim or f.in_dim < 2:
+    if f.in_dim != f.out_dim or f.in_dim < 2:
         return False
     base, value_var = f.inputs[:-1], f.inputs[-1]
     if any(f.outputs[i] != Var(v) for i, v in enumerate(base)):

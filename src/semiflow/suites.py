@@ -56,7 +56,6 @@ from .reduction import (
     flow_vs_closed_form,
     gls_one_time_op,
     gls_slice,
-    gls_time_action,
     gls_two_time,
     gls_two_time_op,
     one_time_law_check,
@@ -247,7 +246,7 @@ def suite_identity_axiom(config: SuiteConfig) -> list[VerificationReport]:
     for _, f in homotopy_family():
         reports.append(identity_check(homotopy_action(f, sqrt_mediator()), line, tol))
     reports.append(
-        identity_check(gls_time_action(), grid2d(0.0, 1.0, 5, -0.2, 4.0, 41), tol)
+        identity_check(gls_one_time_op(), grid2d(0.0, 1.0, 5, -0.2, 4.0, 41), tol)
     )
     return reports
 
@@ -269,7 +268,7 @@ def suite_noninvertibility(config: SuiteConfig) -> list[VerificationReport]:
     ]
     gls_grid = grid2d(0.0, 1.0, 3, -2.0, 2.0, 41)
     gls = dichotomy_classify(
-        gls_time_action(),
+        gls_one_time_op(),
         [0.25, 1.0, 4.0],
         gls_grid,
         config.tol("dichotomy", 1e-9),
@@ -474,7 +473,7 @@ def suite_parametric_graph(config: SuiteConfig) -> list[VerificationReport]:
     midpoints = grid1d(-1.995, 1.995, 400)
     tally = Tally(REGRAPH_TOL)
     for (x,) in midpoints.points():
-        u = U(x)[0]
+        u = U(x)
         tally.add(abs(u + x * x), (x,), (u, -x * x))
     report = tally.report("regraph[half-turn-parabola]", midpoints.summary())
     notes = (
@@ -544,11 +543,7 @@ def suite_burgers(config: SuiteConfig) -> list[VerificationReport]:
         "nonneg",
         "t",
         ("a",),
-        SmoothMap(
-            ("t", "a"),
-            func=lambda t, a, _c=c: (flow.move(t, a, (_c, d))[0],),
-            out_dim=1,
-        ),
+        flow.alpha.freeze(c=c, d=d),
     )
     position_grid = grid1d(-3.0, 3.0, 21)
     verdict = dichotomy_classify(position, [0.5, 1.0, 2.0], position_grid, tol_alg)

@@ -32,7 +32,7 @@ from semiflow.enforcing import (
 from semiflow.expr import EvalDomainError, parse_expr
 from semiflow.grids import grid1d, grid2d
 from semiflow.maps import SmoothMap, identity_map, scalar_map
-from semiflow.reduction import gls_time_action
+from semiflow.reduction import gls_one_time_op
 from semiflow.report import VerificationReport, Witness, deviation
 
 
@@ -222,16 +222,28 @@ def all_pairs_probe(m, grid, tol):
     return ProbeEvidence(witnesses, skipped=skipped)
 
 
-def tabulated_map(nx, ny, images):
-    """A map of the integer grid [0, nx-1] x [0, ny-1]; a None image is a domain error."""
+class TabulatedMap:
+    """A stand-in for a SmoothMap with arbitrary images: the probes read
+    only `inputs`, `in_dim`, `out_dim`, `at`, `__call__` and `name`."""
 
-    def func(x, y):
-        v = images[int(x) * ny + int(y)]
+    inputs, in_dim, out_dim, name = ("x", "y"), 2, 2, "tabulated"
+
+    def __init__(self, ny, images):
+        self.ny, self.images = ny, images
+
+    def __call__(self, x, y):
+        v = self.images[int(x) * self.ny + int(y)]
         if v is None:
             raise EvalDomainError("no image")
         return v
 
-    return SmoothMap(("x", "y"), func=func, out_dim=2), grid2d(0, nx - 1, nx, 0, ny - 1, ny)
+    def at(self, point):
+        return self(*point)
+
+
+def tabulated_map(nx, ny, images):
+    """A map of the integer grid [0, nx-1] x [0, ny-1]; a None image is a domain error."""
+    return TabulatedMap(ny, images), grid2d(0, nx - 1, nx, 0, ny - 1, ny)
 
 
 _ODD = [math.nan, math.inf, -math.inf, 1e300, -1e300, -0.0]
@@ -303,7 +315,7 @@ class TestDichotomy:
 
     def test_gls_evolution_is_genuine(self):
         res = dichotomy_classify(
-            gls_time_action(),
+            gls_one_time_op(),
             [0.25, 1.0, 4.0],
             grid2d(0.0, 1.0, 3, -2.0, 2.0, 41),
             1e-9,

@@ -168,9 +168,12 @@ def test_demo_quadratic_recovery(capsys):
 def test_demo_catalog_runs(capsys):
     from semiflow.cli import DEMOS
 
+    transcript = []
     for name in DEMOS:
         assert main(["demo", "--name", name]) == 0
-    capsys.readouterr()
+        transcript.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+    assert digest == "e5119e5df2df4a834bf722ee2c2ca2b4ca0d26a872dd566b46af88d0ce486fa6"
 
 
 def test_demo_unknown(capsys):
@@ -262,6 +265,11 @@ def test_scenario_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
         ({"suite": "heat-flow", "out": True}, "'out'"),
         ({"suite": "identity-axiom", "seed": 1.5}, "'seed'"),
         ({"suite": "identity-axiom", "seed": True}, "'seed'"),
+        (
+            {"suite": "gls-semigroup",
+             "grids": {"t": {"lo": 0, "hi": 1, "count": 3, "jitter": 0.5, "cuont": 99}}},
+            "grids.t has unknown keys ['cuont', 'jitter']",
+        ),
     ],
 )
 def test_scenario_value_of_the_wrong_type_exits_two(scenario, key, capsys):

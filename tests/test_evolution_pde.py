@@ -119,13 +119,10 @@ class TestParamFlow:
             identity_check,
         )
         from semiflow.grids import grid1d
-        from semiflow.maps import SmoothMap
 
         flow = soliton_param_flow()
-        c, d = 0.8, 0.5
         action = TimeAction(
-            "soliton-position-flow", 1, "nonneg", "t", ("a",),
-            SmoothMap(("t", "a"), func=lambda t, a: (flow.move(t, a, (c, d))[0],), out_dim=1),
+            "soliton-position-flow", 1, "nonneg", "t", ("a",), flow.alpha.freeze(c=0.8, d=0.5)
         )
         assert identity_check(action, grid1d(-3.0, 3.0, 21), 1e-12).passed
         assert composition_check(action, [(0.5, 1.5), (1.0, 1.0)], grid1d(-3.0, 3.0, 21), 1e-12).passed

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from semiflow.expr import EvalDomainError, ExprError, Var
+from semiflow.expr import EvalDomainError, ExprError
 from semiflow.grids import Axis, SamplingGrid, grid2d, linspace
 from semiflow.maps import SmoothMap, compose, identity_map, map_from_exprs, scalar_map
 from semiflow.rootfind import (
@@ -22,8 +22,6 @@ class TestSmoothMap:
     def test_exactly_one_backing(self):
         with pytest.raises(ExprError):
             SmoothMap(("x",))
-        with pytest.raises(ExprError):
-            SmoothMap(("x",), (Var("x"),), func=lambda x: (x,), out_dim=1)
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ExprError):
@@ -53,18 +51,6 @@ class TestSmoothMap:
         assert values[3] == (math.sin(x) ** 2 + math.exp(-x) * x, math.exp(-x) * x)
         assert m.partial("x")(0.0) == (1.0, 1.0) and len(systems) == 2  # a new map compiles anew
 
-    def test_callable_backed_map_has_no_compiled_outputs(self):
-        m = SmoothMap(("x",), func=lambda x: (2 * x,), out_dim=1)
-        assert m(2) == (4.0,)
-        with pytest.raises(ExprError, match="no compiled outputs"):
-            m.compiled
-
-    def test_builtin_backing(self):
-        m = SmoothMap(("x",), func=lambda x: (x * 2.0,), out_dim=1)
-        assert m(4.0) == (8.0,)
-        with pytest.raises(ExprError):
-            m.partial("x")
-
     def test_partial(self):
         m = scalar_map(("y",), "y^3")
         d = m.partial("y")
@@ -80,19 +66,12 @@ class TestSmoothMap:
         outer = scalar_map(("u",), "u^2")
         inner = scalar_map(("x",), "x + 1")
         c = compose(outer, inner)
-        assert c.is_symbolic
+        assert c.inputs == ("x",) and c.out_dim == 1
         assert c(2.0)[0] == 9.0
 
     def test_compose_arity_mismatch(self):
         with pytest.raises(ExprError):
             compose(scalar_map(("u", "v"), "u + v"), scalar_map(("x",), "x"))
-
-    def test_compose_rejects_a_callable_operand(self):
-        plain = SmoothMap(("u",), func=lambda u: (u * 2.0,), out_dim=1)
-        symbolic = scalar_map(("x",), "x + 1")
-        for outer, inner in ((plain, symbolic), (symbolic, plain)):
-            with pytest.raises(ExprError, match="callable-backed"):
-                compose(outer, inner)
 
     def test_identity_map(self):
         m = identity_map(("a", "b"))

@@ -34,7 +34,6 @@ from semiflow.reduction import (
     FLOW_MAX_STEPS,
     FLOW_START_STEPS,
     FLOW_TARGET_RATIO,
-    EvolutionOp,
     IntegrationError,
     OdeSystem,
     RecoverySettings,
@@ -351,13 +350,6 @@ def test_generated_kernel_matches_the_plain_loop(case):
     assert _flow_outcome(_kernel_run, *args) == _flow_outcome(_reference_rk4, *args)
 
 
-def test_ode_system_rejects_a_callable_rhs():
-    symbolic = augment_system(sqrt_ode_system("minus"))
-    plain = SmoothMap(symbolic.rhs.inputs, func=symbolic.rhs, out_dim=2)
-    with pytest.raises(ValueError, match="expression-backed"):
-        OdeSystem("plain", "autonomous", 2, plain, symbolic.validity)
-
-
 def test_initial_state_must_match_the_dimension():
     with pytest.raises(ValueError, match="needs 2 initial values"):
         integrate_flow(augment_system(quadratic_system()), 0.0, (1.0,), 1.0, 10)
@@ -366,10 +358,10 @@ def test_initial_state_must_match_the_dimension():
 class TestEvolutionOps:
     def test_one_time_identity(self):
         op = quadratic_one_time_op()
-        assert op.apply_one(0.0, (2.0, 3.0)) == (2.0, 3.0)
+        assert op(0.0, (2.0, 3.0)) == (2.0, 3.0)
         gls = gls_one_time_op()
         t, y = 0.7, 2.5
-        out = gls.apply_one(0.0, (t, y))
+        out = gls(0.0, (t, y))
         assert out[0] == t and out[1] == pytest.approx(y, abs=1e-12)
 
     def test_two_time_identity(self):
@@ -379,32 +371,15 @@ class TestEvolutionOps:
 
     def test_nonneg_domain_enforced(self):
         with pytest.raises(EvalDomainError):
-            gls_one_time_op().apply_one(-0.5, (0.0, 1.0))
+            gls_one_time_op()(-0.5, (0.0, 1.0))
         with pytest.raises(EvalDomainError):
             gls_two_time_op().apply_two(-1.0, 1.0, (0.0,))
 
     def test_quadratic_evolution_spots(self):
         op = quadratic_one_time_op()
-        assert op.apply_one(1.0, (2.0, 3.0)) == (3.0, 8.0)
-        mid = op.apply_one(1.0, (0.0, 1.0))
-        assert op.apply_one(2.0, mid) == op.apply_one(3.0, (0.0, 1.0)) == (3.0, 10.0)
-
-    def test_flow_backed_one_time(self):
-        # an RK4 flow of dY/ds = 1/Y^2 from Y(0) = y as the operator's map
-        def flow(s, y):
-            if s == 0.0:
-                return (y,)
-            return integrate_flow(cuberoot_ode_system(), 0.0, (y,), s, 400).final()
-
-        op = EvolutionOp(
-            name="cuberoot-flow-op",
-            kind="one_time",
-            dim=1,
-            closed_form=SmoothMap(("s", "y"), func=flow, out_dim=1),
-        )
-        got = op.apply_one(1.0, (1.0,))[0]
-        assert got == pytest.approx((3.0 + 1.0) ** (1.0 / 3.0), rel=1e-9)
-        assert op.apply_one(0.0, (1.7,)) == (1.7,)
+        assert op(1.0, (2.0, 3.0)) == (3.0, 8.0)
+        mid = op(1.0, (0.0, 1.0))
+        assert op(2.0, mid) == op(3.0, (0.0, 1.0)) == (3.0, 10.0)
 
 
 class TestGlsClosedForm:
@@ -438,6 +413,28 @@ class TestGlsClosedForm:
             mid = gls_two_time(s, t, y)
             assert gls_two_time(t, s, mid) == pytest.approx(y, rel=1e-10)
 
+    @given(st.floats(0.0, 9.0), st.floats(0.0, 9.0), st.floats(-10.0, 10.0))
+    @settings(max_examples=300)
+    @example(1.0, 2.0, -0.25)  # a zero radicand: the fold itself
+    @example(0.5, 1.0, -0.35355339059327373)  # a zero radicand off a round time
+    @example(0.5, 1.0, -0.3535533905932738)  # radicand -2.2e-16, which ystar_branch clamps
+    def test_closed_forms_equal_their_references(self, t, s, y):
+        # the expression-backed operators do the references' arithmetic in
+        # their order, so they agree bit for bit wherever they are defined
+        one, two = gls_one_time_op(), gls_two_time_op()
+        defined = 1.0 + 4.0 * math.sqrt(t) * y >= 0.0
+        assert reduction._gls_valid_state(t, y) == defined
+        if defined:
+            assert one(s, (t, y)) == (t + s, gls_two_time(t, t + s, y))
+            assert two.apply_two(t, s, (y,)) == (gls_two_time(t, s, y),)
+        else:
+            with pytest.raises(EvalDomainError):
+                one(s, (t, y))
+            with pytest.raises(EvalDomainError):
+                two.apply_two(t, s, (y,))
+        assert quadratic_one_time_op()(s, (t, y)) == (t + s, s * s + 2.0 * s * t + y)
+        assert quadratic_two_time_op().apply_two(t, s, (y,)) == (s * s - t * t + y,)
+
     @given(
         st.floats(0.0, 4.0, allow_nan=False),
         st.floats(-0.2, 5.0, allow_nan=False),
@@ -457,11 +454,11 @@ class TestGlsClosedForm:
     @settings(max_examples=200)
     def test_one_time_law_pointwise(self, t, s, r, y):
         op = gls_one_time_op()
-        assume(op.valid_one(s, (t, y)))
-        mid = op.apply_one(s, (t, y))
-        assume(op.valid_one(r, mid))
-        lhs = op.apply_one(r, mid)
-        rhs = op.apply_one(s + r, (t, y))
+        assume(op.valid_at(s, (t, y)))
+        mid = op(s, (t, y))
+        assume(op.valid_at(r, mid))
+        lhs = op(r, mid)
+        rhs = op(s + r, (t, y))
         scale = 1.0 + max(abs(v) for v in rhs)
         assert all(abs(a - b) <= 1e-11 * scale for a, b in zip(lhs, rhs))
 
@@ -474,9 +471,9 @@ class TestOperatorLaws:
 
     def test_first_component_keeps_the_first_eight_witnesses(self):
         # the first output is t + s + 1 everywhere: all 27 points fail
-        op = EvolutionOp(
-            "off-by-one", "one_time", 2,
-            closed_form=map_from_exprs(("s", "t", "y"), ["t + s + 1", "y"]),
+        op = TimeAction(
+            "off-by-one", 2, "full", "s", ("t", "y"),
+            map_from_exprs(("s", "t", "y"), ["t + s + 1", "y"]),
         )
         grid = SamplingGrid((Axis(0.0, 2.0, 3), Axis(0.0, 2.0, 3), Axis(-1.0, 1.0, 3)))
         rep = first_component_check(op, grid, 1e-12)
@@ -504,9 +501,9 @@ class TestOperatorLaws:
 
     def test_nan_deviation_carries_a_witness(self):
         # E(s)(x) = x at s = 0 and NaN (inf - inf) for every s > 0
-        op = EvolutionOp(
-            "nan-op", "one_time", 1,
-            closed_form=SmoothMap(("s", "x"), (parse_expr("x + (s*1e308*10 - s*1e308*10)"),)),
+        op = TimeAction(
+            "nan-op", 1, "full", "s", ("x",),
+            SmoothMap(("s", "x"), (parse_expr("x + (s*1e308*10 - s*1e308*10)"),)),
         )
         rep = one_time_law_check(op, [(1.0, 1.0)], grid1d(0.0, 1.0, 3), 1e-9)
         assert not rep.passed and math.isnan(rep.max_deviation)
@@ -526,11 +523,11 @@ class TestOperatorLaws:
         # share an image, and first components only ever move forward
         op = gls_one_time_op()
         s = 1.0
-        a = op.apply_one(s, (0.0, 0.0))
-        b = op.apply_one(s, (0.0, -1.0))
+        a = op(s, (0.0, 0.0))
+        b = op(s, (0.0, -1.0))
         assert abs(a[0] - b[0]) <= 1e-15 and abs(a[1] - b[1]) <= 1e-12
         for u in (0.0, 0.5, 2.0):
-            assert op.apply_one(u, a)[0] >= a[0]
+            assert op(u, a)[0] >= a[0]
 
 
 class TestRecovery:
