@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import random
 
 import pytest
 
 from semiflow.expr import EvalDomainError, ExprError
-from semiflow.grids import Axis, SamplingGrid, grid2d, linspace
+from semiflow.grids import Axis, SamplingGrid, _cell_key, _near_pairs, grid2d, linspace
 from semiflow.maps import SmoothMap, compose, identity_map, map_from_exprs, scalar_map
 from semiflow.rootfind import (
     RootSearchError,
@@ -37,6 +39,20 @@ class TestSmoothMap:
         assert m.at([2.0, 3.0]) == (5.0, 6.0)
         with pytest.raises(ExprError):
             m(1.0)
+
+    def test_wrong_arity_message(self):
+        m = map_from_exprs(("t", "y"), ["t + y"])
+        for args in [(1.0, 2.0, 3.0), (1.0,), ()]:
+            message = rf"^expected 2 arguments \(\('t', 'y'\)\), got {len(args)}$"
+            with pytest.raises(ExprError, match=message):
+                m(*args)
+
+    def test_type_error_at_the_right_arity_propagates(self):
+        # a bad argument type is the caller's error, not a malformed map
+        m = map_from_exprs(("t", "y"), ["t + y"])
+        with pytest.raises(TypeError) as info:
+            m("a", 1.0)
+        assert not isinstance(info.value, ExprError)
 
     def test_outputs_compile_once_per_map(self, monkeypatch):
         import semiflow.maps as maps
@@ -104,6 +120,76 @@ class TestGrids:
         assert v1 == v2
         assert v1[0] == 0.0 and v1[-1] == 1.0
         assert v1 != linspace(0.0, 1.0, 11)
+
+
+def _double_loop_pairs(points, side):
+    """The pairs `_near_pairs` promises, by brute force: every (i, j), i < j,
+    in loop order, whose cells are at most one apart per axis, or where
+    either cell cannot be computed."""
+    keys = [_cell_key(p, side) for p in points]
+    return [
+        (i, j)
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+        if keys[i] is None
+        or keys[j] is None
+        or all(abs(a - b) <= 1 for a, b in zip(keys[i], keys[j]))
+    ]
+
+
+def _seeded_point_sets(count, seed=20261018):
+    """Point sets of dimension 1-3: spread out, clustered or duplicated,
+    some with NaN or infinite coordinates, under sides from 0 to inf."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        n = rng.randint(0, 30)
+        scale = rng.choice([1.0, 1.0, 1e-8, 1e300])
+        side = rng.choice([0.0, 1e-9, math.inf, 0.05, 0.3, 1.0, rng.uniform(0.01, 2.0)])
+        kind = rng.choice(["spread", "clusters", "duplicates"])
+        if kind == "spread":
+            points = [[scale * rng.uniform(-3.0, 3.0) for _ in range(d)] for _ in range(n)]
+        elif kind == "clusters":
+            centres = [[scale * rng.uniform(-3.0, 3.0) for _ in range(d)] for _ in range(3)]
+            points = [
+                [c + scale * rng.uniform(-0.1, 0.1) for c in rng.choice(centres)]
+                for _ in range(n)
+            ]
+        else:
+            pool = [[scale * rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(4)]
+            points = [list(rng.choice(pool)) for _ in range(n)]
+        if points and rng.random() < 0.3:
+            for _ in range(rng.randint(1, 3)):
+                rng.choice(points)[rng.randrange(d)] = rng.choice([math.nan, math.inf, -math.inf])
+        yield [tuple(p) for p in points], side
+
+
+class TestNearPairs:
+    def test_matches_the_double_loop_pair_for_pair_and_in_order(self):
+        for points, side in _seeded_point_sets(2000):
+            assert list(_near_pairs(points, side)) == _double_loop_pairs(points, side)
+
+    def test_every_close_pair_is_a_candidate(self):
+        for points, side in _seeded_point_sets(500, seed=7):
+            got = set(_near_pairs(points, side))
+            for i in range(len(points)):
+                for j in range(i + 1, len(points)):
+                    gaps = [abs(a - b) for a, b in zip(points[i], points[j])]
+                    if all(g <= side / 2 for g in gaps):
+                        assert (i, j) in got
+
+    def test_loose_points_pair_with_every_other_point(self):
+        points = [(0.0, 0.0), (math.nan, 1.0), (5.0, 5.0), (math.inf, 0.0), (9.0, 9.0)]
+        assert list(_near_pairs(points, 1.0)) == [
+            (0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)
+        ]
+        assert len(list(_near_pairs(points, 0.0))) == 10  # a zero side: every pair
+
+    def test_stays_lazy(self):
+        # a caller that stops at its first match must not pay for all pairs
+        pairs = _near_pairs([(0.0, 0.0)] * 1000, 1.0)
+        assert inspect.isgenerator(pairs)
+        assert next(pairs) == (0, 1)
 
 
 class TestRootFinding:
