@@ -61,7 +61,7 @@ class TimeAction:
         return self.time_ok(t) and (self.validity is None or self.validity(t, tuple(y)))
 
     def __call__(self, t: float, y: Sequence[float]) -> tuple[float, ...]:
-        if not self.time_ok(t):
+        if self.time_domain != "full" and not t >= 0.0:  # time_ok, inlined: a per-point call
             raise EvalDomainError(f"time {t!r} outside the action's domain")
         return self.map(t, *y)
 

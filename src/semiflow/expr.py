@@ -766,7 +766,9 @@ def _check_params(params: tuple[str, ...]) -> None:
 
 
 def _lambda(params: tuple[str, ...], body: str) -> Callable:
-    return eval(f"lambda {', '.join(params)}: {body}", dict(_COMPILE_NS))  # noqa: S307 - closed namespace
+    # every lambda shares one namespace: the code only reads its globals,
+    # and the names it binds (_c0, ...) are locals of the lambda
+    return eval(f"lambda {', '.join(params)}: {body}", _COMPILE_NS)  # noqa: S307 - closed namespace
 
 
 # cached only because perfbench/child.py reads `compile_expr.cache_info()`

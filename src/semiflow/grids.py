@@ -85,7 +85,7 @@ def grid2d(
 
 def _cell_key(coords: Sequence[float], side: float) -> tuple[int, ...] | None:
     try:
-        return tuple(math.floor(c / side) for c in coords)
+        return tuple([math.floor(c / side) for c in coords])
     except (ZeroDivisionError, OverflowError, ValueError):  # zero side, ±inf, NaN
         return None
 
@@ -105,6 +105,12 @@ def _near_pairs(points: Sequence[Sequence[float]], side: float) -> Iterator[tupl
     infinite coordinate or quotient, a zero side) is paired with every
     other point.
 
+    Each occupied cell gets one neighbourhood: its members and those of
+    its occupied neighbour cells, sorted once. Only the lexicographically
+    positive half of the offsets is probed, and each adjacency found is
+    recorded in both cells. A point's later partners are then the part of
+    its cell's neighbourhood after it.
+
     Pairs come in the order of the double loop `for i: for j > i`, so a
     caller that stops at its first (or first k) matches finds the same
     ones as the loop.
@@ -118,15 +124,26 @@ def _near_pairs(points: Sequence[Sequence[float]], side: float) -> Iterator[tupl
         else:
             cells.setdefault(key, []).append(i)
     n = len(points)
-    offsets = list(itertools.product((-1, 0, 1), repeat=len(points[0]))) if n else []
+    zero = (0,) * (len(points[0]) if n else 0)
+    half = [off for off in itertools.product((-1, 0, 1), repeat=len(zero)) if off > zero]
+    hoods = {key: members[:] for key, members in cells.items()}
+    for key, members in cells.items():
+        for off in half:
+            near = tuple([k + o for k, o in zip(key, off)])
+            others = cells.get(near)
+            if others is not None:
+                hoods[key] += others
+                hoods[near] += members
+    for hood in hoods.values():
+        hood.sort()
     for i, key in enumerate(keys):
         if key is None:
             later = range(i + 1, n)
         else:
-            later = loose[bisect_right(loose, i):]
-            for off in offsets:
-                cell = cells.get(tuple(k + o for k, o in zip(key, off)), ())
-                later += cell[bisect_right(cell, i):]
-            later.sort()
+            hood = hoods[key]
+            later = hood[bisect_right(hood, i):]
+            if loose:
+                later += loose[bisect_right(loose, i):]
+                later.sort()
         for j in later:
             yield i, j

@@ -61,11 +61,15 @@ class SmoothMap:
         return len(self.outputs)
 
     def __call__(self, *args: float) -> tuple[float, ...]:
-        if len(args) != self.in_dim:
-            raise ExprError(
-                f"expected {self.in_dim} arguments ({self.inputs}), got {len(args)}"
-            )
-        return self.compiled(*args)
+        # the lambda checks the arity itself; name the map's inputs only then
+        try:
+            return self.compiled(*args)
+        except TypeError:
+            if len(args) != self.in_dim:
+                raise ExprError(
+                    f"expected {self.in_dim} arguments ({self.inputs}), got {len(args)}"
+                ) from None
+            raise
 
     @cached_property
     def compiled(self) -> Callable[..., tuple[float, ...]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Iterable, Sequence
 
 
@@ -30,7 +31,7 @@ def nan_max(values: Iterable[float]) -> float:
 
 
 def max_norm(v: Sequence[float]) -> float:
-    return nan_max(abs(x) for x in v)
+    return nan_max(map(abs, v))
 
 
 def deviation(lhs: Sequence[float], rhs: Sequence[float]) -> float:
@@ -40,8 +41,15 @@ def deviation(lhs: Sequence[float], rhs: Sequence[float]) -> float:
     `<= tol` test, as IEEE arithmetic does on its own for 1-vectors."""
     if len(lhs) == 1 == len(rhs):
         return abs(lhs[0] - rhs[0]) / (1.0 + abs(rhs[0]))
-    gap = nan_max(abs(a - b) for a, b in zip(lhs, rhs))
+    gap = nan_max(map(abs, map(sub, lhs, rhs)))
     return gap / (1.0 + max_norm(rhs))
+
+
+def _json_float(x: float) -> float | str:
+    """x itself, or the repr of a non-finite x ("nan", "inf", "-inf"):
+    strict JSON has no literal for those, and the standard parsers of
+    other languages reject the NaN and Infinity that `json` writes."""
+    return x if math.isfinite(x) else repr(x)
 
 
 @dataclass
@@ -51,7 +59,11 @@ class Witness:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"point": list(self.point), "values": list(self.values), "note": self.note}
+        return {
+            "point": [_json_float(x) for x in self.point],
+            "values": [_json_float(x) for x in self.values],
+            "note": self.note,
+        }
 
 
 @dataclass
@@ -108,8 +120,8 @@ class VerificationReport:
         return {
             "suite": self.suite,
             "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
+            "max_deviation": _json_float(self.max_deviation),
+            "tolerance": _json_float(self.tolerance),
             "grid": self.grid,
             "checked": self.checked,
             "skipped": self.skipped,

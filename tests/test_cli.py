@@ -43,6 +43,20 @@ def test_verify_adhoc_action_stray_variable(capsys):
     assert main(["verify", "--suite", "identity", "--action", "q*y"]) == 2
 
 
+def test_non_finite_report_is_strict_json(tmp_path, capsys):
+    # y*1e308*10 overflows to inf, so H(0, y) is NaN at every y but 0
+    out = tmp_path / "r.json"
+    action = "y + (y*1e308*10 - y*1e308*10)"
+    assert main(["verify", "--action", action, "--out", str(out)]) == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    (rep,) = json.loads(out.read_text(), parse_constant=reject)["suites"]["adhoc-identity"]
+    assert rep["max_deviation"] == "nan" and not rep["passed"]
+    assert rep["witnesses"][0] == {"note": "H(0,y) != y", "point": [-3.0], "values": ["nan"]}
+
+
 def test_verify_failing_tolerance_exits_one(capsys):
     # an unreachable tolerance must flip the exit code, not crash
     assert main(["verify", "--suite", "identity-axiom"]) == 0

@@ -513,6 +513,18 @@ class TestReservedNames:
         with pytest.raises(ExprError, match="reserved"):
             integrate_flow(sys_c0, 1.0, (3.0,), 2.0, 4)
 
+    def test_compiled_code_shares_one_namespace_it_never_writes(self):
+        from semiflow.expr import _COMPILE_NS
+
+        before = dict(_COMPILE_NS)
+        f = compile_system((parse_expr("sqrt(x)*sqrt(x) + x"),), ("x",))
+        g = compile_expr(parse_expr("exp(y) + exp(y)"), ("y",))
+        assert f.__globals__ is g.__globals__ is _COMPILE_NS
+        assert f(4.0) == (8.0,) and g(0.0) == 2.0
+        assert _COMPILE_NS == before  # the shared subtrees bound as _c0 stay local
+        with pytest.raises(ExprError, match="reserved"):
+            compile_system((parse_expr("_sqrt + x"),), ("x", "_sqrt"))
+
     def test_keywords_are_rejected(self):
         e = parse_expr("lambda + 1")
         assert evaluate(e, {"lambda": 1.0}) == 2.0

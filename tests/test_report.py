@@ -55,7 +55,7 @@ def test_tally_matches_the_plain_rule(events):
             tally.add(d, (float(k),), (d,), "n")
             k += 1
     got, want = tally.report("s", "g"), reference_report(events)
-    # NaN != NaN, so compare the JSON text, where NaN prints as NaN
+    # NaN != NaN, so compare the JSON text, where NaN is the string "nan"
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
@@ -66,6 +66,20 @@ def test_a_nan_deviation_gets_a_witness_and_fails():
     rep = tally.report("s")
     assert not rep.passed and math.isnan(rep.max_deviation)
     assert [w.point for w in rep.witnesses] == [(1.0,)]
+
+
+def _no_constants(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_non_finite_values_are_strict_json():
+    rep = VerificationReport.from_deviations(
+        "s", [0.0, math.nan], TOL, witnesses=[Witness((math.inf, 1.0), (-math.inf, math.nan))]
+    )
+    doc = json.loads(json.dumps(rep.to_dict()), parse_constant=_no_constants)
+    assert doc["max_deviation"] == "nan" and doc["tolerance"] == TOL
+    assert doc["witnesses"] == [{"point": ["inf", 1.0], "values": ["-inf", "nan"], "note": ""}]
+    assert rep.one_line().startswith("FAIL")
 
 
 def test_half_skipped_is_still_conclusive():
