@@ -75,7 +75,7 @@ from .suites import (
 # demos
 
 
-def _demo_sqrt_action(config: SuiteConfig) -> str:
+def _demo_sqrt_action() -> str:
     action = sqrt_action()
     lines = ["square-root singular action H(t,y) = y + sqrt(t)*y^2 on t >= 0"]
     for t, y in ((0.0, 5.0), (1.0, 2.0), (4.0, -0.5)):
@@ -94,7 +94,7 @@ def _demo_sqrt_action(config: SuiteConfig) -> str:
     return "\n".join(lines)
 
 
-def _demo_milder_action(config: SuiteConfig) -> str:
+def _demo_milder_action() -> str:
     action = milder_action()
     lines = ["everywhere-smooth variant H(t,y) = y + t*y^2 on all of R"]
     for t, y in ((0.0, 3.0), (-1.0, 1.0), (2.0, 1.0)):
@@ -107,7 +107,7 @@ def _demo_milder_action(config: SuiteConfig) -> str:
     return "\n".join(lines)
 
 
-def _demo_cuberoot(config: SuiteConfig) -> str:
+def _demo_cuberoot() -> str:
     action = cuberoot_group_action()
     comp = composition_check(action, [(1.0, 2.0), (-1.0, 2.0)], grid1d(-3.0, 3.0, 22), 1e-12)
     dich = dichotomy_classify(action, [0.5, 1.0, 2.0], grid1d(-3.0, 3.0, 22), 1e-9)
@@ -122,7 +122,7 @@ def _demo_cuberoot(config: SuiteConfig) -> str:
     )
 
 
-def _demo_homotopy(config: SuiteConfig) -> str:
+def _demo_homotopy() -> str:
     med = sqrt_mediator()
     lines = ["homotopy action H(t,y) = (1 - g(t))*y + g(t)*f(y), g = sqrt(t)"]
     for name, f in (("square", square_map()), ("bump", bump_map())):
@@ -136,7 +136,7 @@ def _demo_homotopy(config: SuiteConfig) -> str:
     return "\n".join(lines)
 
 
-def _demo_gls_evolution(config: SuiteConfig) -> str:
+def _demo_gls_evolution() -> str:
     op = gls_one_time_op()
     a = op(1.0, (0.0, 2.0))
     b = op(3.0, a)
@@ -153,7 +153,7 @@ def _demo_gls_evolution(config: SuiteConfig) -> str:
     )
 
 
-def _demo_quadratic_recovery(config: SuiteConfig) -> str:
+def _demo_quadratic_recovery() -> str:
     res = recover_evolution_detailed(quadratic_slice, 1.0, 2.0, 3.0)
     lines = [
         "recovering the two-time evolution of dY/dt = 2t from the slice E(0,t)(z) = t^2 + z",
@@ -170,7 +170,7 @@ def _demo_quadratic_recovery(config: SuiteConfig) -> str:
     return "\n".join(lines)
 
 
-def _demo_burgers(config: SuiteConfig) -> str:
+def _demo_burgers() -> str:
     U = burgers_soliton(0.0, 1.0, 1.0, 0.5)
     r = burgers_residual(U, 0.5, grid2d(0.0, 1.0, 5, -5.0, 5.0, 11))
     return "\n".join(
@@ -196,26 +196,26 @@ def _report_lines(reports: list[VerificationReport]) -> list[str]:
     return lines
 
 
-def _demo_rotated_parabola(config: SuiteConfig) -> str:
+def _demo_rotated_parabola() -> str:
     return "\n".join(
         [
             "parametric chart of the parabola u = x^2 under plane rotations",
-            *_report_lines(suite_parametric_graph(config)),
+            *_report_lines(suite_parametric_graph(SuiteConfig())),
             "  the chart survives either way: composition never needs an inverse",
         ]
     )
 
 
-def _demo_heat_flow(config: SuiteConfig) -> str:
+def _demo_heat_flow() -> str:
     return "\n".join(
         [
             "heat kernel exp(-x^2/(4 t))/sqrt(t) against U_t = U_xx",
-            *_report_lines(suite_heat_flow(config)),
+            *_report_lines(suite_heat_flow(SuiteConfig())),
         ]
     )
 
 
-def _demo_constrained(config: SuiteConfig) -> str:
+def _demo_constrained() -> str:
     scan = constrained_symmetry_scan(
         scaling_action(),
         strip_predicate,
@@ -238,7 +238,7 @@ def _demo_constrained(config: SuiteConfig) -> str:
     return "\n".join(lines)
 
 
-DEMOS: dict[str, tuple[str, Callable[[SuiteConfig], str]]] = {
+DEMOS: dict[str, tuple[str, Callable[[], str]]] = {
     "sqrt-action": ("singular action y + sqrt(t)*y^2: collisions and C^1 failure", _demo_sqrt_action),
     "milder-action": ("smooth variant y + t*y^2 and its resolved ODEs", _demo_milder_action),
     "cuberoot-group": ("cube-root flow: a group action from a singular RHS", _demo_cuberoot),
@@ -288,11 +288,13 @@ def config_from_scenario(doc: dict, seed_override: int | None, suite: str) -> Su
         if not (
             isinstance(spec, dict)
             and all(_is_number(spec.get(k)) for k in ("lo", "hi", "count"))
+            and math.isfinite(spec["lo"])
+            and math.isfinite(spec["hi"])
             and float(spec["count"]).is_integer()
         ):
             raise ValueError(
-                f"grids.{name} must be an object with numbers 'lo' and 'hi' and "
-                f"an integral 'count', got {spec!r}"
+                f"grids.{name} must be an object with finite numbers 'lo' and 'hi' "
+                f"and an integral 'count', got {spec!r}"
             )
         stray = set(spec) - {"lo", "hi", "count"}
         if stray:
@@ -427,7 +429,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     if args.name not in DEMOS:
         raise ValueError(f"unknown demo '{args.name}'; known: {', '.join(DEMOS)}")
-    print(DEMOS[args.name][1](SuiteConfig(seed=args.seed if args.seed is not None else 42)))
+    print(DEMOS[args.name][1]())
     return 0
 
 
@@ -477,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="print a worked transcript")
     p_demo.add_argument("--name", required=True)
-    p_demo.add_argument("--seed", type=int, default=None)
     p_demo.set_defaults(func=cmd_demo)
 
     p_flow = sub.add_parser("flow", help="integrate a named system and export CSV")

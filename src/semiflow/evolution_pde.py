@@ -3,11 +3,12 @@
 The viscous Burgers equation U_t + U U_x = mu U_xx has the traveling
 kink U(t,x) = c - sqrt(c^2+d) * tanh(sqrt(c^2+d)/(2 mu) * (x - x0 - c t)).
 Advancing time by t acts on the family parameters as
-(x0, (c,d)) -> (x0 + c t, (c,d)): a flow alpha on the position parameter
-with the speed/shape parameters frozen. The semigroup law of the time
-advance becomes the cocycle law of (alpha, beta), and for frozen beta the
-map (t, a) -> alpha(t, a, b) is itself a one-parameter action that the
-axiom checks from the actions module can classify.
+(x0, c, d) -> (x0 + c t, c, d): a one-parameter action (a `TimeAction`)
+that moves the position and leaves the speed/shape parameters frozen.
+The semigroup law of the time advance is that action's composition law,
+and for frozen (c, d) its position coordinate is itself a one-parameter
+action of the line that the axiom checks from the actions module can
+classify.
 
 The heat-kernel demo checks that exp(-x^2/(4 t))/sqrt(t) solves the heat
 equation U_t = U_xx.
@@ -16,8 +17,8 @@ equation U_t = U_xx.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .actions import TimeAction
 from .expr import Const, Deriv, Var, tanh
 from .grids import SamplingGrid
 from .maps import SmoothMap, map_from_exprs, scalar_map
@@ -55,65 +56,38 @@ def burgers_residual(U: SmoothMap, mu: float, grid: SamplingGrid) -> float:
 # the induced parameter flow
 
 
-@dataclass(frozen=True)
-class ParamFlow:
-    """alpha moves the position-like parameter, beta the remaining ones.
-
-    Both take (t, a, b...): alpha returns the new a, beta the new b-block.
-    """
-
-    alpha: SmoothMap
-    beta: SmoothMap
-
-    def __post_init__(self):
-        if self.alpha.inputs != self.beta.inputs:
-            raise ValueError("alpha and beta must share the (t, a, b...) signature")
-        if self.alpha.out_dim != 1:
-            raise ValueError("alpha is scalar")
-        if self.beta.out_dim != self.alpha.in_dim - 2:
-            raise ValueError("beta must return exactly the b-block")
-
-    @property
-    def b_dim(self) -> int:
-        return self.beta.out_dim
-
-    def move(self, t: float, a: float, b: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
-        args = (t, a, *b)
-        return self.alpha(*args)[0], self.beta(*args)
-
-
-def soliton_param_flow() -> ParamFlow:
-    """alpha(t, x0, (c,d)) = x0 + c*t with (c,d) frozen."""
-    return ParamFlow(
-        alpha=map_from_exprs(("t", "a", "c", "d"), ["a + c*t"], name="soliton-alpha"),
-        beta=map_from_exprs(("t", "a", "c", "d"), ["c", "d"], name="soliton-beta"),
+def soliton_param_flow() -> TimeAction:
+    """(t, (a, c, d)) -> (a + c*t, c, d): the position a moves, (c, d) stay."""
+    return TimeAction(
+        "soliton-param-flow",
+        3,
+        "nonneg",
+        "t",
+        ("a", "c", "d"),
+        map_from_exprs(("t", "a", "c", "d"), ["a + c*t", "c", "d"], name="soliton-param-flow"),
     )
 
 
-def param_flow_check(flow: ParamFlow, grid: SamplingGrid, tol: float) -> VerificationReport:
-    """Both cocycle identities of (alpha, beta) over a grid in (t, s, a, b...).
+def param_flow_check(flow: TimeAction, grid: SamplingGrid, tol: float) -> VerificationReport:
+    """The semigroup law flow(s, flow(t, p)) = flow(t+s, p) over a grid in (t, s, p...).
 
-    alpha(t+s,a,b) = alpha(s, alpha(t,a,b), beta(t,a,b)) and the same
-    shape for beta; with beta constant the second identity is trivial and
-    the first is the one-parameter law for each frozen b. Witnesses follow
+    With the speed/shape parameters frozen this is the one-parameter law
+    of the position flow for each frozen (c, d). Witnesses follow
     `report.Tally`.
     """
-    if len(grid.axes) != 2 + 1 + flow.b_dim:
-        raise ValueError(f"grid must sample (t, s, a, {flow.b_dim} b-axes)")
+    if len(grid.axes) != 2 + flow.dim:
+        raise ValueError(f"grid must sample (t, s and {flow.dim} state axes)")
     tally = Tally(tol)
     for point in grid.points():
-        t, s, a = point[0], point[1], point[2]
-        b = point[3:]
-        a_mid, b_mid = flow.move(t, a, b)
-        a_two, b_two = flow.move(s, a_mid, b_mid)
-        a_direct, b_direct = flow.move(t + s, a, b)
-        two, direct = (a_two, *b_two), (a_direct, *b_direct)
+        t, s, state = point[0], point[1], point[2:]
+        two = flow(s, flow(t, state))
+        direct = flow(t + s, state)
         tally.add(deviation(two, direct), point, (*two, *direct))
     return tally.report("param-flow-cocycle", grid.summary())
 
 
 def soliton_translation_check(
-    flow: ParamFlow,
+    flow: TimeAction,
     family,
     grid: SamplingGrid,
     tol: float,
@@ -139,9 +113,9 @@ def soliton_translation_check(
         if c * c + d <= 0.0 or mu <= 0.0:
             tally.skip()
             continue
-        moved_a, moved_b = flow.move(t, x0, (c, d))
+        moved_x0, moved_c, moved_d = flow(t, (x0, c, d))
         lhs = profile(x0, c, d, mu)(t, x)
-        rhs = profile(moved_a, moved_b[0], moved_b[1], mu)(0.0, x)
+        rhs = profile(moved_x0, moved_c, moved_d, mu)(0.0, x)
         tally.add(deviation(lhs, rhs), point, (*lhs, *rhs))
     return tally.report("soliton-translation", grid.summary())
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -37,25 +36,12 @@ class Axis:
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Cartesian product of per-axis linspaces, with optional seeded jitter.
-
-    jitter is a fraction of the axis step applied to interior points only,
-    so grids stay inside their boxes and runs stay byte-reproducible.
-    """
+    """Cartesian product of per-axis linspaces; the last axis varies fastest."""
 
     axes: tuple[Axis, ...]
-    seed: int = 42
-    jitter: float = 0.0
 
     def axis_values(self) -> list[list[float]]:
-        values = [ax.points() for ax in self.axes]
-        if self.jitter > 0.0:
-            rng = random.Random(self.seed)
-            for ax, vals in zip(self.axes, values):
-                step = (ax.hi - ax.lo) / (ax.count - 1)
-                for i in range(1, len(vals) - 1):
-                    vals[i] += self.jitter * step * rng.uniform(-0.5, 0.5)
-        return values
+        return [ax.points() for ax in self.axes]
 
     def points(self) -> Iterator[tuple[float, ...]]:
         return itertools.product(*self.axis_values())
@@ -68,9 +54,7 @@ class SamplingGrid:
         return n
 
     def summary(self) -> str:
-        spans = "×".join(f"[{ax.lo:g},{ax.hi:g}]#{ax.count}" for ax in self.axes)
-        tag = f" jitter={self.jitter:g} seed={self.seed}" if self.jitter else ""
-        return spans + tag
+        return "×".join(f"[{ax.lo:g},{ax.hi:g}]#{ax.count}" for ax in self.axes)
 
 
 def grid1d(lo: float, hi: float, count: int) -> SamplingGrid:

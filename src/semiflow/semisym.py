@@ -9,10 +9,11 @@ rotated parabola stops being a graph, but its chart is still a perfectly
 good parametric object.
 
 A map is a semi-symmetry of a PDE when it carries solutions to
-solutions. Vertical maps (x, u) -> (x, g(u)) always preserve graphs,
-so for them the transformed solution is built symbolically and its
-residual checked exactly; for non-vertical maps the chart may leave the
-function category, and that failure is reported, not judged.
+solutions. The semi-symmetries checked here are vertical maps
+(x, u) -> (x, g(u)): they send the graph of a solution U to the graph of
+g∘U, so the transformed solution is built symbolically and its residual
+checked exactly. A map that moves the base coordinates may turn a graph
+into a chart of no function; `is_graph` samples a chart for that.
 """
 
 from __future__ import annotations
@@ -98,15 +99,12 @@ def is_graph(
     their values differ by more than value_gap; the offending parameter
     pair is returned as the witness. Sampling semantics only.
 
-    A 1-D base is sorted and swept, O(n log n); the witness is the first
-    offending pair in base order. Samples with a NaN or infinite base are
-    left out of the sweep: under the exact predicate they are within
-    base_tol of no sample, and a NaN key would leave the sort unordered.
-    A higher-dimensional base goes through a
-    neighbour-cell index of side 2*base_tol (`grids._near_pairs`), O(n)
-    for spread-out samples plus one comparison per close pair; the witness
-    is the first offending pair (i, j), i < j, in grid order, exactly as an
-    all-pairs scan would find it.
+    Candidate pairs come from a neighbour-cell index of side 2*base_tol
+    (`grids._near_pairs`), O(n) for spread-out samples plus one comparison
+    per close pair; the witness is the first offending pair (i, j), i < j,
+    in grid order, exactly as an all-pairs scan would find it. A sample
+    with a NaN or infinite base coordinate is paired with every other
+    sample and judged by the same predicate.
     """
     samples = []
     for lam in grid.points():
@@ -115,21 +113,6 @@ def is_graph(
         except EvalDomainError:
             continue
         samples.append((base, value, lam))
-    if V.base_dim == 1:
-        samples = [rec for rec in samples if math.isfinite(rec[0][0])]
-        samples.sort(key=lambda rec: rec[0][0])
-        for i, (base_i, val_i, lam_i) in enumerate(samples):
-            for j in range(i + 1, len(samples)):
-                base_j, val_j, lam_j = samples[j]
-                if base_j[0] - base_i[0] > base_tol:
-                    break
-                if abs(val_j - val_i) > value_gap:
-                    return False, Witness(
-                        (*lam_i, *lam_j),
-                        (base_i[0], val_i, base_j[0], val_j),
-                        "same base point, two values",
-                    )
-        return True, None
     for i, j in _near_pairs([rec[0] for rec in samples], 2.0 * base_tol):
         base_i, val_i, lam_i = samples[i]
         base_j, val_j, lam_j = samples[j]
@@ -320,20 +303,20 @@ def semi_symmetry_check(
     grid: SamplingGrid,
     tol: float,
 ) -> VerificationReport:
-    """Does f map every registered solution to another solution?
+    """Does the vertical map f send every registered solution to another solution?
 
-    Members must be solutions already (precondition). Each is recast as a
-    chart, pushed through f, and required to remain a graph; vertical maps
-    are resolved symbolically and the transformed residual checked against
-    tol. A chart that stops being a graph is reported as
-    not-a-semi-symmetry-candidate in the function sense. `checked` counts
-    the grid points at which a transformed residual was evaluated.
+    f must be vertical over the PDE's variables, (x, u) -> (x, g(u))
+    (precondition); it then sends the graph of a member U to the graph of
+    g∘U, which is built symbolically and its residual checked against tol.
+    Members must be solutions already (precondition). `checked` counts the
+    grid points at which a transformed residual was evaluated.
     """
+    if not (is_vertical(f) and f.in_dim == len(pde.vars) + 1):
+        raise PreconditionError(
+            f"{f.name or 'f'} is not a vertical map (x, u) -> (x, g(u)) over {pde.vars!r}"
+        )
+    u, g = f.inputs[-1], f.outputs[-1]
     devs = []
-    witnesses = []
-    notes: list[str] = []
-    graph_failure = False
-    inconclusive = False
     for U in solution_family:
         base = residual_max(pde, U, grid)
         if not base <= tol:
@@ -341,42 +324,18 @@ def semi_symmetry_check(
                 f"family member {U.name or to_text(U.outputs[0])} is not a solution "
                 f"(residual {base:.3e})"
             )
-        chart = act(f, canonical_parametric(U))
-        ok, wit = is_graph(chart, grid)
-        if not ok:
-            graph_failure = True
-            if wit is not None:
-                witnesses.append(wit)
-            notes.append(
-                f"member {U.name or 'U'}: transformed chart leaves the function "
-                "category (not a semi-symmetry candidate in the function sense)"
-            )
-            continue
-        if is_vertical(f):
-            transformed = SmoothMap(
-                pde.vars, (chart.chart.outputs[-1],), name=f"{f.name}·{U.name}"
-            )
-            devs.append(residual_max(pde, transformed, grid))
-        else:
-            inconclusive = True
-            notes.append(
-                f"member {U.name or 'U'}: non-vertical action kept the graph, but "
-                "the re-graphed value is numeric only; residual not evaluated"
-            )
+        transformed = SmoothMap(
+            pde.vars, (substitute_many(g, {u: U.outputs[0]}),), name=f"{f.name}·{U.name}"
+        )
+        devs.append(residual_max(pde, transformed, grid))
     max_dev = nan_max(devs) if devs else 0.0
-    if graph_failure:
-        gap = witnesses[0].values[-1] - witnesses[0].values[1] if witnesses else 1.0
-        max_dev = nan_max((max_dev, abs(gap)))
     return VerificationReport(
         suite=f"semi-symmetry[{f.name or 'f'}]",
-        passed=(not graph_failure) and (not inconclusive) and max_dev <= tol,
+        passed=max_dev <= tol,
         max_deviation=max_dev,
         tolerance=tol,
         grid=grid.summary(),
-        witnesses=witnesses,
         checked=len(devs) * grid.size,
-        inconclusive=inconclusive,
-        notes=tuple(notes),
     )
 
 

@@ -122,8 +122,8 @@ class SuiteConfig:
         ]
 
 
-# expressions exercised by the symbolic-engine suite and available to demos;
-# each entry is (text, sampling box per free variable)
+# expressions exercised by the symbolic-engine suite; each entry is
+# (text, sampling box per free variable)
 EXPRESSION_CATALOG: dict[str, tuple[str, dict[str, tuple[float, float]]]] = {
     "sqrt-action": ("y + sqrt(t)*y^2", {"t": (0.01, 9.0), "y": (-3.0, 3.0)}),
     "milder-action": ("y + t*y^2", {"t": (-2.0, 2.0), "y": (-3.0, 3.0)}),
@@ -537,13 +537,14 @@ def suite_burgers(config: SuiteConfig) -> list[VerificationReport]:
     # for frozen (c,d) the position flow a -> a + c*t is itself a verified
     # one-parameter action; the dichotomy reports it invertible throughout
     c, d = 0.8, 0.5
+    frozen = flow.map.freeze(c=c, d=d)
     position = TimeAction(
         "soliton-position-flow",
         1,
         "nonneg",
         "t",
         ("a",),
-        flow.alpha.freeze(c=c, d=d),
+        SmoothMap(frozen.inputs, frozen.outputs[:1]),
     )
     position_grid = grid1d(-3.0, 3.0, 21)
     verdict = dichotomy_classify(position, [0.5, 1.0, 2.0], position_grid, tol_alg)

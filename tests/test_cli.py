@@ -284,6 +284,13 @@ def test_scenario_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
              "grids": {"t": {"lo": 0, "hi": 1, "count": 3, "jitter": 0.5, "cuont": 99}}},
             "grids.t has unknown keys ['cuont', 'jitter']",
         ),
+        # json reads -Infinity, Infinity and NaN as floats; a grid over them samples NaN
+        ({"suite": "gls-semigroup", "grids": {"y": {"lo": -math.inf, "hi": 4, "count": 5}}},
+         "grids.y must be an object with finite numbers"),
+        ({"suite": "gls-semigroup", "grids": {"y": {"lo": 0, "hi": math.inf, "count": 5}}},
+         "grids.y must be an object with finite numbers"),
+        ({"suite": "gls-semigroup", "grids": {"y": {"lo": math.nan, "hi": 4, "count": 5}}},
+         "grids.y must be an object with finite numbers"),
     ],
 )
 def test_scenario_value_of_the_wrong_type_exits_two(scenario, key, capsys):

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
+from semiflow.actions import TimeAction
 from semiflow.evolution_pde import (
-    ParamFlow,
     burgers_residual,
     burgers_soliton,
     heat_flow_demo,
@@ -80,49 +80,48 @@ class TestSoliton:
 class TestParamFlow:
     def test_identity_at_zero(self):
         flow = soliton_param_flow()
-        a, b = flow.move(0.0, 1.5, (0.7, -0.2))
-        assert a == 1.5 and b == (0.7, -0.2)
+        assert flow(0.0, (1.5, 0.7, -0.2)) == (1.5, 0.7, -0.2)
 
     def test_cocycle_exact_for_linear_flow(self):
         grid = SamplingGrid(
             (Axis(0.0, 2.0, 4), Axis(0.0, 2.0, 4), Axis(-3.0, 3.0, 5), Axis(-2.0, 2.0, 5), Axis(0.5, 2.0, 3))
         )
         rep = param_flow_check(soliton_param_flow(), grid, 1e-12)
-        assert rep.passed
+        assert rep.passed and rep.checked == grid.size
 
     def test_cocycle_for_nonconstant_beta(self):
-        # alpha = a + c*(exp(t)-1), beta = c*exp(t): a synthetic flow whose
-        # parameter block genuinely moves, still satisfying both identities
-        flow = ParamFlow(
-            alpha=map_from_exprs(("t", "a", "c"), ["a + c*(exp(t) - 1)"]),
-            beta=map_from_exprs(("t", "a", "c"), ["c*exp(t)"]),
+        # (a, c) -> (a + c*(exp(t)-1), c*exp(t)): a synthetic flow whose
+        # speed parameter genuinely moves, still a one-parameter action
+        flow = TimeAction(
+            "synthetic", 2, "nonneg", "t", ("a", "c"),
+            map_from_exprs(("t", "a", "c"), ["a + c*(exp(t) - 1)", "c*exp(t)"]),
         )
         grid = SamplingGrid(
             (Axis(0.0, 1.5, 4), Axis(0.0, 1.5, 4), Axis(-2.0, 2.0, 5), Axis(-1.0, 1.0, 5))
         )
-        rep = param_flow_check(flow, grid, 1e-12)
-        assert rep.passed
+        assert param_flow_check(flow, grid, 1e-12).passed
+        # c*t in place of c*(exp(t)-1) breaks the law once c moves
+        broken = TimeAction(
+            "broken", 2, "nonneg", "t", ("a", "c"),
+            map_from_exprs(("t", "a", "c"), ["a + c*t", "c*exp(t)"]),
+        )
+        assert not param_flow_check(broken, grid, 1e-12).passed
 
     def test_signature_validation(self):
-        with pytest.raises(ValueError):
-            ParamFlow(
-                alpha=map_from_exprs(("t", "a", "c"), ["a"]),
-                beta=map_from_exprs(("t", "a"), ["1"]),
-            )
+        grid = SamplingGrid((Axis(0.0, 1.0, 2), Axis(0.0, 1.0, 2), Axis(-1.0, 1.0, 3)))
+        with pytest.raises(ValueError, match="3 state axes"):
+            param_flow_check(soliton_param_flow(), grid, 1e-12)
 
     def test_frozen_parameters_give_a_time_action(self):
         # for fixed (c,d) the position flow is a plain translation semigroup
-        from semiflow.actions import (
-            TimeAction,
-            composition_check,
-            dichotomy_classify,
-            identity_check,
-        )
+        from semiflow.actions import composition_check, dichotomy_classify, identity_check
         from semiflow.grids import grid1d
+        from semiflow.maps import SmoothMap
 
-        flow = soliton_param_flow()
+        frozen = soliton_param_flow().map.freeze(c=0.8, d=0.5)
         action = TimeAction(
-            "soliton-position-flow", 1, "nonneg", "t", ("a",), flow.alpha.freeze(c=0.8, d=0.5)
+            "soliton-position-flow", 1, "nonneg", "t", ("a",),
+            SmoothMap(frozen.inputs, frozen.outputs[:1]),
         )
         assert identity_check(action, grid1d(-3.0, 3.0, 21), 1e-12).passed
         assert composition_check(action, [(0.5, 1.5), (1.0, 1.0)], grid1d(-3.0, 3.0, 21), 1e-12).passed
@@ -151,8 +150,7 @@ class TestTranslationCheck:
         # U(2, x) with x0=0 equals U(0, x) with x0 moved to 2
         flow = soliton_param_flow()
         U0 = burgers_soliton(0.0, 1.0, 1.0, 0.5)
-        a2, b2 = flow.move(2.0, 0.0, (1.0, 1.0))
-        U2 = burgers_soliton(a2, b2[0], b2[1], 0.5)
+        U2 = burgers_soliton(*flow(2.0, (0.0, 1.0, 1.0)), 0.5)
         for x in (-3.0, 0.0, 1.5, 4.0):
             assert U0(2.0, x)[0] == pytest.approx(U2(0.0, x)[0], abs=1e-12)
 

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from semiflow.expr import EvalDomainError, ExprError
-from semiflow.grids import Axis, SamplingGrid, _cell_key, _near_pairs, grid2d, linspace
+from semiflow.grids import Axis, _cell_key, _near_pairs, grid2d, linspace
 from semiflow.maps import SmoothMap, compose, identity_map, map_from_exprs, scalar_map
 from semiflow.rootfind import (
     RootSearchError,
@@ -112,14 +112,6 @@ class TestGrids:
             (1.0, 0.0), (1.0, 0.5), (1.0, 1.0),
         ]
         assert g.size == 6
-
-    def test_jitter_is_seeded_and_interior(self):
-        g1 = SamplingGrid((Axis(0.0, 1.0, 11),), seed=7, jitter=0.5)
-        g2 = SamplingGrid((Axis(0.0, 1.0, 11),), seed=7, jitter=0.5)
-        v1, v2 = g1.axis_values()[0], g2.axis_values()[0]
-        assert v1 == v2
-        assert v1[0] == 0.0 and v1[-1] == 1.0
-        assert v1 != linspace(0.0, 1.0, 11)
 
 
 def _double_loop_pairs(points, side):
