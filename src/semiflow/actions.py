@@ -24,8 +24,9 @@ from .report import Tally, VerificationReport, Witness, deviation, max_norm
 from .rootfind import RootSearchError, bisect, scan_brackets
 
 
-class PreconditionError(Exception):
-    """A check was invoked on input that fails its stated preconditions."""
+class PreconditionError(ValueError):
+    """A check was invoked on input that fails its stated preconditions:
+    bad input, which the command line turns into exit code 2."""
 
 
 @dataclass(frozen=True)

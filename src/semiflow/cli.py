@@ -436,6 +436,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def cmd_flow(args: argparse.Namespace) -> int:
     if args.system not in FLOW_SYSTEMS:
         raise ValueError(f"unknown system '{args.system}'; known: {', '.join(FLOW_SYSTEMS)}")
+    for flag, value in (("--t0", args.t0), ("--t1", args.t1)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite; got {value!r}")
+    if not (math.isfinite(args.eps_start) and args.eps_start >= 0.0):
+        raise ValueError(f"--eps-start must be finite and >= 0; got {args.eps_start!r}")
     sys_obj = FLOW_SYSTEMS[args.system]()
     y0 = tuple(float(v) for v in args.y0.split(",")) if args.y0 else (1.0,) * sys_obj.dim
     if len(y0) != sys_obj.dim:

@@ -17,8 +17,9 @@ equation U_t = U_xx.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from .actions import TimeAction
+from .actions import TimeAction, composition_check
 from .expr import Const, Deriv, Var, tanh
 from .grids import SamplingGrid
 from .maps import SmoothMap, map_from_exprs, scalar_map
@@ -71,19 +72,16 @@ def soliton_param_flow() -> TimeAction:
 def param_flow_check(flow: TimeAction, grid: SamplingGrid, tol: float) -> VerificationReport:
     """The semigroup law flow(s, flow(t, p)) = flow(t+s, p) over a grid in (t, s, p...).
 
-    With the speed/shape parameters frozen this is the one-parameter law
-    of the position flow for each frozen (c, d). Witnesses follow
-    `report.Tally`.
+    This is `composition_check` with outer time s and inner time t over the
+    state grid of the remaining axes, reported under the whole grid. With
+    the speed/shape parameters frozen it is the one-parameter law of the
+    position flow for each frozen (c, d).
     """
     if len(grid.axes) != 2 + flow.dim:
         raise ValueError(f"grid must sample (t, s and {flow.dim} state axes)")
-    tally = Tally(tol)
-    for point in grid.points():
-        t, s, state = point[0], point[1], point[2:]
-        two = flow(s, flow(t, state))
-        direct = flow(t + s, state)
-        tally.add(deviation(two, direct), point, (*two, *direct))
-    return tally.report("param-flow-cocycle", grid.summary())
+    times = [(s, t) for t, s in SamplingGrid(grid.axes[:2]).points()]
+    report = composition_check(flow, times, SamplingGrid(grid.axes[2:]), tol)
+    return replace(report, suite="param-flow-cocycle", grid=grid.summary())
 
 
 def soliton_translation_check(

@@ -7,8 +7,9 @@ then packages the full two-time operator: the first component is t + s
 and the second is E(t, t+s), so the two-time algebra
 E(s,r)∘E(t,s) = E(t,r) becomes the one-parameter law
 E_A(r)∘E_A(s) = E_A(s+r) one dimension up. E_A is therefore a plain
-`TimeAction` in (s, t, Y), and the two-time operator an `EvolutionOp`;
-both are given by expressions.
+`TimeAction` in (s, t, Y), whose one-time law `actions.composition_check`
+checks, and the two-time operator an `EvolutionOp`: an expression that
+raises outside its domain, plus the region where it can be inverted.
 
 For the square-root action y + sqrt(t)*y^2 the two-time operator has the
 closed form E(t,s)(y) = y* + sqrt(s)*y*^2 with
@@ -28,12 +29,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
-from .actions import TimeAction
+from .actions import TimeAction, composition_check
 from .expr import Const, EvalDomainError, Expr, parse_expr, substitute_many
 from .grids import SamplingGrid
 from .maps import SmoothMap, map_from_exprs
@@ -285,31 +286,18 @@ def _rk4_kernel(dim: int, autonomous: bool) -> Callable[..., tuple[array, ...]]:
 
 @dataclass(frozen=True)
 class EvolutionOp:
-    """The two-time operator E(t0, t1) of a non-autonomous system, given by a
-    closed-form SmoothMap with inputs (t0, t1, x...).
+    """The two-time operator E(t0, t1) of a non-autonomous system: a
+    closed-form SmoothMap with inputs (t0, t1, x...) that raises
+    `EvalDomainError` outside its domain, and optionally the predicate
+    inverse_domain(t0, t1, x) of the points where E(t1, t0) undoes it.
 
     The one-time operator E_A(s) one dimension up is a plain `TimeAction`
     in (s, t, x...), which the axiom checks of `actions` take directly.
     """
 
     name: str
-    dim: int
     closed_form: SmoothMap
-    time_domain: str = "full"  # "nonneg": times outside [0, inf) are domain errors
-    validity: Callable[..., bool] | None = None
     inverse_domain: Callable[..., bool] | None = None
-
-    def apply_two(self, t0: float, t1: float, x: Sequence[float]) -> tuple[float, ...]:
-        if self.time_domain == "nonneg" and (t0 < 0.0 or t1 < 0.0):
-            raise EvalDomainError(
-                f"time arguments {(t0, t1)!r} outside the operator's domain [0, inf)"
-            )
-        return self.closed_form(t0, t1, *x)
-
-    def valid_two(self, t0: float, t1: float, x: Sequence[float]) -> bool:
-        if self.time_domain == "nonneg" and (t0 < 0.0 or t1 < 0.0):
-            return False
-        return self.validity is None or self.validity(t0, t1, tuple(x))
 
 
 # ---------------------------------------------------------------------------
@@ -348,24 +336,23 @@ def gls_slice(t: float, z: float) -> float:
     return z + math.sqrt(t) * z * z
 
 
-def _gls_valid_state(t: float, y: float) -> bool:
-    """(t, y) lies in the closed form's domain: t >= 0 and a radicand
-    1 + 4*sqrt(t)*y >= 0, computed as the closed form computes it."""
-    return t >= 0.0 and 1.0 + 4.0 * math.sqrt(t) * y >= 0.0
-
-
-def _gls_branch_ok(s: float, t: float, y: float) -> bool:
-    """Applying E(t, t+s) stays on the bounded root branch.
+def _gls_on_branch(t: float, target: float, y: float) -> bool:
+    """E(t, target) is defined at y and stays on the bounded root branch:
+    t >= 0, a radicand 1 + 4*sqrt(t)*y >= 0 computed as the closed form
+    computes it, and 1 + 2*sqrt(target)*y* >= 0 with
+    y* = 2y/(1 + sqrt(radicand)).
 
     Past this fold the one-parameter law genuinely fails (the slice map is
-    non-injective and the bounded root at time t+s recovers a different
-    trajectory), so law checks must treat such points as outside the
-    action's validity region.
+    non-injective and the bounded root at the target time recovers a
+    different trajectory), so law checks must treat such points as outside
+    the operator's domain.
     """
-    try:
-        return 1.0 + 2.0 * math.sqrt(t + s) * ystar_branch(t, y) >= 0.0
-    except EvalDomainError:
+    if not t >= 0.0:
         return False
+    radicand = 1.0 + 4.0 * math.sqrt(t) * y
+    if not radicand >= 0.0:
+        return False
+    return 1.0 + 2.0 * math.sqrt(target) * (2.0 * y / (1.0 + math.sqrt(radicand))) >= 0.0
 
 
 def _gls_closed_form(t: str, s: str) -> Expr:
@@ -377,22 +364,13 @@ def _gls_closed_form(t: str, s: str) -> Expr:
 
 
 def gls_two_time_op() -> EvolutionOp:
-    def guard(a: float, b: float, x: tuple[float, ...]) -> bool:
-        # the bounded root at time max(a,b) must recover the same branch
-        try:
-            return 1.0 + 2.0 * math.sqrt(max(a, b)) * ystar_branch(a, x[0]) >= 0.0
-        except EvalDomainError:
-            return False
-
     return EvolutionOp(
         name="sqrt-gls-two-time",
-        dim=1,
         closed_form=SmoothMap(
             ("t0", "t1", "y"), (_gls_closed_form("t0", "t1"),), name="sqrt-gls-two-time"
         ),
-        time_domain="nonneg",
-        validity=lambda t0, t1, x: _gls_valid_state(t0, x[0]),
-        inverse_domain=guard,
+        # the bounded root at time max(t0, t1) must recover the same branch
+        inverse_domain=lambda t0, t1, x: _gls_on_branch(t0, max(t0, t1), x[0]),
     )
 
 
@@ -409,7 +387,7 @@ def gls_one_time_op() -> TimeAction:
             (parse_expr("t + s"), _gls_closed_form("t", "t + s")),
             name="sqrt-gls-evolution",
         ),
-        validity=lambda s, x: _gls_valid_state(*x) and _gls_branch_ok(s, *x),
+        validity=lambda s, x: _gls_on_branch(x[0], x[0] + s, x[1]),
     )
 
 
@@ -429,7 +407,6 @@ def quadratic_system() -> OdeSystem:
 def quadratic_two_time_op() -> EvolutionOp:
     return EvolutionOp(
         name="quadratic-two-time",
-        dim=1,
         closed_form=map_from_exprs(
             ("t0", "t1", "y"), ["t1*t1 - t0*t0 + y"], name="quadratic-two-time"
         ),
@@ -485,29 +462,11 @@ def one_time_law_check(
     grid: SamplingGrid,
     tol: float,
 ) -> VerificationReport:
-    """Max gap of E(r)(E(s)(x)) against E(s+r)(x) over the state grid.
-
-    Points that leave the operator's domain are skipped; witnesses and the
-    inconclusive verdict follow `report.Tally`.
-    """
-    tally = Tally(tol)
-    for s, r in pairs:
-        for x in grid.points():
-            if not op.valid_at(s, x):
-                tally.skip()
-                continue
-            try:
-                mid = op(s, x)
-                if not op.valid_at(r, mid):
-                    tally.skip()
-                    continue
-                lhs = op(r, mid)
-                rhs = op(s + r, x)
-            except EvalDomainError:
-                tally.skip()
-                continue
-            tally.add(deviation(lhs, rhs), (s, r, *x), (*lhs, *rhs))
-    return tally.report(f"one-time-law[{op.name}]", grid.summary())
+    """The one-parameter law E(r)(E(s)(x)) = E(s+r)(x) for each (s, r) in
+    `pairs`: `composition_check` with outer time r and inner time s, under
+    this check's name."""
+    report = composition_check(op, [(r, s) for s, r in pairs], grid, tol)
+    return replace(report, suite=f"one-time-law[{op.name}]")
 
 
 def two_time_law_check(
@@ -523,10 +482,8 @@ def two_time_law_check(
     tally = Tally(tol)
 
     def try_leg(a: float, b: float, x: tuple) -> tuple | None:
-        if not op.valid_two(a, b, x):
-            return None
         try:
-            return op.apply_two(a, b, x)
+            return op.closed_form(a, b, *x)
         except EvalDomainError:
             return None
 

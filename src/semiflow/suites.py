@@ -338,9 +338,6 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
     tally = Tally(tol_milder)
     for t, y in mgrid.points():
         branch = milder_branch_for(t, y)
-        if branch.name == "singular" and t == 0.0:
-            tally.skip()
-            continue
         r = ode_residual_milder(t, y, branch)
         tally.add(r, (t, y), (r,), branch.name)
     reports.append(tally.report("ode-residual[milder-branches]", mgrid.summary()))

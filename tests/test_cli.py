@@ -247,6 +247,25 @@ def test_flow_integration_error_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--eps-start", "-0.5"), ("--eps-start", "nan"), ("--eps-start", "inf"),
+     ("--t0", "-inf"), ("--t1", "inf"), ("--t1", "nan")],
+)
+def test_flow_times_must_be_finite_and_eps_start_nonnegative(flag, value, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    args = {"--t0": "0", "--t1": "1", "--eps-start": "0"}
+    args[flag] = value
+    rc = main(
+        ["flow", "--system", "quadratic", "--steps", "4", "--out", str(out)]
+        + [f"{k}={v}" for k, v in args.items()]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be finite")
+    assert not out.exists()
+
+
 def test_flow_unknown_system(capsys):
     assert main(
         ["flow", "--system", "nope", "--t0", "0", "--t1", "1", "--steps", "10", "--out", "/tmp/x.csv"]
@@ -297,6 +316,23 @@ def test_scenario_value_of_the_wrong_type_exits_two(scenario, key, capsys):
     assert run_suite(scenario) == 2
     captured = capsys.readouterr()
     assert key in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"suite": "noninvertibility", "tolerances": {"dichotomy": 1e-20}}, "identity axiom fails"),
+        ({"suite": "burgers", "tolerances": {"algebra": 1e-300}}, "composition law fails"),
+        ({"suite": "semi-symmetry", "expressions": {"residual": "D(U,t) + D(U,x)"}},
+         "is not a solution"),
+    ],
+)
+def test_failed_precondition_is_bad_input(scenario, message, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_suite({**scenario, "out": str(out)}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from semiflow.actions import TimeAction
+from semiflow.actions import TimeAction, composition_check
 from semiflow.evolution_pde import (
     burgers_residual,
     burgers_soliton,
@@ -105,7 +105,20 @@ class TestParamFlow:
             "broken", 2, "nonneg", "t", ("a", "c"),
             map_from_exprs(("t", "a", "c"), ["a + c*t", "c*exp(t)"]),
         )
-        assert not param_flow_check(broken, grid, 1e-12).passed
+        # the report is composition_check's over the state axes with outer
+        # time s and inner time t; only the suite name and grid summary differ
+        rep = param_flow_check(broken, grid, 1e-12)
+        times = [(s, t) for t in grid.axes[0].points() for s in grid.axes[1].points()]
+        comp = composition_check(broken, times, SamplingGrid(grid.axes[2:]), 1e-12)
+        assert (rep.suite, rep.grid) == ("param-flow-cocycle", grid.summary())
+        assert (comp.suite, comp.grid) == ("composition[broken]", "[-2,2]#5×[-1,1]#5")
+        assert rep.to_dict() == {**comp.to_dict(), "suite": rep.suite, "grid": rep.grid}
+        assert not rep.passed and rep.checked == grid.size and rep.skipped == 0
+        # witnesses read (outer time s, inner time t, a, c)
+        s, t, *p = rep.witnesses[0].point
+        lhs, rhs = broken(s, broken(t, p)), broken(t + s, p)
+        assert rep.witnesses[0].values == (*lhs, *rhs)
+        assert rep.witnesses[0].note == "H(t,H(s,y)) != H(t+s,y)"
 
     def test_signature_validation(self):
         grid = SamplingGrid((Axis(0.0, 1.0, 2), Axis(0.0, 1.0, 2), Axis(-1.0, 1.0, 3)))

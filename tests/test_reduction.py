@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semiflow import reduction
-from semiflow.actions import TimeAction
+from semiflow.actions import TimeAction, composition_check
 from semiflow.cli import FLOW_SYSTEMS
 from semiflow.enforcing import cuberoot_group_action, sqrt_action
 from semiflow.expr import (
@@ -365,15 +365,17 @@ class TestEvolutionOps:
         assert out[0] == t and out[1] == pytest.approx(y, abs=1e-12)
 
     def test_two_time_identity(self):
-        assert quadratic_two_time_op().apply_two(1.5, 1.5, (4.0,)) == (4.0,)
-        got = gls_two_time_op().apply_two(1.0, 1.0, (6.0,))[0]
+        assert quadratic_two_time_op().closed_form(1.5, 1.5, 4.0) == (4.0,)
+        got = gls_two_time_op().closed_form(1.0, 1.0, 6.0)[0]
         assert got == pytest.approx(6.0, abs=1e-10)
 
     def test_nonneg_domain_enforced(self):
         with pytest.raises(EvalDomainError):
             gls_one_time_op()(-0.5, (0.0, 1.0))
         with pytest.raises(EvalDomainError):
-            gls_two_time_op().apply_two(-1.0, 1.0, (0.0,))
+            gls_two_time_op().closed_form(-1.0, 1.0, 0.0)
+        with pytest.raises(EvalDomainError):
+            gls_two_time_op().closed_form(1.0, -1.0, 0.0)
 
     def test_quadratic_evolution_spots(self):
         op = quadratic_one_time_op()
@@ -422,18 +424,44 @@ class TestGlsClosedForm:
         # the expression-backed operators do the references' arithmetic in
         # their order, so they agree bit for bit wherever they are defined
         one, two = gls_one_time_op(), gls_two_time_op()
-        defined = 1.0 + 4.0 * math.sqrt(t) * y >= 0.0
-        assert reduction._gls_valid_state(t, y) == defined
-        if defined:
+        if 1.0 + 4.0 * math.sqrt(t) * y >= 0.0:
             assert one(s, (t, y)) == (t + s, gls_two_time(t, t + s, y))
-            assert two.apply_two(t, s, (y,)) == (gls_two_time(t, s, y),)
+            assert two.closed_form(t, s, y) == (gls_two_time(t, s, y),)
         else:
             with pytest.raises(EvalDomainError):
                 one(s, (t, y))
             with pytest.raises(EvalDomainError):
-                two.apply_two(t, s, (y,))
+                two.closed_form(t, s, y)
         assert quadratic_one_time_op()(s, (t, y)) == (t + s, s * s + 2.0 * s * t + y)
-        assert quadratic_two_time_op().apply_two(t, s, (y,)) == (s * s - t * t + y,)
+        assert quadratic_two_time_op().closed_form(t, s, y) == (s * s - t * t + y,)
+
+    @given(st.floats(-1.0, 9.0), st.floats(-1.0, 9.0), st.floats(-10.0, 10.0))
+    @settings(max_examples=300)
+    @example(1.0, 2.0, -0.25)  # a zero radicand: the fold itself
+    @example(0.5, 1.0, -0.35355339059327373)  # a zero radicand off a round time
+    @example(0.5, 1.0, -0.3535533905932738)  # radicand -2.2e-16, which ystar_branch clamps
+    def test_branch_predicate_is_the_old_conjunction(self, t, s, y):
+        def valid_state(t, y):  # the closed form's domain: t >= 0 and radicand >= 0
+            return t >= 0.0 and 1.0 + 4.0 * math.sqrt(t) * y >= 0.0
+
+        def bounded_root_at(target, t, y):  # E(t, target) keeps the bounded root
+            try:
+                ystar = ystar_branch(t, y)
+            except EvalDomainError:
+                return False
+            return 1.0 + 2.0 * math.sqrt(target) * ystar >= 0.0
+
+        # the one-time operator's validity, at every time s >= 0
+        if s >= 0.0:
+            old = valid_state(t, y) and bounded_root_at(t + s, t, y)
+            assert gls_one_time_op().valid_at(s, (t, y)) == old
+            assert reduction._gls_on_branch(t, t + s, y) == old
+        # the two-time operator's inverse domain: the old guard clamped a
+        # radicand just below 0 instead of testing it, but there y* is
+        # -1/(2*sqrt(t)) and its branch test fails as well
+        old_guard = bounded_root_at(max(t, s), t, y)
+        assert gls_two_time_op().inverse_domain(t, s, (y,)) == old_guard
+        assert reduction._gls_on_branch(t, max(t, s), y) == old_guard
 
     @given(
         st.floats(0.0, 4.0, allow_nan=False),
@@ -508,6 +536,29 @@ class TestOperatorLaws:
         rep = one_time_law_check(op, [(1.0, 1.0)], grid1d(0.0, 1.0, 3), 1e-9)
         assert not rep.passed and math.isnan(rep.max_deviation)
         assert len(rep.witnesses) == 3
+        # the report is composition_check's with outer time r and inner
+        # time s; only its name differs
+        pairs, grid = [(0.0, 1.0), (1.0, 0.0), (1.0, 2.0)], grid1d(0.0, 1.0, 3)
+        rep = one_time_law_check(op, pairs, grid, 1e-9)
+        comp = composition_check(op, [(r, s) for s, r in pairs], grid, 1e-9)
+        assert rep.suite == "one-time-law[nan-op]" and comp.suite == "composition[nan-op]"
+        assert rep.to_dict() == {**comp.to_dict(), "suite": rep.suite}
+        assert rep.checked == 9 and rep.skipped == 0 and len(rep.witnesses) == 8
+        assert rep.witnesses[0].point == (1.0, 0.0, 0.0)  # (r, s, x) of the first pair
+        assert rep.witnesses[0].note == "H(t,H(s,y)) != H(t+s,y)"
+
+    def test_fold_crossing_skip_counts(self):
+        # grids that cross the fold: the branch predicate and the closed
+        # form's own domain decide every skip
+        vals = (0.25, 1.0, 2.25)
+        triples = [(t, s, r) for t in vals for s in vals for r in vals]
+        rep = two_time_law_check(gls_two_time_op(), triples, grid1d(-0.9, 2.0, 30), 1e-9)
+        assert (rep.checked, rep.skipped, rep.passed) == (913, 257, False)
+        assert rep.max_deviation == pytest.approx(0.5926, abs=1e-4)
+        times = [k / 4.0 for k in range(5)]
+        pairs = [(s, r) for s in times for r in times]
+        rep = one_time_law_check(gls_one_time_op(), pairs, grid2d(0.0, 1.0, 5, -1.5, 4.0, 56), 1e-9)
+        assert (rep.checked, rep.skipped, rep.passed) == (5501, 1499, True)
 
     def test_beyond_fold_points_are_skipped_not_wrong(self):
         # y* < 0 with a large target time flips the bounded branch; the
