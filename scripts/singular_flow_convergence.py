@@ -27,10 +27,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from semiflow.enforcing import sqrt_action
+from semiflow.enforcing import sqrt_action, sqrt_ode_system
 from semiflow.reduction import closed_form_deviations, richardson_doubling
 from semiflow.report import nan_max
-from semiflow.suites import sqrt_ode_system
 
 MAX_STEPS = 10_000
 

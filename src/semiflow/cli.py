@@ -26,16 +26,20 @@ from .actions import TimeAction, composition_check, dichotomy_classify, identity
 from .enforcing import (
     bump_map,
     cuberoot_group_action,
+    cuberoot_ode_system,
     homotopy_action,
     milder_action,
+    milder_ode_system,
     one_sided_quotients,
     ode_residual_explicit,
     ode_residual_homotopy,
+    ode_residual_map,
     ode_residual_milder,
     milder_branch_for,
     sqrt_action,
     sqrt_branch_for,
     sqrt_mediator,
+    sqrt_ode_system,
     square_map,
 )
 from .evolution_pde import burgers_residual, burgers_soliton
@@ -63,9 +67,7 @@ from .semisym import (
 from .suites import (
     SUITES,
     SuiteConfig,
-    cuberoot_ode_system,
     run_suites,
-    sqrt_ode_system,
     suite_heat_flow,
     suite_parametric_graph,
 )
@@ -89,8 +91,10 @@ def _demo_sqrt_action() -> str:
     lines.append("  one-sided difference quotients |H(e,1)-H(0,1)|/e (C^1 failure at 0):")
     for e, q in one_sided_quotients(action, 1.0, [1e-2, 1e-4, 1e-6, 1e-8]):
         lines.append(f"    eps={e:g}: {q:.6g}")
+    branch = sqrt_branch_for(1.0, 1.0)
+    residuals = {branch.name: ode_residual_map(action, sqrt_ode_system(branch.name))}
     lines.append("  residual of the branch ODE at (t=1, y=1), resolved branch: "
-                 f"{ode_residual_explicit(1.0, 1.0, sqrt_branch_for(1.0, 1.0)):.3e}")
+                 f"{ode_residual_explicit(residuals, 1.0, 1.0, branch):.3e}")
     return "\n".join(lines)
 
 
@@ -99,8 +103,9 @@ def _demo_milder_action() -> str:
     lines = ["everywhere-smooth variant H(t,y) = y + t*y^2 on all of R"]
     for t, y in ((0.0, 3.0), (-1.0, 1.0), (2.0, 1.0)):
         lines.append(f"  H({t:g}, {y:g}) = {action.call1(t, y):.12g}")
+    residuals = {b: ode_residual_map(action, milder_ode_system(b)) for b in ("regular", "singular")}
     for t, y in ((1.0, 1.0), (0.0, 3.0), (-1.0, 1.0)):
-        r = ode_residual_milder(t, y, milder_branch_for(t, y))
+        r = ode_residual_milder(residuals, t, y, milder_branch_for(t, y))
         lines.append(f"  resolved-ODE residual at (t={t:g}, y={y:g}): {r:.3e}")
     lines.append("  smooth in t, yet H(t,.) is never injective for t != 0 "
                  "(witness pair y, -1/t - y), so no group action exists")
@@ -443,6 +448,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
         raise ValueError(f"--eps-start must be finite and >= 0; got {args.eps_start!r}")
     sys_obj = FLOW_SYSTEMS[args.system]()
     y0 = tuple(float(v) for v in args.y0.split(",")) if args.y0 else (1.0,) * sys_obj.dim
+    if not all(math.isfinite(v) for v in y0):
+        raise ValueError(f"--y0 must be finite; got {args.y0!r}")
     if len(y0) != sys_obj.dim:
         raise ValueError(f"system '{args.system}' needs {sys_obj.dim} initial values")
     spacing = args.spacing

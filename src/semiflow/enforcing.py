@@ -6,6 +6,9 @@ be C^1 at t=0, and as a function of t solves a pair of branch-selected
 explicit ODEs that are singular at t=0 and therefore admit only the
 limit-type initial condition lim_{t->0+} Y(t) = y.
 
+Each branch ODE is one `OdeSystem` of expressions: the flows integrate it, and
+its residual dH/dt - rhs(t, H) is derived from that same system (`ode_residual_map`).
+
 The homotopy family H(t,y) = (1-g(t))*y + g(t)*f(y) deforms the identity
 into an arbitrary smooth self-map f, mediated by a time reparametrization
 g with g(0)=0, g(1)=1 and nonvanishing derivative; it satisfies an
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .expr import (
     Const,
@@ -32,9 +35,11 @@ from .expr import (
     compile_expr,
     diff,
     parse_expr,
+    substitute_many,
 )
 from .grids import SamplingGrid
 from .maps import SmoothMap, scalar_map
+from .reduction import OdeSystem
 from .report import Tally, VerificationReport, Witness, deviation, max_norm
 from .actions import TimeAction, _grows_at_ends
 from .rootfind import RootSearchError, bisect
@@ -83,13 +88,9 @@ class MediatorFunction:
 
     g: Expr
 
-    @property
-    def dg(self) -> Expr:
-        return diff(self.g, "t")
-
     @cached_property
     def _compiled(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        return compile_expr(self.g, ("t",)), compile_expr(self.dg, ("t",))
+        return compile_expr(self.g, ("t",)), compile_expr(diff(self.g, "t"), ("t",))
 
     def value(self, t: float) -> float:
         return self._compiled[0](t)
@@ -127,12 +128,7 @@ def sqrt_mediator() -> MediatorFunction:
 
 
 # ---------------------------------------------------------------------------
-# the registered actions
-
-_SQRT_EXPR = parse_expr("y + sqrt(t)*y^2")
-_SQRT_DT = compile_expr(diff(_SQRT_EXPR, "t"), ("t", "y"))  # y^2/(2*sqrt(t))
-_MILDER_EXPR = parse_expr("y + t*y^2")
-_MILDER_DT = compile_expr(diff(_MILDER_EXPR, "t"), ("t", "y"))  # y^2
+# the registered actions and the ODEs they solve
 
 
 def sqrt_action() -> TimeAction:
@@ -143,7 +139,7 @@ def sqrt_action() -> TimeAction:
         time_domain="nonneg",
         time_var="t",
         state_vars=("y",),
-        map=SmoothMap(("t", "y"), (_SQRT_EXPR,), name="sqrt-action"),
+        map=scalar_map(("t", "y"), "y + sqrt(t)*y^2", name="sqrt-action"),
     )
 
 
@@ -155,7 +151,7 @@ def milder_action() -> TimeAction:
         time_domain="full",
         time_var="t",
         state_vars=("y",),
-        map=SmoothMap(("t", "y"), (_MILDER_EXPR,), name="milder-action"),
+        map=scalar_map(("t", "y"), "y + t*y^2", name="milder-action"),
     )
 
 
@@ -167,8 +163,45 @@ def cuberoot_group_action() -> TimeAction:
         time_domain="full",
         time_var="t",
         state_vars=("y",),
-        map=SmoothMap(("t", "y"), (parse_expr("cbrt(3*t + y^3)"),), name="cuberoot-action"),
+        map=scalar_map(("t", "y"), "cbrt(3*t + y^3)", name="cuberoot-action"),
     )
+
+
+def sqrt_ode_system(branch: str = "minus") -> OdeSystem:
+    """dY/dt = (1 + 2*sqrt(t)*Y ± sqrt(1 + 4*sqrt(t)*Y))/(4*t*sqrt(t)), solved by the
+    square-root action on the branch "plus" or "minus" (`sqrt_branch_for`)."""
+    sign = "-" if branch == "minus" else "+"
+    rhs = f"(1 + 2*sqrt(t)*y {sign} sqrt(1 + 4*sqrt(t)*y))/(4*t*sqrt(t))"
+    return OdeSystem(
+        f"sqrt-ode-{branch}", "nonautonomous", 1, scalar_map(("t", "y"), rhs, f"sqrt-rhs-{branch}"),
+        validity=lambda t, y: t > 0.0 and 1.0 + 4.0 * math.sqrt(t) * y[0] >= 0.0,
+    )
+
+
+def milder_ode_system(branch: str = "regular") -> OdeSystem:
+    """The resolved ODEs solved by Y = y + t*y^2 (`milder_branch_for`): the regular
+    form, without singularity at t = 0, and the singular form."""
+    rhs = {
+        "regular": "2*y^2/(1 + 2*t*y + sqrt(1 + 4*t*y))",
+        "singular": "(1 + 2*t*y + sqrt(1 + 4*t*y))/(2*t^2)",
+    }[branch]
+    return OdeSystem(
+        f"milder-ode-{branch}", "nonautonomous", 1, scalar_map(("t", "y"), rhs, f"milder-rhs-{branch}")
+    )
+
+
+def cuberoot_ode_system() -> OdeSystem:
+    """dY/dt = 1/Y^2, whose flow is the cube-root action."""
+    rhs = scalar_map(("y",), "1/y^2", name="inverse-square")
+    return OdeSystem("cuberoot-ode", "autonomous", 1, rhs, validity=lambda t, y: y[0] != 0.0)
+
+
+def ode_residual_map(action: TimeAction, system: OdeSystem) -> SmoothMap:
+    """dH/dt - rhs(t, H(t, y)) as one map of (t, y), with the exact t-derivative:
+    zero, up to rounding, wherever the 1-D action H solves `system`."""
+    (h,) = action.map.outputs
+    rhs = substitute_many(system.rhs.outputs[0], {action.state_vars[0]: h})
+    return SmoothMap(action.map.inputs, (diff(h, action.time_var) - rhs,), f"residual[{system.name}]")
 
 
 def square_map() -> SmoothMap:
@@ -223,24 +256,16 @@ def k_action_relation_check(grid: SamplingGrid, tol: float) -> VerificationRepor
 # algebraic identities up to rounding; no step-size tuning involved)
 
 
-def ode_residual_explicit(t: float, y: float, branch: BranchSelector) -> float:
-    """Residual of dY/dt = (1 + 2*sqrt(t)*Y ± sqrt(1 + 4*sqrt(t)*Y))/(4*t*sqrt(t))
-    along Y = H(t,y) of the square-root action, on the matching branch."""
+def ode_residual_explicit(
+    residuals: Mapping[str, SmoothMap], t: float, y: float, branch: BranchSelector
+) -> float:
+    """|dH/dt - rhs(t, H)| of the square-root action on `branch`, from
+    `residuals[branch.name]`, its `ode_residual_map` of `sqrt_ode_system`."""
     if t <= 0.0:
         raise EvalDomainError("the explicit branch ODEs are posed on t > 0")
     if not branch.active(t, y):
-        raise BranchMismatchError(
-            f"branch '{branch.name}' is not active at (t={t!r}, y={y!r})"
-        )
-    st = math.sqrt(t)
-    h = y + st * y * y
-    radicand = 1.0 + 4.0 * st * h
-    if radicand < 0.0:
-        raise EvalDomainError(f"negative radicand {radicand!r}")
-    sign = 1.0 if branch.name == "plus" else -1.0
-    rhs = (1.0 + 2.0 * st * h + sign * math.sqrt(radicand)) / (4.0 * t * st)
-    lhs = _SQRT_DT(t, y)
-    return abs(lhs - rhs)
+        raise BranchMismatchError(f"branch '{branch.name}' is not active at (t={t!r}, y={y!r})")
+    return abs(residuals[branch.name](t, y)[0])
 
 
 def ode_residual_homotopy(
@@ -280,30 +305,14 @@ def ode_residual_homotopy(
     return residual
 
 
-def ode_residual_milder(t: float, y: float, branch: BranchSelector) -> float:
-    """Residual of the two resolved ODEs for Y = y + t*y^2: the regular form
-    2Y^2/(1 + 2tY + sqrt(1+4tY)) where 1+2ty >= 0, and the singular form
-    (1 + 2tY + sqrt(1+4tY))/(2t^2) where 1+2ty <= 0 (t != 0)."""
+def ode_residual_milder(
+    residuals: Mapping[str, SmoothMap], t: float, y: float, branch: BranchSelector
+) -> float:
+    """|dH/dt - rhs(t, H)| of Y = y + t*y^2 on `branch`, from `residuals[branch.name]`,
+    its `ode_residual_map` of `milder_ode_system`."""
     if not branch.active(t, y):
-        raise BranchMismatchError(
-            f"branch '{branch.name}' is not active at (t={t!r}, y={y!r})"
-        )
-    h = y + t * y * y
-    radicand = 1.0 + 4.0 * t * h
-    if radicand < 0.0:
-        raise EvalDomainError(f"negative radicand {radicand!r}")
-    root = math.sqrt(radicand)
-    if branch.name == "regular":
-        denom = 1.0 + 2.0 * t * h + root
-        if denom == 0.0:
-            raise EvalDomainError("vanishing denominator in the regular form")
-        rhs = 2.0 * h * h / denom
-    else:
-        if t == 0.0:
-            raise EvalDomainError("the singular form is undefined at t = 0")
-        rhs = (1.0 + 2.0 * t * h + root) / (2.0 * t * t)
-    lhs = _MILDER_DT(t, y)
-    return abs(lhs - rhs)
+        raise BranchMismatchError(f"branch '{branch.name}' is not active at (t={t!r}, y={y!r})")
+    return abs(residuals[branch.name](t, y)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ def linspace(lo: float, hi: float, count: int) -> list[float]:
     if count < 2:
         raise ValueError("linspace needs at least 2 points")
     step = (hi - lo) / (count - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"linspace from {lo!r} to {hi!r} spans more than a float holds")
     pts = [lo + k * step for k in range(count)]
     pts[-1] = hi  # avoid drift at the right endpoint
     return pts

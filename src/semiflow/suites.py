@@ -21,9 +21,9 @@ from .actions import (
     noninvertibility_witness_sqrt,
 )
 from .enforcing import (
-    BranchMismatchError,
     bump_map,
     cuberoot_group_action,
+    cuberoot_ode_system,
     diffeo_time_set,
     diffeo_classifier,
     homotopy_action,
@@ -31,12 +31,15 @@ from .enforcing import (
     limit_ic_check,
     milder_action,
     milder_branch_for,
+    milder_ode_system,
     ode_residual_explicit,
     ode_residual_homotopy,
+    ode_residual_map,
     ode_residual_milder,
     sqrt_action,
     sqrt_branch_for,
     sqrt_mediator,
+    sqrt_ode_system,
     square_map,
 )
 from .evolution_pde import (
@@ -51,7 +54,6 @@ from .expr import EvalDomainError, parse_expr, to_text
 from .grids import Axis, SamplingGrid, grid1d, grid2d
 from .maps import SmoothMap, finite_diff, identity_map, scalar_map
 from .reduction import (
-    OdeSystem,
     first_component_check,
     flow_vs_closed_form,
     gls_one_time_op,
@@ -86,26 +88,26 @@ class SuiteConfig:
     """Seed and scenario overrides for the suites.
 
     Suites read overrides only through `tol`, `axis` and `expr`, which
-    record each name read, so `unread` can name the scenario keys no suite
-    looked at.
+    record each name read, in order, so `unread` can name the scenario keys
+    no suite looked at and `run_suites` those one suite read.
     """
 
     seed: int = 42
     tolerances: dict[str, float] = field(default_factory=dict)
     grids: dict[str, Axis] = field(default_factory=dict)
     expressions: dict[str, str] = field(default_factory=dict)
-    _read: set[tuple[str, str]] = field(default_factory=set, init=False, repr=False, compare=False)
+    _read: list[tuple[str, str]] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def tol(self, name: str, default: float) -> float:
-        self._read.add(("tolerances", name))
+        self._read.append(("tolerances", name))
         return float(self.tolerances.get(name, default))
 
     def axis(self, name: str, default: Axis) -> Axis:
-        self._read.add(("grids", name))
+        self._read.append(("grids", name))
         return self.grids.get(name, default)
 
     def expr(self, name: str, default: str) -> str:
-        self._read.add(("expressions", name))
+        self._read.append(("expressions", name))
         return self.expressions.get(name, default)
 
     def unread(self) -> list[str]:
@@ -144,40 +146,6 @@ EXPRESSION_CATALOG: dict[str, tuple[str, dict[str, tuple[float, float]]]] = {
     "log-blend": ("log(1 + exp(x)) + cos(2*x)", {"x": (-2.0, 2.0)}),
     "tanh-chain": ("tanh(a*x)", {"a": (0.5, 2.0), "x": (-3.0, 3.0)}),
 }
-
-
-def sqrt_ode_system(branch: str = "minus") -> OdeSystem:
-    """The explicit branch ODE solved by the square-root action, as a system."""
-    sign = "-" if branch == "minus" else "+"
-    return OdeSystem(
-        name=f"sqrt-ode-{branch}",
-        kind="nonautonomous",
-        dim=1,
-        rhs=scalar_map(
-            ("t", "y"),
-            f"(1 + 2*sqrt(t)*y {sign} sqrt(1 + 4*sqrt(t)*y))/(4*t*sqrt(t))",
-            name=f"sqrt-rhs-{branch}",
-        ),
-        validity=lambda t, y: t > 0.0 and 1.0 + 4.0 * math.sqrt(t) * y[0] >= 0.0,
-    )
-
-
-def cuberoot_ode_system() -> OdeSystem:
-    return OdeSystem(
-        name="cuberoot-ode",
-        kind="autonomous",
-        dim=1,
-        rhs=scalar_map(("y",), "1/y^2", name="inverse-square"),
-        validity=lambda t, y: y[0] != 0.0,
-    )
-
-
-def homotopy_family() -> list[tuple[str, SmoothMap]]:
-    return [
-        ("square", square_map()),
-        ("bump", bump_map()),
-        ("identity", identity_map(("y",))),
-    ]
 
 
 # pinned tolerances of the checks that read no scenario key
@@ -243,7 +211,7 @@ def suite_identity_axiom(config: SuiteConfig) -> list[VerificationReport]:
         identity_check(milder_action(), line, tol),
         identity_check(cuberoot_group_action(), line, tol),
     ]
-    for _, f in homotopy_family():
+    for f in (square_map(), bump_map(), identity_map(("y",))):
         reports.append(identity_check(homotopy_action(f, sqrt_mediator()), line, tol))
     reports.append(
         identity_check(gls_one_time_op(), grid2d(0.0, 1.0, 5, -0.2, 4.0, 41), tol)
@@ -310,12 +278,15 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
     tol_milder = config.tol("milder", 1e-10)
     reports = []
 
+    # each branch residual is derived from the system the flows integrate
+    sqrt_act = sqrt_action()
+    residuals = {b: ode_residual_map(sqrt_act, sqrt_ode_system(b)) for b in ("plus", "minus")}
     grid = SamplingGrid((config.axis("t", Axis(1e-3, 10.0, 50)), config.axis("y", Axis(-5.0, 5.0, 50))))
     tally = Tally(tol_explicit)
     for t, y in grid.points():
         branch = sqrt_branch_for(t, y)
         try:
-            r = ode_residual_explicit(t, y, branch)
+            r = ode_residual_explicit(residuals, t, y, branch)
         except EvalDomainError:
             tally.skip()
             continue
@@ -334,15 +305,21 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
             tally.add(r, (t, y), (r,))
         reports.append(tally.report(f"ode-residual[homotopy-{f.name}]", hgrid.summary()))
 
+    milder_act = milder_action()
+    residuals = {b: ode_residual_map(milder_act, milder_ode_system(b)) for b in ("regular", "singular")}
     mgrid = grid2d(-2.0, 2.0, 41, -3.0, 3.0, 41)
     tally = Tally(tol_milder)
     for t, y in mgrid.points():
         branch = milder_branch_for(t, y)
-        r = ode_residual_milder(t, y, branch)
+        try:
+            r = ode_residual_milder(residuals, t, y, branch)
+        except EvalDomainError:
+            tally.skip()
+            continue
         tally.add(r, (t, y), (r,), branch.name)
     reports.append(tally.report("ode-residual[milder-branches]", mgrid.summary()))
     # the singular ODEs admit only the limit-type initial condition H(0+, y) = y
-    reports.append(limit_ic_check(sqrt_action(), 1.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
+    reports.append(limit_ic_check(sqrt_act, 1.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
     for action in homotopies:
         reports.append(limit_ic_check(action, 2.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
     return reports
@@ -695,16 +672,19 @@ SUITES: dict[str, Callable[[SuiteConfig], list[VerificationReport]]] = {
 
 def run_suites(names: Sequence[str], config: SuiteConfig) -> dict[str, list[VerificationReport]]:
     """Each named suite's reports. A suite that leaves its domain under
-    scenario grid overrides raises ValueError naming it and the overrides."""
+    scenario grid overrides it read raises ValueError naming it and those
+    overrides; an error of a suite that read none passes through."""
     out: dict[str, list[VerificationReport]] = {}
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite '{name}'; known: {', '.join(sorted(SUITES))}")
+        first_read = len(config._read)
         try:
             out[name] = SUITES[name](config)
-        except (ArithmeticError, ValueError, EvalDomainError, BranchMismatchError) as err:
-            if not config.grids:
+        except (ArithmeticError, ValueError, EvalDomainError) as err:
+            read = {k for kind, k in config._read[first_read:] if kind == "grids" and k in config.grids}
+            if not read:
                 raise
-            given = ", ".join(f"grids.{k} = {config.grids[k]}" for k in sorted(config.grids))
+            given = ", ".join(f"grids.{k} = {config.grids[k]}" for k in sorted(read))
             raise ValueError(f"suite '{name}' cannot run on the scenario's {given}: {err}") from err
     return out

@@ -266,6 +266,23 @@ def test_flow_times_must_be_finite_and_eps_start_nonnegative(flag, value, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "system, y0",
+    [("quadratic", "nan"), ("quadratic", "inf"), ("quadratic", "-inf"),
+     ("quadratic-augmented", "0,nan")],
+)
+def test_flow_initial_state_must_be_finite(system, y0, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    rc = main(
+        ["flow", "--system", system, "--t0", "0", "--t1", "1", "--steps", "4",
+         f"--y0={y0}", "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --y0 must be finite")
+    assert not out.exists()
+
+
 def test_flow_unknown_system(capsys):
     assert main(
         ["flow", "--system", "nope", "--t0", "0", "--t1", "1", "--steps", "10", "--out", "/tmp/x.csv"]
@@ -339,13 +356,33 @@ def test_failed_precondition_is_bad_input(scenario, message, tmp_path, capsys):
     "grid, name",
     [
         ({"lo": -1.0, "hi": 1.0, "count": 3}, "t"),  # sqrt(t) at t < 0
-        ({"lo": -1e308, "hi": 1e308, "count": 3}, "y"),  # sqrt(t)*y^2 overflows
+        ({"lo": -1e308, "hi": 1e308, "count": 3}, "y"),  # the span overflows a float
     ],
 )
 def test_grid_override_outside_a_suite_domain_exits_two(grid, name, capsys):
     assert run_suite({"suite": "ode-residuals", "grids": {name: grid}}) == 2
     err = capsys.readouterr().err
     assert "suite 'ode-residuals'" in err and f"grids.{name} = " in err
+
+
+def test_an_error_blames_only_the_grid_overrides_its_suite_read(capsys):
+    # noninvertibility reads no grid override, and the tolerance, not the grid, fails it
+    scenario = {
+        "suite": "noninvertibility",
+        "tolerances": {"dichotomy": 1e-20},
+        "grids": {"y": {"lo": -1, "hi": 1, "count": 5}},
+    }
+    assert run_suite(scenario) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: identity axiom fails") and "grids.y" not in err
+    # of two overrides, ode-residuals leaves its domain through the one it reads
+    scenario = {
+        "suite": "all",
+        "grids": {"t": {"lo": -1, "hi": 1, "count": 3}, "zz": {"lo": 0, "hi": 1, "count": 3}},
+    }
+    assert run_suite(scenario) == 2
+    err = capsys.readouterr().err
+    assert "grids.t = " in err and "grids.zz" not in err
 
 
 def test_seed_42_report_is_pinned(tmp_path, capsys):

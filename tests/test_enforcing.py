@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,20 +24,23 @@ from semiflow.enforcing import (
     mediator,
     milder_action,
     milder_branch_for,
+    milder_ode_system,
     milder_regular_branch,
     milder_singular_branch,
     ode_residual_explicit,
     ode_residual_homotopy,
+    ode_residual_map,
     ode_residual_milder,
     one_sided_quotients,
     sqrt_action,
     sqrt_branch_for,
     sqrt_mediator,
     sqrt_minus_branch,
+    sqrt_ode_system,
     sqrt_plus_branch,
     square_map,
 )
-from semiflow.expr import EvalDomainError, diff, evaluate, parse_expr
+from semiflow.expr import Const, EvalDomainError, diff, evaluate, parse_expr
 from semiflow.grids import grid1d, grid2d
 from semiflow.maps import identity_map, scalar_map
 from semiflow.actions import TimeAction
@@ -113,34 +118,42 @@ class TestKRelation:
         assert rep.passed and rep.max_deviation <= 1e-15
 
 
+# the residual maps of both branch families, built as the ode-residuals suite builds them
+SQRT_RESIDUALS = {b: ode_residual_map(sqrt_action(), sqrt_ode_system(b)) for b in ("plus", "minus")}
+MILDER_RESIDUALS = {
+    b: ode_residual_map(milder_action(), milder_ode_system(b)) for b in ("regular", "singular")
+}
+
+
 class TestExplicitOdeResiduals:
     def test_minus_branch_point(self):
         # H(1,1)=2: (1 + 4 - sqrt(9))/4 = 0.5 = y^2/(2 sqrt t)
-        assert ode_residual_explicit(1.0, 1.0, sqrt_minus_branch()) <= 1e-12
+        assert ode_residual_explicit(SQRT_RESIDUALS, 1.0, 1.0, sqrt_minus_branch()) <= 1e-12
 
     def test_plus_branch_point(self):
         # y=-2 at t=1: 1+2*sqrt(t)*y = -3 <= 0; (1 + 4 + 3)/4 = 2 = y^2/2
-        assert ode_residual_explicit(1.0, -2.0, sqrt_plus_branch()) <= 1e-12
+        assert ode_residual_explicit(SQRT_RESIDUALS, 1.0, -2.0, sqrt_plus_branch()) <= 1e-12
 
     def test_branch_mismatch(self):
         with pytest.raises(BranchMismatchError):
-            ode_residual_explicit(1.0, 1.0, sqrt_plus_branch())
+            ode_residual_explicit(SQRT_RESIDUALS, 1.0, 1.0, sqrt_plus_branch())
 
     def test_needs_positive_time(self):
-        with pytest.raises(EvalDomainError):
-            ode_residual_explicit(0.0, 1.0, sqrt_minus_branch())
+        for t in (0.0, -1.0):
+            with pytest.raises(EvalDomainError):
+                ode_residual_explicit(SQRT_RESIDUALS, t, 1.0, sqrt_minus_branch())
 
     def test_branch_selector_overlap(self):
         # on 1 + 2 sqrt(t) y = 0 both branches apply and agree
         t, y = 1.0, -0.5
         assert sqrt_plus_branch().active(t, y) and sqrt_minus_branch().active(t, y)
-        assert ode_residual_explicit(t, y, sqrt_plus_branch()) <= 1e-12
-        assert ode_residual_explicit(t, y, sqrt_minus_branch()) <= 1e-12
+        assert ode_residual_explicit(SQRT_RESIDUALS, t, y, sqrt_plus_branch()) <= 1e-12
+        assert ode_residual_explicit(SQRT_RESIDUALS, t, y, sqrt_minus_branch()) <= 1e-12
 
     def test_grid_residual(self):
         worst = 0.0
         for t, y in grid2d(1e-3, 10.0, 50, -5.0, 5.0, 50).points():
-            worst = max(worst, ode_residual_explicit(t, y, sqrt_branch_for(t, y)))
+            worst = max(worst, ode_residual_explicit(SQRT_RESIDUALS, t, y, sqrt_branch_for(t, y)))
         assert worst <= 1e-10
 
 
@@ -175,21 +188,21 @@ class TestHomotopyOdeResidual:
 
 class TestMilderOdeResidual:
     def test_regular_branch_points(self):
-        assert ode_residual_milder(1.0, 1.0, milder_regular_branch()) <= 1e-12
-        assert ode_residual_milder(0.0, 3.0, milder_regular_branch()) <= 1e-12
+        assert ode_residual_milder(MILDER_RESIDUALS, 1.0, 1.0, milder_regular_branch()) <= 1e-12
+        assert ode_residual_milder(MILDER_RESIDUALS, 0.0, 3.0, milder_regular_branch()) <= 1e-12
 
     def test_singular_branch_point(self):
         # t=-1, y=1: 1+2ty = -1 <= 0, Y = 0, RHS = (1+0+1)/2 = 1 = y^2
-        assert ode_residual_milder(-1.0, 1.0, milder_singular_branch()) <= 1e-12
+        assert ode_residual_milder(MILDER_RESIDUALS, -1.0, 1.0, milder_singular_branch()) <= 1e-12
 
     def test_branch_mismatch(self):
         with pytest.raises(BranchMismatchError):
-            ode_residual_milder(1.0, 1.0, milder_singular_branch())
+            ode_residual_milder(MILDER_RESIDUALS, 1.0, 1.0, milder_singular_branch())
 
     def test_grid_residual(self):
         worst = 0.0
         for t, y in grid2d(-2.0, 2.0, 41, -3.0, 3.0, 41).points():
-            worst = max(worst, ode_residual_milder(t, y, milder_branch_for(t, y)))
+            worst = max(worst, ode_residual_milder(MILDER_RESIDUALS, t, y, milder_branch_for(t, y)))
         assert worst <= 1e-10
 
 
@@ -290,32 +303,10 @@ def _outcome(fn, *args):
         return "domain error"
 
 
-def _walk_explicit_residual(t, y, branch):
-    st_ = math.sqrt(t)
-    h = y + st_ * y * y
-    radicand = 1.0 + 4.0 * st_ * h
-    if radicand < 0.0:
-        raise EvalDomainError("negative radicand")
-    sign = 1.0 if branch.name == "plus" else -1.0
-    rhs = (1.0 + 2.0 * st_ * h + sign * math.sqrt(radicand)) / (4.0 * t * st_)
-    lhs = evaluate(diff(parse_expr("y + sqrt(t)*y^2"), "t"), {"t": t, "y": y})
-    return abs(lhs - rhs)
-
-
-def _walk_milder_residual(t, y, branch):
-    h = y + t * y * y
-    radicand = 1.0 + 4.0 * t * h
-    if radicand < 0.0:
-        raise EvalDomainError("negative radicand")
-    root = math.sqrt(radicand)
-    if branch.name == "regular":
-        if 1.0 + 2.0 * t * h + root == 0.0:
-            raise EvalDomainError("vanishing denominator")
-        rhs = 2.0 * h * h / (1.0 + 2.0 * t * h + root)
-    else:
-        rhs = (1.0 + 2.0 * t * h + root) / (2.0 * t * t)
-    lhs = evaluate(diff(parse_expr("y + t*y^2"), "t"), {"t": t, "y": y})
-    return abs(lhs - rhs)
+def _walk_branch_residual(residuals, t, y, branch):
+    """The tree walk of the residual expression `ode_residual_explicit` and
+    `ode_residual_milder` evaluate compiled."""
+    return abs(evaluate(residuals[branch.name].outputs[0], {"t": t, "y": y}))
 
 
 def _walk_homotopy_residual(f, g, t, y):
@@ -374,16 +365,16 @@ class TestCompiledMatchesTreeWalk:
     @given(st.floats(1e-3, 10.0), st.floats(-5.0, 5.0))
     def test_explicit_residual(self, t, y):
         branch = sqrt_branch_for(t, y)
-        assert _outcome(ode_residual_explicit, t, y, branch) == _outcome(
-            _walk_explicit_residual, t, y, branch
+        assert _outcome(ode_residual_explicit, SQRT_RESIDUALS, t, y, branch) == _outcome(
+            _walk_branch_residual, SQRT_RESIDUALS, t, y, branch
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(st.floats(-2.0, 2.0).filter(lambda t: t != 0.0), st.floats(-3.0, 3.0))
+    @given(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
     def test_milder_residual(self, t, y):
         branch = milder_branch_for(t, y)
-        assert _outcome(ode_residual_milder, t, y, branch) == _outcome(
-            _walk_milder_residual, t, y, branch
+        assert _outcome(ode_residual_milder, MILDER_RESIDUALS, t, y, branch) == _outcome(
+            _walk_branch_residual, MILDER_RESIDUALS, t, y, branch
         )
 
     @settings(max_examples=60, deadline=None)
@@ -405,3 +396,97 @@ class TestCompiledMatchesTreeWalk:
         y_grid = grid1d(-3.0, 3.0, 61)
         probe = diffeo_classifier(action, y_grid)
         assert probe.slope_attains_zero(t) == _walk_slope_attains_zero(action, y_grid, t)
+
+
+# ---------------------------------------------------------------------------
+# the branch right-hand sides as hand-written float formulas: a reference
+# independent of the expression engine, so they agree with the systems only
+# up to rounding
+
+# measured on 2e4 random points: the right-hand sides at most 3e-16 apart
+FLOAT_REFERENCE_RTOL = 1e-13
+# the residuals at most 2.1e-12*(1 + |dH/dt|) apart where |fold| >= 1e-4. At
+# the fold 1 + 2*s*y = 0 (s = sqrt(t), or t) the radicand has a double root,
+# whose square root turns one rounding of H into an error near sqrt(ulp):
+# there the two residuals (and each against zero) differ by up to 3e-8
+FLOAT_RESIDUAL_TOL = 1e-11
+FOLD_MARGIN = 1e-4
+
+
+def _float_sqrt_branch(t, y, branch):
+    """(H, dH/dt, rhs(t, H), fold) of the square-root action on `branch`."""
+    st_ = math.sqrt(t)
+    h = y + st_ * y * y
+    sign = 1.0 if branch.name == "plus" else -1.0
+    rhs = (1.0 + 2.0 * st_ * h + sign * math.sqrt(1.0 + 4.0 * st_ * h)) / (4.0 * t * st_)
+    return h, y * y / (2.0 * st_), rhs, 1.0 + 2.0 * st_ * y
+
+
+def _float_milder_branch(t, y, branch):
+    """(H, dH/dt, rhs(t, H), fold) of Y = y + t*y^2 on `branch`."""
+    h = y + t * y * y
+    root = math.sqrt(1.0 + 4.0 * t * h)
+    if branch.name == "regular":
+        rhs = 2.0 * h * h / (1.0 + 2.0 * t * h + root)
+    else:
+        rhs = (1.0 + 2.0 * t * h + root) / (2.0 * t * t)
+    return h, y * y, rhs, 1.0 + 2.0 * t * y
+
+
+def _check_against_float_formulas(system, residuals, reference, t, y, branch):
+    try:
+        h, dh, rhs, fold = reference(t, y, branch)
+    except (ValueError, ZeroDivisionError):
+        return  # off the formulas' domain
+    # a subnormal result keeps fewer bits, so the relative bound stops at the normal range
+    assert math.isclose(
+        system(branch.name).rhs(t, h)[0], rhs, rel_tol=FLOAT_REFERENCE_RTOL, abs_tol=sys.float_info.min
+    )
+    if abs(fold) >= FOLD_MARGIN:
+        r = residuals[branch.name](t, y)[0]
+        assert abs(r - (dh - rhs)) <= FLOAT_RESIDUAL_TOL * (1.0 + abs(dh))
+
+
+class TestFloatReference:
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, 10.0), st.floats(-5.0, 5.0))
+    def test_sqrt_branches(self, t, y):
+        _check_against_float_formulas(
+            sqrt_ode_system, SQRT_RESIDUALS, _float_sqrt_branch, t, y, sqrt_branch_for(t, y)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0))
+    def test_milder_branches(self, t, y):
+        _check_against_float_formulas(
+            milder_ode_system, MILDER_RESIDUALS, _float_milder_branch, t, y, milder_branch_for(t, y)
+        )
+
+
+def _scaled_rhs(factory, factor):
+    """`factory` with every system's right-hand side multiplied by `factor`."""
+
+    def scaled(*args):
+        system = factory(*args)
+        outputs = tuple(Const(factor) * out for out in system.rhs.outputs)
+        return replace(system, rhs=SmoothMap(system.rhs.inputs, outputs, name=system.rhs.name))
+
+    return scaled
+
+
+class TestResidualChecksReadTheIntegratedSystems:
+    @pytest.mark.parametrize(
+        "factory, suite",
+        [
+            ("sqrt_ode_system", "ode-residual[sqrt-branches]"),
+            ("milder_ode_system", "ode-residual[milder-branches]"),
+        ],
+    )
+    def test_a_scaled_rhs_fails_its_residual_check(self, monkeypatch, factory, suite):
+        import semiflow.suites as suites
+
+        monkeypatch.setattr(suites, factory, _scaled_rhs(getattr(suites, factory), 1.000001))
+        reports = {rep.suite: rep for rep in suites.suite_ode_residuals(suites.SuiteConfig())}
+        assert not reports[suite].passed and reports[suite].witnesses
+        others = [rep for name, rep in reports.items() if name != suite]
+        assert all(rep.passed for rep in others)

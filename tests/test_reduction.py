@@ -58,7 +58,8 @@ from semiflow.reduction import (
 )
 from semiflow.reduction import _time_mesh  # the reference loop's mesh
 from semiflow.rootfind import RootSearchError
-from semiflow.suites import SuiteConfig, cuberoot_ode_system, sqrt_ode_system, suite_flow_oracle
+from semiflow.enforcing import cuberoot_ode_system, sqrt_ode_system
+from semiflow.suites import SuiteConfig, suite_flow_oracle
 
 
 class TestAugmentation:
