@@ -447,7 +447,10 @@ def cmd_flow(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.eps_start) and args.eps_start >= 0.0):
         raise ValueError(f"--eps-start must be finite and >= 0; got {args.eps_start!r}")
     sys_obj = FLOW_SYSTEMS[args.system]()
-    y0 = tuple(float(v) for v in args.y0.split(",")) if args.y0 else (1.0,) * sys_obj.dim
+    try:
+        y0 = tuple(float(v) for v in args.y0.split(",")) if args.y0 else (1.0,) * sys_obj.dim
+    except ValueError:
+        raise ValueError(f"--y0 must be comma-separated numbers; got {args.y0!r}") from None
     if not all(math.isfinite(v) for v in y0):
         raise ValueError(f"--y0 must be finite; got {args.y0!r}")
     if len(y0) != sys_obj.dim:
@@ -455,6 +458,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
     spacing = args.spacing
     if spacing == "auto":
         spacing = "geometric" if args.eps_start > 0.0 else "uniform"
+    start = args.t0 + args.eps_start
+    if spacing == "geometric" and start <= 0.0:
+        raise ValueError(f"--spacing geometric needs a start --t0 + --eps-start > 0; got {start!r}")
     try:
         traj = integrate_flow(
             sys_obj, args.t0, y0, args.t1, args.steps, eps_start=args.eps_start, spacing=spacing

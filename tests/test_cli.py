@@ -283,6 +283,31 @@ def test_flow_initial_state_must_be_finite(system, y0, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("y0", ["1,,2", "abc", "0,"])
+def test_flow_initial_state_must_be_numbers(y0, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    rc = main(
+        ["flow", "--system", "quadratic-augmented", "--t0", "0", "--t1", "1", "--steps", "4",
+         f"--y0={y0}", "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --y0 must be comma-separated numbers")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t0, eps_start", [("0", None), ("-1", "0.5")])
+def test_flow_geometric_spacing_names_its_flags(t0, eps_start, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    args = ["flow", "--system", "quadratic", "--t0", t0, "--t1", "1", "--steps", "4",
+            "--spacing", "geometric", "--out", str(out)]
+    rc = main(args + (["--eps-start", eps_start] if eps_start else []))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --spacing geometric needs a start --t0 + --eps-start > 0")
+    assert not out.exists()
+
+
 def test_flow_unknown_system(capsys):
     assert main(
         ["flow", "--system", "nope", "--t0", "0", "--t1", "1", "--steps", "10", "--out", "/tmp/x.csv"]

@@ -41,7 +41,7 @@ from semiflow.enforcing import (
     square_map,
 )
 from semiflow.expr import Const, EvalDomainError, diff, evaluate, parse_expr
-from semiflow.grids import grid1d, grid2d
+from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
 from semiflow.maps import identity_map, scalar_map
 from semiflow.actions import TimeAction
 from semiflow.maps import SmoothMap
@@ -490,3 +490,39 @@ class TestResidualChecksReadTheIntegratedSystems:
         assert not reports[suite].passed and reports[suite].witnesses
         others = [rep for name, rep in reports.items() if name != suite]
         assert all(rep.passed for rep in others)
+
+
+class TestBranchResidualsSkipTheFold:
+    """Within u/tol of the fold 1 + 2*s*y = 0 a branch residual measures only
+    the rounding of H, so the point is a skip, not a failure."""
+
+    def test_the_sqrt_residual_skips_a_point_on_the_fold(self):
+        import semiflow.suites as suites
+
+        # 1 + 2*sqrt(t)*y = -2e-15 at the first point; H solves the ODE there
+        grids = {"t": Axis(0.37, 0.38, 2), "y": Axis(-0.8219949365267882, -0.5, 2)}
+        reports = {rep.suite: rep for rep in suites.suite_ode_residuals(suites.SuiteConfig(grids=grids))}
+        rep = reports["ode-residual[sqrt-branches]"]
+        assert rep.passed and (rep.checked, rep.skipped) == (3, 1)
+
+    def test_the_milder_residual_skips_points_on_the_fold(self, monkeypatch):
+        import semiflow.suites as suites
+
+        # 1 + 2*t*y is -6.1e-13 at the first point and 1.2e-10 at the last one
+        folds = SamplingGrid((Axis(0.47, 0.62, 2), Axis(-1.0638297871072222, -0.8064516129037196, 2)))
+        monkeypatch.setattr(suites, "grid2d", lambda *args: folds)
+        reports = {rep.suite: rep for rep in suites.suite_ode_residuals(suites.SuiteConfig())}
+        rep = reports["ode-residual[milder-branches]"]
+        assert rep.passed and (rep.checked, rep.skipped) == (2, 2)
+
+    def test_the_default_grids_stay_clear_of_the_fold(self):
+        import semiflow.suites as suites
+
+        reports = {rep.suite: rep for rep in suites.suite_ode_residuals(suites.SuiteConfig())}
+        for name in ("ode-residual[sqrt-branches]", "ode-residual[milder-branches]"):
+            assert reports[name].passed and reports[name].skipped == 0
+
+    def test_the_margin_is_unit_roundoff_over_the_tolerance(self):
+        from semiflow.suites import _fold_margin
+
+        assert _fold_margin(1e-10) == 2.0**-53 / 1e-10

@@ -12,7 +12,10 @@ an attribute of the method's name, so a method that shares its name with
 a reached one counts as reached too; dunder methods are reached with
 their class. The public surface checked is every name `semiflow/__init__.py`
 exports, every public module-level name of a `semiflow` module, and every
-public method of a reached class.
+public method of a reached class. The root exports some names through
+`from .x import` and the rest through its table of lazy exports,
+`_LAZY_EXPORTS` ({module: (name, ...)}), which the walk reads with
+`ast.literal_eval` and follows like an import.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ ALLOWED_UNREACHED = {
     # perfbench/tracer.py patches this name to time the probe layer
     ("semiflow.actions", "injectivity_probe"),
 }
+
+# the package root's table of the names it imports on first use
+LAZY_TABLE = "_LAZY_EXPORTS"
 
 ENTRY_POINTS = [
     ("semiflow.suites", "SUITES"),
@@ -103,7 +109,14 @@ def _modules() -> dict[str, _Module]:
         mods[name] = _Module(path)
     for path in sorted((ROOT / "scripts").glob("*.py")):
         mods[f"scripts.{path.stem}"] = _Module(path)
+    _read_lazy_table(mods["semiflow"])
     return mods
+
+
+def _read_lazy_table(root: _Module) -> None:
+    """Record each entry of the root's lazy table as the import it stands for."""
+    for module, names in ast.literal_eval(root.defs[LAZY_TABLE].value).items():
+        root.imports.update((name, (f"semiflow.{module}", name)) for name in names)
 
 
 def _resolve(mods: dict[str, _Module], module: str, name: str) -> tuple[str, str] | None:
@@ -152,10 +165,15 @@ def reached_definitions(mods: dict[str, _Module]) -> set[tuple[str, ...]]:
     return reached
 
 
+def root_exports(mods: dict[str, _Module]) -> dict[str, tuple[str, str] | None]:
+    """Each name the package root exports, with the definition it names."""
+    return {name: _resolve(mods, *source) for name, source in mods["semiflow"].imports.items()}
+
+
 def unreached_public_names() -> list[tuple[str, ...]]:
     mods = _modules()
     reached = reached_definitions(mods)
-    surface = {_resolve(mods, *source) for source in mods["semiflow"].imports.values()}
+    surface = set(root_exports(mods).values())
     for name, mod in mods.items():
         if name.startswith("semiflow."):
             surface |= {(name, d) for d in mod.defs if not d.startswith("_")}
@@ -174,6 +192,13 @@ def test_every_public_name_is_reached_from_an_entry_point():
     )
 
 
+def test_every_root_export_names_a_public_definition():
+    exports = root_exports(_modules())
+    assert len(exports) == 103
+    wrong = sorted(name for name, key in exports.items() if key is None or key[-1].startswith("_"))
+    assert wrong == [], "root exports naming no public definition: " + ", ".join(wrong)
+
+
 def test_every_allowed_exception_is_still_public_and_unreached():
     assert set(unreached_public_names()) >= ALLOWED_UNREACHED
 
@@ -186,3 +211,18 @@ def test_the_walk_follows_imports_and_methods():
     assert ("semiflow.reduction", "Trajectory", "write_csv") in reached
     # a script reaches what it imports
     assert ("semiflow.enforcing", "diffeo_time_set") in reached
+
+
+def test_the_walk_reads_the_lazy_table_of_the_root():
+    mods = _modules()
+    exports = root_exports(mods)
+    # an eager export and a lazy one both resolve to their home definitions
+    assert exports["parse_expr"] == ("semiflow.expr", "parse_expr")
+    assert exports["integrate_flow"] == ("semiflow.reduction", "integrate_flow")
+    # a table entry naming a missing or a private definition resolves to none or a private one
+    root = mods["semiflow"]
+    root.defs[LAZY_TABLE] = ast.parse('T = {"grids": ("no_such_name", "_near_pairs")}').body[0]
+    _read_lazy_table(root)
+    exports = root_exports(mods)
+    assert exports["no_such_name"] is None
+    assert exports["_near_pairs"] == ("semiflow.grids", "_near_pairs")
