@@ -43,8 +43,8 @@ _LAZY_EXPORTS = {
         "BranchMismatchError", "BranchSelector", "MediatorFunction", "bump_map",
         "cuberoot_group_action", "diffeo_classifier", "diffeo_time_set", "homotopy_action",
         "k_action_relation_check", "limit_ic_check", "mediator", "milder_action",
-        "milder_branch_for", "milder_ode_system", "ode_residual_explicit", "ode_residual_homotopy",
-        "ode_residual_milder", "one_sided_quotients", "sqrt_action", "sqrt_branch_for",
+        "milder_branch_for", "milder_ode_system", "not_c1_check", "ode_residual_explicit",
+        "ode_residual_homotopy", "ode_residual_milder", "sqrt_action", "sqrt_branch_for",
         "sqrt_mediator", "square_map",
     ),
     "reduction": (
@@ -55,9 +55,9 @@ _LAZY_EXPORTS = {
         "recover_evolution", "recover_evolution_detailed", "two_time_law_check", "ystar_branch",
     ),
     "semisym": (
-        "ParametricFunction", "PdeResidual", "act", "canonical_parametric",
-        "constrained_symmetry_scan", "is_graph", "pde_from_text", "regraph", "residual_max",
-        "rotation_map", "semi_symmetry_check", "translation_wave", "vertical_map",
+        "ParametricFunction", "PdeResidual", "act", "canonical_parametric", "is_graph",
+        "pde_from_text", "regraph", "residual_max", "rotation_map", "semi_symmetry_check",
+        "translation_wave", "vertical_map",
     ),
     "evolution_pde": (
         "burgers_pde", "burgers_residual", "burgers_soliton", "heat_flow_demo", "heat_kernel",

@@ -22,170 +22,92 @@ import math
 import sys
 from typing import Callable, Sequence
 
-from .actions import TimeAction, composition_check, dichotomy_classify, identity_check
-from .enforcing import (
-    bump_map,
-    cuberoot_group_action,
-    cuberoot_ode_system,
-    homotopy_action,
-    milder_action,
-    milder_ode_system,
-    one_sided_quotients,
-    ode_residual_explicit,
-    ode_residual_homotopy,
-    ode_residual_map,
-    ode_residual_milder,
-    milder_branch_for,
-    sqrt_action,
-    sqrt_branch_for,
-    sqrt_mediator,
-    sqrt_ode_system,
-    square_map,
-)
-from .evolution_pde import burgers_residual, burgers_soliton
+# the layers in dependency order (expr and maps come with the package)
 from .expr import ExprError, free_vars, parse_expr
-from .grids import Axis, grid1d, grid2d
 from .maps import SmoothMap
-from .actions import noninvertibility_witness_sqrt
-from .reduction import (
-    IntegrationError,
-    augment_system,
-    gls_one_time_op,
-    gls_slice,
-    integrate_flow,
-    quadratic_slice,
-    quadratic_system,
-    recover_evolution_detailed,
-)
+from .grids import Axis, grid1d
 from .report import VerificationReport
-from .semisym import (
-    constrained_symmetry_scan,
-    scaling_action,
-    strip_predicate,
-    value_shift_action,
-)
-from .suites import (
-    SUITES,
-    SuiteConfig,
-    run_suites,
-    suite_heat_flow,
-    suite_parametric_graph,
-)
+from .actions import TimeAction, identity_check
+from .reduction import IntegrationError, augment_system, integrate_flow, quadratic_system
+from .enforcing import cuberoot_ode_system, sqrt_ode_system
+from .suites import SUITES, SuiteConfig, run_suites
 
 
 # ---------------------------------------------------------------------------
-# demos
+# demos: name -> (blurb, {suite: report names}); a demo runs those suites at their
+# defaults and prints the blurb and the named reports, recomputing nothing itself
 
-
-def _demo_sqrt_action() -> str:
-    action = sqrt_action()
-    lines = ["square-root singular action H(t,y) = y + sqrt(t)*y^2 on t >= 0"]
-    for t, y in ((0.0, 5.0), (1.0, 2.0), (4.0, -0.5)):
-        lines.append(f"  H({t:g}, {y:g}) = {action.call1(t, y):.12g}")
-    for t in (0.25, 1.0, 4.0):
-        y1, y2 = noninvertibility_witness_sqrt(t)
-        lines.append(
-            f"  collision at t={t:g}: H({t:g},{y1:g}) = {action.call1(t, y1):.3g} "
-            f"= H({t:g},{y2:g}) = {action.call1(t, y2):.3g} -> not injective"
-        )
-    lines.append("  one-sided difference quotients |H(e,1)-H(0,1)|/e (C^1 failure at 0):")
-    for e, q in one_sided_quotients(action, 1.0, [1e-2, 1e-4, 1e-6, 1e-8]):
-        lines.append(f"    eps={e:g}: {q:.6g}")
-    branch = sqrt_branch_for(1.0, 1.0)
-    residuals = {branch.name: ode_residual_map(action, sqrt_ode_system(branch.name))}
-    lines.append("  residual of the branch ODE at (t=1, y=1), resolved branch: "
-                 f"{ode_residual_explicit(residuals, 1.0, 1.0, branch):.3e}")
-    return "\n".join(lines)
-
-
-def _demo_milder_action() -> str:
-    action = milder_action()
-    lines = ["everywhere-smooth variant H(t,y) = y + t*y^2 on all of R"]
-    for t, y in ((0.0, 3.0), (-1.0, 1.0), (2.0, 1.0)):
-        lines.append(f"  H({t:g}, {y:g}) = {action.call1(t, y):.12g}")
-    residuals = {b: ode_residual_map(action, milder_ode_system(b)) for b in ("regular", "singular")}
-    for t, y in ((1.0, 1.0), (0.0, 3.0), (-1.0, 1.0)):
-        r = ode_residual_milder(residuals, t, y, milder_branch_for(t, y))
-        lines.append(f"  resolved-ODE residual at (t={t:g}, y={y:g}): {r:.3e}")
-    lines.append("  smooth in t, yet H(t,.) is never injective for t != 0 "
-                 "(witness pair y, -1/t - y), so no group action exists")
-    return "\n".join(lines)
-
-
-def _demo_cuberoot() -> str:
-    action = cuberoot_group_action()
-    comp = composition_check(action, [(1.0, 2.0), (-1.0, 2.0)], grid1d(-3.0, 3.0, 22), 1e-12)
-    dich = dichotomy_classify(action, [0.5, 1.0, 2.0], grid1d(-3.0, 3.0, 22), 1e-9)
-    return "\n".join(
-        [
-            "cube-root flow Y(t) = (3t + y^3)^(1/3) of dY/dt = 1/Y^2",
-            f"  Y(1/3) from y=0: {action.call1(1.0 / 3.0, 0.0):.12g}",
-            f"  composition law: {comp.one_line()}",
-            f"  dichotomy classification: {dich.classification} "
-            "(a group action despite the singular RHS)",
-        ]
-    )
-
-
-def _demo_homotopy() -> str:
-    med = sqrt_mediator()
-    lines = ["homotopy action H(t,y) = (1 - g(t))*y + g(t)*f(y), g = sqrt(t)"]
-    for name, f in (("square", square_map()), ("bump", bump_map())):
-        action = homotopy_action(f, med)
-        residual = ode_residual_homotopy(f, med, action.map, action.map.partial("t"), 0.25, 2.0)
-        lines.append(
-            f"  f = {name}: H(0,3) = {action.call1(0.0, 3.0):g}, "
-            f"H(1,3) = {action.call1(1.0, 3.0):g} = f(3)"
-        )
-        lines.append(f"    implicit-ODE residual at (t=0.25, y=2): {residual:.3e}")
-    return "\n".join(lines)
-
-
-def _demo_gls_evolution() -> str:
-    op = gls_one_time_op()
-    a = op(1.0, (0.0, 2.0))
-    b = op(3.0, a)
-    c = op(4.0, (0.0, 2.0))
-    return "\n".join(
-        [
-            "genuine-semigroup evolution one dimension up: E(s)(t,y) = (t+s, E(t,t+s)(y))",
-            f"  E(1)(0, 2) = ({a[0]:g}, {a[1]:g})",
-            f"  E(3)(1, 6) = ({b[0]:g}, {b[1]:g})",
-            f"  E(4)(0, 2) = ({c[0]:g}, {c[1]:g})  [= E(3)∘E(1), the semigroup law]",
-            "  each E(s), s > 0, is non-injective (collision on the t=0 slice), so no "
-            "member except the identity is invertible",
-        ]
-    )
-
-
-def _demo_quadratic_recovery() -> str:
-    res = recover_evolution_detailed(quadratic_slice, 1.0, 2.0, 3.0)
-    lines = [
-        "recovering the two-time evolution of dY/dt = 2t from the slice E(0,t)(z) = t^2 + z",
-        f"  target: E(1,2)(3) via E(0,2)(y*) with E(0,1)(y*) = 3",
-        f"  brackets scanned: {len(res.brackets)}, roots: {[f'{r:.6g}' for r in res.roots]}",
-        f"  y* = {res.ystar:.12g} (condition number {res.condition:.3g})",
-        f"  E(1,2)(3) = {res.value:.12g}   [closed form: s^2 - t^2 + y = 6]",
-    ]
-    res2 = recover_evolution_detailed(gls_slice, 1.0, 4.0, 6.0)
-    lines.append(
-        f"  same machinery on the singular slice z + sqrt(t)*z^2: E(1,4)(6) = "
-        f"{res2.value:.12g} with y* = {res2.ystar:.6g} ({res2.notes[0] if res2.notes else 'single root'})"
-    )
-    return "\n".join(lines)
-
-
-def _demo_burgers() -> str:
-    U = burgers_soliton(0.0, 1.0, 1.0, 0.5)
-    r = burgers_residual(U, 0.5, grid2d(0.0, 1.0, 5, -5.0, 5.0, 11))
-    return "\n".join(
-        [
-            "viscous Burgers traveling kink c - sqrt(c^2+d)*tanh(sqrt(c^2+d)/(2 mu)*(x-x0-c t))",
-            f"  U(0,0) with (x0,c,d,mu)=(0,1,1,0.5): {U(0.0, 0.0)[0]:.12g}",
-            f"  max residual of U_t + U U_x - mu U_xx on [0,1]x[-5,5]: {r:.3e}",
-            "  time advance acts on parameters as x0 -> x0 + c*t with (c,d) frozen",
-        ]
-    )
+DEMOS: dict[str, tuple[str, dict[str, tuple[str, ...]]]] = {
+    "sqrt-action": (
+        "singular action y + sqrt(t)*y^2: collisions, branch ODEs and C^1 failure at t = 0",
+        {
+            "noninvertibility": ("sqrt-witness-collision", "sqrt-action-vs-smooth-family"),
+            "ode-residuals": (
+                "ode-residual[sqrt-branches]",
+                "limit-ic[sqrt-action]",
+                "not-c1[sqrt-action]",
+            ),
+        },
+    ),
+    "milder-action": (
+        "smooth variant y + t*y^2 and its resolved ODEs",
+        {
+            "identity-axiom": ("identity[milder-action]",),
+            "ode-residuals": ("ode-residual[milder-branches]",),
+        },
+    ),
+    "cuberoot-group": (
+        "cube-root flow: a group action from a singular RHS",
+        {
+            "noninvertibility": ("dichotomy[cuberoot-action]",),
+            "flow-oracle": ("flow-vs-closed-form[cuberoot-action]",),
+        },
+    ),
+    "homotopy-action": (
+        "identity-to-f homotopy mediated by sqrt(t)",
+        {
+            "ode-residuals": (
+                "ode-residual[homotopy-square]",
+                "ode-residual[homotopy-bump]",
+                "limit-ic[homotopy[square]]",
+                "limit-ic[homotopy[bump]]",
+            ),
+            "diffeo-thresholds": ("diffeo-thresholds[bump-homotopy]",),
+        },
+    ),
+    "gls-evolution": (
+        "the genuine-semigroup evolution one dimension up",
+        {
+            "gls-semigroup": ("one-time-law[sqrt-gls-evolution]",),
+            "noninvertibility": ("dichotomy[sqrt-gls-evolution]",),
+        },
+    ),
+    "quadratic-recovery": (
+        "two-time evolution recovered from one slice by root finding",
+        {
+            "reduction-algebra": ("recovery[quadratic]",),
+            "recovery-cross-check": ("recovery-vs-closed-form[sqrt-gls]",),
+        },
+    ),
+    "burgers-soliton": (
+        "Burgers traveling kink and its parameter flow",
+        {"burgers": ("burgers-soliton-residual", "soliton-translation", "param-flow-cocycle")},
+    ),
+    "rotated-parabola": (
+        "parametric charts vs graphs under rotations",
+        {
+            "parametric-graph": (
+                "rotated-parabola[pi/4]",
+                "rotated-parabola[pi]",
+                "regraph[half-turn-parabola]",
+            ),
+        },
+    ),
+    "heat-flow": (
+        "heat kernel: an exact solution of U_t = U_xx",
+        {"heat-flow": ("heat-flow-demo",)},
+    ),
+}
 
 
 def _report_lines(reports: list[VerificationReport]) -> list[str]:
@@ -199,62 +121,6 @@ def _report_lines(reports: list[VerificationReport]) -> list[str]:
             values = ", ".join(f"{v:.6g}" for v in w.values)
             lines.append(f"    witness at ({point}): values ({values}) {w.note}".rstrip())
     return lines
-
-
-def _demo_rotated_parabola() -> str:
-    return "\n".join(
-        [
-            "parametric chart of the parabola u = x^2 under plane rotations",
-            *_report_lines(suite_parametric_graph(SuiteConfig())),
-            "  the chart survives either way: composition never needs an inverse",
-        ]
-    )
-
-
-def _demo_heat_flow() -> str:
-    return "\n".join(
-        [
-            "heat kernel exp(-x^2/(4 t))/sqrt(t) against U_t = U_xx",
-            *_report_lines(suite_heat_flow(SuiteConfig())),
-        ]
-    )
-
-
-def _demo_constrained() -> str:
-    scan = constrained_symmetry_scan(
-        scaling_action(),
-        strip_predicate,
-        grid1d(0.25, 1.5, 6),
-        grid2d(-0.99, 0.99, 9, -2.0, 2.0, 5),
-    )
-    lines = ["scaling (g,(x,y)) -> (gx,y) against the strip |x| < 1:"]
-    for g, ok, _ in scan.entries:
-        lines.append(f"  g = {g:g}: {'keeps' if ok else 'leaves'} the strip")
-    lines.append(f"  invariant parameter set on this sample: {scan.invariant_params}")
-    shift = constrained_symmetry_scan(
-        value_shift_action(),
-        lambda p: p[1] > 0.0,
-        grid1d(-2.0, 2.0, 5),
-        grid2d(-1.0, 1.0, 3, 0.5, 3.0, 6),
-    )
-    lines.append("value shifts (x,u) -> (x,u+c) against the constraint u > 0:")
-    for c, ok, _ in shift.entries:
-        lines.append(f"  c = {c:g}: {'admissible' if ok else 'violates the constraint'}")
-    return "\n".join(lines)
-
-
-DEMOS: dict[str, tuple[str, Callable[[], str]]] = {
-    "sqrt-action": ("singular action y + sqrt(t)*y^2: collisions and C^1 failure", _demo_sqrt_action),
-    "milder-action": ("smooth variant y + t*y^2 and its resolved ODEs", _demo_milder_action),
-    "cuberoot-group": ("cube-root flow: a group action from a singular RHS", _demo_cuberoot),
-    "homotopy-action": ("identity-to-f homotopy mediated by sqrt(t)", _demo_homotopy),
-    "gls-evolution": ("the genuine-semigroup evolution one dimension up", _demo_gls_evolution),
-    "quadratic-recovery": ("two-time evolution recovered from one slice by root finding", _demo_quadratic_recovery),
-    "burgers-soliton": ("Burgers traveling kink and its parameter flow", _demo_burgers),
-    "rotated-parabola": ("parametric charts vs graphs under rotations", _demo_rotated_parabola),
-    "heat-flow": ("heat kernel: an exact solution of U_t = U_xx", _demo_heat_flow),
-    "constrained-scaling": ("subset-preserving parameter scans", _demo_constrained),
-}
 
 
 FLOW_SYSTEMS: dict[str, Callable[[], object]] = {
@@ -434,8 +300,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     if args.name not in DEMOS:
         raise ValueError(f"unknown demo '{args.name}'; known: {', '.join(DEMOS)}")
-    print(DEMOS[args.name][1]())
-    return 0
+    blurb, wanted = DEMOS[args.name]
+    ran = run_suites(list(wanted), SuiteConfig())
+    reports = []
+    for suite, names in wanted.items():
+        by_name = {rep.suite: rep for rep in ran[suite]}
+        reports.extend(by_name[name] for name in names)
+    print("\n".join([blurb, *_report_lines(reports)]))
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def cmd_flow(args: argparse.Namespace) -> int:

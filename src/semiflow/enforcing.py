@@ -355,18 +355,26 @@ def limit_ic_check(
     )
 
 
-def one_sided_quotients(
-    action: TimeAction, y: Sequence[float] | float, eps_sequence: Sequence[float]
-) -> list[tuple[float, float]]:
-    """(eps, ‖H(eps,y) - H(0,y)‖/eps) pairs; divergence as eps -> 0 is the
-    evidence that the action is not C^1 at t = 0."""
-    ys = (y,) if isinstance(y, (int, float)) else tuple(y)
-    base = action(0.0, ys)
-    out = []
-    for e in eps_sequence:
-        gap = max_norm([a - b for a, b in zip(action(e, ys), base)])
-        out.append((e, gap / e))
-    return out
+def not_c1_check(
+    action: TimeAction, y: float, eps_sequence: Sequence[float], tol: float
+) -> VerificationReport:
+    """The one-sided quotient |H(eps,y) - H(0,y)|/eps must diverge like y^2/sqrt(eps).
+
+    For H(t,y) = y + sqrt(t)*y^2 the gap is sqrt(eps)*y^2 exactly, so sqrt(eps)
+    times the quotient equals y^2 at every eps and the quotient has no limit:
+    H is not C^1 at t = 0. A 1-D action that is C^1 there, such as y + t*y^2,
+    keeps its quotient bounded and fails at every eps, each with a witness
+    (eps, sqrt(eps)*quotient, y^2). Deviations follow `report.deviation`.
+    """
+    eps = list(eps_sequence)
+    base = action.call1(0.0, y)
+    tally = Tally(tol)
+    for e in eps:
+        rate = math.sqrt(e) * abs(action.call1(e, y) - base) / e
+        tally.add(deviation((rate,), (y * y,)), (e,), (rate, y * y))
+    return tally.report(
+        f"not-c1[{action.name}]", f"eps {eps[0]:g}..{eps[-1]:g} ({len(eps)} values), y = {y:g}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -337,58 +337,3 @@ def semi_symmetry_check(
         grid=grid.summary(),
         checked=len(devs) * grid.size,
     )
-
-
-# ---------------------------------------------------------------------------
-# constrained symmetries: parameters whose action preserves a subset
-
-
-@dataclass
-class ConstrainedScanReport:
-    entries: list[tuple[float, bool, Witness | None]]
-
-    @property
-    def invariant_params(self) -> list[float]:
-        return [g for g, ok, _ in self.entries if ok]
-
-
-def constrained_symmetry_scan(
-    action: SmoothMap,
-    S: Callable[[tuple[float, ...]], bool],
-    param_grid: SamplingGrid,
-    state_grid: SamplingGrid,
-) -> ConstrainedScanReport:
-    """Sampled parameters g whose map sends every sampled point of S into S.
-
-    `action` takes (g, state...) and returns the moved state. State-grid
-    points outside S are ignored; they are not part of the constraint.
-    """
-    if len(param_grid.axes) != 1:
-        raise ValueError("parameter grid must be one-dimensional")
-    states = [p for p in state_grid.points() if S(p)]
-    if not states:
-        raise ValueError("no state-grid point lies in the constraint set")
-    entries = []
-    for (g,) in param_grid.points():
-        witness = None
-        for p in states:
-            moved = action(g, *p)
-            if not S(moved):
-                witness = Witness((g, *p), moved, "image leaves the constraint set")
-                break
-        entries.append((g, witness is None, witness))
-    return ConstrainedScanReport(entries)
-
-
-def scaling_action() -> SmoothMap:
-    """(g, (x, y)) -> (g*x, y): the positive-scaling family on the plane."""
-    return SmoothMap(("g", "x", "y"), (Var("g") * Var("x"), Var("y")), name="x-scaling")
-
-
-def strip_predicate(point: Sequence[float]) -> bool:
-    return -1.0 < point[0] < 1.0
-
-
-def value_shift_action() -> SmoothMap:
-    """(c, (x, u)) -> (x, u + c): vertical translations of function values."""
-    return SmoothMap(("c", "x", "u"), (Var("x"), Var("u") + Var("c")), name="value-shift")

@@ -32,6 +32,7 @@ from .enforcing import (
     milder_action,
     milder_branch_for,
     milder_ode_system,
+    not_c1_check,
     ode_residual_explicit,
     ode_residual_homotopy,
     ode_residual_map,
@@ -152,6 +153,11 @@ EXPRESSION_CATALOG: dict[str, tuple[str, dict[str, tuple[float, float]]]] = {
 K_RELATION_TOL = 1e-12  # H(t, y) = K(sqrt(t), y) is exact up to rounding
 LIMIT_IC_TOL = 1e-5  # |H(eps, y) - y|/(1 + |y|) at the smallest eps
 LIMIT_IC_EPS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+# not-c1 compares sqrt(eps)*|H(eps,1) - H(0,1)|/eps with y^2 = 1. Rounding the sum
+# y + sqrt(eps)*y^2 errs by at most u*|H| (u = 2^-53) and the subtraction of y is
+# exact, so the rate is off by u*|y|/sqrt(eps) plus a few u*y^2: a deviation of at
+# most u/(2*sqrt(eps)) + 7u, 5.6e-12 at the smallest eps. The tolerance is twice that.
+NOT_C1_TOL = 2.0**-53 / math.sqrt(LIMIT_IC_EPS[-1])
 # Linear interpolation on knots h apart errs by at most h^2/8*max|U''|;
 # for U = -x^2 on knots 0.01 apart that is 2.5e-5, and the measured
 # midpoint error is that bound itself, so a relative 1e-6 absorbs rounding.
@@ -273,19 +279,28 @@ def suite_noninvertibility(config: SuiteConfig) -> list[VerificationReport]:
 
 
 def _fold_margin(tol: float) -> float:
-    """The fold distance |1 + 2*s*y| below which a branch residual measures rounding.
+    """u/tol, u = 2^-53: a branch residual measures rounding where |d|/S < 2*u/tol.
 
     The radicand 1 + 4*s*H of a branch ODE equals d^2, d = 1 + 2*s*y (s = sqrt(t)
     for the square-root action, s = t for the milder one). Near the fold d = 0 its
-    terms are 1 and about -1, so its computed value is off by a few units of
-    roundoff u = 2^-53 and its square root by about u/|d|: more than `tol` once
-    |d| < u/tol. Such a point counts as a skip; at tol = 1e-10 the margin is 1.1e-6.
+    terms are 1 and about -1, so its computed value is off by up to about 4u and
+    its square root by about 2u/|d|. The rhs multiplies that by its sensitivity S
+    to the root, so the residual is off by about 2u*S/|d|:
+      - square root: rhs = (1 + 2*s*H ± root)/(4*t*s), so S = 1/(4*t*sqrt(t));
+      - milder: rhs = (1 + 2*t*H + root)/(2*t^2) on the singular branch and
+        2*H^2/(1 + 2*t*H + root) on the regular one; with 2*t*y = d - 1,
+        H = y*(1 + d)/2 and root = |d|, both give S = 2*y^2/(1 + |d|)^2.
+    A point with |d|/S < 2u/tol counts as a skip. A sweep of 2e5 points with
+    1e-9 <= |d| <= 1e-2 measured residuals of at most 2.1u*S/|d|, and the default
+    grids stay 39 (square root) and 720 (milder) times this margin from the fold.
+    Far from the fold (|d| near 1) the square-root rhs still scales rounding by S,
+    so at t below (u/(2*tol))^(2/3), 6.8e-5 at tol = 1e-10, every point is a skip.
     """
     return 2.0**-53 / tol
 
 
 def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
-    """The branch residuals skip every point within `_fold_margin` of the fold."""
+    """The branch residuals skip every point that `_fold_margin` puts on the fold."""
     tol_explicit = config.tol("explicit", 1e-10)
     tol_homotopy = config.tol("homotopy", 1e-9)
     tol_milder = config.tol("milder", 1e-10)
@@ -296,10 +311,11 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
     residuals = {b: ode_residual_map(sqrt_act, sqrt_ode_system(b)) for b in ("plus", "minus")}
     grid = SamplingGrid((config.axis("t", Axis(1e-3, 10.0, 50)), config.axis("y", Axis(-5.0, 5.0, 50))))
     tally = Tally(tol_explicit)
-    margin = _fold_margin(tol_explicit)
+    band = 2.0 * _fold_margin(tol_explicit)
     for t, y in grid.points():
         branch = sqrt_branch_for(t, y)
-        if abs(1.0 + 2.0 * math.sqrt(t) * y) < margin:
+        s = math.sqrt(t)
+        if abs(1.0 + 2.0 * s * y) * 4.0 * t * s < band:  # |d|/S with S = 1/(4*t*s)
             tally.skip()
             continue
         try:
@@ -326,10 +342,11 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
     residuals = {b: ode_residual_map(milder_act, milder_ode_system(b)) for b in ("regular", "singular")}
     mgrid = grid2d(-2.0, 2.0, 41, -3.0, 3.0, 41)
     tally = Tally(tol_milder)
-    margin = _fold_margin(tol_milder)
+    band = 2.0 * _fold_margin(tol_milder)
     for t, y in mgrid.points():
         branch = milder_branch_for(t, y)
-        if abs(1.0 + 2.0 * t * y) < margin:
+        d = abs(1.0 + 2.0 * t * y)
+        if d * (1.0 + d) ** 2 < 2.0 * y * y * band:  # |d|/S with S = 2*y^2/(1 + |d|)^2
             tally.skip()
             continue
         try:
@@ -341,6 +358,8 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
     reports.append(tally.report("ode-residual[milder-branches]", mgrid.summary()))
     # the singular ODEs admit only the limit-type initial condition H(0+, y) = y
     reports.append(limit_ic_check(sqrt_act, 1.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
+    # and H is not C^1 at t = 0: its one-sided quotient diverges like y^2/sqrt(eps)
+    reports.append(not_c1_check(sqrt_act, 1.0, LIMIT_IC_EPS, NOT_C1_TOL))
     for action in homotopies:
         reports.append(limit_ic_check(action, 2.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
     return reports

@@ -68,8 +68,9 @@ def test_criterion_04_ode_residuals():
     )
     for name in ("limit-ic[sqrt-action]", "limit-ic[homotopy[square]]", "limit-ic[homotopy[bump]]"):
         ok = ok and reps[name].passed and reps[name].tolerance == 1e-5 and reps[name].checked == 5
+    ok = ok and reps["not-c1[sqrt-action]"].passed and reps["not-c1[sqrt-action]"].checked == 5
     _line(4, ok, "branch ODEs <= 1e-10, homotopy ODE <= 1e-9, smooth-variant ODEs <= 1e-10, "
-          "limit-type initial conditions <= 1e-5")
+          "limit-type initial conditions <= 1e-5, quotient ~ y^2/sqrt(eps): not C^1 at t = 0")
     assert ok
 
 

@@ -173,10 +173,40 @@ def test_cli_and_run_suite_write_the_same_report(tmp_path, capsys):
 
 
 def test_demo_quadratic_recovery(capsys):
+    # the blurb, then the two recovery reports of the suites
     assert main(["demo", "--name", "quadratic-recovery"]) == 0
-    out = capsys.readouterr().out
-    assert "E(1,2)(3) = 6" in out
-    assert "y*" in out  # the recovery transcript
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "two-time evolution recovered from one slice by root finding"
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["PASS", "recovery[quadratic]:"],
+        ["PASS", "recovery-vs-closed-form[sqrt-gls]:"],
+    ]
+
+
+def test_every_demo_report_is_produced_by_its_suites():
+    from semiflow.cli import DEMOS
+    from semiflow.suites import SuiteConfig, run_suites
+
+    wanted: dict[str, set[str]] = {}
+    for _, by_suite in DEMOS.values():
+        for suite, names in by_suite.items():
+            wanted.setdefault(suite, set()).update(names)
+    ran = run_suites(sorted(wanted), SuiteConfig())
+    missing = {suite: names - {rep.suite for rep in ran[suite]} for suite, names in wanted.items()}
+    assert all(not names for names in missing.values()), missing
+
+
+def test_a_demo_with_a_failing_report_exits_one(monkeypatch, capsys):
+    import semiflow.suites as suites
+
+    monkeypatch.setattr(suites, "NOT_C1_TOL", 1e-300)
+    assert main(["demo", "--name", "sqrt-action"]) == 1
+    assert "FAIL         not-c1[sqrt-action]" in capsys.readouterr().out
+
+
+def test_the_constrained_scaling_demo_is_gone(capsys):
+    assert main(["demo", "--name", "constrained-scaling"]) == 2
+    assert "unknown demo 'constrained-scaling'" in capsys.readouterr().err
 
 
 def test_demo_catalog_runs(capsys):
@@ -187,7 +217,7 @@ def test_demo_catalog_runs(capsys):
         assert main(["demo", "--name", name]) == 0
         transcript.append(capsys.readouterr().out)
     digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
-    assert digest == "e5119e5df2df4a834bf722ee2c2ca2b4ca0d26a872dd566b46af88d0ce486fa6"
+    assert digest == "227acf2f2396bec9b9954c0df0646e461bda4bdda08145dda854ddb59427140e"
 
 
 def test_demo_unknown(capsys):
@@ -414,4 +444,4 @@ def test_seed_42_report_is_pinned(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "all", "--seed", "42", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "332c10d8f7c1edf23e85a3ecb219da5a31dd61b099b7d74ca1515ee28ad0945e"
+    assert digest == "345f44932898fc1b7068aa103be7faa3673ab2252ce675b3f0eda81549ac940e"

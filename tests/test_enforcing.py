@@ -27,11 +27,11 @@ from semiflow.enforcing import (
     milder_ode_system,
     milder_regular_branch,
     milder_singular_branch,
+    not_c1_check,
     ode_residual_explicit,
     ode_residual_homotopy,
     ode_residual_map,
     ode_residual_milder,
-    one_sided_quotients,
     sqrt_action,
     sqrt_branch_for,
     sqrt_mediator,
@@ -46,6 +46,7 @@ from semiflow.maps import identity_map, scalar_map
 from semiflow.actions import TimeAction
 from semiflow.maps import SmoothMap
 from semiflow.rootfind import RootSearchError, bisect
+from semiflow.suites import LIMIT_IC_EPS, NOT_C1_TOL
 
 
 class TestRegisteredActions:
@@ -235,17 +236,26 @@ class TestLimitInitialCondition:
 
 
 class TestNotC1AtZero:
+    """The check of the ode-residuals suite, at its eps values and pinned tolerance."""
+
+    EPS = LIMIT_IC_EPS
+    TOL = NOT_C1_TOL
+
     @pytest.mark.parametrize("y", [1.0, 2.0, -3.0])
     def test_one_sided_quotient_diverges(self, y):
-        eps = [10.0 ** (-k) for k in range(2, 9)]
-        for e, q in one_sided_quotients(sqrt_action(), y, eps):
-            assert q >= 0.4 * y * y * e ** -0.5
+        # |H(e,y) - y|/e = y^2/sqrt(e) exactly, up to rounding
+        rep = not_c1_check(sqrt_action(), y, self.EPS, self.TOL)
+        assert rep.passed and rep.checked == 5 and rep.witnesses == []
+        assert rep.max_deviation <= 2.0**-53 / (2.0 * math.sqrt(1e-10)) + 7 * 2.0**-53
 
     def test_milder_action_is_c1(self):
-        # the everywhere-smooth variant has bounded quotients: |H(e,y)-y|/e = y^2
-        # (rel 1e-7 absorbs the cancellation in (2 + 4e) - 2 at e = 1e-8)
-        for e, q in one_sided_quotients(milder_action(), 2.0, [1e-2, 1e-5, 1e-8]):
-            assert q == pytest.approx(4.0, rel=1e-7)
+        # the everywhere-smooth variant keeps its quotient at y^2, so sqrt(e)*quotient
+        # falls to 0 and every eps is a witness (eps, sqrt(e)*y^2, y^2)
+        rep = not_c1_check(milder_action(), 2.0, self.EPS, self.TOL)
+        assert not rep.passed and rep.suite == "not-c1[milder-action]"
+        assert [w.point for w in rep.witnesses] == [(e,) for e in self.EPS]
+        rate, want = rep.witnesses[0].values
+        assert rate == pytest.approx(0.4, rel=1e-12) and want == 4.0
 
 
 class TestDiffeoClassification:
@@ -493,8 +503,9 @@ class TestResidualChecksReadTheIntegratedSystems:
 
 
 class TestBranchResidualsSkipTheFold:
-    """Within u/tol of the fold 1 + 2*s*y = 0 a branch residual measures only
-    the rounding of H, so the point is a skip, not a failure."""
+    """Within 2*S*u/tol of the fold 1 + 2*s*y = 0, S the sensitivity of the rhs to its
+    square root, a branch residual measures only the rounding of H, so the point is a
+    skip, not a failure."""
 
     def test_the_sqrt_residual_skips_a_point_on_the_fold(self):
         import semiflow.suites as suites
@@ -514,6 +525,37 @@ class TestBranchResidualsSkipTheFold:
         reports = {rep.suite: rep for rep in suites.suite_ode_residuals(suites.SuiteConfig())}
         rep = reports["ode-residual[milder-branches]"]
         assert rep.passed and (rep.checked, rep.skipped) == (2, 2)
+
+    def test_the_margin_grows_with_the_sensitivity_of_the_sqrt_rhs(self):
+        import semiflow.suites as suites
+        from semiflow.cli import run_suite
+
+        # |1 + 2*sqrt(t)*y| = 1.22e-6 at the first point: just outside u/tol, but the rhs
+        # scales the rounding of its root by 1/(4*t*sqrt(t)) = 7.9, so the residual of
+        # the exact solution reads 4.9e-10
+        scenario = {
+            "suite": "ode-residuals",
+            "grids": {
+                "t": {"lo": 0.1, "hi": 0.2, "count": 2},
+                "y": {"lo": -1.5811368947702615, "hi": -1.0, "count": 2},
+            },
+        }
+        assert run_suite(scenario) == 0
+        grids = {k: Axis(**v) for k, v in scenario["grids"].items()}
+        reports = {rep.suite: rep for rep in suites.suite_ode_residuals(suites.SuiteConfig(grids=grids))}
+        rep = reports["ode-residual[sqrt-branches]"]
+        assert rep.passed and (rep.checked, rep.skipped) == (3, 1)
+
+    def test_the_margin_grows_with_the_sensitivity_of_the_milder_rhs(self, monkeypatch):
+        import semiflow.suites as suites
+
+        # 1 + 2*t*y = -2e-6 at (0.1, -5.00001), where the rhs scales the rounding of its
+        # root by 2*y^2/(1 + |d|)^2 = 50 and the residual of the exact solution reads 1.7e-9
+        folds = SamplingGrid((Axis(0.1, 0.2, 2), Axis(-5.00001, -1.0, 2)))
+        monkeypatch.setattr(suites, "grid2d", lambda *args: folds)
+        reports = {rep.suite: rep for rep in suites.suite_ode_residuals(suites.SuiteConfig())}
+        rep = reports["ode-residual[milder-branches]"]
+        assert rep.passed and (rep.checked, rep.skipped) == (3, 1)
 
     def test_the_default_grids_stay_clear_of_the_fold(self):
         import semiflow.suites as suites

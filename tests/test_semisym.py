@@ -19,17 +19,13 @@ from semiflow.semisym import (
     ParametricFunction,
     act,
     canonical_parametric,
-    constrained_symmetry_scan,
     is_graph,
     pde_from_text,
     regraph,
     residual_max,
     rotation_map,
-    scaling_action,
     semi_symmetry_check,
-    strip_predicate,
     translation_wave,
-    value_shift_action,
     vertical_map,
 )
 
@@ -352,41 +348,3 @@ class TestSemiSymmetry:
             grid1d(0.0, 1.0, 5), 1e-9,
         )
         assert not rep.passed and math.isnan(rep.max_deviation)
-
-
-class TestConstrainedScan:
-    def test_scaling_strip(self):
-        scan = constrained_symmetry_scan(
-            scaling_action(),
-            strip_predicate,
-            grid1d(0.25, 1.5, 6),
-            grid2d(-0.99, 0.99, 9, -2.0, 2.0, 5),
-        )
-        for g, ok, witness in scan.entries:
-            assert ok == (g <= 1.0)
-            assert (witness is None) == ok
-        assert scan.invariant_params == [0.25, 0.5, 0.75, 1.0]
-
-    def test_value_shift_constraint(self):
-        scan = constrained_symmetry_scan(
-            value_shift_action(),
-            lambda p: p[1] > 0.0,
-            grid1d(-2.0, 2.0, 5),
-            grid2d(-1.0, 1.0, 3, 0.5, 3.0, 6),
-        )
-        for c, ok, _ in scan.entries:
-            assert ok == (c >= 0.0)
-
-    def test_identity_parameter_always_invariant(self):
-        scan = constrained_symmetry_scan(
-            scaling_action(), strip_predicate, grid1d(0.999999, 1.0, 2),
-            grid2d(-0.9, 0.9, 5, -1.0, 1.0, 3),
-        )
-        assert all(ok for _, ok, _ in scan.entries)
-
-    def test_empty_constraint_sample_rejected(self):
-        with pytest.raises(ValueError):
-            constrained_symmetry_scan(
-                scaling_action(), lambda p: False, grid1d(0.5, 1.0, 2),
-                grid2d(-1.0, 1.0, 3, -1.0, 1.0, 3),
-            )
