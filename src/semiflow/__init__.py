@@ -13,7 +13,6 @@ reads are plain attribute lookups. `from semiflow import X` and
 from .expr import (
     Binary,
     Const,
-    Deriv,
     EvalDomainError,
     Expr,
     ExprError,
@@ -55,9 +54,9 @@ _LAZY_EXPORTS = {
         "recover_evolution", "recover_evolution_detailed", "two_time_law_check", "ystar_branch",
     ),
     "semisym": (
-        "ParametricFunction", "PdeResidual", "act", "canonical_parametric", "is_graph",
-        "pde_from_text", "regraph", "residual_max", "rotation_map", "semi_symmetry_check",
-        "translation_wave", "vertical_map",
+        "ParametricFunction", "act", "canonical_parametric", "is_graph", "regraph",
+        "residual_max", "rotation_map", "semi_symmetry_check", "translation_wave",
+        "vertical_map",
     ),
     "evolution_pde": (
         "burgers_pde", "burgers_residual", "burgers_soliton", "heat_flow_demo", "heat_kernel",

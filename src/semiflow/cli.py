@@ -182,15 +182,8 @@ def config_from_scenario(doc: dict, seed_override: int | None, suite: str) -> Su
             )
         tolerances[key] = float(tol)
     seed = _scenario_value(doc, "seed", int, "an integer", 42)
-    expressions = _scenario_value(doc, "expressions", dict, "an object", {})
-    declarations = {"unknown", "vars"}  # symbol lists, not expressions
-    for name, text in expressions.items():
-        if not isinstance(text, str):
-            raise ValueError(f"expressions.{name} must be a string, got {text!r}")
-        if name not in declarations:
-            parse_expr(text)  # malformed expressions fail here, with an offset
     return SuiteConfig(seed=seed if seed_override is None else seed_override,
-                       tolerances=tolerances, grids=grids, expressions=dict(expressions))
+                       tolerances=tolerances, grids=grids)
 
 
 def _adhoc_identity_report(text: str, tol: float) -> VerificationReport:
@@ -247,12 +240,12 @@ def verify(
 
     The one body behind `semiflow verify` and `run_suite`. Bad input
     raises one of INPUT_ERRORS, which both entry points turn into exit
-    code 2; that includes a scenario tolerance, grid or expression that
-    none of the checks run has read.
+    code 2; that includes a scenario tolerance or grid that none of the
+    checks run has read.
     """
     if not isinstance(doc, dict):
         raise ValueError("scenario must be a JSON object")
-    known = {"suite", "expressions", "grids", "tolerances", "seed", "out"}
+    known = {"suite", "grids", "tolerances", "seed", "out"}
     stray = set(doc) - known
     if stray:
         raise ValueError(f"unknown scenario keys {sorted(stray)}; known: {sorted(known)}")

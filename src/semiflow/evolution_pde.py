@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Callable
 
 from .actions import TimeAction, composition_check
-from .expr import Const, Deriv, Var, tanh
+from .expr import Const, Expr, Var, diff, tanh
 from .grids import SamplingGrid
 from .maps import SmoothMap, map_from_exprs, scalar_map
 from .report import Tally, VerificationReport, deviation
-from .semisym import PdeResidual, residual_max
+from .semisym import residual_max
 
 
 def burgers_soliton(x0: float, c: float, d: float, mu: float) -> SmoothMap:
@@ -39,14 +40,14 @@ def burgers_soliton(x0: float, c: float, d: float, mu: float) -> SmoothMap:
     return SmoothMap(("t", "x"), (body,), name=f"soliton[x0={x0:g},c={c:g},d={d:g},mu={mu:g}]")
 
 
-def burgers_pde(mu: float) -> PdeResidual:
-    """Residual template U_t + U*U_x - mu*U_xx over (t, x)."""
-    template = (
-        Deriv("U", ("t",))
-        + Var("U") * Deriv("U", ("x",))
-        - Const(mu) * Deriv("U", ("x", "x"))
-    )
-    return PdeResidual(("t", "x"), "U", template)
+def burgers_pde(mu: float) -> Callable[[Expr], Expr]:
+    """The residual U_t + U*U_x - mu*U_xx of a solution U(t, x)."""
+
+    def residual(u: Expr) -> Expr:
+        u_x = diff(u, "x")
+        return diff(u, "t") + u * u_x - Const(mu) * diff(u_x, "x")
+
+    return residual
 
 
 def burgers_residual(U: SmoothMap, mu: float, grid: SamplingGrid) -> float:
@@ -126,14 +127,15 @@ def heat_kernel() -> SmoothMap:
     return scalar_map(("t", "x"), "exp(-x^2/(4*t))/sqrt(t)", name="heat-kernel")
 
 
-def heat_pde() -> PdeResidual:
-    return PdeResidual(("t", "x"), "U", Deriv("U", ("t",)) - Deriv("U", ("x", "x")))
+def heat_pde(u: Expr) -> Expr:
+    """The residual U_t - U_xx of a solution U(t, x)."""
+    return diff(u, "t") - diff(diff(u, "x"), "x")
 
 
 def heat_flow_demo(grid: SamplingGrid, tol: float) -> VerificationReport:
     """Max |U_t - U_xx| of the heat kernel over every grid point, with
     exact symbolic derivatives."""
-    resid = residual_max(heat_pde(), heat_kernel(), grid)
+    resid = residual_max(heat_pde, heat_kernel(), grid)
     return VerificationReport(
         suite="heat-flow-demo",
         passed=resid <= tol,

@@ -1,10 +1,9 @@
 """Symbolic expression trees over named real variables.
 
 Nodes: real constants, variables, the unary operations
-{neg, sqrt, cbrt, tanh, sin, cos, exp, log}, the binary operations
+{neg, sqrt, cbrt, tanh, sin, cos, exp, log} and the binary operations
 {add, sub, mul, div, pow} with pow restricted to constant rational
-exponents, and derivative markers ``D(U, x[, x])`` used by PDE residual
-templates (markers are inert until resolved against a concrete map).
+exponents.
 
 Operations: a parser for the infix grammar below, a printer that
 round-trips through the parser, exact symbolic differentiation,
@@ -30,7 +29,8 @@ Grammar (whitespace-insensitive)::
     expr   := term   (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := '-' factor | base ('^' factor)?
-    base   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
+    base   := NUMBER | IDENT | FUNC '(' expr ')' | '(' expr ')'
+    FUNC   := 'sqrt' | 'cbrt' | 'tanh' | 'sin' | 'cos' | 'exp' | 'log'
 
 ``^`` is right-associative and binds tighter than unary minus, which in
 turn binds tighter than ``*``/``/``, so ``-x^2`` means ``-(x^2)`` and
@@ -66,10 +66,6 @@ class EvalDomainError(ExprError):
 
 class UnboundVariableError(ExprError):
     """A free variable had no binding at evaluation time."""
-
-
-class UnresolvedMarkerError(ExprError):
-    """A derivative marker D(...) reached evaluation or differentiation."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,14 +143,6 @@ class Binary(Expr):
     op: str
     lhs: Expr
     rhs: Expr
-
-
-@dataclass(frozen=True, slots=True)
-class Deriv(Expr):
-    """Inert derivative marker: D(func, *wrt). Resolved by PDE templates."""
-
-    func: str
-    wrt: tuple[str, ...]
 
 
 FUNCTION_NAMES = ("sqrt", "cbrt", "tanh", "sin", "cos", "exp", "log")
@@ -267,15 +255,11 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
         return _BINARY_FN[e.op](evaluate(e.lhs, bindings), evaluate(e.rhs, bindings))
     if kind is Unary:
         return _UNARY_FN[e.op](evaluate(e.arg, bindings))
-    if kind is Deriv:
-        raise UnresolvedMarkerError(
-            f"derivative marker D({e.func},{','.join(e.wrt)}) was not resolved"
-        )
     raise ExprError(f"unknown node {e!r}")
 
 
 def free_vars(*exprs: Expr) -> set[str]:
-    """Names of the variables in `exprs`, and of the functions their markers name.
+    """Names of the variables in `exprs`.
 
     One walk over all of them that enters each inner node object once, so
     subtrees shared within or across the expressions (a derivative shares
@@ -297,8 +281,6 @@ def free_vars(*exprs: Expr) -> set[str]:
                 stack.append(e.arg)
         elif kind is Var:
             names.add(e.name)
-        elif kind is Deriv:
-            names.add(e.func)
         elif kind is not Const:
             raise ExprError(f"unknown node {e!r}")
     return names
@@ -451,10 +433,6 @@ def diff(e: Expr, var: str) -> Expr:
         if op == "log":
             return fold_div(du, u)
         raise ExprError(f"unknown unary op {op!r}")
-    if kind is Deriv:
-        raise UnresolvedMarkerError(
-            "cannot differentiate an unresolved derivative marker"
-        )
     raise ExprError(f"unknown node {e!r}")
 
 
@@ -496,7 +474,7 @@ def _node_prec(e: Expr) -> float:
     kind = type(e)
     if kind is Const:
         return _PREC_ATOM if math.copysign(1.0, e.value) > 0.0 else _PREC_NEG
-    if kind is Var or kind is Deriv:
+    if kind is Var:
         return _PREC_ATOM
     if kind is Unary:
         return _PREC_NEG if e.op == "neg" else _PREC_ATOM
@@ -520,8 +498,6 @@ def _fmt_bare(e: Expr) -> str:
         return format_number(e.value)
     if kind is Var:
         return e.name
-    if kind is Deriv:
-        return f"D({e.func},{','.join(e.wrt)})"
     if kind is Unary:
         if e.op == "neg":
             return "-" + _fmt(e.arg, _PREC_NEG)
@@ -674,8 +650,6 @@ class _Parser:
             self.i += 1
             if self.tokens[self.i][2] != "(":
                 return Var(name)
-            if name == "D":
-                return self.deriv_marker()
             if name not in FUNCTION_NAMES:
                 raise self.error(f"unknown function name '{name}'", self.i - 1)
             self.i += 1
@@ -690,20 +664,6 @@ class _Parser:
             self.expect(")")
             return e
         raise self.error(f"expected a number, name or '(' but found {self.found()!r}")
-
-    def deriv_marker(self) -> Expr:
-        start = self.i - 1  # the name "D"
-        self.i += 1
-        args = [self.expr()]
-        while self.tokens[self.i][2] == ",":
-            self.i += 1
-            args.append(self.expr())
-        self.expect(")")
-        if len(args) < 2 or not all(type(a) is Var for a in args):
-            raise self.error(
-                "derivative marker must be D(name, var[, var...]) with plain names", start
-            )
-        return Deriv(args[0].name, tuple(a.name for a in args[1:]))
 
 
 def parse_expr(text: str) -> Expr:
@@ -727,8 +687,6 @@ def _emit(e: Expr, params: tuple[str, ...]) -> str:
                 f"variable '{e.name}' not among parameters {params!r}"
             )
         return e.name
-    if kind is Deriv:
-        raise UnresolvedMarkerError("cannot compile an unresolved derivative marker")
     raise ExprError(f"unknown node {e!r}")
 
 

@@ -8,12 +8,15 @@ non-invertible ("semi-") symmetries of PDEs actionable globally: a
 rotated parabola stops being a graph, but its chart is still a perfectly
 good parametric object.
 
-A map is a semi-symmetry of a PDE when it carries solutions to
-solutions. The semi-symmetries checked here are vertical maps
-(x, u) -> (x, g(u)): they send the graph of a solution U to the graph of
-g∘U, so the transformed solution is built symbolically and its residual
-checked exactly. A map that moves the base coordinates may turn a graph
-into a chart of no function; `is_graph` samples a chart for that.
+A PDE is its residual: a function from a solution's expression to the
+residual expression, built with `diff` (the transport equation U_t = U_x
+is ``lambda u: diff(u, "t") - diff(u, "x")``). A map is a semi-symmetry
+of a PDE when it carries solutions to solutions. The semi-symmetries
+checked here are vertical maps (x, u) -> (x, g(u)): they send the graph
+of a solution U to the graph of g∘U, so the transformed solution is built
+symbolically and its residual checked exactly. A map that moves the base
+coordinates may turn a graph into a chart of no function; `is_graph`
+samples a chart for that.
 """
 
 from __future__ import annotations
@@ -21,18 +24,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .actions import PreconditionError
 from .expr import (
     Const,
-    Deriv,
     EvalDomainError,
     Expr,
     ExprError,
     Var,
     compile_expr,
-    diff,
     free_vars,
     parse_expr,
     substitute_many,
@@ -40,7 +41,7 @@ from .expr import (
 )
 from .grids import SamplingGrid, _near_pairs
 from .maps import SmoothMap, compose
-from .report import VerificationReport, Witness, nan_max
+from .report import Tally, VerificationReport, Witness, nan_max
 
 
 @dataclass(frozen=True)
@@ -158,83 +159,28 @@ def regraph(V: ParametricFunction, grid: SamplingGrid) -> Callable[[float], floa
 
 
 # ---------------------------------------------------------------------------
-# PDE residual templates
+# PDE residuals
 
 
-@dataclass(frozen=True)
-class PdeResidual:
-    """A residual template over derivative markers of one unknown symbol."""
-
-    vars: tuple[str, ...]
-    unknown: str
-    template: Expr
-
-    def __post_init__(self):
-        allowed = set(self.vars) | {self.unknown}
-        stray = free_vars(self.template) - allowed
-        if stray:
-            raise ExprError(f"template references undeclared symbols {sorted(stray)}")
-        for marker in _markers(self.template):
-            if marker.func != self.unknown:
-                raise ExprError(f"marker D({marker.func},...) is not the unknown")
-            if not 1 <= len(marker.wrt) <= 2:
-                raise ExprError("derivative markers support order 1 and 2 only")
-            bad = set(marker.wrt) - set(self.vars)
-            if bad:
-                raise ExprError(f"marker differentiates along undeclared {sorted(bad)}")
-
-
-def _markers(e: Expr) -> list[Deriv]:
-    if isinstance(e, Deriv):
-        return [e]
-    if hasattr(e, "arg"):
-        return _markers(e.arg)
-    if hasattr(e, "lhs"):
-        return _markers(e.lhs) + _markers(e.rhs)
-    return []
-
-
-def pde_from_text(residual: str, unknown: str, vars: Sequence[str]) -> PdeResidual:
-    return PdeResidual(tuple(vars), unknown, parse_expr(residual))
-
-
-def resolve_residual(pde: PdeResidual, U: SmoothMap) -> Expr:
-    """Template with markers replaced by exact derivatives of U."""
-    if U.inputs != pde.vars or U.out_dim != 1:
-        raise ExprError(
-            f"solution must be a single-output map of {pde.vars!r}; got "
-            f"{U.inputs!r} -> {U.out_dim}"
-        )
-    body = U.outputs[0]
-
-    def walk(e: Expr) -> Expr:
-        if isinstance(e, Deriv):
-            out = body
-            for v in e.wrt:
-                out = diff(out, v)
-            return out
-        if isinstance(e, Var) and e.name == pde.unknown:
-            return body
-        if hasattr(e, "arg"):
-            return type(e)(e.op, walk(e.arg))
-        if hasattr(e, "lhs"):
-            return type(e)(e.op, walk(e.lhs), walk(e.rhs))
-        return e
-
-    return walk(pde.template)
-
-
-def residual_max(pde: PdeResidual, U: SmoothMap, grid: SamplingGrid) -> float:
-    """Max |residual| of U over the grid, with exact symbolic derivatives."""
-    resolved = resolve_residual(pde, U)
-    fn = compile_expr(resolved, pde.vars)
-    residuals = [0.0]
+def _residuals(
+    residual: Callable[[Expr], Expr], u: Expr, params: tuple[str, ...], grid: SamplingGrid
+) -> Iterator[tuple[tuple[float, ...], float]]:
+    """Each grid point with the residual of the solution u there, in grid order."""
+    fn = compile_expr(residual(u), params)
     for point in grid.points():
         try:
-            residuals.append(abs(fn(*point)))
+            r = fn(*point)
         except EvalDomainError as err:
             raise EvalDomainError(f"residual undefined at {point!r}: {err}") from err
-    return nan_max(residuals)
+        yield point, r
+
+
+def residual_max(residual: Callable[[Expr], Expr], U: SmoothMap, grid: SamplingGrid) -> float:
+    """Max |residual(U)| over the grid, which samples U's inputs, with exact
+    symbolic derivatives."""
+    if U.out_dim != 1:
+        raise ExprError(f"a solution is a single-output map; {U.name or 'U'} has {U.out_dim}")
+    return nan_max([0.0, *(abs(r) for _, r in _residuals(residual, U.outputs[0], U.inputs, grid))])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +243,7 @@ VALUE_MAPS: dict[str, str] = {
 
 
 def semi_symmetry_check(
-    pde: PdeResidual,
+    residual: Callable[[Expr], Expr],
     f: SmoothMap,
     solution_family: Sequence[SmoothMap],
     grid: SamplingGrid,
@@ -305,35 +251,30 @@ def semi_symmetry_check(
 ) -> VerificationReport:
     """Does the vertical map f send every registered solution to another solution?
 
-    f must be vertical over the PDE's variables, (x, u) -> (x, g(u))
-    (precondition); it then sends the graph of a member U to the graph of
-    g∘U, which is built symbolically and its residual checked against tol.
-    Members must be solutions already (precondition). `checked` counts the
-    grid points at which a transformed residual was evaluated.
+    f must be vertical, (x, u) -> (x, g(u)), and every member a map of
+    f's base variables x that solves the PDE (preconditions). f sends the
+    graph of a member U to the graph of g∘U, which is built symbolically;
+    its residual is evaluated at every grid point and tallied against tol
+    (witnesses follow `report.Tally`, each noted with its member's name).
+    `checked` counts those evaluations.
     """
-    if not (is_vertical(f) and f.in_dim == len(pde.vars) + 1):
-        raise PreconditionError(
-            f"{f.name or 'f'} is not a vertical map (x, u) -> (x, g(u)) over {pde.vars!r}"
-        )
-    u, g = f.inputs[-1], f.outputs[-1]
-    devs = []
+    name = f.name or "f"
+    if not is_vertical(f):
+        raise PreconditionError(f"{name} is not a vertical map (x, u) -> (x, g(u))")
+    base, u, g = f.inputs[:-1], f.inputs[-1], f.outputs[-1]
+    tally = Tally(tol)
     for U in solution_family:
-        base = residual_max(pde, U, grid)
-        if not base <= tol:
+        member = U.name or to_text(U.outputs[0])
+        if U.inputs != base:
             raise PreconditionError(
-                f"family member {U.name or to_text(U.outputs[0])} is not a solution "
-                f"(residual {base:.3e})"
+                f"{name} is not a vertical map over the base {U.inputs!r} of family member {member}"
             )
-        transformed = SmoothMap(
-            pde.vars, (substitute_many(g, {u: U.outputs[0]}),), name=f"{f.name}·{U.name}"
-        )
-        devs.append(residual_max(pde, transformed, grid))
-    max_dev = nan_max(devs) if devs else 0.0
-    return VerificationReport(
-        suite=f"semi-symmetry[{f.name or 'f'}]",
-        passed=max_dev <= tol,
-        max_deviation=max_dev,
-        tolerance=tol,
-        grid=grid.summary(),
-        checked=len(devs) * grid.size,
-    )
+        dev = residual_max(residual, U, grid)
+        if not dev <= tol:
+            raise PreconditionError(
+                f"family member {member} is not a solution (residual {dev:.3e})"
+            )
+        moved = substitute_many(g, {u: U.outputs[0]})
+        for point, r in _residuals(residual, moved, base, grid):
+            tally.add(abs(r), point, (r,), U.name)
+    return tally.report(f"semi-symmetry[{name}]", grid.summary())

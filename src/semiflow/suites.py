@@ -51,7 +51,7 @@ from .evolution_pde import (
     soliton_param_flow,
     soliton_translation_check,
 )
-from .expr import EvalDomainError, parse_expr, to_text
+from .expr import EvalDomainError, Expr, diff, parse_expr, to_text
 from .grids import Axis, SamplingGrid, grid1d, grid2d
 from .maps import SmoothMap, finite_diff, identity_map, scalar_map
 from .reduction import (
@@ -75,7 +75,6 @@ from .semisym import (
     act,
     canonical_parametric,
     is_graph,
-    pde_from_text,
     regraph,
     rotation_map,
     semi_symmetry_check,
@@ -88,15 +87,14 @@ from .semisym import (
 class SuiteConfig:
     """Seed and scenario overrides for the suites.
 
-    Suites read overrides only through `tol`, `axis` and `expr`, which
-    record each name read, in order, so `unread` can name the scenario keys
-    no suite looked at and `run_suites` those one suite read.
+    Suites read overrides only through `tol` and `axis`, which record each
+    name read, in order, so `unread` can name the scenario keys no suite
+    looked at and `run_suites` those one suite read.
     """
 
     seed: int = 42
     tolerances: dict[str, float] = field(default_factory=dict)
     grids: dict[str, Axis] = field(default_factory=dict)
-    expressions: dict[str, str] = field(default_factory=dict)
     _read: list[tuple[str, str]] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def tol(self, name: str, default: float) -> float:
@@ -107,19 +105,11 @@ class SuiteConfig:
         self._read.append(("grids", name))
         return self.grids.get(name, default)
 
-    def expr(self, name: str, default: str) -> str:
-        self._read.append(("expressions", name))
-        return self.expressions.get(name, default)
-
     def unread(self) -> list[str]:
-        """The overrides no `tol`, `axis` or `expr` call has read, as kind.name."""
+        """The overrides no `tol` or `axis` call has read, as kind.name."""
         return [
             f"{kind}.{name}"
-            for kind, given in (
-                ("tolerances", self.tolerances),
-                ("grids", self.grids),
-                ("expressions", self.expressions),
-            )
+            for kind, given in (("tolerances", self.tolerances), ("grids", self.grids))
             for name in sorted(given)
             if (kind, name) not in self._read
         ]
@@ -442,20 +432,16 @@ def suite_recovery_cross_check(config: SuiteConfig) -> list[VerificationReport]:
 
 
 def suite_semi_symmetry(config: SuiteConfig) -> list[VerificationReport]:
-    """Vertical value maps against a solution corpus of U_t = U_x.
-
-    Scenario expressions may declare a different equation:
-    residual = "D(U,t) - D(U,x)", unknown = "U", vars = "t,x".
-    """
+    """Vertical value maps against a solution corpus of U_t = U_x."""
     tol = config.tol("residual", 1e-12)
-    residual = config.expr("residual", "D(U,t) - D(U,x)")
-    unknown = config.expr("unknown", "U")
-    variables = tuple(v.strip() for v in config.expr("vars", "t,x").split(","))
-    pde = pde_from_text(residual, unknown, variables)
     family = [translation_wave(profile) for profile in WAVE_PROFILES.values()]
     grid = grid2d(0.0, 1.0, 21, 0.0, 1.0, 21)
+
+    def transport(u: Expr) -> Expr:
+        return diff(u, "t") - diff(u, "x")
+
     return [
-        semi_symmetry_check(pde, vertical_map(g_text, variables), family, grid, tol)
+        semi_symmetry_check(transport, vertical_map(g_text, ("t", "x")), family, grid, tol)
         for g_text in VALUE_MAPS.values()
     ]
 

@@ -171,12 +171,12 @@ class TestTranslationCheck:
 class TestHeatDemo:
     def test_kernel_solves_heat_equation(self):
         grid = grid2d(0.5, 2.0, 16, -3.0, 3.0, 21)
-        assert residual_max(heat_pde(), heat_kernel(), grid) <= 1e-12
+        assert residual_max(heat_pde, heat_kernel(), grid) <= 1e-12
 
     def test_demo_report(self):
         grid = grid2d(0.5, 2.0, 9, -3.0, 3.0, 11)
         rep = heat_flow_demo(grid, 1e-10)
-        assert rep.passed and rep.max_deviation == residual_max(heat_pde(), heat_kernel(), grid)
+        assert rep.passed and rep.max_deviation == residual_max(heat_pde, heat_kernel(), grid)
         assert rep.checked == 9 * 11 and rep.notes == ()
 
     def test_kernel_fd_oracle(self):

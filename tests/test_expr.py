@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from semiflow.expr import (
     Binary,
     Const,
-    Deriv,
     EvalDomainError,
     ExprError,
     ParseError,
     UnboundVariableError,
     Unary,
-    UnresolvedMarkerError,
     Var,
     compile_expr,
     compile_system,
@@ -112,12 +110,11 @@ class TestParser:
         assert parse_expr("2.5e3") == Const(2500.0)
 
     def test_derivative_marker(self):
-        assert parse_expr("D(U,t)") == Deriv("U", ("t",))
-        assert parse_expr("D(U,x,x)") == Deriv("U", ("x", "x"))
-        with pytest.raises(ParseError):
-            parse_expr("D(U)")
-        with pytest.raises(ParseError):
-            parse_expr("D(U, x+1)")
+        # D is an ordinary name: the old marker syntax is an unknown function
+        with pytest.raises(ParseError, match="unknown function name 'D'") as err:
+            parse_expr("D(U,t)")
+        assert err.value.offset == 0
+        assert parse_expr("D") == Var("D")
 
     def test_nested_parentheses(self):
         assert parse_expr("((x))") == Var("x")
@@ -189,10 +186,6 @@ class TestEvaluate:
         with pytest.raises(EvalDomainError, match="non-integer exponent"):
             SmoothMap(("x",), (e,))(-2.0)
 
-    def test_marker_is_inert(self):
-        with pytest.raises(UnresolvedMarkerError):
-            evaluate(parse_expr("D(U,t)"), {"t": 1.0})
-
 
 class TestDiff:
     def test_product_and_power_rules(self):
@@ -225,10 +218,6 @@ class TestDiff:
     def test_pow_with_variable_exponent_rejected(self):
         with pytest.raises(ExprError):
             diff(Binary("pow", Var("y"), Var("t")), "y")
-
-    def test_marker_rejected(self):
-        with pytest.raises(UnresolvedMarkerError):
-            diff(Deriv("U", ("t",)), "t")
 
 
 class TestFiniteDiff:
@@ -286,7 +275,6 @@ class TestPrinter:
             "(1 - sqrt(t))*y + sqrt(t)/(y^2 + 1)",
             "x^2^3",
             "-(x + y)*z",
-            "D(U,t) - D(U,x)",
             "2*y/(1 + sqrt(1 + 4*sqrt(t)*y))",
         ],
     )
@@ -376,7 +364,7 @@ def test_free_vars_visits_each_shared_node_once():
     for _ in range(60):
         e = Binary("mul", e, e)
     assert free_vars(e) == {"x"}
-    assert free_vars(e, Binary("add", e, Var("y")), Deriv("g", ("x",))) == {"x", "y", "g"}
+    assert free_vars(e, Binary("add", e, Var("y"))) == {"x", "y"}
 
 
 @given(_smooth_trees, _points)
@@ -564,8 +552,6 @@ class TestCompileSystem:
     def test_compile_errors_match_compile_expr(self):
         with pytest.raises(UnboundVariableError):
             compile_system((Var("x"), Var("z")), ("x",))
-        with pytest.raises(UnresolvedMarkerError):
-            compile_system((Deriv("U", ("t",)),), ("t",))
 
 
 def _sequential(outputs, point):

@@ -18,7 +18,6 @@ import pytest
 from semiflow.expr import (
     Binary,
     Const,
-    Deriv,
     ParseError,
     Unary,
     Var,
@@ -60,15 +59,6 @@ def corpus() -> list[str]:
     return [_random_text(rng, rng.randint(1, 9)) for _ in range(500)]
 
 
-MARKER_TEMPLATES = (
-    "D(U,t) - D(U,x,x)",
-    "D(U, t) + U*D(U, x)",
-    "D(U,t) - (D(U,x,x) + 2*x*D(U,x))/(1 + x^2)",
-    "-D(U,x)^2 + sqrt(t)*D(U, x, x)",
-    "D( V , y , y ) * exp(-x^2/(4*t))",
-)
-
-
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -94,15 +84,6 @@ def test_parse_print_diff_and_emit_are_pinned():
     assert _digest(lines) == "16ce6e62eb04418cd9f096aeb42194a0dde0e036e59a68026661b94b72fbd29c"
 
 
-def test_marker_templates_parse_and_print_are_pinned():
-    lines = []
-    for text in MARKER_TEMPLATES:
-        e = parse_expr(text)
-        assert parse_expr(to_text(e)) == e
-        lines.extend((repr(e), to_text(e)))
-    assert _digest(lines) == "03c9c8d80a375f996275e5ff4d7894b27708425d7954766bd26d7c0d7be552a5"
-
-
 # (input, offset, message without its " (at offset N)" suffix)
 PARSE_ERRORS = [
     ("", 0, "expected a number, name or '(' but found ''"),
@@ -112,8 +93,7 @@ PARSE_ERRORS = [
     ("x)", 1, "unexpected trailing input ')'"),
     ("foo(x)", 0, "unknown function name 'foo'"),
     ("sqrt(x, y)", 6, "function 'sqrt' takes exactly one argument"),
-    ("D(U)", 0, "derivative marker must be D(name, var[, var...]) with plain names"),
-    ("D(U, 2)", 0, "derivative marker must be D(name, var[, var...]) with plain names"),
+    ("D(U,t)", 0, "unknown function name 'D'"),
     ("1.2.3", 3, "unexpected trailing input '.'"),
     ("2e", 1, "unexpected trailing input 'e'"),
     ("x^y", 3, "pow exponent must be a rational constant"),
@@ -128,8 +108,8 @@ PARSE_ERRORS = [
     (".e5", 0, "bad number literal '.e5'"),
     ("sqrt x", 5, "unexpected trailing input 'x'"),
     ("sin(x,)", 5, "function 'sin' takes exactly one argument"),
-    ("D(U,x", 5, "expected ')'"),
-    ("D(,x)", 2, "expected a number, name or '(' but found ','"),
+    ("sqrt(x", 6, "expected ')'"),
+    ("sqrt(,x)", 5, "expected a number, name or '(' but found ','"),
     ("x y", 2, "unexpected trailing input 'y'"),
     ("x+\x00", 2, "expected a number, name or '(' but found '\\x00'"),
     ("a\u0301", 1, "unexpected trailing input '\u0301'"),
@@ -155,7 +135,7 @@ def test_parse_error_offsets_and_messages(text, offset, message):
         ("1.e3 - .5", Binary("sub", Const(1000.0), Const(0.5))),
         ("2E5", Const(200000.0)),
         ("sqrt (x)", Unary("sqrt", Var("x"))),
-        ("D (U , x)", Deriv("U", ("x",))),
+        ("D", Var("D")),
         ("sqrt", Var("sqrt")),
         ("x ^ - 2", Binary("pow", Var("x"), Const(-2.0))),
         ("1e400", Const(float("inf"))),
@@ -170,7 +150,7 @@ PROBE_CHARS = (
     + "\t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2003\u2028\u3000\ufeff"
     + "²³¹⁰₉①❶፩\U0001f100٣\U0001d7d9½ⅷ〇一Ωµªᵃ\u0301\u200b"
 )
-PROBE_TEMPLATES = ("{}", "x{}", "1{}", "{}1", "1.{}", "1e{}", "x +{}1", "{}x", "sqrt({})", "D(U,{})")
+PROBE_TEMPLATES = ("{}", "x{}", "1{}", "{}1", "1.{}", "1e{}", "x +{}1", "{}x", "sqrt({})")
 
 
 def test_every_probe_character_parses_or_fails_as_pinned():
@@ -182,7 +162,7 @@ def test_every_probe_character_parses_or_fails_as_pinned():
                 lines.append(f"{text!r} {parse_expr(text)!r}")
             except ParseError as err:
                 lines.append(f"{text!r} {err}")
-    assert _digest(lines) == "3814f5169824d935c1acc5a4a05957f804486ea44157e9966db3573a94581674"
+    assert _digest(lines) == "a9175e00701c6ffe63f545c19bfcb24343a85767574a4943a63f138a9b881fac"
 
 
 NODES = (
@@ -190,7 +170,6 @@ NODES = (
     Var("x"),
     Unary("neg", Var("x")),
     Binary("add", Var("x"), Const(1.0)),
-    Deriv("U", ("x",)),
 )
 
 
@@ -210,7 +189,7 @@ def test_nodes_are_immutable_and_slotted(node):
 
 
 def test_nodes_survive_copy_and_pickle():
-    e = parse_expr("x + sin(-0)*y^2 - D(U,x,x)")
+    e = parse_expr("x + sin(-0)*y^2 - log(x)")
     assert copy.copy(e) == copy.deepcopy(e) == pickle.loads(pickle.dumps(e)) == e
 
 

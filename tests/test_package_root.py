@@ -24,7 +24,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 # every export of the root, by the module that defines it
 HOMES = {
     "expr": (
-        "Binary", "Const", "Deriv", "EvalDomainError", "Expr", "ExprError", "ParseError",
+        "Binary", "Const", "EvalDomainError", "Expr", "ExprError", "ParseError",
         "UnboundVariableError", "Unary", "Var", "diff", "evaluate", "free_vars", "parse_expr",
         "substitute_many", "to_text",
     ),
@@ -52,9 +52,9 @@ HOMES = {
         "recover_evolution", "recover_evolution_detailed", "two_time_law_check", "ystar_branch",
     ),
     "semisym": (
-        "ParametricFunction", "PdeResidual", "act", "canonical_parametric", "is_graph",
-        "pde_from_text", "regraph", "residual_max", "rotation_map", "semi_symmetry_check",
-        "translation_wave", "vertical_map",
+        "ParametricFunction", "act", "canonical_parametric", "is_graph", "regraph",
+        "residual_max", "rotation_map", "semi_symmetry_check", "translation_wave",
+        "vertical_map",
     ),
     "evolution_pde": (
         "burgers_pde", "burgers_residual", "burgers_soliton", "heat_flow_demo", "heat_kernel",
@@ -78,7 +78,7 @@ def _fresh(code: str) -> str:
 
 
 def test_all_lists_every_public_name():
-    assert len(EXPORTS) == 102 and len(SUBMODULES) == 10 and len(PUBLIC) == 112
+    assert len(EXPORTS) == 99 and len(SUBMODULES) == 10 and len(PUBLIC) == 109
     assert semiflow.__all__ == PUBLIC
 
 

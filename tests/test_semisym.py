@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflow.actions import PreconditionError
-from semiflow.expr import EvalDomainError, ExprError, Var
+from semiflow.evolution_pde import heat_kernel, heat_pde
+from semiflow.expr import EvalDomainError, ExprError, Var, diff
 from semiflow.grids import grid1d, grid2d
 from semiflow.maps import SmoothMap, compose, identity_map, scalar_map
 from semiflow.report import Witness
@@ -20,7 +21,6 @@ from semiflow.semisym import (
     act,
     canonical_parametric,
     is_graph,
-    pde_from_text,
     regraph,
     residual_max,
     rotation_map,
@@ -239,49 +239,43 @@ class TestRegraph:
             U(5.0)
 
 
+def transport(u):
+    return diff(u, "t") - diff(u, "x")
+
+
 class TestPdeResidual:
     def test_transport_solutions(self):
-        pde = pde_from_text("D(U,t) - D(U,x)", "U", ("t", "x"))
         grid = grid2d(0.0, 1.0, 21, 0.0, 1.0, 21)
-        assert residual_max(pde, translation_wave("sin(z)"), grid) <= 1e-14
+        assert residual_max(transport, translation_wave("sin(z)"), grid) <= 1e-14
 
     def test_non_solution_has_unit_residual(self):
-        pde = pde_from_text("D(U,t) - D(U,x)", "U", ("t", "x"))
         grid = grid2d(0.0, 1.0, 5, 0.0, 1.0, 5)
-        assert residual_max(pde, scalar_map(("t", "x"), "t"), grid) == pytest.approx(1.0)
+        assert residual_max(transport, scalar_map(("t", "x"), "t"), grid) == pytest.approx(1.0)
 
     def test_second_order_markers(self):
-        pde = pde_from_text("D(U,t) - D(U,x,x)", "U", ("t", "x"))
         grid = grid2d(0.5, 2.0, 9, -2.0, 2.0, 9)
         # U = x^2 + 2t solves the diffusion equation exactly
-        assert residual_max(pde, scalar_map(("t", "x"), "x^2 + 2*t"), grid) <= 1e-14
-
-    def test_template_validation(self):
-        with pytest.raises(ExprError):
-            pde_from_text("D(V,t)", "U", ("t", "x"))  # wrong unknown
-        with pytest.raises(ExprError):
-            pde_from_text("D(U,t,t,t)", "U", ("t", "x"))  # order 3
-        with pytest.raises(ExprError):
-            pde_from_text("D(U,q)", "U", ("t", "x"))  # undeclared variable
-        with pytest.raises(ExprError):
-            pde_from_text("D(U,t) - w", "U", ("t", "x"))  # stray symbol
+        U = scalar_map(("t", "x"), "x^2 + 2*t")
+        assert residual_max(heat_pde, U, grid) <= 1e-14
 
     def test_variable_order_must_match(self):
-        pde = pde_from_text("D(U,t) - D(U,x)", "U", ("t", "x"))
-        with pytest.raises(ExprError):
-            residual_max(pde, scalar_map(("x", "t"), "x + t"), grid2d(0, 1, 3, 0, 1, 3))
+        # a member over (x, t) is no map of the vertical map's base (t, x)
+        member = scalar_map(("x", "t"), "x + t")
+        with pytest.raises(PreconditionError, match="family member"):
+            semi_symmetry_check(
+                transport, vertical_map("u", ("t", "x")), [member], grid2d(0, 1, 3, 0, 1, 3), 1e-12
+            )
 
     def test_domain_error_reports_point(self):
-        pde = pde_from_text("D(U,t) - D(U,x)", "U", ("t", "x"))
         bad = scalar_map(("t", "x"), "sqrt(t + x)")  # derivative singular at t+x=0
         with pytest.raises(EvalDomainError) as err:
-            residual_max(pde, bad, grid2d(0.0, 1.0, 3, 0.0, 1.0, 3))
+            residual_max(transport, bad, grid2d(0.0, 1.0, 3, 0.0, 1.0, 3))
         assert "(0.0, 0.0)" in str(err.value)
 
 
 class TestSemiSymmetry:
     def setup_method(self):
-        self.pde = pde_from_text("D(U,t) - D(U,x)", "U", ("t", "x"))
+        self.pde = transport
         self.family = [translation_wave(p) for p in WAVE_PROFILES.values()]
         self.grid = grid2d(0.0, 1.0, 21, 0.0, 1.0, 21)
 
@@ -342,9 +336,24 @@ class TestSemiSymmetry:
     def test_nan_residual_fails(self):
         # u*1e308*10 overflows for x > 0, so the residual U - U of the
         # transformed member is inf - inf = NaN everywhere but at x = 0
-        pde = pde_from_text("U - U", "U", ("x",))
         rep = semi_symmetry_check(
-            pde, vertical_map("u*1e308*10", ("x",)), [scalar_map(("x",), "x")],
+            lambda u: u - u, vertical_map("u*1e308*10", ("x",)), [scalar_map(("x",), "x")],
             grid1d(0.0, 1.0, 5), 1e-9,
         )
         assert not rep.passed and math.isnan(rep.max_deviation)
+
+    def test_a_failing_map_writes_its_first_witnesses(self):
+        # on U_t = U_xx, g(U) has residual g'(U)(U_t - U_xx) - g''(U) U_x^2:
+        # u^2 breaks the heat kernel, an affine map keeps it a solution
+        grid = grid2d(0.5, 2.0, 16, -3.0, 3.0, 21)
+        kernel = heat_kernel()
+        rep = semi_symmetry_check(heat_pde, vertical_map("u^2", ("t", "x")), [kernel], grid, 1e-10)
+        assert not rep.passed and rep.max_deviation == pytest.approx(1.44, abs=0.01)
+        assert rep.checked == 16 * 21 and len(rep.witnesses) == 8
+        first = rep.witnesses[0]
+        assert first.point == (0.5, -3.0) and first.note == "heat-kernel"
+        assert abs(first.values[0]) > 1e-10
+        rep = semi_symmetry_check(
+            heat_pde, vertical_map("3*u - 1", ("t", "x")), [kernel], grid, 1e-10
+        )
+        assert rep.passed and rep.max_deviation <= 1e-15 and rep.witnesses == []
