@@ -18,11 +18,13 @@ leaves for the constants 0, 1 and 2 (`_ZERO`, `_ONE`, `_TWO`), which make
 up most of the leaves a derivative creates before folding drops them.
 
 Evaluation has one path: compiled code from one generator,
-`_emit_system`, which computes shared subtrees once. Every
-`SmoothMap` compiles its outputs once into one
-`compile_system` lambda; `compile_expr` is its one-output case. The tree
-walk `evaluate` applies the same domain rules node by node; it is kept as
-the reference the compiled code is tested against.
+`_emit_system`, which computes shared subtrees once. Its code feeds two
+consumers. Every `SmoothMap` compiles its outputs once into one
+`compile_system` lambda; `compile_expr` is its one-output case. The RK4
+kernel of `semiflow.reduction` writes the code of a right-hand side into
+each of its stage lines. The tree walk `evaluate` applies the same domain
+rules node by node; it is kept as the reference the compiled code is
+tested against.
 
 Grammar (whitespace-insensitive)::
 
@@ -713,6 +715,8 @@ _COMPILE_NS = {
 def _check_params(params: tuple[str, ...]) -> None:
     # compiled code owns every name that starts with "_": its helpers are
     # globals (_sqrt, _div, ...) and its shared subtrees locals (_c0, ...)
+    if len(set(params)) != len(params):
+        raise ExprError(f"parameter names {params!r} repeat a name")
     for p in params:
         if not p.isidentifier() or keyword.iskeyword(p):
             raise ExprError(f"parameter name {p!r} is not an identifier")
@@ -819,8 +823,7 @@ def compile_system(
     Values, and the first EvalDomainError, are those of `evaluate` applied
     to each output in turn. Repeated subtrees, within an output or across
     outputs, are computed once (see `_emit_system`). Uncached: a
-    `SmoothMap` keeps the lambda of its outputs, which the flow integrator
-    calls once per RK4 stage.
+    `SmoothMap` keeps the lambda of its outputs.
     """
     _check_params(params)
     return _lambda(params, f"({', '.join(_emit_system(outputs, params))},)")

@@ -28,6 +28,7 @@ an RK4 flow with a closed form at a step count chosen by step doubling.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -35,7 +36,16 @@ from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 from .actions import TimeAction, composition_check
-from .expr import Const, EvalDomainError, Expr, parse_expr, substitute_many
+from .expr import (
+    _COMPILE_NS,
+    Const,
+    EvalDomainError,
+    Expr,
+    _check_params,
+    _emit_system,
+    parse_expr,
+    substitute_many,
+)
 from .grids import SamplingGrid
 from .maps import SmoothMap, map_from_exprs
 from .report import Tally, VerificationReport, Witness, deviation, nan_max
@@ -117,9 +127,11 @@ class Trajectory:
     spacing: str
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.times, islice(self.times, 1, None))):
+        times = self.times
+        # a NaN time compares false both ways, so only `<` rejects it
+        if not all(map(operator.lt, times, islice(times, 1, None))):
             raise ValueError("trajectory times must increase strictly")
-        if any(len(c) != len(self.times) for c in self.columns):
+        if any(len(c) != len(times) for c in self.columns):
             raise ValueError("every column needs one value per time")
 
     @property
@@ -149,13 +161,17 @@ class Trajectory:
 
 
 def _time_mesh(a: float, b: float, steps: int, spacing: str) -> array:
+    mesh = array("d", [0.0]) * (steps + 1)
     if spacing == "uniform":
-        mesh = array("d", (a + (b - a) * k / steps for k in range(steps + 1)))
+        width = b - a
+        for k in range(steps + 1):
+            mesh[k] = a + width * k / steps
     elif spacing == "geometric":
         if not 0.0 < a < b:
             raise ValueError("geometric spacing needs 0 < start < end")
         ratio = b / a
-        mesh = array("d", (a * ratio ** (k / steps) for k in range(steps + 1)))
+        for k in range(steps + 1):
+            mesh[k] = a * ratio ** (k / steps)
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
     mesh[-1] = b
@@ -178,13 +194,14 @@ def integrate_flow(
     form); spacing="geometric" grades the fixed step count toward the
     singular end; the mesh is predetermined, never adaptive.
 
-    Every system runs through one RK4 kernel, generated once per
-    dimension and autonomy (`_rk4_kernel`), which calls the right-hand
-    side once per stage as the map's own `compiled` lambda, which
-    computes shared subtrees once. The kernel does the textbook scheme's
-    floating-point operations in the textbook order, so states and times
-    are bit for bit those of the plain loop over tuples. The trajectory keeps the mesh and one
-    `array('d')` column of steps + 1 values per state component.
+    Every system runs through an RK4 kernel generated once per right-hand
+    side (`_rk4_kernel`): the code of the RHS outputs, with shared
+    subtrees computed once, stands in each stage line, so a stage is no
+    call. The kernel does the textbook scheme's floating-point operations
+    in the textbook order, so states and times are bit for bit those of
+    the plain loop over tuples. The trajectory keeps the mesh and one
+    `array('d')` column per state component, each allocated once at
+    steps + 1 values and filled by index.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -196,88 +213,119 @@ def integrate_flow(
     if not sys.valid_at(a, y0):
         raise IntegrationError("RHS invalid at the starting point", a)
     mesh = _time_mesh(a, t_end, steps, spacing)
-    kernel = _rk4_kernel(sys.dim, sys.kind == "autonomous")
-    columns = kernel(sys.rhs.compiled, mesh, *(float(v) for v in y0), sys.validity)
+    kernel = _rk4_kernel(sys.rhs.inputs, sys.rhs.outputs, sys.kind == "autonomous")
+    columns = kernel(mesh, sys.validity, *(float(v) for v in y0))
     return Trajectory(mesh, columns, steps, eps_start, spacing)
 
 
 _RK4_SOURCE = """\
-def rk4(f, mesh, {y}, validity):
-    columns = ({new_columns})
-    ({push}) = [column.append for column in columns]
-    times = iter(mesh)
-    t0 = next(times)
-    for t1 in times:
-        h = t1 - t0
-        hh = 0.5 * h
-        tm = t0 + hh
+def _rk4(_mesh, _validity, {y}):
+    _size = _len(_mesh)
+{allocate}
+    _times = _iter(_mesh)
+    _t0 = _next(_times)
+    _k = 0
+    for _t1 in _times:
+        _h = _t1 - _t0
+        _hh = 0.5 * _h
+        _tm = _t0 + _hh
         try:
-            ({k1},) = f({at_t0}{y})
-            ({k2},) = f({at_tm}{y_k1})
-            ({k3},) = f({at_tm}{y_k2})
-            ({k4},) = f({at_t1}{y_k3})
-        except EvalDomainError as err:
-            raise IntegrationError(f"RHS domain error: {{err}}", t0) from err
-        h6 = h / 6.0
+            ({inputs},) = ({at_t0}{y},)
+            ({ka},) = ({rhs},)
+            ({inputs},) = ({at_tm}{y_ka},)
+            ({kb},) = ({rhs},)
+            ({inputs},) = ({at_tm}{y_kb},)
+            ({kc},) = ({rhs},)
+            ({inputs},) = ({at_t1}{y_kc},)
+            ({kd},) = ({rhs},)
+        except _EvalDomainError as _err:
+            raise _IntegrationError(f"RHS domain error: {{_err}}", _t0) from _err
+        _h6 = _h / 6.0
 {update}
         if not ({finite}):
-            raise IntegrationError("state became nonfinite", t1)
-        if validity is not None and not validity(t1, ({y},)):
-            raise IntegrationError("state left the validity region", t1)
-{append}
-        t0 = t1
-    return columns
+            raise _IntegrationError("state became nonfinite", _t1)
+        if _validity is not None and not _validity(_t1, ({y},)):
+            raise _IntegrationError("state left the validity region", _t1)
+        _k = _k + 1
+{store}
+        _t0 = _t1
+    return ({columns},)
 """
+
+# the kernel's own globals; with the helpers of the RHS code, every name of
+# the kernel starts with "_", which no input of a compiled map may
+_RK4_NS = {
+    **_COMPILE_NS,
+    "_EvalDomainError": EvalDomainError,
+    "_IntegrationError": IntegrationError,
+    "_array": array,
+    "_isfinite": math.isfinite,
+    "_iter": iter,
+    "_len": len,
+    "_next": next,
+}
 
 
 @lru_cache(maxsize=64)
-def _rk4_kernel(dim: int, autonomous: bool) -> Callable[..., tuple[array, ...]]:
-    """RK4 over a fixed mesh for `dim` components, as straight-line code.
+def _rk4_kernel(
+    inputs: tuple[str, ...], outputs: tuple[Expr, ...], autonomous: bool
+) -> Callable[..., tuple[array, ...]]:
+    """RK4 over a fixed mesh for the RHS `outputs` of `inputs`, as
+    straight-line code.
 
-    `kernel(f, mesh, y1, ..., ydim, validity)` returns one `array('d')`
-    column per component, holding its value at every mesh time. Each
-    component is a local, appended to its column after every step, and
-    each stage is one call `f([t,] y1, ..., ydim)` unpacked into locals.
-    The arithmetic is `y + 0.5*h*k` for the midpoint stages, `y + h*k` for
-    the last and `y + (h/6)*(k1 + 2*(k2 + k3) + k4)` for the step, with
-    `0.5*h` and `h/6` computed once per step, which Python's left-to-right
-    evaluation makes the same operations. Errors carry the times the plain
-    loop reports: a domain error in the RHS the step's start, a non-finite
+    `kernel(mesh, validity, y1, ..., ydim)` returns one `array('d')`
+    column per component holding its value at every mesh time. Each
+    column is allocated once, as len(mesh) copies of the initial value,
+    and each component is a local `_y{i}`, stored into its column by index
+    after every step. Each stage binds the map's inputs as locals
+    (`(t, y) = (_tm, _y0 + _hh * _ka0)`) and evaluates in place the code
+    `expr._emit_system` writes for the outputs, the code a compiled map
+    runs. Its shared subtrees (`_c0`, ...) become locals of the kernel,
+    and no name of the kernel's own has that form. The arithmetic is
+    `y + 0.5*h*k` for the midpoint stages, `y + h*k` for the last and
+    `y + (h/6)*(k1 + 2*(k2 + k3) + k4)` for the step, with `0.5*h` and
+    `h/6` computed once per step, which Python's left-to-right evaluation
+    makes the same operations. Errors carry the times the plain loop
+    reports: a domain error in the RHS the step's start, a non-finite
     state or a validity exit the step's end.
+
+    Cached on the map's inputs and outputs, so a rebuilt equal system
+    reuses its kernel.
     """
+    _check_params(inputs)
+    dim = len(outputs)
 
     def cols(template: str) -> str:
         return ", ".join(template.format(i=i) for i in range(dim))
 
     source = _RK4_SOURCE.format(
-        y=cols("y{i}"),
-        new_columns=cols("array('d', (y{i},))") + ",",
-        push=cols("push{i}") + ",",
-        k1=cols("a{i}"),
-        k2=cols("b{i}"),
-        k3=cols("c{i}"),
-        k4=cols("d{i}"),
-        at_t0="" if autonomous else "t0, ",
-        at_tm="" if autonomous else "tm, ",
-        at_t1="" if autonomous else "t1, ",
-        y_k1=cols("y{i} + hh * a{i}"),
-        y_k2=cols("y{i} + hh * b{i}"),
-        y_k3=cols("y{i} + h * c{i}"),
+        y=cols("_y{i}"),
+        allocate="\n".join(
+            f"    _col{i} = _array('d', [_y{i}]) * _size" for i in range(dim)
+        ),
+        inputs=", ".join(inputs),
+        rhs=", ".join(_emit_system(outputs, inputs)),
+        ka=cols("_ka{i}"),
+        kb=cols("_kb{i}"),
+        kc=cols("_kc{i}"),
+        kd=cols("_kd{i}"),
+        at_t0="" if autonomous else "_t0, ",
+        at_tm="" if autonomous else "_tm, ",
+        at_t1="" if autonomous else "_t1, ",
+        y_ka=cols("_y{i} + _hh * _ka{i}"),
+        y_kb=cols("_y{i} + _hh * _kb{i}"),
+        y_kc=cols("_y{i} + _h * _kc{i}"),
         update="\n".join(
-            f"        y{i} = y{i} + h6 * (a{i} + 2.0 * (b{i} + c{i}) + d{i})"
+            f"        _y{i} = _y{i} + _h6 * (_ka{i} + 2.0 * (_kb{i} + _kc{i}) + _kd{i})"
             for i in range(dim)
         ),
-        finite=" and ".join(f"isfinite(y{i})" for i in range(dim)),
-        append="\n".join(f"        push{i}(y{i})" for i in range(dim)),
+        finite=" and ".join(f"_isfinite(_y{i})" for i in range(dim)),
+        store="\n".join(f"        _col{i}[_k] = _y{i}" for i in range(dim)),
+        columns=cols("_col{i}"),
     )
-    namespace = {
-        "EvalDomainError": EvalDomainError,
-        "IntegrationError": IntegrationError,
-        "array": array,
-        "isfinite": math.isfinite,
-    }
+    namespace = dict(_RK4_NS)
     exec(source, namespace)  # noqa: S102 - source built from the template above
-    return namespace["rk4"]
+    return namespace["_rk4"]
 
 
 # ---------------------------------------------------------------------------
