@@ -18,7 +18,9 @@ leaves for the constants 0, 1 and 2 (`_ZERO`, `_ONE`, `_TWO`), which make
 up most of the leaves a derivative creates before folding drops them.
 
 Evaluation has one path: compiled code from one generator,
-`_emit_system`, which computes shared subtrees once. Its code feeds two
+`_emit_system`, which computes shared subtrees once, brackets an operand
+only where Python's precedence needs it (the code parses to the same AST as
+fully bracketed code) and leaves no reference cycle. Its code feeds two
 consumers. Every `SmoothMap` compiles its outputs once into one
 `compile_system` lambda; `compile_expr` is its one-output case. The RK4
 kernel of `semiflow.reduction` writes the code of a right-hand side into
@@ -677,31 +679,8 @@ def parse_expr(text: str) -> Expr:
 # compiled evaluation: the package's one evaluation path
 
 
-def _emit(e: Expr, params: tuple[str, ...]) -> str:
-    """Code of a leaf; `_emit_system` writes the code of inner nodes."""
-    kind = type(e)
-    if kind is Const:
-        # inf and nan have no literal: rebuild them from their repr
-        return repr(e.value) if math.isfinite(e.value) else f"_float('{e.value!r}')"
-    if kind is Var:
-        if e.name not in params:
-            raise UnboundVariableError(
-                f"variable '{e.name}' not among parameters {params!r}"
-            )
-        return e.name
-    raise ExprError(f"unknown node {e!r}")
-
-
-_INFIX = {"add": "+", "sub": "-", "mul": "*"}
-
-
-def _node_code(op: str, *args: str) -> str:
-    """Code of one operation applied to the code of its operands."""
-    if op in _INFIX:
-        return f"({args[0]} {_INFIX[op]} {args[1]})"
-    if op == "neg":
-        return f"(-{args[0]})"
-    return f"_{op}({', '.join(args)})"
+# operator and strength of the infix operations (see `_emit_system`)
+_INFIX = {"add": (" + ", 1), "sub": (" - ", 1), "mul": (" * ", 2)}
 
 
 # compiled code calls the helpers `evaluate` calls, under the op's name
@@ -762,6 +741,16 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
     code left to right, so the first appearance is also the first
     evaluation: values, and the first error raised, are those of the
     outputs evaluated one after another.
+
+    An operand is bracketed only where Python's precedence needs it. A sum
+    has strength 1, a product 2, and a unary minus or a negative literal
+    3; calls, names, other literals and assignment expressions are atoms.
+    An operand of + or - needs strength 1 on the left and 2 on the right,
+    one of * 2 and 3, and one of unary minus 3. So the code parses to the
+    same AST, and compiles to the same bytecode, as the code with every
+    operation bracketed, from fewer tokens. The two walks are closures that
+    call themselves; unbinding them on return leaves no reference cycle,
+    so their tables are freed at once, not by the cyclic collector.
     """
     numbers: dict[str | tuple, int] = {}
     keys: list[str | tuple] = []  # a leaf's code, or (op, *child numbers)
@@ -770,18 +759,32 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
     seen = by_object.get
 
     def intern(e: Expr) -> int:
-        n = seen(id(e))
-        if n is not None:
-            return n
+        # numbers a node object not yet seen; its children are looked up first
         kind = type(e)
         if kind is Binary:
-            a, b = intern(e.lhs), intern(e.rhs)
+            a = seen(id(e.lhs))
+            if a is None:
+                a = intern(e.lhs)
+            b = seen(id(e.rhs))
+            if b is None:
+                b = intern(e.rhs)
             key = (e.op, a, b)
         elif kind is Unary:
-            a = intern(e.arg)
+            a = seen(id(e.arg))
+            if a is None:
+                a = intern(e.arg)
             key = (e.op, a)
+        elif kind is Const:
+            # inf and nan have no literal: rebuild them from their repr
+            key = repr(e.value) if math.isfinite(e.value) else f"_float('{e.value!r}')"
+        elif kind is Var:
+            if e.name not in params:
+                raise UnboundVariableError(
+                    f"variable '{e.name}' not among parameters {params!r}"
+                )
+            key = e.name
         else:
-            key = _emit(e, params)
+            raise ExprError(f"unknown node {e!r}")
         n = numbers.setdefault(key, len(keys))
         if n == len(keys):  # a new node: count its references to its children
             keys.append(key)
@@ -794,25 +797,43 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
         by_object[id(e)] = n
         return n
 
-    roots = [intern(e) for e in outputs]
-    for r in roots:
-        refs[r] += 1
     names: dict[int, str] = {}
 
-    def code_of(n: int) -> str:
+    def code_of(n: int, need: int) -> str:
+        # the code of node n in a context that needs strength `need`
         name = names.get(n)
         if name is not None:
             return name
         key = keys[n]
         if type(key) is str:
             return key
-        code = _node_code(key[0], *map(code_of, key[1:]))
+        op = key[0]
+        strength = 3  # unary minus or a call: no context needs more
+        if op in _INFIX:
+            sym, strength = _INFIX[op]
+            code = code_of(key[1], strength) + sym + code_of(key[2], strength + 1)
+        elif op == "neg":
+            code = "-" + code_of(key[1], 3)
+        elif len(key) == 2:
+            code = f"_{op}({code_of(key[1], 0)})"
+        else:
+            code = f"_{op}({code_of(key[1], 0)}, {code_of(key[2], 0)})"
         if refs[n] == 1:
-            return code
+            return f"({code})" if strength < need else code
         names[n] = name = f"_c{len(names)}"
         return f"({name} := {code})"
 
-    return [code_of(r) for r in roots]
+    try:
+        roots = []
+        for e in outputs:
+            n = seen(id(e))
+            if n is None:
+                n = intern(e)
+            refs[n] += 1
+            roots.append(n)
+        return [code_of(n, 0) for n in roots]
+    finally:
+        del intern, code_of
 
 
 def compile_system(

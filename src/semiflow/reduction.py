@@ -325,7 +325,8 @@ def _rk4_kernel(
     )
     namespace = dict(_RK4_NS)
     exec(source, namespace)  # noqa: S102 - source built from the template above
-    return namespace["_rk4"]
+    # taken out of its own globals, the kernel is in no reference cycle
+    return namespace.pop("_rk4")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import gc
 import math
 
 import pytest
@@ -536,11 +538,11 @@ class TestCompileSystem:
     def test_subtrees_shared_across_outputs(self):
         outputs = (parse_expr("exp(x*y) + 1"), parse_expr("exp(x*y)*2"), parse_expr("x"))
         codes = _emit_system(outputs, ("x", "y"))
-        assert codes == ["((_c0 := _exp((x * y))) + 1.0)", "(_c0 * 2.0)", "x"]
+        assert codes == ["(_c0 := _exp(x * y)) + 1.0", "_c0 * 2.0", "x"]
 
     def test_signed_zero_constants_are_not_merged(self):
         outputs = (Binary("add", Var("x"), Const(0.0)), Binary("add", Var("x"), Const(-0.0)))
-        assert _emit_system(outputs, ("x",)) == ["(x + 0.0)", "(x + -0.0)"]
+        assert _emit_system(outputs, ("x",)) == ["x + 0.0", "x + -0.0"]
 
     def test_the_first_error_is_the_first_output_to_fail(self):
         outputs = (parse_expr("sqrt(x)"), parse_expr("log(x)"))
@@ -591,3 +593,133 @@ def test_system_lambda_agrees_with_compile_expr_per_output(outputs, point):
     except (EvalDomainError, ValueError) as err:
         got = (type(err).__name__, str(err))
     assert got == _sequential(outputs, point)
+
+
+# ---------------------------------------------------------------------------
+# the emitted code parses like the code with every operation bracketed
+
+
+def _bracketed_emit_system(outputs, params):
+    """Reference for `_emit_system`: the same subtree numbering and naming,
+    with every +, -, * and unary minus bracketed whatever its context."""
+    numbers, keys, refs, by_object = {}, [], [], {}
+
+    def leaf_code(e):
+        if type(e) is Const:
+            return repr(e.value) if math.isfinite(e.value) else f"_float('{e.value!r}')"
+        if e.name not in params:
+            raise UnboundVariableError(e.name)
+        return e.name
+
+    def intern(e):
+        if id(e) in by_object:
+            return by_object[id(e)]
+        if type(e) is Binary:
+            children = (intern(e.lhs), intern(e.rhs))
+            key = (e.op, *children)
+        elif type(e) is Unary:
+            children = (intern(e.arg),)
+            key = (e.op, *children)
+        else:
+            children, key = (), leaf_code(e)
+        n = numbers.setdefault(key, len(keys))
+        if n == len(keys):
+            keys.append(key)
+            refs.append(0)
+            for c in children:
+                refs[c] += 1
+        by_object[id(e)] = n
+        return n
+
+    roots = [intern(e) for e in outputs]
+    for r in roots:
+        refs[r] += 1
+    names = {}
+    infix = {"add": "+", "sub": "-", "mul": "*"}
+
+    def code_of(n):
+        if n in names:
+            return names[n]
+        key = keys[n]
+        if type(key) is str:
+            return key
+        op, args = key[0], [code_of(c) for c in key[1:]]
+        if op in infix:
+            code = f"({args[0]} {infix[op]} {args[1]})"
+        elif op == "neg":
+            code = f"(-{args[0]})"
+        else:
+            code = f"_{op}({', '.join(args)})"
+        if refs[n] == 1:
+            return code
+        names[n] = name = f"_c{len(names)}"
+        return f"({name} := {code})"
+
+    return [code_of(r) for r in roots]
+
+
+def _assert_same_ast(outputs, params=("x", "y", "t")):
+    # as compile_system and compile_expr wrap the code: a tuple and a body
+    def sources(codes):
+        head = f"lambda {', '.join(params)}: "
+        return [head + f"({', '.join(codes)},)", *(head + c for c in codes)]
+
+    minimal = sources(_emit_system(outputs, params))
+    bracketed = sources(_bracketed_emit_system(outputs, params))
+    for got, want in zip(minimal, bracketed):
+        assert ast.dump(ast.parse(got)) == ast.dump(ast.parse(want)), (got, want)
+        assert len(got) <= len(want)
+
+
+# signed zeros, huge and non-finite constants, and a unary minus of a
+# negative literal, which `neg` would fold away
+_ast_leaf = st.one_of(_leaf, st.sampled_from([
+    Const(-0.0), Const(1e308), Const(-1e308), Const(-2.5),
+    Const(math.inf), Const(-math.inf), Const(math.nan),
+]))
+
+
+def _extend_unfolded(children):
+    return st.one_of(_extend(children), children.map(lambda e: Unary("neg", e)))
+
+
+@given(st.one_of(
+    _trees.map(lambda e: (e, diff(e, "x"))),
+    _shared_outputs(),
+    st.lists(st.recursive(_ast_leaf, _extend_unfolded, max_leaves=12), min_size=1, max_size=3)
+    .map(tuple),
+))
+@settings(max_examples=200)
+@example((Unary("neg", Const(-1.0)), neg(Binary("mul", Var("x"), Const(-0.0)))))
+@example((Binary("sub", Var("x"), Binary("sub", Var("y"), Const(-1e308))),))
+def test_emitted_code_parses_like_the_fully_bracketed_code(outputs):
+    _assert_same_ast(outputs)
+
+
+def test_golden_corpus_code_parses_like_the_fully_bracketed_code():
+    from test_expr_golden import VARIABLES, corpus
+
+    for text in corpus():
+        e = parse_expr(text)
+        _assert_same_ast((e, *(diff(e, v) for v in VARIABLES)), VARIABLES)
+
+
+def test_compiling_leaves_no_reference_cycles():
+    # every table of the emitter is freed by reference counting on return
+    from semiflow.reduction import _rk4_kernel
+
+    outputs = [
+        (parse_expr(f"sqrt(x)*sqrt(x) + {k}"), parse_expr(f"exp(x*y)/(exp(x*y) + {k})"), Var("y"))
+        for k in range(50)
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for out in outputs:
+            assert SmoothMap(("x", "y"), out)(4.0, 0.0) == compile_system(out, ("x", "y"))(4.0, 0.0)
+        fresh = (parse_expr("sqrt(t)*y + sqrt(t) - 0.123456789"),)
+        _rk4_kernel(("t", "y"), fresh, False)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
