@@ -20,7 +20,7 @@ structure lives one dimension up from the original state space.
 
 Also here: a classical fixed-step RK4 flow (optionally on a geometric
 mesh for ODEs singular at the starting time), verification of the
-operator laws, recovery of the full two-time operator from a single
+operator laws, recovery of the two-time operator from its own
 fixed-origin slice by scalar root finding, and the oracle that compares
 an RK4 flow with a closed form at a step count chosen by step doubling.
 """
@@ -31,7 +31,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
@@ -43,19 +43,14 @@ from .expr import (
     Expr,
     _check_params,
     _emit_system,
+    compile_expr,
     parse_expr,
     substitute_many,
 )
 from .grids import SamplingGrid
 from .maps import SmoothMap, map_from_exprs
 from .report import Tally, VerificationReport, Witness, deviation, nan_max
-from .rootfind import (
-    RootSearchError,
-    hybrid_root,
-    newton,
-    numeric_derivative,
-    scan_brackets,
-)
+from .rootfind import RootSearchError, bisect, hybrid_root
 
 
 class IntegrationError(Exception):
@@ -348,41 +343,21 @@ class EvolutionOp:
     closed_form: SmoothMap
     inverse_domain: Callable[..., bool] | None = None
 
+    @cached_property
+    def slice(self) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
+        """The slice (tau, z) -> E(0, tau)(z) of a scalar operator and its
+        exact z-partial, as compiled functions of (tau, z), built once."""
+        origin, _, state = self.closed_form.inputs
+        frozen = self.closed_form.freeze(**{origin: 0.0})
+        slope = frozen.partial(state)
+        return (
+            compile_expr(frozen.outputs[0], frozen.inputs),
+            compile_expr(slope.outputs[0], frozen.inputs),
+        )
+
 
 # ---------------------------------------------------------------------------
 # the square-root genuine-semigroup evolution, in closed form
-
-
-def ystar_branch(t: float, y: float) -> float:
-    """The root of z + sqrt(t)*z^2 = y that stays bounded (-> y) as t -> 0+."""
-    if t < 0.0:
-        raise EvalDomainError("ystar needs t >= 0")
-    st = math.sqrt(t)
-    radicand = 1.0 + 4.0 * st * y
-    if radicand < 0.0:
-        if radicand < -1e-9 * (1.0 + abs(4.0 * st * y)):
-            raise EvalDomainError(f"negative radicand {radicand!r}")
-        radicand = 0.0  # rounding at the fold boundary
-    return 2.0 * y / (1.0 + math.sqrt(radicand))
-
-
-def gls_two_time(t: float, s: float, y: float) -> float:
-    """E(t,s)(y) = y* + sqrt(s)*y*^2 with y* = ystar_branch(t, y).
-
-    Defined for t, s >= 0 and 1 + 4*sqrt(t)*y >= 0; at t=0 it reduces to
-    the slice E(0,s)(y) = y + sqrt(s)*y^2.
-    """
-    if s < 0.0:
-        raise EvalDomainError("gls_two_time needs s >= 0")
-    ys = ystar_branch(t, y)
-    return ys + math.sqrt(s) * ys * ys
-
-
-def gls_slice(t: float, z: float) -> float:
-    """The fixed-origin slice E(0,t)(z) = z + sqrt(t)*z^2."""
-    if t < 0.0:
-        raise EvalDomainError("slice needs t >= 0")
-    return z + math.sqrt(t) * z * z
 
 
 def _gls_on_branch(t: float, target: float, y: float) -> bool:
@@ -406,8 +381,8 @@ def _gls_on_branch(t: float, target: float, y: float) -> bool:
 
 def _gls_closed_form(t: str, s: str) -> Expr:
     """E(t,s)(y) as an expression: y* + sqrt(s)*y*^2 with one shared y* node
-    2*y/(1 + sqrt(1 + 4*sqrt(t)*y)), the arithmetic of `gls_two_time` in
-    its order, without its clamp: a negative radicand is a domain error."""
+    2*y/(1 + sqrt(1 + 4*sqrt(t)*y)), the bounded root of z + sqrt(t)*z^2 = y.
+    A negative radicand is a domain error, even one rounded just below 0."""
     ystar = parse_expr(f"2*y/(1 + sqrt(1 + 4*sqrt({t})*y))")
     return substitute_many(parse_expr(f"z + sqrt({s})*z*z"), {"z": ystar})
 
@@ -473,11 +448,6 @@ def quadratic_one_time_op() -> TimeAction:
             ("s", "t", "y"), ["t + s", "s*s + 2*s*t + y"], name="quadratic-evolution"
         ),
     )
-
-
-def quadratic_slice(t: float, z: float) -> float:
-    """E(0,t)(z) = t^2 + z for the quadratic example."""
-    return t * t + z
 
 
 # ---------------------------------------------------------------------------
@@ -568,98 +538,56 @@ def two_time_law_check(
 # recovering the two-time operator from one slice
 
 
-@dataclass(frozen=True)
-class RecoverySettings:
-    t0: float = 0.0
-    search_lo: float = -50.0
-    search_hi: float = 50.0
-    scan_points: int = 256
-    root_tol: float = 1e-12
-    continuation_steps: int = 16
+# The slice equation is solved for z in [SEARCH_LO, SEARCH_HI], to ROOT_TOL.
+SEARCH_LO = -50.0
+SEARCH_HI = 50.0
+ROOT_TOL = 1e-12
 
 
 @dataclass
 class RecoveryResult:
     value: float
     ystar: float
-    roots: list[float]
-    brackets: list[tuple[float, float]]
     condition: float
-    notes: tuple[str, ...] = ()
 
 
-def _continuation_root(
-    slice_map: Callable[[float, float], float],
-    t0: float,
-    t: float,
-    y: float,
-    steps: int,
-) -> float:
-    """Track the root of slice(tau, z) = y from tau=t0 (where z=y) to tau=t."""
-    z = y
-    for k in range(1, steps + 1):
-        tau = t0 + (t - t0) * k / steps
-        g = lambda w: slice_map(tau, w) - y  # noqa: E731
-        nxt = newton(g, numeric_derivative(g), z)
-        if nxt is not None:
-            z = nxt
-    return z
+def recover_evolution_detailed(op: EvolutionOp, t: float, s: float, y: float) -> RecoveryResult:
+    """E(t,s)(y) from the operator's slice tau -> E(0, tau), by root finding.
 
-
-def recover_evolution_detailed(
-    slice_map: Callable[[float, float], float],
-    t: float,
-    s: float,
-    y: float,
-    settings: RecoverySettings = RecoverySettings(),
-) -> RecoveryResult:
-    """E(t,s)(y) from the single slice tau -> E(t0, tau), by root finding.
-
-    Solves slice(t, y*) = y (bisection on scanned brackets, Newton polish),
-    then returns slice(s, y*). With several roots the one continuous in t
-    with limit y at t0 is chosen, located by continuation from the slice
-    origin. The condition number 1/|d slice/dz| is reported; it blows up
-    at the fold where the root becomes double.
+    Solves slice(t, y*) = y for y* on the bounded branch, then returns
+    slice(s, y*). Between two zeros of the slope d/dz slice(t, z) the slice
+    is monotone, so on each piece a sign change brackets its only root
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
+    The slope of both worked examples is affine in z (1, and
+    1 + 2*sqrt(t)*z), so one bisection splits the search interval at the
+    fold, and only when the slope changes sign between its ends. At the
+    origin E(0,0) is the identity, with slope 1, and the bounded branch
+    keeps that sign: its root lies on the rising piece, found by bisection
+    and polished by Newton on the exact slope. The condition number is
+    1/|slope| at the root; it blows up at the fold, where the root becomes
+    double. Raises RootSearchError when the rising piece holds no root.
     """
-    g = lambda z: slice_map(t, z) - y  # noqa: E731
-    brackets = scan_brackets(g, settings.search_lo, settings.search_hi, settings.scan_points)
-    if not brackets:
-        raise RootSearchError(
-            f"no sign change for the slice equation in "
-            f"[{settings.search_lo!r}, {settings.search_hi!r}]"
-        )
-    roots: list[float] = []
-    for a, b in brackets:
-        r = hybrid_root(g, a, b, tol=settings.root_tol)
-        if not any(abs(r - q) <= 1e-9 * (1.0 + abs(q)) for q in roots):
-            roots.append(r)
-    notes: tuple[str, ...] = ()
-    if len(roots) > 1:
-        guide = _continuation_root(slice_map, settings.t0, t, y, settings.continuation_steps)
-        chosen = min(roots, key=lambda r: abs(r - guide))
-        notes = (f"{len(roots)} roots; continuation from t0={settings.t0:g} selected the bounded branch",)
-    else:
-        chosen = roots[0]
-    dval = numeric_derivative(g)(chosen)
-    condition = math.inf if dval == 0.0 else 1.0 / abs(dval)
+    slice_at, slope_at = op.slice
+    f = lambda z: slice_at(t, z) - y  # noqa: E731
+    df = lambda z: slope_at(t, z)  # noqa: E731
+    lo, hi = SEARCH_LO, SEARCH_HI
+    rising_hi = df(hi) > 0.0
+    if (df(lo) > 0.0) != rising_hi:
+        fold = bisect(df, lo, hi, tol=ROOT_TOL)
+        lo, hi = (fold, hi) if rising_hi else (lo, fold)
+    elif not rising_hi:
+        raise RootSearchError(f"the slice falls on all of [{lo!r}, {hi!r}]")
+    ystar = hybrid_root(f, df, lo, hi, tol=ROOT_TOL)
+    slope = df(ystar)
     return RecoveryResult(
-        value=slice_map(s, chosen),
-        ystar=chosen,
-        roots=roots,
-        brackets=brackets,
-        condition=condition,
-        notes=notes,
+        value=slice_at(s, ystar),
+        ystar=ystar,
+        condition=math.inf if slope == 0.0 else 1.0 / abs(slope),
     )
 
 
-def recover_evolution(
-    slice_map: Callable[[float, float], float],
-    t: float,
-    s: float,
-    y: float,
-    settings: RecoverySettings = RecoverySettings(),
-) -> float:
-    return recover_evolution_detailed(slice_map, t, s, y, settings).value
+def recover_evolution(op: EvolutionOp, t: float, s: float, y: float) -> float:
+    return recover_evolution_detailed(op, t, s, y).value
 
 
 # ---------------------------------------------------------------------------

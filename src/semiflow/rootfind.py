@@ -86,21 +86,17 @@ def newton(
     return None
 
 
-def numeric_derivative(f: Callable[[float], float]) -> Callable[[float], float]:
-    """Central difference of f with step 1e-7 * (1 + |x|)."""
-
-    def df(x: float) -> float:
-        h = 1e-7 * (1.0 + abs(x))
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-
-    return df
-
-
-def hybrid_root(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
-    """Bisection to `tol`, then a Newton polish on the central-difference
-    derivative, kept when it stays in [a, b] and does not raise |f|."""
+def hybrid_root(
+    f: Callable[[float], float],
+    df: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float = 1e-12,
+) -> float:
+    """Bisection to `tol`, then a Newton polish on the slope df, kept when
+    it stays in [a, b] and does not raise |f|."""
     x = bisect(f, a, b, tol=tol)
-    polished = newton(f, numeric_derivative(f), x)
+    polished = newton(f, df, x)
     if polished is not None and min(a, b) - tol <= polished <= max(a, b) + tol:
         try:
             if abs(f(polished)) <= abs(f(x)):

@@ -424,6 +424,29 @@ def test_an_error_blames_only_the_grid_overrides_its_suite_read(capsys):
     assert "grids.t = " in err and "grids.zz" not in err
 
 
+# each aborted with a RootSearchError while recovery scanned 256 points for
+# sign changes: near the fold both roots fell into one scan cell
+@pytest.mark.parametrize("seed", [11, 16, 32, 33, 35, 37, 46, 110])
+def test_recovery_near_the_fold_passes_for_every_seed(seed, capsys):
+    assert main(["verify", "--suite", "recovery-cross-check", "--seed", str(seed)]) == 0
+
+
+def test_a_slice_with_no_root_on_the_bounded_branch_fails_its_report(tmp_path, monkeypatch, capsys):
+    # the slice z - sqrt(tau)*z^2 peaks at 1/(4*sqrt(tau)): larger targets have no root
+    import semiflow.suites as suites
+    from semiflow.maps import scalar_map
+    from semiflow.reduction import EvolutionOp
+
+    folded = EvolutionOp("folded", scalar_map(("t0", "t1", "y"), "y - sqrt(t1)*y*y"))
+    monkeypatch.setattr(suites, "gls_two_time_op", lambda: folded)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "recovery-cross-check", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (rep,) = json.loads(out.read_text())["suites"]["recovery-cross-check"]
+    assert not rep["passed"] and rep["max_deviation"] == "inf"
+    assert rep["witnesses"][0]["note"] == "no root on the bounded branch"
+
+
 def test_seed_42_report_is_pinned(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "all", "--seed", "42", "--out", str(out)]) == 0

@@ -217,5 +217,6 @@ class TestRootFinding:
 
     def test_hybrid_beats_plain_bisection(self):
         f = lambda x: math.tanh(x - 0.7)  # noqa: E731
-        root = hybrid_root(f, 0.0, 2.0, tol=1e-10)
+        df = lambda x: 1.0 - math.tanh(x - 0.7) ** 2  # noqa: E731
+        root = hybrid_root(f, df, 0.0, 2.0, tol=1e-10)
         assert root == pytest.approx(0.7, abs=1e-13)

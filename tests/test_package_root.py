@@ -45,11 +45,11 @@ HOMES = {
         "sqrt_mediator", "square_map",
     ),
     "reduction": (
-        "EvolutionOp", "IntegrationError", "OdeSystem", "RecoverySettings", "Trajectory",
-        "augment_system", "first_component_check", "flow_vs_closed_form", "gls_one_time_op",
-        "gls_slice", "gls_two_time", "gls_two_time_op", "integrate_flow", "one_time_law_check",
-        "quadratic_one_time_op", "quadratic_slice", "quadratic_system", "quadratic_two_time_op",
-        "recover_evolution", "recover_evolution_detailed", "two_time_law_check", "ystar_branch",
+        "EvolutionOp", "IntegrationError", "OdeSystem", "Trajectory", "augment_system",
+        "first_component_check", "flow_vs_closed_form", "gls_one_time_op", "gls_two_time_op",
+        "integrate_flow", "one_time_law_check", "quadratic_one_time_op", "quadratic_system",
+        "quadratic_two_time_op", "recover_evolution", "recover_evolution_detailed",
+        "two_time_law_check",
     ),
     "semisym": (
         "ParametricFunction", "act", "canonical_parametric", "is_graph", "regraph",
@@ -78,7 +78,7 @@ def _fresh(code: str) -> str:
 
 
 def test_all_lists_every_public_name():
-    assert len(EXPORTS) == 99 and len(SUBMODULES) == 10 and len(PUBLIC) == 109
+    assert len(EXPORTS) == 94 and len(SUBMODULES) == 10 and len(PUBLIC) == 104
     assert semiflow.__all__ == PUBLIC
 
 

@@ -9,6 +9,7 @@ import tempfile
 from array import array
 from functools import partial
 from sys import getsizeof
+from typing import Callable
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,27 +38,23 @@ from semiflow.reduction import (
     FLOW_MAX_STEPS,
     FLOW_START_STEPS,
     FLOW_TARGET_RATIO,
+    EvolutionOp,
     IntegrationError,
     OdeSystem,
-    RecoverySettings,
     Trajectory,
     augment_system,
     first_component_check,
     flow_vs_closed_form,
     gls_one_time_op,
-    gls_slice,
-    gls_two_time,
     gls_two_time_op,
     integrate_flow,
     one_time_law_check,
     quadratic_one_time_op,
-    quadratic_slice,
     quadratic_system,
     quadratic_two_time_op,
     recover_evolution,
     recover_evolution_detailed,
     two_time_law_check,
-    ystar_branch,
 )
 from semiflow.reduction import _time_mesh  # the reference loop's mesh
 from semiflow.rootfind import RootSearchError
@@ -455,36 +452,75 @@ class TestEvolutionOps:
         assert op(2.0, mid) == op(3.0, (0.0, 1.0)) == (3.0, 10.0)
 
 
+# ---------------------------------------------------------------------------
+# the square-root evolution as hand-written float formulas: a reference
+# independent of the expression engine. The closed forms do its arithmetic in
+# its order, so the two agree bit for bit wherever both are defined.
+
+
+def ystar_branch(t: float, y: float) -> float:
+    """The root of z + sqrt(t)*z^2 = y that stays bounded (-> y) as t -> 0+."""
+    if t < 0.0:
+        raise EvalDomainError("ystar needs t >= 0")
+    st_ = math.sqrt(t)
+    radicand = 1.0 + 4.0 * st_ * y
+    if radicand < 0.0:
+        if radicand < -1e-9 * (1.0 + abs(4.0 * st_ * y)):
+            raise EvalDomainError(f"negative radicand {radicand!r}")
+        radicand = 0.0  # rounding at the fold boundary
+    return 2.0 * y / (1.0 + math.sqrt(radicand))
+
+
+def gls_two_time(t: float, s: float, y: float) -> float:
+    """E(t,s)(y) = y* + sqrt(s)*y*^2 with y* = ystar_branch(t, y)."""
+    if s < 0.0:
+        raise EvalDomainError("gls_two_time needs s >= 0")
+    ys = ystar_branch(t, y)
+    return ys + math.sqrt(s) * ys * ys
+
+
+def gls_slice(t: float, z: float) -> float:
+    """The fixed-origin slice E(0,t)(z) = z + sqrt(t)*z^2."""
+    if t < 0.0:
+        raise EvalDomainError("slice needs t >= 0")
+    return z + math.sqrt(t) * z * z
+
+
 class TestGlsClosedForm:
     def test_slice_value(self):
-        assert gls_two_time(0.0, 1.0, 2.0) == 6.0
+        assert gls_two_time_op().closed_form(0.0, 1.0, 2.0) == (6.0,) == (gls_slice(1.0, 2.0),)
 
     def test_two_step_value(self):
-        assert gls_two_time(1.0, 4.0, 6.0) == pytest.approx(10.0, rel=1e-14)
+        (got,) = gls_two_time_op().closed_form(1.0, 4.0, 6.0)
+        assert got == pytest.approx(10.0, rel=1e-14)
 
     def test_self_evolution_is_identity(self):
-        assert gls_two_time(1.0, 1.0, 6.0) == pytest.approx(6.0, rel=1e-14)
+        (got,) = gls_two_time_op().closed_form(1.0, 1.0, 6.0)
+        assert got == pytest.approx(6.0, rel=1e-14)
 
     def test_ystar_examples(self):
-        assert ystar_branch(1.0, 6.0) == pytest.approx(2.0, rel=1e-14)
-        assert ystar_branch(1.0, 0.0) == 0.0
-        assert ystar_branch(1e-12, 3.0) == pytest.approx(3.0, abs=1e-5)
+        # the root recovery finds is the bounded one
+        op = gls_two_time_op()
+        assert recover_evolution_detailed(op, 1.0, 0.0, 6.0).ystar == pytest.approx(2.0, rel=1e-14)
+        assert recover_evolution_detailed(op, 1.0, 0.0, 0.0).ystar == 0.0
+        assert recover_evolution_detailed(op, 1e-12, 0.0, 3.0).ystar == pytest.approx(3.0, abs=1e-5)
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(EvalDomainError):
-            gls_two_time(1.0, 1.0, -1.0)
+            gls_two_time_op().closed_form(1.0, 1.0, -1.0)
 
     def test_negative_times_rejected(self):
         with pytest.raises(EvalDomainError):
-            gls_two_time(-1.0, 1.0, 0.5)
+            gls_two_time_op().closed_form(-1.0, 1.0, 0.5)
         with pytest.raises(EvalDomainError):
-            gls_two_time(1.0, -1.0, 0.5)
+            gls_two_time_op().closed_form(1.0, -1.0, 0.5)
 
     def test_inverse_identities_on_branch(self):
         # E(t,s) inverts E(s,t) while the bounded branch survives
+        op = gls_two_time_op()
         for t, s, y in ((1.0, 4.0, 2.0), (0.25, 2.25, 1.5), (2.0, 0.5, 0.3)):
-            mid = gls_two_time(s, t, y)
-            assert gls_two_time(t, s, mid) == pytest.approx(y, rel=1e-10)
+            mid = op.closed_form(s, t, y)
+            assert op.closed_form(t, s, *mid)[0] == pytest.approx(y, rel=1e-10)
 
     @given(st.floats(0.0, 9.0), st.floats(0.0, 9.0), st.floats(-10.0, 10.0))
     @settings(max_examples=300)
@@ -654,60 +690,131 @@ class TestOperatorLaws:
 
 class TestRecovery:
     def test_quadratic_example(self):
-        assert recover_evolution(quadratic_slice, 1.0, 2.0, 3.0) == pytest.approx(6.0, abs=1e-12)
+        got = recover_evolution(quadratic_two_time_op(), 1.0, 2.0, 3.0)
+        assert got == pytest.approx(6.0, abs=1e-12)
 
     def test_identity_when_times_equal(self):
+        op = quadratic_two_time_op()
         for t, y in ((1.0, 3.0), (2.5, -4.0)):
-            assert recover_evolution(quadratic_slice, t, t, y) == pytest.approx(y, abs=1e-12)
+            assert recover_evolution(op, t, t, y) == pytest.approx(y, abs=1e-12)
 
     def test_quadratic_grid_against_closed_form(self):
+        op = quadratic_two_time_op()
         for t in (0.0, 0.5, 1.5, 3.0):
             for s in (0.0, 1.0, 2.0, 3.0):
                 for y in (-5.0, -0.5, 0.0, 2.0, 5.0):
-                    got = recover_evolution(quadratic_slice, t, s, y)
+                    got = recover_evolution(op, t, s, y)
                     assert got == pytest.approx(s * s - t * t + y, rel=1e-9, abs=1e-9)
 
     def test_gls_slice_selects_bounded_branch(self):
-        res = recover_evolution_detailed(gls_slice, 1.0, 4.0, 6.0)
-        assert len(res.roots) == 2
+        # z + z^2 = 6 has the roots 2 and -3; -3 lies past the fold z = -1/2
+        res = recover_evolution_detailed(gls_two_time_op(), 1.0, 4.0, 6.0)
         assert res.ystar == pytest.approx(2.0, abs=1e-10)
         assert res.value == pytest.approx(10.0, rel=1e-10)
-        assert any("continuation" in n for n in res.notes)
 
     def test_matches_two_time_closed_form(self):
         import random
 
         rng = random.Random(7)
+        op = gls_two_time_op()
         for _ in range(100):
             t = rng.uniform(0.05, 2.0)
             s = rng.uniform(0.0, 2.0)
             y = rng.uniform(-0.9 / (4.0 * math.sqrt(t)), 4.0)
-            got = recover_evolution(gls_slice, t, s, y)
+            got = recover_evolution(op, t, s, y)
             want = gls_two_time(t, s, y)
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
     def test_no_root_in_range_raises(self):
         with pytest.raises(RootSearchError):
-            recover_evolution(gls_slice, 1.0, 2.0, -0.3)  # z + z^2 = -0.3 has no real root
+            # z + z^2 = -0.3 has no real root
+            recover_evolution(gls_two_time_op(), 1.0, 2.0, -0.3)
 
     def test_recovery_from_a_nonzero_origin_slice(self):
-        # the slice tau -> E(1, tau)(z) = tau^2 - 1 + z carries the same
-        # information as the zero-origin one
-        slice_from_one = lambda tau, z: tau * tau - 1.0 + z  # noqa: E731
-        settings = RecoverySettings(t0=1.0)
-        for t, s, y in ((2.0, 3.0, 0.5), (0.5, 2.5, -1.0), (1.0, 1.0, 4.0)):
-            got = recover_evolution(slice_from_one, t, s, y, settings)
-            assert got == pytest.approx(s * s - t * t + y, abs=1e-9)
+        # the quadratic operator seen from origin 1: its zero-origin slice
+        # tau -> E(1, 1 + tau)(z) = (1 + tau)^2 - 1 + z carries the same
+        # information as the original's slice from 0
+        shifted = EvolutionOp(
+            "quadratic-from-one",
+            map_from_exprs(("t0", "t1", "y"), ["(1 + t1)*(1 + t1) - (1 + t0)*(1 + t0) + y"]),
+        )
+        for t, s, y in ((1.0, 2.0, 0.5), (-0.5, 1.5, -1.0), (0.0, 0.0, 4.0)):
+            got = recover_evolution(shifted, t, s, y)
+            assert got == pytest.approx((1 + s) ** 2 - (1 + t) ** 2 + y, abs=1e-9)
 
     def test_condition_number_blows_up_at_fold(self):
-        # roots coalesce at the fold y = -1/4: resolving them needs a scan
-        # finer than their separation, and the condition number records the
-        # nearly-double root
-        fine = RecoverySettings(search_lo=-2.0, search_hi=2.0, scan_points=2001)
-        near = recover_evolution_detailed(gls_slice, 1.0, 1.0, -0.2499, fine)
-        far = recover_evolution_detailed(gls_slice, 1.0, 1.0, 2.0, fine)
-        assert near.condition > 10.0 > far.condition
-        assert len(near.roots) == 2
+        # just above the fold value -1/(4*sqrt(2)) both roots lie within
+        # 1e-4 of the fold z = -1/(2*sqrt(2)), inside one cell of a 256-point
+        # scan of [-50, 50]; the split at the fold still brackets the bounded
+        # one, and the condition number 1/|slope| records the nearly double root
+        op = gls_two_time_op()
+        t, y = 2.0, -1.0 / (4.0 * math.sqrt(2.0)) + 1e-8
+        near = recover_evolution_detailed(op, t, t, y)
+        assert abs(near.ystar - ystar_branch(t, y)) <= 1e-12
+        assert near.condition > 1e3
+        assert recover_evolution_detailed(op, t, t, 2.0).condition < 10.0
+
+    # the slope at the root is sqrt(radicand) >= 1e-3, so the rounding of the
+    # slice equation moves y* by up to ~1e3 ulps: on 2e5 random points, a third
+    # of them within 10% of the fold value, recovery and reference were at
+    # most 4.8e-13 apart
+    @given(
+        st.floats(0.0, 4.0, allow_nan=False),
+        st.floats(0.0, 4.0, allow_nan=False),
+        st.floats(-10.0, 10.0, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(2.0, 2.0, -1.0 / (4.0 * math.sqrt(2.0)) + 1e-6)  # radicand 4e-6 past the fold
+    def test_recovery_matches_the_float_reference(self, t, s, y):
+        assume(1.0 + 4.0 * math.sqrt(t) * y >= 1e-6)
+        res = recover_evolution_detailed(gls_two_time_op(), t, s, y)
+        ystar, value = ystar_branch(t, y), gls_two_time(t, s, y)
+        assert abs(res.ystar - ystar) <= 1e-11 * (1.0 + abs(ystar))
+        assert abs(res.value - value) <= 1e-11 * (1.0 + abs(value))
+
+    def test_the_slice_is_compiled_once_per_operator(self, monkeypatch):
+        op = gls_two_time_op()
+        recover_evolution(op, 1.0, 2.0, 3.0)
+        compiles = []
+        monkeypatch.setattr(reduction, "compile_expr", lambda *args: compiles.append(args))
+        for y in (-0.1, 0.5, 3.0):
+            recover_evolution(op, 1.0, 2.0, y)
+        assert compiles == []
+
+
+def _mutant(name: str, text: str) -> Callable[[], EvolutionOp]:
+    """A factory of the operator with closed form `text` in (t0, t1, y)."""
+    return lambda: EvolutionOp(name, map_from_exprs(("t0", "t1", "y"), [text], name=name))
+
+
+class TestRecoveryMutants:
+    """A recovery report reads the operator it recovers: a closed form whose
+    two-time values disagree with its own slice fails it, with witnesses."""
+
+    @pytest.mark.parametrize(
+        "factory, mutant, suite, report",
+        [
+            (
+                "gls_two_time_op",
+                "2*y/(1 + sqrt(1 + 4.000004*sqrt(t0)*y)) + sqrt(t1)*(2*y/(1 + sqrt(1 + 4.000004*sqrt(t0)*y)))^2",
+                "suite_recovery_cross_check",
+                "recovery-vs-closed-form[sqrt-gls]",
+            ),
+            (
+                "quadratic_two_time_op",
+                "t1*t1 - 1.000001*t0*t0 + y",
+                "suite_reduction_algebra",
+                "recovery[quadratic]",
+            ),
+        ],
+        ids=["sqrt-gls", "quadratic"],
+    )
+    def test_an_inconsistent_closed_form_fails_its_recovery_report(self, monkeypatch, factory, mutant, suite, report):
+        import semiflow.suites as suites
+
+        monkeypatch.setattr(suites, factory, _mutant("mutant", mutant))
+        reports = {rep.suite: rep for rep in getattr(suites, suite)(suites.SuiteConfig())}
+        assert not reports[report].passed and reports[report].witnesses
 
 
 def _estimate_and_target(rep):
