@@ -35,6 +35,7 @@ from .expr import (
     compile_expr,
     diff,
     parse_expr,
+    raise_from_tree_walk,
     substitute_many,
 )
 from .grids import SamplingGrid
@@ -93,10 +94,16 @@ class MediatorFunction:
         return compile_expr(self.g, ("t",)), compile_expr(diff(self.g, "t"), ("t",))
 
     def value(self, t: float) -> float:
-        return self._compiled[0](t)
+        try:
+            return self._compiled[0](t)
+        except (ArithmeticError, ValueError):
+            raise_from_tree_walk((self.g,), ("t",), (t,))
 
     def slope(self, t: float) -> float:
-        return self._compiled[1](t)
+        try:
+            return self._compiled[1](t)
+        except (ArithmeticError, ValueError):
+            raise_from_tree_walk((diff(self.g, "t"),), ("t",), (t,))
 
 
 def mediator(g: Expr | str) -> MediatorFunction:
@@ -387,12 +394,7 @@ class DiffeoTimeReport:
     thresholds: list[float]
 
 
-def _critical_points(
-    second: Callable[[float, float], float], t: float, y_pts: Sequence[float]
-) -> list[float]:
-    def f(y: float) -> float:
-        return second(t, y)
-
+def _critical_points(f: Callable[[float], float], y_pts: Sequence[float]) -> list[float]:
     crits = []
     prev_y = prev_v = None
     for y in y_pts:
@@ -418,23 +420,43 @@ class DiffeoClassifier:
     y_grid: SamplingGrid
 
     @cached_property
-    def _derivatives(self) -> tuple[Callable[[float, float], float], ...]:
-        """dH/dy and d2H/dy2 as compiled functions of (t, y), built once."""
+    def _derivatives(self) -> tuple[tuple[str, str], tuple[Expr, Expr]]:
+        """The inputs (t, y), and dH/dy and d2H/dy2, built once."""
         params = (self.action.time_var, self.action.state_vars[0])
         slope = diff(self.action.map.outputs[0], params[1])
-        return compile_expr(slope, params), compile_expr(diff(slope, params[1]), params)
+        return params, (slope, diff(slope, params[1]))
+
+    @cached_property
+    def _compiled(self) -> tuple[Callable[[float, float], float], ...]:
+        """dH/dy and d2H/dy2 as compiled functions of (t, y), built once."""
+        params, derivatives = self._derivatives
+        return tuple(compile_expr(d, params) for d in derivatives)
 
     def slope_attains_zero(self, t: float) -> bool:
         """Does dH(t,.)/dy reach zero somewhere? The y-grid is extended by an
         extremum search: zeros of the second derivative are bisected and the
         slope re-evaluated there, so interior extrema cannot slip between
         grid nodes."""
-        slope, second = self._derivatives
+        params, derivatives = self._derivatives
+        slope, second = self._compiled
+
+        def slope_at(y: float) -> float:
+            try:
+                return slope(t, y)
+            except (ArithmeticError, ValueError):
+                raise_from_tree_walk(derivatives[:1], params, (t, y))
+
+        def second_at(y: float) -> float:
+            try:
+                return second(t, y)
+            except (ArithmeticError, ValueError):
+                raise_from_tree_walk(derivatives[1:], params, (t, y))
+
         y_pts = self.y_grid.axis_values()[0]
         candidates = []
-        for y in list(y_pts) + _critical_points(second, t, y_pts):
+        for y in list(y_pts) + _critical_points(second_at, y_pts):
             try:
-                candidates.append(slope(t, y))
+                candidates.append(slope_at(y))
             except EvalDomainError:
                 continue
         if not candidates:

@@ -24,9 +24,17 @@ fully bracketed code) and leaves no reference cycle. Its code feeds two
 consumers. Every `SmoothMap` compiles its outputs once into one
 `compile_system` lambda; `compile_expr` is its one-output case. The RK4
 kernel of `semiflow.reduction` writes the code of a right-hand side into
-each of its stage lines. The tree walk `evaluate` applies the same domain
-rules node by node; it is kept as the reference the compiled code is
-tested against.
+each of its stage lines.
+
+The tree walk `evaluate` applies the domain rules node by node through
+guards that raise `EvalDomainError`; it is kept as the reference the
+compiled code is tested against. The compiled code calls no guard:
+`math.sqrt`, `math.log`, `math.exp`, the operator ``/`` and ``**`` of an
+integer-valued constant raise by themselves (ValueError, ZeroDivisionError,
+OverflowError) exactly where the guards raise. One boundary,
+`raise_from_tree_walk`, turns such an error into the tree walk's own,
+message and all, at the few places compiled code is called: only on the
+error path, so a call that raises nothing pays nothing for it.
 
 Grammar (whitespace-insensitive)::
 
@@ -49,7 +57,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NoReturn
 
 
 class ExprError(Exception):
@@ -244,8 +252,9 @@ def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
     """IEEE double value of `e` with every free variable bound.
 
     The reference tree walk: the code `_emit_system` generates, which is
-    what the package itself evaluates, gives the same values and raises
-    the same first error.
+    what the package itself evaluates, gives the same values and raises at
+    the same first point, where `raise_from_tree_walk` turns its error
+    into this walk's.
     """
     kind = type(e)
     if kind is Const:
@@ -679,14 +688,32 @@ def parse_expr(text: str) -> Expr:
 # compiled evaluation: the package's one evaluation path
 
 
-# operator and strength of the infix operations (see `_emit_system`)
-_INFIX = {"add": (" + ", 1), "sub": (" - ", 1), "mul": (" * ", 2)}
+# operator, strength and the strengths its left and right operands need,
+# of each infix operation (see `_emit_system`); "**" is pow of an
+# integer-valued constant
+_INFIX = {
+    "add": (" + ", 1, 1, 2),
+    "sub": (" - ", 1, 1, 2),
+    "mul": (" * ", 2, 2, 3),
+    "div": (" / ", 2, 2, 3),
+    "**": (" ** ", 4, 5, 3),
+}
 
 
-# compiled code calls the helpers `evaluate` calls, under the op's name
+# the functions compiled code calls, under the op's name: the C functions
+# raise by themselves where the guards of `evaluate` raise; `_pow` keeps its
+# guard for the exponents it gets (Python's ** gives a complex number for a
+# negative base there), and `_cbrt` is the odd extension `evaluate` uses
 _COMPILE_NS = {
     "__builtins__": {},
-    **{f"_{op}": fn for op, fn in (*_UNARY_FN.items(), *_BINARY_FN.items())},
+    "_sqrt": math.sqrt,
+    "_cbrt": _cbrt,
+    "_tanh": math.tanh,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_exp": math.exp,
+    "_log": math.log,
+    "_pow": _safe_pow,
     "_float": float,
 }
 
@@ -718,9 +745,10 @@ def compile_expr(e: Expr, params: tuple[str, ...]) -> Callable[..., float]:
     """Positional-argument evaluator for `e`: `compile_system` of one
     output, returning the value itself rather than a 1-tuple.
 
-    The code calls the domain-checked helpers of `evaluate`, the reference
-    tree walk, so both give the same values and raise the same
-    EvalDomainError; a subtree that recurs in `e` is computed once.
+    It gives the values of `evaluate`, the reference tree walk, and raises
+    where `evaluate` raises, but the error of the C function or operator
+    that failed; its caller turns that into the tree walk's error with
+    `raise_from_tree_walk`. A subtree that recurs in `e` is computed once.
     Parameter names must be identifiers that do not start with "_".
     """
     _check_params(params)
@@ -742,15 +770,21 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
     evaluation: values, and the first error raised, are those of the
     outputs evaluated one after another.
 
+    Division is Python's ``/``, and pow of a finite, integer-valued
+    constant Python's ``**``: both raise where `evaluate`'s guards do.
+    Other exponents keep the guarded `_pow`.
+
     An operand is bracketed only where Python's precedence needs it. A sum
-    has strength 1, a product 2, and a unary minus or a negative literal
-    3; calls, names, other literals and assignment expressions are atoms.
-    An operand of + or - needs strength 1 on the left and 2 on the right,
-    one of * 2 and 3, and one of unary minus 3. So the code parses to the
-    same AST, and compiles to the same bytecode, as the code with every
-    operation bracketed, from fewer tokens. The two walks are closures that
-    call themselves; unbinding them on return leaves no reference cycle,
-    so their tables are freed at once, not by the cyclic collector.
+    has strength 1, a product or quotient 2, a unary minus or a negative
+    literal 3, a power 4; calls, names, other literals and assignment
+    expressions are atoms (5). An operand of + or - needs strength 1 on
+    the left and 2 on the right, one of * or / 2 and 3, one of unary minus
+    3, and one of ** an atom on the left and 3 on the right (``x ** -1.0``).
+    So the code parses to the same AST, and compiles to the same bytecode,
+    as the code with every operation bracketed, from fewer tokens. The two
+    walks are closures that call themselves; unbinding them on return
+    leaves no reference cycle, so their tables are freed at once, not by
+    the cyclic collector.
     """
     numbers: dict[str | tuple, int] = {}
     keys: list[str | tuple] = []  # a leaf's code, or (op, *child numbers)
@@ -768,7 +802,10 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
             b = seen(id(e.rhs))
             if b is None:
                 b = intern(e.rhs)
-            key = (e.op, a, b)
+            op = e.op
+            if op == "pow" and type(e.rhs) is Const and float(e.rhs.value).is_integer():
+                op = "**"
+            key = (op, a, b)
         elif kind is Unary:
             a = seen(id(e.arg))
             if a is None:
@@ -806,13 +843,15 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
             return name
         key = keys[n]
         if type(key) is str:
-            return key
+            # a negative literal has the strength of a unary minus
+            return f"({key})" if need > 3 and key[0] == "-" else key
         op = key[0]
-        strength = 3  # unary minus or a call: no context needs more
+        strength = 5  # a call
         if op in _INFIX:
-            sym, strength = _INFIX[op]
-            code = code_of(key[1], strength) + sym + code_of(key[2], strength + 1)
+            sym, strength, left, right = _INFIX[op]
+            code = code_of(key[1], left) + sym + code_of(key[2], right)
         elif op == "neg":
+            strength = 3
             code = "-" + code_of(key[1], 3)
         elif len(key) == 2:
             code = f"_{op}({code_of(key[1], 0)})"
@@ -841,10 +880,30 @@ def compile_system(
 ) -> Callable[..., tuple[float, ...]]:
     """One lambda returning the tuple of every output's value.
 
-    Values, and the first EvalDomainError, are those of `evaluate` applied
-    to each output in turn. Repeated subtrees, within an output or across
-    outputs, are computed once (see `_emit_system`). Uncached: a
-    `SmoothMap` keeps the lambda of its outputs.
+    Values are those of `evaluate` applied to each output in turn, and it
+    raises where that first raises, with the error of the C function or
+    operator that failed (see `raise_from_tree_walk`). Repeated subtrees,
+    within an output or across outputs, are computed once (see
+    `_emit_system`). Uncached: a `SmoothMap` keeps the lambda of its
+    outputs.
     """
     _check_params(params)
     return _lambda(params, f"({', '.join(_emit_system(outputs, params))},)")
+
+
+def raise_from_tree_walk(
+    outputs: tuple[Expr, ...], params: tuple[str, ...], args: tuple
+) -> NoReturn:
+    """Raise the error `evaluate` raises on `outputs`, in order, at `args`.
+
+    The one boundary of compiled code: called in the `except` clause of a
+    compiled call that raised ArithmeticError or ValueError, it re-raises
+    the failure as the tree walk reports it, an EvalDomainError with its
+    message, or the ValueError of sin or cos at infinity. The tree walk
+    raises there too, since the compiled code raises only where it does; if
+    it does not, that is a fault of the compiled code, an ExprError.
+    """
+    bindings = dict(zip(params, args))
+    for e in outputs:
+        evaluate(e, bindings)
+    raise ExprError(f"compiled code raised where the tree walk does not, at {args!r}")

@@ -2,7 +2,8 @@
 
 Differentiation, freezing and composition are symbolic: they take and
 return maps. Every map evaluates through the compiled code of its
-outputs.
+outputs; a call off the outputs' domain raises the error the tree walk
+`evaluate` raises there.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .expr import (
     diff,
     free_vars,
     parse_expr,
+    raise_from_tree_walk,
     substitute_many,
     to_text,
 )
@@ -64,6 +66,8 @@ class SmoothMap:
         # the lambda checks the arity itself; name the map's inputs only then
         try:
             return self.compiled(*args)
+        except (ArithmeticError, ValueError):
+            raise_from_tree_walk(self.outputs, self.inputs, args)
         except TypeError:
             if len(args) != self.in_dim:
                 raise ExprError(
@@ -73,7 +77,10 @@ class SmoothMap:
 
     @cached_property
     def compiled(self) -> Callable[..., tuple[float, ...]]:
-        """All outputs as one lambda of the inputs, compiled on first use."""
+        """All outputs as one lambda of the inputs, compiled on first use.
+
+        Off the outputs' domain it raises the error of the C function or
+        operator that failed; a call of the map raises the tree walk's."""
         return compile_system(self.outputs, self.inputs)
 
     def at(self, point: Sequence[float]) -> tuple[float, ...]:

@@ -31,9 +31,9 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .actions import TimeAction, composition_check
 from .expr import (
@@ -45,6 +45,7 @@ from .expr import (
     _emit_system,
     compile_expr,
     parse_expr,
+    raise_from_tree_walk,
     substitute_many,
 )
 from .grids import SamplingGrid
@@ -192,11 +193,14 @@ def integrate_flow(
     Every system runs through an RK4 kernel generated once per right-hand
     side (`_rk4_kernel`): the code of the RHS outputs, with shared
     subtrees computed once, stands in each stage line, so a stage is no
-    call. The kernel does the textbook scheme's floating-point operations
-    in the textbook order, so states and times are bit for bit those of
-    the plain loop over tuples. The trajectory keeps the mesh and one
-    `array('d')` column per state component, each allocated once at
-    steps + 1 values and filled by index.
+    call, and calls no domain guard: a stage off the RHS's domain raises
+    the IntegrationError "RHS domain error: ..." with the message the tree
+    walk `evaluate` gives at that stage's inputs. The kernel does the
+    textbook scheme's floating-point operations in the textbook order, so
+    states and times are bit for bit those of the plain loop over tuples.
+    The trajectory keeps the mesh and one `array('d')` column per state
+    component, each allocated once at steps + 1 values and filled by
+    index.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -233,8 +237,8 @@ def _rk4(_mesh, _validity, {y}):
             ({kc},) = ({rhs},)
             ({inputs},) = ({at_t1}{y_kc},)
             ({kd},) = ({rhs},)
-        except _EvalDomainError as _err:
-            raise _IntegrationError(f"RHS domain error: {{_err}}", _t0) from _err
+        except _DOMAIN_ERRORS:
+            _stage_failed(({inputs},), _t0)
         _h6 = _h / 6.0
 {update}
         if not ({finite}):
@@ -251,7 +255,7 @@ def _rk4(_mesh, _validity, {y}):
 # the kernel starts with "_", which no input of a compiled map may
 _RK4_NS = {
     **_COMPILE_NS,
-    "_EvalDomainError": EvalDomainError,
+    "_DOMAIN_ERRORS": (EvalDomainError, ArithmeticError, ValueError),
     "_IntegrationError": IntegrationError,
     "_array": array,
     "_isfinite": math.isfinite,
@@ -259,6 +263,18 @@ _RK4_NS = {
     "_len": len,
     "_next": next,
 }
+
+
+def _stage_failed(
+    outputs: tuple[Expr, ...], inputs: tuple[str, ...], args: tuple, t0: float
+) -> NoReturn:
+    """Raise what a failed RK4 stage at inputs `args`, in the step from
+    t0, reports: the tree walk's EvalDomainError as the IntegrationError
+    "RHS domain error: ...", or the tree walk's other error."""
+    try:
+        raise_from_tree_walk(outputs, inputs, args)
+    except EvalDomainError as err:
+        raise IntegrationError(f"RHS domain error: {err}", t0) from err
 
 
 @lru_cache(maxsize=64)
@@ -282,7 +298,11 @@ def _rk4_kernel(
     `h/6` computed once per step, which Python's left-to-right evaluation
     makes the same operations. Errors carry the times the plain loop
     reports: a domain error in the RHS the step's start, a non-finite
-    state or a validity exit the step's end.
+    state or a validity exit the step's end. The RHS code raises the error
+    of the C function or operator that failed (or `_pow`'s
+    EvalDomainError); the `except` clause, which costs nothing while no
+    stage fails, hands the failing stage's inputs to `_stage_failed`,
+    which raises the tree walk's error there.
 
     Cached on the map's inputs and outputs, so a rebuilt equal system
     reuses its kernel.
@@ -318,7 +338,7 @@ def _rk4_kernel(
         store="\n".join(f"        _col{i}[_k] = _y{i}" for i in range(dim)),
         columns=cols("_col{i}"),
     )
-    namespace = dict(_RK4_NS)
+    namespace = dict(_RK4_NS, _stage_failed=partial(_stage_failed, outputs, inputs))
     exec(source, namespace)  # noqa: S102 - source built from the template above
     # taken out of its own globals, the kernel is in no reference cycle
     return namespace.pop("_rk4")
@@ -344,16 +364,21 @@ class EvolutionOp:
     inverse_domain: Callable[..., bool] | None = None
 
     @cached_property
-    def slice(self) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
+    def slice_map(self) -> SmoothMap:
         """The slice (tau, z) -> E(0, tau)(z) of a scalar operator and its
-        exact z-partial, as compiled functions of (tau, z), built once."""
+        exact z-partial, the two outputs of one map of (tau, z)."""
         origin, _, state = self.closed_form.inputs
         frozen = self.closed_form.freeze(**{origin: 0.0})
-        slope = frozen.partial(state)
-        return (
-            compile_expr(frozen.outputs[0], frozen.inputs),
-            compile_expr(slope.outputs[0], frozen.inputs),
-        )
+        return SmoothMap(frozen.inputs, (*frozen.outputs, *frozen.partial(state).outputs))
+
+    @cached_property
+    def slice(self) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
+        """The two outputs of `slice_map` as compiled functions of (tau, z),
+        built once. Off their domain they raise the error of the C function
+        or operator that failed (see `expr.raise_from_tree_walk`)."""
+        m = self.slice_map
+        value, slope = m.outputs
+        return compile_expr(value, m.inputs), compile_expr(slope, m.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +564,11 @@ def two_time_law_check(
 
 
 # The slice equation is solved for z in [SEARCH_LO, SEARCH_HI], to ROOT_TOL.
+# A root outside it is sought by doubling the end past which it lies, at
+# most SEARCH_DOUBLINGS times: to |z| = 50 * 2**40, about 5.5e13.
 SEARCH_LO = -50.0
 SEARCH_HI = 50.0
+SEARCH_DOUBLINGS = 40
 ROOT_TOL = 1e-12
 
 
@@ -549,6 +577,32 @@ class RecoveryResult:
     value: float
     ystar: float
     condition: float
+
+
+def _widen_rising(
+    f: Callable[[float], float], df: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float]:
+    """[lo, hi], on which f rises, widened until f changes sign on it.
+
+    The end past which the root lies doubles, at most SEARCH_DOUBLINGS
+    times. Where the slope df turns between an end and its double, the
+    rising piece ends at the fold, found by bisection, and the widening
+    stops there: past the fold lies the other branch.
+    """
+    for _ in range(SEARCH_DOUBLINGS):
+        if f(hi) < 0.0:
+            end = 2.0 * hi
+            if not df(end) > 0.0:
+                return lo, bisect(df, hi, end, tol=ROOT_TOL)
+            hi = end
+        elif f(lo) > 0.0:
+            end = 2.0 * lo
+            if not df(end) > 0.0:
+                return bisect(df, end, lo, tol=ROOT_TOL), hi
+            lo = end
+        else:
+            break
+    return lo, hi
 
 
 def recover_evolution_detailed(op: EvolutionOp, t: float, s: float, y: float) -> RecoveryResult:
@@ -563,13 +617,29 @@ def recover_evolution_detailed(op: EvolutionOp, t: float, s: float, y: float) ->
     fold, and only when the slope changes sign between its ends. At the
     origin E(0,0) is the identity, with slope 1, and the bounded branch
     keeps that sign: its root lies on the rising piece, found by bisection
-    and polished by Newton on the exact slope. The condition number is
-    1/|slope| at the root; it blows up at the fold, where the root becomes
-    double. Raises RootSearchError when the rising piece holds no root.
+    and polished by Newton on the exact slope. Where the slope does not
+    turn on the search interval and the slice does not reach y there, the
+    interval widens (`_widen_rising`). The condition number is 1/|slope|
+    at the root; it blows up at the fold, where the root becomes double.
+    Raises RootSearchError when the rising piece holds no root.
     """
-    slice_at, slope_at = op.slice
-    f = lambda z: slice_at(t, z) - y  # noqa: E731
-    df = lambda z: slope_at(t, z)  # noqa: E731
+    value_at, slope_at = op.slice
+    outputs, params = op.slice_map.outputs, op.slice_map.inputs
+
+    def value(tau: float, z: float) -> float:
+        try:
+            return value_at(tau, z)
+        except (ArithmeticError, ValueError):
+            raise_from_tree_walk(outputs[:1], params, (tau, z))
+
+    def df(z: float) -> float:
+        try:
+            return slope_at(t, z)
+        except (ArithmeticError, ValueError):
+            raise_from_tree_walk(outputs[1:], params, (t, z))
+
+    f = lambda z: value(t, z) - y  # noqa: E731
+
     lo, hi = SEARCH_LO, SEARCH_HI
     rising_hi = df(hi) > 0.0
     if (df(lo) > 0.0) != rising_hi:
@@ -577,10 +647,12 @@ def recover_evolution_detailed(op: EvolutionOp, t: float, s: float, y: float) ->
         lo, hi = (fold, hi) if rising_hi else (lo, fold)
     elif not rising_hi:
         raise RootSearchError(f"the slice falls on all of [{lo!r}, {hi!r}]")
+    else:
+        lo, hi = _widen_rising(f, df, lo, hi)
     ystar = hybrid_root(f, df, lo, hi, tol=ROOT_TOL)
     slope = df(ystar)
     return RecoveryResult(
-        value=slice_at(s, ystar),
+        value=value(s, ystar),
         ystar=ystar,
         condition=math.inf if slope == 0.0 else 1.0 / abs(slope),
     )
@@ -637,10 +709,16 @@ def closed_form_deviations(
     action: TimeAction, ys: tuple[float, ...], traj: Trajectory
 ) -> list[float]:
     """The `deviation` of every sample of `traj` from the action's value at
-    ys, through the compiled outputs of its map."""
-    reference = action.map.compiled
-    states = zip(*traj.columns)
-    return [deviation(state, reference(tau, *ys)) for tau, state in zip(traj.times, states)]
+    ys, through the compiled outputs of its map; a time off the closed
+    form's domain raises the tree walk's error there."""
+    m = action.map
+    reference, devs = m.compiled, []
+    try:
+        for tau, state in zip(traj.times, zip(*traj.columns)):
+            devs.append(deviation(state, reference(tau, *ys)))
+    except (ArithmeticError, ValueError):
+        raise_from_tree_walk(m.outputs, m.inputs, (tau, *ys))
+    return devs
 
 
 def flow_vs_closed_form(
@@ -696,7 +774,7 @@ def flow_vs_closed_form(
         i = next(i for i, d in enumerate(devs) if d != d or d == max_dev)
         tau = traj.times[i]
         state = (column[i] for column in traj.columns)
-        witnesses.append(Witness((tau,), (*state, *action.map.compiled(tau, *ys))))
+        witnesses.append(Witness((tau,), (*state, *action.map(tau, *ys))))
     return VerificationReport.from_deviations(
         f"flow-vs-closed-form[{action.name}]",
         devs,

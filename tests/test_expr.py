@@ -26,12 +26,14 @@ from semiflow.expr import (
     free_vars,
     neg,
     parse_expr,
+    raise_from_tree_walk,
     substitute_many,
     tanh,
     to_text,
 )
 from semiflow.expr import _emit_system
 from semiflow.maps import SmoothMap, finite_diff, scalar_map
+from semiflow.reduction import IntegrationError, OdeSystem, integrate_flow
 
 
 def sin(e):
@@ -158,8 +160,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("x", [0.0, -0.0])
     def test_compiled_division_by_zero_is_a_domain_error(self, x):
-        with pytest.raises(EvalDomainError, match="division by zero"):
+        # the compiled code divides with "/", which raises by itself; a
+        # map's call turns that into the tree walk's error
+        with pytest.raises(ZeroDivisionError):
             compile_expr(parse_expr("1/x"), ("x",))(x)
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            scalar_map(("x",), "1/x")(x)
         with pytest.raises(EvalDomainError, match="division by zero"):
             scalar_map(("x",), "x + 1/(x*x)")(x)
 
@@ -401,15 +407,33 @@ def _outcome(fn, *args):
     try:
         v = fn(*args)
     except (EvalDomainError, ValueError) as err:
-        return type(err).__name__
+        return f"{type(err).__name__}: {err}"
     return "nan" if math.isnan(v) else v
+
+
+def _translated(e, params=("x", "y", "t")):
+    """`compile_expr`'s function of `e` behind the boundary every caller of
+    compile_expr puts around it."""
+    fn = compile_expr(e, params)
+
+    def call(*args):
+        try:
+            return fn(*args)
+        except (ArithmeticError, ValueError):
+            raise_from_tree_walk((e,), params, args)
+
+    return call
 
 
 @given(_trees, _points)
 @settings(max_examples=300)
+# ** of a negative integer at a zero base, and _pow's own error
+@example(Binary("pow", Binary("sub", Var("x"), Var("x")), Const(-2.0)), {"x": 0.5, "y": 0.0, "t": 0.0})
+@example(Binary("pow", Var("x"), Const(0.5)), {"x": -0.5, "y": 0.0, "t": 0.0})
 def test_compiled_code_agrees_with_the_tree_walk(e, point):
-    # one division rule: the same values, and the same error where one is raised
-    fn = compile_expr(e, ("x", "y", "t"))
+    # the same values, and an error exactly where the tree walk raises one:
+    # the boundary raises ExprError where only the compiled code raises
+    fn = _translated(e)
     got = _outcome(fn, point["x"], point["y"], point["t"])
     assert got == _outcome(evaluate, e, point)
 
@@ -426,7 +450,7 @@ def test_simplify_and_compile_preserve_values(e, point):
         assume(False)
     except Exception as err:
         # any other error: the compiled code must fail the same way
-        assert _outcome(compile_expr(e, ("x", "y", "t")), *args) == type(err).__name__
+        assert _outcome(_translated(e), *args) == f"{type(err).__name__}: {err}"
         return
     assume(math.isfinite(want) and abs(want) < 1e12)
     fn = compile_expr(e, ("x", "y", "t"))
@@ -459,7 +483,7 @@ def _values_or_first_error(values):
     try:
         return tuple(repr(v) for v in values())
     except (EvalDomainError, ArithmeticError, ValueError) as err:
-        return type(err).__name__
+        return f"{type(err).__name__}: {err}"
 
 
 @given(st.lists(st.recursive(_edge_leaf, _extend, max_leaves=10), min_size=1, max_size=3),
@@ -472,6 +496,67 @@ def test_smooth_map_agrees_with_evaluate_output_by_output(outputs, point):
     got = _values_or_first_error(lambda: m(point["x"], point["y"], point["t"]))
     want = _values_or_first_error(lambda: [evaluate(c, point) for c in outputs])
     assert got == want
+
+
+# the edges of each operation that compiled code leaves to a C function or
+# operator: (expression in x, x); ints as a caller may pass them
+_DOMAIN_EDGES = [
+    *(("sqrt(x)", x) for x in (0.0, -0.0, -1e-300, -math.inf, math.nan)),
+    *(("log(x)", x) for x in (0.0, -0.0, math.nan, math.inf)),
+    ("exp(x)", 709.78),
+    ("exp(x)", 710.0),
+    ("1/x", 0.0),
+    ("1/x", -0.0),
+    ("x/x", 0.0),  # 0.0 / 0.0
+    ("x^-1", 0.0),
+    ("x^-1", -0.0),
+    ("x^2", 1e200),
+    ("(-8)^3*x", 1.0),
+    ("1/x", 0),
+    ("x^2 + sqrt(x)/x", 4),
+    ("sin(exp(x)*exp(x))", 400.0),  # sin(inf): ValueError, not a domain error
+]
+
+
+def _edge_outcome(value):
+    try:
+        return repr(value())
+    except (ExprError, ArithmeticError, ValueError, IntegrationError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _rk4_step_outcome(e, x0):
+    """One RK4 step of dx/dt = e(x) over [0, 1] from x0, with the tree walk
+    for the right-hand side and the kernel's arithmetic and errors."""
+
+    def rhs(x):
+        return evaluate(e, {"x": x})
+
+    def step():
+        try:
+            k1 = rhs(x0)
+            k2 = rhs(x0 + 0.5 * k1)
+            k3 = rhs(x0 + 0.5 * k2)
+            k4 = rhs(x0 + 1.0 * k3)
+        except EvalDomainError as err:
+            raise IntegrationError(f"RHS domain error: {err}", 0.0) from err
+        x1 = x0 + (1.0 / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if not math.isfinite(x1):
+            raise IntegrationError("state became nonfinite", 1.0)
+        return x1
+
+    return _edge_outcome(step)
+
+
+@pytest.mark.parametrize("text, x", _DOMAIN_EDGES)
+def test_domain_edges_raise_as_the_tree_walk_on_every_compiled_path(text, x):
+    e = parse_expr(text)
+    want = _edge_outcome(lambda: evaluate(e, {"x": x}))
+    assert _edge_outcome(lambda: SmoothMap(("x",), (e,))(x)[0]) == want
+    assert _edge_outcome(lambda: _translated(e, ("x",))(x)) == want
+    flow = OdeSystem("edge", "autonomous", 1, SmoothMap(("x",), (e,)))
+    got = _edge_outcome(lambda: integrate_flow(flow, 0.0, (x,), 1.0, 1).columns[0][-1])
+    assert got == _rk4_step_outcome(e, float(x))
 
 
 class TestReservedNames:
@@ -506,6 +591,9 @@ class TestReservedNames:
     def test_compiled_code_shares_one_namespace_it_never_writes(self):
         from semiflow.expr import _COMPILE_NS
 
+        # the C functions raise by themselves: no guard of `evaluate` is called
+        assert _COMPILE_NS["_sqrt"] is math.sqrt and _COMPILE_NS["_log"] is math.log
+        assert _COMPILE_NS["_exp"] is math.exp and "_div" not in _COMPILE_NS
         before = dict(_COMPILE_NS)
         f = compile_system((parse_expr("sqrt(x)*sqrt(x) + x"),), ("x",))
         g = compile_expr(parse_expr("exp(y) + exp(y)"), ("y",))
@@ -546,10 +634,14 @@ class TestCompileSystem:
 
     def test_the_first_error_is_the_first_output_to_fail(self):
         outputs = (parse_expr("sqrt(x)"), parse_expr("log(x)"))
+        # the lambda raises libm's error; the map's call, the tree walk's
+        for x in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="math domain error"):
+                compile_system(outputs, ("x",))(x)
         with pytest.raises(EvalDomainError, match="sqrt of negative"):
-            compile_system(outputs, ("x",))(-1.0)
+            SmoothMap(("x",), outputs)(-1.0)
         with pytest.raises(EvalDomainError, match="log of non-positive"):
-            compile_system(outputs, ("x",))(0.0)
+            SmoothMap(("x",), outputs)(0.0)
 
     def test_compile_errors_match_compile_expr(self):
         with pytest.raises(UnboundVariableError):
@@ -587,7 +679,7 @@ def _shared_outputs(draw):
 @settings(max_examples=200)
 def test_system_lambda_agrees_with_compile_expr_per_output(outputs, point):
     args = (point["x"], point["y"], point["t"])
-    fn = compile_system(outputs, ("x", "y", "t"))
+    fn = SmoothMap(("x", "y", "t"), outputs)  # the system lambda behind its boundary
     try:
         got = tuple(repr(v) for v in fn(*args))
     except (EvalDomainError, ValueError) as err:
@@ -601,12 +693,16 @@ def test_system_lambda_agrees_with_compile_expr_per_output(outputs, point):
 
 def _bracketed_emit_system(outputs, params):
     """Reference for `_emit_system`: the same subtree numbering and naming,
-    with every +, -, * and unary minus bracketed whatever its context."""
+    with every +, -, *, /, ** and unary minus, and every negative literal,
+    bracketed whatever its context. Pow of a finite, integer-valued
+    constant is Python's **, other pows call _pow."""
     numbers, keys, refs, by_object = {}, [], [], {}
 
     def leaf_code(e):
         if type(e) is Const:
-            return repr(e.value) if math.isfinite(e.value) else f"_float('{e.value!r}')"
+            if not math.isfinite(e.value):
+                return f"_float('{e.value!r}')"
+            return f"({e.value!r})" if math.copysign(1.0, e.value) < 0.0 else repr(e.value)
         if e.name not in params:
             raise UnboundVariableError(e.name)
         return e.name
@@ -616,7 +712,8 @@ def _bracketed_emit_system(outputs, params):
             return by_object[id(e)]
         if type(e) is Binary:
             children = (intern(e.lhs), intern(e.rhs))
-            key = (e.op, *children)
+            integer_power = type(e.rhs) is Const and e.rhs.value.is_integer()
+            key = ("**" if e.op == "pow" and integer_power else e.op, *children)
         elif type(e) is Unary:
             children = (intern(e.arg),)
             key = (e.op, *children)
@@ -635,7 +732,7 @@ def _bracketed_emit_system(outputs, params):
     for r in roots:
         refs[r] += 1
     names = {}
-    infix = {"add": "+", "sub": "-", "mul": "*"}
+    infix = {"add": "+", "sub": "-", "mul": "*", "div": "/", "**": "**"}
 
     def code_of(n):
         if n in names:
@@ -692,6 +789,12 @@ def _extend_unfolded(children):
 @settings(max_examples=200)
 @example((Unary("neg", Const(-1.0)), neg(Binary("mul", Var("x"), Const(-0.0)))))
 @example((Binary("sub", Var("x"), Binary("sub", Var("y"), Const(-1e308))),))
+@example((
+    Binary("pow", Const(-2.0), Const(2.0)),
+    neg(Binary("pow", Var("x"), Const(2.0))),
+    Binary("pow", Binary("pow", Var("x"), Const(2.0)), Const(3.0)),
+    Binary("div", Var("x"), Binary("pow", Var("y"), Const(-1.0))),
+))
 def test_emitted_code_parses_like_the_fully_bracketed_code(outputs):
     _assert_same_ast(outputs)
 

@@ -30,6 +30,7 @@ from semiflow.expr import (
     compile_system,
     neg,
     parse_expr,
+    raise_from_tree_walk,
     substitute_many,
 )
 from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
@@ -257,7 +258,10 @@ def _reference_rk4(sys, t_start, y0, t_end, steps, eps_start, spacing):
 
     def f(t, y):
         args = y if autonomous else (t, *y)
-        return tuple(c(*args) for c in comps)
+        try:
+            return tuple(c(*args) for c in comps)
+        except (ArithmeticError, ValueError):
+            raise_from_tree_walk(sys.rhs.outputs, sys.rhs.inputs, args)
 
     a = t_start + eps_start
     if not sys.valid_at(a, y0):
@@ -729,6 +733,27 @@ class TestRecovery:
         with pytest.raises(RootSearchError):
             # z + z^2 = -0.3 has no real root
             recover_evolution(gls_two_time_op(), 1.0, 2.0, -0.3)
+
+    @pytest.mark.parametrize("y", [-49.0, 60.0, -240.0, 1e6])
+    def test_roots_outside_the_search_interval_are_found(self, y):
+        # at t = 1e-6 the fold lies at z = -500, and the slice crosses these
+        # y outside [-50, 50]: the end past which the root lies doubles
+        op, t = gls_two_time_op(), 1e-6
+        res = recover_evolution_detailed(op, t, t, y)
+        assert abs(res.ystar - ystar_branch(t, y)) <= 1e-12 * (1.0 + abs(y))
+        (want,) = op.closed_form(t, t, y)
+        assert res.value == pytest.approx(want, rel=1e-12)
+
+    def test_widening_stops_at_the_fold_and_at_its_cap(self):
+        # below the fold value -1/(4*sqrt(t)) = -250 there is no root: the
+        # left end doubles across the fold at -500 and stops there
+        with pytest.raises(RootSearchError):
+            recover_evolution(gls_two_time_op(), 1e-6, 1e-6, -260.0)
+        # z = y on the quadratic slice: a root past 50 * 2**40 is not sought
+        op = quadratic_two_time_op()
+        assert recover_evolution(op, 0.0, 0.0, 5e13) == 5e13
+        with pytest.raises(RootSearchError):
+            recover_evolution(op, 0.0, 0.0, 6e13)
 
     def test_recovery_from_a_nonzero_origin_slice(self):
         # the quadratic operator seen from origin 1: its zero-origin slice
