@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
@@ -35,7 +35,6 @@ from .expr import (
     compile_expr,
     diff,
     parse_expr,
-    raise_from_tree_walk,
     substitute_many,
 )
 from .grids import SamplingGrid
@@ -90,20 +89,14 @@ class MediatorFunction:
     g: Expr
 
     @cached_property
-    def _compiled(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        return compile_expr(self.g, ("t",)), compile_expr(diff(self.g, "t"), ("t",))
+    def value(self) -> Callable[[float], float]:
+        """g as a compiled function of t, built once."""
+        return compile_expr(self.g, ("t",))
 
-    def value(self, t: float) -> float:
-        try:
-            return self._compiled[0](t)
-        except (ArithmeticError, ValueError):
-            raise_from_tree_walk((self.g,), ("t",), (t,))
-
-    def slope(self, t: float) -> float:
-        try:
-            return self._compiled[1](t)
-        except (ArithmeticError, ValueError):
-            raise_from_tree_walk((diff(self.g, "t"),), ("t",), (t,))
+    @cached_property
+    def slope(self) -> Callable[[float], float]:
+        """g' as a compiled function of t, built once."""
+        return compile_expr(diff(self.g, "t"), ("t",))
 
 
 def mediator(g: Expr | str) -> MediatorFunction:
@@ -420,38 +413,19 @@ class DiffeoClassifier:
     y_grid: SamplingGrid
 
     @cached_property
-    def _derivatives(self) -> tuple[tuple[str, str], tuple[Expr, Expr]]:
-        """The inputs (t, y), and dH/dy and d2H/dy2, built once."""
-        params = (self.action.time_var, self.action.state_vars[0])
-        slope = diff(self.action.map.outputs[0], params[1])
-        return params, (slope, diff(slope, params[1]))
-
-    @cached_property
     def _compiled(self) -> tuple[Callable[[float, float], float], ...]:
         """dH/dy and d2H/dy2 as compiled functions of (t, y), built once."""
-        params, derivatives = self._derivatives
-        return tuple(compile_expr(d, params) for d in derivatives)
+        params = (self.action.time_var, self.action.state_vars[0])
+        slope = diff(self.action.map.outputs[0], params[1])
+        return compile_expr(slope, params), compile_expr(diff(slope, params[1]), params)
 
     def slope_attains_zero(self, t: float) -> bool:
         """Does dH(t,.)/dy reach zero somewhere? The y-grid is extended by an
         extremum search: zeros of the second derivative are bisected and the
         slope re-evaluated there, so interior extrema cannot slip between
         grid nodes."""
-        params, derivatives = self._derivatives
         slope, second = self._compiled
-
-        def slope_at(y: float) -> float:
-            try:
-                return slope(t, y)
-            except (ArithmeticError, ValueError):
-                raise_from_tree_walk(derivatives[:1], params, (t, y))
-
-        def second_at(y: float) -> float:
-            try:
-                return second(t, y)
-            except (ArithmeticError, ValueError):
-                raise_from_tree_walk(derivatives[1:], params, (t, y))
-
+        slope_at, second_at = partial(slope, t), partial(second, t)
         y_pts = self.y_grid.axis_values()[0]
         candidates = []
         for y in list(y_pts) + _critical_points(second_at, y_pts):

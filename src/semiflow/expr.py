@@ -20,9 +20,10 @@ up most of the leaves a derivative creates before folding drops them.
 Evaluation has one path: compiled code from one generator,
 `_emit_system`, which computes shared subtrees once, brackets an operand
 only where Python's precedence needs it (the code parses to the same AST as
-fully bracketed code) and leaves no reference cycle. Its code feeds two
+fully bracketed code) and leaves no reference cycle. Its code feeds three
 consumers. Every `SmoothMap` compiles its outputs once into one
-`compile_system` lambda; `compile_expr` is its one-output case. The RK4
+`compile_system` lambda. `compile_expr` wraps the code of one output in a
+function of its own, for the scalar functions the checks evaluate. The RK4
 kernel of `semiflow.reduction` writes the code of a right-hand side into
 each of its stage lines.
 
@@ -33,8 +34,12 @@ compiled code is tested against. The compiled code calls no guard:
 integer-valued constant raise by themselves (ValueError, ZeroDivisionError,
 OverflowError) exactly where the guards raise. One boundary,
 `raise_from_tree_walk`, turns such an error into the tree walk's own,
-message and all, at the few places compiled code is called: only on the
-error path, so a call that raises nothing pays nothing for it.
+message and all, at the three places compiled code is called: in the
+`except` clause of every function `compile_expr` returns, in
+`SmoothMap.__call__` and in the RK4 kernel's failed stage. It runs only on
+the error path, so a call that raises nothing pays nothing for it, and
+the caller of a map or of a `compile_expr` function sees only the tree
+walk's errors.
 
 Grammar (whitespace-insensitive)::
 
@@ -700,6 +705,26 @@ _INFIX = {
 }
 
 
+def raise_from_tree_walk(
+    outputs: tuple[Expr, ...], params: tuple[str, ...], args: tuple
+) -> NoReturn:
+    """Raise the error `evaluate` raises on `outputs`, in order, at `args`.
+
+    The boundary of compiled code: called in the `except` clause of a
+    compiled call that raised ArithmeticError or ValueError, it re-raises
+    the failure as the tree walk reports it, an EvalDomainError with its
+    message, or the ValueError of sin or cos at infinity. The tree walk
+    raises there too, since the compiled code raises only where it does; if
+    it does not, that is a fault of the compiled code, an ExprError. Its
+    callers are the functions `compile_expr` returns, `SmoothMap.__call__`
+    and the RK4 kernel's `reduction._stage_failed`.
+    """
+    bindings = dict(zip(params, args))
+    for e in outputs:
+        evaluate(e, bindings)
+    raise ExprError(f"compiled code raised where the tree walk does not, at {args!r}")
+
+
 # the functions compiled code calls, under the op's name: the C functions
 # raise by themselves where the guards of `evaluate` raise; `_pow` keeps its
 # guard for the exponents it gets (Python's ** gives a complex number for a
@@ -715,6 +740,10 @@ _COMPILE_NS = {
     "_log": math.log,
     "_pow": _safe_pow,
     "_float": float,
+    # what the C functions and operators raise off their domain, and the
+    # boundary the functions of `compile_expr` hand it to
+    "_ERRORS": (ArithmeticError, ValueError),
+    "_raise_from_tree_walk": raise_from_tree_walk,
 }
 
 
@@ -733,27 +762,42 @@ def _check_params(params: tuple[str, ...]) -> None:
             )
 
 
-def _lambda(params: tuple[str, ...], body: str) -> Callable:
-    # every lambda shares one namespace: the code only reads its globals,
-    # and the names it binds (_c0, ...) are locals of the lambda
-    return eval(f"lambda {', '.join(params)}: {body}", _COMPILE_NS)  # noqa: S307 - closed namespace
+# `compile_expr`'s function, made by a factory so that its `except` clause
+# reads the output and parameter names from the factory's closure
+_FUNCTION = """\
+def _function(_e, _params):
+    def _fn({params}):
+        try:
+            return {code}
+        except _ERRORS:
+            _raise_from_tree_walk((_e,), _params, ({args}))
+    return _fn
+"""
 
 
 # cached only because perfbench/child.py reads `compile_expr.cache_info()`
 @lru_cache(maxsize=4096)
 def compile_expr(e: Expr, params: tuple[str, ...]) -> Callable[..., float]:
-    """Positional-argument evaluator for `e`: `compile_system` of one
-    output, returning the value itself rather than a 1-tuple.
+    """Positional-argument evaluator for `e`: the code `_emit_system`
+    writes for one output, returning the value itself.
 
     It gives the values of `evaluate`, the reference tree walk, and raises
-    where `evaluate` raises, but the error of the C function or operator
-    that failed; its caller turns that into the tree walk's error with
-    `raise_from_tree_walk`. A subtree that recurs in `e` is computed once.
+    where `evaluate` raises, with the tree walk's own error: the error of
+    the C function or operator that failed goes to `raise_from_tree_walk`
+    in the function's own `except` clause, which costs nothing when
+    nothing is raised. A subtree that recurs in `e` is computed once.
     Parameter names must be identifiers that do not start with "_".
     """
     _check_params(params)
     (code,) = _emit_system((e,), params)
-    return _lambda(params, code)
+    source = _FUNCTION.format(
+        params=", ".join(params), code=code, args="".join(f"{p}, " for p in params)
+    )
+    # the factory is defined in a scope of its own: the shared namespace,
+    # whose globals the code only reads, stays unwritten
+    scope: dict[str, Callable] = {}
+    exec(source, _COMPILE_NS, scope)  # noqa: S102 - source built from the template above
+    return scope["_function"](e, params)
 
 
 def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str]:
@@ -888,22 +932,7 @@ def compile_system(
     outputs.
     """
     _check_params(params)
-    return _lambda(params, f"({', '.join(_emit_system(outputs, params))},)")
-
-
-def raise_from_tree_walk(
-    outputs: tuple[Expr, ...], params: tuple[str, ...], args: tuple
-) -> NoReturn:
-    """Raise the error `evaluate` raises on `outputs`, in order, at `args`.
-
-    The one boundary of compiled code: called in the `except` clause of a
-    compiled call that raised ArithmeticError or ValueError, it re-raises
-    the failure as the tree walk reports it, an EvalDomainError with its
-    message, or the ValueError of sin or cos at infinity. The tree walk
-    raises there too, since the compiled code raises only where it does; if
-    it does not, that is a fault of the compiled code, an ExprError.
-    """
-    bindings = dict(zip(params, args))
-    for e in outputs:
-        evaluate(e, bindings)
-    raise ExprError(f"compiled code raised where the tree walk does not, at {args!r}")
+    # every lambda shares one namespace: the code only reads its globals,
+    # and the names it binds (_c0, ...) are locals of the lambda
+    body = f"({', '.join(_emit_system(outputs, params))},)"
+    return eval(f"lambda {', '.join(params)}: {body}", _COMPILE_NS)  # noqa: S307 - closed namespace

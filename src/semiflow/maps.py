@@ -3,7 +3,9 @@
 Differentiation, freezing and composition are symbolic: they take and
 return maps. Every map evaluates through the compiled code of its
 outputs; a call off the outputs' domain raises the error the tree walk
-`evaluate` raises there.
+`evaluate` raises there. `SmoothMap.__call__` is the boundary that turns
+the compiled lambda's error into that one, and the only reader of the
+lambda (`compiled`): a check calls the map itself.
 """
 
 from __future__ import annotations

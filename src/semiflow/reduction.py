@@ -364,21 +364,13 @@ class EvolutionOp:
     inverse_domain: Callable[..., bool] | None = None
 
     @cached_property
-    def slice_map(self) -> SmoothMap:
+    def slice(self) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
         """The slice (tau, z) -> E(0, tau)(z) of a scalar operator and its
-        exact z-partial, the two outputs of one map of (tau, z)."""
+        exact z-partial, as compiled functions of (tau, z), built once."""
         origin, _, state = self.closed_form.inputs
         frozen = self.closed_form.freeze(**{origin: 0.0})
-        return SmoothMap(frozen.inputs, (*frozen.outputs, *frozen.partial(state).outputs))
-
-    @cached_property
-    def slice(self) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
-        """The two outputs of `slice_map` as compiled functions of (tau, z),
-        built once. Off their domain they raise the error of the C function
-        or operator that failed (see `expr.raise_from_tree_walk`)."""
-        m = self.slice_map
-        value, slope = m.outputs
-        return compile_expr(value, m.inputs), compile_expr(slope, m.inputs)
+        (value,), (slope,) = frozen.outputs, frozen.partial(state).outputs
+        return compile_expr(value, frozen.inputs), compile_expr(slope, frozen.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -624,21 +616,8 @@ def recover_evolution_detailed(op: EvolutionOp, t: float, s: float, y: float) ->
     Raises RootSearchError when the rising piece holds no root.
     """
     value_at, slope_at = op.slice
-    outputs, params = op.slice_map.outputs, op.slice_map.inputs
-
-    def value(tau: float, z: float) -> float:
-        try:
-            return value_at(tau, z)
-        except (ArithmeticError, ValueError):
-            raise_from_tree_walk(outputs[:1], params, (tau, z))
-
-    def df(z: float) -> float:
-        try:
-            return slope_at(t, z)
-        except (ArithmeticError, ValueError):
-            raise_from_tree_walk(outputs[1:], params, (t, z))
-
-    f = lambda z: value(t, z) - y  # noqa: E731
+    df = partial(slope_at, t)
+    f = lambda z: value_at(t, z) - y  # noqa: E731
 
     lo, hi = SEARCH_LO, SEARCH_HI
     rising_hi = df(hi) > 0.0
@@ -652,7 +631,7 @@ def recover_evolution_detailed(op: EvolutionOp, t: float, s: float, y: float) ->
     ystar = hybrid_root(f, df, lo, hi, tol=ROOT_TOL)
     slope = df(ystar)
     return RecoveryResult(
-        value=value(s, ystar),
+        value=value_at(s, ystar),
         ystar=ystar,
         condition=math.inf if slope == 0.0 else 1.0 / abs(slope),
     )
@@ -709,16 +688,10 @@ def closed_form_deviations(
     action: TimeAction, ys: tuple[float, ...], traj: Trajectory
 ) -> list[float]:
     """The `deviation` of every sample of `traj` from the action's value at
-    ys, through the compiled outputs of its map; a time off the closed
-    form's domain raises the tree walk's error there."""
+    ys, through its map; a time off the closed form's domain raises the
+    tree walk's error there."""
     m = action.map
-    reference, devs = m.compiled, []
-    try:
-        for tau, state in zip(traj.times, zip(*traj.columns)):
-            devs.append(deviation(state, reference(tau, *ys)))
-    except (ArithmeticError, ValueError):
-        raise_from_tree_walk(m.outputs, m.inputs, (tau, *ys))
-    return devs
+    return [deviation(state, m(tau, *ys)) for tau, state in zip(traj.times, zip(*traj.columns))]
 
 
 def flow_vs_closed_form(

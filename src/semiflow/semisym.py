@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .actions import PreconditionError
 from .expr import (
@@ -36,7 +36,6 @@ from .expr import (
     compile_expr,
     free_vars,
     parse_expr,
-    raise_from_tree_walk,
     substitute_many,
     to_text,
 )
@@ -167,23 +166,13 @@ def _residuals(
     residual: Callable[[Expr], Expr], u: Expr, params: tuple[str, ...], grid: SamplingGrid
 ) -> Iterator[tuple[tuple[float, ...], float]]:
     """Each grid point with the residual of the solution u there, in grid order."""
-    e = residual(u)
-    fn = compile_expr(e, params)
+    fn = compile_expr(residual(u), params)
     for point in grid.points():
         try:
             r = fn(*point)
-        except (ArithmeticError, ValueError, EvalDomainError):
-            _residual_undefined(e, params, point)
+        except EvalDomainError as err:
+            raise EvalDomainError(f"residual undefined at {point!r}: {err}") from err
         yield point, r
-
-
-def _residual_undefined(e: Expr, params: tuple[str, ...], point: tuple[float, ...]) -> NoReturn:
-    """Raise the tree walk's error for the residual `e` at `point`, an
-    EvalDomainError naming the point."""
-    try:
-        raise_from_tree_walk((e,), params, point)
-    except EvalDomainError as err:
-        raise EvalDomainError(f"residual undefined at {point!r}: {err}") from err
 
 
 def residual_max(residual: Callable[[Expr], Expr], U: SmoothMap, grid: SamplingGrid) -> float:

@@ -108,6 +108,15 @@ class TestMediator:
         g = mediator("t^0.25")
         assert g.value(1.0) == 1.0
 
+    def test_off_its_domain_a_mediator_raises_the_tree_walks_error(self):
+        g = sqrt_mediator()  # g = sqrt(t), g' = 1/(2*sqrt(t))
+        for fn in (g.value, g.slope):
+            with pytest.raises(EvalDomainError, match=r"^sqrt of negative argument -1\.0$"):
+                fn(-1.0)
+        assert g.value(0.0) == 0.0
+        with pytest.raises(EvalDomainError, match="^division by zero$"):
+            g.slope(0.0)
+
 
 class TestKRelation:
     def test_spot_identity(self):
@@ -290,6 +299,19 @@ class TestDiffeoClassification:
         # the thresholds of the scan that re-evaluated both ends of every pair
         assert report.thresholds == [0.36752338171005244, 8.14087642908096]
         assert sum(ok for _, ok in report.entries) == 10
+
+    @pytest.mark.parametrize("text, attains", [("y + t*sqrt(y)", False), ("y - t*sqrt(y)", True)])
+    def test_grid_points_off_the_slopes_domain_are_skipped(self, text, attains):
+        # dH/dy = 1 +- t/(2*sqrt(y)) raises at y <= 0, half of the grid; its
+        # zero, if any, is at y = t^2/4, inside the other half
+        action = TimeAction("half", 1, "nonneg", "t", ("y",), scalar_map(("t", "y"), text))
+        slope = diff(action.map.outputs[0], "y")
+        with pytest.raises(EvalDomainError, match=r"^sqrt of negative argument -1\.0$"):
+            evaluate(slope, {"t": 1.0, "y": -1.0})
+        with pytest.raises(EvalDomainError, match="^division by zero$"):
+            evaluate(slope, {"t": 1.0, "y": 0.0})
+        probe = diffeo_classifier(action, grid1d(-1.0, 1.0, 21))
+        assert probe.slope_attains_zero(1.0) is attains
 
     def test_identity_always_diffeo(self):
         ident = TimeAction(

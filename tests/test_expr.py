@@ -26,12 +26,11 @@ from semiflow.expr import (
     free_vars,
     neg,
     parse_expr,
-    raise_from_tree_walk,
     substitute_many,
     tanh,
     to_text,
 )
-from semiflow.expr import _emit_system
+from semiflow.expr import _COMPILE_NS, _emit_system
 from semiflow.maps import SmoothMap, finite_diff, scalar_map
 from semiflow.reduction import IntegrationError, OdeSystem, integrate_flow
 
@@ -160,9 +159,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("x", [0.0, -0.0])
     def test_compiled_division_by_zero_is_a_domain_error(self, x):
-        # the compiled code divides with "/", which raises by itself; a
-        # map's call turns that into the tree walk's error
-        with pytest.raises(ZeroDivisionError):
+        # the compiled code divides with "/", which raises by itself; the
+        # function of compile_expr and a map's call turn that into the tree
+        # walk's error
+        with pytest.raises(EvalDomainError, match="division by zero"):
             compile_expr(parse_expr("1/x"), ("x",))(x)
         with pytest.raises(EvalDomainError, match="division by zero"):
             scalar_map(("x",), "1/x")(x)
@@ -411,20 +411,6 @@ def _outcome(fn, *args):
     return "nan" if math.isnan(v) else v
 
 
-def _translated(e, params=("x", "y", "t")):
-    """`compile_expr`'s function of `e` behind the boundary every caller of
-    compile_expr puts around it."""
-    fn = compile_expr(e, params)
-
-    def call(*args):
-        try:
-            return fn(*args)
-        except (ArithmeticError, ValueError):
-            raise_from_tree_walk((e,), params, args)
-
-    return call
-
-
 @given(_trees, _points)
 @settings(max_examples=300)
 # ** of a negative integer at a zero base, and _pow's own error
@@ -433,7 +419,7 @@ def _translated(e, params=("x", "y", "t")):
 def test_compiled_code_agrees_with_the_tree_walk(e, point):
     # the same values, and an error exactly where the tree walk raises one:
     # the boundary raises ExprError where only the compiled code raises
-    fn = _translated(e)
+    fn = compile_expr(e, ("x", "y", "t"))
     got = _outcome(fn, point["x"], point["y"], point["t"])
     assert got == _outcome(evaluate, e, point)
 
@@ -444,16 +430,16 @@ def test_compiled_code_agrees_with_the_tree_walk(e, point):
 @example(sin(Binary("div", Const(4.0), Var("y"))), {"x": 0.0, "y": 2.2250738585072014e-308, "t": 0.0})
 def test_simplify_and_compile_preserve_values(e, point):
     args = (point["x"], point["y"], point["t"])
+    fn = compile_expr(e, ("x", "y", "t"))
     try:
         want = evaluate(e, point)
     except EvalDomainError:
         assume(False)
     except Exception as err:
         # any other error: the compiled code must fail the same way
-        assert _outcome(_translated(e), *args) == f"{type(err).__name__}: {err}"
+        assert _outcome(fn, *args) == f"{type(err).__name__}: {err}"
         return
     assume(math.isfinite(want) and abs(want) < 1e12)
-    fn = compile_expr(e, ("x", "y", "t"))
     assert fn(*args) == want
 
 
@@ -553,7 +539,7 @@ def test_domain_edges_raise_as_the_tree_walk_on_every_compiled_path(text, x):
     e = parse_expr(text)
     want = _edge_outcome(lambda: evaluate(e, {"x": x}))
     assert _edge_outcome(lambda: SmoothMap(("x",), (e,))(x)[0]) == want
-    assert _edge_outcome(lambda: _translated(e, ("x",))(x)) == want
+    assert _edge_outcome(lambda: compile_expr(e, ("x",))(x)) == want
     flow = OdeSystem("edge", "autonomous", 1, SmoothMap(("x",), (e,)))
     got = _edge_outcome(lambda: integrate_flow(flow, 0.0, (x,), 1.0, 1).columns[0][-1])
     assert got == _rk4_step_outcome(e, float(x))
@@ -589,8 +575,6 @@ class TestReservedNames:
             integrate_flow(sys_c0, 1.0, (3.0,), 2.0, 4)
 
     def test_compiled_code_shares_one_namespace_it_never_writes(self):
-        from semiflow.expr import _COMPILE_NS
-
         # the C functions raise by themselves: no guard of `evaluate` is called
         assert _COMPILE_NS["_sqrt"] is math.sqrt and _COMPILE_NS["_log"] is math.log
         assert _COMPILE_NS["_exp"] is math.exp and "_div" not in _COMPILE_NS
@@ -608,6 +592,25 @@ class TestReservedNames:
         assert evaluate(e, {"lambda": 1.0}) == 2.0
         with pytest.raises(ExprError, match="not an identifier"):
             compile_expr(e, ("lambda",))
+
+
+class TestBoundaryFallback:
+    # compiled code that raises where the tree walk does not is a fault of
+    # the compiled code: the boundary names it instead of returning a value
+
+    def test_compiled_code_raising_alone_is_an_expr_error(self, monkeypatch):
+        def failing_sqrt(x):
+            raise ValueError("math domain error")
+
+        monkeypatch.setitem(_COMPILE_NS, "_sqrt", failing_sqrt)
+        # an expression no other test compiles, so the compile cache holds none
+        e = parse_expr("sqrt(x) + 0.4375")
+        assert evaluate(e, {"x": 4.0}) == 2.4375
+        message = r"^compiled code raised where the tree walk does not, at \(4\.0,\)$"
+        for fn in (compile_expr(e, ("x",)), SmoothMap(("x",), (e,))):
+            with pytest.raises(ExprError, match=message) as err:
+                fn(4.0)
+            assert type(err.value) is ExprError
 
 
 class TestCompileSystem:

@@ -30,7 +30,6 @@ from semiflow.expr import (
     compile_system,
     neg,
     parse_expr,
-    raise_from_tree_walk,
     substitute_many,
 )
 from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
@@ -258,10 +257,7 @@ def _reference_rk4(sys, t_start, y0, t_end, steps, eps_start, spacing):
 
     def f(t, y):
         args = y if autonomous else (t, *y)
-        try:
-            return tuple(c(*args) for c in comps)
-        except (ArithmeticError, ValueError):
-            raise_from_tree_walk(sys.rhs.outputs, sys.rhs.inputs, args)
+        return tuple(c(*args) for c in comps)
 
     a = t_start + eps_start
     if not sys.valid_at(a, y0):
@@ -952,3 +948,48 @@ def test_the_n_step_mesh_is_every_other_point_of_the_2n_step_mesh(a, width, step
     if a > 0.0:
         coarse = _time_mesh(a, b, steps, "geometric")
         assert coarse == _time_mesh(a, b, 2 * steps, "geometric")[::2]
+
+
+class TestOffTheDomain:
+    """Off their domain the slice, and recovery through it, and the flow
+    oracle's closed form raise the tree walk's error, message and all."""
+
+    @pytest.mark.parametrize(
+        "t, s, message",
+        [
+            (-1.0, 1.0, r"^sqrt of negative argument -1\.0$"),  # the slope at t
+            (1.0, -1.0, r"^sqrt of negative argument -1\.0$"),  # the value at s
+        ],
+    )
+    def test_recovery_off_the_slices_domain(self, t, s, message):
+        # the slice z + sqrt(tau)*z^2 and its z-partial need tau >= 0
+        with pytest.raises(EvalDomainError, match=message):
+            recover_evolution_detailed(gls_two_time_op(), t, s, 0.5)
+
+    def test_recovery_through_a_pole_of_the_slope(self):
+        # the slope 1/z changes sign across its pole, where the fold search lands
+        op = EvolutionOp("log", map_from_exprs(("t0", "t1", "y"), ["log(y) + t1 - t0"]))
+        with pytest.raises(EvalDomainError, match="^division by zero$"):
+            recover_evolution_detailed(op, 1.0, 2.0, 0.5)
+
+    def test_the_slice_functions_raise_the_tree_walks_error(self):
+        value, slope = gls_two_time_op().slice
+        for fn in (value, slope):
+            with pytest.raises(EvalDomainError, match=r"^sqrt of negative argument -1\.0$"):
+                fn(-1.0, 1.0)
+        op = EvolutionOp("log", map_from_exprs(("t0", "t1", "y"), ["log(y) + t1 - t0"]))
+        value, slope = op.slice  # log(z) + tau and 1/z
+        with pytest.raises(EvalDomainError, match=r"^log of non-positive argument 0\.0$"):
+            value(1.0, 0.0)
+        with pytest.raises(EvalDomainError, match="^division by zero$"):
+            slope(1.0, 0.0)
+
+    def test_closed_form_deviations_off_the_closed_forms_domain(self):
+        # y + sqrt(t)*y^2 at y = 1 is defined only for t >= 0
+        action, column = sqrt_action(), array("d", [1.0, 2.0, 0.0])
+        traj = Trajectory(array("d", [0.0, 1.0, 2.0]), (column,), 2, 0.0, "uniform")
+        devs = reduction.closed_form_deviations(action, (1.0,), traj)
+        assert devs[:2] == [0.0, 0.0] and devs[2] > 0.0
+        traj = Trajectory(array("d", [-1.0, 0.0, 1.0]), (column,), 2, 0.0, "uniform")
+        with pytest.raises(EvalDomainError, match=r"^sqrt of negative argument -1\.0$"):
+            reduction.closed_form_deviations(action, (1.0,), traj)

@@ -226,3 +226,48 @@ def test_the_walk_reads_the_lazy_table_of_the_root():
     exports = root_exports(mods)
     assert exports["no_such_name"] is None
     assert exports["_near_pairs"] == ("semiflow.grids", "_near_pairs")
+
+
+# where each name of the compiled-code boundary may be read: a whole module,
+# or one top-level definition of it. `raise_from_tree_walk` turns an error
+# of compiled code into the tree walk's; the functions `compile_expr` makes,
+# a map's call and the RK4 kernel's failed stage call it. A map's raw lambda
+# (`SmoothMap.compiled`) raises the compiled code's error, so only the map
+# reads it; every check calls a map or a `compile_expr` function instead.
+BOUNDARY_READERS = {
+    "raise_from_tree_walk": {
+        ("semiflow.expr",),
+        ("semiflow.maps",),
+        ("semiflow.reduction", "_stage_failed"),
+    },
+    "compiled": {("semiflow.maps",)},
+}
+
+
+def boundary_reads() -> list[tuple[str, str, str]]:
+    """(name, module, top-level definition) of every read of a name in
+    BOUNDARY_READERS, as a variable or an attribute, in the package and
+    the scripts."""
+    paths = {f"semiflow.{p.stem}": p for p in (ROOT / "src" / "semiflow").glob("*.py")}
+    paths.update((f"scripts.{p.stem}", p) for p in (ROOT / "scripts").glob("*.py"))
+    reads = []
+    for module, path in sorted(paths.items()):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name in BOUNDARY_READERS:
+                    reads.append((name, module, where))
+    return reads
+
+
+def test_compiled_code_is_read_only_through_its_boundaries():
+    reads = boundary_reads()
+    assert {name for name, _, _ in reads} == set(BOUNDARY_READERS)
+    stray = sorted({
+        f"{module}.{where} reads {name}"
+        for name, module, where in reads
+        if (module,) not in BOUNDARY_READERS[name]
+        and (module, where) not in BOUNDARY_READERS[name]
+    })
+    assert stray == [], "compiled code read past its boundary: " + ", ".join(stray)
