@@ -14,8 +14,10 @@ possibility.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterator, Sequence
 
 from .expr import EvalDomainError, ExprError
 from .grids import SamplingGrid, _near_pairs
@@ -35,7 +37,9 @@ class TimeAction:
 
     The map is a SmoothMap in (time_var, *state_vars); `validity` restricts
     the usable region of (t, y) when the defining formula has a bounded
-    domain (e.g. a radicand that must stay nonnegative).
+    domain (e.g. a radicand that must stay nonnegative). It must be a pure
+    function of (t, y): a check may call it once per distinct point and
+    reuse the verdict (`composition_check` does, on the grid).
     """
 
     name: str
@@ -93,6 +97,51 @@ def identity_check(action: TimeAction, grid: SamplingGrid, tol: float) -> Verifi
     return tally.report(f"identity[{action.name}]", grid.summary())
 
 
+_UNSEEN = object()  # a memo entry not computed yet
+
+
+def leg_columns(
+    passes: Sequence[Sequence[tuple[float, ...]]], size: int
+) -> Iterator[tuple[list | None, ...]]:
+    """Yield, for each pass of a check over a grid of `size` points, one
+    memo column for each key the pass reads, in the order given; `memo`
+    reads and fills them.
+
+    A key is a tuple of times, told apart as `Const` tells values apart:
+    0.0 is not -0.0, since H(-0.0, y) may differ from H(0.0, y) in the sign
+    of a zero (a NaN time equals only itself and may miss the memo). A key
+    read more than once gets a list of `size` entries, shared from its
+    first reader to its last and dropped after the last; a key read once
+    gets None. So the memo holds one column per key still to be read again.
+    """
+    keyed = [
+        [tuple(chain.from_iterable((t, math.copysign(1.0, t)) for t in key)) for key in keys]
+        for keys in passes
+    ]
+    reads: Counter = Counter()
+    last = {}
+    for p, keys in enumerate(keyed):
+        reads.update(keys)
+        last.update(dict.fromkeys(keys, p))
+    live: dict[tuple, list] = {}
+    for p, keys in enumerate(keyed):
+        yield tuple(live.setdefault(k, [_UNSEEN] * size) if reads[k] > 1 else None for k in keys)
+        for k in keys:
+            if last[k] == p:
+                live.pop(k, None)
+
+
+def memo(column: list | None, i: int, compute: Callable, *args):
+    """column[i], set to compute(*args) where it is first read; without a
+    column, compute(*args)."""
+    if column is None:
+        return compute(*args)
+    out = column[i]
+    if out is _UNSEEN:
+        out = column[i] = compute(*args)
+    return out
+
+
 def composition_check(
     action: TimeAction,
     times: Sequence[tuple[float, float]],
@@ -103,25 +152,54 @@ def composition_check(
 
     Grid points that leave the action's validity region at any stage are
     skipped; witnesses and the inconclusive verdict follow `report.Tally`.
+
+    Each leg that starts on the grid, H(tau, y) and the validity test at
+    (tau, y) for tau = s or t+s, is evaluated once per distinct time and
+    grid point, where the first pair needs it, and read back by later
+    pairs (`leg_columns`); only H(t, H(s, y)) and its validity test are
+    evaluated per pair. Beside the one deviation per checked point that
+    `Tally` keeps, the memo holds two entries per grid point for each time
+    a later pair still reads.
     """
     for t, s in times:
         for v in (t, s, t + s):
             if not action.time_ok(v):
                 raise PreconditionError(f"time {v!r} outside the action's domain")
+    validity = action.validity
+
+    def leg(tau: float, y: tuple) -> tuple | None:  # H(tau, y), None off the map's domain
+        try:
+            return action.map(tau, *y)
+        except EvalDomainError:
+            return None
+
+    def invalid(tau: float, y: tuple) -> bool:
+        return not validity(tau, y)
+
+    passes = [((s,), (t + s,)) for t, s in times]
+    values = leg_columns(passes, grid.size)
+    verdicts = leg_columns(passes, grid.size) if validity is not None else repeat(())
     tally = Tally(tol)
-    for t, s in times:
-        for y in grid.points():
-            if not action.valid_at(s, y) or not action.valid_at(t + s, y):
+    for (t, s), (inner, whole), flags in zip(times, values, verdicts):
+        ts = t + s
+        for i, y in enumerate(grid.points()):
+            if flags and (memo(flags[0], i, invalid, s, y) or memo(flags[1], i, invalid, ts, y)):
+                tally.skip()
+                continue
+            mid = memo(inner, i, leg, s, y)
+            if mid is None:
                 tally.skip()
                 continue
             try:
-                mid = action(s, y)
-                if not action.valid_at(t, mid):
+                if validity is not None and not validity(t, mid):
                     tally.skip()
                     continue
-                lhs = action(t, mid)
-                rhs = action(t + s, y)
+                lhs = action.map(t, *mid)
             except EvalDomainError:
+                tally.skip()
+                continue
+            rhs = memo(whole, i, leg, ts, y)
+            if rhs is None:
                 tally.skip()
                 continue
             tally.add(deviation(lhs, rhs), (t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")

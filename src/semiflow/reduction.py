@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from typing import Callable, Iterator, NoReturn, Sequence
 
-from .actions import TimeAction, composition_check
+from .actions import TimeAction, composition_check, leg_columns, memo
 from .expr import (
     _COMPILE_NS,
     Const,
@@ -353,7 +353,9 @@ class EvolutionOp:
     """The two-time operator E(t0, t1) of a non-autonomous system: a
     closed-form SmoothMap with inputs (t0, t1, x...) that raises
     `EvalDomainError` outside its domain, and optionally the predicate
-    inverse_domain(t0, t1, x) of the points where E(t1, t0) undoes it.
+    inverse_domain(t0, t1, x) of the points where E(t1, t0) undoes it. The
+    predicate must be a pure function: a check may call it once per
+    distinct point and reuse the verdict.
 
     The one-time operator E_A(s) one dimension up is a plain `TimeAction`
     in (s, t, x...), which the axiom checks of `actions` take directly.
@@ -514,8 +516,22 @@ def two_time_law_check(
     """Max gap of E(s,r)(E(t,s)(y)) against E(t,r)(y), plus the inverse
     identities E(t,s)∘E(s,t) = id = E(s,t)∘E(t,s) wherever both orders
     stay inside the operator's (branch-)domain. Both loops feed one
-    `report.Tally`, which sets the witnesses and the inconclusive verdict."""
-    tally = Tally(tol)
+    `report.Tally`, which sets the witnesses and the inconclusive verdict.
+
+    Each leg that starts on the grid, E(a,b)(y), is evaluated once per
+    distinct pair of times and grid point, where the first triple or
+    inverse pair needs it, and read back by both loops after that
+    (`actions.leg_columns`). Beside the one deviation per checked point
+    that `Tally` keeps, the memo holds one entry per grid point for each
+    pair of times a later triple or inverse pair still reads."""
+    inverse_pairs = []
+    for t, s, _ in triples:
+        if (t, s) not in inverse_pairs and t != s:
+            inverse_pairs.append((t, s))
+    columns = leg_columns(
+        [((t, s), (t, r)) for t, s, r in triples] + [((t, s), (s, t)) for t, s in inverse_pairs],
+        grid.size,
+    )
 
     def try_leg(a: float, b: float, x: tuple) -> tuple | None:
         try:
@@ -523,26 +539,24 @@ def two_time_law_check(
         except EvalDomainError:
             return None
 
-    for t, s, r in triples:
-        for x in grid.points():
-            mid = try_leg(t, s, x)
+    tally = Tally(tol)
+    for (t, s, r), (inner, whole) in zip(triples, columns):
+        for i, x in enumerate(grid.points()):
+            mid = memo(inner, i, try_leg, t, s, x)
             out = None if mid is None else try_leg(s, r, mid)
-            ref = try_leg(t, r, x)
+            ref = memo(whole, i, try_leg, t, r, x)
             if out is None or ref is None:
                 tally.skip()
             else:
                 tally.add(deviation(out, ref), (t, s, r, *x), (*out, *ref))
-    seen = set()
-    for t, s, _ in triples:
-        if (t, s) in seen or t == s:
-            continue
-        seen.add((t, s))
-        for x in grid.points():
-            for a, b in ((t, s), (s, t)):
-                if op.inverse_domain is not None and not op.inverse_domain(a, b, tuple(x)):
+    for (t, s), forward in zip(inverse_pairs, columns):
+        orders = ((t, s, forward[0]), (s, t, forward[1]))
+        for i, x in enumerate(grid.points()):
+            for a, b, column in orders:
+                if op.inverse_domain is not None and not op.inverse_domain(a, b, x):
                     tally.skip()
                     continue
-                fwd = try_leg(a, b, x)
+                fwd = memo(column, i, try_leg, a, b, x)
                 back = None if fwd is None else try_leg(b, a, fwd)
                 if back is None:
                     tally.skip()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import sub
 from typing import Iterable, Sequence
 
 
@@ -38,11 +37,26 @@ def deviation(lhs: Sequence[float], rhs: Sequence[float]) -> float:
     """Relative-absolute gap max|l-r|/(1+max|r|); states grow quadratically
     in the worked examples, so a plain absolute gap would over-weight them.
     A NaN in either vector makes the deviation NaN, so it fails every
-    `<= tol` test, as IEEE arithmetic does on its own for 1-vectors."""
-    if len(lhs) == 1 == len(rhs):
+    `<= tol` test, as IEEE arithmetic does on its own for 1-vectors. The
+    vectors must have one length >= 1; ValueError otherwise."""
+    n = len(lhs)
+    if n == 1 == len(rhs):
         return abs(lhs[0] - rhs[0]) / (1.0 + abs(rhs[0]))
-    gap = nan_max(map(abs, map(sub, lhs, rhs)))
-    return gap / (1.0 + max_norm(rhs))
+    if n != len(rhs) or not n:
+        raise ValueError(f"deviation() needs two vectors of one length >= 1, got {n} and {len(rhs)}")
+    # one pass; every gap and |r| is >= 0.0 or NaN, so 0.0 starts both
+    # maxima, and a NaN r makes its gap NaN first
+    gap = norm = 0.0
+    for left, right in zip(lhs, rhs):
+        d = abs(left - right)
+        if not d <= gap:
+            if d != d:
+                return math.nan
+            gap = d
+        size = abs(right)
+        if size > norm:
+            norm = size
+    return gap / (1.0 + norm)
 
 
 def _json_float(x: float) -> float | str:

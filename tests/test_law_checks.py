@@ -1,0 +1,237 @@
+"""The law checks evaluate each on-grid leg once: equivalence with the
+plain loops they replaced, event by event, and their map-call counts."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from semiflow import reduction
+from semiflow.actions import PreconditionError, TimeAction, composition_check, leg_columns
+from semiflow.expr import EvalDomainError, ExprError
+from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
+from semiflow.maps import SmoothMap, map_from_exprs
+from semiflow.reduction import (
+    EvolutionOp,
+    gls_one_time_op,
+    gls_two_time_op,
+    quadratic_one_time_op,
+    quadratic_two_time_op,
+    two_time_law_check,
+)
+from semiflow.report import Tally, deviation
+from semiflow.suites import SUITES, SuiteConfig
+
+# every nonzero deviation fails, so each report keeps its first 8 witnesses
+TOL = 1e-300
+
+
+def _reference_composition(action, times, grid, tol):
+    """`composition_check` as a plain loop that evaluates every leg for
+    every pair and point."""
+    for t, s in times:
+        for v in (t, s, t + s):
+            if not action.time_ok(v):
+                raise PreconditionError(f"time {v!r} outside the action's domain")
+    tally = Tally(tol)
+    for t, s in times:
+        for y in grid.points():
+            if not action.valid_at(s, y) or not action.valid_at(t + s, y):
+                tally.skip()
+                continue
+            try:
+                mid = action(s, y)
+                if not action.valid_at(t, mid):
+                    tally.skip()
+                    continue
+                lhs = action(t, mid)
+                rhs = action(t + s, y)
+            except EvalDomainError:
+                tally.skip()
+                continue
+            tally.add(deviation(lhs, rhs), (t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")
+    return tally.report(f"composition[{action.name}]", grid.summary())
+
+
+def _reference_two_time_law(op, triples, grid, tol):
+    """`two_time_law_check` as a plain loop that evaluates every leg for
+    every triple, pair and point."""
+    tally = Tally(tol)
+
+    def try_leg(a, b, x):
+        try:
+            return op.closed_form(a, b, *x)
+        except EvalDomainError:
+            return None
+
+    for t, s, r in triples:
+        for x in grid.points():
+            mid = try_leg(t, s, x)
+            out = None if mid is None else try_leg(s, r, mid)
+            ref = try_leg(t, r, x)
+            if out is None or ref is None:
+                tally.skip()
+            else:
+                tally.add(deviation(out, ref), (t, s, r, *x), (*out, *ref))
+    seen = set()
+    for t, s, _ in triples:
+        if (t, s) in seen or t == s:
+            continue
+        seen.add((t, s))
+        for x in grid.points():
+            for a, b in ((t, s), (s, t)):
+                if op.inverse_domain is not None and not op.inverse_domain(a, b, tuple(x)):
+                    tally.skip()
+                    continue
+                fwd = try_leg(a, b, x)
+                back = None if fwd is None else try_leg(b, a, fwd)
+                if back is None:
+                    tally.skip()
+                    continue
+                tally.add(deviation(back, x), (a, b, *x), back, "inverse identity")
+    return tally.report(f"two-time-law[{op.name}]", grid.summary())
+
+
+def _outcome(monkeypatch, check, *args):
+    """Every `Tally` event of a run in order, by repr (so -0.0 is not 0.0),
+    then the report's JSON or the error the run raised."""
+    events = []
+    add, skip = Tally.add, Tally.skip
+
+    def logged_add(self, d, point, values, note=""):
+        events.append(repr((d, point, values, note)))
+        add(self, d, point, values, note)
+
+    def logged_skip(self):
+        events.append("skip")
+        skip(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Tally, "add", logged_add)
+        patch.setattr(Tally, "skip", logged_skip)
+        try:
+            report = check(*args)
+        except (ArithmeticError, ValueError, ExprError) as err:  # the reference must raise it alike
+            return events, type(err).__name__, str(err)
+    return events, json.dumps(report.to_dict())
+
+
+def _action(name, text, time_domain="full", validity=None):
+    return TimeAction(name, 1, time_domain, "t", ("y",),
+                      map_from_exprs(("t", "y"), [text], name=name), validity)
+
+
+def _op(name, text, inverse_domain=None):
+    return EvolutionOp(name, map_from_exprs(("a", "b", "y"), [text], name=name), inverse_domain)
+
+
+_QUARTERS = [k / 4.0 for k in range(5)]
+_GLS_PAIRS = [(r, s) for s in _QUARTERS for r in _QUARTERS]  # one_time_law_check's (outer, inner)
+_SIGNED_ZEROS = [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (1.0, -1.0), (-1.0, 1.0)]
+
+COMPOSITION_CASES = {
+    # the gls-semigroup suite, and a grid that crosses the fold
+    "gls-suite": (gls_one_time_op(), _GLS_PAIRS, SamplingGrid((Axis(0.0, 1.0, 5), Axis(-0.2, 4.0, 41)))),
+    "gls-fold": (gls_one_time_op(), _GLS_PAIRS, grid2d(0.0, 1.0, 5, -1.5, 4.0, 56)),
+    "quadratic": (quadratic_one_time_op(), [(r, s) for s in (0.0, 1.0, 2.0) for r in (-1.0, 0.0, 3.0)],
+                  grid2d(0.0, 3.0, 4, -5.0, 5.0, 11)),
+    # H(s, y) passes the validity test on the grid, H(t, H(s, y)) often not
+    "mid-leaves-validity": (_action("grows", "y + t*y*y", "nonneg", lambda t, y: y[0] < 1.2),
+                            [(0.5, 0.25), (0.25, 0.5), (0.5, 0.5), (1.0, 0.0)], grid1d(-1.0, 1.1, 15)),
+    # sqrt(4 - y^2) raises on the grid past |y| = 2 and at mids that leave [-2, 2]
+    "domain-errors": (_action("sqrt-bump", "y + t*sqrt(4 - y*y)"),
+                      [(0.5, 0.5), (1.0, 0.5), (0.5, 1.0), (-0.5, 1.5)], grid1d(-3.0, 3.0, 25)),
+    # H(-0.0, -0.0) = -0.0 but H(0.0, -0.0) = 0.0
+    "signed-zero-times": (_action("translation", "y + t"), _SIGNED_ZEROS, grid1d(-1.0, -0.0, 5)),
+    # sin of the product overflowing to inf raises ValueError: first in
+    # H(2, 200), the t + s leg of the second pair at its last point
+    "sin-overflow": (_action("sin-exp", "y + sin(exp(t*y)*exp(t*y))", "nonneg"),
+                     [(0.5, 0.5), (1.0, 1.0), (0.5, 1.0)], grid1d(0.0, 200.0, 5)),
+}
+
+
+@pytest.mark.parametrize("case", COMPOSITION_CASES)
+def test_composition_matches_the_plain_loop(monkeypatch, case):
+    args = (*COMPOSITION_CASES[case], TOL)
+    got = _outcome(monkeypatch, composition_check, *args)
+    assert got == _outcome(monkeypatch, _reference_composition, *args)
+    assert got[0], "the case checks no point"
+
+
+def test_composition_raises_the_sin_overflow_at_its_pair(monkeypatch):
+    # the first pair passes its 5 points; the second raises at its last
+    events, name, _ = _outcome(monkeypatch, composition_check,
+                               *COMPOSITION_CASES["sin-overflow"], TOL)
+    assert name == "ValueError" and len(events) == 9 and "skip" not in events
+
+
+_GLS_TIMES = (0.25, 1.0, 2.25)
+_GLS_TRIPLES = [(t, s, r) for t in _GLS_TIMES for s in _GLS_TIMES for r in _GLS_TIMES]
+_QUADRATIC_TIMES = (0.0, 1.0, 2.0, 3.0)
+
+TWO_TIME_CASES = {
+    # the reduction-algebra suite, and a grid that crosses the fold, where
+    # both the branch predicate and the closed form's domain skip points
+    "gls-suite": (gls_two_time_op(), _GLS_TRIPLES, grid1d(-0.1, 2.0, 22)),
+    "gls-fold": (gls_two_time_op(), _GLS_TRIPLES, grid1d(-0.9, 2.0, 30)),
+    "quadratic": (quadratic_two_time_op(),
+                  [(t, s, r) for t in _QUADRATIC_TIMES for s in _QUADRATIC_TIMES for r in _QUADRATIC_TIMES],
+                  grid1d(-5.0, 5.0, 21)),
+    "domain-errors": (_op("sqrt-bump", "y + (b - a)*sqrt(4 - y*y)", lambda a, b, x: x[0] < 1.5),
+                      [(0.0, 0.5, 1.0), (0.5, 1.0, 0.0), (0.0, 1.0, 0.5)], grid1d(-3.0, 3.0, 25)),
+    "signed-zero-times": (_op("translation", "y + b - a"),
+                          [(a, b, c) for a in (-0.0, 0.0, 1.0) for b in (0.0, -0.0) for c in (-0.0, 1.0)],
+                          grid1d(-1.0, -0.0, 5)),
+    # E(1, 2)(200) overflows: the third triple's reference leg, its last point
+    "sin-overflow": (_op("sin-exp", "y + sin(exp((b - a)*y)*exp((b - a)*y))"),
+                     [(0.0, 0.5, 1.0), (0.0, 1.0, 1.5), (1.0, 1.5, 3.0)], grid1d(0.0, 200.0, 5)),
+}
+
+
+@pytest.mark.parametrize("case", TWO_TIME_CASES)
+def test_two_time_law_matches_the_plain_loop(monkeypatch, case):
+    args = (*TWO_TIME_CASES[case], TOL)
+    got = _outcome(monkeypatch, two_time_law_check, *args)
+    assert got == _outcome(monkeypatch, _reference_two_time_law, *args)
+    assert got[0], "the case checks no point"
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name from now on."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_gls_semigroup_evaluates_each_grid_leg_once(monkeypatch):
+    # 25 pairs (t, s) over 205 grid points: every mid leg H(t, H(s, y)) is
+    # checked once per pair (25 * 205), and the legs H(tau, y) on the grid
+    # once per distinct time tau in {0, 1/4, ..., 2} (9 * 205); the plain
+    # loop evaluated 3 legs per pair and point, 15,375 map calls. The
+    # validity predicate is called as often, at the same points.
+    maps = _count_calls(monkeypatch, SmoothMap, "__call__")
+    validity = _count_calls(monkeypatch, reduction, "_gls_on_branch")
+    reports = SUITES["gls-semigroup"](SuiteConfig())
+    assert reports[0].passed and reports[0].checked == 25 * 205
+    assert maps[0] == 25 * 205 + 9 * 205 == 6970
+    assert validity[0] == 6970
+
+
+def test_leg_columns_share_a_column_from_its_first_reader_to_its_last():
+    passes = [((1.0,), (2.0,)), ((1.0,), (0.0,)), ((-0.0,), (0.0,)), ((3.0,), (3.0,))]
+    columns = leg_columns(passes, 4)
+    first, second, third, fourth = (next(columns) for _ in passes)
+    # 1.0 and 0.0 are read twice, 2.0 and -0.0 once: those get no column
+    assert first[0] is second[0] and len(first[0]) == 4 and first[1] is None
+    assert second[1] is third[1] and second[1] is not first[0] and third[0] is None
+    # a key read twice by one pass shares its column there
+    assert fourth[0] is fourth[1] is not None
+    # the memo drops each column after its last reader
+    assert columns.gi_frame.f_locals["live"] == {(3.0, 1.0): fourth[0]}

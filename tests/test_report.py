@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflow.report import VerificationReport, Tally, Witness, deviation, nan_max
@@ -103,16 +105,36 @@ def nan_max_deviation(lhs, rhs) -> float:
     return gap / (1.0 + nan_max(abs(x) for x in rhs))
 
 
-_components = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+_SUBNORMALS = [5e-324, -5e-324, 1e-310, -2.225073858507201e-308]
+_components = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, *_SUBNORMALS]),
+)
+
+
+def _same(x: float, y: float) -> bool:
+    """Both NaN (of any payload), or the same bits: 0.0 is not -0.0."""
+    return x != x and y != y or struct.pack("<d", x) == struct.pack("<d", y)
 
 
 @given(st.integers(1, 4).flatmap(
     lambda n: st.tuples(*[st.lists(_components, min_size=n, max_size=n)] * 2)
 ))
 @settings(max_examples=500)
+@example(([1.0, math.nan], [1.0, 2.0]))  # a NaN gap after a finite one
+@example(([1.0, 2.0], [math.inf, math.nan]))  # a NaN |r| after an infinite one
+@example(([-0.0, 5e-324], [0.0, -5e-324]))  # zero gaps of either sign, subnormals
 def test_deviation_matches_the_nan_max_formula(pair):
     lhs, rhs = pair
     got = deviation(lhs, rhs)
-    assert repr(got) == repr(nan_max_deviation(lhs, rhs))
+    assert _same(got, nan_max_deviation(lhs, rhs))
     if any(math.isnan(v) for v in (*lhs, *rhs)):
         assert math.isnan(got)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ([], []), ([1.0], []), ([], [1.0]), ([1.0], [1.0, 2.0]), ([1.0, 2.0, 3.0], [1.0, 2.0]),
+])
+def test_deviation_of_unequal_or_empty_vectors_raises(lhs, rhs):
+    with pytest.raises(ValueError, match=f"got {len(lhs)} and {len(rhs)}"):
+        deviation(lhs, rhs)
