@@ -157,9 +157,9 @@ def composition_check(
     (tau, y) for tau = s or t+s, is evaluated once per distinct time and
     grid point, where the first pair needs it, and read back by later
     pairs (`leg_columns`); only H(t, H(s, y)) and its validity test are
-    evaluated per pair. Beside the one deviation per checked point that
-    `Tally` keeps, the memo holds two entries per grid point for each time
-    a later pair still reads.
+    evaluated per pair. The memo holds two entries per grid point for each
+    time a later pair still reads, so at most 2 x distinct times x grid
+    points entries; `Tally` keeps nothing per checked point.
     """
     for t, s in times:
         for v in (t, s, t + s):

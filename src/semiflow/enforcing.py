@@ -294,15 +294,12 @@ def ode_residual_homotopy(
     arg = [(gp * h - gv * ht) / gp for h, ht in zip(h_val, ht_val)]
     f_at_arg = f.at(arg)
     f_at_y = f.at(ys)
-    residual = 0.0
+    gaps = []
     for i in range(len(ys)):
         lhs = (1.0 - gv) * ht_val[i] + gp * h_val[i]
-        rhs = gp * f_at_arg[i]
-        residual = max(residual, abs(lhs - rhs))
-        # recovered y and f(y) must match the originals
-        residual = max(residual, abs(arg[i] - ys[i]))
-        residual = max(residual, abs(lhs / gp - f_at_y[i]))
-    return residual
+        # the ODE, then the recovered y and f(y), which must match the originals
+        gaps += (lhs - gp * f_at_arg[i], arg[i] - ys[i], lhs / gp - f_at_y[i])
+    return max_norm(gaps)
 
 
 def ode_residual_milder(

@@ -521,9 +521,10 @@ def two_time_law_check(
     Each leg that starts on the grid, E(a,b)(y), is evaluated once per
     distinct pair of times and grid point, where the first triple or
     inverse pair needs it, and read back by both loops after that
-    (`actions.leg_columns`). Beside the one deviation per checked point
-    that `Tally` keeps, the memo holds one entry per grid point for each
-    pair of times a later triple or inverse pair still reads."""
+    (`actions.leg_columns`). The memo holds one entry per grid point for
+    each pair of times a later triple or inverse pair still reads, so at
+    most distinct pairs x grid points entries; `Tally` keeps nothing per
+    checked point."""
     inverse_pairs = []
     for t, s, _ in triples:
         if (t, s) not in inverse_pairs and t != s:
@@ -764,7 +765,8 @@ def flow_vs_closed_form(
         witnesses.append(Witness((tau,), (*state, *action.map(tau, *ys))))
     return VerificationReport.from_deviations(
         f"flow-vs-closed-form[{action.name}]",
-        devs,
+        len(devs),
+        max_dev,
         tol,
         f"{traj.steps} steps, {traj.spacing} mesh, eps_start={eps_start:g}",
         witnesses,

@@ -89,8 +89,8 @@ class VerificationReport:
     literally; `inconclusive` flags runs that could not establish their
     result: too many grid points skipped (see `Tally`), or a flow whose
     error estimate missed its target (see `reduction.flow_vs_closed_form`).
-    A NaN or +inf deviation, wherever it stands in the list, becomes
-    max_deviation and fails the report.
+    A NaN or +inf deviation, wherever it stood among the checked points,
+    becomes max_deviation and fails the report.
     """
 
     suite: str
@@ -108,7 +108,8 @@ class VerificationReport:
     def from_deviations(
         cls,
         suite: str,
-        deviations: Sequence[float],
+        checked: int,
+        max_deviation: float,
         tolerance: float,
         grid: str = "",
         witnesses: list[Witness] | None = None,
@@ -116,15 +117,16 @@ class VerificationReport:
         inconclusive: bool = False,
         notes: tuple[str, ...] = (),
     ) -> "VerificationReport":
-        dev = nan_max(deviations) if deviations else 0.0
+        """The report of `checked` points whose `nan_max` deviation is
+        `max_deviation`; `passed` follows the rule above."""
         return cls(
             suite=suite,
-            passed=dev <= tolerance and not inconclusive,
-            max_deviation=dev,
+            passed=max_deviation <= tolerance and not inconclusive,
+            max_deviation=max_deviation,
             tolerance=tolerance,
             grid=grid,
             witnesses=witnesses or [],
-            checked=len(deviations),
+            checked=checked,
             skipped=skipped,
             inconclusive=inconclusive,
             notes=notes,
@@ -159,21 +161,28 @@ SKIP_SHARE = 0.5  # a run that skips more than this share of its points is incon
 class Tally:
     """The bookkeeping of one sampled check, and its one rule.
 
-    `add` records the deviation measured at a point; the first WITNESS_CAP
-    points whose deviation is not <= tol (a NaN too) become witnesses.
-    `skip` counts a point outside the checked map's domain. The report is
-    inconclusive when at least one point was sampled and more than
-    SKIP_SHARE of them were skipped.
+    `add` counts a point and folds its deviation into a running maximum,
+    the `nan_max` of every deviation so far (0.0 before the first); the
+    first WITNESS_CAP points whose deviation is not <= tol (a NaN too)
+    become witnesses. `skip` counts a point outside the checked map's
+    domain. The report is inconclusive when at least one point was sampled
+    and more than SKIP_SHARE of them were skipped. Nothing is kept per
+    point, so a tally's size does not grow with its grid.
     """
 
     def __init__(self, tol: float):
         self.tol = tol
-        self.deviations: list[float] = []
+        self.checked = 0
+        self.worst = -math.inf  # below every float: the first deviation replaces it, as in nan_max
         self.witnesses: list[Witness] = []
         self.skipped = 0
 
     def add(self, d: float, point: tuple[float, ...], values: tuple[float, ...], note: str = "") -> None:
-        self.deviations.append(d)
+        self.checked += 1
+        if d > self.worst:
+            self.worst = d
+        elif d != d:
+            self.worst = math.nan
         if not d <= self.tol and len(self.witnesses) < WITNESS_CAP:
             self.witnesses.append(Witness(point, values, note))
 
@@ -181,10 +190,11 @@ class Tally:
         self.skipped += 1
 
     def report(self, suite: str, grid: str = "") -> VerificationReport:
-        sampled = len(self.deviations) + self.skipped
+        sampled = self.checked + self.skipped
         return VerificationReport.from_deviations(
             suite,
-            self.deviations,
+            self.checked,
+            self.worst if self.checked else 0.0,
             self.tol,
             grid,
             self.witnesses,

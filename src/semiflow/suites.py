@@ -66,7 +66,7 @@ from .reduction import (
     recover_evolution,
     two_time_law_check,
 )
-from .report import Tally, VerificationReport, Witness
+from .report import Tally, VerificationReport, Witness, nan_max
 from .rootfind import RootSearchError
 from .semisym import (
     VALUE_MAPS,
@@ -217,16 +217,16 @@ def suite_identity_axiom(config: SuiteConfig) -> list[VerificationReport]:
 def suite_noninvertibility(config: SuiteConfig) -> list[VerificationReport]:
     tol = config.tol("collision", 1e-12)
     action = sqrt_action()
-    devs = []
+    gaps = []
     witnesses = []
     for t in (0.25, 1.0, 4.0):
         y1, y2 = noninvertibility_witness_sqrt(t)
         v1, v2 = action.call1(t, y1), action.call1(t, y2)
-        devs.append(abs(v1 - v2))
+        gaps.append(abs(v1 - v2))
         witnesses.append(Witness((t, y1, y2), (v1, v2)))
     reports = [
         VerificationReport.from_deviations(
-            "sqrt-witness-collision", devs, tol, "t in {0.25, 1, 4}", witnesses
+            "sqrt-witness-collision", len(gaps), nan_max(gaps), tol, "t in {0.25, 1, 4}", witnesses
         )
     ]
     gls_grid = grid2d(0.0, 1.0, 3, -2.0, 2.0, 41)
@@ -578,7 +578,6 @@ def suite_diffeo_thresholds(config: SuiteConfig) -> list[VerificationReport]:
     want_lo = (1.0 / (1.0 + slope_peak)) ** 2
     want_hi = (1.0 / (1.0 - slope_peak)) ** 2
     got = sorted(report.thresholds)
-    ok = len(got) == 2 and abs(got[0] - want_lo) <= tol and abs(got[1] - want_hi) <= tol
     probe = diffeo_classifier(action, y_grid)
     spot_ok = probe.is_diffeo(0.1) and (not probe.is_diffeo(1.0)) and probe.is_diffeo(10.0)
     notes = (
@@ -592,15 +591,18 @@ def suite_diffeo_thresholds(config: SuiteConfig) -> list[VerificationReport]:
         "silently adopted",
         f"spot classification: diffeo at t=0.1 and t=10, not at t=1 -> {spot_ok}",
     )
-    dev = max(abs(got[0] - want_lo), abs(got[-1] - want_hi)) if len(got) == 2 else 1.0
+    # a wrong threshold count or a wrong spot class is a full miss
+    if len(got) == 2 and spot_ok:
+        dev = nan_max((abs(got[0] - want_lo), abs(got[-1] - want_hi)))
+    else:
+        dev = 1.0
     return [
-        VerificationReport(
-            suite="diffeo-thresholds[bump-homotopy]",
-            passed=ok and spot_ok,
-            max_deviation=dev,
-            tolerance=tol,
-            grid=f"t {report.entries[0][0]:g}..{report.entries[-1][0]:g}, y {y_grid.summary()}",
-            checked=len(report.entries) + 3,  # the grid times and the spot times
+        VerificationReport.from_deviations(
+            "diffeo-thresholds[bump-homotopy]",
+            len(report.entries) + 3,  # the grid times and the spot times
+            dev,
+            tol,
+            f"t {report.entries[0][0]:g}..{report.entries[-1][0]:g}, y {y_grid.summary()}",
             notes=notes,
         )
     ]

@@ -33,7 +33,7 @@ from semiflow.expr import EvalDomainError, parse_expr
 from semiflow.grids import grid1d, grid2d
 from semiflow.maps import SmoothMap, identity_map, scalar_map
 from semiflow.reduction import gls_one_time_op
-from semiflow.report import VerificationReport, Witness, deviation
+from semiflow.report import Tally, Witness, deviation
 
 
 def identity_action() -> TimeAction:
@@ -346,9 +346,16 @@ class TestReportInvariant:
         assert math.isnan(deviation((math.nan, 1.0), (2.0, 1.0)))
         assert math.isnan(deviation((1.0, 2.0), (1.0, math.nan)))
 
+    @staticmethod
+    def tallied(devs):
+        tally = Tally(1e-9)
+        for k, d in enumerate(devs):
+            tally.add(d, (float(k),), ())
+        return tally.report("x")
+
     @pytest.mark.parametrize("devs", [[0.0, math.nan], [math.nan, 0.0]])
     def test_nan_deviation_fails_the_report(self, devs):
-        rep = VerificationReport.from_deviations("x", devs, 1e-9)
+        rep = self.tallied(devs)
         assert not rep.passed and math.isnan(rep.max_deviation)
 
     @settings(max_examples=200)
@@ -360,7 +367,7 @@ class TestReportInvariant:
     def test_any_non_finite_deviation_fails_the_report(self, finite, odd, rng):
         devs = finite + odd
         rng.shuffle(devs)
-        rep = VerificationReport.from_deviations("x", devs, 1e-9)
+        rep = self.tallied(devs)
         assert not rep.passed and rep.passed == (rep.max_deviation <= rep.tolerance)
         if any(math.isnan(x) for x in odd):
             assert math.isnan(rep.max_deviation)

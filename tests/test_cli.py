@@ -452,3 +452,8 @@ def test_seed_42_report_is_pinned(tmp_path, capsys):
     assert main(["verify", "--suite", "all", "--seed", "42", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "345f44932898fc1b7068aa103be7faa3673ab2252ce675b3f0eda81549ac940e"
+    reports = [r for reps in json.loads(out.read_text())["suites"].values() for r in reps]
+    assert len(reports) == 45
+    for r in reports:
+        dev = float(r["max_deviation"])  # a non-finite one is written as "nan", "inf"
+        assert r["passed"] == (dev <= r["tolerance"] and not r["inconclusive"]), r["suite"]

@@ -195,6 +195,11 @@ class TestHomotopyOdeResidual:
         with pytest.raises(EvalDomainError):
             homotopy_residual(square_map(), sqrt_mediator(), 0.0, 1.0)
 
+    def test_a_nan_residual_term_fails(self):
+        # y*1e308*10 overflows to inf, so every term of the residual is NaN
+        f = scalar_map(("y",), "y*1e308*10")
+        assert math.isnan(homotopy_residual(f, sqrt_mediator(), 0.25, 1.0))
+
 
 class TestMilderOdeResidual:
     def test_regular_branch_points(self):
@@ -284,6 +289,26 @@ class TestDiffeoClassification:
         lo, hi = sorted(report.thresholds)
         assert lo == pytest.approx((1.0 / (1.0 + peak)) ** 2, abs=1e-4)
         assert hi == pytest.approx((1.0 / (1.0 - peak)) ** 2, abs=1e-4)
+
+    def test_a_wrong_spot_class_fails_the_threshold_report(self, monkeypatch):
+        import semiflow.suites as suites
+
+        classify = suites.diffeo_classifier
+
+        class CallsOneADiffeo:
+            """The real classifier, except that H(1, .) counts as a diffeomorphism."""
+
+            def __init__(self, probe):
+                self.probe = probe
+
+            def is_diffeo(self, t):
+                return t == 1.0 or self.probe.is_diffeo(t)
+
+        monkeypatch.setattr(suites, "diffeo_classifier", lambda *args: CallsOneADiffeo(classify(*args)))
+        (rep,) = suites.suite_diffeo_thresholds(suites.SuiteConfig())
+        # the thresholds still match, but the verdict follows the report's rule
+        assert not rep.passed and rep.max_deviation == 1.0 > rep.tolerance
+        assert rep.notes[-1].endswith("-> False")
 
     def test_scan_evaluates_each_grid_time_once(self, monkeypatch):
         # the scan reuses the predicate of the entries loop: 41 grid times

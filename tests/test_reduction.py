@@ -312,20 +312,33 @@ _KERNEL_LIKE_NAMES = ("h", "hh", "tm", "h6", "k", "size", "mesh", "validity", "t
 _INPUT_NAMES = st.sampled_from(("t", "y", "y1", "y2", "y3") + _KERNEL_LIKE_NAMES)
 
 
+# right-hand-side trees over the placeholder inputs _p0, ..., one strategy
+# per arity, built once: `_flow_cases` renames the placeholders to the
+# drawn input names
+_PLACEHOLDERS = tuple(f"_p{i}" for i in range(4))
+_TREES = {
+    arity: st.recursive(
+        _LEAF_CONSTANTS | st.sampled_from(_PLACEHOLDERS[:arity]).map(Var), _extend_rhs, max_leaves=4
+    )
+    for arity in range(1, 5)
+}
+
+
 @st.composite
 def _flow_cases(draw):
     dim = draw(st.integers(1, 3))
     autonomous = draw(st.booleans())
     arity = dim if autonomous else dim + 1
     inputs = tuple(draw(st.lists(_INPUT_NAMES, min_size=arity, max_size=arity, unique=True)))
-    trees = st.recursive(
-        _LEAF_CONSTANTS | st.sampled_from(inputs).map(Var), _extend_rhs, max_leaves=4
-    )
+    trees = _TREES[arity]
+    names = {p: Var(name) for p, name in zip(_PLACEHOLDERS, inputs)}
     # a subtree that recurs in every output, as sqrt(t) does in the sqrt
     # ODE: it stands for each occurrence of the first input (time, when
     # there is one)
-    common = draw(trees)
-    outputs = tuple(substitute_many(draw(trees), {inputs[0]: common}) for _ in range(dim))
+    common = substitute_many(draw(trees), names)
+    outputs = tuple(
+        substitute_many(draw(trees), {**names, _PLACEHOLDERS[0]: common}) for _ in range(dim)
+    )
     bound = draw(st.none() | st.floats(0.5, 20.0))
     validity = None if bound is None else (lambda t, y: abs(y[0]) < bound)
     sys = OdeSystem(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -75,9 +76,10 @@ def _no_constants(name):
 
 
 def test_non_finite_values_are_strict_json():
-    rep = VerificationReport.from_deviations(
-        "s", [0.0, math.nan], TOL, witnesses=[Witness((math.inf, 1.0), (-math.inf, math.nan))]
-    )
+    tally = Tally(TOL)
+    tally.add(0.0, (0.0, 0.0), ())
+    tally.add(math.nan, (math.inf, 1.0), (-math.inf, math.nan))
+    rep = tally.report("s")
     doc = json.loads(json.dumps(rep.to_dict()), parse_constant=_no_constants)
     assert doc["max_deviation"] == "nan" and doc["tolerance"] == TOL
     assert doc["witnesses"] == [{"point": ["inf", 1.0], "values": ["-inf", "nan"], "note": ""}]
@@ -97,6 +99,22 @@ def test_half_skipped_is_still_conclusive():
 def test_nothing_sampled_is_vacuous():
     rep = Tally(TOL).report("s")
     assert rep.passed and not rep.inconclusive and rep.checked == 0
+
+
+def test_a_tally_does_not_grow_with_its_points():
+    # deviations cross TOL at k = 10_000, so the witness list fills up too
+    tally = Tally(TOL)
+    tracemalloc.start()
+    try:
+        for k in range(100_000):
+            tally.add(k * 1e-13, (float(k),), ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    rep = tally.report("s")
+    assert rep.checked == 100_000 and rep.max_deviation == 99_999 * 1e-13 and not rep.passed
+    assert len(rep.witnesses) == 8
 
 
 def nan_max_deviation(lhs, rhs) -> float:
