@@ -251,8 +251,12 @@ def verify(
         raise ValueError(f"unknown scenario keys {sorted(stray)}; known: {sorted(known)}")
     doc_suite = _scenario_value(doc, "suite", str, "a string", "")
     out_path = out or _scenario_value(doc, "out", str, "a string", "")
-    # a user-declared action: check its identity axiom and nothing else
-    suite = "adhoc-identity" if action is not None else suite or doc_suite
+    suite = suite or doc_suite
+    if action is not None:
+        # a user-declared action: check its identity axiom and nothing else
+        if SUITE_ALIASES.get(suite, suite) not in ("", "identity-axiom"):
+            raise ValueError(f"--action runs only the identity check, not suite '{suite}'")
+        suite = "adhoc-identity"
     if not suite:
         raise ValueError("no suite named: pass --suite or a scenario with a 'suite' key")
     suite = SUITE_ALIASES.get(suite, suite)

@@ -45,41 +45,16 @@ from .actions import TimeAction, _grows_at_ends
 from .rootfind import RootSearchError, bisect
 
 
-class BranchMismatchError(Exception):
-    """The requested ODE branch is not active at the given (t, y)."""
+def sqrt_branch_for(t: float, y: float) -> str:
+    """The branch of `sqrt_ode_system` that H(., y) solves at t: "minus" where
+    1 + 2*sqrt(t)*y >= 0, else "plus"."""
+    return "minus" if 1.0 + 2.0 * math.sqrt(t) * y >= 0.0 else "plus"
 
 
-@dataclass(frozen=True)
-class BranchSelector:
-    """Which sign of the resolved radical applies, as a predicate on (t, y)."""
-
-    name: str
-    active: Callable[[float, float], bool]
-
-
-def sqrt_plus_branch() -> BranchSelector:
-    return BranchSelector("plus", lambda t, y: 1.0 + 2.0 * math.sqrt(t) * y <= 0.0)
-
-
-def sqrt_minus_branch() -> BranchSelector:
-    return BranchSelector("minus", lambda t, y: 1.0 + 2.0 * math.sqrt(t) * y >= 0.0)
-
-
-def sqrt_branch_for(t: float, y: float) -> BranchSelector:
-    return sqrt_minus_branch() if 1.0 + 2.0 * math.sqrt(t) * y >= 0.0 else sqrt_plus_branch()
-
-
-def milder_regular_branch() -> BranchSelector:
-    # active where the resolved ODE has no singularity at t=0
-    return BranchSelector("regular", lambda t, y: 1.0 + 2.0 * t * y >= 0.0)
-
-
-def milder_singular_branch() -> BranchSelector:
-    return BranchSelector("singular", lambda t, y: 1.0 + 2.0 * t * y <= 0.0)
-
-
-def milder_branch_for(t: float, y: float) -> BranchSelector:
-    return milder_regular_branch() if 1.0 + 2.0 * t * y >= 0.0 else milder_singular_branch()
+def milder_branch_for(t: float, y: float) -> str:
+    """The branch of `milder_ode_system` that y + t*y^2 solves at t: "regular" (no
+    singularity at t = 0) where 1 + 2*t*y >= 0, else "singular"."""
+    return "regular" if 1.0 + 2.0 * t * y >= 0.0 else "singular"
 
 
 @dataclass(frozen=True)
@@ -167,10 +142,17 @@ def cuberoot_group_action() -> TimeAction:
     )
 
 
+def _known_branch(table: Mapping[str, str], branch: str) -> str:
+    """`table[branch]`; a branch name not in `table` is bad input, named with the known ones."""
+    if branch not in table:
+        raise ValueError(f"unknown branch {branch!r}; known: {', '.join(map(repr, table))}")
+    return table[branch]
+
+
 def sqrt_ode_system(branch: str = "minus") -> OdeSystem:
     """dY/dt = (1 + 2*sqrt(t)*Y ± sqrt(1 + 4*sqrt(t)*Y))/(4*t*sqrt(t)), solved by the
     square-root action on the branch "plus" or "minus" (`sqrt_branch_for`)."""
-    sign = "-" if branch == "minus" else "+"
+    sign = _known_branch({"plus": "+", "minus": "-"}, branch)
     rhs = f"(1 + 2*sqrt(t)*y {sign} sqrt(1 + 4*sqrt(t)*y))/(4*t*sqrt(t))"
     return OdeSystem(
         f"sqrt-ode-{branch}", "nonautonomous", 1, scalar_map(("t", "y"), rhs, f"sqrt-rhs-{branch}"),
@@ -179,12 +161,13 @@ def sqrt_ode_system(branch: str = "minus") -> OdeSystem:
 
 
 def milder_ode_system(branch: str = "regular") -> OdeSystem:
-    """The resolved ODEs solved by Y = y + t*y^2 (`milder_branch_for`): the regular
-    form, without singularity at t = 0, and the singular form."""
-    rhs = {
+    """The resolved ODEs solved by Y = y + t*y^2 (`milder_branch_for`): the "regular"
+    form, without singularity at t = 0, and the "singular" form."""
+    forms = {
         "regular": "2*y^2/(1 + 2*t*y + sqrt(1 + 4*t*y))",
         "singular": "(1 + 2*t*y + sqrt(1 + 4*t*y))/(2*t^2)",
-    }[branch]
+    }
+    rhs = _known_branch(forms, branch)
     return OdeSystem(
         f"milder-ode-{branch}", "nonautonomous", 1, scalar_map(("t", "y"), rhs, f"milder-rhs-{branch}")
     )
@@ -257,15 +240,13 @@ def k_action_relation_check(grid: SamplingGrid, tol: float) -> VerificationRepor
 
 
 def ode_residual_explicit(
-    residuals: Mapping[str, SmoothMap], t: float, y: float, branch: BranchSelector
+    residuals: Mapping[str, SmoothMap], t: float, y: float, branch: str
 ) -> float:
     """|dH/dt - rhs(t, H)| of the square-root action on `branch`, from
-    `residuals[branch.name]`, its `ode_residual_map` of `sqrt_ode_system`."""
+    `residuals[branch]`, its `ode_residual_map` of `sqrt_ode_system`."""
     if t <= 0.0:
         raise EvalDomainError("the explicit branch ODEs are posed on t > 0")
-    if not branch.active(t, y):
-        raise BranchMismatchError(f"branch '{branch.name}' is not active at (t={t!r}, y={y!r})")
-    return abs(residuals[branch.name](t, y)[0])
+    return abs(residuals[branch](t, y)[0])
 
 
 def ode_residual_homotopy(
@@ -303,13 +284,11 @@ def ode_residual_homotopy(
 
 
 def ode_residual_milder(
-    residuals: Mapping[str, SmoothMap], t: float, y: float, branch: BranchSelector
+    residuals: Mapping[str, SmoothMap], t: float, y: float, branch: str
 ) -> float:
-    """|dH/dt - rhs(t, H)| of Y = y + t*y^2 on `branch`, from `residuals[branch.name]`,
+    """|dH/dt - rhs(t, H)| of Y = y + t*y^2 on `branch`, from `residuals[branch]`,
     its `ode_residual_map` of `milder_ode_system`."""
-    if not branch.active(t, y):
-        raise BranchMismatchError(f"branch '{branch.name}' is not active at (t={t!r}, y={y!r})")
-    return abs(residuals[branch.name](t, y)[0])
+    return abs(residuals[branch](t, y)[0])
 
 
 # ---------------------------------------------------------------------------

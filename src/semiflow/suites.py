@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .actions import (
-    DichotomyResult,
     TimeAction,
     composition_check,
     dichotomy_classify,
@@ -175,15 +174,28 @@ def _bool_report(
     )
 
 
-def _dichotomy_counts(result: DichotomyResult, grid: SamplingGrid) -> tuple[int, int]:
-    """Points checked and skipped by a classification: its identity and
-    composition checks, and one injectivity probe of the grid per time."""
+def _dichotomy_report(
+    name: str, action: TimeAction, times: Sequence[float], grid: SamplingGrid, tol: float,
+    expected: str, note: str, composition_times: Sequence[tuple[float, float]] | None = None,
+) -> VerificationReport:
+    """`dichotomy_classify` as a verdict that passes if the classification is `expected`,
+    noted as "classified <classification>" + `note`. It counts the points of the identity
+    and composition checks and of one injectivity probe of the grid per time; each
+    sample's first collision is a witness."""
+    result = dichotomy_classify(action, times, grid, tol, composition_times)
     checked = result.identity_report.checked + result.composition_report.checked
     skipped = result.identity_report.skipped + result.composition_report.skipped
     for sample in result.samples:
         checked += grid.size - sample.evidence.skipped
         skipped += sample.evidence.skipped
-    return checked, skipped
+    return _bool_report(
+        name,
+        result.classification == expected,
+        checked,
+        f"classified {result.classification}{note}",
+        [w for sample in result.samples for w in sample.evidence.witnesses[:1]],
+        skipped=skipped,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,37 +241,19 @@ def suite_noninvertibility(config: SuiteConfig) -> list[VerificationReport]:
             "sqrt-witness-collision", len(gaps), nan_max(gaps), tol, "t in {0.25, 1, 4}", witnesses
         )
     ]
-    gls_grid = grid2d(0.0, 1.0, 3, -2.0, 2.0, 41)
-    gls = dichotomy_classify(
-        gls_one_time_op(),
-        [0.25, 1.0, 4.0],
-        gls_grid,
-        config.tol("dichotomy", 1e-9),
-        composition_times=[(0.25, 0.25), (0.25, 0.5), (0.5, 0.5)],
-    )
-    checked, skipped = _dichotomy_counts(gls, gls_grid)
     reports.append(
-        _bool_report(
-            "dichotomy[sqrt-gls-evolution]",
-            gls.classification == "genuine_semigroup",
-            checked,
-            f"classified {gls.classification} (expected genuine_semigroup)",
-            [w for s in gls.samples for w in s.evidence.witnesses[:1]],
-            skipped=skipped,
+        _dichotomy_report(
+            "dichotomy[sqrt-gls-evolution]", gls_one_time_op(), [0.25, 1.0, 4.0],
+            grid2d(0.0, 1.0, 3, -2.0, 2.0, 41), config.tol("dichotomy", 1e-9),
+            "genuine_semigroup", " (expected genuine_semigroup)",
+            composition_times=[(0.25, 0.25), (0.25, 0.5), (0.5, 0.5)],
         )
     )
-    cube_grid = grid1d(-3.0, 3.0, 22)
-    cube = dichotomy_classify(
-        cuberoot_group_action(), [0.5, 1.0, 2.0], cube_grid, config.tol("dichotomy", 1e-9)
-    )
-    checked, skipped = _dichotomy_counts(cube, cube_grid)
     reports.append(
-        _bool_report(
-            "dichotomy[cuberoot-action]",
-            cube.classification == "group_like",
-            checked,
-            f"classified {cube.classification} (expected group_like)",
-            skipped=skipped,
+        _dichotomy_report(
+            "dichotomy[cuberoot-action]", cuberoot_group_action(), [0.5, 1.0, 2.0],
+            grid1d(-3.0, 3.0, 22), config.tol("dichotomy", 1e-9),
+            "group_like", " (expected group_like)",
         )
     )
     # the singularity lives in the time variable: H(t, y) = K(sqrt(t), y), K smooth
@@ -288,32 +282,53 @@ def _fold_margin(tol: float) -> float:
     return 2.0**-53 / tol
 
 
-def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
-    """The branch residuals skip every point that `_fold_margin` puts on the fold."""
-    tol_explicit = config.tol("explicit", 1e-10)
-    tol_homotopy = config.tol("homotopy", 1e-9)
-    tol_milder = config.tol("milder", 1e-10)
-    reports = []
+def _sqrt_near_fold(t: float, y: float, band: float) -> bool:
+    s = math.sqrt(t)
+    return abs(1.0 + 2.0 * s * y) * 4.0 * t * s < band  # |d|/S with S = 1/(4*t*s)
 
-    # each branch residual is derived from the system the flows integrate
-    sqrt_act = sqrt_action()
-    residuals = {b: ode_residual_map(sqrt_act, sqrt_ode_system(b)) for b in ("plus", "minus")}
-    grid = SamplingGrid((config.axis("t", Axis(1e-3, 10.0, 50)), config.axis("y", Axis(-5.0, 5.0, 50))))
-    tally = Tally(tol_explicit)
-    band = 2.0 * _fold_margin(tol_explicit)
+
+def _milder_near_fold(t: float, y: float, band: float) -> bool:
+    d = abs(1.0 + 2.0 * t * y)
+    return d * (1.0 + d) ** 2 < 2.0 * y * y * band  # |d|/S with S = 2*y^2/(1 + |d|)^2
+
+
+def _branch_residual_report(
+    name: str, grid: SamplingGrid, tol: float, residuals: Mapping[str, SmoothMap],
+    branch_for: Callable[[float, float], str], residual: Callable[..., float],
+    near_fold: Callable[[float, float, float], bool],
+) -> VerificationReport:
+    """`residual(residuals, t, y, branch)` at each grid point, on the branch that
+    `branch_for(t, y)` names. A point that `near_fold(t, y, 2*_fold_margin(tol))`
+    puts on the fold, or one off the residual's domain, is a skip."""
+    tally = Tally(tol)
+    band = 2.0 * _fold_margin(tol)
     for t, y in grid.points():
-        branch = sqrt_branch_for(t, y)
-        s = math.sqrt(t)
-        if abs(1.0 + 2.0 * s * y) * 4.0 * t * s < band:  # |d|/S with S = 1/(4*t*s)
+        if near_fold(t, y, band):
             tally.skip()
             continue
+        branch = branch_for(t, y)
         try:
-            r = ode_residual_explicit(residuals, t, y, branch)
+            r = residual(residuals, t, y, branch)
         except EvalDomainError:
             tally.skip()
             continue
-        tally.add(r, (t, y), (r,), branch.name)
-    reports.append(tally.report("ode-residual[sqrt-branches]", grid.summary()))
+        tally.add(r, (t, y), (r,), branch)
+    return tally.report(name, grid.summary())
+
+
+def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
+    """The branch residuals skip every point that `_fold_margin` puts on the fold."""
+    tol_homotopy = config.tol("homotopy", 1e-9)
+    # each branch residual is derived from the system the flows integrate
+    sqrt_act = sqrt_action()
+    grid = SamplingGrid((config.axis("t", Axis(1e-3, 10.0, 50)), config.axis("y", Axis(-5.0, 5.0, 50))))
+    reports = [
+        _branch_residual_report(
+            "ode-residual[sqrt-branches]", grid, config.tol("explicit", 1e-10),
+            {b: ode_residual_map(sqrt_act, sqrt_ode_system(b)) for b in ("plus", "minus")},
+            sqrt_branch_for, ode_residual_explicit, _sqrt_near_fold,
+        )
+    ]
 
     med = sqrt_mediator()
     hgrid = grid2d(1e-3, 10.0, 25, -5.0, 5.0, 21)
@@ -328,23 +343,14 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
         reports.append(tally.report(f"ode-residual[homotopy-{f.name}]", hgrid.summary()))
 
     milder_act = milder_action()
-    residuals = {b: ode_residual_map(milder_act, milder_ode_system(b)) for b in ("regular", "singular")}
-    mgrid = grid2d(-2.0, 2.0, 41, -3.0, 3.0, 41)
-    tally = Tally(tol_milder)
-    band = 2.0 * _fold_margin(tol_milder)
-    for t, y in mgrid.points():
-        branch = milder_branch_for(t, y)
-        d = abs(1.0 + 2.0 * t * y)
-        if d * (1.0 + d) ** 2 < 2.0 * y * y * band:  # |d|/S with S = 2*y^2/(1 + |d|)^2
-            tally.skip()
-            continue
-        try:
-            r = ode_residual_milder(residuals, t, y, branch)
-        except EvalDomainError:
-            tally.skip()
-            continue
-        tally.add(r, (t, y), (r,), branch.name)
-    reports.append(tally.report("ode-residual[milder-branches]", mgrid.summary()))
+    reports.append(
+        _branch_residual_report(
+            "ode-residual[milder-branches]", grid2d(-2.0, 2.0, 41, -3.0, 3.0, 41),
+            config.tol("milder", 1e-10),
+            {b: ode_residual_map(milder_act, milder_ode_system(b)) for b in ("regular", "singular")},
+            milder_branch_for, ode_residual_milder, _milder_near_fold,
+        )
+    )
     # the singular ODEs admit only the limit-type initial condition H(0+, y) = y
     reports.append(limit_ic_check(sqrt_act, 1.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
     # and H is not C^1 at t = 0: its one-sided quotient diverges like y^2/sqrt(eps)
@@ -553,17 +559,12 @@ def suite_burgers(config: SuiteConfig) -> list[VerificationReport]:
         ("a",),
         SmoothMap(frozen.inputs, frozen.outputs[:1]),
     )
-    position_grid = grid1d(-3.0, 3.0, 21)
-    verdict = dichotomy_classify(position, [0.5, 1.0, 2.0], position_grid, tol_alg)
-    checked, skipped = _dichotomy_counts(verdict, position_grid)
     reports.append(
-        _bool_report(
-            "dichotomy[soliton-position-flow]",
-            verdict.classification == "group_like",
-            checked,
-            f"classified {verdict.classification}: every frozen-parameter advance is an "
-            "invertible translation, so this induced flow is NOT a genuine semigroup",
-            skipped=skipped,
+        _dichotomy_report(
+            "dichotomy[soliton-position-flow]", position, [0.5, 1.0, 2.0],
+            grid1d(-3.0, 3.0, 21), tol_alg, "group_like",
+            ": every frozen-parameter advance is an invertible translation, so this "
+            "induced flow is NOT a genuine semigroup",
         )
     )
     return reports

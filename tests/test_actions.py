@@ -325,6 +325,25 @@ class TestDichotomy:
         for sample in res.samples:
             assert sample.status == "noninvertible" and sample.evidence.witnesses
 
+    @pytest.mark.parametrize(
+        "suite, name",
+        [("noninvertibility", "dichotomy[cuberoot-action]"), ("burgers", "dichotomy[soliton-position-flow]")],
+    )
+    def test_a_misclassified_group_report_writes_its_collisions(self, monkeypatch, suite, name):
+        import semiflow.suites as suites
+
+        def genuine(*args, **kwargs):
+            # whatever it is given, classify the square-root evolution, which collides
+            return dichotomy_classify(
+                gls_one_time_op(), [0.25, 1.0], grid2d(0.0, 1.0, 3, -2.0, 2.0, 41), 1e-9,
+                composition_times=[(0.25, 0.25)],
+            )
+
+        monkeypatch.setattr(suites, "dichotomy_classify", genuine)
+        (rep,) = [r for r in suites.SUITES[suite](suites.SuiteConfig()) if r.suite == name]
+        assert not rep.passed and len(rep.witnesses) == 2
+        assert rep.notes[0].startswith("classified genuine_semigroup")
+
     def test_raw_action_rejected(self):
         with pytest.raises(PreconditionError):
             dichotomy_classify(sqrt_action(), [1.0], grid1d(0.5, 1.5, 5), 1e-9)

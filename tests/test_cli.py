@@ -43,6 +43,32 @@ def test_verify_adhoc_action_stray_variable(capsys):
     assert main(["verify", "--suite", "identity", "--action", "q*y"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, scenario",
+    [
+        (["--suite", "gls-semigroup"], {}),
+        (["--suite", "all"], {}),
+        ([], {"suite": "ode-residuals"}),
+        (["--suite", "burgers"], {"suite": "identity"}),
+    ],
+)
+def test_an_action_with_any_suite_but_identity_is_bad_input(tmp_path, capsys, argv, scenario):
+    # --action runs the identity check alone, so a suite it would not run is an error
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["verify", *argv, "--scenario", str(path), "--action", "y + t*y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--action runs only the identity check" in captured.err
+
+
+@pytest.mark.parametrize("scenario", [{"suite": "identity"}, {"suite": "identity-axiom"}, {}])
+def test_an_action_runs_under_the_identity_suite_or_none(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["verify", "--scenario", str(path), "--action", "y + t*y"]) == 0
+    assert "identity[adhoc[y + t*y]]" in capsys.readouterr().out
+
+
 def test_non_finite_report_is_strict_json(tmp_path, capsys):
     # y*1e308*10 overflows to inf, so H(0, y) is NaN at every y but 0
     out = tmp_path / "r.json"

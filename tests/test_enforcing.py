@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflow.enforcing import (
-    BranchMismatchError,
     DiffeoClassifier,
     MediatorFunction,
     bump_map,
@@ -25,8 +25,6 @@ from semiflow.enforcing import (
     milder_action,
     milder_branch_for,
     milder_ode_system,
-    milder_regular_branch,
-    milder_singular_branch,
     not_c1_check,
     ode_residual_explicit,
     ode_residual_homotopy,
@@ -35,9 +33,7 @@ from semiflow.enforcing import (
     sqrt_action,
     sqrt_branch_for,
     sqrt_mediator,
-    sqrt_minus_branch,
     sqrt_ode_system,
-    sqrt_plus_branch,
     square_map,
 )
 from semiflow.expr import Const, EvalDomainError, diff, evaluate, parse_expr
@@ -138,27 +134,24 @@ MILDER_RESIDUALS = {
 class TestExplicitOdeResiduals:
     def test_minus_branch_point(self):
         # H(1,1)=2: (1 + 4 - sqrt(9))/4 = 0.5 = y^2/(2 sqrt t)
-        assert ode_residual_explicit(SQRT_RESIDUALS, 1.0, 1.0, sqrt_minus_branch()) <= 1e-12
+        assert sqrt_branch_for(1.0, 1.0) == "minus"
+        assert ode_residual_explicit(SQRT_RESIDUALS, 1.0, 1.0, "minus") <= 1e-12
 
     def test_plus_branch_point(self):
         # y=-2 at t=1: 1+2*sqrt(t)*y = -3 <= 0; (1 + 4 + 3)/4 = 2 = y^2/2
-        assert ode_residual_explicit(SQRT_RESIDUALS, 1.0, -2.0, sqrt_plus_branch()) <= 1e-12
-
-    def test_branch_mismatch(self):
-        with pytest.raises(BranchMismatchError):
-            ode_residual_explicit(SQRT_RESIDUALS, 1.0, 1.0, sqrt_plus_branch())
+        assert sqrt_branch_for(1.0, -2.0) == "plus"
+        assert ode_residual_explicit(SQRT_RESIDUALS, 1.0, -2.0, "plus") <= 1e-12
 
     def test_needs_positive_time(self):
         for t in (0.0, -1.0):
             with pytest.raises(EvalDomainError):
-                ode_residual_explicit(SQRT_RESIDUALS, t, 1.0, sqrt_minus_branch())
+                ode_residual_explicit(SQRT_RESIDUALS, t, 1.0, "minus")
 
     def test_branch_selector_overlap(self):
         # on 1 + 2 sqrt(t) y = 0 both branches apply and agree
         t, y = 1.0, -0.5
-        assert sqrt_plus_branch().active(t, y) and sqrt_minus_branch().active(t, y)
-        assert ode_residual_explicit(SQRT_RESIDUALS, t, y, sqrt_plus_branch()) <= 1e-12
-        assert ode_residual_explicit(SQRT_RESIDUALS, t, y, sqrt_minus_branch()) <= 1e-12
+        assert abs(SQRT_RESIDUALS["plus"](t, y)[0]) <= 1e-12
+        assert abs(SQRT_RESIDUALS["minus"](t, y)[0]) <= 1e-12
 
     def test_grid_residual(self):
         worst = 0.0
@@ -203,16 +196,14 @@ class TestHomotopyOdeResidual:
 
 class TestMilderOdeResidual:
     def test_regular_branch_points(self):
-        assert ode_residual_milder(MILDER_RESIDUALS, 1.0, 1.0, milder_regular_branch()) <= 1e-12
-        assert ode_residual_milder(MILDER_RESIDUALS, 0.0, 3.0, milder_regular_branch()) <= 1e-12
+        for t, y in ((1.0, 1.0), (0.0, 3.0)):
+            assert milder_branch_for(t, y) == "regular"
+            assert ode_residual_milder(MILDER_RESIDUALS, t, y, "regular") <= 1e-12
 
     def test_singular_branch_point(self):
         # t=-1, y=1: 1+2ty = -1 <= 0, Y = 0, RHS = (1+0+1)/2 = 1 = y^2
-        assert ode_residual_milder(MILDER_RESIDUALS, -1.0, 1.0, milder_singular_branch()) <= 1e-12
-
-    def test_branch_mismatch(self):
-        with pytest.raises(BranchMismatchError):
-            ode_residual_milder(MILDER_RESIDUALS, 1.0, 1.0, milder_singular_branch())
+        assert milder_branch_for(-1.0, 1.0) == "singular"
+        assert ode_residual_milder(MILDER_RESIDUALS, -1.0, 1.0, "singular") <= 1e-12
 
     def test_grid_residual(self):
         worst = 0.0
@@ -363,7 +354,7 @@ def _outcome(fn, *args):
 def _walk_branch_residual(residuals, t, y, branch):
     """The tree walk of the residual expression `ode_residual_explicit` and
     `ode_residual_milder` evaluate compiled."""
-    return abs(evaluate(residuals[branch.name].outputs[0], {"t": t, "y": y}))
+    return abs(evaluate(residuals[branch].outputs[0], {"t": t, "y": y}))
 
 
 def _walk_homotopy_residual(f, g, t, y):
@@ -474,7 +465,7 @@ def _float_sqrt_branch(t, y, branch):
     """(H, dH/dt, rhs(t, H), fold) of the square-root action on `branch`."""
     st_ = math.sqrt(t)
     h = y + st_ * y * y
-    sign = 1.0 if branch.name == "plus" else -1.0
+    sign = 1.0 if branch == "plus" else -1.0
     rhs = (1.0 + 2.0 * st_ * h + sign * math.sqrt(1.0 + 4.0 * st_ * h)) / (4.0 * t * st_)
     return h, y * y / (2.0 * st_), rhs, 1.0 + 2.0 * st_ * y
 
@@ -483,7 +474,7 @@ def _float_milder_branch(t, y, branch):
     """(H, dH/dt, rhs(t, H), fold) of Y = y + t*y^2 on `branch`."""
     h = y + t * y * y
     root = math.sqrt(1.0 + 4.0 * t * h)
-    if branch.name == "regular":
+    if branch == "regular":
         rhs = 2.0 * h * h / (1.0 + 2.0 * t * h + root)
     else:
         rhs = (1.0 + 2.0 * t * h + root) / (2.0 * t * t)
@@ -497,10 +488,10 @@ def _check_against_float_formulas(system, residuals, reference, t, y, branch):
         return  # off the formulas' domain
     # a subnormal result keeps fewer bits, so the relative bound stops at the normal range
     assert math.isclose(
-        system(branch.name).rhs(t, h)[0], rhs, rel_tol=FLOAT_REFERENCE_RTOL, abs_tol=sys.float_info.min
+        system(branch).rhs(t, h)[0], rhs, rel_tol=FLOAT_REFERENCE_RTOL, abs_tol=sys.float_info.min
     )
     if abs(fold) >= FOLD_MARGIN:
-        r = residuals[branch.name](t, y)[0]
+        r = residuals[branch](t, y)[0]
         assert abs(r - (dh - rhs)) <= FLOAT_RESIDUAL_TOL * (1.0 + abs(dh))
 
 
@@ -529,6 +520,51 @@ def _scaled_rhs(factory, factor):
         return replace(system, rhs=SmoothMap(system.rhs.inputs, outputs, name=system.rhs.name))
 
     return scaled
+
+
+class TestABranchIsItsName:
+    """`sqrt_branch_for`/`milder_branch_for` name a branch; that name builds the
+    branch's system and keys the residual maps the ode-residuals suite reads."""
+
+    @pytest.mark.parametrize(
+        "factory, known",
+        [(sqrt_ode_system, "'plus', 'minus'"), (milder_ode_system, "'regular', 'singular'")],
+        ids=["sqrt", "milder"],
+    )
+    @pytest.mark.parametrize("name", ["Minus", "x", ""], ids=["Minus", "x", "empty"])
+    def test_an_unknown_branch_is_bad_input(self, factory, known, name):
+        with pytest.raises(ValueError, match=re.escape(f"unknown branch {name!r}; known: {known}")):
+            factory(name)
+
+    @pytest.mark.parametrize(
+        "reader, factory, branch_for, suite, count",
+        [
+            ("ode_residual_explicit", sqrt_ode_system, sqrt_branch_for, "sqrt-branches", 2500),
+            ("ode_residual_milder", milder_ode_system, milder_branch_for, "milder-branches", 1681),
+        ],
+    )
+    def test_the_named_system_is_the_one_whose_residual_the_suite_reads(
+        self, monkeypatch, reader, factory, branch_for, suite, count
+    ):
+        import semiflow.suites as suites
+
+        read = []
+        original = getattr(suites, reader)
+
+        def recording(residuals, t, y, branch):
+            read.append((t, y, residuals[branch]))
+            return original(residuals, t, y, branch)
+
+        monkeypatch.setattr(suites, reader, recording)
+        reports = {rep.suite: rep for rep in suites.suite_ode_residuals(suites.SuiteConfig())}
+        assert reports[f"ode-residual[{suite}]"].checked == len(read) == count
+        branches = set()
+        for t, y, residual in read:
+            system = factory(branch_for(t, y))
+            assert residual.name == f"residual[{system.name}]"
+            assert abs(residual(t, y)[0]) <= 1e-10
+            branches.add(system.name)
+        assert len(branches) == 2
 
 
 class TestResidualChecksReadTheIntegratedSystems:

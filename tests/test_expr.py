@@ -660,22 +660,37 @@ def _sequential(outputs, point):
 
 
 def _combine(parts):
+    """A shape over `parts`: a part, (op, a, b) for a binary op, ("sin", a) or ("exp", a)."""
     pair = st.tuples(st.sampled_from(("add", "sub", "mul", "div")), parts, parts)
-    return st.one_of(
-        parts,
-        pair.map(lambda oab: Binary(*oab)),
-        parts.map(sin),
-        parts.map(exp),
-    )
+    return st.one_of(parts, pair, parts.map(lambda a: ("sin", a)), parts.map(lambda a: ("exp", a)))
+
+
+# a pool of one to three subtrees, and up to three output shapes, two levels deep,
+# over a pool of n parts (n = 2, 4 or 6); built once here, not inside every draw
+_POOLS = st.lists(_trees, min_size=1, max_size=3)
+_SHAPES = {
+    n: st.lists(_combine(_combine(st.sampled_from(range(n)))), min_size=1, max_size=3)
+    for n in (2, 4, 6)
+}
+
+
+def _build(shape, parts):
+    """The tree `shape` describes, made of the pool objects `parts` themselves."""
+    if isinstance(shape, int):
+        return parts[shape]
+    if len(shape) == 2:
+        return {"sin": sin, "exp": exp}[shape[0]](_build(shape[1], parts))
+    op, a, b = shape
+    return Binary(op, _build(a, parts), _build(b, parts))
 
 
 @st.composite
 def _shared_outputs(draw):
     # outputs assembled from a small pool of subtrees, reused both as the
     # same object and as a structurally equal copy, two levels deep
-    pool = draw(st.lists(_trees, min_size=1, max_size=3))
-    parts = st.sampled_from(pool + [parse_expr(to_text(e)) for e in pool])
-    return tuple(draw(st.lists(_combine(_combine(parts)), min_size=1, max_size=3)))
+    pool = draw(_POOLS)
+    parts = pool + [parse_expr(to_text(e)) for e in pool]
+    return tuple(_build(shape, parts) for shape in draw(_SHAPES[len(parts)]))
 
 
 @given(_shared_outputs(), _points)

@@ -194,7 +194,7 @@ def test_every_public_name_is_reached_from_an_entry_point():
 
 def test_every_root_export_names_a_public_definition():
     exports = root_exports(_modules())
-    assert len(exports) == 94
+    assert len(exports) == 92
     wrong = sorted(name for name, key in exports.items() if key is None or key[-1].startswith("_"))
     assert wrong == [], "root exports naming no public definition: " + ", ".join(wrong)
 
