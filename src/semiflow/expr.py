@@ -181,10 +181,6 @@ def neg(e: Expr) -> Expr:
     return Unary("neg", e)
 
 
-def tanh(e) -> Expr:
-    return Unary("tanh", as_expr(e))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 

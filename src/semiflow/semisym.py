@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .actions import PreconditionError
 from .expr import (
@@ -162,17 +162,24 @@ def regraph(V: ParametricFunction, grid: SamplingGrid) -> Callable[[float], floa
 # PDE residuals
 
 
-def _residuals(
-    residual: Callable[[Expr], Expr], u: Expr, params: tuple[str, ...], grid: SamplingGrid
+def residuals_at(
+    fn: Callable[..., float], points: Iterable[tuple[float, ...]]
 ) -> Iterator[tuple[tuple[float, ...], float]]:
-    """Each grid point with the residual of the solution u there, in grid order."""
-    fn = compile_expr(residual(u), params)
-    for point in grid.points():
+    """Each point with the compiled residual `fn` there, in order; a
+    domain error raises EvalDomainError naming the point."""
+    for point in points:
         try:
             r = fn(*point)
         except EvalDomainError as err:
             raise EvalDomainError(f"residual undefined at {point!r}: {err}") from err
         yield point, r
+
+
+def _residuals(
+    residual: Callable[[Expr], Expr], u: Expr, params: tuple[str, ...], grid: SamplingGrid
+) -> Iterator[tuple[tuple[float, ...], float]]:
+    """Each grid point with the residual of the solution u there, in grid order."""
+    return residuals_at(compile_expr(residual(u), params), grid.points())
 
 
 def residual_max(residual: Callable[[Expr], Expr], U: SmoothMap, grid: SamplingGrid) -> float:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
+from semiflow import evolution_pde, maps, suites
 from semiflow.actions import TimeAction, composition_check
 from semiflow.evolution_pde import (
     burgers_residual,
@@ -14,12 +16,29 @@ from semiflow.evolution_pde import (
     heat_kernel,
     heat_pde,
     param_flow_check,
+    soliton_family,
     soliton_param_flow,
+    soliton_residual_max,
     soliton_translation_check,
 )
+from semiflow.expr import EvalDomainError
 from semiflow.grids import Axis, SamplingGrid, grid2d
 from semiflow.maps import map_from_exprs, scalar_map
 from semiflow.semisym import residual_max
+from semiflow.suites import SuiteConfig, suite_burgers
+
+# the suite's (t, x) grid of the residual check and its translation grid
+RESIDUAL_GRID = grid2d(0.0, 1.0, 5, -5.0, 5.0, 11)
+TRANSLATION_GRID = SamplingGrid(
+    (
+        Axis(0.0, 2.0, 3),
+        Axis(-5.0, 5.0, 7),
+        Axis(-1.0, 1.0, 3),
+        Axis(-2.0, 2.0, 3),
+        Axis(-1.0, 2.0, 3),
+        Axis(0.25, 1.0, 2),
+    )
+)
 
 
 def fd_burgers_residual(U, mu: float, t: float, x: float, h: float = 1e-5) -> float:
@@ -75,6 +94,97 @@ class TestSoliton:
     def test_tanh_saturates_without_overflow(self):
         U = burgers_soliton(0.0, 2.0, 2.0, 0.1)
         assert U(0.0, 1e6)[0] == pytest.approx(2.0 - math.sqrt(6.0), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["x0", "c", "d", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_parameter_is_bad_input(self, name, value):
+        # a NaN made every value NaN, and mu = inf a constant profile
+        params = {"x0": 0.0, "c": 1.0, "d": 1.0, "mu": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"soliton parameter {name} must be finite"):
+            burgers_soliton(**params)
+
+    def test_a_kink_keeps_its_name(self):
+        U = burgers_soliton(0.5, -1.0, 2.0, 0.25)
+        assert U.inputs == ("t", "x") and U.name == "soliton[x0=0.5,c=-1,d=2,mu=0.25]"
+
+
+def _float_kink(t, x, x0, c, d, mu):
+    """The kink computed with floats in Python, the family's reference."""
+    k = math.sqrt(c * c + d)
+    return c - k * math.tanh(k / (2.0 * mu) * (x - x0 - c * t))
+
+
+def _suite_tuples(monkeypatch, seed):
+    """Each (x0, c, d, mu) of the suite's residual check, with its residual."""
+    seen = []
+
+    def recording(family, grid):
+        at = soliton_residual_max(family, grid)
+
+        def record(*params):
+            r = at(*params)
+            seen.append((params, r))
+            return r
+
+        return record
+
+    monkeypatch.setattr(suites, "soliton_residual_max", recording)
+    suite_burgers(SuiteConfig(seed=seed))
+    assert len(seen) == 20
+    return seen
+
+
+class TestSolitonFamily:
+    def test_the_family_is_the_float_kink_bit_for_bit(self, monkeypatch):
+        family = soliton_family()
+        assert family.inputs == ("t", "x", "x0", "c", "d", "mu")
+        tuples = [params for params, _ in _suite_tuples(monkeypatch, 42)]
+        tuples += [
+            (x0, c, d, mu)
+            for x0 in (-1.0, 0.0, 0.7)
+            for c in (-1.5, -0.0, 0.0, 0.8)
+            for d in (0.3, 2.0)
+            for mu in (0.1, 0.25, 1.0)
+        ]
+        for params in tuples:
+            kink = burgers_soliton(*params)
+            for t, x in RESIDUAL_GRID.points():
+                (u,) = family(t, x, *params)
+                assert u.hex() == _float_kink(t, x, *params).hex(), (t, x, params)
+                assert kink(t, x)[0].hex() == u.hex(), (t, x, params)
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_the_family_residual_is_each_kinks_bit_for_bit(self, monkeypatch, seed):
+        for (x0, c, d, mu), r in _suite_tuples(monkeypatch, seed):
+            kink = burgers_residual(burgers_soliton(x0, c, d, mu), mu, RESIDUAL_GRID)
+            assert r.hex() == kink.hex(), (x0, c, d, mu)
+
+    def test_a_domain_error_names_the_point(self):
+        residual = soliton_residual_max(soliton_family(), RESIDUAL_GRID)
+        # c^2 + d < 0: sqrt of a negative number at the grid's first point
+        point = re.escape(repr((0.0, -5.0, 0.0, 0.0, -1.0, 0.5)))
+        with pytest.raises(EvalDomainError, match=f"residual undefined at {point}: sqrt"):
+            residual(0.0, 0.0, -1.0, 0.5)
+
+    def test_a_suite_run_compiles_the_family_and_its_residual_once(self, monkeypatch):
+        systems, exprs = [], []
+
+        def count_system(outputs, params):
+            systems.append(params)
+            return compile_system(outputs, params)
+
+        def count_expr(e, params):
+            exprs.append(params)
+            return compile_expr(e, params)
+
+        compile_system, compile_expr = maps.compile_system, evolution_pde.compile_expr
+        monkeypatch.setattr(maps, "compile_system", count_system)
+        monkeypatch.setattr(evolution_pde, "compile_expr", count_expr)
+        suite_burgers(SuiteConfig())
+        family = ("t", "x", "x0", "c", "d", "mu")
+        # at one map per kink the run compiled 96 maps of (t, x) and 20 residuals
+        assert systems.count(family) == 1 and ("t", "x") not in systems
+        assert exprs == [family]
 
 
 class TestParamFlow:
@@ -145,19 +255,26 @@ class TestParamFlow:
 
 class TestTranslationCheck:
     def test_soliton_translation(self):
-        grid = SamplingGrid(
-            (
-                Axis(0.0, 2.0, 3),
-                Axis(-5.0, 5.0, 7),
-                Axis(-1.0, 1.0, 3),
-                Axis(-2.0, 2.0, 3),
-                Axis(-1.0, 2.0, 3),
-                Axis(0.25, 1.0, 2),
-            )
+        rep = soliton_translation_check(
+            soliton_param_flow(), soliton_family(), TRANSLATION_GRID, 1e-12
         )
-        rep = soliton_translation_check(soliton_param_flow(), burgers_soliton, grid, 1e-12)
         assert rep.passed
         assert rep.skipped > 0  # inadmissible (c,d) tuples are skipped, not errors
+
+    def test_a_wrong_flow_fails_with_witnesses(self, monkeypatch):
+        # the position moves twice as fast as the kink: U(t, x) != U(0, x) at p moved
+        wrong = TimeAction(
+            "wrong-flow", 3, "nonneg", "t", ("a", "c", "d"),
+            map_from_exprs(("t", "a", "c", "d"), ["a + 2*c*t", "c", "d"]),
+        )
+        monkeypatch.setattr(suites, "soliton_param_flow", lambda: wrong)
+        reps = {r.suite: r for r in suite_burgers(SuiteConfig())}
+        rep = reps["soliton-translation"]
+        assert not rep.passed and rep.witnesses
+        t, x, x0, c, d, mu = rep.witnesses[0].point
+        family = soliton_family()
+        lhs, rhs = family(t, x, x0, c, d, mu), family(0.0, x, x0 + 2 * c * t, c, d, mu)
+        assert rep.witnesses[0].values == (*lhs, *rhs)
 
     def test_explicit_translation_identity(self):
         # U(2, x) with x0=0 equals U(0, x) with x0 moved to 2

@@ -27,7 +27,6 @@ from semiflow.expr import (
     neg,
     parse_expr,
     substitute_many,
-    tanh,
     to_text,
 )
 from semiflow.expr import _COMPILE_NS, _emit_system
@@ -45,6 +44,10 @@ def cos(e):
 
 def exp(e):
     return Unary("exp", e)
+
+
+def tanh(e):
+    return Unary("tanh", e)
 
 
 class TestParser:

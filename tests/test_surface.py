@@ -29,6 +29,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 ALLOWED_UNREACHED = {
     # perfbench/tracer.py patches this name to time the probe layer
     ("semiflow.actions", "injectivity_probe"),
+    # perfbench/tracer.py patches this name to time the Burgers residual;
+    # the burgers suite reads the residual of the whole kink family instead
+    ("semiflow.evolution_pde", "burgers_residual"),
+    # the kink at one parameter tuple, the map of (t, x) the family is
+    # pinned against; the burgers suite evaluates the family itself
+    ("semiflow.evolution_pde", "burgers_soliton"),
 }
 
 # the package root's table of the names it imports on first use
