@@ -93,7 +93,8 @@ def identity_check(action: TimeAction, grid: SamplingGrid, tol: float) -> Verifi
             tally.skip()
             continue
         out = action(0.0, y)
-        tally.add(deviation(out, y), y, out, "H(0,y) != y")
+        if tally.add(deviation(out, y)):
+            tally.witness(y, out, "H(0,y) != y")
     return tally.report(f"identity[{action.name}]", grid.summary())
 
 
@@ -102,17 +103,19 @@ _UNSEEN = object()  # a memo entry not computed yet
 
 def leg_columns(
     passes: Sequence[Sequence[tuple[float, ...]]], size: int
-) -> Iterator[tuple[list | None, ...]]:
+) -> Iterator[tuple[list, ...]]:
     """Yield, for each pass of a check over a grid of `size` points, one
-    memo column for each key the pass reads, in the order given; `memo`
-    reads and fills them.
+    memo column of `size` entries for each key the pass reads, in the
+    order given. A reader takes `v = column[i]` and computes and stores
+    v only where it is `_UNSEEN`.
 
     A key is a tuple of times, told apart as `Const` tells values apart:
     0.0 is not -0.0, since H(-0.0, y) may differ from H(0.0, y) in the sign
     of a zero (a NaN time equals only itself and may miss the memo). A key
-    read more than once gets a list of `size` entries, shared from its
-    first reader to its last and dropped after the last; a key read once
-    gets None. So the memo holds one column per key still to be read again.
+    read more than once gets one column, shared from its first reader to
+    its last and dropped after the last; a key read once gets a column of
+    its own, dropped with its pass. So the memo holds one column per key
+    still to be read, and at most distinct keys x `size` entries.
     """
     keyed = [
         [tuple(chain.from_iterable((t, math.copysign(1.0, t)) for t in key)) for key in keys]
@@ -125,21 +128,13 @@ def leg_columns(
         last.update(dict.fromkeys(keys, p))
     live: dict[tuple, list] = {}
     for p, keys in enumerate(keyed):
-        yield tuple(live.setdefault(k, [_UNSEEN] * size) if reads[k] > 1 else None for k in keys)
+        yield tuple(
+            live.setdefault(k, [_UNSEEN] * size) if reads[k] > 1 else [_UNSEEN] * size
+            for k in keys
+        )
         for k in keys:
             if last[k] == p:
                 live.pop(k, None)
-
-
-def memo(column: list | None, i: int, compute: Callable, *args):
-    """column[i], set to compute(*args) where it is first read; without a
-    column, compute(*args)."""
-    if column is None:
-        return compute(*args)
-    out = column[i]
-    if out is _UNSEEN:
-        out = column[i] = compute(*args)
-    return out
 
 
 def composition_check(
@@ -158,24 +153,16 @@ def composition_check(
     grid point, where the first pair needs it, and read back by later
     pairs (`leg_columns`); only H(t, H(s, y)) and its validity test are
     evaluated per pair. The memo holds two entries per grid point for each
-    time a later pair still reads, so at most 2 x distinct times x grid
-    points entries; `Tally` keeps nothing per checked point.
+    time still to be read, so at most 2 x distinct times x grid points
+    entries; `Tally` keeps nothing per checked point. Every leg is the
+    map's `on_domain` form.
     """
     for t, s in times:
         for v in (t, s, t + s):
             if not action.time_ok(v):
                 raise PreconditionError(f"time {v!r} outside the action's domain")
     validity = action.validity
-
-    def leg(tau: float, y: tuple) -> tuple | None:  # H(tau, y), None off the map's domain
-        try:
-            return action.map(tau, *y)
-        except EvalDomainError:
-            return None
-
-    def invalid(tau: float, y: tuple) -> bool:
-        return not validity(tau, y)
-
+    on = action.map.on_domain
     passes = [((s,), (t + s,)) for t, s in times]
     values = leg_columns(passes, grid.size)
     verdicts = leg_columns(passes, grid.size) if validity is not None else repeat(())
@@ -183,10 +170,20 @@ def composition_check(
     for (t, s), (inner, whole), flags in zip(times, values, verdicts):
         ts = t + s
         for i, y in enumerate(grid.points()):
-            if flags and (memo(flags[0], i, invalid, s, y) or memo(flags[1], i, invalid, ts, y)):
-                tally.skip()
-                continue
-            mid = memo(inner, i, leg, s, y)
+            if flags:
+                off = flags[0][i]
+                if off is _UNSEEN:
+                    off = flags[0][i] = not validity(s, y)
+                if not off:
+                    off = flags[1][i]
+                    if off is _UNSEEN:
+                        off = flags[1][i] = not validity(ts, y)
+                if off:
+                    tally.skip()
+                    continue
+            mid = inner[i]
+            if mid is _UNSEEN:
+                mid = inner[i] = on(s, *y)
             if mid is None:
                 tally.skip()
                 continue
@@ -194,15 +191,21 @@ def composition_check(
                 if validity is not None and not validity(t, mid):
                     tally.skip()
                     continue
-                lhs = action.map(t, *mid)
             except EvalDomainError:
                 tally.skip()
                 continue
-            rhs = memo(whole, i, leg, ts, y)
+            lhs = on(t, *mid)
+            if lhs is None:
+                tally.skip()
+                continue
+            rhs = whole[i]
+            if rhs is _UNSEEN:
+                rhs = whole[i] = on(ts, *y)
             if rhs is None:
                 tally.skip()
                 continue
-            tally.add(deviation(lhs, rhs), (t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")
+            if tally.add(deviation(lhs, rhs)):
+                tally.witness((t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")
     return tally.report(f"composition[{action.name}]", grid.summary())
 
 

@@ -230,7 +230,8 @@ def k_action_relation_check(grid: SamplingGrid, tol: float) -> VerificationRepor
         s = math.sqrt(t)
         k_val = y + s * y * y
         h_val = action.call1(t, y)
-        tally.add(deviation((h_val,), (k_val,)), (t, y), (h_val, k_val))
+        if tally.add(deviation((h_val,), (k_val,))):
+            tally.witness((t, y), (h_val, k_val))
     return tally.report("sqrt-action-vs-smooth-family", grid.summary())
 
 
@@ -347,7 +348,8 @@ def not_c1_check(
     tally = Tally(tol)
     for e in eps:
         rate = math.sqrt(e) * abs(action.call1(e, y) - base) / e
-        tally.add(deviation((rate,), (y * y,)), (e,), (rate, y * y))
+        if tally.add(deviation((rate,), (y * y,))):
+            tally.witness((e,), (rate, y * y))
     return tally.report(
         f"not-c1[{action.name}]", f"eps {eps[0]:g}..{eps[-1]:g} ({len(eps)} values), y = {y:g}"
     )

@@ -41,9 +41,9 @@ _KINK = "c - sqrt(c*c + d)*tanh(sqrt(c*c + d)/(2*mu)*(x - x0 - c*t))"
 def soliton_family() -> SmoothMap:
     """Every traveling kink as one map (t, x, x0, c, d, mu) -> U.
 
-    A tuple is a kink only where c^2 + d > 0 and mu > 0, which
-    `burgers_soliton` checks; the map evaluates wherever its formula is
-    defined."""
+    A tuple is a kink only where c^2 + d > 0, mu > 0 and the rate
+    sqrt(c^2 + d)/(2*mu) is finite, which `burgers_soliton` checks; the
+    map evaluates wherever its formula is defined."""
     return scalar_map(("t", "x", "x0", "c", "d", "mu"), _KINK, name="soliton-family")
 
 
@@ -56,6 +56,10 @@ def burgers_soliton(x0: float, c: float, d: float, mu: float) -> SmoothMap:
         raise ValueError(f"soliton parameters need c^2 + d > 0; got c={c!r}, d={d!r}")
     if mu <= 0.0:
         raise ValueError("viscosity must be positive")
+    # finite parameters can still overflow c*c, or the rate through a tiny mu
+    rate = math.sqrt(c * c + d) / (2.0 * mu)
+    if not math.isfinite(rate):
+        raise ValueError(f"soliton parameters give a non-finite rate sqrt(c^2 + d)/(2*mu) = {rate!r}")
     kink = soliton_family().freeze(x0=x0, c=c, d=d, mu=mu)
     return replace(kink, name=f"soliton[x0={x0:g},c={c:g},d={d:g},mu={mu:g}]")
 
@@ -149,7 +153,8 @@ def soliton_translation_check(
             continue
         lhs = family(*point)
         rhs = family(0.0, x, *flow(t, (x0, c, d)), mu)
-        tally.add(deviation(lhs, rhs), point, (*lhs, *rhs))
+        if tally.add(deviation(lhs, rhs)):
+            tally.witness(point, (*lhs, *rhs))
     return tally.report("soliton-translation", grid.summary())
 
 

@@ -712,8 +712,8 @@ def raise_from_tree_walk(
     message, or the ValueError of sin or cos at infinity. The tree walk
     raises there too, since the compiled code raises only where it does; if
     it does not, that is a fault of the compiled code, an ExprError. Its
-    callers are the functions `compile_expr` returns, `SmoothMap.__call__`
-    and the RK4 kernel's `reduction._stage_failed`.
+    callers are the functions `compile_expr` returns, `SmoothMap.__call__`,
+    `SmoothMap.on_domain` and the RK4 kernel's `reduction._stage_failed`.
     """
     bindings = dict(zip(params, args))
     for e in outputs:

@@ -3,9 +3,11 @@
 Differentiation, freezing and composition are symbolic: they take and
 return maps. Every map evaluates through the compiled code of its
 outputs; a call off the outputs' domain raises the error the tree walk
-`evaluate` raises there. `SmoothMap.__call__` is the boundary that turns
-the compiled lambda's error into that one, and the only reader of the
-lambda (`compiled`): a check calls the map itself.
+`evaluate` raises there. `SmoothMap.__call__` and `SmoothMap.on_domain`
+are the boundary that turns the compiled lambda's error into that one,
+and the only readers of the lambda (`compiled`): a check calls the map
+itself, or its `on_domain` form, which returns None where the call
+raises EvalDomainError.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 
 from .expr import (
     Const,
-    EvalDomainError,  # noqa: F401 - what a call raises off its domain; kept importable here
+    EvalDomainError,
     Expr,
     ExprError,
     Var,
@@ -65,17 +67,46 @@ class SmoothMap:
         return len(self.outputs)
 
     def __call__(self, *args: float) -> tuple[float, ...]:
-        # the lambda checks the arity itself; name the map's inputs only then
         try:
             return self.compiled(*args)
         except (ArithmeticError, ValueError):
             raise_from_tree_walk(self.outputs, self.inputs, args)
         except TypeError:
-            if len(args) != self.in_dim:
-                raise ExprError(
-                    f"expected {self.in_dim} arguments ({self.inputs}), got {len(args)}"
-                ) from None
+            self._check_arity(args)
             raise
+
+    def _check_arity(self, args: tuple) -> None:
+        # the lambda checks the arity itself; name the map's inputs only then
+        if len(args) != self.in_dim:
+            raise ExprError(
+                f"expected {self.in_dim} arguments ({self.inputs}), got {len(args)}"
+            ) from None
+
+    @cached_property
+    def on_domain(self) -> Callable[..., tuple[float, ...] | None]:
+        """The map as one function that returns None off its domain.
+
+        It returns None exactly where a call of the map raises
+        EvalDomainError; every other error of that call (the ValueError of
+        sin or cos at infinity, the ExprError of a wrong arity) passes
+        through. It calls the compiled lambda itself, in one frame, and
+        runs the tree walk only when the lambda raises: the form of a leg
+        that a check evaluates once per grid point."""
+        compiled, outputs, inputs = self.compiled, self.outputs, self.inputs
+
+        def on_domain(*args: float) -> tuple[float, ...] | None:
+            try:
+                return compiled(*args)
+            except (ArithmeticError, ValueError):
+                try:
+                    raise_from_tree_walk(outputs, inputs, args)
+                except EvalDomainError:
+                    return None
+            except TypeError:
+                self._check_arity(args)
+                raise
+
+        return on_domain
 
     @cached_property
     def compiled(self) -> Callable[..., tuple[float, ...]]:

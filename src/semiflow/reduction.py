@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from typing import Callable, Iterator, NoReturn, Sequence
 
-from .actions import TimeAction, composition_check, leg_columns, memo
+from .actions import _UNSEEN, TimeAction, composition_check, leg_columns
 from .expr import (
     _COMPILE_NS,
     Const,
@@ -490,7 +490,8 @@ def first_component_check(op: TimeAction, grid: SamplingGrid, tol: float) -> Ver
         except EvalDomainError:
             tally.skip()
             continue
-        tally.add(abs(out[0] - (t + s)) / (1.0 + abs(t + s)), point, out)
+        if tally.add(abs(out[0] - (t + s)) / (1.0 + abs(t + s))):
+            tally.witness(point, out)
     return tally.report(f"first-component[{op.name}]", grid.summary())
 
 
@@ -522,9 +523,9 @@ def two_time_law_check(
     distinct pair of times and grid point, where the first triple or
     inverse pair needs it, and read back by both loops after that
     (`actions.leg_columns`). The memo holds one entry per grid point for
-    each pair of times a later triple or inverse pair still reads, so at
-    most distinct pairs x grid points entries; `Tally` keeps nothing per
-    checked point."""
+    each pair of times still to be read, so at most distinct pairs x grid
+    points entries; `Tally` keeps nothing per checked point. Every leg is
+    the closed form's `on_domain` form."""
     inverse_pairs = []
     for t, s, _ in triples:
         if (t, s) not in inverse_pairs and t != s:
@@ -533,23 +534,21 @@ def two_time_law_check(
         [((t, s), (t, r)) for t, s, r in triples] + [((t, s), (s, t)) for t, s in inverse_pairs],
         grid.size,
     )
-
-    def try_leg(a: float, b: float, x: tuple) -> tuple | None:
-        try:
-            return op.closed_form(a, b, *x)
-        except EvalDomainError:
-            return None
-
+    on = op.closed_form.on_domain
     tally = Tally(tol)
     for (t, s, r), (inner, whole) in zip(triples, columns):
         for i, x in enumerate(grid.points()):
-            mid = memo(inner, i, try_leg, t, s, x)
-            out = None if mid is None else try_leg(s, r, mid)
-            ref = memo(whole, i, try_leg, t, r, x)
+            mid = inner[i]
+            if mid is _UNSEEN:
+                mid = inner[i] = on(t, s, *x)
+            out = None if mid is None else on(s, r, *mid)
+            ref = whole[i]
+            if ref is _UNSEEN:
+                ref = whole[i] = on(t, r, *x)
             if out is None or ref is None:
                 tally.skip()
-            else:
-                tally.add(deviation(out, ref), (t, s, r, *x), (*out, *ref))
+            elif tally.add(deviation(out, ref)):
+                tally.witness((t, s, r, *x), (*out, *ref))
     for (t, s), forward in zip(inverse_pairs, columns):
         orders = ((t, s, forward[0]), (s, t, forward[1]))
         for i, x in enumerate(grid.points()):
@@ -557,12 +556,14 @@ def two_time_law_check(
                 if op.inverse_domain is not None and not op.inverse_domain(a, b, x):
                     tally.skip()
                     continue
-                fwd = memo(column, i, try_leg, a, b, x)
-                back = None if fwd is None else try_leg(b, a, fwd)
+                fwd = column[i]
+                if fwd is _UNSEEN:
+                    fwd = column[i] = on(a, b, *x)
+                back = None if fwd is None else on(b, a, *fwd)
                 if back is None:
                     tally.skip()
-                    continue
-                tally.add(deviation(back, x), (a, b, *x), back, "inverse identity")
+                elif tally.add(deviation(back, x)):
+                    tally.witness((a, b, *x), back, "inverse identity")
     return tally.report(f"two-time-law[{op.name}]", grid.summary())
 
 

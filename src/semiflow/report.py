@@ -162,12 +162,14 @@ class Tally:
     """The bookkeeping of one sampled check, and its one rule.
 
     `add` counts a point and folds its deviation into a running maximum,
-    the `nan_max` of every deviation so far (0.0 before the first); the
-    first WITNESS_CAP points whose deviation is not <= tol (a NaN too)
-    become witnesses. `skip` counts a point outside the checked map's
-    domain. The report is inconclusive when at least one point was sampled
-    and more than SKIP_SHARE of them were skipped. Nothing is kept per
-    point, so a tally's size does not grow with its grid.
+    the `nan_max` of every deviation so far (0.0 before the first). It
+    returns True for the first WITNESS_CAP points whose deviation is not
+    <= tol (a NaN too), and the caller hands each of those to `witness`,
+    so a passing point builds no witness. `skip` counts a point outside
+    the checked map's domain. The report is inconclusive when at least one
+    point was sampled and more than SKIP_SHARE of them were skipped.
+    Nothing is kept per point, so a tally's size does not grow with its
+    grid.
     """
 
     def __init__(self, tol: float):
@@ -177,14 +179,18 @@ class Tally:
         self.witnesses: list[Witness] = []
         self.skipped = 0
 
-    def add(self, d: float, point: tuple[float, ...], values: tuple[float, ...], note: str = "") -> None:
+    def add(self, d: float) -> bool:
+        """Count a point of deviation d; True when it must become a witness."""
         self.checked += 1
         if d > self.worst:
             self.worst = d
         elif d != d:
             self.worst = math.nan
-        if not d <= self.tol and len(self.witnesses) < WITNESS_CAP:
-            self.witnesses.append(Witness(point, values, note))
+        return not d <= self.tol and len(self.witnesses) < WITNESS_CAP
+
+    def witness(self, point: tuple[float, ...], values: tuple[float, ...], note: str = "") -> None:
+        """Keep the point `add` just asked for, in sampling order."""
+        self.witnesses.append(Witness(point, values, note))
 
     def skip(self) -> None:
         self.skipped += 1

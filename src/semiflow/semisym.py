@@ -283,5 +283,6 @@ def semi_symmetry_check(
             )
         moved = substitute_many(g, {u: U.outputs[0]})
         for point, r in _residuals(residual, moved, base, grid):
-            tally.add(abs(r), point, (r,), U.name)
+            if tally.add(abs(r)):
+                tally.witness(point, (r,), U.name)
     return tally.report(f"semi-symmetry[{name}]", grid.summary())

@@ -312,7 +312,8 @@ def _branch_residual_report(
         except EvalDomainError:
             tally.skip()
             continue
-        tally.add(r, (t, y), (r,), branch)
+        if tally.add(r):
+            tally.witness((t, y), (r,), branch)
     return tally.report(name, grid.summary())
 
 
@@ -339,7 +340,8 @@ def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
         tally = Tally(tol_homotopy)
         for t, y in hgrid.points():
             r = ode_residual_homotopy(f, med, h_map, ht_map, t, y)
-            tally.add(r, (t, y), (r,))
+            if tally.add(r):
+                tally.witness((t, y), (r,))
         reports.append(tally.report(f"ode-residual[homotopy-{f.name}]", hgrid.summary()))
 
     milder_act = milder_action()
@@ -387,9 +389,11 @@ def _tally_recovery(tally: Tally, op: EvolutionOp, t: float, s: float, y: float)
     try:
         got = recover_evolution(op, t, s, y)
     except RootSearchError:
-        tally.add(math.inf, (t, s, y), (want,), "no root on the bounded branch")
+        if tally.add(math.inf):
+            tally.witness((t, s, y), (want,), "no root on the bounded branch")
         return
-    tally.add(abs(got - want) / (1.0 + abs(want)), (t, s, y), (got, want))
+    if tally.add(abs(got - want) / (1.0 + abs(want))):
+        tally.witness((t, s, y), (got, want))
 
 
 def suite_reduction_algebra(config: SuiteConfig) -> list[VerificationReport]:
@@ -487,7 +491,8 @@ def suite_parametric_graph(config: SuiteConfig) -> list[VerificationReport]:
     tally = Tally(REGRAPH_TOL)
     for (x,) in midpoints.points():
         u = U(x)
-        tally.add(abs(u + x * x), (x,), (u, -x * x))
+        if tally.add(abs(u + x * x)):
+            tally.witness((x,), (u, -x * x))
     report = tally.report("regraph[half-turn-parabola]", midpoints.summary())
     notes = (
         f"knots {grid.summary()} 0.01 apart; linear interpolation errs by at most "
@@ -513,7 +518,8 @@ def suite_burgers(config: SuiteConfig) -> list[VerificationReport]:
         mu = rng.uniform(0.1, 1.0)
         x0 = rng.uniform(-2.0, 2.0)
         r = residual(x0, c, d, mu)
-        tally.add(r, (x0, c, d, mu), (r,))
+        if tally.add(r):
+            tally.witness((x0, c, d, mu), (r,))
     reports = [
         tally.report("burgers-soliton-residual", f"20 random parameter tuples, seed={config.seed}")
     ]
@@ -663,7 +669,8 @@ def suite_symbolic_engine(config: SuiteConfig) -> list[VerificationReport]:
         exact = slopes[name, var](*args)[0]
         approx = finite_diff(maps[name], args, var, 1e-5)
         dev = abs(exact - approx) / (1.0 + abs(exact))
-        tally.add(dev, tuple(point.values()), (exact, approx), f"{name} d/d{var}")
+        if tally.add(dev):
+            tally.witness(tuple(point.values()), (exact, approx), f"{name} d/d{var}")
         cases += 1
     reports = [
         tally.report(

@@ -369,7 +369,8 @@ class TestReportInvariant:
     def tallied(devs):
         tally = Tally(1e-9)
         for k, d in enumerate(devs):
-            tally.add(d, (float(k),), ())
+            if tally.add(d):
+                tally.witness((float(k),), ())
         return tally.report("x")
 
     @pytest.mark.parametrize("devs", [[0.0, math.nan], [math.nan, 0.0]])

@@ -103,6 +103,13 @@ class TestSoliton:
         with pytest.raises(ValueError, match=f"soliton parameter {name} must be finite"):
             burgers_soliton(**params)
 
+    @pytest.mark.parametrize("params", [(0.0, 1e200, 1.0, 0.5), (0.0, 1.0, 1.0, 1e-310)])
+    def test_finite_parameters_that_overflow_the_kink_are_bad_input(self, params):
+        # c*c overflows sqrt(c*c + d), or a subnormal mu the rate sqrt(c*c + d)/(2*mu):
+        # the kink was NaN at its center
+        with pytest.raises(ValueError, match="non-finite rate"):
+            burgers_soliton(*params)
+
     def test_a_kink_keeps_its_name(self):
         U = burgers_soliton(0.5, -1.0, 2.0, 0.25)
         assert U.inputs == ("t", "x") and U.name == "soliton[x0=0.5,c=-1,d=2,mu=0.25]"

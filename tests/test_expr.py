@@ -487,6 +487,31 @@ def test_smooth_map_agrees_with_evaluate_output_by_output(outputs, point):
     assert got == want
 
 
+def _call_or_error(call):
+    """The repr of each value a call returns, None for a None, or its error."""
+    try:
+        out = call()
+    except (ExprError, ArithmeticError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+    return None if out is None else tuple(repr(v) for v in out)
+
+
+@given(st.lists(st.recursive(_edge_leaf, _extend, max_leaves=10), min_size=1, max_size=3),
+       _edge_points)
+@settings(max_examples=300)
+@example([Unary("sqrt", Var("x")), exp(Var("y"))], {"x": -1.0, "y": 0.0, "t": 0.0})
+@example([sin(Binary("mul", Var("x"), Var("x"))), exp(Var("y"))], {"x": 1e200, "y": 0.0, "t": 0.0})
+def test_on_domain_is_none_exactly_where_the_map_raises_a_domain_error(outputs, point):
+    m = SmoothMap(("x", "y", "t"), tuple(outputs))
+    args = (point["x"], point["y"], point["t"])
+    got = _call_or_error(lambda: m.on_domain(*args))
+    want = _call_or_error(lambda: m(*args))
+    if isinstance(want, str) and want.startswith("EvalDomainError:"):
+        assert got is None
+    else:
+        assert got == want
+
+
 # the edges of each operation that compiled code leaves to a C function or
 # operator: (expression in x, x); ints as a caller may pass them
 _DOMAIN_EDGES = [

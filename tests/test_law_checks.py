@@ -8,7 +8,7 @@ import json
 import pytest
 
 from semiflow import reduction
-from semiflow.actions import PreconditionError, TimeAction, composition_check, leg_columns
+from semiflow.actions import _UNSEEN, PreconditionError, TimeAction, composition_check, leg_columns
 from semiflow.expr import EvalDomainError, ExprError
 from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
 from semiflow.maps import SmoothMap, map_from_exprs
@@ -50,7 +50,8 @@ def _reference_composition(action, times, grid, tol):
             except EvalDomainError:
                 tally.skip()
                 continue
-            tally.add(deviation(lhs, rhs), (t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")
+            if tally.add(deviation(lhs, rhs)):
+                tally.witness((t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")
     return tally.report(f"composition[{action.name}]", grid.summary())
 
 
@@ -72,8 +73,8 @@ def _reference_two_time_law(op, triples, grid, tol):
             ref = try_leg(t, r, x)
             if out is None or ref is None:
                 tally.skip()
-            else:
-                tally.add(deviation(out, ref), (t, s, r, *x), (*out, *ref))
+            elif tally.add(deviation(out, ref)):
+                tally.witness((t, s, r, *x), (*out, *ref))
     seen = set()
     for t, s, _ in triples:
         if (t, s) in seen or t == s:
@@ -89,19 +90,27 @@ def _reference_two_time_law(op, triples, grid, tol):
                 if back is None:
                     tally.skip()
                     continue
-                tally.add(deviation(back, x), (a, b, *x), back, "inverse identity")
+                if tally.add(deviation(back, x)):
+                    tally.witness((a, b, *x), back, "inverse identity")
     return tally.report(f"two-time-law[{op.name}]", grid.summary())
 
 
 def _outcome(monkeypatch, check, *args):
-    """Every `Tally` event of a run in order, by repr (so -0.0 is not 0.0),
-    then the report's JSON or the error the run raised."""
+    """Every `Tally` event of a run in order, by repr (so -0.0 is not 0.0):
+    each deviation added and whether it was asked for as a witness, each
+    witness kept and each skip; then the report's JSON or the error the
+    run raised."""
     events = []
-    add, skip = Tally.add, Tally.skip
+    add, witness, skip = Tally.add, Tally.witness, Tally.skip
 
-    def logged_add(self, d, point, values, note=""):
-        events.append(repr((d, point, values, note)))
-        add(self, d, point, values, note)
+    def logged_add(self, d):
+        asked = add(self, d)
+        events.append(repr(("add", d, asked)))
+        return asked
+
+    def logged_witness(self, point, values, note=""):
+        events.append(repr(("witness", point, values, note)))
+        witness(self, point, values, note)
 
     def logged_skip(self):
         events.append("skip")
@@ -109,6 +118,7 @@ def _outcome(monkeypatch, check, *args):
 
     with monkeypatch.context() as patch:
         patch.setattr(Tally, "add", logged_add)
+        patch.setattr(Tally, "witness", logged_witness)
         patch.setattr(Tally, "skip", logged_skip)
         try:
             report = check(*args)
@@ -163,7 +173,8 @@ def test_composition_raises_the_sin_overflow_at_its_pair(monkeypatch):
     # the first pair passes its 5 points; the second raises at its last
     events, name, _ = _outcome(monkeypatch, composition_check,
                                *COMPOSITION_CASES["sin-overflow"], TOL)
-    assert name == "ValueError" and len(events) == 9 and "skip" not in events
+    adds = [e for e in events if e.startswith("('add'")]
+    assert name == "ValueError" and len(adds) == 9 and "skip" not in events
 
 
 _GLS_TIMES = (0.25, 1.0, 2.25)
@@ -210,17 +221,38 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _count_legs(monkeypatch):
+    """Count the calls of every map's `on_domain` form from now on."""
+    calls = [0]
+    original = SmoothMap.on_domain.func
+
+    def counted_form(self):
+        on_domain = original(self)
+
+        def counted(*args):
+            calls[0] += 1
+            return on_domain(*args)
+
+        return counted
+
+    monkeypatch.setattr(SmoothMap, "on_domain", property(counted_form))
+    return calls
+
+
 def test_gls_semigroup_evaluates_each_grid_leg_once(monkeypatch):
     # 25 pairs (t, s) over 205 grid points: every mid leg H(t, H(s, y)) is
     # checked once per pair (25 * 205), and the legs H(tau, y) on the grid
     # once per distinct time tau in {0, 1/4, ..., 2} (9 * 205); the plain
     # loop evaluated 3 legs per pair and point, 15,375 map calls. The
-    # validity predicate is called as often, at the same points.
+    # validity predicate is called as often, at the same points. Every leg
+    # is the map's `on_domain` form, so no leg calls the map itself.
     maps = _count_calls(monkeypatch, SmoothMap, "__call__")
+    legs = _count_legs(monkeypatch)
     validity = _count_calls(monkeypatch, reduction, "_gls_on_branch")
     reports = SUITES["gls-semigroup"](SuiteConfig())
     assert reports[0].passed and reports[0].checked == 25 * 205
-    assert maps[0] == 25 * 205 + 9 * 205 == 6970
+    assert legs[0] == 25 * 205 + 9 * 205 == 6970
+    assert maps[0] == 0
     assert validity[0] == 6970
 
 
@@ -228,10 +260,14 @@ def test_leg_columns_share_a_column_from_its_first_reader_to_its_last():
     passes = [((1.0,), (2.0,)), ((1.0,), (0.0,)), ((-0.0,), (0.0,)), ((3.0,), (3.0,))]
     columns = leg_columns(passes, 4)
     first, second, third, fourth = (next(columns) for _ in passes)
-    # 1.0 and 0.0 are read twice, 2.0 and -0.0 once: those get no column
-    assert first[0] is second[0] and len(first[0]) == 4 and first[1] is None
-    assert second[1] is third[1] and second[1] is not first[0] and third[0] is None
+    # 1.0 and 0.0 are read twice, 2.0 and -0.0 once: those get a column of
+    # their own, which the memo never keeps
+    assert first[0] is second[0] and first[1] is not first[0]
+    assert second[1] is third[1] and second[1] is not first[0]
+    assert all(third[0] is not c for c in (*first, *second, third[1]))
     # a key read twice by one pass shares its column there
-    assert fourth[0] is fourth[1] is not None
+    assert fourth[0] is fourth[1]
+    # every column has one unseen entry per grid point
+    assert all(len(c) == 4 and set(map(id, c)) == {id(_UNSEEN)} for c in (*first, *second, *third, *fourth))
     # the memo drops each column after its last reader
     assert columns.gi_frame.f_locals["live"] == {(3.0, 1.0): fourth[0]}

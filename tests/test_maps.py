@@ -54,6 +54,30 @@ class TestSmoothMap:
             m("a", 1.0)
         assert not isinstance(info.value, ExprError)
 
+    def test_on_domain_returns_none_where_the_call_raises_a_domain_error(self):
+        m = map_from_exprs(("x", "y"), ["sqrt(x) + y", "log(y)"])
+        assert m.on_domain(4.0, 1.0) == m(4.0, 1.0) == (3.0, 0.0)
+        for args in [(-1.0, 1.0), (4.0, 0.0), (math.nan, -1.0)]:
+            with pytest.raises(EvalDomainError):
+                m(*args)
+            assert m.on_domain(*args) is None
+        assert m.on_domain is m.on_domain  # built once per map
+
+    def test_on_domain_lets_every_other_error_through(self):
+        # sin of a product that overflowed to inf raises ValueError, not a domain error
+        m = scalar_map(("x",), "sin(exp(x)*exp(x))")
+        with pytest.raises(ValueError) as info:
+            m.on_domain(400.0)
+        assert not isinstance(info.value, ExprError)
+        # a wrong arity names the map's inputs, as a call does
+        two = map_from_exprs(("t", "y"), ["t + y"])
+        for args in [(1.0, 2.0, 3.0), (1.0,), ()]:
+            with pytest.raises(ExprError, match=rf"^expected 2 arguments \(\('t', 'y'\)\), got {len(args)}$"):
+                two.on_domain(*args)
+        with pytest.raises(TypeError) as info:
+            two.on_domain("a", 1.0)
+        assert not isinstance(info.value, ExprError)
+
     def test_outputs_compile_once_per_map(self, monkeypatch):
         import semiflow.maps as maps
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semiflow.report import VerificationReport, Tally, Witness, deviation, nan_max
+from semiflow.report import WITNESS_CAP, VerificationReport, Tally, Witness, deviation, nan_max
 
 TOL = 1e-9
 
@@ -55,17 +55,53 @@ def test_tally_matches_the_plain_rule(events):
         if d is None:
             tally.skip()
         else:
-            tally.add(d, (float(k),), (d,), "n")
+            if tally.add(d):
+                tally.witness((float(k),), (d,), "n")
             k += 1
     got, want = tally.report("s", "g"), reference_report(events)
     # NaN != NaN, so compare the JSON text, where NaN is the string "nan"
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.floats(0.0, 1e-8), st.sampled_from([TOL, 2 * TOL, math.nan, math.inf])),
+                max_size=40))
+def test_add_asks_for_exactly_the_first_failing_points(devs):
+    # add answers True for the first WITNESS_CAP deviations not <= tol, a NaN
+    # too; witness keeps each such point in the order it was sampled
+    tally = Tally(TOL)
+    asked = []
+    for k, d in enumerate(devs):
+        if tally.add(d):
+            asked.append(k)
+            tally.witness((float(k),), (d,), "n")
+    failing = [k for k, d in enumerate(devs) if not d <= TOL]
+    assert asked == failing[:WITNESS_CAP]
+    assert [w.point for w in tally.witnesses] == [(float(k),) for k in asked]
+    assert tally.checked == len(devs)
+
+
+def test_a_passing_point_is_never_asked_for():
+    tally = Tally(TOL)
+    assert [tally.add(d) for d in (0.0, TOL, -math.inf, 0.5 * TOL)] == [False] * 4
+    assert tally.witnesses == [] and tally.checked == 4
+
+
+def test_add_stops_asking_once_the_cap_is_kept():
+    tally = Tally(TOL)
+    for k in range(WITNESS_CAP):
+        assert tally.add(math.inf)
+        tally.witness((float(k),), ())
+    assert not tally.add(math.nan) and not tally.add(1.0)
+    rep = tally.report("s")
+    assert len(rep.witnesses) == WITNESS_CAP and math.isnan(rep.max_deviation)
+
+
 def test_a_nan_deviation_gets_a_witness_and_fails():
     tally = Tally(TOL)
-    tally.add(0.0, (0.0,), ())
-    tally.add(math.nan, (1.0,), ())
+    assert not tally.add(0.0)
+    assert tally.add(math.nan)
+    tally.witness((1.0,), ())
     rep = tally.report("s")
     assert not rep.passed and math.isnan(rep.max_deviation)
     assert [w.point for w in rep.witnesses] == [(1.0,)]
@@ -77,8 +113,9 @@ def _no_constants(name):
 
 def test_non_finite_values_are_strict_json():
     tally = Tally(TOL)
-    tally.add(0.0, (0.0, 0.0), ())
-    tally.add(math.nan, (math.inf, 1.0), (-math.inf, math.nan))
+    tally.add(0.0)
+    if tally.add(math.nan):
+        tally.witness((math.inf, 1.0), (-math.inf, math.nan))
     rep = tally.report("s")
     doc = json.loads(json.dumps(rep.to_dict()), parse_constant=_no_constants)
     assert doc["max_deviation"] == "nan" and doc["tolerance"] == TOL
@@ -88,7 +125,7 @@ def test_non_finite_values_are_strict_json():
 
 def test_half_skipped_is_still_conclusive():
     tally = Tally(TOL)
-    tally.add(0.0, (0.0,), ())
+    tally.add(0.0)
     tally.skip()
     assert tally.report("s").passed
     tally.skip()
@@ -107,7 +144,8 @@ def test_a_tally_does_not_grow_with_its_points():
     tracemalloc.start()
     try:
         for k in range(100_000):
-            tally.add(k * 1e-13, (float(k),), ())
+            if tally.add(k * 1e-13):
+                tally.witness((float(k),), ())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
