@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 from .expr import EvalDomainError, ExprError
 from .grids import SamplingGrid, _near_pairs
 from .maps import SmoothMap
-from .report import Tally, VerificationReport, Witness, deviation, max_norm
+from .report import Tally, VerificationReport, Witness, deviation, max_norm, nan_max
 from .rootfind import RootSearchError, bisect, scan_brackets
 
 
@@ -35,29 +35,39 @@ class PreconditionError(ValueError):
 class TimeAction:
     """A parametrized family (t, y) -> H(t, y) acting on an l-dimensional state.
 
-    The map is a SmoothMap in (time_var, *state_vars); `validity` restricts
-    the usable region of (t, y) when the defining formula has a bounded
-    domain (e.g. a radicand that must stay nonnegative). It must be a pure
-    function of (t, y): a check may call it once per distinct point and
-    reuse the verdict (`composition_check` does, on the grid).
+    The family is its map, a SmoothMap R^(l+1) -> R^l: the map's first
+    input is the time variable, the others are the state variables, and
+    its outputs give the dimension l. `validity` restricts the usable
+    region of (t, y) when the defining formula has a bounded domain (e.g.
+    a radicand that must stay nonnegative). It must be a pure function of
+    (t, y): a check may call it once per distinct point and reuse the
+    verdict (`composition_check` does, on the grid).
     """
 
     name: str
-    dim: int
     time_domain: str  # "nonneg" | "full"
-    time_var: str
-    state_vars: tuple[str, ...]
     map: SmoothMap
     validity: Callable[[float, tuple[float, ...]], bool] | None = None
 
     def __post_init__(self):
         if self.time_domain not in ("nonneg", "full"):
             raise ValueError("time_domain must be 'nonneg' or 'full'")
-        if self.map.in_dim != 1 + self.dim or self.map.out_dim != self.dim:
+        if self.map.in_dim != self.map.out_dim + 1:
             raise ExprError(
-                f"action map must be R^{1 + self.dim} -> R^{self.dim}; got "
-                f"{self.map.in_dim} -> {self.map.out_dim}"
+                f"action map must be R^(l+1) -> R^l; got {self.map.in_dim} -> {self.map.out_dim}"
             )
+
+    @property
+    def dim(self) -> int:
+        return self.map.out_dim
+
+    @property
+    def time_var(self) -> str:
+        return self.map.inputs[0]
+
+    @property
+    def state_vars(self) -> tuple[str, ...]:
+        return self.map.inputs[1:]
 
     def time_ok(self, t: float) -> bool:
         return self.time_domain == "full" or t >= 0.0
@@ -71,7 +81,7 @@ class TimeAction:
         return self.map(t, *y)
 
     def call1(self, t: float, y: float) -> float:
-        if self.dim != 1:
+        if len(self.map.outputs) != 1:  # self.dim, inlined: a per-point call
             raise ExprError("call1 requires a 1-dimensional state")
         return self(t, (y,))[0]
 
@@ -363,7 +373,9 @@ def injectivity_probe(m: SmoothMap, grid: SamplingGrid, tol: float) -> Verificat
 
     passed=True means no collision was found on this grid (never a global
     certificate). For a found collision, max_deviation records the witness
-    pair's separation, so a failing report's deviation is macroscopic.
+    pair's separation, so a failing report's deviation is macroscopic. A
+    derivative sign change whose colliding pair was not located measured
+    no separation: its deviation is NaN, which fails every tolerance.
 
     A 1-D map is probed through the sign changes of its derivative. A map
     of two or more variables is probed pairwise through a neighbour-cell
@@ -377,18 +389,17 @@ def injectivity_probe(m: SmoothMap, grid: SamplingGrid, tol: float) -> Verificat
         notes.append(f"derivative-sign-constant={ev.sign_constant}")
     if ev.unbounded is not None:
         notes.append(f"endpoint-growth={ev.unbounded}")
-    sep = 0.0
-    for w in ev.witnesses:
-        if len(w.point) == 2 * m.in_dim:
-            half = m.in_dim
-            sep = max(
-                sep,
-                max(abs(a - b) for a, b in zip(w.point[:half], w.point[half:])),
-            )
+    half = m.in_dim
+    seps = [
+        max(abs(a - b) for a, b in zip(w.point[:half], w.point[half:]))
+        if len(w.point) == 2 * half
+        else math.nan
+        for w in ev.witnesses
+    ]
     return VerificationReport(
         suite=f"injectivity[{m.name or 'map'}]",
         passed=not ev.witnesses,
-        max_deviation=sep,
+        max_deviation=nan_max([0.0, *seps]),
         tolerance=tol,
         grid=grid.summary(),
         witnesses=ev.witnesses,

@@ -110,10 +110,7 @@ def sqrt_action() -> TimeAction:
     """H(t,y) = y + sqrt(t)*y^2 on t in [0, inf); not C^1 at t = 0."""
     return TimeAction(
         name="sqrt-action",
-        dim=1,
         time_domain="nonneg",
-        time_var="t",
-        state_vars=("y",),
         map=scalar_map(("t", "y"), "y + sqrt(t)*y^2", name="sqrt-action"),
     )
 
@@ -122,10 +119,7 @@ def milder_action() -> TimeAction:
     """H(t,y) = y + t*y^2, smooth on all of R x R yet never a diffeomorphism for t != 0."""
     return TimeAction(
         name="milder-action",
-        dim=1,
         time_domain="full",
-        time_var="t",
-        state_vars=("y",),
         map=scalar_map(("t", "y"), "y + t*y^2", name="milder-action"),
     )
 
@@ -134,10 +128,7 @@ def cuberoot_group_action() -> TimeAction:
     """Y(t) = (3t + y^3)^(1/3): the flow of dY/dt = 1/Y^2, a full group action."""
     return TimeAction(
         name="cuberoot-action",
-        dim=1,
         time_domain="full",
-        time_var="t",
-        state_vars=("y",),
         map=scalar_map(("t", "y"), "cbrt(3*t + y^3)", name="cuberoot-action"),
     )
 
@@ -155,7 +146,7 @@ def sqrt_ode_system(branch: str = "minus") -> OdeSystem:
     sign = _known_branch({"plus": "+", "minus": "-"}, branch)
     rhs = f"(1 + 2*sqrt(t)*y {sign} sqrt(1 + 4*sqrt(t)*y))/(4*t*sqrt(t))"
     return OdeSystem(
-        f"sqrt-ode-{branch}", "nonautonomous", 1, scalar_map(("t", "y"), rhs, f"sqrt-rhs-{branch}"),
+        f"sqrt-ode-{branch}", scalar_map(("t", "y"), rhs, f"sqrt-rhs-{branch}"),
         validity=lambda t, y: t > 0.0 and 1.0 + 4.0 * math.sqrt(t) * y[0] >= 0.0,
     )
 
@@ -168,22 +159,22 @@ def milder_ode_system(branch: str = "regular") -> OdeSystem:
         "singular": "(1 + 2*t*y + sqrt(1 + 4*t*y))/(2*t^2)",
     }
     rhs = _known_branch(forms, branch)
-    return OdeSystem(
-        f"milder-ode-{branch}", "nonautonomous", 1, scalar_map(("t", "y"), rhs, f"milder-rhs-{branch}")
-    )
+    return OdeSystem(f"milder-ode-{branch}", scalar_map(("t", "y"), rhs, f"milder-rhs-{branch}"))
 
 
 def cuberoot_ode_system() -> OdeSystem:
     """dY/dt = 1/Y^2, whose flow is the cube-root action."""
     rhs = scalar_map(("y",), "1/y^2", name="inverse-square")
-    return OdeSystem("cuberoot-ode", "autonomous", 1, rhs, validity=lambda t, y: y[0] != 0.0)
+    return OdeSystem("cuberoot-ode", rhs, validity=lambda t, y: y[0] != 0.0)
 
 
 def ode_residual_map(action: TimeAction, system: OdeSystem) -> SmoothMap:
     """dH/dt - rhs(t, H(t, y)) as one map of (t, y), with the exact t-derivative:
-    zero, up to rounding, wherever the 1-D action H solves `system`."""
+    zero, up to rounding, wherever the 1-D action H solves `system`. The
+    system's own time and state variables stand for the action's t and H."""
     (h,) = action.map.outputs
-    rhs = substitute_many(system.rhs.outputs[0], {action.state_vars[0]: h})
+    at = (h,) if system.autonomous else (Var(action.time_var), h)
+    rhs = substitute_many(system.rhs.outputs[0], dict(zip(system.rhs.inputs, at)))
     return SmoothMap(action.map.inputs, (diff(h, action.time_var) - rhs,), f"residual[{system.name}]")
 
 
@@ -207,10 +198,7 @@ def homotopy_action(f: SmoothMap, g: MediatorFunction) -> TimeAction:
     )
     return TimeAction(
         name=f"homotopy[{f.name or 'f'}]",
-        dim=f.in_dim,
         time_domain="nonneg",
-        time_var="t",
-        state_vars=f.inputs,
         map=SmoothMap(("t", *f.inputs), outputs, name=f"homotopy[{f.name or 'f'}]"),
     )
 
@@ -393,9 +381,10 @@ class DiffeoClassifier:
     @cached_property
     def _compiled(self) -> tuple[Callable[[float, float], float], ...]:
         """dH/dy and d2H/dy2 as compiled functions of (t, y), built once."""
-        params = (self.action.time_var, self.action.state_vars[0])
-        slope = diff(self.action.map.outputs[0], params[1])
-        return compile_expr(slope, params), compile_expr(diff(slope, params[1]), params)
+        m = self.action.map
+        (state,) = self.action.state_vars
+        slope = diff(m.outputs[0], state)
+        return compile_expr(slope, m.inputs), compile_expr(diff(slope, state), m.inputs)
 
     def slope_attains_zero(self, t: float) -> bool:
         """Does dH(t,.)/dy reach zero somewhere? The y-grid is extended by an

@@ -34,12 +34,13 @@ compiled code is tested against. The compiled code calls no guard:
 integer-valued constant raise by themselves (ValueError, ZeroDivisionError,
 OverflowError) exactly where the guards raise. One boundary,
 `raise_from_tree_walk`, turns such an error into the tree walk's own,
-message and all, at the three places compiled code is called: in the
+message and all, at the four places compiled code is called: in the
 `except` clause of every function `compile_expr` returns, in
-`SmoothMap.__call__` and in the RK4 kernel's failed stage. It runs only on
-the error path, so a call that raises nothing pays nothing for it, and
-the caller of a map or of a `compile_expr` function sees only the tree
-walk's errors.
+`SmoothMap.__call__`, in `SmoothMap.on_domain` (which turns the tree
+walk's EvalDomainError into None) and in the RK4 kernel's failed stage.
+It runs only on the error path, so a call that raises nothing pays
+nothing for it, and the caller of a map or of a `compile_expr` function
+sees only the tree walk's errors.
 
 Grammar (whitespace-insensitive)::
 

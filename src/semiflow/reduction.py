@@ -62,24 +62,28 @@ class IntegrationError(Exception):
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """Explicit first-order system; the RHS is a SmoothMap of (t, y...) or
-    just (y...)."""
+    """Explicit first-order system dY/dt = rhs on R^l, where rhs is a
+    SmoothMap of (t, y1..yl) or, for an autonomous system, of (y1..yl)
+    alone: the map's shape gives the dimension and the autonomy."""
 
     name: str
-    kind: str  # "autonomous" | "nonautonomous"
-    dim: int
     rhs: SmoothMap
     validity: Callable[[float, tuple[float, ...]], bool] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("autonomous", "nonautonomous"):
-            raise ValueError("kind must be 'autonomous' or 'nonautonomous'")
-        want = self.dim if self.kind == "autonomous" else self.dim + 1
-        if self.rhs.in_dim != want or self.rhs.out_dim != self.dim:
+        if self.rhs.in_dim - self.rhs.out_dim not in (0, 1):
             raise ValueError(
-                f"{self.kind} RHS must be R^{want} -> R^{self.dim}; got "
+                "RHS must be R^l -> R^l or R^(l+1) -> R^l; got "
                 f"{self.rhs.in_dim} -> {self.rhs.out_dim}"
             )
+
+    @property
+    def dim(self) -> int:
+        return self.rhs.out_dim
+
+    @property
+    def autonomous(self) -> bool:
+        return self.rhs.in_dim == self.rhs.out_dim
 
     def valid_at(self, t: float, y: Sequence[float]) -> bool:
         return self.validity is None or self.validity(t, tuple(y))
@@ -87,7 +91,7 @@ class OdeSystem:
 
 def augment_system(sys: OdeSystem) -> OdeSystem:
     """Adjoin time as the first state coordinate with derivative 1."""
-    if sys.kind != "nonautonomous":
+    if sys.autonomous:
         raise ValueError("only non-autonomous systems are augmented")
     rhs = SmoothMap(
         sys.rhs.inputs, (Const(1.0), *sys.rhs.outputs), name=f"augmented[{sys.name}]"
@@ -95,13 +99,7 @@ def augment_system(sys: OdeSystem) -> OdeSystem:
     validity = None
     if sys.validity is not None:
         validity = lambda _t, state: sys.validity(state[0], state[1:])  # noqa: E731
-    return OdeSystem(
-        name=f"augmented[{sys.name}]",
-        kind="autonomous",
-        dim=sys.dim + 1,
-        rhs=rhs,
-        validity=validity,
-    )
+    return OdeSystem(f"augmented[{sys.name}]", rhs, validity)
 
 
 _CSV_BLOCK = 512  # rows per `%` in Trajectory.write_csv
@@ -212,7 +210,7 @@ def integrate_flow(
     if not sys.valid_at(a, y0):
         raise IntegrationError("RHS invalid at the starting point", a)
     mesh = _time_mesh(a, t_end, steps, spacing)
-    kernel = _rk4_kernel(sys.rhs.inputs, sys.rhs.outputs, sys.kind == "autonomous")
+    kernel = _rk4_kernel(sys.rhs.inputs, sys.rhs.outputs)
     columns = kernel(mesh, sys.validity, *(float(v) for v in y0))
     return Trajectory(mesh, columns, steps, eps_start, spacing)
 
@@ -279,10 +277,11 @@ def _stage_failed(
 
 @lru_cache(maxsize=64)
 def _rk4_kernel(
-    inputs: tuple[str, ...], outputs: tuple[Expr, ...], autonomous: bool
+    inputs: tuple[str, ...], outputs: tuple[Expr, ...]
 ) -> Callable[..., tuple[array, ...]]:
     """RK4 over a fixed mesh for the RHS `outputs` of `inputs`, as
-    straight-line code.
+    straight-line code: of the state alone when there are as many inputs
+    as outputs, else of the time and the state.
 
     `kernel(mesh, validity, y1, ..., ydim)` returns one `array('d')`
     column per component holding its value at every mesh time. Each
@@ -309,6 +308,7 @@ def _rk4_kernel(
     """
     _check_params(inputs)
     dim = len(outputs)
+    autonomous = len(inputs) == dim
 
     def cols(template: str) -> str:
         return ", ".join(template.format(i=i) for i in range(dim))
@@ -421,10 +421,7 @@ def gls_one_time_op() -> TimeAction:
     """The autonomous operator one dimension up: E_A(s)(t,y) = (t+s, E(t,t+s)(y))."""
     return TimeAction(
         name="sqrt-gls-evolution",
-        dim=2,
         time_domain="nonneg",
-        time_var="s",
-        state_vars=("t", "y"),
         map=SmoothMap(
             ("s", "t", "y"),
             (parse_expr("t + s"), _gls_closed_form("t", "t + s")),
@@ -439,12 +436,7 @@ def gls_one_time_op() -> TimeAction:
 
 
 def quadratic_system() -> OdeSystem:
-    return OdeSystem(
-        name="quadratic",
-        kind="nonautonomous",
-        dim=1,
-        rhs=map_from_exprs(("t", "y"), ["2*t"], name="quadratic-rhs"),
-    )
+    return OdeSystem("quadratic", map_from_exprs(("t", "y"), ["2*t"], name="quadratic-rhs"))
 
 
 def quadratic_two_time_op() -> EvolutionOp:
@@ -459,10 +451,7 @@ def quadratic_two_time_op() -> EvolutionOp:
 def quadratic_one_time_op() -> TimeAction:
     return TimeAction(
         name="quadratic-evolution",
-        dim=2,
         time_domain="full",
-        time_var="s",
-        state_vars=("t", "y"),
         map=map_from_exprs(
             ("s", "t", "y"), ["t + s", "s*s + 2*s*t + y"], name="quadratic-evolution"
         ),

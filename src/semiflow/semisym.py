@@ -46,21 +46,23 @@ from .report import Tally, VerificationReport, Witness, nan_max
 
 @dataclass(frozen=True)
 class ParametricFunction:
-    """A chart params -> (base..., value) whose image is a curve/surface in M."""
+    """A chart params -> (base..., value) whose image is a curve/surface in M:
+    the chart's inputs are the parameters, its last output is the value and
+    the outputs before it are the base coordinates."""
 
-    params: tuple[str, ...]
     chart: SmoothMap
-    base_dim: int
 
-    def __post_init__(self):
-        if self.chart.in_dim != len(self.params):
-            raise ExprError("chart arity must match the parameter count")
-        if self.chart.out_dim != self.base_dim + 1:
-            raise ExprError("chart must emit base coordinates plus one value")
+    @property
+    def params(self) -> tuple[str, ...]:
+        return self.chart.inputs
+
+    @property
+    def base_dim(self) -> int:
+        return self.chart.out_dim - 1
 
     def sample(self, point: Sequence[float]) -> tuple[tuple[float, ...], float]:
         out = self.chart.at(point)
-        return out[: self.base_dim], out[self.base_dim]
+        return out[:-1], out[-1]
 
 
 def canonical_parametric(U: SmoothMap) -> ParametricFunction:
@@ -72,20 +74,23 @@ def canonical_parametric(U: SmoothMap) -> ParametricFunction:
         tuple(Var(v) for v in U.inputs) + (U.outputs[0],),
         name=f"graph[{U.name or 'U'}]",
     )
-    return ParametricFunction(U.inputs, chart, U.in_dim)
+    return ParametricFunction(chart)
 
 
 def act(f: SmoothMap, V: ParametricFunction) -> ParametricFunction:
     """The action of an ambient self-map on a chart: plain composition f∘V.
 
-    Defined for every smooth f, invertible or not; the result is again a
-    chart, though not necessarily the graph of any function.
+    Defined for every smooth self-map f of the ambient space, invertible or
+    not; the result is again a chart, though not necessarily the graph of
+    any function.
     """
-    if f.in_dim != V.chart.out_dim:
+    n = V.chart.out_dim
+    if f.in_dim != n or f.out_dim != n:
         raise ExprError(
-            f"ambient map expects {f.in_dim} coordinates, chart yields {V.chart.out_dim}"
+            f"ambient map must be a self-map of the chart's R^{n}; "
+            f"got R^{f.in_dim} -> R^{f.out_dim}"
         )
-    return ParametricFunction(V.params, compose(f, V.chart), V.base_dim)
+    return ParametricFunction(compose(f, V.chart))
 
 
 def is_graph(

@@ -561,12 +561,7 @@ def suite_burgers(config: SuiteConfig) -> list[VerificationReport]:
     c, d = 0.8, 0.5
     frozen = flow.map.freeze(c=c, d=d)
     position = TimeAction(
-        "soliton-position-flow",
-        1,
-        "nonneg",
-        "t",
-        ("a",),
-        SmoothMap(frozen.inputs, frozen.outputs[:1]),
+        "soliton-position-flow", "nonneg", SmoothMap(frozen.inputs, frozen.outputs[:1])
     )
     reports.append(
         _dichotomy_report(

@@ -29,9 +29,9 @@ from semiflow.enforcing import (
     sqrt_mediator,
     square_map,
 )
-from semiflow.expr import EvalDomainError, parse_expr
+from semiflow.expr import EvalDomainError, ExprError, parse_expr
 from semiflow.grids import grid1d, grid2d
-from semiflow.maps import SmoothMap, identity_map, scalar_map
+from semiflow.maps import SmoothMap, identity_map, map_from_exprs, scalar_map
 from semiflow.reduction import gls_one_time_op
 from semiflow.report import Tally, Witness, deviation
 
@@ -39,18 +39,22 @@ from semiflow.report import Tally, Witness, deviation
 def identity_action() -> TimeAction:
     return TimeAction(
         name="identity-action",
-        dim=1,
         time_domain="nonneg",
-        time_var="t",
-        state_vars=("y",),
         map=SmoothMap(("t", "y"), (parse_expr("y"),), name="identity-action"),
     )
 
 
 class TestTimeAction:
     def test_arity_validation(self):
-        with pytest.raises(Exception):
-            TimeAction("bad", 2, "nonneg", "t", ("y",), scalar_map(("t", "y"), "y"))
+        # a map R^3 -> R^1 is no family of self-maps of any R^l
+        with pytest.raises(ExprError, match=r"must be R\^\(l\+1\) -> R\^l; got 3 -> 1$"):
+            TimeAction("bad", "nonneg", scalar_map(("t", "y", "z"), "y"))
+
+    def test_shape_is_read_from_the_map(self):
+        rotation = map_from_exprs(("s", "x", "u"), ["x*cos(s) - u*sin(s)", "x*sin(s) + u*cos(s)"])
+        action = TimeAction("rotation", "full", rotation)
+        assert (action.dim, action.time_var, action.state_vars) == (2, "s", ("x", "u"))
+        assert action.frozen_map(0.5).inputs == ("x", "u")
 
     def test_time_domain_enforced(self):
         with pytest.raises(EvalDomainError):
@@ -78,7 +82,7 @@ class TestIdentityCheck:
 
     def test_failing_identity_collects_witnesses(self):
         shifted = TimeAction(
-            "shifted", 1, "nonneg", "t", ("y",),
+            "shifted", "nonneg",
             SmoothMap(("t", "y"), (parse_expr("y + 1"),)),
         )
         rep = identity_check(shifted, grid1d(-1.0, 1.0, 5), 1e-12)
@@ -87,7 +91,7 @@ class TestIdentityCheck:
     def test_nan_deviation_carries_a_witness(self):
         # y*1e308*10 overflows to inf, and inf - inf is NaN at every point
         overflowing = TimeAction(
-            "overflowing", 1, "nonneg", "t", ("y",),
+            "overflowing", "nonneg",
             SmoothMap(("t", "y"), (parse_expr("y + (y*1e308*10 - y*1e308*10)"),)),
         )
         rep = identity_check(overflowing, grid1d(0.5, 1.0, 3), 1e-12)
@@ -98,7 +102,7 @@ class TestIdentityCheck:
         # 2 of 21 points lie in the validity region: the exact identity
         # must not pass on a tenth of its grid
         guarded = TimeAction(
-            "guarded", 1, "nonneg", "t", ("y",),
+            "guarded", "nonneg",
             SmoothMap(("t", "y"), (parse_expr("y"),)),
             validity=lambda t, y: y[0] > 0.85,
         )
@@ -134,7 +138,7 @@ class TestCompositionCheck:
     def test_nan_deviation_carries_a_witness(self):
         # t*1e308*10 - t*1e308*10 is 0 at t = 0 and NaN for every t > 0
         action = TimeAction(
-            "nan-for-positive-t", 1, "nonneg", "t", ("y",),
+            "nan-for-positive-t", "nonneg",
             SmoothMap(("t", "y"), (parse_expr("y + (t*1e308*10 - t*1e308*10)"),)),
         )
         rep = composition_check(action, [(1.0, 1.0)], grid1d(0.5, 1.0, 3), 1e-9)
@@ -151,7 +155,7 @@ class TestCompositionCheck:
 
     def test_mostly_skipped_is_inconclusive(self):
         guarded = TimeAction(
-            "guarded", 1, "nonneg", "t", ("y",),
+            "guarded", "nonneg",
             SmoothMap(("t", "y"), (parse_expr("y"),)),
             validity=lambda t, y: y[0] > 0.9,
         )
@@ -192,6 +196,14 @@ class TestInjectivityProbe:
         # the first 8 pairs in grid order: (-2, y_k) and its mirror (2, y_k)
         assert [w.point for w in rep.witnesses] == [(-2.0, y, 2.0, y) for y in ys[:8]]
         assert rep.max_deviation == 4.0
+
+    def test_a_sign_change_without_a_located_pair_fails_its_tolerance(self):
+        # y^2 turns at 0, but on [-3, 0.01] the partners of the points tried
+        # left of 0 lie past the grid's right end: no pair is located
+        rep = injectivity_probe(scalar_map(("y",), "y^2"), grid1d(-3.0, 0.01, 41), 1e-9)
+        assert [w.note for w in rep.witnesses] == ["derivative sign change (no pair located)"]
+        assert not rep.passed and not rep.max_deviation <= rep.tolerance
+        assert rep.passed == (rep.max_deviation <= rep.tolerance and not rep.inconclusive)
 
     def test_arity_requirement(self):
         with pytest.raises(Exception):

@@ -16,6 +16,7 @@ from semiflow.enforcing import (
     MediatorFunction,
     bump_map,
     cuberoot_group_action,
+    cuberoot_ode_system,
     diffeo_classifier,
     diffeo_time_set,
     homotopy_action,
@@ -41,6 +42,7 @@ from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
 from semiflow.maps import identity_map, scalar_map
 from semiflow.actions import TimeAction
 from semiflow.maps import SmoothMap
+from semiflow.reduction import OdeSystem
 from semiflow.rootfind import RootSearchError, bisect
 from semiflow.suites import LIMIT_IC_EPS, NOT_C1_TOL
 
@@ -227,9 +229,7 @@ class TestLimitInitialCondition:
         assert rep.max_deviation == pytest.approx(2.0 * math.sqrt(1e-10) / 3.0, rel=1e-12)
 
     def test_constant_action_is_exact(self):
-        const = TimeAction(
-            "still", 1, "nonneg", "t", ("y",), SmoothMap(("t", "y"), (parse_expr("y"),))
-        )
+        const = TimeAction("still", "nonneg", SmoothMap(("t", "y"), (parse_expr("y"),)))
         rep = limit_ic_check(const, 5.0, [1e-2, 1e-6, 1e-9], 1e-12)
         assert rep.passed and rep.max_deviation == 0.0
 
@@ -320,7 +320,7 @@ class TestDiffeoClassification:
     def test_grid_points_off_the_slopes_domain_are_skipped(self, text, attains):
         # dH/dy = 1 +- t/(2*sqrt(y)) raises at y <= 0, half of the grid; its
         # zero, if any, is at y = t^2/4, inside the other half
-        action = TimeAction("half", 1, "nonneg", "t", ("y",), scalar_map(("t", "y"), text))
+        action = TimeAction("half", "nonneg", scalar_map(("t", "y"), text))
         slope = diff(action.map.outputs[0], "y")
         with pytest.raises(EvalDomainError, match=r"^sqrt of negative argument -1\.0$"):
             evaluate(slope, {"t": 1.0, "y": -1.0})
@@ -330,12 +330,54 @@ class TestDiffeoClassification:
         assert probe.slope_attains_zero(1.0) is attains
 
     def test_identity_always_diffeo(self):
-        ident = TimeAction(
-            "still", 1, "nonneg", "t", ("y",), SmoothMap(("t", "y"), (parse_expr("y"),))
-        )
+        ident = TimeAction("still", "nonneg", SmoothMap(("t", "y"), (parse_expr("y"),)))
         report = diffeo_time_set(ident, grid1d(0.1, 5.0, 7), grid1d(-3.0, 3.0, 31))
         assert all(ok for _, ok in report.entries)
         assert report.thresholds == []
+
+
+def sqrt_action_over(time: str, state: str) -> TimeAction:
+    """The square-root action, written in the variables (time, state)."""
+    text = f"{state} + sqrt({time})*{state}^2"
+    return TimeAction("sqrt-action", "nonneg", scalar_map((time, state), text))
+
+
+def sqrt_minus_system_over(time: str, state: str) -> OdeSystem:
+    """`sqrt_ode_system("minus")`, written in the variables (time, state)."""
+    root = f"sqrt(1 + 4*sqrt({time})*{state})"
+    rhs = f"(1 + 2*sqrt({time})*{state} - {root})/(4*{time}*sqrt({time}))"
+    return OdeSystem("sqrt-ode-minus", scalar_map((time, state), rhs))
+
+
+class TestVariablesComeFromTheMap:
+    def test_frozen_map_fixes_the_maps_time(self):
+        frozen = sqrt_action_over("s", "x").frozen_map(1.0)
+        assert frozen.inputs == ("x",) and frozen(0.5) == (0.75,)
+
+    def test_the_classifier_differentiates_in_the_maps_state(self):
+        grid = grid1d(-3.0, 3.0, 61)
+        probe = diffeo_classifier(sqrt_action_over("s", "x"), grid)
+        for t in (0.01, 0.05, 1.0):
+            assert probe.is_diffeo(t) is diffeo_classifier(sqrt_action(), grid).is_diffeo(t)
+        assert probe.is_diffeo(0.01) and not probe.is_diffeo(1.0)
+
+    @pytest.mark.parametrize(
+        "action_vars, system_vars",
+        [(("s", "x"), ("s", "x")), (("s", "x"), ("t", "y")), (("t", "y"), ("s", "x"))],
+    )
+    def test_the_residual_binds_each_maps_own_variables(self, action_vars, system_vars):
+        action, system = sqrt_action_over(*action_vars), sqrt_minus_system_over(*system_vars)
+        residual = ode_residual_map(action, system)
+        assert residual.inputs == action_vars
+        for t, y in ((1.0, 0.5), (0.25, -0.5), (4.0, 2.0)):
+            assert residual(t, y) == SQRT_RESIDUALS["minus"](t, y)
+        assert residual(1.0, 0.5) == (0.0,)
+
+    def test_an_autonomous_system_binds_its_state(self):
+        system = OdeSystem("cuberoot-ode", scalar_map(("u",), "1/u^2"))
+        residual = ode_residual_map(cuberoot_group_action(), system)
+        want = ode_residual_map(cuberoot_group_action(), cuberoot_ode_system())
+        assert residual.outputs == want.outputs
 
 
 # ---------------------------------------------------------------------------

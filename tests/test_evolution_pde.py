@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -9,6 +10,7 @@ import pytest
 
 from semiflow import evolution_pde, maps, suites
 from semiflow.actions import TimeAction, composition_check
+from semiflow.cli import run_suite
 from semiflow.evolution_pde import (
     burgers_residual,
     burgers_soliton,
@@ -24,7 +26,7 @@ from semiflow.evolution_pde import (
 from semiflow.expr import EvalDomainError
 from semiflow.grids import Axis, SamplingGrid, grid2d
 from semiflow.maps import map_from_exprs, scalar_map
-from semiflow.semisym import residual_max
+from semiflow.semisym import _residuals, residual_max
 from semiflow.suites import SuiteConfig, suite_burgers
 
 # the suite's (t, x) grid of the residual check and its translation grid
@@ -210,7 +212,7 @@ class TestParamFlow:
         # (a, c) -> (a + c*(exp(t)-1), c*exp(t)): a synthetic flow whose
         # speed parameter genuinely moves, still a one-parameter action
         flow = TimeAction(
-            "synthetic", 2, "nonneg", "t", ("a", "c"),
+            "synthetic", "nonneg",
             map_from_exprs(("t", "a", "c"), ["a + c*(exp(t) - 1)", "c*exp(t)"]),
         )
         grid = SamplingGrid(
@@ -219,7 +221,7 @@ class TestParamFlow:
         assert param_flow_check(flow, grid, 1e-12).passed
         # c*t in place of c*(exp(t)-1) breaks the law once c moves
         broken = TimeAction(
-            "broken", 2, "nonneg", "t", ("a", "c"),
+            "broken", "nonneg",
             map_from_exprs(("t", "a", "c"), ["a + c*t", "c*exp(t)"]),
         )
         # the report is composition_check's over the state axes with outer
@@ -250,7 +252,7 @@ class TestParamFlow:
 
         frozen = soliton_param_flow().map.freeze(c=0.8, d=0.5)
         action = TimeAction(
-            "soliton-position-flow", 1, "nonneg", "t", ("a",),
+            "soliton-position-flow", "nonneg",
             SmoothMap(frozen.inputs, frozen.outputs[:1]),
         )
         assert identity_check(action, grid1d(-3.0, 3.0, 21), 1e-12).passed
@@ -271,7 +273,7 @@ class TestTranslationCheck:
     def test_a_wrong_flow_fails_with_witnesses(self, monkeypatch):
         # the position moves twice as fast as the kink: U(t, x) != U(0, x) at p moved
         wrong = TimeAction(
-            "wrong-flow", 3, "nonneg", "t", ("a", "c", "d"),
+            "wrong-flow", "nonneg",
             map_from_exprs(("t", "a", "c", "d"), ["a + 2*c*t", "c", "d"]),
         )
         monkeypatch.setattr(suites, "soliton_param_flow", lambda: wrong)
@@ -302,6 +304,28 @@ class TestHeatDemo:
         rep = heat_flow_demo(grid, 1e-10)
         assert rep.passed and rep.max_deviation == residual_max(heat_pde, heat_kernel(), grid)
         assert rep.checked == 9 * 11 and rep.notes == ()
+
+    def test_a_failing_demo_names_its_points(self, tmp_path, capsys):
+        # no residual of the kernel is below 1e-300: the suite exits 1 and the
+        # report keeps its first failing points, in grid order, as witnesses
+        out = tmp_path / "heat.json"
+        scenario = {"suite": "heat-flow", "tolerances": {"residual": 1e-300}, "out": str(out)}
+        assert run_suite(scenario) == 1
+        (rep,) = json.loads(out.read_text())["suites"]["heat-flow"]
+        grid = grid2d(0.5, 2.0, 16, -3.0, 3.0, 21)
+        assert rep["suite"] == "heat-flow-demo" and not rep["passed"]
+        assert rep["checked"] == grid.size and 1 <= len(rep["witnesses"]) <= 8
+        assert rep["max_deviation"] == residual_max(heat_pde, heat_kernel(), grid)
+        failing = [
+            (list(point), [r])
+            for point, r in _residuals(heat_pde, heat_kernel().outputs[0], ("t", "x"), grid)
+            if not abs(r) <= 1e-300
+        ]
+        assert [(w["point"], w["values"]) for w in rep["witnesses"]] == failing[:8]
+
+    def test_off_the_kernels_domain_the_demo_raises(self):
+        with pytest.raises(EvalDomainError, match=r"^residual undefined at \(0\.0, -1\.0\)"):
+            heat_flow_demo(grid2d(0.0, 1.0, 3, -1.0, 1.0, 3), 1e-10)
 
     def test_kernel_fd_oracle(self):
         K = heat_kernel()

@@ -568,7 +568,7 @@ def test_domain_edges_raise_as_the_tree_walk_on_every_compiled_path(text, x):
     want = _edge_outcome(lambda: evaluate(e, {"x": x}))
     assert _edge_outcome(lambda: SmoothMap(("x",), (e,))(x)[0]) == want
     assert _edge_outcome(lambda: compile_expr(e, ("x",))(x)) == want
-    flow = OdeSystem("edge", "autonomous", 1, SmoothMap(("x",), (e,)))
+    flow = OdeSystem("edge", SmoothMap(("x",), (e,)))
     got = _edge_outcome(lambda: integrate_flow(flow, 0.0, (x,), 1.0, 1).columns[0][-1])
     assert got == _rk4_step_outcome(e, float(x))
 
@@ -598,7 +598,7 @@ class TestReservedNames:
         m = SmoothMap(("t", "_c0"), outputs)
         from semiflow.reduction import OdeSystem, integrate_flow
 
-        sys_c0 = OdeSystem("c0", "nonautonomous", 1, m)
+        sys_c0 = OdeSystem("c0", m)
         with pytest.raises(ExprError, match="reserved"):
             integrate_flow(sys_c0, 1.0, (3.0,), 2.0, 4)
 
@@ -867,7 +867,7 @@ def test_compiling_leaves_no_reference_cycles():
         for out in outputs:
             assert SmoothMap(("x", "y"), out)(4.0, 0.0) == compile_system(out, ("x", "y"))(4.0, 0.0)
         fresh = (parse_expr("sqrt(t)*y + sqrt(t) - 0.123456789"),)
-        _rk4_kernel(("t", "y"), fresh, False)
+        _rk4_kernel(("t", "y"), fresh)
         garbage = gc.collect()
     finally:
         gc.enable()

@@ -128,8 +128,7 @@ def _outcome(monkeypatch, check, *args):
 
 
 def _action(name, text, time_domain="full", validity=None):
-    return TimeAction(name, 1, time_domain, "t", ("y",),
-                      map_from_exprs(("t", "y"), [text], name=name), validity)
+    return TimeAction(name, time_domain, map_from_exprs(("t", "y"), [text], name=name), validity)
 
 
 def _op(name, text, inverse_domain=None):

@@ -62,15 +62,28 @@ from semiflow.enforcing import cuberoot_ode_system, sqrt_ode_system
 from semiflow.suites import SuiteConfig, suite_flow_oracle
 
 
+class TestOdeSystemShape:
+    def test_a_map_of_another_shape_is_rejected(self):
+        with pytest.raises(ValueError, match=r"R\^l -> R\^l or R\^\(l\+1\) -> R\^l; got 3 -> 1$"):
+            OdeSystem("bad", map_from_exprs(("t", "y", "z"), ["y"]))
+
+    def test_dimension_and_autonomy_are_read_from_the_map(self):
+        rotation = OdeSystem("rotation", map_from_exprs(("x", "u"), ["-u", "x"]))
+        forced = OdeSystem("forced", map_from_exprs(("s", "x", "u"), ["-u", "x + s"]))
+        assert (rotation.dim, rotation.autonomous) == (2, True)
+        assert (forced.dim, forced.autonomous) == (2, False)
+        assert augment_system(forced).autonomous and augment_system(forced).dim == 3
+
+
 class TestAugmentation:
     def test_quadratic_rhs(self):
         aug = augment_system(quadratic_system())
-        assert aug.kind == "autonomous" and aug.dim == 2
+        assert aug.autonomous and aug.dim == 2
         # F_A(tau, y) = (1, 2*tau)
         assert aug.rhs(3.0, 7.0) == (1.0, 6.0)
 
     def test_zero_rhs(self):
-        sys0 = OdeSystem("flat", "nonautonomous", 1, map_from_exprs(("t", "y"), ["0"]))
+        sys0 = OdeSystem("flat", map_from_exprs(("t", "y"), ["0"]))
         assert augment_system(sys0).rhs(5.0, 2.0) == (1.0, 0.0)
 
     def test_sqrt_rhs_renames_time_into_state(self):
@@ -99,7 +112,7 @@ class TestIntegrateFlow:
         assert traj.final()[0] == pytest.approx(9.0, abs=1e-9)
 
     def test_constant_for_zero_rhs(self):
-        sys0 = OdeSystem("flat", "nonautonomous", 1, map_from_exprs(("t", "y"), ["0"]))
+        sys0 = OdeSystem("flat", map_from_exprs(("t", "y"), ["0"]))
         traj = integrate_flow(sys0, 0.0, (3.5,), 1.0, 50)
         assert all(state == (3.5,) for state in zip(*traj.columns))
 
@@ -124,7 +137,7 @@ class TestIntegrateFlow:
 
     def test_validity_exit_reports_time(self):
         drain = OdeSystem(
-            "drain", "autonomous", 1, map_from_exprs(("y",), ["-1"]),
+            "drain", map_from_exprs(("y",), ["-1"]),
             validity=lambda t, y: y[0] > 0.0,
         )
         with pytest.raises(IntegrationError) as err:
@@ -132,7 +145,7 @@ class TestIntegrateFlow:
         assert 0.9 < err.value.time < 1.3
 
     def test_nonfinite_state_detected(self):
-        blow = OdeSystem("blow", "autonomous", 1, map_from_exprs(("y",), ["y^2"]))
+        blow = OdeSystem("blow", map_from_exprs(("y",), ["y^2"]))
         with pytest.raises(IntegrationError):
             integrate_flow(blow, 0.0, (1.0,), 2.0, 40)
 
@@ -253,7 +266,7 @@ def test_trajectory_csv_bytes_are_pinned(tmp_path, name, y0, t_end, steps, eps, 
 def _reference_rk4(sys, t_start, y0, t_end, steps, eps_start, spacing):
     """Classical RK4 as a plain loop over tuples, one lambda per component."""
     comps = [compile_expr(c, sys.rhs.inputs) for c in sys.rhs.outputs]
-    autonomous = sys.kind == "autonomous"
+    autonomous = sys.autonomous
 
     def f(t, y):
         args = y if autonomous else (t, *y)
@@ -341,10 +354,7 @@ def _flow_cases(draw):
     )
     bound = draw(st.none() | st.floats(0.5, 20.0))
     validity = None if bound is None else (lambda t, y: abs(y[0]) < bound)
-    sys = OdeSystem(
-        "random", "autonomous" if autonomous else "nonautonomous", dim,
-        SmoothMap(inputs, outputs), validity,
-    )
+    sys = OdeSystem("random", SmoothMap(inputs, outputs), validity)
     spacing = draw(st.sampled_from(["uniform", "geometric"]))
     t_start = draw(st.floats(0.01, 1.0) if spacing == "geometric" else st.floats(-1.0, 1.0))
     t_end = t_start + draw(st.floats(0.1, 3.0))
@@ -369,9 +379,9 @@ def _kernel_run(sys, t_start, y0, t_end, steps, eps_start, spacing):
     return traj.times, list(zip(*traj.columns))
 
 
-_BLOW_UP = OdeSystem("blow-up", "autonomous", 2, map_from_exprs(("y1", "y2"), ["y1*y1*y1*y2", "y2*y1"]))
+_BLOW_UP = OdeSystem("blow-up", map_from_exprs(("y1", "y2"), ["y1*y1*y1*y2", "y2*y1"]))
 _DRAIN = OdeSystem(
-    "drain", "nonautonomous", 3, map_from_exprs(("t", "y1", "y2", "y3"), ["-1 - t", "y3", "-y2"]),
+    "drain", map_from_exprs(("t", "y1", "y2", "y3"), ["-1 - t", "y3", "-y2"]),
     validity=lambda t, y: y[0] > 0.0,
 )
 
@@ -390,10 +400,10 @@ def test_generated_kernel_matches_the_plain_loop(case):
 def test_inputs_named_like_kernel_internals_integrate_as_the_plain_loop(name):
     # each name as the time input and as a state input, read by every output
     systems = [
-        OdeSystem("named-time", "nonautonomous", 1,
-                  map_from_exprs((name, "u"), [f"u*{name} - sqrt({name})"])),
-        OdeSystem("named-state", "autonomous", 2,
-                  map_from_exprs(("u", name), [f"-{name}", f"u - 0.25*{name}*{name}"])),
+        OdeSystem("named-time", map_from_exprs((name, "u"), [f"u*{name} - sqrt({name})"])),
+        OdeSystem(
+            "named-state", map_from_exprs(("u", name), [f"-{name}", f"u - 0.25*{name}*{name}"])
+        ),
     ]
     for sys in systems:
         args = (sys, 0.5, (1.25,) * sys.dim, 2.0, 40, 0.0, "uniform")
@@ -426,7 +436,7 @@ def test_one_kernel_per_right_hand_side():
 def test_repeated_input_names_are_rejected():
     with pytest.raises(ExprError, match="repeat"):
         compile_system((parse_expr("t*t"),), ("t", "t"))
-    twice = OdeSystem("twice", "nonautonomous", 1, map_from_exprs(("t", "t"), ["t"]))
+    twice = OdeSystem("twice", map_from_exprs(("t", "t"), ["t"]))
     with pytest.raises(ExprError, match="repeat"):
         integrate_flow(twice, 0.0, (1.0,), 1.0, 4)
 
@@ -620,7 +630,7 @@ class TestOperatorLaws:
     def test_first_component_keeps_the_first_eight_witnesses(self):
         # the first output is t + s + 1 everywhere: all 27 points fail
         op = TimeAction(
-            "off-by-one", 2, "full", "s", ("t", "y"),
+            "off-by-one", "full",
             map_from_exprs(("s", "t", "y"), ["t + s + 1", "y"]),
         )
         grid = SamplingGrid((Axis(0.0, 2.0, 3), Axis(0.0, 2.0, 3), Axis(-1.0, 1.0, 3)))
@@ -650,7 +660,7 @@ class TestOperatorLaws:
     def test_nan_deviation_carries_a_witness(self):
         # E(s)(x) = x at s = 0 and NaN (inf - inf) for every s > 0
         op = TimeAction(
-            "nan-op", 1, "full", "s", ("x",),
+            "nan-op", "full",
             SmoothMap(("s", "x"), (parse_expr("x + (s*1e308*10 - s*1e308*10)"),)),
         )
         rep = one_time_law_check(op, [(1.0, 1.0)], grid1d(0.0, 1.0, 3), 1e-9)
@@ -933,16 +943,16 @@ class TestFlowVsClosedForm:
         # the closed form is NaN (inf - inf) once t*1e308*10 overflows, t > 0.1797...;
         # on the 1250-step mesh the first such time is 225/1250 = 0.18
         nan_later = SmoothMap(("t", "y"), (parse_expr("y + (t*1e308*10 - t*1e308*10)"),))
-        action = TimeAction("nan-later", 1, "nonneg", "t", ("y",), nan_later)
-        sys0 = OdeSystem("flat", "autonomous", 1, map_from_exprs(("y",), ["0"]))
+        action = TimeAction("nan-later", "nonneg", nan_later)
+        sys0 = OdeSystem("flat", map_from_exprs(("y",), ["0"]))
         rep = flow_vs_closed_form(action, sys0, 1.0, 1.0, 0.0, 1e-9)
         assert not rep.passed and math.isnan(rep.max_deviation)
         assert len(rep.witnesses) == 1 and rep.witnesses[0].point == (225 / 1250,) == (0.18,)
 
     def test_constant_action_zero_rhs(self):
         still = map_from_exprs(("t", "y"), ["y"], name="still")
-        action = TimeAction("still", 1, "nonneg", "t", ("y",), still)
-        sys0 = OdeSystem("flat", "autonomous", 1, map_from_exprs(("y",), ["0"]))
+        action = TimeAction("still", "nonneg", still)
+        sys0 = OdeSystem("flat", map_from_exprs(("y",), ["0"]))
         rep = flow_vs_closed_form(action, sys0, 4.2, 1.0, 0.0, 1e-15)
         assert rep.passed and rep.max_deviation == 0.0
 

@@ -12,7 +12,7 @@ from semiflow.actions import PreconditionError
 from semiflow.evolution_pde import heat_kernel, heat_pde
 from semiflow.expr import EvalDomainError, ExprError, Var, diff
 from semiflow.grids import grid1d, grid2d
-from semiflow.maps import SmoothMap, compose, identity_map, scalar_map
+from semiflow.maps import SmoothMap, compose, identity_map, map_from_exprs, scalar_map
 from semiflow.report import Witness
 from semiflow.semisym import (
     VALUE_MAPS,
@@ -52,6 +52,13 @@ class TestCanonicalParametric:
             canonical_parametric(identity_map(("x", "y")))
 
 
+class TestParametricFunction:
+    def test_params_and_base_dim_are_read_from_the_chart(self):
+        V = ParametricFunction(map_from_exprs(("a", "b"), ["a", "b", "a*b", "a + b"]))
+        assert V.params == ("a", "b") and V.base_dim == 3
+        assert V.sample((2.0, 3.0)) == ((2.0, 3.0, 6.0), 5.0)
+
+
 class TestAct:
     def test_identity_action_is_structural_identity(self):
         V = canonical_parametric(scalar_map(("x",), "x^2"))
@@ -71,6 +78,11 @@ class TestAct:
         V = canonical_parametric(scalar_map(("x",), "x^2"))
         with pytest.raises(ExprError):
             act(identity_map(("t", "x", "u")), V)  # three coordinates for a plane chart
+
+    def test_a_map_that_is_no_self_map_is_rejected(self):
+        V = canonical_parametric(scalar_map(("x",), "x^2"))
+        with pytest.raises(ExprError, match=r"self-map of the chart's R\^2; got R\^2 -> R\^3$"):
+            act(map_from_exprs(("x", "u"), ["x", "u", "x*u"]), V)
 
     def test_functoriality_on_grid(self):
         V = canonical_parametric(scalar_map(("x",), "x^2"))
@@ -157,7 +169,7 @@ def tabulated_chart(rows):
     """A chart k -> rows[k] over the grid 0, 1, ..., len(rows)-1."""
     chart = TabulatedChart(rows)
     grid = grid1d(0.0, len(rows) - 1.0, len(rows))
-    return ParametricFunction(("k",), chart, chart.out_dim - 1), grid
+    return ParametricFunction(chart), grid
 
 
 _ODD = [math.nan, math.inf, -math.inf, 1e300, -1e300, -0.0]
