@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
-from .expr import EvalDomainError, ExprError
+from .expr import EvalDomainError, Expr, ExprError
 from .grids import SamplingGrid, _near_pairs
-from .maps import SmoothMap
+from .maps import SmoothMap, check_region, region_test
 from .report import Tally, VerificationReport, Witness, deviation, max_norm, nan_max
 from .rootfind import RootSearchError, bisect, scan_brackets
 
@@ -37,17 +38,18 @@ class TimeAction:
 
     The family is its map, a SmoothMap R^(l+1) -> R^l: the map's first
     input is the time variable, the others are the state variables, and
-    its outputs give the dimension l. `validity` restricts the usable
-    region of (t, y) when the defining formula has a bounded domain (e.g.
-    a radicand that must stay nonnegative). It must be a pure function of
-    (t, y): a check may call it once per distinct point and reuse the
-    verdict (`composition_check` does, on the grid).
+    its outputs give the dimension l. `region` restricts the usable part
+    of (t, y) when the law holds on less than the formula's domain (e.g.
+    one root branch of a radicand): tests (expression, relation) over the
+    map's inputs, each against 0 (`maps.check_region`). The checks read it
+    through the map's leg `map.on_region(region)`, whose code tests the
+    region in front of the outputs; a call of the action ignores it.
     """
 
     name: str
     time_domain: str  # "nonneg" | "full"
     map: SmoothMap
-    validity: Callable[[float, tuple[float, ...]], bool] | None = None
+    region: tuple[tuple[Expr, str], ...] = ()
 
     def __post_init__(self):
         if self.time_domain not in ("nonneg", "full"):
@@ -56,6 +58,7 @@ class TimeAction:
             raise ExprError(
                 f"action map must be R^(l+1) -> R^l; got {self.map.in_dim} -> {self.map.out_dim}"
             )
+        check_region(self.region, self.map.inputs)
 
     @property
     def dim(self) -> int:
@@ -72,8 +75,12 @@ class TimeAction:
     def time_ok(self, t: float) -> bool:
         return self.time_domain == "full" or t >= 0.0
 
+    @cached_property
+    def _region_test(self) -> Callable[..., tuple[float] | None]:
+        return region_test(self.map.inputs, self.region)
+
     def valid_at(self, t: float, y: Sequence[float]) -> bool:
-        return self.time_ok(t) and (self.validity is None or self.validity(t, tuple(y)))
+        return self.time_ok(t) and (not self.region or self._region_test(t, *y) is not None)
 
     def __call__(self, t: float, y: Sequence[float]) -> tuple[float, ...]:
         if self.time_domain != "full" and not t >= 0.0:  # time_ok, inlined: a per-point call
@@ -93,8 +100,8 @@ class TimeAction:
 def identity_check(action: TimeAction, grid: SamplingGrid, tol: float) -> VerificationReport:
     """Max gap between H(0, y) and y over the grid.
 
-    Grid points outside the action's validity region are skipped (the state
-    domain need not be a box); evaluation failures inside it propagate.
+    Grid points outside the action's region are skipped (the state domain
+    need not be a box); evaluation failures inside it propagate.
     Witnesses and the inconclusive verdict follow `report.Tally`.
     """
     tally = Tally(tol)
@@ -155,62 +162,38 @@ def composition_check(
 ) -> VerificationReport:
     """Max gap between H(t, H(s, y)) and H(t+s, y).
 
-    Grid points that leave the action's validity region at any stage are
+    Grid points where a leg leaves the action's region or domain are
     skipped; witnesses and the inconclusive verdict follow `report.Tally`.
 
-    Each leg that starts on the grid, H(tau, y) and the validity test at
-    (tau, y) for tau = s or t+s, is evaluated once per distinct time and
-    grid point, where the first pair needs it, and read back by later
-    pairs (`leg_columns`); only H(t, H(s, y)) and its validity test are
-    evaluated per pair. The memo holds two entries per grid point for each
-    time still to be read, so at most 2 x distinct times x grid points
-    entries; `Tally` keeps nothing per checked point. Every leg is the
-    map's `on_domain` form.
+    Every leg is the map's leg on the action's region
+    (`SmoothMap.on_region`), None off either. Each leg that starts on the
+    grid, H(tau, y) for tau = s or t+s, is evaluated once per distinct time
+    and grid point, where the first pair needs it, and read back by later
+    pairs (`leg_columns`); only H(t, H(s, y)) is evaluated per pair. The
+    memo holds one entry per grid point for each time still to be read, so
+    at most distinct times x grid points entries; `Tally` keeps nothing per
+    checked point.
     """
     for t, s in times:
         for v in (t, s, t + s):
             if not action.time_ok(v):
                 raise PreconditionError(f"time {v!r} outside the action's domain")
-    validity = action.validity
-    on = action.map.on_domain
-    passes = [((s,), (t + s,)) for t, s in times]
-    values = leg_columns(passes, grid.size)
-    verdicts = leg_columns(passes, grid.size) if validity is not None else repeat(())
+    leg = action.map.on_region(action.region)
+    columns = leg_columns([((s,), (t + s,)) for t, s in times], grid.size)
     tally = Tally(tol)
-    for (t, s), (inner, whole), flags in zip(times, values, verdicts):
+    for (t, s), (inner, whole) in zip(times, columns):
         ts = t + s
         for i, y in enumerate(grid.points()):
-            if flags:
-                off = flags[0][i]
-                if off is _UNSEEN:
-                    off = flags[0][i] = not validity(s, y)
-                if not off:
-                    off = flags[1][i]
-                    if off is _UNSEEN:
-                        off = flags[1][i] = not validity(ts, y)
-                if off:
-                    tally.skip()
-                    continue
             mid = inner[i]
             if mid is _UNSEEN:
-                mid = inner[i] = on(s, *y)
-            if mid is None:
-                tally.skip()
-                continue
-            try:
-                if validity is not None and not validity(t, mid):
-                    tally.skip()
-                    continue
-            except EvalDomainError:
-                tally.skip()
-                continue
-            lhs = on(t, *mid)
+                mid = inner[i] = leg(s, *y)
+            lhs = None if mid is None else leg(t, *mid)
             if lhs is None:
                 tally.skip()
                 continue
             rhs = whole[i]
             if rhs is _UNSEEN:
-                rhs = whole[i] = on(ts, *y)
+                rhs = whole[i] = leg(ts, *y)
             if rhs is None:
                 tally.skip()
                 continue

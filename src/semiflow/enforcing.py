@@ -147,7 +147,7 @@ def sqrt_ode_system(branch: str = "minus") -> OdeSystem:
     rhs = f"(1 + 2*sqrt(t)*y {sign} sqrt(1 + 4*sqrt(t)*y))/(4*t*sqrt(t))"
     return OdeSystem(
         f"sqrt-ode-{branch}", scalar_map(("t", "y"), rhs, f"sqrt-rhs-{branch}"),
-        validity=lambda t, y: t > 0.0 and 1.0 + 4.0 * math.sqrt(t) * y[0] >= 0.0,
+        region=((Var("t"), ">"), (parse_expr("1 + 4*sqrt(t)*y"), ">=")),
     )
 
 
@@ -165,7 +165,7 @@ def milder_ode_system(branch: str = "regular") -> OdeSystem:
 def cuberoot_ode_system() -> OdeSystem:
     """dY/dt = 1/Y^2, whose flow is the cube-root action."""
     rhs = scalar_map(("y",), "1/y^2", name="inverse-square")
-    return OdeSystem("cuberoot-ode", rhs, validity=lambda t, y: y[0] != 0.0)
+    return OdeSystem("cuberoot-ode", rhs, region=((Var("y"), "!="),))
 
 
 def ode_residual_map(action: TimeAction, system: OdeSystem) -> SmoothMap:

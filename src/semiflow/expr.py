@@ -22,10 +22,11 @@ Evaluation has one path: compiled code from one generator,
 only where Python's precedence needs it (the code parses to the same AST as
 fully bracketed code) and leaves no reference cycle. Its code feeds three
 consumers. Every `SmoothMap` compiles its outputs once into one
-`compile_system` lambda. `compile_expr` wraps the code of one output in a
+`compile_system` lambda, and a leg on a region into one more, with the
+region's tests in front. `compile_expr` wraps the code of one output in a
 function of its own, for the scalar functions the checks evaluate. The RK4
 kernel of `semiflow.reduction` writes the code of a right-hand side into
-each of its stage lines.
+each of its stage lines, and a system's region into its step's end.
 
 The tree walk `evaluate` applies the domain rules node by node through
 guards that raise `EvalDomainError`; it is kept as the reference the
@@ -36,7 +37,7 @@ OverflowError) exactly where the guards raise. One boundary,
 `raise_from_tree_walk`, turns such an error into the tree walk's own,
 message and all, at the four places compiled code is called: in the
 `except` clause of every function `compile_expr` returns, in
-`SmoothMap.__call__`, in `SmoothMap.on_domain` (which turns the tree
+`SmoothMap.__call__`, in `SmoothMap.on_region` (which turns the tree
 walk's EvalDomainError into None) and in the RK4 kernel's failed stage.
 It runs only on the error path, so a call that raises nothing pays
 nothing for it, and the caller of a map or of a `compile_expr` function
@@ -63,7 +64,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Mapping, NoReturn, Sequence
 
 
 class ExprError(Exception):
@@ -714,7 +715,7 @@ def raise_from_tree_walk(
     raises there too, since the compiled code raises only where it does; if
     it does not, that is a fault of the compiled code, an ExprError. Its
     callers are the functions `compile_expr` returns, `SmoothMap.__call__`,
-    `SmoothMap.on_domain` and the RK4 kernel's `reduction._stage_failed`.
+    `SmoothMap.on_region` and the RK4 kernel's `reduction._stage_failed`.
     """
     bindings = dict(zip(params, args))
     for e in outputs:
@@ -916,9 +917,29 @@ def _emit_system(outputs: tuple[Expr, ...], params: tuple[str, ...]) -> list[str
         del intern, code_of
 
 
+# the relations a region's test may put its expression in, against 0
+RELATIONS = (">", ">=", "!=")
+
+
+def check_relations(relations: Sequence[str]) -> None:
+    """Reject a relation that is not one of RELATIONS."""
+    for rel in relations:
+        if rel not in RELATIONS:
+            raise ExprError(f"unknown relation {rel!r}; known: {', '.join(RELATIONS)}")
+
+
+def _emit_tests(codes: Sequence[str], relations: Sequence[str]) -> str:
+    """One condition that holds where every expression code stands in its
+    relation to 0, tested left to right and stopping at the first that fails."""
+    check_relations(relations)
+    return " and ".join(f"{code} {rel} 0.0" for code, rel in zip(codes, relations))
+
+
 def compile_system(
-    outputs: tuple[Expr, ...], params: tuple[str, ...]
-) -> Callable[..., tuple[float, ...]]:
+    outputs: tuple[Expr, ...],
+    params: tuple[str, ...],
+    tests: tuple[tuple[Expr, str], ...] = (),
+) -> Callable[..., tuple[float, ...] | None]:
     """One lambda returning the tuple of every output's value.
 
     Values are those of `evaluate` applied to each output in turn, and it
@@ -927,9 +948,18 @@ def compile_system(
     within an output or across outputs, are computed once (see
     `_emit_system`). Uncached: a `SmoothMap` keeps the lambda of its
     outputs.
+
+    Each of `tests`, a pair (expression, relation), puts a condition in
+    front of the outputs: the lambda returns None, computing no output,
+    where the first test that fails stands out of its relation to 0. The
+    tests are evaluated first, in order, so a subtree they share with the
+    outputs is computed once, in the test.
     """
     _check_params(params)
+    codes = _emit_system((*(e for e, _ in tests), *outputs), params)
     # every lambda shares one namespace: the code only reads its globals,
     # and the names it binds (_c0, ...) are locals of the lambda
-    body = f"({', '.join(_emit_system(outputs, params))},)"
+    body = f"({', '.join(codes[len(tests):])},)"
+    if tests:
+        body = f"{body} if {_emit_tests(codes, [rel for _, rel in tests])} else None"
     return eval(f"lambda {', '.join(params)}: {body}", _COMPILE_NS)  # noqa: S307 - closed namespace

@@ -3,11 +3,17 @@
 Differentiation, freezing and composition are symbolic: they take and
 return maps. Every map evaluates through the compiled code of its
 outputs; a call off the outputs' domain raises the error the tree walk
-`evaluate` raises there. `SmoothMap.__call__` and `SmoothMap.on_domain`
+`evaluate` raises there. `SmoothMap.__call__` and `SmoothMap.on_region`
 are the boundary that turns the compiled lambda's error into that one,
 and the only readers of the lambda (`compiled`): a check calls the map
-itself, or its `on_domain` form, which returns None where the call
-raises EvalDomainError.
+itself, or its leg form `on_region`, which returns None off a region of
+the map's inputs and where the call raises EvalDomainError.
+
+A region is a tuple of tests, each a pair (expression, relation) over the
+map's inputs with the relation one of ">", ">=" and "!=" against 0
+(`expr.RELATIONS`): the part of a family's domain where its law holds,
+such as the bounded root branch of the square-root action. Its tests
+compile into the leg's own code, in front of the outputs.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .expr import (
     Expr,
     ExprError,
     Var,
+    check_relations,
     compile_system,
     diff,
     free_vars,
@@ -84,29 +91,42 @@ class SmoothMap:
 
     @cached_property
     def on_domain(self) -> Callable[..., tuple[float, ...] | None]:
-        """The map as one function that returns None off its domain.
+        """The map as one function that returns None off its domain: its
+        leg on no region (`on_region`), built once."""
+        return self.on_region()
 
-        It returns None exactly where a call of the map raises
-        EvalDomainError; every other error of that call (the ValueError of
-        sin or cos at infinity, the ExprError of a wrong arity) passes
-        through. It calls the compiled lambda itself, in one frame, and
-        runs the tree walk only when the lambda raises: the form of a leg
-        that a check evaluates once per grid point."""
-        compiled, outputs, inputs = self.compiled, self.outputs, self.inputs
+    def on_region(
+        self, region: tuple[tuple[Expr, str], ...] = ()
+    ) -> Callable[..., tuple[float, ...] | None]:
+        """The map as one function that returns None off `region` and off
+        its domain: the form of a leg that a check evaluates once per grid
+        point.
 
-        def on_domain(*args: float) -> tuple[float, ...] | None:
+        Its code is the map's lambda with the region's tests in front
+        (`expr.compile_system`), so the map is evaluated only on the region
+        and a subtree the tests share with the outputs is computed once; on
+        no region it is the map's own lambda. It returns None where a test
+        fails or where the tests or the outputs raise EvalDomainError; every
+        other error (the ValueError of sin or cos at infinity, the ExprError
+        of a wrong arity) passes through. It calls the lambda itself, in one
+        frame, and runs the tree walk only when the lambda raises."""
+        inputs = self.inputs
+        compiled = compile_system(self.outputs, inputs, region) if region else self.compiled
+        walked = (*(e for e, _ in region), *self.outputs)
+
+        def on_region(*args: float) -> tuple[float, ...] | None:
             try:
                 return compiled(*args)
             except (ArithmeticError, ValueError):
                 try:
-                    raise_from_tree_walk(outputs, inputs, args)
+                    raise_from_tree_walk(walked, inputs, args)
                 except EvalDomainError:
                     return None
             except TypeError:
                 self._check_arity(args)
                 raise
 
-        return on_domain
+        return on_region
 
     @cached_property
     def compiled(self) -> Callable[..., tuple[float, ...]]:
@@ -136,6 +156,26 @@ class SmoothMap:
             tuple(substitute_many(c, mapping) for c in self.outputs),
             name=self.name,
         )
+
+
+def check_region(region: tuple[tuple[Expr, str], ...], inputs: tuple[str, ...]) -> None:
+    """Reject a region with an unknown relation or a variable not among `inputs`."""
+    check_relations([rel for _, rel in region])
+    for expr, rel in region:
+        stray = free_vars(expr) - set(inputs)
+        if stray:
+            raise ExprError(
+                f"region test '{to_text(expr)} {rel} 0' uses undeclared variables {sorted(stray)}"
+            )
+
+
+def region_test(
+    inputs: tuple[str, ...], region: tuple[tuple[Expr, str], ...]
+) -> Callable[..., tuple[float] | None]:
+    """The region's tests alone, as the leg of the constant map 0 of
+    `inputs` on `region`: a function of the inputs that returns None
+    exactly off the region, a test that raises EvalDomainError included."""
+    return SmoothMap(inputs, (Const(0.0),)).on_region(region)
 
 
 def map_from_exprs(inputs: Sequence[str], texts: Sequence[str], name: str = "") -> SmoothMap:

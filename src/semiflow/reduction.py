@@ -41,15 +41,17 @@ from .expr import (
     Const,
     EvalDomainError,
     Expr,
+    Var,
     _check_params,
     _emit_system,
+    _emit_tests,
     compile_expr,
     parse_expr,
     raise_from_tree_walk,
     substitute_many,
 )
 from .grids import SamplingGrid
-from .maps import SmoothMap, map_from_exprs
+from .maps import SmoothMap, check_region, map_from_exprs, region_test
 from .report import Tally, VerificationReport, Witness, deviation, nan_max
 from .rootfind import RootSearchError, bisect, hybrid_root
 
@@ -64,11 +66,13 @@ class IntegrationError(Exception):
 class OdeSystem:
     """Explicit first-order system dY/dt = rhs on R^l, where rhs is a
     SmoothMap of (t, y1..yl) or, for an autonomous system, of (y1..yl)
-    alone: the map's shape gives the dimension and the autonomy."""
+    alone: the map's shape gives the dimension and the autonomy. `region`
+    is where a flow may run: tests (expression, relation) over the RHS's
+    inputs, each against 0 (`maps.check_region`)."""
 
     name: str
     rhs: SmoothMap
-    validity: Callable[[float, tuple[float, ...]], bool] | None = None
+    region: tuple[tuple[Expr, str], ...] = ()
 
     def __post_init__(self):
         if self.rhs.in_dim - self.rhs.out_dim not in (0, 1):
@@ -76,6 +80,7 @@ class OdeSystem:
                 "RHS must be R^l -> R^l or R^(l+1) -> R^l; got "
                 f"{self.rhs.in_dim} -> {self.rhs.out_dim}"
             )
+        check_region(self.region, self.rhs.inputs)
 
     @property
     def dim(self) -> int:
@@ -85,21 +90,25 @@ class OdeSystem:
     def autonomous(self) -> bool:
         return self.rhs.in_dim == self.rhs.out_dim
 
+    @cached_property
+    def _region_test(self) -> Callable[..., tuple[float] | None]:
+        return region_test(self.rhs.inputs, self.region)
+
     def valid_at(self, t: float, y: Sequence[float]) -> bool:
-        return self.validity is None or self.validity(t, tuple(y))
+        args = tuple(y) if self.autonomous else (t, *y)
+        return not self.region or self._region_test(*args) is not None
 
 
 def augment_system(sys: OdeSystem) -> OdeSystem:
-    """Adjoin time as the first state coordinate with derivative 1."""
+    """Adjoin time as the first state coordinate with derivative 1. The
+    augmented RHS has the same inputs, the time now a state variable, so
+    the region carries over as it is."""
     if sys.autonomous:
         raise ValueError("only non-autonomous systems are augmented")
     rhs = SmoothMap(
         sys.rhs.inputs, (Const(1.0), *sys.rhs.outputs), name=f"augmented[{sys.name}]"
     )
-    validity = None
-    if sys.validity is not None:
-        validity = lambda _t, state: sys.validity(state[0], state[1:])  # noqa: E731
-    return OdeSystem(f"augmented[{sys.name}]", rhs, validity)
+    return OdeSystem(f"augmented[{sys.name}]", rhs, sys.region)
 
 
 _CSV_BLOCK = 512  # rows per `%` in Trajectory.write_csv
@@ -210,13 +219,13 @@ def integrate_flow(
     if not sys.valid_at(a, y0):
         raise IntegrationError("RHS invalid at the starting point", a)
     mesh = _time_mesh(a, t_end, steps, spacing)
-    kernel = _rk4_kernel(sys.rhs.inputs, sys.rhs.outputs)
-    columns = kernel(mesh, sys.validity, *(float(v) for v in y0))
+    kernel = _rk4_kernel(sys.rhs.inputs, sys.rhs.outputs, sys.region)
+    columns = kernel(mesh, *(float(v) for v in y0))
     return Trajectory(mesh, columns, steps, eps_start, spacing)
 
 
 _RK4_SOURCE = """\
-def _rk4(_mesh, _validity, {y}):
+def _rk4(_mesh, {y}):
     _size = _len(_mesh)
 {allocate}
     _times = _iter(_mesh)
@@ -241,13 +250,23 @@ def _rk4(_mesh, _validity, {y}):
 {update}
         if not ({finite}):
             raise _IntegrationError("state became nonfinite", _t1)
-        if _validity is not None and not _validity(_t1, ({y},)):
-            raise _IntegrationError("state left the validity region", _t1)
+{region}
         _k = _k + 1
 {store}
         _t0 = _t1
     return ({columns},)
 """
+
+# the step-end test of a region, once the inputs are bound at _t1; where a
+# test raises, the region's leg (`maps.region_test`) decides as the checks do
+_RK4_REGION = """\
+        ({inputs},) = ({at_t1}{y},)
+        try:
+            _inside = {tests}
+        except _DOMAIN_ERRORS:
+            _inside = _region_test({inputs}) is not None
+        if not _inside:
+            raise _IntegrationError("state left the validity region", _t1)"""
 
 # the kernel's own globals; with the helpers of the RHS code, every name of
 # the kernel starts with "_", which no input of a compiled map may
@@ -277,17 +296,19 @@ def _stage_failed(
 
 @lru_cache(maxsize=64)
 def _rk4_kernel(
-    inputs: tuple[str, ...], outputs: tuple[Expr, ...]
+    inputs: tuple[str, ...],
+    outputs: tuple[Expr, ...],
+    region: tuple[tuple[Expr, str], ...],
 ) -> Callable[..., tuple[array, ...]]:
     """RK4 over a fixed mesh for the RHS `outputs` of `inputs`, as
     straight-line code: of the state alone when there are as many inputs
     as outputs, else of the time and the state.
 
-    `kernel(mesh, validity, y1, ..., ydim)` returns one `array('d')`
-    column per component holding its value at every mesh time. Each
-    column is allocated once, as len(mesh) copies of the initial value,
-    and each component is a local `_y{i}`, stored into its column by index
-    after every step. Each stage binds the map's inputs as locals
+    `kernel(mesh, y1, ..., ydim)` returns one `array('d')` column per
+    component holding its value at every mesh time. Each column is
+    allocated once, as len(mesh) copies of the initial value, and each
+    component is a local `_y{i}`, stored into its column by index after
+    every step. Each stage binds the map's inputs as locals
     (`(t, y) = (_tm, _y0 + _hh * _ka0)`) and evaluates in place the code
     `expr._emit_system` writes for the outputs, the code a compiled map
     runs. Its shared subtrees (`_c0`, ...) become locals of the kernel,
@@ -297,14 +318,21 @@ def _rk4_kernel(
     `h/6` computed once per step, which Python's left-to-right evaluation
     makes the same operations. Errors carry the times the plain loop
     reports: a domain error in the RHS the step's start, a non-finite
-    state or a validity exit the step's end. The RHS code raises the error
-    of the C function or operator that failed (or `_pow`'s
-    EvalDomainError); the `except` clause, which costs nothing while no
-    stage fails, hands the failing stage's inputs to `_stage_failed`,
-    which raises the tree walk's error there.
+    state or a step that leaves the region the step's end. The RHS code
+    raises the error of the C function or operator that failed (or
+    `_pow`'s EvalDomainError); the `except` clause, which costs nothing
+    while no stage fails, hands the failing stage's inputs to
+    `_stage_failed`, which raises the tree walk's error there.
 
-    Cached on the map's inputs and outputs, so a rebuilt equal system
-    reuses its kernel.
+    The region's tests (`region`, over the same inputs) run inline at each
+    step's end, on the inputs bound at the new time and state. Their code
+    is emitted on its own, not with the RHS's, so a stage never reads a
+    subtree the tests computed. Where a test raises, the region's tests
+    alone (`maps.region_test`) decide: off the region where a test raises
+    EvalDomainError, and any other error passes through.
+
+    Cached on the map's inputs and outputs and the region, so a rebuilt
+    equal system reuses its kernel.
     """
     _check_params(inputs)
     dim = len(outputs)
@@ -313,6 +341,16 @@ def _rk4_kernel(
     def cols(template: str) -> str:
         return ", ".join(template.format(i=i) for i in range(dim))
 
+    at = {k: "" if autonomous else f"_{k}, " for k in ("t0", "tm", "t1")}
+    tests = ""
+    if region:
+        codes = _emit_system(tuple(e for e, _ in region), inputs)
+        tests = _RK4_REGION.format(
+            inputs=", ".join(inputs),
+            at_t1=at["t1"],
+            y=cols("_y{i}"),
+            tests=_emit_tests(codes, [rel for _, rel in region]),
+        )
     source = _RK4_SOURCE.format(
         y=cols("_y{i}"),
         allocate="\n".join(
@@ -324,9 +362,9 @@ def _rk4_kernel(
         kb=cols("_kb{i}"),
         kc=cols("_kc{i}"),
         kd=cols("_kd{i}"),
-        at_t0="" if autonomous else "_t0, ",
-        at_tm="" if autonomous else "_tm, ",
-        at_t1="" if autonomous else "_t1, ",
+        at_t0=at["t0"],
+        at_tm=at["tm"],
+        at_t1=at["t1"],
         y_ka=cols("_y{i} + _hh * _ka{i}"),
         y_kb=cols("_y{i} + _hh * _kb{i}"),
         y_kc=cols("_y{i} + _h * _kc{i}"),
@@ -335,10 +373,13 @@ def _rk4_kernel(
             for i in range(dim)
         ),
         finite=" and ".join(f"_isfinite(_y{i})" for i in range(dim)),
+        region=tests,
         store="\n".join(f"        _col{i}[_k] = _y{i}" for i in range(dim)),
         columns=cols("_col{i}"),
     )
     namespace = dict(_RK4_NS, _stage_failed=partial(_stage_failed, outputs, inputs))
+    if region:
+        namespace["_region_test"] = region_test(inputs, region)
     exec(source, namespace)  # noqa: S102 - source built from the template above
     # taken out of its own globals, the kernel is in no reference cycle
     return namespace.pop("_rk4")
@@ -352,10 +393,10 @@ def _rk4_kernel(
 class EvolutionOp:
     """The two-time operator E(t0, t1) of a non-autonomous system: a
     closed-form SmoothMap with inputs (t0, t1, x...) that raises
-    `EvalDomainError` outside its domain, and optionally the predicate
-    inverse_domain(t0, t1, x) of the points where E(t1, t0) undoes it. The
-    predicate must be a pure function: a check may call it once per
-    distinct point and reuse the verdict.
+    `EvalDomainError` outside its domain, and the region of the points
+    (t0, t1, x) where E(t1, t0) undoes it: tests (expression, relation)
+    over the closed form's inputs, each against 0 (`maps.check_region`),
+    none for an operator inverted on all its domain.
 
     The one-time operator E_A(s) one dimension up is a plain `TimeAction`
     in (s, t, x...), which the axiom checks of `actions` take directly.
@@ -363,7 +404,10 @@ class EvolutionOp:
 
     name: str
     closed_form: SmoothMap
-    inverse_domain: Callable[..., bool] | None = None
+    region: tuple[tuple[Expr, str], ...] = ()
+
+    def __post_init__(self):
+        check_region(self.region, self.closed_form.inputs)
 
     @cached_property
     def slice(self) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
@@ -379,55 +423,66 @@ class EvolutionOp:
 # the square-root genuine-semigroup evolution, in closed form
 
 
-def _gls_on_branch(t: float, target: float, y: float) -> bool:
-    """E(t, target) is defined at y and stays on the bounded root branch:
-    t >= 0, a radicand 1 + 4*sqrt(t)*y >= 0 computed as the closed form
-    computes it, and 1 + 2*sqrt(target)*y* >= 0 with
-    y* = 2y/(1 + sqrt(radicand)).
+def _gls_root(t: str) -> tuple[Expr, Expr]:
+    """The radicand 1 + 4*sqrt(t)*y and y* = 2*y/(1 + sqrt(radicand)), the
+    bounded root of z + sqrt(t)*z^2 = y, with one shared radicand node."""
+    radicand = parse_expr(f"1 + 4*sqrt({t})*y")
+    return radicand, substitute_many(parse_expr("2*y/(1 + sqrt(r))"), {"r": radicand})
+
+
+def _gls_closed_form(ystar: Expr, s: str) -> Expr:
+    """E(t,s)(y) as an expression: y* + sqrt(s)*y*^2 with one shared y*
+    node. A negative radicand is a domain error, even one rounded just
+    below 0."""
+    return substitute_many(parse_expr(f"z + sqrt({s})*z*z"), {"z": ystar})
+
+
+def _gls_branch_test(target: str, ystar: Expr) -> tuple[Expr, str]:
+    """The test 1 + 2*sqrt(target)*y* >= 0: y* stays the bounded root at
+    time target.
 
     Past this fold the one-parameter law genuinely fails (the slice map is
     non-injective and the bounded root at the target time recovers a
     different trajectory), so law checks must treat such points as outside
-    the operator's domain.
-    """
-    if not t >= 0.0:
-        return False
-    radicand = 1.0 + 4.0 * math.sqrt(t) * y
-    if not radicand >= 0.0:
-        return False
-    return 1.0 + 2.0 * math.sqrt(target) * (2.0 * y / (1.0 + math.sqrt(radicand))) >= 0.0
-
-
-def _gls_closed_form(t: str, s: str) -> Expr:
-    """E(t,s)(y) as an expression: y* + sqrt(s)*y*^2 with one shared y* node
-    2*y/(1 + sqrt(1 + 4*sqrt(t)*y)), the bounded root of z + sqrt(t)*z^2 = y.
-    A negative radicand is a domain error, even one rounded just below 0."""
-    ystar = parse_expr(f"2*y/(1 + sqrt(1 + 4*sqrt({t})*y))")
-    return substitute_many(parse_expr(f"z + sqrt({s})*z*z"), {"z": ystar})
+    the operator's region."""
+    return substitute_many(parse_expr(f"1 + 2*sqrt({target})*z"), {"z": ystar}), ">="
 
 
 def gls_two_time_op() -> EvolutionOp:
+    """E(t0, t1) of the square-root action, inverted where the bounded root
+    at time max(t0, t1) recovers the same branch. As 1 + 2*sqrt(tau)*y*
+    is monotone in tau, in floating point too, that is the branch test at
+    both times; the region's tests and the closed form share their
+    radicand and y* nodes."""
+    radicand, ystar = _gls_root("t0")
     return EvolutionOp(
         name="sqrt-gls-two-time",
         closed_form=SmoothMap(
-            ("t0", "t1", "y"), (_gls_closed_form("t0", "t1"),), name="sqrt-gls-two-time"
+            ("t0", "t1", "y"), (_gls_closed_form(ystar, "t1"),), name="sqrt-gls-two-time"
         ),
-        # the bounded root at time max(t0, t1) must recover the same branch
-        inverse_domain=lambda t0, t1, x: _gls_on_branch(t0, max(t0, t1), x[0]),
+        region=(
+            (Var("t0"), ">="),
+            (radicand, ">="),
+            _gls_branch_test("t0", ystar),
+            (Var("t1"), ">="),
+            _gls_branch_test("t1", ystar),
+        ),
     )
 
 
 def gls_one_time_op() -> TimeAction:
-    """The autonomous operator one dimension up: E_A(s)(t,y) = (t+s, E(t,t+s)(y))."""
+    """The autonomous operator one dimension up: E_A(s)(t,y) = (t+s, E(t,t+s)(y)),
+    on the region where E(t, t+s) is defined and keeps the bounded root."""
+    radicand, ystar = _gls_root("t")
     return TimeAction(
         name="sqrt-gls-evolution",
         time_domain="nonneg",
         map=SmoothMap(
             ("s", "t", "y"),
-            (parse_expr("t + s"), _gls_closed_form("t", "t + s")),
+            (parse_expr("t + s"), _gls_closed_form(ystar, "t + s")),
             name="sqrt-gls-evolution",
         ),
-        validity=lambda s, x: _gls_on_branch(x[0], x[0] + s, x[1]),
+        region=((Var("t"), ">="), (radicand, ">="), _gls_branch_test("t + s", ystar)),
     )
 
 
@@ -465,18 +520,17 @@ def quadratic_one_time_op() -> TimeAction:
 def first_component_check(op: TimeAction, grid: SamplingGrid, tol: float) -> VerificationReport:
     """First output of an augmented one-time operator must be exactly t + s.
 
-    Grid axes: (s, t, y1..yl). Points outside the operator's domain are
-    skipped; witnesses and the inconclusive verdict follow `report.Tally`.
+    Grid axes: (s, t, y1..yl). Points outside the operator's time domain,
+    region or domain are skipped: each point is one leg on the region
+    (`SmoothMap.on_region`). Witnesses and the inconclusive verdict follow
+    `report.Tally`.
     """
+    leg = op.map.on_region(op.region)
     tally = Tally(tol)
     for point in grid.points():
-        s, t, x = point[0], point[1], point[1:]
-        if not op.valid_at(s, x):
-            tally.skip()
-            continue
-        try:
-            out = op(s, x)
-        except EvalDomainError:
+        s, t = point[0], point[1]
+        out = leg(*point) if op.time_ok(s) else None
+        if out is None:
             tally.skip()
             continue
         if tally.add(abs(out[0] - (t + s)) / (1.0 + abs(t + s))):
@@ -504,25 +558,22 @@ def two_time_law_check(
     tol: float,
 ) -> VerificationReport:
     """Max gap of E(s,r)(E(t,s)(y)) against E(t,r)(y), plus the inverse
-    identities E(t,s)∘E(s,t) = id = E(s,t)∘E(t,s) wherever both orders
-    stay inside the operator's (branch-)domain. Both loops feed one
-    `report.Tally`, which sets the witnesses and the inconclusive verdict.
+    identities E(t,s)∘E(s,t) = id = E(s,t)∘E(t,s) wherever the forward leg
+    stays inside the operator's region. Each unordered pair {t, s} of
+    distinct times in the triples gives its two identities once. Both
+    loops feed one `report.Tally`, which sets the witnesses and the
+    inconclusive verdict.
 
-    Each leg that starts on the grid, E(a,b)(y), is evaluated once per
-    distinct pair of times and grid point, where the first triple or
-    inverse pair needs it, and read back by both loops after that
-    (`actions.leg_columns`). The memo holds one entry per grid point for
-    each pair of times still to be read, so at most distinct pairs x grid
-    points entries; `Tally` keeps nothing per checked point. Every leg is
-    the closed form's `on_domain` form."""
-    inverse_pairs = []
-    for t, s, _ in triples:
-        if (t, s) not in inverse_pairs and t != s:
-            inverse_pairs.append((t, s))
-    columns = leg_columns(
-        [((t, s), (t, r)) for t, s, r in triples] + [((t, s), (s, t)) for t, s in inverse_pairs],
-        grid.size,
-    )
+    Each leg of the law that starts on the grid, E(a,b)(y), is evaluated
+    once per distinct pair of times and grid point, where the first triple
+    needs it, and read back by later triples (`actions.leg_columns`). The
+    memo holds one entry per grid point for each pair of times still to be
+    read, so at most distinct pairs x grid points entries; `Tally` keeps
+    nothing per checked point. Every leg of the law, and the backward leg
+    of an identity, is the closed form's `on_domain` form; the forward leg
+    of an identity is its leg on the region (`SmoothMap.on_region`), read
+    once per identity and grid point."""
+    columns = leg_columns([((t, s), (t, r)) for t, s, r in triples], grid.size)
     on = op.closed_form.on_domain
     tally = Tally(tol)
     for (t, s, r), (inner, whole) in zip(triples, columns):
@@ -538,16 +589,15 @@ def two_time_law_check(
                 tally.skip()
             elif tally.add(deviation(out, ref)):
                 tally.witness((t, s, r, *x), (*out, *ref))
-    for (t, s), forward in zip(inverse_pairs, columns):
-        orders = ((t, s, forward[0]), (s, t, forward[1]))
-        for i, x in enumerate(grid.points()):
-            for a, b, column in orders:
-                if op.inverse_domain is not None and not op.inverse_domain(a, b, x):
-                    tally.skip()
-                    continue
-                fwd = column[i]
-                if fwd is _UNSEEN:
-                    fwd = column[i] = on(a, b, *x)
+    inverse_pairs = {}
+    for t, s, _ in triples:
+        if t != s:
+            inverse_pairs.setdefault(frozenset((t, s)), (t, s))
+    forward = op.closed_form.on_region(op.region)
+    for t, s in inverse_pairs.values():
+        for x in grid.points():
+            for a, b in ((t, s), (s, t)):
+                fwd = forward(a, b, *x)
                 back = None if fwd is None else on(b, a, *fwd)
                 if back is None:
                     tally.skip()

@@ -32,7 +32,7 @@ from semiflow.enforcing import (
 from semiflow.expr import EvalDomainError, ExprError, parse_expr
 from semiflow.grids import grid1d, grid2d
 from semiflow.maps import SmoothMap, identity_map, map_from_exprs, scalar_map
-from semiflow.reduction import gls_one_time_op
+from semiflow.reduction import EvolutionOp, OdeSystem, gls_one_time_op
 from semiflow.report import Tally, Witness, deviation
 
 
@@ -99,12 +99,12 @@ class TestIdentityCheck:
         assert [w.point for w in rep.witnesses] == [(0.5,), (0.75,), (1.0,)]
 
     def test_mostly_skipped_is_inconclusive(self):
-        # 2 of 21 points lie in the validity region: the exact identity
+        # 2 of 21 points lie in the region y > 0.85: the exact identity
         # must not pass on a tenth of its grid
         guarded = TimeAction(
             "guarded", "nonneg",
             SmoothMap(("t", "y"), (parse_expr("y"),)),
-            validity=lambda t, y: y[0] > 0.85,
+            region=((parse_expr("y - 0.85"), ">"),),
         )
         rep = identity_check(guarded, grid1d(-1.0, 1.0, 21), 1e-12)
         assert rep.checked == 2 and rep.skipped == 19
@@ -157,10 +157,40 @@ class TestCompositionCheck:
         guarded = TimeAction(
             "guarded", "nonneg",
             SmoothMap(("t", "y"), (parse_expr("y"),)),
-            validity=lambda t, y: y[0] > 0.9,
+            region=((parse_expr("y - 0.9"), ">"),),
         )
         rep = composition_check(guarded, [(1.0, 1.0)], grid1d(-1.0, 1.0, 21), 1e-9)
         assert rep.inconclusive and not rep.passed
+
+
+class TestRegion:
+    @pytest.mark.parametrize("build", [
+        lambda region: TimeAction("a", "full", scalar_map(("t", "y"), "y + t"), region),
+        lambda region: OdeSystem("s", scalar_map(("t", "y"), "y"), region),
+        lambda region: EvolutionOp("e", scalar_map(("t", "y", "z"), "y + z"), region),
+    ], ids=["action", "system", "operator"])
+    def test_construction_rejects_a_stray_variable_or_relation(self, build):
+        with pytest.raises(ExprError, match=r"undeclared variables \['q'\]"):
+            build(((parse_expr("y - q"), ">"),))
+        for rel in ("<", "==", "> 0", ""):
+            with pytest.raises(ExprError, match="unknown relation"):
+                build(((parse_expr("y"), rel),))
+        build(((parse_expr("y"), ">"), (parse_expr("t"), ">="), (parse_expr("y - t"), "!=")))
+
+    def test_a_region_test_that_raises_a_domain_error_is_a_skip(self):
+        # sqrt(y) - 0.5 >= 0 holds for y >= 0.25 and raises for y < 0: the
+        # grid's point -0.25 is off the region like 0, and no check raises
+        action = TimeAction(
+            "shift", "full", scalar_map(("t", "y"), "y + t"),
+            region=((parse_expr("sqrt(y) - 0.5"), ">="),),
+        )
+        assert action.map.on_region(action.region)(0.5, -1.0) is None
+        assert not action.valid_at(0.5, (-1.0,)) and action.valid_at(0.5, (0.25,))
+        line = grid1d(-0.25, 1.0, 6)
+        comp = composition_check(action, [(0.5, 0.5)], line, 1e-12)
+        ident = identity_check(action, line, 1e-12)
+        for rep in (comp, ident):
+            assert rep.passed and (rep.checked, rep.skipped) == (4, 2)
 
 
 class TestInjectivityProbe:

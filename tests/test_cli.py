@@ -477,7 +477,7 @@ def test_seed_42_report_is_pinned(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "all", "--seed", "42", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "345f44932898fc1b7068aa103be7faa3673ab2252ce675b3f0eda81549ac940e"
+    assert digest == "e7bbe3657a5a55bf7bbd0dcf09285b113b804efd4f958f02fc9b24c810c848e6"
     reports = [r for reps in json.loads(out.read_text())["suites"].values() for r in reps]
     assert len(reports) == 45
     for r in reports:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import gc
 import math
+import operator
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,7 +30,7 @@ from semiflow.expr import (
     substitute_many,
     to_text,
 )
-from semiflow.expr import _COMPILE_NS, _emit_system
+from semiflow.expr import _COMPILE_NS, RELATIONS, _emit_system
 from semiflow.maps import SmoothMap, finite_diff, scalar_map
 from semiflow.reduction import IntegrationError, OdeSystem, integrate_flow
 
@@ -512,6 +513,38 @@ def test_on_domain_is_none_exactly_where_the_map_raises_a_domain_error(outputs, 
         assert got == want
 
 
+_RELATION_OPS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
+
+
+@given(st.lists(st.recursive(_edge_leaf, _extend, max_leaves=10), min_size=1, max_size=2),
+       st.lists(st.tuples(st.recursive(_edge_leaf, _extend, max_leaves=6),
+                          st.sampled_from(RELATIONS)), min_size=1, max_size=2),
+       _edge_points)
+@settings(max_examples=200)
+@example([parse_expr("sqrt(x) + y")], [(parse_expr("sqrt(x) - 1"), ">=")], {"x": -1.0, "y": 0.0, "t": 0.0})
+@example([parse_expr("x")], [(sin(Binary("mul", Var("x"), Var("x"))), "!=")], {"x": 1e200, "y": 0.0, "t": 0.0})
+def test_on_region_is_none_exactly_off_the_region_or_where_the_map_raises_a_domain_error(
+    outputs, region, point
+):
+    # the reference: each test by the tree walk, in order, then the map
+    m = SmoothMap(("x", "y", "t"), tuple(outputs))
+    args = (point["x"], point["y"], point["t"])
+
+    def reference():
+        for e, rel in region:
+            try:
+                if not _RELATION_OPS[rel](evaluate(e, point), 0.0):
+                    return None
+            except EvalDomainError:
+                return None
+        try:
+            return m(*args)
+        except EvalDomainError:
+            return None
+
+    assert _call_or_error(lambda: m.on_region(tuple(region))(*args)) == _call_or_error(reference)
+
+
 # the edges of each operation that compiled code leaves to a C function or
 # operator: (expression in x, x); ints as a caller may pass them
 _DOMAIN_EDGES = [
@@ -861,13 +894,16 @@ def test_compiling_leaves_no_reference_cycles():
         (parse_expr(f"sqrt(x)*sqrt(x) + {k}"), parse_expr(f"exp(x*y)/(exp(x*y) + {k})"), Var("y"))
         for k in range(50)
     ]
+    region = ((parse_expr("sqrt(x) - 1"), ">="),)
     gc.collect()
     gc.disable()
     try:
         for out in outputs:
-            assert SmoothMap(("x", "y"), out)(4.0, 0.0) == compile_system(out, ("x", "y"))(4.0, 0.0)
+            m = SmoothMap(("x", "y"), out)
+            assert m(4.0, 0.0) == compile_system(out, ("x", "y"))(4.0, 0.0) == m.on_region(region)(4.0, 0.0)
         fresh = (parse_expr("sqrt(t)*y + sqrt(t) - 0.123456789"),)
-        _rk4_kernel(("t", "y"), fresh)
+        _rk4_kernel(("t", "y"), fresh, ())
+        _rk4_kernel(("t", "y"), fresh, ((parse_expr("sqrt(t) - 0.5"), ">"),))
         garbage = gc.collect()
     finally:
         gc.enable()

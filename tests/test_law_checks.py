@@ -4,12 +4,12 @@ plain loops they replaced, event by event, and their map-call counts."""
 from __future__ import annotations
 
 import json
+import operator
 
 import pytest
 
-from semiflow import reduction
 from semiflow.actions import _UNSEEN, PreconditionError, TimeAction, composition_check, leg_columns
-from semiflow.expr import EvalDomainError, ExprError
+from semiflow.expr import EvalDomainError, ExprError, evaluate, parse_expr
 from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
 from semiflow.maps import SmoothMap, map_from_exprs
 from semiflow.reduction import (
@@ -27,27 +27,42 @@ from semiflow.suites import SUITES, SuiteConfig
 TOL = 1e-300
 
 
+_RELATIONS = {">": operator.gt, ">=": operator.ge, "!=": operator.ne}
+
+
+def _on_region(region, inputs, args):
+    """The region's tests by the tree walk, in order: False from the first
+    that fails or raises EvalDomainError."""
+    bindings = dict(zip(inputs, args))
+    try:
+        return all(_RELATIONS[rel](evaluate(e, bindings), 0.0) for e, rel in region)
+    except EvalDomainError:
+        return False
+
+
 def _reference_composition(action, times, grid, tol):
     """`composition_check` as a plain loop that evaluates every leg for
-    every pair and point."""
+    every pair and point, each right after its region test."""
     for t, s in times:
         for v in (t, s, t + s):
             if not action.time_ok(v):
                 raise PreconditionError(f"time {v!r} outside the action's domain")
+
+    def leg(tau, y):
+        if not _on_region(action.region, action.map.inputs, (tau, *y)):
+            return None
+        try:
+            return action(tau, y)
+        except EvalDomainError:
+            return None
+
     tally = Tally(tol)
     for t, s in times:
         for y in grid.points():
-            if not action.valid_at(s, y) or not action.valid_at(t + s, y):
-                tally.skip()
-                continue
-            try:
-                mid = action(s, y)
-                if not action.valid_at(t, mid):
-                    tally.skip()
-                    continue
-                lhs = action(t, mid)
-                rhs = action(t + s, y)
-            except EvalDomainError:
+            mid = leg(s, y)
+            lhs = None if mid is None else leg(t, mid)
+            rhs = None if lhs is None else leg(t + s, y)
+            if rhs is None:
                 tally.skip()
                 continue
             if tally.add(deviation(lhs, rhs)):
@@ -57,10 +72,13 @@ def _reference_composition(action, times, grid, tol):
 
 def _reference_two_time_law(op, triples, grid, tol):
     """`two_time_law_check` as a plain loop that evaluates every leg for
-    every triple, pair and point."""
+    every triple, unordered pair and point, the forward leg of an inverse
+    identity right after its region test."""
     tally = Tally(tol)
 
-    def try_leg(a, b, x):
+    def try_leg(a, b, x, region=()):
+        if not _on_region(region, op.closed_form.inputs, (a, b, *x)):
+            return None
         try:
             return op.closed_form(a, b, *x)
         except EvalDomainError:
@@ -77,15 +95,12 @@ def _reference_two_time_law(op, triples, grid, tol):
                 tally.witness((t, s, r, *x), (*out, *ref))
     seen = set()
     for t, s, _ in triples:
-        if (t, s) in seen or t == s:
+        if frozenset((t, s)) in seen or t == s:
             continue
-        seen.add((t, s))
+        seen.add(frozenset((t, s)))
         for x in grid.points():
             for a, b in ((t, s), (s, t)):
-                if op.inverse_domain is not None and not op.inverse_domain(a, b, tuple(x)):
-                    tally.skip()
-                    continue
-                fwd = try_leg(a, b, x)
+                fwd = try_leg(a, b, x, op.region)
                 back = None if fwd is None else try_leg(b, a, fwd)
                 if back is None:
                     tally.skip()
@@ -127,12 +142,12 @@ def _outcome(monkeypatch, check, *args):
     return events, json.dumps(report.to_dict())
 
 
-def _action(name, text, time_domain="full", validity=None):
-    return TimeAction(name, time_domain, map_from_exprs(("t", "y"), [text], name=name), validity)
+def _action(name, text, time_domain="full", region=()):
+    return TimeAction(name, time_domain, map_from_exprs(("t", "y"), [text], name=name), region)
 
 
-def _op(name, text, inverse_domain=None):
-    return EvolutionOp(name, map_from_exprs(("a", "b", "y"), [text], name=name), inverse_domain)
+def _op(name, text, region=()):
+    return EvolutionOp(name, map_from_exprs(("a", "b", "y"), [text], name=name), region)
 
 
 _QUARTERS = [k / 4.0 for k in range(5)]
@@ -145,8 +160,8 @@ COMPOSITION_CASES = {
     "gls-fold": (gls_one_time_op(), _GLS_PAIRS, grid2d(0.0, 1.0, 5, -1.5, 4.0, 56)),
     "quadratic": (quadratic_one_time_op(), [(r, s) for s in (0.0, 1.0, 2.0) for r in (-1.0, 0.0, 3.0)],
                   grid2d(0.0, 3.0, 4, -5.0, 5.0, 11)),
-    # H(s, y) passes the validity test on the grid, H(t, H(s, y)) often not
-    "mid-leaves-validity": (_action("grows", "y + t*y*y", "nonneg", lambda t, y: y[0] < 1.2),
+    # H(s, y) lies in the validity region y < 1.2 on the grid, H(t, H(s, y)) often not
+    "mid-leaves-validity": (_action("grows", "y + t*y*y", "nonneg", ((parse_expr("1.2 - y"), ">"),)),
                             [(0.5, 0.25), (0.25, 0.5), (0.5, 0.5), (1.0, 0.0)], grid1d(-1.0, 1.1, 15)),
     # sqrt(4 - y^2) raises on the grid past |y| = 2 and at mids that leave [-2, 2]
     "domain-errors": (_action("sqrt-bump", "y + t*sqrt(4 - y*y)"),
@@ -188,7 +203,7 @@ TWO_TIME_CASES = {
     "quadratic": (quadratic_two_time_op(),
                   [(t, s, r) for t in _QUADRATIC_TIMES for s in _QUADRATIC_TIMES for r in _QUADRATIC_TIMES],
                   grid1d(-5.0, 5.0, 21)),
-    "domain-errors": (_op("sqrt-bump", "y + (b - a)*sqrt(4 - y*y)", lambda a, b, x: x[0] < 1.5),
+    "domain-errors": (_op("sqrt-bump", "y + (b - a)*sqrt(4 - y*y)", ((parse_expr("1.5 - y"), ">"),)),
                       [(0.0, 0.5, 1.0), (0.5, 1.0, 0.0), (0.0, 1.0, 0.5)], grid1d(-3.0, 3.0, 25)),
     "signed-zero-times": (_op("translation", "y + b - a"),
                           [(a, b, c) for a in (-0.0, 0.0, 1.0) for b in (0.0, -0.0) for c in (-0.0, 1.0)],
@@ -221,20 +236,21 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def _count_legs(monkeypatch):
-    """Count the calls of every map's `on_domain` form from now on."""
+    """Count the calls of every leg a map builds from now on, on a region
+    or on none (`SmoothMap.on_domain` is the leg on no region)."""
     calls = [0]
-    original = SmoothMap.on_domain.func
+    original = SmoothMap.on_region
 
-    def counted_form(self):
-        on_domain = original(self)
+    def counted_form(self, region=()):
+        leg = original(self, region)
 
         def counted(*args):
             calls[0] += 1
-            return on_domain(*args)
+            return leg(*args)
 
         return counted
 
-    monkeypatch.setattr(SmoothMap, "on_domain", property(counted_form))
+    monkeypatch.setattr(SmoothMap, "on_region", counted_form)
     return calls
 
 
@@ -242,17 +258,29 @@ def test_gls_semigroup_evaluates_each_grid_leg_once(monkeypatch):
     # 25 pairs (t, s) over 205 grid points: every mid leg H(t, H(s, y)) is
     # checked once per pair (25 * 205), and the legs H(tau, y) on the grid
     # once per distinct time tau in {0, 1/4, ..., 2} (9 * 205); the plain
-    # loop evaluated 3 legs per pair and point, 15,375 map calls. The
-    # validity predicate is called as often, at the same points. Every leg
-    # is the map's `on_domain` form, so no leg calls the map itself.
+    # loop evaluated 3 legs per pair and point, 15,375 map calls. Every leg
+    # is the map's leg on the action's region, which tests the region in
+    # its own code: no leg calls the map itself, and nothing tests the
+    # region outside a leg.
     maps = _count_calls(monkeypatch, SmoothMap, "__call__")
     legs = _count_legs(monkeypatch)
-    validity = _count_calls(monkeypatch, reduction, "_gls_on_branch")
+    region_tests = _count_calls(monkeypatch, TimeAction, "valid_at")
     reports = SUITES["gls-semigroup"](SuiteConfig())
     assert reports[0].passed and reports[0].checked == 25 * 205
     assert legs[0] == 25 * 205 + 9 * 205 == 6970
     assert maps[0] == 0
-    assert validity[0] == 6970
+    assert region_tests[0] == 0
+
+
+def test_two_time_law_checks_each_inverse_identity_once():
+    # the triples hold (t, s) and (s, t) for every two distinct times: each
+    # unordered pair gives its two inverse identities once per grid point,
+    # after the law's one point per triple and grid point
+    reports = {r.suite: r for r in SUITES["reduction-algebra"](SuiteConfig())}
+    gls = reports["two-time-law[sqrt-gls-two-time]"]
+    assert gls.checked == 27 * 22 + 3 * 2 * 22 == 726 and gls.skipped == 0
+    quadratic = reports["two-time-law[quadratic-two-time]"]
+    assert quadratic.checked == 64 * 21 + 6 * 2 * 21 == 1596 and quadratic.skipped == 0
 
 
 def test_leg_columns_share_a_column_from_its_first_reader_to_its_last():

@@ -33,7 +33,7 @@ from semiflow.expr import (
     substitute_many,
 )
 from semiflow.grids import Axis, SamplingGrid, grid1d, grid2d
-from semiflow.maps import SmoothMap, map_from_exprs
+from semiflow.maps import SmoothMap, map_from_exprs, region_test
 from semiflow.reduction import (
     FLOW_MAX_STEPS,
     FLOW_START_STEPS,
@@ -136,10 +136,7 @@ class TestIntegrateFlow:
         assert y_end == pytest.approx(2.0, rel=1e-5)
 
     def test_validity_exit_reports_time(self):
-        drain = OdeSystem(
-            "drain", map_from_exprs(("y",), ["-1"]),
-            validity=lambda t, y: y[0] > 0.0,
-        )
+        drain = OdeSystem("drain", map_from_exprs(("y",), ["-1"]), region=((Var("y"), ">"),))
         with pytest.raises(IntegrationError) as err:
             integrate_flow(drain, 0.0, (1.0,), 2.0, 100)
         assert 0.9 < err.value.time < 1.3
@@ -319,7 +316,7 @@ def _extend_rhs(children):
 
 # input names of the drawn systems: the usual ones, and names that the RK4
 # kernel would own if its locals and globals did not all start with "_"
-_KERNEL_LIKE_NAMES = ("h", "hh", "tm", "h6", "k", "size", "mesh", "validity", "times",
+_KERNEL_LIKE_NAMES = ("h", "hh", "tm", "h6", "k", "size", "mesh", "validity", "inside", "times",
                       "t0", "t1", "err", "array", "iter", "next", "len", "isfinite", "rk4",
                       "ka0", "y0", "col0", "c0")
 _INPUT_NAMES = st.sampled_from(("t", "y", "y1", "y2", "y3") + _KERNEL_LIKE_NAMES)
@@ -352,9 +349,11 @@ def _flow_cases(draw):
     outputs = tuple(
         substitute_many(draw(trees), {**names, _PLACEHOLDERS[0]: common}) for _ in range(dim)
     )
+    # a region |y1| < bound on the first state variable, or none
     bound = draw(st.none() | st.floats(0.5, 20.0))
-    validity = None if bound is None else (lambda t, y: abs(y[0]) < bound)
-    sys = OdeSystem("random", SmoothMap(inputs, outputs), validity)
+    first = Var(inputs[0 if autonomous else 1])
+    region = () if bound is None else ((bound - first, ">"), (bound + first, ">"))
+    sys = OdeSystem("random", SmoothMap(inputs, outputs), region)
     spacing = draw(st.sampled_from(["uniform", "geometric"]))
     t_start = draw(st.floats(0.01, 1.0) if spacing == "geometric" else st.floats(-1.0, 1.0))
     t_end = t_start + draw(st.floats(0.1, 3.0))
@@ -382,14 +381,17 @@ def _kernel_run(sys, t_start, y0, t_end, steps, eps_start, spacing):
 _BLOW_UP = OdeSystem("blow-up", map_from_exprs(("y1", "y2"), ["y1*y1*y1*y2", "y2*y1"]))
 _DRAIN = OdeSystem(
     "drain", map_from_exprs(("t", "y1", "y2", "y3"), ["-1 - t", "y3", "-y2"]),
-    validity=lambda t, y: y[0] > 0.0,
+    region=((Var("y1"), ">"),),
 )
+# sqrt(y) raises EvalDomainError once y < 0: off the region, not an error
+_SQRT_DRAIN = OdeSystem("sqrt-drain", map_from_exprs(("y",), ["-1"]), ((parse_expr("sqrt(y)"), ">="),))
 
 
 @given(_flow_cases())
 @settings(max_examples=200, deadline=None)
 @example((_BLOW_UP, 0.0, (2.0, 1.0), 3.0, 30, "uniform"))  # a non-finite state
 @example((_DRAIN, 0.5, (1.0, 0.0, 1.0), 3.0, 25, "geometric"))  # a validity exit
+@example((_SQRT_DRAIN, 0.0, (1.0,), 2.0, 4, "uniform"))  # a region test that raises
 def test_generated_kernel_matches_the_plain_loop(case):
     sys, t_start, y0, t_end, steps, spacing = case
     args = (sys, t_start, y0, t_end, steps, 0.0, spacing)
@@ -570,6 +572,9 @@ class TestGlsClosedForm:
     @example(1.0, 2.0, -0.25)  # a zero radicand: the fold itself
     @example(0.5, 1.0, -0.35355339059327373)  # a zero radicand off a round time
     @example(0.5, 1.0, -0.3535533905932738)  # radicand -2.2e-16, which ystar_branch clamps
+    @example(1.0, 0.5, -0.25)  # the fold at t0 > t1, where the inverse region tests t0's branch
+    @example(0.5, 1.0, 0.0)  # y = 0, off the cube-root system's region
+    @example(0.0, 1.0, 1.0)  # t = 0, off the sqrt system's region
     def test_branch_predicate_is_the_old_conjunction(self, t, s, y):
         def valid_state(t, y):  # the closed form's domain: t >= 0 and radicand >= 0
             return t >= 0.0 and 1.0 + 4.0 * math.sqrt(t) * y >= 0.0
@@ -581,17 +586,30 @@ class TestGlsClosedForm:
                 return False
             return 1.0 + 2.0 * math.sqrt(target) * ystar >= 0.0
 
-        # the one-time operator's validity, at every time s >= 0
+        def compiled(owner, inputs, leg, point):
+            # the region's tests alone, and the leg of the map on its region,
+            # defined wherever the region holds: both None exactly off it
+            alone = region_test(inputs, owner.region)(*point) is not None
+            assert (leg.on_region(owner.region)(*point) is not None) == alone
+            return alone
+
         if s >= 0.0:
+            # the one-time operator's region, at every time s >= 0
+            one = gls_one_time_op()
             old = valid_state(t, y) and bounded_root_at(t + s, t, y)
-            assert gls_one_time_op().valid_at(s, (t, y)) == old
-            assert reduction._gls_on_branch(t, t + s, y) == old
-        # the two-time operator's inverse domain: the old guard clamped a
-        # radicand just below 0 instead of testing it, but there y* is
-        # -1/(2*sqrt(t)) and its branch test fails as well
-        old_guard = bounded_root_at(max(t, s), t, y)
-        assert gls_two_time_op().inverse_domain(t, s, (y,)) == old_guard
-        assert reduction._gls_on_branch(t, max(t, s), y) == old_guard
+            assert one.valid_at(s, (t, y)) == old
+            assert compiled(one, one.map.inputs, one.map, (s, t, y)) == old
+            # the two-time operator's inverse region, for t1 = s >= 0: the
+            # old guard clamped a radicand just below 0 instead of testing
+            # it, but there y* is -1/(2*sqrt(t)) and its branch test fails
+            # as well
+            two = gls_two_time_op()
+            old_guard = bounded_root_at(max(t, s), t, y)
+            assert compiled(two, two.closed_form.inputs, two.closed_form, (t, s, y)) == old_guard
+        # the ODE systems' regions
+        sqrt_ode = sqrt_ode_system("minus")
+        assert sqrt_ode.valid_at(t, (y,)) == (t > 0.0 and 1.0 + 4.0 * math.sqrt(t) * y >= 0.0)
+        assert cuberoot_ode_system().valid_at(t, (y,)) == (y != 0.0)
 
     @given(
         st.floats(0.0, 4.0, allow_nan=False),
@@ -678,12 +696,14 @@ class TestOperatorLaws:
         assert rep.witnesses[0].note == "H(t,H(s,y)) != H(t+s,y)"
 
     def test_fold_crossing_skip_counts(self):
-        # grids that cross the fold: the branch predicate and the closed
-        # form's own domain decide every skip
+        # grids that cross the fold: the branch region and the closed
+        # form's own domain decide every skip. The two-time law has 27 * 30
+        # points and 3 unordered pairs of times with 2 inverse identities
+        # per grid point, 990 in all
         vals = (0.25, 1.0, 2.25)
         triples = [(t, s, r) for t in vals for s in vals for r in vals]
         rep = two_time_law_check(gls_two_time_op(), triples, grid1d(-0.9, 2.0, 30), 1e-9)
-        assert (rep.checked, rep.skipped, rep.passed) == (913, 257, False)
+        assert (rep.checked, rep.skipped, rep.passed) == (776, 214, False)
         assert rep.max_deviation == pytest.approx(0.5926, abs=1e-4)
         times = [k / 4.0 for k in range(5)]
         pairs = [(s, r) for s in times for r in times]
