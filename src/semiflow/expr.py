@@ -25,8 +25,10 @@ consumers. Every `SmoothMap` compiles its outputs once into one
 `compile_system` lambda, and a leg on a region into one more, with the
 region's tests in front. `compile_expr` wraps the code of one output in a
 function of its own, for the scalar functions the checks evaluate. The RK4
-kernel of `semiflow.reduction` writes the code of a right-hand side into
-each of its stage lines, and a system's region into its step's end.
+kernel of `semiflow.reduction` writes the code of a right-hand side's
+state-free part (its subtrees that read no state variable) where the time
+changes, the code of the rest, which reads those values by name, into each
+of its stage lines, and a system's region into its step's end.
 
 The tree walk `evaluate` applies the domain rules node by node through
 guards that raise `EvalDomainError`; it is kept as the reference the

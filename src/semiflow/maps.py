@@ -39,6 +39,14 @@ from .expr import (
 )
 
 
+def _check_arity(inputs: tuple[str, ...], args: tuple) -> None:
+    # the lambda checks the arity itself; name the map's inputs only then
+    if len(args) != len(inputs):
+        raise ExprError(
+            f"expected {len(inputs)} arguments ({inputs}), got {len(args)}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SmoothMap:
     """A map given per coordinate by expressions in its named inputs.
@@ -79,15 +87,8 @@ class SmoothMap:
         except (ArithmeticError, ValueError):
             raise_from_tree_walk(self.outputs, self.inputs, args)
         except TypeError:
-            self._check_arity(args)
+            _check_arity(self.inputs, args)
             raise
-
-    def _check_arity(self, args: tuple) -> None:
-        # the lambda checks the arity itself; name the map's inputs only then
-        if len(args) != self.in_dim:
-            raise ExprError(
-                f"expected {self.in_dim} arguments ({self.inputs}), got {len(args)}"
-            ) from None
 
     @cached_property
     def on_domain(self) -> Callable[..., tuple[float, ...] | None]:
@@ -123,9 +124,11 @@ class SmoothMap:
                 except EvalDomainError:
                     return None
             except TypeError:
-                self._check_arity(args)
+                _check_arity(inputs, args)
                 raise
 
+        # the leg holds the inputs, not the map: a map that keeps its leg
+        # (`on_domain`) is in no reference cycle
         return on_region
 
     @cached_property

@@ -38,14 +38,17 @@ from typing import Callable, Iterator, NoReturn, Sequence
 from .actions import _UNSEEN, TimeAction, composition_check, leg_columns
 from .expr import (
     _COMPILE_NS,
+    Binary,
     Const,
     EvalDomainError,
     Expr,
+    Unary,
     Var,
     _check_params,
     _emit_system,
     _emit_tests,
     compile_expr,
+    free_vars,
     parse_expr,
     raise_from_tree_walk,
     substitute_many,
@@ -202,9 +205,12 @@ def integrate_flow(
     subtrees computed once, stands in each stage line, so a stage is no
     call, and calls no domain guard: a stage off the RHS's domain raises
     the IntegrationError "RHS domain error: ..." with the message the tree
-    walk `evaluate` gives at that stage's inputs. The kernel does the
-    textbook scheme's floating-point operations in the textbook order, so
-    states and times are bit for bit those of the plain loop over tuples.
+    walk `evaluate` gives at that stage's inputs. The RHS's state-free
+    part, its subtrees that read no state variable (sqrt(t), 4*t*sqrt(t)),
+    is computed once per distinct mesh time, and once per run for an
+    autonomous system. The kernel does the textbook scheme's
+    floating-point operations in the textbook order, so states and times
+    are bit for bit those of the plain loop over tuples.
     The trajectory keeps the mesh and one `array('d')` column per state
     component, each allocated once at steps + 1 values and filled by
     index.
@@ -230,7 +236,7 @@ def _rk4(_mesh, {y}):
 {allocate}
     _times = _iter(_mesh)
     _t0 = _next(_times)
-    _k = 0
+    _k = 0{free_at_start}
     for _t1 in _times:
         _h = _t1 - _t0
         _hh = 0.5 * _h
@@ -238,11 +244,11 @@ def _rk4(_mesh, {y}):
         try:
             ({inputs},) = ({at_t0}{y},)
             ({ka},) = ({rhs},)
-            ({inputs},) = ({at_tm}{y_ka},)
+            ({inputs},) = ({at_tm}{y_ka},){free_in_step}
             ({kb},) = ({rhs},)
             ({inputs},) = ({at_tm}{y_kb},)
             ({kc},) = ({rhs},)
-            ({inputs},) = ({at_t1}{y_kc},)
+            ({inputs},) = ({at_t1}{y_kc},){free_in_step}
             ({kd},) = ({rhs},)
         except _DOMAIN_ERRORS:
             _stage_failed(({inputs},), _t0)
@@ -256,6 +262,15 @@ def _rk4(_mesh, {y}):
         _t0 = _t1
     return ({columns},)
 """
+
+# the RHS's state-free part at the mesh's start, once the inputs are bound
+# there: a failure is the first stage's
+_RK4_FREE_AT_START = """
+    ({inputs},) = ({at_t0}{y},)
+    try:
+        {free}
+    except _DOMAIN_ERRORS:
+        _stage_failed(({inputs},), _t0)"""
 
 # the step-end test of a region, once the inputs are bound at _t1; where a
 # test raises, the region's leg (`maps.region_test`) decides as the checks do
@@ -294,6 +309,20 @@ def _stage_failed(
         raise IntegrationError(f"RHS domain error: {err}", t0) from err
 
 
+def _read_by_name(e: Expr, name_of: Callable[[Expr], Var | None]) -> Expr:
+    """`e` with each outermost non-leaf subtree that `name_of` names
+    replaced by that variable; the rest of the tree is kept as it is."""
+    kind = type(e)
+    if kind is Unary or kind is Binary:
+        var = name_of(e)
+        if var is not None:
+            return var
+        if kind is Unary:
+            return Unary(e.op, _read_by_name(e.arg, name_of))
+        return Binary(e.op, _read_by_name(e.lhs, name_of), _read_by_name(e.rhs, name_of))
+    return e
+
+
 @lru_cache(maxsize=64)
 def _rk4_kernel(
     inputs: tuple[str, ...],
@@ -316,18 +345,35 @@ def _rk4_kernel(
     `y + 0.5*h*k` for the midpoint stages, `y + h*k` for the last and
     `y + (h/6)*(k1 + 2*(k2 + k3) + k4)` for the step, with `0.5*h` and
     `h/6` computed once per step, which Python's left-to-right evaluation
-    makes the same operations. Errors carry the times the plain loop
-    reports: a domain error in the RHS the step's start, a non-finite
-    state or a step that leaves the region the step's end. The RHS code
-    raises the error of the C function or operator that failed (or
-    `_pow`'s EvalDomainError); the `except` clause, which costs nothing
-    while no stage fails, hands the failing stage's inputs to
-    `_stage_failed`, which raises the tree walk's error there.
+    makes the same operations.
+
+    The RHS's state-free part is each maximal non-leaf subtree that reads
+    no state variable (for the sqrt ODE 2*sqrt(t), 4*sqrt(t) and
+    4*t*sqrt(t)), taken as the tree has it, never re-associated, and read
+    by the stage code under its name `_s0`, `_s1`, ... It is computed once
+    per distinct mesh time, from the time bound as an input: before the
+    loop at the mesh's start, then in each step once at the midpoint, for
+    stages 2 and 3, and once at the step's end, for stage 4, the step-end
+    region test and the next step's stage 1. Without a time input (an
+    autonomous system, an augmented one included) it is constant and
+    computed before the loop only. Each computation follows the binding
+    of the inputs of the first stage it serves, so its failure is that
+    stage's.
+
+    Errors carry the times the plain loop reports: a domain error in the
+    RHS the step's start, a non-finite state or a step that leaves the
+    region the step's end. The RHS code raises the error of the C function
+    or operator that failed (or `_pow`'s EvalDomainError); the `except`
+    clause, which costs nothing while no stage fails, hands the failing
+    stage's inputs to `_stage_failed`, which raises the tree walk's error
+    there.
 
     The region's tests (`region`, over the same inputs) run inline at each
     step's end, on the inputs bound at the new time and state. Their code
     is emitted on its own, not with the RHS's, so a stage never reads a
-    subtree the tests computed. Where a test raises, the region's tests
+    subtree the tests computed; a test reads a state-free value by name
+    only where it holds that very subtree, and computes the rest inline,
+    after the tests before it hold. Where a test raises, the region's tests
     alone (`maps.region_test`) decide: off the region where a test raises
     EvalDomainError, and any other error passes through.
 
@@ -342,9 +388,31 @@ def _rk4_kernel(
         return ", ".join(template.format(i=i) for i in range(dim))
 
     at = {k: "" if autonomous else f"_{k}, " for k in ("t0", "tm", "t1")}
+    # each maximal non-leaf subtree that reads no state variable, under the
+    # name _s0, _s1, ... the stage code reads it by
+    state = set(inputs if autonomous else inputs[1:])
+    hoisted: dict[Expr, Var] = {}
+
+    def hoist(e: Expr) -> Var | None:
+        if free_vars(e) & state:
+            return None
+        return hoisted.setdefault(e, Var(f"_s{len(hoisted)}"))
+
+    rhs = tuple(_read_by_name(e, hoist) for e in outputs)
+    names = tuple(v.name for v in hoisted.values())
+    params = inputs + names
+    free_at_start = free_in_step = ""
+    if hoisted:
+        free = f"({', '.join(names)},) = ({', '.join(_emit_system(tuple(hoisted), inputs))},)"
+        free_at_start = _RK4_FREE_AT_START.format(
+            inputs=", ".join(inputs), at_t0=at["t0"], y=cols("_y{i}"), free=free
+        )
+        if not autonomous:
+            free_in_step = "\n            " + free
     tests = ""
     if region:
-        codes = _emit_system(tuple(e for e, _ in region), inputs)
+        # a test reads a state-free value only where it holds that very subtree
+        codes = _emit_system(tuple(_read_by_name(e, hoisted.get) for e, _ in region), params)
         tests = _RK4_REGION.format(
             inputs=", ".join(inputs),
             at_t1=at["t1"],
@@ -357,7 +425,9 @@ def _rk4_kernel(
             f"    _col{i} = _array('d', [_y{i}]) * _size" for i in range(dim)
         ),
         inputs=", ".join(inputs),
-        rhs=", ".join(_emit_system(outputs, inputs)),
+        rhs=", ".join(_emit_system(rhs, params)),
+        free_at_start=free_at_start,
+        free_in_step=free_in_step,
         ka=cols("_ka{i}"),
         kb=cols("_kb{i}"),
         kc=cols("_kc{i}"),

@@ -42,6 +42,15 @@ def deviation(lhs: Sequence[float], rhs: Sequence[float]) -> float:
     n = len(lhs)
     if n == 1 == len(rhs):
         return abs(lhs[0] - rhs[0]) / (1.0 + abs(rhs[0]))
+    if n == 2 == len(rhs):
+        # the loop below, unrolled: a NaN gap, which a NaN r makes, is NaN
+        d0 = abs(lhs[0] - rhs[0])
+        d1 = abs(lhs[1] - rhs[1])
+        if d0 != d0 or d1 != d1:
+            return math.nan
+        r0 = abs(rhs[0])
+        r1 = abs(rhs[1])
+        return (d1 if d1 > d0 else d0) / (1.0 + (r1 if r1 > r0 else r0))
     if n != len(rhs) or not n:
         raise ValueError(f"deviation() needs two vectors of one length >= 1, got {n} and {len(rhs)}")
     # one pass; every gap and |r| is >= 0.0 or NaN, so 0.0 starts both

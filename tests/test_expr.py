@@ -901,6 +901,8 @@ def test_compiling_leaves_no_reference_cycles():
         for out in outputs:
             m = SmoothMap(("x", "y"), out)
             assert m(4.0, 0.0) == compile_system(out, ("x", "y"))(4.0, 0.0) == m.on_region(region)(4.0, 0.0)
+            # the map keeps its leg on no region, which must not hold the map
+            assert m.on_domain(4.0, 0.0) == m(4.0, 0.0)
         fresh = (parse_expr("sqrt(t)*y + sqrt(t) - 0.123456789"),)
         _rk4_kernel(("t", "y"), fresh, ())
         _rk4_kernel(("t", "y"), fresh, ((parse_expr("sqrt(t) - 0.5"), ">"),))

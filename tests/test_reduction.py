@@ -318,7 +318,7 @@ def _extend_rhs(children):
 # kernel would own if its locals and globals did not all start with "_"
 _KERNEL_LIKE_NAMES = ("h", "hh", "tm", "h6", "k", "size", "mesh", "validity", "inside", "times",
                       "t0", "t1", "err", "array", "iter", "next", "len", "isfinite", "rk4",
-                      "ka0", "y0", "col0", "c0")
+                      "ka0", "y0", "col0", "c0", "s0")
 _INPUT_NAMES = st.sampled_from(("t", "y", "y1", "y2", "y3") + _KERNEL_LIKE_NAMES)
 
 
@@ -332,6 +332,7 @@ _TREES = {
     )
     for arity in range(1, 5)
 }
+_CONSTANT_TREES = st.recursive(_LEAF_CONSTANTS, _extend_rhs, max_leaves=4)
 
 
 @st.composite
@@ -344,15 +345,25 @@ def _flow_cases(draw):
     names = {p: Var(name) for p, name in zip(_PLACEHOLDERS, inputs)}
     # a subtree that recurs in every output, as sqrt(t) does in the sqrt
     # ODE: it stands for each occurrence of the first input (time, when
-    # there is one)
-    common = substitute_many(draw(trees), names)
+    # there is one). Drawn over every input, over the first input alone
+    # (the kernel computes a subtree of the time alone once per mesh time)
+    # or over constants alone (once per run)
+    common = draw(st.one_of(
+        trees.map(partial(substitute_many, mapping=names)),
+        _TREES[1].map(partial(substitute_many, mapping={_PLACEHOLDERS[0]: Var(inputs[0])})),
+        _CONSTANT_TREES,
+    ))
     outputs = tuple(
         substitute_many(draw(trees), {**names, _PLACEHOLDERS[0]: common}) for _ in range(dim)
     )
-    # a region |y1| < bound on the first state variable, or none
+    # a region |y1| < bound on the first state variable, or none; the region
+    # may also test common - common >= 0, which holds where common is finite
+    # and reads the value the stages computed where common has no state
     bound = draw(st.none() | st.floats(0.5, 20.0))
     first = Var(inputs[0 if autonomous else 1])
     region = () if bound is None else ((bound - first, ">"), (bound + first, ">"))
+    if draw(st.booleans()):
+        region += ((common - common, ">="),)
     sys = OdeSystem("random", SmoothMap(inputs, outputs), region)
     spacing = draw(st.sampled_from(["uniform", "geometric"]))
     t_start = draw(st.floats(0.01, 1.0) if spacing == "geometric" else st.floats(-1.0, 1.0))
@@ -385,6 +396,13 @@ _DRAIN = OdeSystem(
 )
 # sqrt(y) raises EvalDomainError once y < 0: off the region, not an error
 _SQRT_DRAIN = OdeSystem("sqrt-drain", map_from_exprs(("y",), ["-1"]), ((parse_expr("sqrt(y)"), ">="),))
+# a subtree of the time alone that raises from t = 0.7 on, and one that
+# raises at every t > 0; and a subtree of constants alone that always raises
+_SQRT_CLOSING = OdeSystem("sqrt-closing", map_from_exprs(("t", "y"), ["y*sqrt(0.7 - t) - 1"]))
+_SQRT_NEGATIVE_TIME = OdeSystem("sqrt-negative-time", map_from_exprs(("t", "y"), ["y + sqrt(-t)"]))
+_SQRT_NEGATIVE_CONSTANT = OdeSystem(
+    "sqrt-negative-constant", SmoothMap(("y",), (Var("y") * Unary("sqrt", Const(-1.0)),))
+)
 
 
 @given(_flow_cases())
@@ -392,6 +410,12 @@ _SQRT_DRAIN = OdeSystem("sqrt-drain", map_from_exprs(("y",), ["-1"]), ((parse_ex
 @example((_BLOW_UP, 0.0, (2.0, 1.0), 3.0, 30, "uniform"))  # a non-finite state
 @example((_DRAIN, 0.5, (1.0, 0.0, 1.0), 3.0, 25, "geometric"))  # a validity exit
 @example((_SQRT_DRAIN, 0.0, (1.0,), 2.0, 4, "uniform"))  # a region test that raises
+# the time part raises first at a step's midpoint (0.75), at a step's end
+# (0.75) and at the mesh's start (0.5); the constant part at the start
+@example((_SQRT_CLOSING, 0.0, (1.0,), 1.0, 2, "uniform"))
+@example((_SQRT_CLOSING, 0.0, (1.0,), 1.0, 4, "uniform"))
+@example((_SQRT_NEGATIVE_TIME, 0.5, (1.0,), 1.0, 3, "geometric"))
+@example((_SQRT_NEGATIVE_CONSTANT, 0.0, (1.0,), 1.0, 3, "uniform"))
 def test_generated_kernel_matches_the_plain_loop(case):
     sys, t_start, y0, t_end, steps, spacing = case
     args = (sys, t_start, y0, t_end, steps, 0.0, spacing)
@@ -433,6 +457,26 @@ def test_one_kernel_per_right_hand_side():
     # the same system twice and a rebuilt equal one share a kernel
     info = reduction._rk4_kernel.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 300])
+def test_the_sqrt_ode_kernel_takes_six_square_roots_a_step(monkeypatch, steps):
+    # sqrt(t) once per mesh time: at the start, then at each step's midpoint
+    # and end; sqrt(1 + 4*sqrt(t)*y) once per stage; none in the region test
+    calls = 0
+
+    def counting_sqrt(x):
+        nonlocal calls
+        calls += 1
+        return math.sqrt(x)
+
+    monkeypatch.setitem(reduction._RK4_NS, "_sqrt", counting_sqrt)
+    reduction._rk4_kernel.cache_clear()
+    try:
+        integrate_flow(FLOW_SYSTEMS["sqrt-ode-minus"](), 0.0, (1.0001,), 1.0, steps, 1e-8, "geometric")
+    finally:
+        reduction._rk4_kernel.cache_clear()
+    assert calls == 6 * steps + 1
 
 
 def test_repeated_input_names_are_rejected():

@@ -188,8 +188,28 @@ def test_deviation_matches_the_nan_max_formula(pair):
         assert math.isnan(got)
 
 
+_pairs_of_2_vectors = st.tuples(*[st.lists(_components, min_size=2, max_size=2)] * 2)
+
+
+@given(_pairs_of_2_vectors)
+@settings(max_examples=500)
+@example(([math.nan, 1.0], [1.0, 2.0]))  # a NaN gap first
+@example(([1.0, 2.0], [1.0, math.nan]))  # a NaN r second
+@example(([math.inf, 1.0], [math.inf, 1.0]))  # inf - inf is a NaN gap
+@example(([1.0, -math.inf], [0.0, 2.0]))  # an infinite gap
+@example(([0.0, 1.0], [-math.inf, 1.0]))  # an infinite |r|
+@example(([-0.0, -0.0], [0.0, -0.0]))  # zero gaps and |r| of either sign
+@example(([1.0, 3.0], [2.0, 2.0]))  # equal gaps
+def test_two_vector_deviation_is_the_general_loops(pair):
+    lhs, rhs = pair
+    # a third pair 0.0, 0.0 sends the vectors through the general loop and
+    # leaves both maxima as they are, since each starts at 0.0
+    assert _same(deviation(lhs, rhs), deviation([*lhs, 0.0], [*rhs, 0.0]))
+
+
 @pytest.mark.parametrize("lhs, rhs", [
     ([], []), ([1.0], []), ([], [1.0]), ([1.0], [1.0, 2.0]), ([1.0, 2.0, 3.0], [1.0, 2.0]),
+    ([1.0, 2.0], [1.0]), ([1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0], []),
 ])
 def test_deviation_of_unequal_or_empty_vectors_raises(lhs, rhs):
     with pytest.raises(ValueError, match=f"got {len(lhs)} and {len(rhs)}"):
