@@ -36,17 +36,17 @@ class PreconditionError(ValueError):
 class TimeAction:
     """A parametrized family (t, y) -> H(t, y) acting on an l-dimensional state.
 
-    The family is its map, a SmoothMap R^(l+1) -> R^l: the map's first
-    input is the time variable, the others are the state variables, and
-    its outputs give the dimension l. `region` restricts the usable part
-    of (t, y) when the law holds on less than the formula's domain (e.g.
-    one root branch of a radicand): tests (expression, relation) over the
-    map's inputs, each against 0 (`maps.check_region`). The checks read it
-    through the map's leg `map.on_region(region)`, whose code tests the
-    region in front of the outputs; a call of the action ignores it.
+    The family is its map, a SmoothMap R^(l+1) -> R^l: the map's name is
+    the action's, its first input is the time variable, the others are the
+    state variables, and its outputs give the dimension l. `region`
+    restricts the usable part of (t, y) when the law holds on less than the
+    formula's domain (e.g. one root branch of a radicand): tests
+    (expression, relation) over the map's inputs, each against 0
+    (`maps.check_region`). The checks read it through the map's leg
+    `map.on_region(region)`, whose code tests the region in front of the
+    outputs; a call of the action ignores it.
     """
 
-    name: str
     time_domain: str  # "nonneg" | "full"
     map: SmoothMap
     region: tuple[tuple[Expr, str], ...] = ()
@@ -59,6 +59,10 @@ class TimeAction:
                 f"action map must be R^(l+1) -> R^l; got {self.map.in_dim} -> {self.map.out_dim}"
             )
         check_region(self.region, self.map.inputs)
+
+    @property
+    def name(self) -> str:
+        return self.map.name
 
     @property
     def dim(self) -> int:
@@ -354,11 +358,10 @@ def probe_evidence(m: SmoothMap, grid: SamplingGrid, tol: float) -> ProbeEvidenc
 def injectivity_probe(m: SmoothMap, grid: SamplingGrid, tol: float) -> VerificationReport:
     """Search the grid for two distinct points with the same image.
 
-    passed=True means no collision was found on this grid (never a global
-    certificate). For a found collision, max_deviation records the witness
-    pair's separation, so a failing report's deviation is macroscopic. A
-    derivative sign change whose colliding pair was not located measured
-    no separation: its deviation is NaN, which fails every tolerance.
+    A pass means no collision was found on this grid (never a global
+    certificate). A located collision has deviation +inf, and a derivative
+    sign change whose colliding pair was not located has deviation NaN, so
+    either fails every tolerance; a pair's separation shows in its witness.
 
     A 1-D map is probed through the sign changes of its derivative. A map
     of two or more variables is probed pairwise through a neighbour-cell
@@ -372,17 +375,10 @@ def injectivity_probe(m: SmoothMap, grid: SamplingGrid, tol: float) -> Verificat
         notes.append(f"derivative-sign-constant={ev.sign_constant}")
     if ev.unbounded is not None:
         notes.append(f"endpoint-growth={ev.unbounded}")
-    half = m.in_dim
-    seps = [
-        max(abs(a - b) for a, b in zip(w.point[:half], w.point[half:]))
-        if len(w.point) == 2 * half
-        else math.nan
-        for w in ev.witnesses
-    ]
+    devs = [math.inf if len(w.point) == 2 * m.in_dim else math.nan for w in ev.witnesses]
     return VerificationReport(
         suite=f"injectivity[{m.name or 'map'}]",
-        passed=not ev.witnesses,
-        max_deviation=nan_max([0.0, *seps]),
+        max_deviation=nan_max([0.0, *devs]),
         tolerance=tol,
         grid=grid.summary(),
         witnesses=ev.witnesses,

@@ -191,7 +191,7 @@ def _adhoc_identity_report(text: str, tol: float) -> VerificationReport:
     stray = free_vars(expr) - {"t", "y"}
     if stray:
         raise ExprError(f"--action expression may use only t and y; got {sorted(stray)}")
-    action = TimeAction(f"adhoc[{text}]", "nonneg", SmoothMap(("t", "y"), (expr,), name="adhoc"))
+    action = TimeAction("nonneg", SmoothMap(("t", "y"), (expr,), name=f"adhoc[{text}]"))
     return identity_check(action, grid1d(-3.0, 3.0, 101), tol)
 
 

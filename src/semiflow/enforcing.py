@@ -109,7 +109,6 @@ def sqrt_mediator() -> MediatorFunction:
 def sqrt_action() -> TimeAction:
     """H(t,y) = y + sqrt(t)*y^2 on t in [0, inf); not C^1 at t = 0."""
     return TimeAction(
-        name="sqrt-action",
         time_domain="nonneg",
         map=scalar_map(("t", "y"), "y + sqrt(t)*y^2", name="sqrt-action"),
     )
@@ -118,7 +117,6 @@ def sqrt_action() -> TimeAction:
 def milder_action() -> TimeAction:
     """H(t,y) = y + t*y^2, smooth on all of R x R yet never a diffeomorphism for t != 0."""
     return TimeAction(
-        name="milder-action",
         time_domain="full",
         map=scalar_map(("t", "y"), "y + t*y^2", name="milder-action"),
     )
@@ -127,7 +125,6 @@ def milder_action() -> TimeAction:
 def cuberoot_group_action() -> TimeAction:
     """Y(t) = (3t + y^3)^(1/3): the flow of dY/dt = 1/Y^2, a full group action."""
     return TimeAction(
-        name="cuberoot-action",
         time_domain="full",
         map=scalar_map(("t", "y"), "cbrt(3*t + y^3)", name="cuberoot-action"),
     )
@@ -146,7 +143,7 @@ def sqrt_ode_system(branch: str = "minus") -> OdeSystem:
     sign = _known_branch({"plus": "+", "minus": "-"}, branch)
     rhs = f"(1 + 2*sqrt(t)*y {sign} sqrt(1 + 4*sqrt(t)*y))/(4*t*sqrt(t))"
     return OdeSystem(
-        f"sqrt-ode-{branch}", scalar_map(("t", "y"), rhs, f"sqrt-rhs-{branch}"),
+        scalar_map(("t", "y"), rhs, f"sqrt-ode-{branch}"),
         region=((Var("t"), ">"), (parse_expr("1 + 4*sqrt(t)*y"), ">=")),
     )
 
@@ -159,13 +156,12 @@ def milder_ode_system(branch: str = "regular") -> OdeSystem:
         "singular": "(1 + 2*t*y + sqrt(1 + 4*t*y))/(2*t^2)",
     }
     rhs = _known_branch(forms, branch)
-    return OdeSystem(f"milder-ode-{branch}", scalar_map(("t", "y"), rhs, f"milder-rhs-{branch}"))
+    return OdeSystem(scalar_map(("t", "y"), rhs, f"milder-ode-{branch}"))
 
 
 def cuberoot_ode_system() -> OdeSystem:
     """dY/dt = 1/Y^2, whose flow is the cube-root action."""
-    rhs = scalar_map(("y",), "1/y^2", name="inverse-square")
-    return OdeSystem("cuberoot-ode", rhs, region=((Var("y"), "!="),))
+    return OdeSystem(scalar_map(("y",), "1/y^2", name="cuberoot-ode"), region=((Var("y"), "!="),))
 
 
 def ode_residual_map(action: TimeAction, system: OdeSystem) -> SmoothMap:
@@ -197,7 +193,6 @@ def homotopy_action(f: SmoothMap, g: MediatorFunction) -> TimeAction:
         one_minus_g * Var(y) + g.g * f_i for y, f_i in zip(f.inputs, f.outputs)
     )
     return TimeAction(
-        name=f"homotopy[{f.name or 'f'}]",
         time_domain="nonneg",
         map=SmoothMap(("t", *f.inputs), outputs, name=f"homotopy[{f.name or 'f'}]"),
     )
@@ -297,6 +292,8 @@ def limit_ic_check(
     """
     ys = (y,) if isinstance(y, (int, float)) else tuple(y)
     eps = list(eps_sequence)
+    if not eps:
+        raise ValueError("eps_sequence must not be empty")
     if any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] >= 1e-8:
         raise ValueError("eps_sequence must decrease strictly to below 1e-8")
     if any(e <= 0.0 for e in eps):
@@ -309,7 +306,6 @@ def limit_ic_check(
     witnesses = [Witness((e,), (d,)) for e, d in zip(eps, devs)]
     return VerificationReport(
         suite=f"limit-ic[{action.name}]",
-        passed=monotone and devs[-1] <= tol,
         max_deviation=devs[-1],
         tolerance=tol,
         grid=f"eps {eps[0]:g}..{eps[-1]:g} ({len(eps)} values)",
@@ -332,6 +328,8 @@ def not_c1_check(
     (eps, sqrt(eps)*quotient, y^2). Deviations follow `report.deviation`.
     """
     eps = list(eps_sequence)
+    if not eps:
+        raise ValueError("eps_sequence must not be empty")
     base = action.call1(0.0, y)
     tally = Tally(tol)
     for e in eps:

@@ -107,7 +107,6 @@ def soliton_residual_max(
 def soliton_param_flow() -> TimeAction:
     """(t, (a, c, d)) -> (a + c*t, c, d): the position a moves, (c, d) stay."""
     return TimeAction(
-        "soliton-param-flow",
         "nonneg",
         map_from_exprs(("t", "a", "c", "d"), ["a + c*t", "c", "d"], name="soliton-param-flow"),
     )

@@ -69,11 +69,10 @@ class IntegrationError(Exception):
 class OdeSystem:
     """Explicit first-order system dY/dt = rhs on R^l, where rhs is a
     SmoothMap of (t, y1..yl) or, for an autonomous system, of (y1..yl)
-    alone: the map's shape gives the dimension and the autonomy. `region`
-    is where a flow may run: tests (expression, relation) over the RHS's
-    inputs, each against 0 (`maps.check_region`)."""
+    alone: the map's name is the system's, its shape gives the dimension
+    and the autonomy. `region` is where a flow may run: tests (expression,
+    relation) over the RHS's inputs, each against 0 (`maps.check_region`)."""
 
-    name: str
     rhs: SmoothMap
     region: tuple[tuple[Expr, str], ...] = ()
 
@@ -84,6 +83,10 @@ class OdeSystem:
                 f"{self.rhs.in_dim} -> {self.rhs.out_dim}"
             )
         check_region(self.region, self.rhs.inputs)
+
+    @property
+    def name(self) -> str:
+        return self.rhs.name
 
     @property
     def dim(self) -> int:
@@ -111,7 +114,7 @@ def augment_system(sys: OdeSystem) -> OdeSystem:
     rhs = SmoothMap(
         sys.rhs.inputs, (Const(1.0), *sys.rhs.outputs), name=f"augmented[{sys.name}]"
     )
-    return OdeSystem(f"augmented[{sys.name}]", rhs, sys.region)
+    return OdeSystem(rhs, sys.region)
 
 
 _CSV_BLOCK = 512  # rows per `%` in Trajectory.write_csv
@@ -123,14 +126,11 @@ class Trajectory:
 
     `times` holds the mesh and `columns[i]` the values of state component
     i + 1 at those times, each an `array('d')`; sample k is `times[k]`
-    with `tuple(c[k] for c in columns)`.
+    with `tuple(c[k] for c in columns)`, and `steps` is the mesh's.
     """
 
     times: array
     columns: tuple[array, ...]
-    steps: int
-    eps_start: float
-    spacing: str
 
     def __post_init__(self):
         times = self.times
@@ -139,6 +139,10 @@ class Trajectory:
             raise ValueError("trajectory times must increase strictly")
         if any(len(c) != len(times) for c in self.columns):
             raise ValueError("every column needs one value per time")
+
+    @property
+    def steps(self) -> int:
+        return len(self.times) - 1
 
     @property
     def dim(self) -> int:
@@ -227,7 +231,7 @@ def integrate_flow(
     mesh = _time_mesh(a, t_end, steps, spacing)
     kernel = _rk4_kernel(sys.rhs.inputs, sys.rhs.outputs, sys.region)
     columns = kernel(mesh, *(float(v) for v in y0))
-    return Trajectory(mesh, columns, steps, eps_start, spacing)
+    return Trajectory(mesh, columns)
 
 
 _RK4_SOURCE = """\
@@ -462,22 +466,25 @@ def _rk4_kernel(
 @dataclass(frozen=True)
 class EvolutionOp:
     """The two-time operator E(t0, t1) of a non-autonomous system: a
-    closed-form SmoothMap with inputs (t0, t1, x...) that raises
-    `EvalDomainError` outside its domain, and the region of the points
-    (t0, t1, x) where E(t1, t0) undoes it: tests (expression, relation)
-    over the closed form's inputs, each against 0 (`maps.check_region`),
-    none for an operator inverted on all its domain.
+    closed-form SmoothMap, whose name is the operator's, with inputs
+    (t0, t1, x...) that raises `EvalDomainError` outside its domain, and
+    the region of the points (t0, t1, x) where E(t1, t0) undoes it: tests
+    (expression, relation) over the closed form's inputs, each against 0
+    (`maps.check_region`), none for an operator inverted on all its domain.
 
     The one-time operator E_A(s) one dimension up is a plain `TimeAction`
     in (s, t, x...), which the axiom checks of `actions` take directly.
     """
 
-    name: str
     closed_form: SmoothMap
     region: tuple[tuple[Expr, str], ...] = ()
 
     def __post_init__(self):
         check_region(self.region, self.closed_form.inputs)
+
+    @property
+    def name(self) -> str:
+        return self.closed_form.name
 
     @cached_property
     def slice(self) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
@@ -526,7 +533,6 @@ def gls_two_time_op() -> EvolutionOp:
     radicand and y* nodes."""
     radicand, ystar = _gls_root("t0")
     return EvolutionOp(
-        name="sqrt-gls-two-time",
         closed_form=SmoothMap(
             ("t0", "t1", "y"), (_gls_closed_form(ystar, "t1"),), name="sqrt-gls-two-time"
         ),
@@ -545,7 +551,6 @@ def gls_one_time_op() -> TimeAction:
     on the region where E(t, t+s) is defined and keeps the bounded root."""
     radicand, ystar = _gls_root("t")
     return TimeAction(
-        name="sqrt-gls-evolution",
         time_domain="nonneg",
         map=SmoothMap(
             ("s", "t", "y"),
@@ -561,12 +566,11 @@ def gls_one_time_op() -> TimeAction:
 
 
 def quadratic_system() -> OdeSystem:
-    return OdeSystem("quadratic", map_from_exprs(("t", "y"), ["2*t"], name="quadratic-rhs"))
+    return OdeSystem(map_from_exprs(("t", "y"), ["2*t"], name="quadratic"))
 
 
 def quadratic_two_time_op() -> EvolutionOp:
     return EvolutionOp(
-        name="quadratic-two-time",
         closed_form=map_from_exprs(
             ("t0", "t1", "y"), ["t1*t1 - t0*t0 + y"], name="quadratic-two-time"
         ),
@@ -575,7 +579,6 @@ def quadratic_two_time_op() -> EvolutionOp:
 
 def quadratic_one_time_op() -> TimeAction:
     return TimeAction(
-        name="quadratic-evolution",
         time_domain="full",
         map=map_from_exprs(
             ("s", "t", "y"), ["t + s", "s*s + 2*s*t + y"], name="quadratic-evolution"
@@ -878,7 +881,7 @@ def flow_vs_closed_form(
         len(devs),
         max_dev,
         tol,
-        f"{traj.steps} steps, {traj.spacing} mesh, eps_start={eps_start:g}",
+        f"{traj.steps} steps, {spacing} mesh, eps_start={eps_start:g}",
         witnesses,
         inconclusive=estimate > target and not stalled,
         notes=tuple(notes),

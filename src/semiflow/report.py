@@ -93,17 +93,17 @@ class Witness:
 class VerificationReport:
     """Outcome of one property suite over a sampling grid.
 
-    max_deviation is already normalized (see `deviation`), so the invariant
-    passed == (max_deviation <= tolerance and not inconclusive) holds
-    literally; `inconclusive` flags runs that could not establish their
-    result: too many grid points skipped (see `Tally`), or a flow whose
+    max_deviation is already normalized (see `deviation`), and `passed` is
+    no field but the rule max_deviation <= tolerance and not inconclusive,
+    read from the report's own numbers, so no report can contradict them;
+    `inconclusive` flags runs that could not establish their result: no
+    point or too many grid points skipped (see `Tally`), or a flow whose
     error estimate missed its target (see `reduction.flow_vs_closed_form`).
     A NaN or +inf deviation, wherever it stood among the checked points,
     becomes max_deviation and fails the report.
     """
 
     suite: str
-    passed: bool
     max_deviation: float
     tolerance: float
     grid: str = ""
@@ -127,10 +127,9 @@ class VerificationReport:
         notes: tuple[str, ...] = (),
     ) -> "VerificationReport":
         """The report of `checked` points whose `nan_max` deviation is
-        `max_deviation`; `passed` follows the rule above."""
+        `max_deviation`."""
         return cls(
             suite=suite,
-            passed=max_deviation <= tolerance and not inconclusive,
             max_deviation=max_deviation,
             tolerance=tolerance,
             grid=grid,
@@ -140,6 +139,10 @@ class VerificationReport:
             inconclusive=inconclusive,
             notes=notes,
         )
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tolerance and not self.inconclusive
 
     def to_dict(self) -> dict:
         return {
@@ -175,8 +178,9 @@ class Tally:
     returns True for the first WITNESS_CAP points whose deviation is not
     <= tol (a NaN too), and the caller hands each of those to `witness`,
     so a passing point builds no witness. `skip` counts a point outside
-    the checked map's domain. The report is inconclusive when at least one
-    point was sampled and more than SKIP_SHARE of them were skipped.
+    the checked map's domain. The report is inconclusive when no point was
+    sampled, a comparison that could not fail, or when more than
+    SKIP_SHARE of the sampled points were skipped.
     Nothing is kept per point, so a tally's size does not grow with its
     grid.
     """
@@ -214,5 +218,5 @@ class Tally:
             grid,
             self.witnesses,
             self.skipped,
-            inconclusive=self.skipped > SKIP_SHARE * sampled,
+            inconclusive=not sampled or self.skipped > SKIP_SHARE * sampled,
         )

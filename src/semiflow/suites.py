@@ -164,7 +164,6 @@ def _bool_report(
     were outside a checked map's domain)."""
     return VerificationReport(
         suite=suite,
-        passed=ok,
         max_deviation=0.0 if ok else 1.0,
         tolerance=0.5,
         notes=(detail,),
@@ -561,7 +560,7 @@ def suite_burgers(config: SuiteConfig) -> list[VerificationReport]:
     c, d = 0.8, 0.5
     frozen = flow.map.freeze(c=c, d=d)
     position = TimeAction(
-        "soliton-position-flow", "nonneg", SmoothMap(frozen.inputs, frozen.outputs[:1])
+        "nonneg", SmoothMap(frozen.inputs, frozen.outputs[:1], "soliton-position-flow")
     )
     reports.append(
         _dichotomy_report(

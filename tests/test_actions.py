@@ -38,7 +38,6 @@ from semiflow.report import Tally, Witness, deviation
 
 def identity_action() -> TimeAction:
     return TimeAction(
-        name="identity-action",
         time_domain="nonneg",
         map=SmoothMap(("t", "y"), (parse_expr("y"),), name="identity-action"),
     )
@@ -48,11 +47,13 @@ class TestTimeAction:
     def test_arity_validation(self):
         # a map R^3 -> R^1 is no family of self-maps of any R^l
         with pytest.raises(ExprError, match=r"must be R\^\(l\+1\) -> R\^l; got 3 -> 1$"):
-            TimeAction("bad", "nonneg", scalar_map(("t", "y", "z"), "y"))
+            TimeAction("nonneg", scalar_map(("t", "y", "z"), "y", name="bad"))
 
     def test_shape_is_read_from_the_map(self):
-        rotation = map_from_exprs(("s", "x", "u"), ["x*cos(s) - u*sin(s)", "x*sin(s) + u*cos(s)"])
-        action = TimeAction("rotation", "full", rotation)
+        rotation = map_from_exprs(
+            ("s", "x", "u"), ["x*cos(s) - u*sin(s)", "x*sin(s) + u*cos(s)"], name="rotation"
+        )
+        action = TimeAction("full", rotation)
         assert (action.dim, action.time_var, action.state_vars) == (2, "s", ("x", "u"))
         assert action.frozen_map(0.5).inputs == ("x", "u")
 
@@ -82,8 +83,8 @@ class TestIdentityCheck:
 
     def test_failing_identity_collects_witnesses(self):
         shifted = TimeAction(
-            "shifted", "nonneg",
-            SmoothMap(("t", "y"), (parse_expr("y + 1"),)),
+            "nonneg",
+            SmoothMap(("t", "y"), (parse_expr("y + 1"),), name="shifted"),
         )
         rep = identity_check(shifted, grid1d(-1.0, 1.0, 5), 1e-12)
         assert not rep.passed and rep.witnesses
@@ -91,8 +92,10 @@ class TestIdentityCheck:
     def test_nan_deviation_carries_a_witness(self):
         # y*1e308*10 overflows to inf, and inf - inf is NaN at every point
         overflowing = TimeAction(
-            "overflowing", "nonneg",
-            SmoothMap(("t", "y"), (parse_expr("y + (y*1e308*10 - y*1e308*10)"),)),
+            "nonneg",
+            SmoothMap(
+                ("t", "y"), (parse_expr("y + (y*1e308*10 - y*1e308*10)"),), name="overflowing"
+            ),
         )
         rep = identity_check(overflowing, grid1d(0.5, 1.0, 3), 1e-12)
         assert not rep.passed and math.isnan(rep.max_deviation)
@@ -102,8 +105,8 @@ class TestIdentityCheck:
         # 2 of 21 points lie in the region y > 0.85: the exact identity
         # must not pass on a tenth of its grid
         guarded = TimeAction(
-            "guarded", "nonneg",
-            SmoothMap(("t", "y"), (parse_expr("y"),)),
+            "nonneg",
+            SmoothMap(("t", "y"), (parse_expr("y"),), name="guarded"),
             region=((parse_expr("y - 0.85"), ">"),),
         )
         rep = identity_check(guarded, grid1d(-1.0, 1.0, 21), 1e-12)
@@ -138,8 +141,12 @@ class TestCompositionCheck:
     def test_nan_deviation_carries_a_witness(self):
         # t*1e308*10 - t*1e308*10 is 0 at t = 0 and NaN for every t > 0
         action = TimeAction(
-            "nan-for-positive-t", "nonneg",
-            SmoothMap(("t", "y"), (parse_expr("y + (t*1e308*10 - t*1e308*10)"),)),
+            "nonneg",
+            SmoothMap(
+                ("t", "y"),
+                (parse_expr("y + (t*1e308*10 - t*1e308*10)"),),
+                name="nan-for-positive-t",
+            ),
         )
         rep = composition_check(action, [(1.0, 1.0)], grid1d(0.5, 1.0, 3), 1e-9)
         assert not rep.passed and math.isnan(rep.max_deviation)
@@ -153,10 +160,14 @@ class TestCompositionCheck:
         with pytest.raises(PreconditionError):
             composition_check(sqrt_action(), [(-1.0, 2.0)], grid1d(0.0, 1.0, 3), 1e-9)
 
+    def test_no_time_pair_checks_nothing_and_cannot_pass(self):
+        rep = composition_check(sqrt_action(), [], grid1d(0.0, 1.0, 3), 1e-9)
+        assert rep.checked == rep.skipped == 0 and rep.inconclusive and not rep.passed
+
     def test_mostly_skipped_is_inconclusive(self):
         guarded = TimeAction(
-            "guarded", "nonneg",
-            SmoothMap(("t", "y"), (parse_expr("y"),)),
+            "nonneg",
+            SmoothMap(("t", "y"), (parse_expr("y"),), name="guarded"),
             region=((parse_expr("y - 0.9"), ">"),),
         )
         rep = composition_check(guarded, [(1.0, 1.0)], grid1d(-1.0, 1.0, 21), 1e-9)
@@ -165,9 +176,9 @@ class TestCompositionCheck:
 
 class TestRegion:
     @pytest.mark.parametrize("build", [
-        lambda region: TimeAction("a", "full", scalar_map(("t", "y"), "y + t"), region),
-        lambda region: OdeSystem("s", scalar_map(("t", "y"), "y"), region),
-        lambda region: EvolutionOp("e", scalar_map(("t", "y", "z"), "y + z"), region),
+        lambda region: TimeAction("full", scalar_map(("t", "y"), "y + t", name="a"), region),
+        lambda region: OdeSystem(scalar_map(("t", "y"), "y", name="s"), region),
+        lambda region: EvolutionOp(scalar_map(("t", "y", "z"), "y + z", name="e"), region),
     ], ids=["action", "system", "operator"])
     def test_construction_rejects_a_stray_variable_or_relation(self, build):
         with pytest.raises(ExprError, match=r"undeclared variables \['q'\]"):
@@ -181,7 +192,7 @@ class TestRegion:
         # sqrt(y) - 0.5 >= 0 holds for y >= 0.25 and raises for y < 0: the
         # grid's point -0.25 is off the region like 0, and no check raises
         action = TimeAction(
-            "shift", "full", scalar_map(("t", "y"), "y + t"),
+            "full", scalar_map(("t", "y"), "y + t", name="shift"),
             region=((parse_expr("sqrt(y) - 0.5"), ">="),),
         )
         assert action.map.on_region(action.region)(0.5, -1.0) is None
@@ -225,7 +236,16 @@ class TestInjectivityProbe:
         xs, ys = grid.axis_values()
         # the first 8 pairs in grid order: (-2, y_k) and its mirror (2, y_k)
         assert [w.point for w in rep.witnesses] == [(-2.0, y, 2.0, y) for y in ys[:8]]
-        assert rep.max_deviation == 4.0
+        assert rep.max_deviation == math.inf
+
+    def test_a_located_collision_fails_every_tolerance(self):
+        # at tol = 2 every pair of the identity's images collides; the pairs'
+        # separations are at most 1.6 <= tol, yet the report must fail
+        ident = map_from_exprs(("x", "y"), ["x", "y"])
+        rep = injectivity_probe(ident, grid2d(-1, 1, 11, -1, 1, 11), 2.0)
+        assert rep.witnesses and rep.max_deviation == math.inf
+        assert rep.passed == (rep.max_deviation <= rep.tolerance and not rep.inconclusive)
+        assert not rep.passed
 
     def test_a_sign_change_without_a_located_pair_fails_its_tolerance(self):
         # y^2 turns at 0, but on [-3, 0.01] the partners of the points tried
@@ -354,6 +374,12 @@ class TestDichotomy:
     def test_identity_is_group_like(self):
         res = dichotomy_classify(identity_action(), [0.5, 1.0], grid1d(-3.0, 3.0, 21), 1e-9)
         assert res.classification == "group_like"
+
+    def test_no_time_sample_fails_the_composition_precondition(self):
+        # no sample gives no composition time pair, and a law checked at no
+        # point is inconclusive: no verified semigroup to classify
+        with pytest.raises(PreconditionError, match="composition law fails: INCONCLUSIVE"):
+            dichotomy_classify(identity_action(), [], grid1d(-3.0, 3.0, 21), 1e-9)
 
     def test_gls_evolution_is_genuine(self):
         res = dichotomy_classify(

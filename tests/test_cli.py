@@ -463,7 +463,7 @@ def test_a_slice_with_no_root_on_the_bounded_branch_fails_its_report(tmp_path, m
     from semiflow.maps import scalar_map
     from semiflow.reduction import EvolutionOp
 
-    folded = EvolutionOp("folded", scalar_map(("t0", "t1", "y"), "y - sqrt(t1)*y*y"))
+    folded = EvolutionOp(scalar_map(("t0", "t1", "y"), "y - sqrt(t1)*y*y", name="folded"))
     monkeypatch.setattr(suites, "gls_two_time_op", lambda: folded)
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "recovery-cross-check", "--out", str(out)]) == 1

@@ -229,7 +229,7 @@ class TestLimitInitialCondition:
         assert rep.max_deviation == pytest.approx(2.0 * math.sqrt(1e-10) / 3.0, rel=1e-12)
 
     def test_constant_action_is_exact(self):
-        const = TimeAction("still", "nonneg", SmoothMap(("t", "y"), (parse_expr("y"),)))
+        const = TimeAction("nonneg", SmoothMap(("t", "y"), (parse_expr("y"),), name="still"))
         rep = limit_ic_check(const, 5.0, [1e-2, 1e-6, 1e-9], 1e-12)
         assert rep.passed and rep.max_deviation == 0.0
 
@@ -238,6 +238,10 @@ class TestLimitInitialCondition:
             limit_ic_check(sqrt_action(), 1.0, [1e-2, 1e-2, 1e-10], 1e-5)
         with pytest.raises(ValueError):
             limit_ic_check(sqrt_action(), 1.0, [1e-2, 1e-4], 1e-5)  # stops above 1e-8
+
+    def test_an_empty_sequence_is_bad_input(self):
+        with pytest.raises(ValueError, match="eps_sequence must not be empty"):
+            limit_ic_check(sqrt_action(), 1.0, [], 1e-5)
 
 
 class TestNotC1AtZero:
@@ -261,6 +265,10 @@ class TestNotC1AtZero:
         assert [w.point for w in rep.witnesses] == [(e,) for e in self.EPS]
         rate, want = rep.witnesses[0].values
         assert rate == pytest.approx(0.4, rel=1e-12) and want == 4.0
+
+    def test_an_empty_sequence_is_bad_input(self):
+        with pytest.raises(ValueError, match="eps_sequence must not be empty"):
+            not_c1_check(sqrt_action(), 1.0, (), self.TOL)
 
 
 class TestDiffeoClassification:
@@ -320,7 +328,7 @@ class TestDiffeoClassification:
     def test_grid_points_off_the_slopes_domain_are_skipped(self, text, attains):
         # dH/dy = 1 +- t/(2*sqrt(y)) raises at y <= 0, half of the grid; its
         # zero, if any, is at y = t^2/4, inside the other half
-        action = TimeAction("half", "nonneg", scalar_map(("t", "y"), text))
+        action = TimeAction("nonneg", scalar_map(("t", "y"), text, name="half"))
         slope = diff(action.map.outputs[0], "y")
         with pytest.raises(EvalDomainError, match=r"^sqrt of negative argument -1\.0$"):
             evaluate(slope, {"t": 1.0, "y": -1.0})
@@ -330,7 +338,7 @@ class TestDiffeoClassification:
         assert probe.slope_attains_zero(1.0) is attains
 
     def test_identity_always_diffeo(self):
-        ident = TimeAction("still", "nonneg", SmoothMap(("t", "y"), (parse_expr("y"),)))
+        ident = TimeAction("nonneg", SmoothMap(("t", "y"), (parse_expr("y"),), name="still"))
         report = diffeo_time_set(ident, grid1d(0.1, 5.0, 7), grid1d(-3.0, 3.0, 31))
         assert all(ok for _, ok in report.entries)
         assert report.thresholds == []
@@ -339,14 +347,14 @@ class TestDiffeoClassification:
 def sqrt_action_over(time: str, state: str) -> TimeAction:
     """The square-root action, written in the variables (time, state)."""
     text = f"{state} + sqrt({time})*{state}^2"
-    return TimeAction("sqrt-action", "nonneg", scalar_map((time, state), text))
+    return TimeAction("nonneg", scalar_map((time, state), text, name="sqrt-action"))
 
 
 def sqrt_minus_system_over(time: str, state: str) -> OdeSystem:
     """`sqrt_ode_system("minus")`, written in the variables (time, state)."""
     root = f"sqrt(1 + 4*sqrt({time})*{state})"
     rhs = f"(1 + 2*sqrt({time})*{state} - {root})/(4*{time}*sqrt({time}))"
-    return OdeSystem("sqrt-ode-minus", scalar_map((time, state), rhs))
+    return OdeSystem(scalar_map((time, state), rhs, name="sqrt-ode-minus"))
 
 
 class TestVariablesComeFromTheMap:
@@ -374,7 +382,7 @@ class TestVariablesComeFromTheMap:
         assert residual(1.0, 0.5) == (0.0,)
 
     def test_an_autonomous_system_binds_its_state(self):
-        system = OdeSystem("cuberoot-ode", scalar_map(("u",), "1/u^2"))
+        system = OdeSystem(scalar_map(("u",), "1/u^2", name="cuberoot-ode"))
         residual = ode_residual_map(cuberoot_group_action(), system)
         want = ode_residual_map(cuberoot_group_action(), cuberoot_ode_system())
         assert residual.outputs == want.outputs

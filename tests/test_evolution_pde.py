@@ -212,8 +212,8 @@ class TestParamFlow:
         # (a, c) -> (a + c*(exp(t)-1), c*exp(t)): a synthetic flow whose
         # speed parameter genuinely moves, still a one-parameter action
         flow = TimeAction(
-            "synthetic", "nonneg",
-            map_from_exprs(("t", "a", "c"), ["a + c*(exp(t) - 1)", "c*exp(t)"]),
+            "nonneg",
+            map_from_exprs(("t", "a", "c"), ["a + c*(exp(t) - 1)", "c*exp(t)"], name="synthetic"),
         )
         grid = SamplingGrid(
             (Axis(0.0, 1.5, 4), Axis(0.0, 1.5, 4), Axis(-2.0, 2.0, 5), Axis(-1.0, 1.0, 5))
@@ -221,8 +221,8 @@ class TestParamFlow:
         assert param_flow_check(flow, grid, 1e-12).passed
         # c*t in place of c*(exp(t)-1) breaks the law once c moves
         broken = TimeAction(
-            "broken", "nonneg",
-            map_from_exprs(("t", "a", "c"), ["a + c*t", "c*exp(t)"]),
+            "nonneg",
+            map_from_exprs(("t", "a", "c"), ["a + c*t", "c*exp(t)"], name="broken"),
         )
         # the report is composition_check's over the state axes with outer
         # time s and inner time t; only the suite name and grid summary differ
@@ -252,8 +252,8 @@ class TestParamFlow:
 
         frozen = soliton_param_flow().map.freeze(c=0.8, d=0.5)
         action = TimeAction(
-            "soliton-position-flow", "nonneg",
-            SmoothMap(frozen.inputs, frozen.outputs[:1]),
+            "nonneg",
+            SmoothMap(frozen.inputs, frozen.outputs[:1], name="soliton-position-flow"),
         )
         assert identity_check(action, grid1d(-3.0, 3.0, 21), 1e-12).passed
         assert composition_check(action, [(0.5, 1.5), (1.0, 1.0)], grid1d(-3.0, 3.0, 21), 1e-12).passed
@@ -273,8 +273,8 @@ class TestTranslationCheck:
     def test_a_wrong_flow_fails_with_witnesses(self, monkeypatch):
         # the position moves twice as fast as the kink: U(t, x) != U(0, x) at p moved
         wrong = TimeAction(
-            "wrong-flow", "nonneg",
-            map_from_exprs(("t", "a", "c", "d"), ["a + 2*c*t", "c", "d"]),
+            "nonneg",
+            map_from_exprs(("t", "a", "c", "d"), ["a + 2*c*t", "c", "d"], name="wrong-flow"),
         )
         monkeypatch.setattr(suites, "soliton_param_flow", lambda: wrong)
         reps = {r.suite: r for r in suite_burgers(SuiteConfig())}

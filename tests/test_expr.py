@@ -601,7 +601,7 @@ def test_domain_edges_raise_as_the_tree_walk_on_every_compiled_path(text, x):
     want = _edge_outcome(lambda: evaluate(e, {"x": x}))
     assert _edge_outcome(lambda: SmoothMap(("x",), (e,))(x)[0]) == want
     assert _edge_outcome(lambda: compile_expr(e, ("x",))(x)) == want
-    flow = OdeSystem("edge", SmoothMap(("x",), (e,)))
+    flow = OdeSystem(SmoothMap(("x",), (e,), name="edge"))
     got = _edge_outcome(lambda: integrate_flow(flow, 0.0, (x,), 1.0, 1).columns[0][-1])
     assert got == _rk4_step_outcome(e, float(x))
 
@@ -628,10 +628,10 @@ class TestReservedNames:
         outputs = (parse_expr("sqrt(t) + sqrt(t)*_c0"),)
         with pytest.raises(ExprError, match="reserved"):
             compile_system(outputs, ("t", "_c0"))
-        m = SmoothMap(("t", "_c0"), outputs)
+        m = SmoothMap(("t", "_c0"), outputs, name="c0")
         from semiflow.reduction import OdeSystem, integrate_flow
 
-        sys_c0 = OdeSystem("c0", m)
+        sys_c0 = OdeSystem(m)
         with pytest.raises(ExprError, match="reserved"):
             integrate_flow(sys_c0, 1.0, (3.0,), 2.0, 4)
 

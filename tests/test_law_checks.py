@@ -143,11 +143,11 @@ def _outcome(monkeypatch, check, *args):
 
 
 def _action(name, text, time_domain="full", region=()):
-    return TimeAction(name, time_domain, map_from_exprs(("t", "y"), [text], name=name), region)
+    return TimeAction(time_domain, map_from_exprs(("t", "y"), [text], name=name), region)
 
 
 def _op(name, text, region=()):
-    return EvolutionOp(name, map_from_exprs(("a", "b", "y"), [text], name=name), region)
+    return EvolutionOp(map_from_exprs(("a", "b", "y"), [text], name=name), region)
 
 
 _QUARTERS = [k / 4.0 for k in range(5)]

@@ -65,11 +65,11 @@ from semiflow.suites import SuiteConfig, suite_flow_oracle
 class TestOdeSystemShape:
     def test_a_map_of_another_shape_is_rejected(self):
         with pytest.raises(ValueError, match=r"R\^l -> R\^l or R\^\(l\+1\) -> R\^l; got 3 -> 1$"):
-            OdeSystem("bad", map_from_exprs(("t", "y", "z"), ["y"]))
+            OdeSystem(map_from_exprs(("t", "y", "z"), ["y"], name="bad"))
 
     def test_dimension_and_autonomy_are_read_from_the_map(self):
-        rotation = OdeSystem("rotation", map_from_exprs(("x", "u"), ["-u", "x"]))
-        forced = OdeSystem("forced", map_from_exprs(("s", "x", "u"), ["-u", "x + s"]))
+        rotation = OdeSystem(map_from_exprs(("x", "u"), ["-u", "x"], name="rotation"))
+        forced = OdeSystem(map_from_exprs(("s", "x", "u"), ["-u", "x + s"], name="forced"))
         assert (rotation.dim, rotation.autonomous) == (2, True)
         assert (forced.dim, forced.autonomous) == (2, False)
         assert augment_system(forced).autonomous and augment_system(forced).dim == 3
@@ -83,7 +83,7 @@ class TestAugmentation:
         assert aug.rhs(3.0, 7.0) == (1.0, 6.0)
 
     def test_zero_rhs(self):
-        sys0 = OdeSystem("flat", map_from_exprs(("t", "y"), ["0"]))
+        sys0 = OdeSystem(map_from_exprs(("t", "y"), ["0"], name="flat"))
         assert augment_system(sys0).rhs(5.0, 2.0) == (1.0, 0.0)
 
     def test_sqrt_rhs_renames_time_into_state(self):
@@ -112,7 +112,7 @@ class TestIntegrateFlow:
         assert traj.final()[0] == pytest.approx(9.0, abs=1e-9)
 
     def test_constant_for_zero_rhs(self):
-        sys0 = OdeSystem("flat", map_from_exprs(("t", "y"), ["0"]))
+        sys0 = OdeSystem(map_from_exprs(("t", "y"), ["0"], name="flat"))
         traj = integrate_flow(sys0, 0.0, (3.5,), 1.0, 50)
         assert all(state == (3.5,) for state in zip(*traj.columns))
 
@@ -136,13 +136,13 @@ class TestIntegrateFlow:
         assert y_end == pytest.approx(2.0, rel=1e-5)
 
     def test_validity_exit_reports_time(self):
-        drain = OdeSystem("drain", map_from_exprs(("y",), ["-1"]), region=((Var("y"), ">"),))
+        drain = OdeSystem(map_from_exprs(("y",), ["-1"], name="drain"), region=((Var("y"), ">"),))
         with pytest.raises(IntegrationError) as err:
             integrate_flow(drain, 0.0, (1.0,), 2.0, 100)
         assert 0.9 < err.value.time < 1.3
 
     def test_nonfinite_state_detected(self):
-        blow = OdeSystem("blow", map_from_exprs(("y",), ["y^2"]))
+        blow = OdeSystem(map_from_exprs(("y",), ["y^2"], name="blow"))
         with pytest.raises(IntegrationError):
             integrate_flow(blow, 0.0, (1.0,), 2.0, 40)
 
@@ -180,18 +180,18 @@ class TestTrajectory:
 
     def test_strictly_increasing_times_enforced(self):
         with pytest.raises(ValueError):
-            Trajectory(array("d", [0.0, 0.0]), (array("d", [1.0, 1.0]),), 1, 0.0, "uniform")
+            Trajectory(array("d", [0.0, 0.0]), (array("d", [1.0, 1.0]),))
 
     @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [math.nan, 1.0], [0.0, math.nan]])
     def test_a_nan_time_is_not_increasing(self, times):
         # every comparison with NaN is false, so `b <= a` let these through
         column = array("d", [1.0] * len(times))
         with pytest.raises(ValueError, match="increase strictly"):
-            Trajectory(array("d", times), (column,), len(times) - 1, 0.0, "uniform")
+            Trajectory(array("d", times), (column,))
 
     def test_every_column_has_one_value_per_time(self):
         with pytest.raises(ValueError, match="one value per time"):
-            Trajectory(array("d", [0.0, 1.0]), (array("d", [1.0]),), 1, 0.0, "uniform")
+            Trajectory(array("d", [0.0, 1.0]), (array("d", [1.0]),))
 
     @given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(-10, 10)), min_size=1, max_size=8))
     @settings(max_examples=100)
@@ -199,7 +199,7 @@ class TestTrajectory:
         # inf, nan, signed zeros, subnormals and int entries included
         times = [float(k) for k in range(len(rows))]
         columns = tuple(array("d", column) for column in zip(*rows))
-        traj = Trajectory(array("d", times), columns, len(rows) - 1, 0.0, "uniform")
+        traj = Trajectory(array("d", times), columns)
         want = "t,y1,y2,y3\n" + "".join(
             ",".join(f"{v:.17g}" for v in (t, *y)) + "\n" for t, y in zip(times, rows)
         )
@@ -214,7 +214,7 @@ def test_csv_blocks_write_every_row_once(rows):
     want = "t,y1,y2\n" + "".join(
         ",".join(format(v, ".17g") for v in row) + "\n" for row in zip(times, *columns)
     )
-    assert _csv_text(Trajectory(times, columns, rows - 1, 0.0, "uniform")) == want
+    assert _csv_text(Trajectory(times, columns)) == want
 
 
 @pytest.mark.parametrize("name,y0,t_end,eps,spacing", [
@@ -364,7 +364,7 @@ def _flow_cases(draw):
     region = () if bound is None else ((bound - first, ">"), (bound + first, ">"))
     if draw(st.booleans()):
         region += ((common - common, ">="),)
-    sys = OdeSystem("random", SmoothMap(inputs, outputs), region)
+    sys = OdeSystem(SmoothMap(inputs, outputs, name="random"), region)
     spacing = draw(st.sampled_from(["uniform", "geometric"]))
     t_start = draw(st.floats(0.01, 1.0) if spacing == "geometric" else st.floats(-1.0, 1.0))
     t_end = t_start + draw(st.floats(0.1, 3.0))
@@ -389,19 +389,23 @@ def _kernel_run(sys, t_start, y0, t_end, steps, eps_start, spacing):
     return traj.times, list(zip(*traj.columns))
 
 
-_BLOW_UP = OdeSystem("blow-up", map_from_exprs(("y1", "y2"), ["y1*y1*y1*y2", "y2*y1"]))
+_BLOW_UP = OdeSystem(map_from_exprs(("y1", "y2"), ["y1*y1*y1*y2", "y2*y1"], name="blow-up"))
 _DRAIN = OdeSystem(
-    "drain", map_from_exprs(("t", "y1", "y2", "y3"), ["-1 - t", "y3", "-y2"]),
+    map_from_exprs(("t", "y1", "y2", "y3"), ["-1 - t", "y3", "-y2"], name="drain"),
     region=((Var("y1"), ">"),),
 )
 # sqrt(y) raises EvalDomainError once y < 0: off the region, not an error
-_SQRT_DRAIN = OdeSystem("sqrt-drain", map_from_exprs(("y",), ["-1"]), ((parse_expr("sqrt(y)"), ">="),))
+_SQRT_DRAIN = OdeSystem(
+    map_from_exprs(("y",), ["-1"], name="sqrt-drain"), ((parse_expr("sqrt(y)"), ">="),)
+)
 # a subtree of the time alone that raises from t = 0.7 on, and one that
 # raises at every t > 0; and a subtree of constants alone that always raises
-_SQRT_CLOSING = OdeSystem("sqrt-closing", map_from_exprs(("t", "y"), ["y*sqrt(0.7 - t) - 1"]))
-_SQRT_NEGATIVE_TIME = OdeSystem("sqrt-negative-time", map_from_exprs(("t", "y"), ["y + sqrt(-t)"]))
+_SQRT_CLOSING = OdeSystem(map_from_exprs(("t", "y"), ["y*sqrt(0.7 - t) - 1"], name="sqrt-closing"))
+_SQRT_NEGATIVE_TIME = OdeSystem(
+    map_from_exprs(("t", "y"), ["y + sqrt(-t)"], name="sqrt-negative-time")
+)
 _SQRT_NEGATIVE_CONSTANT = OdeSystem(
-    "sqrt-negative-constant", SmoothMap(("y",), (Var("y") * Unary("sqrt", Const(-1.0)),))
+    SmoothMap(("y",), (Var("y") * Unary("sqrt", Const(-1.0)),), name="sqrt-negative-constant")
 )
 
 
@@ -426,9 +430,9 @@ def test_generated_kernel_matches_the_plain_loop(case):
 def test_inputs_named_like_kernel_internals_integrate_as_the_plain_loop(name):
     # each name as the time input and as a state input, read by every output
     systems = [
-        OdeSystem("named-time", map_from_exprs((name, "u"), [f"u*{name} - sqrt({name})"])),
+        OdeSystem(map_from_exprs((name, "u"), [f"u*{name} - sqrt({name})"], name="named-time")),
         OdeSystem(
-            "named-state", map_from_exprs(("u", name), [f"-{name}", f"u - 0.25*{name}*{name}"])
+            map_from_exprs(("u", name), [f"-{name}", f"u - 0.25*{name}*{name}"], name="named-state")
         ),
     ]
     for sys in systems:
@@ -482,7 +486,7 @@ def test_the_sqrt_ode_kernel_takes_six_square_roots_a_step(monkeypatch, steps):
 def test_repeated_input_names_are_rejected():
     with pytest.raises(ExprError, match="repeat"):
         compile_system((parse_expr("t*t"),), ("t", "t"))
-    twice = OdeSystem("twice", map_from_exprs(("t", "t"), ["t"]))
+    twice = OdeSystem(map_from_exprs(("t", "t"), ["t"], name="twice"))
     with pytest.raises(ExprError, match="repeat"):
         integrate_flow(twice, 0.0, (1.0,), 1.0, 4)
 
@@ -692,8 +696,8 @@ class TestOperatorLaws:
     def test_first_component_keeps_the_first_eight_witnesses(self):
         # the first output is t + s + 1 everywhere: all 27 points fail
         op = TimeAction(
-            "off-by-one", "full",
-            map_from_exprs(("s", "t", "y"), ["t + s + 1", "y"]),
+            "full",
+            map_from_exprs(("s", "t", "y"), ["t + s + 1", "y"], name="off-by-one"),
         )
         grid = SamplingGrid((Axis(0.0, 2.0, 3), Axis(0.0, 2.0, 3), Axis(-1.0, 1.0, 3)))
         rep = first_component_check(op, grid, 1e-12)
@@ -722,8 +726,8 @@ class TestOperatorLaws:
     def test_nan_deviation_carries_a_witness(self):
         # E(s)(x) = x at s = 0 and NaN (inf - inf) for every s > 0
         op = TimeAction(
-            "nan-op", "full",
-            SmoothMap(("s", "x"), (parse_expr("x + (s*1e308*10 - s*1e308*10)"),)),
+            "full",
+            SmoothMap(("s", "x"), (parse_expr("x + (s*1e308*10 - s*1e308*10)"),), name="nan-op"),
         )
         rep = one_time_law_check(op, [(1.0, 1.0)], grid1d(0.0, 1.0, 3), 1e-9)
         assert not rep.passed and math.isnan(rep.max_deviation)
@@ -843,8 +847,11 @@ class TestRecovery:
         # tau -> E(1, 1 + tau)(z) = (1 + tau)^2 - 1 + z carries the same
         # information as the original's slice from 0
         shifted = EvolutionOp(
-            "quadratic-from-one",
-            map_from_exprs(("t0", "t1", "y"), ["(1 + t1)*(1 + t1) - (1 + t0)*(1 + t0) + y"]),
+            map_from_exprs(
+                ("t0", "t1", "y"),
+                ["(1 + t1)*(1 + t1) - (1 + t0)*(1 + t0) + y"],
+                name="quadratic-from-one",
+            ),
         )
         for t, s, y in ((1.0, 2.0, 0.5), (-0.5, 1.5, -1.0), (0.0, 0.0, 4.0)):
             got = recover_evolution(shifted, t, s, y)
@@ -892,7 +899,7 @@ class TestRecovery:
 
 def _mutant(name: str, text: str) -> Callable[[], EvolutionOp]:
     """A factory of the operator with closed form `text` in (t0, t1, y)."""
-    return lambda: EvolutionOp(name, map_from_exprs(("t0", "t1", "y"), [text], name=name))
+    return lambda: EvolutionOp(map_from_exprs(("t0", "t1", "y"), [text], name=name))
 
 
 class TestRecoveryMutants:
@@ -1006,17 +1013,19 @@ class TestFlowVsClosedForm:
     def test_nan_deviation_carries_the_first_nan_as_witness(self):
         # the closed form is NaN (inf - inf) once t*1e308*10 overflows, t > 0.1797...;
         # on the 1250-step mesh the first such time is 225/1250 = 0.18
-        nan_later = SmoothMap(("t", "y"), (parse_expr("y + (t*1e308*10 - t*1e308*10)"),))
-        action = TimeAction("nan-later", "nonneg", nan_later)
-        sys0 = OdeSystem("flat", map_from_exprs(("y",), ["0"]))
+        nan_later = SmoothMap(
+            ("t", "y"), (parse_expr("y + (t*1e308*10 - t*1e308*10)"),), name="nan-later"
+        )
+        action = TimeAction("nonneg", nan_later)
+        sys0 = OdeSystem(map_from_exprs(("y",), ["0"], name="flat"))
         rep = flow_vs_closed_form(action, sys0, 1.0, 1.0, 0.0, 1e-9)
         assert not rep.passed and math.isnan(rep.max_deviation)
         assert len(rep.witnesses) == 1 and rep.witnesses[0].point == (225 / 1250,) == (0.18,)
 
     def test_constant_action_zero_rhs(self):
         still = map_from_exprs(("t", "y"), ["y"], name="still")
-        action = TimeAction("still", "nonneg", still)
-        sys0 = OdeSystem("flat", map_from_exprs(("y",), ["0"]))
+        action = TimeAction("nonneg", still)
+        sys0 = OdeSystem(map_from_exprs(("y",), ["0"], name="flat"))
         rep = flow_vs_closed_form(action, sys0, 4.2, 1.0, 0.0, 1e-15)
         assert rep.passed and rep.max_deviation == 0.0
 
@@ -1055,7 +1064,7 @@ class TestOffTheDomain:
 
     def test_recovery_through_a_pole_of_the_slope(self):
         # the slope 1/z changes sign across its pole, where the fold search lands
-        op = EvolutionOp("log", map_from_exprs(("t0", "t1", "y"), ["log(y) + t1 - t0"]))
+        op = EvolutionOp(map_from_exprs(("t0", "t1", "y"), ["log(y) + t1 - t0"], name="log"))
         with pytest.raises(EvalDomainError, match="^division by zero$"):
             recover_evolution_detailed(op, 1.0, 2.0, 0.5)
 
@@ -1064,7 +1073,7 @@ class TestOffTheDomain:
         for fn in (value, slope):
             with pytest.raises(EvalDomainError, match=r"^sqrt of negative argument -1\.0$"):
                 fn(-1.0, 1.0)
-        op = EvolutionOp("log", map_from_exprs(("t0", "t1", "y"), ["log(y) + t1 - t0"]))
+        op = EvolutionOp(map_from_exprs(("t0", "t1", "y"), ["log(y) + t1 - t0"], name="log"))
         value, slope = op.slice  # log(z) + tau and 1/z
         with pytest.raises(EvalDomainError, match=r"^log of non-positive argument 0\.0$"):
             value(1.0, 0.0)
@@ -1074,9 +1083,9 @@ class TestOffTheDomain:
     def test_closed_form_deviations_off_the_closed_forms_domain(self):
         # y + sqrt(t)*y^2 at y = 1 is defined only for t >= 0
         action, column = sqrt_action(), array("d", [1.0, 2.0, 0.0])
-        traj = Trajectory(array("d", [0.0, 1.0, 2.0]), (column,), 2, 0.0, "uniform")
+        traj = Trajectory(array("d", [0.0, 1.0, 2.0]), (column,))
         devs = reduction.closed_form_deviations(action, (1.0,), traj)
         assert devs[:2] == [0.0, 0.0] and devs[2] > 0.0
-        traj = Trajectory(array("d", [-1.0, 0.0, 1.0]), (column,), 2, 0.0, "uniform")
+        traj = Trajectory(array("d", [-1.0, 0.0, 1.0]), (column,))
         with pytest.raises(EvalDomainError, match=r"^sqrt of negative argument -1\.0$"):
             reduction.closed_form_deviations(action, (1.0,), traj)

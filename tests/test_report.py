@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semiflow.actions import TimeAction
+from semiflow.reduction import EvolutionOp, OdeSystem, Trajectory
 from semiflow.report import WITNESS_CAP, VerificationReport, Tally, Witness, deviation, nan_max
 
 TOL = 1e-9
@@ -32,10 +35,9 @@ def reference_report(events: list[float | None]) -> VerificationReport:
     skipped = len(events) - len(devs)
     failing = [i for i, d in enumerate(devs) if not d <= TOL][:8]
     dev = nan_max(devs) if devs else 0.0
-    inconclusive = bool(events) and skipped > len(events) / 2
+    inconclusive = not events or skipped > len(events) / 2
     return VerificationReport(
         suite="s",
-        passed=dev <= TOL and not inconclusive,
         max_deviation=dev,
         tolerance=TOL,
         grid="g",
@@ -134,8 +136,53 @@ def test_half_skipped_is_still_conclusive():
 
 
 def test_nothing_sampled_is_vacuous():
+    # a check that sampled no point compared nothing, so it cannot pass
     rep = Tally(TOL).report("s")
-    assert rep.passed and not rep.inconclusive and rep.checked == 0
+    assert not rep.passed and rep.inconclusive and rep.checked == 0
+    assert rep.one_line().startswith("INCONCLUSIVE")
+
+
+@given(st.floats(), st.floats(), st.booleans())
+@settings(max_examples=300)
+@example(math.nan, 1.0, False)
+@example(0.0, math.nan, False)
+@example(math.inf, math.inf, False)
+@example(-math.inf, -math.inf, False)
+@example(-0.0, 0.0, False)
+@example(0.0, -0.0, True)
+@example(-0.0, -0.0, False)
+def test_every_constructor_gives_the_rule(dev, tol, inconclusive):
+    rule = dev <= tol and not inconclusive
+    direct = VerificationReport("s", dev, tol, inconclusive=inconclusive)
+    derived = VerificationReport.from_deviations("s", 1, dev, tol, inconclusive=inconclusive)
+    tally = Tally(tol)
+    if tally.add(dev):
+        tally.witness((0.0,), (dev,))
+    for _ in range(2 if inconclusive else 0):
+        tally.skip()  # two skips of three sampled points make the run inconclusive
+    tallied = tally.report("s")
+    assert tallied.inconclusive == inconclusive
+    assert direct.passed == derived.passed == tallied.passed == rule
+
+
+def test_a_verdict_cannot_be_given():
+    with pytest.raises(TypeError, match="passed"):
+        VerificationReport("s", 1.0, 0.5, passed=True)
+    rep = VerificationReport("s", 0.0, 0.5)
+    with pytest.raises(AttributeError):
+        rep.passed = False
+
+
+@pytest.mark.parametrize("record, stored", [
+    (TimeAction, ["time_domain", "map", "region"]),
+    (OdeSystem, ["rhs", "region"]),
+    (EvolutionOp, ["closed_form", "region"]),
+    (Trajectory, ["times", "columns"]),
+    (VerificationReport, ["suite", "max_deviation", "tolerance", "grid", "witnesses",
+                          "checked", "skipped", "inconclusive", "notes"]),
+])
+def test_a_record_stores_only_what_it_cannot_compute(record, stored):
+    assert [f.name for f in dataclasses.fields(record)] == stored
 
 
 def test_a_tally_does_not_grow_with_its_points():

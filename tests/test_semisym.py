@@ -317,6 +317,10 @@ class TestSemiSymmetry:
         )
         assert rep.checked == 2 * 15
 
+    def test_an_empty_family_checks_nothing_and_cannot_pass(self):
+        rep = semi_symmetry_check(self.pde, vertical_map("u", ("t", "x")), [], self.grid, 1e-12)
+        assert rep.checked == 0 and rep.inconclusive and not rep.passed
+
     def test_identity_is_trivially_semi_symmetry(self):
         rep = semi_symmetry_check(
             self.pde, vertical_map("u", ("t", "x")), self.family, self.grid, 1e-12
