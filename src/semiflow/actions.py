@@ -158,51 +158,63 @@ def leg_columns(
                 live.pop(k, None)
 
 
+def tally_law(
+    tally: Tally,
+    leg: Callable[..., tuple[float, ...] | None],
+    laws: Sequence[tuple[tuple[float, ...], ...]],
+    grid: SamplingGrid,
+    note: str = "",
+) -> None:
+    """Fold a semigroup law into `tally`: for each law (label, a, b, c) of
+    parameter tuples and each grid point y, H(b, H(a, y)) against H(c, y),
+    where H(p, y) is `leg(*p, *y)`, None off the leg's region or domain.
+    A None leg is a skip, and H(c, y) is evaluated only where H(b, H(a, y))
+    is defined. A failing point's witness is (*label, *y), with the values
+    of both sides and the note `note`.
+
+    Each leg that starts on the grid, H(a, y) or H(c, y), is evaluated once
+    per distinct tuple and grid point, where the first law needs it, and
+    read back by later laws (`leg_columns`); only H(b, H(a, y)) is evaluated
+    per law. The memo holds at most distinct tuples x grid points entries;
+    `Tally` keeps nothing per checked point.
+    """
+    columns = leg_columns([(a, c) for _, a, _, c in laws], grid.size)
+    for (label, a, b, c), (inner, whole) in zip(laws, columns):
+        for i, y in enumerate(grid.points()):
+            mid = inner[i]
+            if mid is _UNSEEN:
+                mid = inner[i] = leg(*a, *y)
+            lhs = None if mid is None else leg(*b, *mid)
+            if lhs is None:
+                tally.skip()
+                continue
+            rhs = whole[i]
+            if rhs is _UNSEEN:
+                rhs = whole[i] = leg(*c, *y)
+            if rhs is None:
+                tally.skip()
+            elif tally.add(deviation(lhs, rhs)):
+                tally.witness((*label, *y), (*lhs, *rhs), note)
+
+
 def composition_check(
     action: TimeAction,
     times: Sequence[tuple[float, float]],
     grid: SamplingGrid,
     tol: float,
 ) -> VerificationReport:
-    """Max gap between H(t, H(s, y)) and H(t+s, y).
-
-    Grid points where a leg leaves the action's region or domain are
-    skipped; witnesses and the inconclusive verdict follow `report.Tally`.
-
-    Every leg is the map's leg on the action's region
-    (`SmoothMap.on_region`), None off either. Each leg that starts on the
-    grid, H(tau, y) for tau = s or t+s, is evaluated once per distinct time
-    and grid point, where the first pair needs it, and read back by later
-    pairs (`leg_columns`); only H(t, H(s, y)) is evaluated per pair. The
-    memo holds one entry per grid point for each time still to be read, so
-    at most distinct times x grid points entries; `Tally` keeps nothing per
-    checked point.
+    """Max gap between H(t, H(s, y)) and H(t+s, y): `tally_law` on the
+    map's leg on the action's region (`SmoothMap.on_region`), so points
+    where a leg leaves the region or domain are skipped; witnesses and the
+    inconclusive verdict follow `report.Tally`.
     """
     for t, s in times:
         for v in (t, s, t + s):
             if not action.time_ok(v):
                 raise PreconditionError(f"time {v!r} outside the action's domain")
-    leg = action.map.on_region(action.region)
-    columns = leg_columns([((s,), (t + s,)) for t, s in times], grid.size)
     tally = Tally(tol)
-    for (t, s), (inner, whole) in zip(times, columns):
-        ts = t + s
-        for i, y in enumerate(grid.points()):
-            mid = inner[i]
-            if mid is _UNSEEN:
-                mid = inner[i] = leg(s, *y)
-            lhs = None if mid is None else leg(t, *mid)
-            if lhs is None:
-                tally.skip()
-                continue
-            rhs = whole[i]
-            if rhs is _UNSEEN:
-                rhs = whole[i] = leg(ts, *y)
-            if rhs is None:
-                tally.skip()
-                continue
-            if tally.add(deviation(lhs, rhs)):
-                tally.witness((t, s, *y), (*lhs, *rhs), "H(t,H(s,y)) != H(t+s,y)")
+    laws = [((t, s), (s,), (t,), (t + s,)) for t, s in times]
+    tally_law(tally, action.map.on_region(action.region), laws, grid, "H(t,H(s,y)) != H(t+s,y)")
     return tally.report(f"composition[{action.name}]", grid.summary())
 
 
@@ -402,16 +414,28 @@ def noninvertibility_witness_sqrt(t: float) -> tuple[float, float]:
 @dataclass
 class InvertibilitySample:
     t: float
-    status: str  # "invertible" | "noninvertible" | "unknown"
     evidence: ProbeEvidence
+
+    @property
+    def status(self) -> str:
+        """"noninvertible" with a witness, "invertible" with invertible
+        evidence, "unknown" otherwise."""
+        if self.evidence.witnesses:
+            return "noninvertible"
+        return "invertible" if self.evidence.invertible_evidence else "unknown"
 
 
 @dataclass
 class DichotomyResult:
-    classification: str  # group_like | genuine_semigroup | inconsistent | inconclusive
     samples: list[InvertibilitySample]
     identity_report: VerificationReport
     composition_report: VerificationReport
+
+    @property
+    def classification(self) -> str:
+        """group_like | genuine_semigroup | inconsistent | inconclusive:
+        `classify_samples` of the samples' statuses."""
+        return classify_samples([s.status for s in self.samples])
 
 
 def classify_samples(statuses: Sequence[str]) -> str:
@@ -454,15 +478,6 @@ def dichotomy_classify(
         raise PreconditionError(f"identity axiom fails: {ident.one_line()}")
     if not comp.passed:
         raise PreconditionError(f"composition law fails: {comp.one_line()}")
-    samples = []
-    for t in t_samples:
-        ev = probe_evidence(action.frozen_map(t), grid, tol)
-        if ev.witnesses:
-            status = "noninvertible"
-        elif ev.invertible_evidence:
-            status = "invertible"
-        else:
-            status = "unknown"
-        samples.append(InvertibilitySample(t, status, ev))
-    classification = classify_samples([s.status for s in samples])
-    return DichotomyResult(classification, samples, ident, comp)
+    samples = [InvertibilitySample(t, probe_evidence(action.frozen_map(t), grid, tol))
+               for t in t_samples]
+    return DichotomyResult(samples, ident, comp)

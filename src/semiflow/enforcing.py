@@ -42,7 +42,7 @@ from .maps import SmoothMap, scalar_map
 from .reduction import OdeSystem
 from .report import Tally, VerificationReport, Witness, deviation, max_norm
 from .actions import TimeAction, _grows_at_ends
-from .rootfind import RootSearchError, bisect
+from .rootfind import RootSearchError, bisect, sign_brackets
 
 
 def sqrt_branch_for(t: float, y: float) -> str:
@@ -353,19 +353,11 @@ class DiffeoTimeReport:
 
 def _critical_points(f: Callable[[float], float], y_pts: Sequence[float]) -> list[float]:
     crits = []
-    prev_y = prev_v = None
-    for y in y_pts:
+    for a, b in sign_brackets(f, y_pts):
         try:
-            v = f(y)
-        except EvalDomainError:
-            prev_y = prev_v = None
-            continue
-        if prev_v is not None and (prev_v < 0.0) != (v < 0.0):
-            try:
-                crits.append(bisect(f, prev_y, y, tol=1e-12))
-            except (EvalDomainError, RootSearchError):
-                pass
-        prev_y, prev_v = y, v
+            crits.append(bisect(f, a, b, tol=1e-12))
+        except (EvalDomainError, RootSearchError):
+            pass
     return crits
 
 

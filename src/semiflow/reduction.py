@@ -9,7 +9,8 @@ E(s,r)∘E(t,s) = E(t,r) becomes the one-parameter law
 E_A(r)∘E_A(s) = E_A(s+r) one dimension up. E_A is therefore a plain
 `TimeAction` in (s, t, Y), whose one-time law `actions.composition_check`
 checks, and the two-time operator an `EvolutionOp`: an expression that
-raises outside its domain, plus the region where it can be inverted.
+raises outside its domain, plus the region where it can be inverted. Both
+laws run one loop, `actions.tally_law`, keyed by tuples of times.
 
 For the square-root action y + sqrt(t)*y^2 the two-time operator has the
 closed form E(t,s)(y) = y* + sqrt(s)*y*^2 with
@@ -35,7 +36,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from typing import Callable, Iterator, NoReturn, Sequence
 
-from .actions import _UNSEEN, TimeAction, composition_check, leg_columns
+from .actions import TimeAction, composition_check, tally_law
 from .expr import (
     _COMPILE_NS,
     Binary,
@@ -606,7 +607,7 @@ def first_component_check(op: TimeAction, grid: SamplingGrid, tol: float) -> Ver
         if out is None:
             tally.skip()
             continue
-        if tally.add(abs(out[0] - (t + s)) / (1.0 + abs(t + s))):
+        if tally.add(deviation((out[0],), (t + s,))):
             tally.witness(point, out)
     return tally.report(f"first-component[{op.name}]", grid.summary())
 
@@ -632,36 +633,16 @@ def two_time_law_check(
 ) -> VerificationReport:
     """Max gap of E(s,r)(E(t,s)(y)) against E(t,r)(y), plus the inverse
     identities E(t,s)∘E(s,t) = id = E(s,t)∘E(t,s) wherever the forward leg
-    stays inside the operator's region. Each unordered pair {t, s} of
-    distinct times in the triples gives its two identities once. Both
-    loops feed one `report.Tally`, which sets the witnesses and the
-    inconclusive verdict.
-
-    Each leg of the law that starts on the grid, E(a,b)(y), is evaluated
-    once per distinct pair of times and grid point, where the first triple
-    needs it, and read back by later triples (`actions.leg_columns`). The
-    memo holds one entry per grid point for each pair of times still to be
-    read, so at most distinct pairs x grid points entries; `Tally` keeps
-    nothing per checked point. Every leg of the law, and the backward leg
-    of an identity, is the closed form's `on_domain` form; the forward leg
-    of an identity is its leg on the region (`SmoothMap.on_region`), read
-    once per identity and grid point."""
-    columns = leg_columns([((t, s), (t, r)) for t, s, r in triples], grid.size)
+    stays inside the operator's region. The law is `actions.tally_law` on
+    the closed form's `on_domain` leg, keyed by the pairs of times; each
+    unordered pair {t, s} of distinct times in the triples then gives its
+    two identities once per grid point, their backward leg on the domain
+    and their forward leg on the region (`SmoothMap.on_region`). Both feed
+    one `report.Tally`, which sets the witnesses and the inconclusive
+    verdict."""
     on = op.closed_form.on_domain
     tally = Tally(tol)
-    for (t, s, r), (inner, whole) in zip(triples, columns):
-        for i, x in enumerate(grid.points()):
-            mid = inner[i]
-            if mid is _UNSEEN:
-                mid = inner[i] = on(t, s, *x)
-            out = None if mid is None else on(s, r, *mid)
-            ref = whole[i]
-            if ref is _UNSEEN:
-                ref = whole[i] = on(t, r, *x)
-            if out is None or ref is None:
-                tally.skip()
-            elif tally.add(deviation(out, ref)):
-                tally.witness((t, s, r, *x), (*out, *ref))
+    tally_law(tally, on, [((t, s, r), (t, s), (s, r), (t, r)) for t, s, r in triples], grid)
     inverse_pairs = {}
     for t, s, _ in triples:
         if t != s:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from .expr import EvalDomainError
 
@@ -11,20 +11,13 @@ class RootSearchError(Exception):
     pass
 
 
-def scan_brackets(
-    f: Callable[[float], float], lo: float, hi: float, n: int
-) -> list[tuple[float, float]]:
-    """Sign-change intervals of f on an n-point scan of [lo, hi].
-
-    Points where f raises a domain error are treated as gaps in the scan.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 scan points")
-    step = (hi - lo) / (n - 1)
+def sign_brackets(f: Callable[[float], float], xs: Sequence[float]) -> list[tuple[float, float]]:
+    """Sign-change intervals of f between neighbouring points of `xs`, and
+    (x, x) at each exact zero. A point where f raises a domain error is a
+    gap in the scan."""
     brackets = []
     prev_x = prev_y = None
-    for k in range(n):
-        x = lo + k * step
+    for x in xs:
         try:
             y = f(x)
         except EvalDomainError:
@@ -36,6 +29,16 @@ def scan_brackets(
             brackets.append((prev_x, x))
         prev_x, prev_y = x, y
     return brackets
+
+
+def scan_brackets(
+    f: Callable[[float], float], lo: float, hi: float, n: int
+) -> list[tuple[float, float]]:
+    """`sign_brackets` of f on an n-point uniform scan of [lo, hi]."""
+    if n < 2:
+        raise ValueError("need at least 2 scan points")
+    step = (hi - lo) / (n - 1)
+    return sign_brackets(f, [lo + k * step for k in range(n)])
 
 
 def bisect(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:

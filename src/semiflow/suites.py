@@ -65,7 +65,7 @@ from .reduction import (
     recover_evolution,
     two_time_law_check,
 )
-from .report import Tally, VerificationReport, Witness, nan_max
+from .report import Tally, VerificationReport, Witness, deviation, nan_max
 from .rootfind import RootSearchError
 from .semisym import (
     VALUE_MAPS,
@@ -391,7 +391,7 @@ def _tally_recovery(tally: Tally, op: EvolutionOp, t: float, s: float, y: float)
         if tally.add(math.inf):
             tally.witness((t, s, y), (want,), "no root on the bounded branch")
         return
-    if tally.add(abs(got - want) / (1.0 + abs(want))):
+    if tally.add(deviation((got,), (want,))):
         tally.witness((t, s, y), (got, want))
 
 
@@ -617,7 +617,7 @@ def suite_negative_control(config: SuiteConfig) -> list[VerificationReport]:
     action = sqrt_action()
     lhs = action.call1(1.0, action.call1(1.0, 1.0))
     rhs = action.call1(2.0, 1.0)
-    point_dev = abs(lhs - rhs) / (1.0 + abs(rhs))
+    point_dev = deviation((lhs,), (rhs,))
     ok = (not comp.passed) and point_dev > 0.1
     reports = [
         _bool_report(
@@ -662,8 +662,7 @@ def suite_symbolic_engine(config: SuiteConfig) -> list[VerificationReport]:
         args = [point[v] for v in variables]
         exact = slopes[name, var](*args)[0]
         approx = finite_diff(maps[name], args, var, 1e-5)
-        dev = abs(exact - approx) / (1.0 + abs(exact))
-        if tally.add(dev):
+        if tally.add(deviation((approx,), (exact,))):
             tally.witness(tuple(point.values()), (exact, approx), f"{name} d/d{var}")
         cases += 1
     reports = [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from semiflow.enforcing import (
     DiffeoClassifier,
     MediatorFunction,
+    _critical_points,
     bump_map,
     cuberoot_group_action,
     cuberoot_ode_system,
@@ -336,6 +337,10 @@ class TestDiffeoClassification:
             evaluate(slope, {"t": 1.0, "y": 0.0})
         probe = diffeo_classifier(action, grid1d(-1.0, 1.0, 21))
         assert probe.slope_attains_zero(1.0) is attains
+
+    def test_an_exact_zero_is_a_critical_point(self):
+        # y*y touches zero at a grid point without changing sign there
+        assert _critical_points(lambda y: y * y, [-1.0, 0.0, 1.0]) == [0.0]
 
     def test_identity_always_diffeo(self):
         ident = TimeAction("nonneg", SmoothMap(("t", "y"), (parse_expr("y"),), name="still"))

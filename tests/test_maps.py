@@ -17,6 +17,7 @@ from semiflow.rootfind import (
     hybrid_root,
     newton,
     scan_brackets,
+    sign_brackets,
 )
 
 
@@ -225,6 +226,13 @@ class TestRootFinding:
         brackets = scan_brackets(f, 0.0, 2.0, 64)
         assert len(brackets) == 1
         assert brackets[0][0] < 1.0 < brackets[0][1]
+
+    def test_scan_is_the_sign_scan_of_its_uniform_points(self):
+        f = lambda x: (x - 0.7) * (x - 1.2) * (x - 2.6)  # noqa: E731
+        brackets = sign_brackets(f, [0.5 * k for k in range(7)])
+        assert scan_brackets(f, 0.0, 3.0, 7) == brackets == [(0.5, 1.0), (1.0, 1.5), (2.5, 3.0)]
+        # an exact zero is a bracket of its own, with or without a sign change
+        assert sign_brackets(lambda x: x * x, [-1.0, 0.0, 1.0]) == [(0.0, 0.0)]
 
     def test_bisect_requires_sign_change(self):
         with pytest.raises(RootSearchError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semiflow.actions import TimeAction
+from semiflow.actions import DichotomyResult, InvertibilitySample, TimeAction
 from semiflow.reduction import EvolutionOp, OdeSystem, Trajectory
 from semiflow.report import WITNESS_CAP, VerificationReport, Tally, Witness, deviation, nan_max
 
@@ -180,6 +180,8 @@ def test_a_verdict_cannot_be_given():
     (Trajectory, ["times", "columns"]),
     (VerificationReport, ["suite", "max_deviation", "tolerance", "grid", "witnesses",
                           "checked", "skipped", "inconclusive", "notes"]),
+    (InvertibilitySample, ["t", "evidence"]),
+    (DichotomyResult, ["samples", "identity_report", "composition_report"]),
 ])
 def test_a_record_stores_only_what_it_cannot_compute(record, stored):
     assert [f.name for f in dataclasses.fields(record)] == stored

@@ -10,9 +10,11 @@ definition it names. Type annotations are not followed: they run no code.
 A method is reached when its class is reached and some reached code reads
 an attribute of the method's name, so a method that shares its name with
 a reached one counts as reached too; dunder methods are reached with
-their class. The public surface checked is every name `semiflow/__init__.py`
-exports, every public module-level name of a `semiflow` module, and every
-public method of a reached class. The root exports some names through
+their class. A field (an annotated name in a class body, as a dataclass
+declares one) is reached by the same rule. The public surface checked is
+every name `semiflow/__init__.py` exports, every public module-level name
+of a `semiflow` module, and every public method and field of a reached
+class. The root exports some names through
 `from .x import` and the rest through its table of lazy exports,
 `_LAZY_EXPORTS` ({module: (name, ...)}), which the walk reads with
 `ast.literal_eval` and follows like an import.
@@ -38,6 +40,13 @@ ALLOWED_UNREACHED = {
     # a chart's parameter names, its inputs, for library callers; the suites
     # sample a chart on a grid and need no names
     ("semiflow.semisym", "ParametricFunction", "params"),
+    # the time a dichotomy sample was probed at, for library callers; the
+    # suites read only the classification the samples give
+    ("semiflow.actions", "InvertibilitySample", "t"),
+    # the slice's root y* and its condition number, which explain one
+    # recovery to a library caller; the suites compare only the value
+    ("semiflow.reduction", "RecoveryResult", "ystar"),
+    ("semiflow.reduction", "RecoveryResult", "condition"),
 }
 
 # the package root's table of the names it imports on first use
@@ -67,6 +76,7 @@ class _Module:
     def __init__(self, path: pathlib.Path):
         self.defs: dict[str, ast.AST] = {}
         self.methods: dict[tuple[str, str], ast.AST] = {}
+        self.fields: set[tuple[str, str]] = set()
         self.imports: dict[str, tuple[str, str]] = {}
         self.statements: list[ast.AST] = []  # run on import, defining nothing
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -83,6 +93,8 @@ class _Module:
                     for item in stmt.body:
                         if isinstance(item, ast.FunctionDef):
                             self.methods[stmt.name, item.name] = item
+                        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                            self.fields.add((stmt.name, item.target.id))
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 for target in targets:
@@ -139,7 +151,8 @@ def _resolve(mods: dict[str, _Module], module: str, name: str) -> tuple[str, str
 
 
 def reached_definitions(mods: dict[str, _Module]) -> set[tuple[str, ...]]:
-    """Keys (module, name) and (module, class, method) reached from the entry points."""
+    """Keys (module, name) and (module, class, method or field) reached
+    from the entry points."""
     reached: set[tuple[str, ...]] = set()
     attributes: set[str] = set()
     todo: list[tuple[str, ...]] = []
@@ -171,6 +184,9 @@ def reached_definitions(mods: dict[str, _Module]) -> set[tuple[str, ...]]:
                 if key not in reached and (name, cls) in reached and (dunder or meth in attributes):
                     reached.add(key)
                     todo.append(key)
+    # a field has no code of its own, so reading it reaches nothing further
+    for name, mod in mods.items():
+        reached |= {(name, cls, f) for cls, f in mod.fields if (name, cls) in reached and f in attributes}
     return reached
 
 
@@ -187,9 +203,9 @@ def unreached_public_names() -> list[tuple[str, ...]]:
         if name.startswith("semiflow."):
             surface |= {(name, d) for d in mod.defs if not d.startswith("_")}
             surface |= {
-                (name, cls, meth)
-                for cls, meth in mod.methods
-                if not meth.startswith("_") and (name, cls) in reached
+                (name, cls, member)
+                for cls, member in (*mod.methods, *mod.fields)
+                if not member.startswith("_") and (name, cls) in reached
             }
     return sorted(key for key in surface if key not in reached)
 
@@ -220,6 +236,9 @@ def test_the_walk_follows_imports_and_methods():
     assert ("semiflow.reduction", "Trajectory", "write_csv") in reached
     # a script reaches what it imports
     assert ("semiflow.enforcing", "diffeo_time_set") in reached
+    # a dataclass field is reached when reached code reads it
+    assert ("semiflow.report", "VerificationReport", "max_deviation") in reached
+    assert ("semiflow.reduction", "RecoveryResult", "value") in reached
 
 
 def test_the_walk_reads_the_lazy_table_of_the_root():
