@@ -41,9 +41,9 @@ _LAZY_EXPORTS = {
     "enforcing": (
         "MediatorFunction", "bump_map", "cuberoot_group_action", "diffeo_classifier",
         "diffeo_time_set", "homotopy_action", "k_action_relation_check", "limit_ic_check",
-        "mediator", "milder_action", "milder_branch_for", "milder_ode_system", "not_c1_check",
-        "ode_residual_explicit", "ode_residual_homotopy", "ode_residual_milder", "sqrt_action",
-        "sqrt_branch_for", "sqrt_mediator", "square_map",
+        "mediator", "milder_action", "milder_ode_system", "not_c1_check", "ode_residual_explicit",
+        "ode_residual_homotopy", "ode_residual_milder", "sqrt_action", "sqrt_mediator",
+        "square_map",
     ),
     "reduction": (
         "EvolutionOp", "IntegrationError", "OdeSystem", "Trajectory", "augment_system",

@@ -45,18 +45,6 @@ from .actions import TimeAction, _grows_at_ends
 from .rootfind import RootSearchError, bisect, sign_brackets
 
 
-def sqrt_branch_for(t: float, y: float) -> str:
-    """The branch of `sqrt_ode_system` that H(., y) solves at t: "minus" where
-    1 + 2*sqrt(t)*y >= 0, else "plus"."""
-    return "minus" if 1.0 + 2.0 * math.sqrt(t) * y >= 0.0 else "plus"
-
-
-def milder_branch_for(t: float, y: float) -> str:
-    """The branch of `milder_ode_system` that y + t*y^2 solves at t: "regular" (no
-    singularity at t = 0) where 1 + 2*t*y >= 0, else "singular"."""
-    return "regular" if 1.0 + 2.0 * t * y >= 0.0 else "singular"
-
-
 @dataclass(frozen=True)
 class MediatorFunction:
     """Time reparametrization g(t) with g(0)=0, g(1)=1 and g'(t) != 0 on (0, T]."""
@@ -139,7 +127,8 @@ def _known_branch(table: Mapping[str, str], branch: str) -> str:
 
 def sqrt_ode_system(branch: str = "minus") -> OdeSystem:
     """dY/dt = (1 + 2*sqrt(t)*Y ± sqrt(1 + 4*sqrt(t)*Y))/(4*t*sqrt(t)), solved by the
-    square-root action on the branch "plus" or "minus" (`sqrt_branch_for`)."""
+    square-root action on the branch "minus" where 1 + 2*sqrt(t)*y >= 0, and on
+    "plus" where it is negative."""
     sign = _known_branch({"plus": "+", "minus": "-"}, branch)
     rhs = f"(1 + 2*sqrt(t)*y {sign} sqrt(1 + 4*sqrt(t)*y))/(4*t*sqrt(t))"
     return OdeSystem(
@@ -149,8 +138,9 @@ def sqrt_ode_system(branch: str = "minus") -> OdeSystem:
 
 
 def milder_ode_system(branch: str = "regular") -> OdeSystem:
-    """The resolved ODEs solved by Y = y + t*y^2 (`milder_branch_for`): the "regular"
-    form, without singularity at t = 0, and the "singular" form."""
+    """The resolved ODEs solved by Y = y + t*y^2: the "regular" form, without
+    singularity at t = 0, where 1 + 2*t*y >= 0, and the "singular" form where it
+    is negative."""
     forms = {
         "regular": "2*y^2/(1 + 2*t*y + sqrt(1 + 4*t*y))",
         "singular": "(1 + 2*t*y + sqrt(1 + 4*t*y))/(2*t^2)",
@@ -233,38 +223,34 @@ def ode_residual_explicit(
     return abs(residuals[branch](t, y)[0])
 
 
-def ode_residual_homotopy(
-    f: SmoothMap,
-    g: MediatorFunction,
-    h_map: SmoothMap,
-    ht_map: SmoothMap,
-    t: float,
-    y: float | Sequence[float],
-) -> float:
-    """Residual of the implicit homotopy ODE
-    (1-g)*dY/dt + g'*Y = g' * f((g'*Y - g*dY/dt)/g'), plus the pointwise
-    recovery of y and f(y) from (Y, dY/dt).
+def homotopy_residual_map(f: SmoothMap, g: MediatorFunction) -> SmoothMap:
+    """The implicit homotopy ODE (1-g)*dY/dt + g'*Y = g' * f((g'*Y - g*dY/dt)/g')
+    and the pointwise recovery of y and f(y) from (Y, dY/dt), as one map of (t, y).
 
-    `h_map` is `homotopy_action(f, g).map` and `ht_map` its exact t-partial;
-    callers build both once per target and pass them to every point."""
+    Per coordinate its outputs are three gaps, each zero up to rounding: the
+    ODE's, the recovered y's and the recovered f(y)'s. Y is `homotopy_action(f, g)`
+    and dY/dt its exact t-partial; where g' = 0 the recovery divides by zero and
+    the map is off its domain."""
+    action = homotopy_action(f, g)
+    gv, gp = g.g, diff(g.g, "t")
+    hs = action.map.outputs
+    hts = tuple(diff(h, "t") for h in hs)
+    args = tuple((gp * h - gv * ht) / gp for h, ht in zip(hs, hts))
+    at_args = dict(zip(f.inputs, args))
+    gaps = []
+    for y, h, ht, arg, f_y in zip(f.inputs, hs, hts, args, f.outputs):
+        lhs = (1.0 - gv) * ht + gp * h
+        gaps += (lhs - gp * substitute_many(f_y, at_args), arg - Var(y), lhs / gp - f_y)
+    return SmoothMap(action.map.inputs, tuple(gaps), f"residual[{action.name}]")
+
+
+def ode_residual_homotopy(residual: SmoothMap, t: float, y: float | Sequence[float]) -> float:
+    """The largest gap of `residual`, the `homotopy_residual_map` of a target and
+    a mediator, at (t, y)."""
     if t <= 0.0:
         raise EvalDomainError("the homotopy ODE is posed on t > 0")
     ys = (y,) if isinstance(y, (int, float)) else tuple(y)
-    gv = g.value(t)
-    gp = g.slope(t)
-    if gp == 0.0:
-        raise EvalDomainError(f"mediator derivative vanishes at t={t!r}")
-    h_val = h_map(t, *ys)
-    ht_val = ht_map(t, *ys)
-    arg = [(gp * h - gv * ht) / gp for h, ht in zip(h_val, ht_val)]
-    f_at_arg = f.at(arg)
-    f_at_y = f.at(ys)
-    gaps = []
-    for i in range(len(ys)):
-        lhs = (1.0 - gv) * ht_val[i] + gp * h_val[i]
-        # the ODE, then the recovered y and f(y), which must match the originals
-        gaps += (lhs - gp * f_at_arg[i], arg[i] - ys[i], lhs / gp - f_at_y[i])
-    return max_norm(gaps)
+    return max_norm(residual(t, *ys))
 
 
 def ode_residual_milder(

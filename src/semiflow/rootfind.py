@@ -14,7 +14,8 @@ class RootSearchError(Exception):
 def sign_brackets(f: Callable[[float], float], xs: Sequence[float]) -> list[tuple[float, float]]:
     """Sign-change intervals of f between neighbouring points of `xs`, and
     (x, x) at each exact zero. A point where f raises a domain error is a
-    gap in the scan."""
+    gap in the scan, and so is an exact zero for the sign test of the point
+    after it: the zero is its own bracket."""
     brackets = []
     prev_x = prev_y = None
     for x in xs:
@@ -25,6 +26,7 @@ def sign_brackets(f: Callable[[float], float], xs: Sequence[float]) -> list[tupl
             continue
         if y == 0.0:
             brackets.append((x, x))
+            y = None  # no sign for the next point's test
         elif prev_y is not None and (prev_y < 0.0) != (y < 0.0):
             brackets.append((prev_x, x))
         prev_x, prev_y = x, y

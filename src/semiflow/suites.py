@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .actions import (
     TimeAction,
@@ -26,18 +26,14 @@ from .enforcing import (
     diffeo_time_set,
     diffeo_classifier,
     homotopy_action,
+    homotopy_residual_map,
     k_action_relation_check,
     limit_ic_check,
     milder_action,
-    milder_branch_for,
     milder_ode_system,
     not_c1_check,
-    ode_residual_explicit,
-    ode_residual_homotopy,
     ode_residual_map,
-    ode_residual_milder,
     sqrt_action,
-    sqrt_branch_for,
     sqrt_mediator,
     sqrt_ode_system,
     square_map,
@@ -50,11 +46,12 @@ from .evolution_pde import (
     soliton_residual_max,
     soliton_translation_check,
 )
-from .expr import EvalDomainError, Expr, diff, parse_expr, to_text
+from .expr import EvalDomainError, Expr, Unary, Var, diff, parse_expr, to_text
 from .grids import Axis, SamplingGrid, grid1d, grid2d
 from .maps import SmoothMap, finite_diff, identity_map, scalar_map
 from .reduction import (
     EvolutionOp,
+    OdeSystem,
     first_component_check,
     flow_vs_closed_form,
     gls_one_time_op,
@@ -65,7 +62,7 @@ from .reduction import (
     recover_evolution,
     two_time_law_check,
 )
-from .report import Tally, VerificationReport, Witness, deviation, nan_max
+from .report import Tally, VerificationReport, Witness, deviation, max_norm, nan_max
 from .rootfind import RootSearchError
 from .semisym import (
     VALUE_MAPS,
@@ -281,83 +278,95 @@ def _fold_margin(tol: float) -> float:
     return 2.0**-53 / tol
 
 
-def _sqrt_near_fold(t: float, y: float, band: float) -> bool:
-    s = math.sqrt(t)
-    return abs(1.0 + 2.0 * s * y) * 4.0 * t * s < band  # |d|/S with S = 1/(4*t*s)
+def _branch_legs(
+    action: TimeAction, system: Callable[[str], OdeSystem], branches: tuple[str, str],
+    d: Expr, off_fold: Callable[[Expr, float], Expr], tol: float,
+) -> list[tuple[str, Callable]]:
+    """The residual legs (`SmoothMap.on_region`) of a pair of branches, each noted
+    with its branch's name.
 
-
-def _milder_near_fold(t: float, y: float, band: float) -> bool:
-    d = abs(1.0 + 2.0 * t * y)
-    return d * (1.0 + d) ** 2 < 2.0 * y * y * band  # |d|/S with S = 2*y^2/(1 + |d|)^2
-
-
-def _branch_residual_report(
-    name: str, grid: SamplingGrid, tol: float, residuals: Mapping[str, SmoothMap],
-    branch_for: Callable[[float, float], str], residual: Callable[..., float],
-    near_fold: Callable[[float, float, float], bool],
-) -> VerificationReport:
-    """`residual(residuals, t, y, branch)` at each grid point, on the branch that
-    `branch_for(t, y)` names. A point that `near_fold(t, y, 2*_fold_margin(tol))`
-    puts on the fold, or one off the residual's domain, is a skip."""
-    tally = Tally(tol)
+    The first branch is the region d >= 0 of its residual map and the second
+    -d > 0, d = 1 + 2*s*y the fold's expression; on each, the signed d_b (d, then
+    -d) is |d|, and a leg keeps the points off the fold, where off_fold(d_b, band)
+    >= 0, band = 2*`_fold_margin(tol)`. A NaN d is on neither region. The Expr
+    operators do not fold, so each test computes the float operations its
+    formula reads."""
     band = 2.0 * _fold_margin(tol)
-    for t, y in grid.points():
-        if near_fold(t, y, band):
+    return [
+        (b, ode_residual_map(action, system(b)).on_region(((d_b, rel), (off_fold(d_b, band), ">="))))
+        for b, d_b, rel in ((branches[0], d, ">="), (branches[1], -d, ">"))
+    ]
+
+
+def _sqrt_branch_legs(action: TimeAction, tol: float) -> list[tuple[str, Callable]]:
+    """ "minus" and "plus" of `sqrt_ode_system`; a point is on the fold where
+    |d|*4*t*sqrt(t) < band."""
+    t, y = Var("t"), Var("y")
+    s = Unary("sqrt", t)
+    return _branch_legs(
+        action, sqrt_ode_system, ("minus", "plus"), 1 + 2 * s * y,
+        lambda d_b, band: d_b * 4 * t * s - band, tol,
+    )
+
+
+def _milder_branch_legs(action: TimeAction, tol: float) -> list[tuple[str, Callable]]:
+    """ "regular" and "singular" of `milder_ode_system`; a point is on the fold where
+    |d|*(1 + |d|)^2 < 2*y^2*band."""
+    t, y = Var("t"), Var("y")
+    return _branch_legs(
+        action, milder_ode_system, ("regular", "singular"), 1 + 2 * t * y,
+        lambda d_b, band: d_b * (1 + d_b) ** 2 - 2 * y * y * band, tol,
+    )
+
+
+def _residual_report(
+    name: str, grid: SamplingGrid, tol: float,
+    legs: Sequence[tuple[str, Callable]],
+) -> VerificationReport:
+    """At each grid point, the max norm of the first leg that returns a value,
+    witnessed with that leg's note; a point where every leg returns None is a skip."""
+    tally = Tally(tol)
+    for point in grid.points():
+        for note, leg in legs:
+            out = leg(*point)
+            if out is not None:
+                r = max_norm(out)
+                if tally.add(r):
+                    tally.witness(point, (r,), note)
+                break
+        else:
             tally.skip()
-            continue
-        branch = branch_for(t, y)
-        try:
-            r = residual(residuals, t, y, branch)
-        except EvalDomainError:
-            tally.skip()
-            continue
-        if tally.add(r):
-            tally.witness((t, y), (r,), branch)
     return tally.report(name, grid.summary())
 
 
 def suite_ode_residuals(config: SuiteConfig) -> list[VerificationReport]:
-    """The branch residuals skip every point that `_fold_margin` puts on the fold."""
+    """Four residual reports, each one loop over its legs (`_residual_report`); the
+    branch residuals skip every point that `_fold_margin` puts on the fold."""
     tol_homotopy = config.tol("homotopy", 1e-9)
     # each branch residual is derived from the system the flows integrate
     sqrt_act = sqrt_action()
     grid = SamplingGrid((config.axis("t", Axis(1e-3, 10.0, 50)), config.axis("y", Axis(-5.0, 5.0, 50))))
-    reports = [
-        _branch_residual_report(
-            "ode-residual[sqrt-branches]", grid, config.tol("explicit", 1e-10),
-            {b: ode_residual_map(sqrt_act, sqrt_ode_system(b)) for b in ("plus", "minus")},
-            sqrt_branch_for, ode_residual_explicit, _sqrt_near_fold,
-        )
-    ]
-
+    if grid.axes[0].lo < 0.0:
+        raise ValueError("the square-root branch ODEs are posed on t > 0")
+    tol_sqrt = config.tol("explicit", 1e-10)
+    legs = _sqrt_branch_legs(sqrt_act, tol_sqrt)
+    reports = [_residual_report("ode-residual[sqrt-branches]", grid, tol_sqrt, legs)]
     med = sqrt_mediator()
     hgrid = grid2d(1e-3, 10.0, 25, -5.0, 5.0, 21)
     targets = (square_map(), bump_map())
-    homotopies = [homotopy_action(f, med) for f in targets]
-    for f, action in zip(targets, homotopies):
-        h_map, ht_map = action.map, action.map.partial("t")
-        tally = Tally(tol_homotopy)
-        for t, y in hgrid.points():
-            r = ode_residual_homotopy(f, med, h_map, ht_map, t, y)
-            if tally.add(r):
-                tally.witness((t, y), (r,))
-        reports.append(tally.report(f"ode-residual[homotopy-{f.name}]", hgrid.summary()))
-
-    milder_act = milder_action()
-    reports.append(
-        _branch_residual_report(
-            "ode-residual[milder-branches]", grid2d(-2.0, 2.0, 41, -3.0, 3.0, 41),
-            config.tol("milder", 1e-10),
-            {b: ode_residual_map(milder_act, milder_ode_system(b)) for b in ("regular", "singular")},
-            milder_branch_for, ode_residual_milder, _milder_near_fold,
-        )
-    )
+    for f in targets:
+        legs = [("", homotopy_residual_map(f, med).on_region(((Var("t"), ">"),)))]
+        reports.append(_residual_report(f"ode-residual[homotopy-{f.name}]", hgrid, tol_homotopy, legs))
+    tol_milder = config.tol("milder", 1e-10)
+    legs = _milder_branch_legs(milder_action(), tol_milder)
+    milder_grid = grid2d(-2.0, 2.0, 41, -3.0, 3.0, 41)
+    reports.append(_residual_report("ode-residual[milder-branches]", milder_grid, tol_milder, legs))
     # the singular ODEs admit only the limit-type initial condition H(0+, y) = y
     reports.append(limit_ic_check(sqrt_act, 1.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
     # and H is not C^1 at t = 0: its one-sided quotient diverges like y^2/sqrt(eps)
     reports.append(not_c1_check(sqrt_act, 1.0, LIMIT_IC_EPS, NOT_C1_TOL))
-    for action in homotopies:
-        reports.append(limit_ic_check(action, 2.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
+    for f in targets:
+        reports.append(limit_ic_check(homotopy_action(f, med), 2.0, LIMIT_IC_EPS, LIMIT_IC_TOL))
     return reports
 
 

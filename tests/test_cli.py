@@ -430,6 +430,11 @@ def test_grid_override_outside_a_suite_domain_exits_two(grid, name, capsys):
     assert "suite 'ode-residuals'" in err and f"grids.{name} = " in err
 
 
+def test_a_negative_time_axis_names_the_domain_of_the_branch_odes(capsys):
+    assert run_suite({"suite": "ode-residuals", "grids": {"t": {"lo": -1.0, "hi": 1.0, "count": 3}}}) == 2
+    assert capsys.readouterr().err.endswith("the square-root branch ODEs are posed on t > 0\n")
+
+
 def test_an_error_blames_only_the_grid_overrides_its_suite_read(capsys):
     # noninvertibility reads no grid override, and the tolerance, not the grid, fails it
     scenario = {

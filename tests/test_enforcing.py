@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiflow.enforcing import (
@@ -21,11 +21,11 @@ from semiflow.enforcing import (
     diffeo_classifier,
     diffeo_time_set,
     homotopy_action,
+    homotopy_residual_map,
     k_action_relation_check,
     limit_ic_check,
     mediator,
     milder_action,
-    milder_branch_for,
     milder_ode_system,
     not_c1_check,
     ode_residual_explicit,
@@ -33,7 +33,6 @@ from semiflow.enforcing import (
     ode_residual_map,
     ode_residual_milder,
     sqrt_action,
-    sqrt_branch_for,
     sqrt_mediator,
     sqrt_ode_system,
     square_map,
@@ -44,8 +43,15 @@ from semiflow.maps import identity_map, scalar_map
 from semiflow.actions import TimeAction
 from semiflow.maps import SmoothMap
 from semiflow.reduction import OdeSystem
+from semiflow.report import max_norm
 from semiflow.rootfind import RootSearchError, bisect
-from semiflow.suites import LIMIT_IC_EPS, NOT_C1_TOL
+from semiflow.suites import (
+    LIMIT_IC_EPS,
+    NOT_C1_TOL,
+    _fold_margin,
+    _milder_branch_legs,
+    _sqrt_branch_legs,
+)
 
 
 class TestRegisteredActions:
@@ -127,6 +133,29 @@ class TestKRelation:
         assert rep.passed and rep.max_deviation <= 1e-15
 
 
+# the float rules the ode-residuals suite's legs replace, kept as references: the
+# branch that the sign of d = 1 + 2*s*y names (s = sqrt(t), or t), and the fold skip
+# |d|/S < band, S the sensitivity of the branch rhs to its square root
+
+
+def sqrt_branch_for(t, y):
+    return "minus" if 1.0 + 2.0 * math.sqrt(t) * y >= 0.0 else "plus"
+
+
+def milder_branch_for(t, y):
+    return "regular" if 1.0 + 2.0 * t * y >= 0.0 else "singular"
+
+
+def sqrt_near_fold(t, y, band):
+    s = math.sqrt(t)
+    return abs(1.0 + 2.0 * s * y) * 4.0 * t * s < band  # S = 1/(4*t*s)
+
+
+def milder_near_fold(t, y, band):
+    d = abs(1.0 + 2.0 * t * y)
+    return d * (1.0 + d) ** 2 < 2.0 * y * y * band  # S = 2*y^2/(1 + |d|)^2
+
+
 # the residual maps of both branch families, built as the ode-residuals suite builds them
 SQRT_RESIDUALS = {b: ode_residual_map(sqrt_action(), sqrt_ode_system(b)) for b in ("plus", "minus")}
 MILDER_RESIDUALS = {
@@ -164,9 +193,28 @@ class TestExplicitOdeResiduals:
 
 
 def homotopy_residual(f, g, t, y):
-    """`ode_residual_homotopy` with the homotopy map and its t-partial built here."""
-    h = homotopy_action(f, g).map
-    return ode_residual_homotopy(f, g, h, h.partial("t"), t, y)
+    """`ode_residual_homotopy` of the `homotopy_residual_map` built here."""
+    return ode_residual_homotopy(homotopy_residual_map(f, g), t, y)
+
+
+def float_homotopy_residual(f, g, t, y):
+    """The homotopy residual in float arithmetic on the compiled homotopy map, its
+    t-partial and the mediator: the reference `homotopy_residual_map` replaces."""
+    h_map = homotopy_action(f, g).map
+    ht_map = h_map.partial("t")
+    ys = (y,)
+    gv = g.value(t)
+    gp = g.slope(t)
+    h_val = h_map(t, *ys)
+    ht_val = ht_map(t, *ys)
+    arg = [(gp * h - gv * ht) / gp for h, ht in zip(h_val, ht_val)]
+    f_at_arg = f.at(arg)
+    f_at_y = f.at(ys)
+    gaps = []
+    for i in range(len(ys)):
+        lhs = (1.0 - gv) * ht_val[i] + gp * h_val[i]
+        gaps += (lhs - gp * f_at_arg[i], arg[i] - ys[i], lhs / gp - f_at_y[i])
+    return max_norm(gaps)
 
 
 class TestHomotopyOdeResidual:
@@ -502,6 +550,100 @@ class TestCompiledMatchesTreeWalk:
 
 
 # ---------------------------------------------------------------------------
+# the suite's legs against the float rules they replace: each gives the float
+# code's values and skips bit for bit
+
+FOLD_TOLS = (1e-10, 1e-6)
+SQRT_LEGS = {tol: _sqrt_branch_legs(sqrt_action(), tol) for tol in FOLD_TOLS}
+MILDER_LEGS = {tol: _milder_branch_legs(milder_action(), tol) for tol in FOLD_TOLS}
+HOMOTOPY_TARGETS = {"square": square_map(), "bump": bump_map(), "identity": identity_map(("y",))}
+
+
+def _sqrt_outcomes(t, y, tol):
+    """The sqrt legs' outcome at (t, y), and the float rule's."""
+    return _leg_outcome(SQRT_LEGS[tol], t, y), _float_rule_outcome(
+        SQRT_RESIDUALS, sqrt_branch_for, sqrt_near_fold, tol, t, y
+    )
+
+
+def _milder_outcomes(t, y, tol):
+    """The milder legs' outcome at (t, y), and the float rule's."""
+    return _leg_outcome(MILDER_LEGS[tol], t, y), _float_rule_outcome(
+        MILDER_RESIDUALS, milder_branch_for, milder_near_fold, tol, t, y
+    )
+
+
+def _leg_outcome(legs, t, y):
+    """(note, max norm) of the first leg that returns a value at (t, y), else "skip"."""
+    for note, leg in legs:
+        out = leg(t, y)
+        if out is not None:
+            return note, max_norm(out)
+    return "skip"
+
+
+def _float_rule_outcome(residuals, branch_for, near_fold, tol, t, y):
+    """A skip within the fold margin or off the residual's domain, else (branch,
+    |residual|) on the branch that `branch_for` names."""
+    if near_fold(t, y, 2.0 * _fold_margin(tol)):
+        return "skip"
+    branch = branch_for(t, y)
+    try:
+        return branch, abs(residuals[branch](t, y)[0])
+    except EvalDomainError:
+        return "skip"
+
+
+def _near_the_fold(s, eps):
+    """The y with 1 + 2*s*y = -eps, up to rounding."""
+    return -(1.0 + eps) / (2.0 * s)
+
+
+class TestLegsFollowTheFloatRules:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 10.0), st.floats(-5.0, 5.0), st.sampled_from(FOLD_TOLS))
+    @example(0.37, -0.8219949365267882, 1e-10)  # d = -2e-15
+    @example(0.1, -1.5811368947702615, 1e-10)  # |d| = 1.22e-6, inside 2u*S/tol
+    @example(1.0, -0.5, 1e-10)  # d = 0
+    @example(0.0, 1.0, 1e-10)  # t = 0, on the fold for every y
+    def test_sqrt_legs(self, t, y, tol):
+        legs, rule = _sqrt_outcomes(t, y, tol)
+        assert legs == rule
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 10.0), st.floats(-1e-6, 1e-6), st.sampled_from(FOLD_TOLS))
+    def test_sqrt_legs_near_the_fold(self, t, eps, tol):
+        legs, rule = _sqrt_outcomes(t, _near_the_fold(math.sqrt(t), eps), tol)
+        assert legs == rule
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.sampled_from(FOLD_TOLS))
+    @example(0.47, -1.0638297871072222, 1e-10)  # d = -6.1e-13
+    @example(0.62, -0.8064516129037196, 1e-10)  # d = 1.2e-10
+    @example(0.1, -5.00001, 1e-10)  # |d| = 2e-6, inside 2u*S/tol
+    @example(1.0, -0.5, 1e-10)  # d = 0
+    @example(0.0, 3.0, 1e-10)  # t = 0, where the singular form divides by zero
+    def test_milder_legs(self, t, y, tol):
+        legs, rule = _milder_outcomes(t, y, tol)
+        assert legs == rule
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-3, 2.0), st.booleans(), st.floats(-1e-6, 1e-6), st.sampled_from(FOLD_TOLS)
+    )
+    def test_milder_legs_near_the_fold(self, t, negative, eps, tol):
+        t = -t if negative else t
+        legs, rule = _milder_outcomes(t, _near_the_fold(t, eps), tol)
+        assert legs == rule
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(HOMOTOPY_TARGETS)), st.floats(1e-3, 10.0), st.floats(-5.0, 5.0))
+    def test_homotopy_map(self, name, t, y):
+        f, g = HOMOTOPY_TARGETS[name], sqrt_mediator()
+        assert max_norm(homotopy_residual_map(f, g)(t, y)) == float_homotopy_residual(f, g, t, y)
+
+
+# ---------------------------------------------------------------------------
 # the branch right-hand sides as hand-written float formulas: a reference
 # independent of the expression engine, so they agree with the systems only
 # up to rounding
@@ -578,8 +720,8 @@ def _scaled_rhs(factory, factor):
 
 
 class TestABranchIsItsName:
-    """`sqrt_branch_for`/`milder_branch_for` name a branch; that name builds the
-    branch's system and keys the residual maps the ode-residuals suite reads."""
+    """The sign of d = 1 + 2*s*y names a branch; that name builds the branch's
+    system, whose residual map the ode-residuals suite reads on the branch."""
 
     @pytest.mark.parametrize(
         "factory, known",
@@ -592,29 +734,38 @@ class TestABranchIsItsName:
             factory(name)
 
     @pytest.mark.parametrize(
-        "reader, factory, branch_for, suite, count",
+        "factory, branch_for, family, count",
         [
-            ("ode_residual_explicit", sqrt_ode_system, sqrt_branch_for, "sqrt-branches", 2500),
-            ("ode_residual_milder", milder_ode_system, milder_branch_for, "milder-branches", 1681),
+            (sqrt_ode_system, sqrt_branch_for, "sqrt", 2500),
+            (milder_ode_system, milder_branch_for, "milder", 1681),
         ],
     )
     def test_the_named_system_is_the_one_whose_residual_the_suite_reads(
-        self, monkeypatch, reader, factory, branch_for, suite, count
+        self, monkeypatch, factory, branch_for, family, count
     ):
         import semiflow.suites as suites
 
         read = []
-        original = getattr(suites, reader)
+        on_region = SmoothMap.on_region
 
-        def recording(residuals, t, y, branch):
-            read.append((t, y, residuals[branch]))
-            return original(residuals, t, y, branch)
+        def recording(residual, region=()):
+            leg = on_region(residual, region)
 
-        monkeypatch.setattr(suites, reader, recording)
+            def recorded(*point):
+                out = leg(*point)
+                if out is not None:
+                    read.append((point, residual))
+                return out
+
+            return recorded
+
+        monkeypatch.setattr(SmoothMap, "on_region", recording)
         reports = {rep.suite: rep for rep in suites.suite_ode_residuals(suites.SuiteConfig())}
-        assert reports[f"ode-residual[{suite}]"].checked == len(read) == count
+        # the residual maps the family's report read, named after its systems
+        read = [(p, r) for p, r in read if r.name.startswith(f"residual[{family}-ode-")]
+        assert reports[f"ode-residual[{family}-branches]"].checked == len(read) == count
         branches = set()
-        for t, y, residual in read:
+        for (t, y), residual in read:
             system = factory(branch_for(t, y))
             assert residual.name == f"residual[{system.name}]"
             assert abs(residual(t, y)[0]) <= 1e-10

@@ -234,6 +234,13 @@ class TestRootFinding:
         # an exact zero is a bracket of its own, with or without a sign change
         assert sign_brackets(lambda x: x * x, [-1.0, 0.0, 1.0]) == [(0.0, 0.0)]
 
+    def test_an_exact_zero_is_not_sign_tested_again(self):
+        # the values after the zeros at 1.0 and 2.5 are negative, then positive: each
+        # zero, -0.0 included, is reported once and brackets nothing after it
+        f = lambda x: (x - 0.5) * (x - 1.0) * (x - 2.5)  # noqa: E731
+        assert sign_brackets(f, [0.5 * k for k in range(7)]) == [(0.5, 0.5), (1.0, 1.0), (2.5, 2.5)]
+        assert sign_brackets(lambda x: -0.0 if x == 0.0 else -x, [0.0, 1.0]) == [(0.0, 0.0)]
+
     def test_bisect_requires_sign_change(self):
         with pytest.raises(RootSearchError):
             bisect(lambda x: x * x + 1.0, -1.0, 1.0)

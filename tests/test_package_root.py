@@ -39,9 +39,9 @@ HOMES = {
     "enforcing": (
         "MediatorFunction", "bump_map", "cuberoot_group_action", "diffeo_classifier",
         "diffeo_time_set", "homotopy_action", "k_action_relation_check", "limit_ic_check",
-        "mediator", "milder_action", "milder_branch_for", "milder_ode_system", "not_c1_check",
-        "ode_residual_explicit", "ode_residual_homotopy", "ode_residual_milder", "sqrt_action",
-        "sqrt_branch_for", "sqrt_mediator", "square_map",
+        "mediator", "milder_action", "milder_ode_system", "not_c1_check", "ode_residual_explicit",
+        "ode_residual_homotopy", "ode_residual_milder", "sqrt_action", "sqrt_mediator",
+        "square_map",
     ),
     "reduction": (
         "EvolutionOp", "IntegrationError", "OdeSystem", "Trajectory", "augment_system",
@@ -77,7 +77,7 @@ def _fresh(code: str) -> str:
 
 
 def test_all_lists_every_public_name():
-    assert len(EXPORTS) == 92 and len(SUBMODULES) == 10 and len(PUBLIC) == 102
+    assert len(EXPORTS) == 90 and len(SUBMODULES) == 10 and len(PUBLIC) == 100
     assert semiflow.__all__ == PUBLIC
 
 

@@ -34,6 +34,12 @@ ALLOWED_UNREACHED = {
     # perfbench/tracer.py patches this name to time the Burgers residual;
     # the burgers suite reads the residual of the whole kink family instead
     ("semiflow.evolution_pde", "burgers_residual"),
+    # perfbench/tracer.py patches these names to count and time the ODE residual
+    # layer, and they stay until the tracer stops patching from outside (ROADMAP
+    # item 10); the ode-residuals suite reads each residual map on its region instead
+    ("semiflow.enforcing", "ode_residual_explicit"),
+    ("semiflow.enforcing", "ode_residual_homotopy"),
+    ("semiflow.enforcing", "ode_residual_milder"),
     # the kink at one parameter tuple, the map of (t, x) the family is
     # pinned against; the burgers suite evaluates the family itself
     ("semiflow.evolution_pde", "burgers_soliton"),
@@ -219,7 +225,7 @@ def test_every_public_name_is_reached_from_an_entry_point():
 
 def test_every_root_export_names_a_public_definition():
     exports = root_exports(_modules())
-    assert len(exports) == 92
+    assert len(exports) == 90
     wrong = sorted(name for name, key in exports.items() if key is None or key[-1].startswith("_"))
     assert wrong == [], "root exports naming no public definition: " + ", ".join(wrong)
 
