@@ -9,13 +9,18 @@ Operations: a parser for the infix grammar below, a printer that
 round-trips through the parser, exact symbolic differentiation,
 capture-free substitution (the variable namespace is flat) and evaluation.
 
-Nodes are frozen, slotted dataclasses. The parser splits the text into a
-token list with one compiled regular expression, whose character classes
-are those of `str.isspace`, `str.isdigit` and `str.isalpha`, and then runs
-one recursive descent over that list; token offsets are recovered only for
-a `ParseError`. Differentiation and the folding constructors return shared
-leaves for the constants 0, 1 and 2 (`_ZERO`, `_ONE`, `_TWO`), which make
-up most of the leaves a derivative creates before folding drops them.
+Nodes are frozen, slotted dataclasses whose `__init__` is written by hand:
+it stores each field through its slot's descriptor, at about half the cost
+of the generated frozen `__init__`. The parser splits the text into a list
+of token strings with one compiled regular expression, whose character
+classes are those of `str.isspace`, `str.isdigit` and `str.isalpha`, and
+then runs one recursive descent over that list, telling a number from a
+name or another character by a token's first character; token offsets are
+recovered only for a `ParseError`. Differentiation and the folding
+constructors return shared leaves for the constants 0, 1 and 2 (`_ZERO`,
+`_ONE`, `_TWO`), which make up most of the leaves a derivative creates
+before folding drops them, and differentiation builds no factor that a
+zero derivative of an argument or numerator would fold away.
 
 Evaluation has one path: compiled code from one generator,
 `_emit_system`, which computes shared subtrees once, brackets an operand
@@ -127,12 +132,23 @@ class Expr:
         return to_text(self)
 
 
-@dataclass(frozen=True, slots=True)
+# Each node class below builds its instances with a hand-written __init__
+# that stores every field through the slot's member descriptor, bound once
+# after the class: the generated __init__ of a frozen dataclass calls
+# object.__setattr__ per field, which costs about twice as much. Only
+# __init__ is replaced; eq, hash, repr, pickle, copy, dataclasses.replace
+# and FrozenInstanceError stay the dataclass's.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Const(Expr):
     """A real constant. Equality and hash tell 0.0 from -0.0 (x + 0.0 and
     x + -0.0 differ at x = -0.0), so equal trees always compute alike."""
 
     value: float
+
+    def __init__(self, value: float):
+        _set_const_value(self, value)
 
     def _key(self) -> tuple[float, float]:
         return self.value, math.copysign(1.0, self.value)
@@ -144,26 +160,51 @@ class Const(Expr):
         return hash(self._key())
 
 
-@dataclass(frozen=True, slots=True)
+_set_const_value = Const.value.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Var(Expr):
     name: str
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str):
+        if not name:
             raise ExprError("variable name must be nonempty")
+        _set_var_name(self, name)
 
 
-@dataclass(frozen=True, slots=True)
+_set_var_name = Var.name.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Unary(Expr):
     op: str
     arg: Expr
 
+    def __init__(self, op: str, arg: Expr):
+        _set_unary_op(self, op)
+        _set_unary_arg(self, arg)
 
-@dataclass(frozen=True, slots=True)
+
+_set_unary_op = Unary.op.__set__
+_set_unary_arg = Unary.arg.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Binary(Expr):
     op: str
     lhs: Expr
     rhs: Expr
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        _set_binary_op(self, op)
+        _set_binary_lhs(self, lhs)
+        _set_binary_rhs(self, rhs)
+
+
+_set_binary_op = Binary.op.__set__
+_set_binary_lhs = Binary.lhs.__set__
+_set_binary_rhs = Binary.rhs.__set__
 
 
 FUNCTION_NAMES = ("sqrt", "cbrt", "tanh", "sin", "cos", "exp", "log")
@@ -391,6 +432,12 @@ def _constant_exponent(e: Expr) -> float:
         ) from None
 
 
+# the unary ops whose derivative folds to _ZERO wherever the argument's is a
+# zero constant of either sign; cos gives Const(-0.0) there, and log's
+# quotient folds by whether its argument is a constant
+_CHAIN_TIMES_ZERO = frozenset(("sqrt", "cbrt", "tanh", "sin", "exp"))
+
+
 def diff(e: Expr, var: str) -> Expr:
     """Exact symbolic partial derivative of `e` with respect to `var`."""
     kind = type(e)
@@ -410,13 +457,13 @@ def diff(e: Expr, var: str) -> Expr:
                 fold_mul(e.lhs, diff(e.rhs, var)),
             )
         if op == "div":
-            return fold_div(
-                fold_sub(
-                    fold_mul(diff(e.lhs, var), e.rhs),
-                    fold_mul(e.lhs, diff(e.rhs, var)),
-                ),
-                fold_pow(e.rhs, _TWO),
+            num = fold_sub(
+                fold_mul(diff(e.lhs, var), e.rhs),
+                fold_mul(e.lhs, diff(e.rhs, var)),
             )
+            if type(num) is Const and num.value == 0.0 and type(e.rhs) is not Const:
+                return _ZERO  # what fold_div gives over rhs^2, which is not built
+            return fold_div(num, fold_pow(e.rhs, _TWO))
         if op == "pow":
             c = _constant_exponent(e.rhs)
             if c == 0.0:
@@ -431,6 +478,8 @@ def diff(e: Expr, var: str) -> Expr:
         op = e.op
         if op == "neg":
             return neg(du)
+        if op in _CHAIN_TIMES_ZERO and type(du) is Const and du.value == 0.0:
+            return _ZERO  # what each rule folds to there, its factor not built
         if op == "sqrt":
             # singular where u = 0; surfaces as a domain error at eval time
             return fold_div(du, fold_mul(_TWO, Unary("sqrt", u)))
@@ -483,9 +532,12 @@ _PREC_ATOM = 4.0
 
 
 def format_number(v: float) -> str:
+    if math.isinf(v):
+        # a literal that overflows back to v; "inf" would parse as a variable
+        return "1e999" if v > 0.0 else "-1e999"
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return f"{v:.0f}"  # the integer's digits, and "-0" for -0.0
-    return repr(v)
+    return repr(v)  # "nan" too: the grammar has no NaN literal
 
 
 def _node_prec(e: Expr) -> float:
@@ -531,7 +583,12 @@ def _fmt_bare(e: Expr) -> str:
 
 
 def to_text(e: Expr) -> str:
-    """Infix form that `parse_expr` maps back to the same tree."""
+    """Infix form that `parse_expr` maps back to the same tree.
+
+    Infinite constants print as ``1e999`` and ``-1e999``, which parse back
+    to them. A NaN constant is the one node that does not round-trip: it
+    prints as ``nan``, which parses as a variable.
+    """
     return _fmt(e, 0.0)
 
 
@@ -540,8 +597,8 @@ def to_text(e: Expr) -> str:
 
 
 def _token_pattern(digits: str = "", numerals: str = "") -> re.Pattern[str]:
-    r"""One token per match, after optional white space: a number, a name or
-    any other single character, in the groups (number, name, other).
+    r"""One token per match, after optional white space, in the one group: a
+    number, a name or any other single character.
 
     The classes are those of `str`: ``\s`` is `isspace`, ``\d`` is
     `isdecimal` and ``\w`` is `isalnum` or "_". A number is
@@ -550,14 +607,17 @@ def _token_pattern(digits: str = "", numerals: str = "") -> re.Pattern[str]:
     the ones that are not decimal (superscripts, circled digits), so that
     "1²" is one (bad) number literal. A name starts with a letter or "_"
     (``[^\W\d]``, less the `numerals` that `isalpha` rejects, such as
-    roman numerals) and goes on with word characters. `re` caches the
-    compiled pattern of each pair.
+    roman numerals) and goes on with word characters. So a token is a
+    number exactly when its first character is '.' or `isdigit`, a name
+    exactly when it is not and its first character is `isalpha` or "_", and
+    otherwise one other character; the parser tells them apart that way.
+    `re` caches the compiled pattern of each pair.
     """
     digit = rf"[\d{digits}]"
     name_start = rf"(?![{numerals}])[^\W\d]" if numerals else r"[^\W\d]"
     return re.compile(
-        rf"\s*(?:((?=[\d{digits}.]){digit}*(?:\.{digit}*)?(?:[eE][+-]?{digit}+)?)"
-        rf"|({name_start}\w*)|(\S))"
+        rf"\s*((?=[\d{digits}.]){digit}*(?:\.{digit}*)?(?:[eE][+-]?{digit}+)?"
+        rf"|{name_start}\w*|\S)"
     )
 
 
@@ -574,14 +634,15 @@ def _tokenizer(text: str) -> re.Pattern[str]:
     )
 
 
-_END = ("", "", "")  # the token after the last one
+_END = ""  # the token after the last one; every token is nonempty
 
 
 class _Parser:
     """Recursive descent over the token list of `text`.
 
-    A token is a (number, name, other) triple with exactly one part
-    nonempty. Offsets are recovered only when an error needs one.
+    A token is the text of one match of the tokenizer, compared directly
+    (``tok == "+"``) and classified by its first character. Offsets are
+    recovered only when an error needs one.
     """
 
     def __init__(self, text: str):
@@ -592,7 +653,7 @@ class _Parser:
         self.i = 0
 
     def offset(self, index: int) -> int:
-        starts = [m.start(m.lastindex) for m in self.pattern.finditer(self.text)]
+        starts = [m.start(1) for m in self.pattern.finditer(self.text)]
         return (*starts, len(self.text))[index]
 
     def error(self, message: str, index: int | None = None) -> ParseError:
@@ -604,13 +665,13 @@ class _Parser:
         return self.text[offset:offset + 1]
 
     def expect(self, ch: str):
-        if self.tokens[self.i][2] != ch:
+        if self.tokens[self.i] != ch:
             raise self.error(f"expected '{ch}'")
         self.i += 1
 
     def parse(self) -> Expr:
         e = self.expr()
-        if self.tokens[self.i] is not _END:
+        if self.tokens[self.i] != _END:
             raise self.error(f"unexpected trailing input {self.found()!r}")
         return e
 
@@ -618,7 +679,7 @@ class _Parser:
         e = self.term()
         tokens = self.tokens
         while True:
-            op = tokens[self.i][2]
+            op = tokens[self.i]
             if op == "+":
                 self.i += 1
                 e = Binary("add", e, self.term())
@@ -632,7 +693,7 @@ class _Parser:
         e = self.factor()
         tokens = self.tokens
         while True:
-            op = tokens[self.i][2]
+            op = tokens[self.i]
             if op == "*":
                 self.i += 1
                 e = Binary("mul", e, self.factor())
@@ -643,11 +704,11 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        if self.tokens[self.i][2] == "-":
+        if self.tokens[self.i] == "-":
             self.i += 1
             return neg(self.factor())
         e = self.base()
-        if self.tokens[self.i][2] == "^":
+        if self.tokens[self.i] == "^":
             self.i += 1
             expo = self.factor()  # right-associative
             if free_vars(expo):
@@ -656,27 +717,28 @@ class _Parser:
         return e
 
     def base(self) -> Expr:
-        number, name, other = self.tokens[self.i]
-        if number:
+        tok = self.tokens[self.i]
+        first = tok[:1]
+        if first == "." or first.isdigit():
             try:
-                value = float(number)
+                value = float(tok)
             except ValueError:
-                raise self.error(f"bad number literal {number!r}") from None
+                raise self.error(f"bad number literal {tok!r}") from None
             self.i += 1
             return Const(value)
-        if name:
+        if first.isalpha() or first == "_":
             self.i += 1
-            if self.tokens[self.i][2] != "(":
-                return Var(name)
-            if name not in FUNCTION_NAMES:
-                raise self.error(f"unknown function name '{name}'", self.i - 1)
+            if self.tokens[self.i] != "(":
+                return Var(tok)
+            if tok not in FUNCTION_NAMES:
+                raise self.error(f"unknown function name '{tok}'", self.i - 1)
             self.i += 1
             arg = self.expr()
-            if self.tokens[self.i][2] == ",":
-                raise self.error(f"function '{name}' takes exactly one argument")
+            if self.tokens[self.i] == ",":
+                raise self.error(f"function '{tok}' takes exactly one argument")
             self.expect(")")
-            return Unary(name, arg)
-        if other == "(":
+            return Unary(tok, arg)
+        if tok == "(":
             self.i += 1
             e = self.expr()
             self.expect(")")

@@ -30,7 +30,20 @@ from semiflow.expr import (
     substitute_many,
     to_text,
 )
-from semiflow.expr import _COMPILE_NS, RELATIONS, _emit_system
+from semiflow.expr import (
+    _COMPILE_NS,
+    _ONE,
+    _TWO,
+    _ZERO,
+    RELATIONS,
+    _constant_exponent,
+    _emit_system,
+    fold_add,
+    fold_div,
+    fold_mul,
+    fold_pow,
+    fold_sub,
+)
 from semiflow.maps import SmoothMap, finite_diff, scalar_map
 from semiflow.reduction import IntegrationError, OdeSystem, integrate_flow
 
@@ -232,6 +245,69 @@ class TestDiff:
             diff(Binary("pow", Var("y"), Var("t")), "y")
 
 
+def reference_diff(e, var):
+    """The differentiation rules with no shortcut: every rule builds its
+    factors and lets the folds drop them. `diff` must build the same tree."""
+    kind = type(e)
+    if kind is Const:
+        return _ZERO
+    if kind is Var:
+        return _ONE if e.name == var else _ZERO
+    if kind is Binary:
+        op = e.op
+        if op == "add":
+            return fold_add(reference_diff(e.lhs, var), reference_diff(e.rhs, var))
+        if op == "sub":
+            return fold_sub(reference_diff(e.lhs, var), reference_diff(e.rhs, var))
+        if op == "mul":
+            return fold_add(
+                fold_mul(reference_diff(e.lhs, var), e.rhs),
+                fold_mul(e.lhs, reference_diff(e.rhs, var)),
+            )
+        if op == "div":
+            return fold_div(
+                fold_sub(
+                    fold_mul(reference_diff(e.lhs, var), e.rhs),
+                    fold_mul(e.lhs, reference_diff(e.rhs, var)),
+                ),
+                fold_pow(e.rhs, _TWO),
+            )
+        if op == "pow":
+            c = _constant_exponent(e.rhs)
+            if c == 0.0:
+                return _ZERO
+            du = reference_diff(e.lhs, var)
+            return fold_mul(
+                fold_mul(Const(c), fold_pow(e.lhs, Const(c - 1.0))), du
+            )
+        raise ExprError(f"unknown binary op {op!r}")
+    if kind is Unary:
+        u, du = e.arg, reference_diff(e.arg, var)
+        op = e.op
+        if op == "neg":
+            return neg(du)
+        if op == "sqrt":
+            return fold_div(du, fold_mul(_TWO, Unary("sqrt", u)))
+        if op == "cbrt":
+            return fold_div(
+                du, fold_mul(Const(3.0), fold_pow(Unary("cbrt", u), _TWO))
+            )
+        if op == "tanh":
+            return fold_mul(
+                fold_sub(_ONE, fold_pow(Unary("tanh", u), _TWO)), du
+            )
+        if op == "sin":
+            return fold_mul(Unary("cos", u), du)
+        if op == "cos":
+            return neg(fold_mul(Unary("sin", u), du))
+        if op == "exp":
+            return fold_mul(Unary("exp", u), du)
+        if op == "log":
+            return fold_div(du, u)
+        raise ExprError(f"unknown unary op {op!r}")
+    raise ExprError(f"unknown node {e!r}")
+
+
 class TestFiniteDiff:
     def test_square(self):
         m = scalar_map(("y",), "y^2")
@@ -299,6 +375,17 @@ class TestPrinter:
         assert parse_expr(to_text(e)) == e
         e2 = Binary("pow", Const(-3.0), Const(2.0))
         assert parse_expr(to_text(e2)) == e2
+
+    @pytest.mark.parametrize("text", ["2e308", "-2e308", "x*-1e400", "(-1e400)^2", "x^-1e400"])
+    def test_infinite_constants_print_back_to_themselves(self, text):
+        # "inf" would parse as a variable, and "-inf" as its negation
+        e = parse_expr(text)
+        assert "inf" not in to_text(e)
+        assert parse_expr(to_text(e)) == e
+
+    def test_nan_is_the_one_constant_that_does_not_round_trip(self):
+        assert to_text(Const(math.nan)) == "nan"
+        assert parse_expr(to_text(Const(math.nan))) == Var("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +554,35 @@ _edge_points = st.fixed_dictionaries(
     {n: st.one_of(_edge_values, st.floats()) for n in ("x", "y", "t")}
 )
 _edge_leaf = st.one_of(_leaf, st.sampled_from([Const(-0.0), Const(1e308), Const(-1e308)]))
+
+
+def _extend_diff(children):
+    # _extend's nodes, the unary ops it lacks, and fractional and negative powers
+    return st.one_of(
+        _extend(children),
+        st.tuples(st.sampled_from(["sqrt", "cbrt", "log"]), children).map(
+            lambda oe: Unary(*oe)
+        ),
+        st.tuples(children, st.sampled_from([-1.0, 0.5, -0.5])).map(
+            lambda ae: Binary("pow", ae[0], Const(ae[1]))
+        ),
+    )
+
+
+@given(st.one_of(_trees, st.recursive(_edge_leaf, _extend_diff, max_leaves=10)))
+@settings(max_examples=300)
+@example(sin(Const(2.0)))  # d/dx: the zero-derivative shortcut
+@example(exp(Var("t")))  # d/dx shortcut; d/dt the full rule
+@example(cos(Const(2.0)))  # no shortcut: the rule gives Const(-0.0)
+@example(Binary("div", Binary("mul", Var("t"), Var("t")), Var("y")))  # zero numerator over y^2
+@example(Binary("div", Var("t"), Const(3.0)))  # constant denominator: folded, not skipped
+@example(Binary("div", cos(Const(2.0)), Const(3.0)))  # which keeps a -0.0 numerator's sign
+@example(Unary("log", Const(0.75)))  # no shortcut: log's quotient folds by its argument
+@example(Unary("log", Const(-0.75)))  # to Const(-0.0) here
+def test_diff_builds_the_tree_of_the_reference_rules(e):
+    # repr tells 0.0 from -0.0, so the trees must match node for node
+    for v in ("x", "y", "t"):
+        assert repr(diff(e, v)) == repr(reference_diff(e, v))
 
 
 def _values_or_first_error(values):

@@ -13,20 +13,28 @@ helpers `_div` and `_pow`.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import pickle
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiflow.expr import (
+    FUNCTION_NAMES,
     Binary,
     Const,
+    ExprError,
     ParseError,
     Unary,
     Var,
     diff,
+    free_vars,
+    neg,
     parse_expr,
     to_text,
 )
@@ -208,3 +216,179 @@ def test_signed_zero_constants_stay_distinct():
     assert Const(0.0) != Const(-0.0)
     assert hash(Const(0.0)) != hash(Const(-0.0))
     assert Const(0.0) == Const(0.0) and hash(Const(-0.0)) == hash(Const(-0.0))
+
+
+def test_nodes_replace_and_validate_through_their_own_init():
+    b = Binary("add", Var("x"), Var("y"))
+    assert dataclasses.replace(b, op="sub") == Binary("sub", Var("x"), Var("y"))
+    assert dataclasses.replace(Const(-0.0), value=2.0) == Const(2.0)
+    assert Binary(op="mul", lhs=Var("x"), rhs=Const(2.0)) == parse_expr("x*2")
+    for node in (b, Const(-0.0), Var("x"), Unary("sqrt", b)):
+        for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
+    with pytest.raises(ExprError, match="variable name must be nonempty"):
+        Var("")
+    with pytest.raises(ExprError, match="variable name must be nonempty"):
+        dataclasses.replace(Var("x"), name="")
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer with one group per token class, and the parser over its
+# (number, name, other) triples, that the string tokens replaced; the
+# parser's tokens must be its tokens and the classes its groups
+
+
+def _reference_token_pattern(digits: str = "", numerals: str = "") -> re.Pattern[str]:
+    digit = rf"[\d{digits}]"
+    name_start = rf"(?![{numerals}])[^\W\d]" if numerals else r"[^\W\d]"
+    return re.compile(
+        rf"\s*(?:((?=[\d{digits}.]){digit}*(?:\.{digit}*)?(?:[eE][+-]?{digit}+)?)"
+        rf"|({name_start}\w*)|(\S))"
+    )
+
+
+def _reference_tokenizer(text: str) -> re.Pattern[str]:
+    if text.isascii():
+        return _reference_token_pattern()
+    digits = {c for c in text if c.isdigit() and not c.isdecimal()}
+    numerals = {c for c in text if c.isnumeric() and not c.isdigit() and not c.isalpha()}
+    return _reference_token_pattern(
+        re.escape("".join(sorted(digits))), re.escape("".join(sorted(numerals)))
+    )
+
+
+_REFERENCE_END = ("", "", "")
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pattern = _reference_tokenizer(text)
+        self.tokens = self.pattern.findall(text)
+        self.tokens.append(_REFERENCE_END)
+        self.i = 0
+
+    def offset(self, index: int) -> int:
+        starts = [m.start(m.lastindex) for m in self.pattern.finditer(self.text)]
+        return (*starts, len(self.text))[index]
+
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        return ParseError(message, self.offset(self.i if index is None else index))
+
+    def found(self) -> str:
+        offset = self.offset(self.i)
+        return self.text[offset:offset + 1]
+
+    def expect(self, ch: str):
+        if self.tokens[self.i][2] != ch:
+            raise self.error(f"expected '{ch}'")
+        self.i += 1
+
+    def parse(self):
+        e = self.expr()
+        if self.tokens[self.i] is not _REFERENCE_END:
+            raise self.error(f"unexpected trailing input {self.found()!r}")
+        return e
+
+    def expr(self):
+        e = self.term()
+        while True:
+            op = self.tokens[self.i][2]
+            if op == "+":
+                self.i += 1
+                e = Binary("add", e, self.term())
+            elif op == "-":
+                self.i += 1
+                e = Binary("sub", e, self.term())
+            else:
+                return e
+
+    def term(self):
+        e = self.factor()
+        while True:
+            op = self.tokens[self.i][2]
+            if op == "*":
+                self.i += 1
+                e = Binary("mul", e, self.factor())
+            elif op == "/":
+                self.i += 1
+                e = Binary("div", e, self.factor())
+            else:
+                return e
+
+    def factor(self):
+        if self.tokens[self.i][2] == "-":
+            self.i += 1
+            return neg(self.factor())
+        e = self.base()
+        if self.tokens[self.i][2] == "^":
+            self.i += 1
+            expo = self.factor()
+            if free_vars(expo):
+                raise self.error("pow exponent must be a rational constant")
+            return Binary("pow", e, expo)
+        return e
+
+    def base(self):
+        number, name, other = self.tokens[self.i]
+        if number:
+            try:
+                value = float(number)
+            except ValueError:
+                raise self.error(f"bad number literal {number!r}") from None
+            self.i += 1
+            return Const(value)
+        if name:
+            self.i += 1
+            if self.tokens[self.i][2] != "(":
+                return Var(name)
+            if name not in FUNCTION_NAMES:
+                raise self.error(f"unknown function name '{name}'", self.i - 1)
+            self.i += 1
+            arg = self.expr()
+            if self.tokens[self.i][2] == ",":
+                raise self.error(f"function '{name}' takes exactly one argument")
+            self.expect(")")
+            return Unary(name, arg)
+        if other == "(":
+            self.i += 1
+            e = self.expr()
+            self.expect(")")
+            return e
+        raise self.error(f"expected a number, name or '(' but found {self.found()!r}")
+
+
+def _tree_or_error(parse, text):
+    try:
+        return repr(parse(text))
+    except ParseError as err:
+        return f"ParseError at {err.offset}: {err}"
+
+
+def _assert_parses_like_the_reference(text):
+    assert _tree_or_error(parse_expr, text) == _tree_or_error(
+        lambda t: _ReferenceParser(t).parse(), text
+    )
+
+
+NON_ASCII = ("x²", "1²", "٣x", "Ⅷ", "½", "𝟙", "é", "..", "1e", "sqrt(")
+
+
+def test_string_tokens_parse_like_the_reference_tokenizer():
+    texts = [
+        *corpus(),
+        *NON_ASCII,
+        *(text for text, _, _ in PARSE_ERRORS),
+        *(template.format(c) for c in PROBE_CHARS for template in PROBE_TEMPLATES),
+    ]
+    for text in texts:
+        _assert_parses_like_the_reference(text)
+
+
+_TOKEN_ALPHABET = "xy_t0129.eE+-*/^(), \t²٣Ⅷⅷ½𝟙éµ〇一Ω①\u0301\u2003"
+
+
+@given(st.text(_TOKEN_ALPHABET, max_size=12))
+@settings(max_examples=300)
+def test_random_texts_parse_like_the_reference_tokenizer(text):
+    _assert_parses_like_the_reference(text)
