@@ -308,6 +308,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
             raise ValueError(f"{flag} must be finite; got {value!r}")
     if not (math.isfinite(args.eps_start) and args.eps_start >= 0.0):
         raise ValueError(f"--eps-start must be finite and >= 0; got {args.eps_start!r}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1; got {args.steps}")
+    start = args.t0 + args.eps_start
+    if args.t1 <= start:
+        raise ValueError(
+            f"--t1 must exceed the start --t0 + --eps-start = {start!r}; got {args.t1!r}"
+        )
     sys_obj = FLOW_SYSTEMS[args.system]()
     try:
         y0 = tuple(float(v) for v in args.y0.split(",")) if args.y0 else (1.0,) * sys_obj.dim
@@ -320,7 +327,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
     spacing = args.spacing
     if spacing == "auto":
         spacing = "geometric" if args.eps_start > 0.0 else "uniform"
-    start = args.t0 + args.eps_start
     if spacing == "geometric" and start <= 0.0:
         raise ValueError(f"--spacing geometric needs a start --t0 + --eps-start > 0; got {start!r}")
     try:
@@ -332,7 +338,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         return 2
     traj.write_csv(args.out)
     print(
-        f"integrated {args.system} from t={args.t0 + args.eps_start:g} to {args.t1:g} "
+        f"integrated {args.system} from t={start:g} to {args.t1:g} "
         f"({args.steps} steps, {spacing} mesh); final state "
         f"{tuple(round(v, 12) for v in traj.final())}; wrote {args.out}"
     )

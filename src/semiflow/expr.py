@@ -20,7 +20,17 @@ recovered only for a `ParseError`. Differentiation and the folding
 constructors return shared leaves for the constants 0, 1 and 2 (`_ZERO`,
 `_ONE`, `_TWO`), which make up most of the leaves a derivative creates
 before folding drops them, and differentiation builds no factor that a
-zero derivative of an argument or numerator would fold away.
+zero derivative of an argument, base or numerator would fold away.
+
+A tree holds each piece it shares once. Every `Unary` the parser builds
+holds the canonical string of `FUNCTION_NAMES`, not the token cut from the
+text, and the parser returns one `Var` per variable name from a table that
+lives as long as the process, as CPython interns identifiers. A `Const`
+literal stays one node per occurrence: a table keyed by literal text
+would grow with every number parsed. Where a derivative rule needs the
+node it differentiates (sqrt, cbrt, tanh, exp), it holds that node itself.
+Only object identity differs from fresh nodes: trees, texts, code and
+values are the same.
 
 Evaluation has one path: compiled code from one generator,
 `_emit_system`, which computes shared subtrees once, brackets an operand
@@ -469,6 +479,11 @@ def diff(e: Expr, var: str) -> Expr:
             if c == 0.0:
                 return _ZERO
             du = diff(e.lhs, var)
+            if type(du) is Const and du.value == 0.0 and type(e.lhs) is not Const and c != 1.0:
+                # what the rule folds to, its factor not built: the factor is
+                # no constant, so times a zero it folds to _ZERO; with a constant
+                # base or c = 1 it is one, and the product can be -0.0 or NaN
+                return _ZERO
             return fold_mul(
                 fold_mul(Const(c), fold_pow(e.lhs, Const(c - 1.0))), du
             )
@@ -482,21 +497,17 @@ def diff(e: Expr, var: str) -> Expr:
             return _ZERO  # what each rule folds to there, its factor not built
         if op == "sqrt":
             # singular where u = 0; surfaces as a domain error at eval time
-            return fold_div(du, fold_mul(_TWO, Unary("sqrt", u)))
+            return fold_div(du, fold_mul(_TWO, e))
         if op == "cbrt":
-            return fold_div(
-                du, fold_mul(Const(3.0), fold_pow(Unary("cbrt", u), _TWO))
-            )
+            return fold_div(du, fold_mul(Const(3.0), fold_pow(e, _TWO)))
         if op == "tanh":
-            return fold_mul(
-                fold_sub(_ONE, fold_pow(Unary("tanh", u), _TWO)), du
-            )
+            return fold_mul(fold_sub(_ONE, fold_pow(e, _TWO)), du)
         if op == "sin":
             return fold_mul(Unary("cos", u), du)
         if op == "cos":
             return neg(fold_mul(Unary("sin", u), du))
         if op == "exp":
-            return fold_mul(Unary("exp", u), du)
+            return fold_mul(e, du)
         if op == "log":
             return fold_div(du, u)
         raise ExprError(f"unknown unary op {op!r}")
@@ -636,6 +647,14 @@ def _tokenizer(text: str) -> re.Pattern[str]:
 
 _END = ""  # the token after the last one; every token is nonempty
 
+# each function name's canonical string, which every parsed Unary holds in
+# place of the token cut from the text; a name not in it is unknown
+_FUNCTIONS = {name: name for name in FUNCTION_NAMES}
+
+# the one Var of each variable name parsed so far, shared by every parsed
+# tree (see the module docstring for why a Const is not shared)
+_VARS: dict[str, Var] = {}
+
 
 class _Parser:
     """Recursive descent over the token list of `text`.
@@ -729,15 +748,19 @@ class _Parser:
         if first.isalpha() or first == "_":
             self.i += 1
             if self.tokens[self.i] != "(":
-                return Var(tok)
-            if tok not in FUNCTION_NAMES:
+                var = _VARS.get(tok)
+                if var is None:  # setdefault: threads that race store one Var
+                    var = _VARS.setdefault(tok, Var(tok))
+                return var
+            op = _FUNCTIONS.get(tok)
+            if op is None:
                 raise self.error(f"unknown function name '{tok}'", self.i - 1)
             self.i += 1
             arg = self.expr()
             if self.tokens[self.i] == ",":
                 raise self.error(f"function '{tok}' takes exactly one argument")
             self.expect(")")
-            return Unary(tok, arg)
+            return Unary(op, arg)
         if tok == "(":
             self.i += 1
             e = self.expr()

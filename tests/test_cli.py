@@ -348,6 +348,26 @@ def test_flow_geometric_spacing_names_its_flags(t0, eps_start, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--steps", "0"], "error: --steps must be at least 1; got 0"),
+        (["--steps", "-3"], "error: --steps must be at least 1; got -3"),
+        (["--steps", "4", "--t1", "0"],
+         "error: --t1 must exceed the start --t0 + --eps-start = 0.0; got 0.0"),
+        (["--steps", "4", "--t1", "0.5", "--eps-start", "0.75"],
+         "error: --t1 must exceed the start --t0 + --eps-start = 0.75; got 0.5"),
+    ],
+    ids=["steps-zero", "steps-negative", "t1-at-start", "t1-below-start"],
+)
+def test_flow_steps_and_end_time_name_their_flags(extra, message, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    args = ["flow", "--system", "quadratic", "--t0", "0", "--t1", "1", "--out", str(out)]
+    assert main(args + extra) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 def test_flow_unknown_system(capsys):
     assert main(
         ["flow", "--system", "nope", "--t0", "0", "--t1", "1", "--steps", "10", "--out", "/tmp/x.csv"]

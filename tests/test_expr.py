@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semiflow.expr import (
+    FUNCTION_NAMES,
     Binary,
     Const,
     EvalDomainError,
@@ -442,12 +443,48 @@ _points = st.fixed_dictionaries(
 )
 
 
+def _nodes(e):
+    """Every node object of the tree `e`, one entry per occurrence."""
+    stack, found = [e], []
+    while stack:
+        n = stack.pop()
+        found.append(n)
+        if type(n) is Unary:
+            stack.append(n.arg)
+        elif type(n) is Binary:
+            stack += (n.lhs, n.rhs)
+    return found
+
+
 @given(_trees)
 @settings(max_examples=200)
 @example(neg(exp(Const(-0.0))))  # -0.0 prints as -0, not 0
 @example(Binary("pow", Const(-0.0), Const(2.0)))  # and binds like a negative literal
+@example(Binary("mul", Var("x"), Binary("add", Var("x"), Var("y"))))
 def test_print_parse_round_trip(e):
-    assert parse_expr(to_text(e)) == e
+    parsed = parse_expr(to_text(e))
+    assert parsed == e
+    # one Var object per name, within this tree and across parses
+    for n in _nodes(parsed):
+        if type(n) is Var:
+            assert n is parse_expr(n.name)
+
+
+def test_parsed_function_names_are_the_canonical_strings():
+    e = parse_expr("sin(x)*sin(x)")
+    assert e.lhs.op is e.rhs.op is FUNCTION_NAMES[FUNCTION_NAMES.index("sin")]
+
+
+def test_parses_share_one_var_per_name():
+    assert parse_expr("x*y").lhs is parse_expr("y + x").rhs
+    # a Var built outside the parser is a node of its own, equal to the shared one
+    assert Var("x") == parse_expr("x") and Var("x") is not parse_expr("x")
+
+
+@pytest.mark.parametrize("text", ["sqrt(x*y)", "cbrt(x*y)", "tanh(x*y)", "exp(x*y)"])
+def test_derivative_holds_the_node_it_differentiates(text):
+    e = parse_expr(text)
+    assert any(n is e for n in _nodes(diff(e, "x")))
 
 
 @given(_trees)
@@ -579,6 +616,11 @@ def _extend_diff(children):
 @example(Binary("div", cos(Const(2.0)), Const(3.0)))  # which keeps a -0.0 numerator's sign
 @example(Unary("log", Const(0.75)))  # no shortcut: log's quotient folds by its argument
 @example(Unary("log", Const(-0.75)))  # to Const(-0.0) here
+@example(parse_expr("(-y)^1"))  # d/dt: no shortcut for c = 1, the product is Const(-0.0)
+@example(parse_expr("(-y)^3"))  # d/dt: the pow shortcut, though du is Const(-0.0)
+@example(parse_expr("(x*y)^2"))  # d/dt: the pow shortcut on a folded zero
+@example(parse_expr("(3)^2"))  # d/dx: no shortcut for a constant base,
+@example(parse_expr("3^-1"))  # where the product can be Const(-0.0)
 def test_diff_builds_the_tree_of_the_reference_rules(e):
     # repr tells 0.0 from -0.0, so the trees must match node for node
     for v in ("x", "y", "t"):
