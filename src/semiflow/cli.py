@@ -300,6 +300,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
+# the most steps a flow takes: its mesh and each state column are arrays of
+# steps + 1 doubles, and an array's size in bytes must fit in an index
+MAX_FLOW_STEPS = sys.maxsize // 8 - 1
+
+
 def cmd_flow(args: argparse.Namespace) -> int:
     if args.system not in FLOW_SYSTEMS:
         raise ValueError(f"unknown system '{args.system}'; known: {', '.join(FLOW_SYSTEMS)}")
@@ -310,6 +315,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
         raise ValueError(f"--eps-start must be finite and >= 0; got {args.eps_start!r}")
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1; got {args.steps}")
+    if args.steps > MAX_FLOW_STEPS:
+        raise ValueError(f"--steps must be at most {MAX_FLOW_STEPS}; got {args.steps}")
     start = args.t0 + args.eps_start
     if args.t1 <= start:
         raise ValueError(
@@ -336,6 +343,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     except IntegrationError as err:
         print(f"error: integration failed: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        raise ValueError(f"--steps {args.steps} needs more memory than is available") from None
     traj.write_csv(args.out)
     print(
         f"integrated {args.system} from t={start:g} to {args.t1:g} "

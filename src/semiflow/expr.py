@@ -16,21 +16,23 @@ of token strings with one compiled regular expression, whose character
 classes are those of `str.isspace`, `str.isdigit` and `str.isalpha`, and
 then runs one recursive descent over that list, telling a number from a
 name or another character by a token's first character; token offsets are
-recovered only for a `ParseError`. Differentiation and the folding
-constructors return shared leaves for the constants 0, 1 and 2 (`_ZERO`,
-`_ONE`, `_TWO`), which make up most of the leaves a derivative creates
-before folding drops them, and differentiation builds no factor that a
-zero derivative of an argument, base or numerator would fold away.
+recovered only for a `ParseError`. Differentiation builds no factor that
+a zero derivative of an argument, base or numerator would fold away.
 
 A tree holds each piece it shares once. Every `Unary` the parser builds
 holds the canonical string of `FUNCTION_NAMES`, not the token cut from the
 text, and the parser returns one `Var` per variable name from a table that
-lives as long as the process, as CPython interns identifiers. A `Const`
-literal stays one node per occurrence: a table keyed by literal text
-would grow with every number parsed. Where a derivative rule needs the
-node it differentiates (sqrt, cbrt, tanh, exp), it holds that node itself.
-Only object identity differs from fresh nodes: trees, texts, code and
-values are the same.
+lives as long as the process, as CPython interns identifiers. Every
+`Const` the engine builds (a parsed literal, `as_expr`, `neg`, a fold's
+constant result, a derivative rule's constant, `SmoothMap.freeze`) comes
+from one table of leaves keyed by value and sign, an `lru_cache` of fixed
+size, so it holds the constants used last however many numbers are
+parsed; differentiation and the folding constructors keep their 0, 1, 2
+and 3 (`_ZERO`, `_ONE`, `_TWO`, `_THREE`) from it. Where a derivative rule
+needs the node it differentiates (sqrt, cbrt, tanh, exp) or the exponent
+of a power, it holds that node itself. A node built by its class
+(`Const(2.0)`, `Var("x")`) is a node of its own. Only object identity
+differs from fresh nodes: trees, texts, code and values are the same.
 
 Evaluation has one path: compiled code from one generator,
 `_emit_system`, which computes shared subtrees once, brackets an operand
@@ -173,6 +175,20 @@ class Const(Expr):
 _set_const_value = Const.value.__set__
 
 
+# the table every Const the engine builds comes from: keyed by the value
+# and its sign, so 0.0 and -0.0 stay two leaves and a NaN, which hashes by
+# identity, never shares one; typed, so a caller's int constant never
+# stands in for a float. Bounded: it keeps the constants used last.
+@lru_cache(maxsize=256, typed=True)
+def _const_leaf(value: float, sign: float) -> Const:
+    return Const(value)
+
+
+def _const(value: float) -> Const:
+    """The shared leaf of `value`."""
+    return _const_leaf(value, math.copysign(1.0, value))
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Var(Expr):
     name: str
@@ -224,7 +240,7 @@ def as_expr(value) -> Expr:
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, float)):
-        return Const(float(value))
+        return _const(float(value))
     raise ExprError(f"cannot coerce {value!r} to an expression")
 
 
@@ -232,7 +248,7 @@ def neg(e: Expr) -> Expr:
     # fold -c so printed negative literals reparse to the same node
     e = as_expr(e)
     if isinstance(e, Const):
-        return Const(-e.value)
+        return _const(-e.value)
     return Unary("neg", e)
 
 
@@ -359,16 +375,17 @@ def free_vars(*exprs: Expr) -> set[str]:
 # folding constructors (constant folding and 0/1 identities only)
 
 
-# shared leaves: differentiation makes a 0 or a 1 for nearly every node
-_ZERO = Const(0.0)
-_ONE = Const(1.0)
-_TWO = Const(2.0)
+# differentiation makes a 0 or a 1 for nearly every node
+_ZERO = _const(0.0)
+_ONE = _const(1.0)
+_TWO = _const(2.0)
+_THREE = _const(3.0)
 
 
 def fold_add(a: Expr, b: Expr) -> Expr:
     if type(a) is Const:
         if type(b) is Const:
-            return Const(a.value + b.value)
+            return _const(a.value + b.value)
         if a.value == 0.0:
             return b
     elif type(b) is Const and b.value == 0.0:
@@ -379,7 +396,7 @@ def fold_add(a: Expr, b: Expr) -> Expr:
 def fold_sub(a: Expr, b: Expr) -> Expr:
     if type(b) is Const:
         if type(a) is Const:
-            return Const(a.value - b.value)
+            return _const(a.value - b.value)
         if b.value == 0.0:
             return a
     elif type(a) is Const and a.value == 0.0:
@@ -390,7 +407,7 @@ def fold_sub(a: Expr, b: Expr) -> Expr:
 def fold_mul(a: Expr, b: Expr) -> Expr:
     if type(a) is Const:
         if type(b) is Const:
-            return Const(a.value * b.value)
+            return _const(a.value * b.value)
         if a.value == 0.0:
             return _ZERO
         if a.value == 1.0:
@@ -406,7 +423,7 @@ def fold_mul(a: Expr, b: Expr) -> Expr:
 def fold_div(a: Expr, b: Expr) -> Expr:
     if type(b) is Const:
         if type(a) is Const and b.value != 0.0:
-            return Const(a.value / b.value)
+            return _const(a.value / b.value)
         if b.value == 1.0:
             return a
     if type(a) is Const and a.value == 0.0:
@@ -422,7 +439,7 @@ def fold_pow(a: Expr, b: Expr) -> Expr:
             return _ONE
         if type(a) is Const:
             try:
-                return Const(_safe_pow(a.value, b.value))
+                return _const(_safe_pow(a.value, b.value))
             except EvalDomainError:
                 pass
     return Binary("pow", a, b)
@@ -475,7 +492,12 @@ def diff(e: Expr, var: str) -> Expr:
                 return _ZERO  # what fold_div gives over rhs^2, which is not built
             return fold_div(num, fold_pow(e.rhs, _TWO))
         if op == "pow":
-            c = _constant_exponent(e.rhs)
+            expo = e.rhs
+            if type(expo) is Const:
+                c = expo.value
+            else:
+                c = _constant_exponent(expo)
+                expo = _const(c)
             if c == 0.0:
                 return _ZERO
             du = diff(e.lhs, var)
@@ -485,7 +507,7 @@ def diff(e: Expr, var: str) -> Expr:
                 # base or c = 1 it is one, and the product can be -0.0 or NaN
                 return _ZERO
             return fold_mul(
-                fold_mul(Const(c), fold_pow(e.lhs, Const(c - 1.0))), du
+                fold_mul(expo, fold_pow(e.lhs, _const(c - 1.0))), du
             )
         raise ExprError(f"unknown binary op {op!r}")
     if kind is Unary:
@@ -499,7 +521,7 @@ def diff(e: Expr, var: str) -> Expr:
             # singular where u = 0; surfaces as a domain error at eval time
             return fold_div(du, fold_mul(_TWO, e))
         if op == "cbrt":
-            return fold_div(du, fold_mul(Const(3.0), fold_pow(e, _TWO)))
+            return fold_div(du, fold_mul(_THREE, fold_pow(e, _TWO)))
         if op == "tanh":
             return fold_mul(fold_sub(_ONE, fold_pow(e, _TWO)), du)
         if op == "sin":
@@ -651,8 +673,7 @@ _END = ""  # the token after the last one; every token is nonempty
 # place of the token cut from the text; a name not in it is unknown
 _FUNCTIONS = {name: name for name in FUNCTION_NAMES}
 
-# the one Var of each variable name parsed so far, shared by every parsed
-# tree (see the module docstring for why a Const is not shared)
+# the one Var of each variable name parsed so far, shared by every parsed tree
 _VARS: dict[str, Var] = {}
 
 
@@ -744,7 +765,7 @@ class _Parser:
             except ValueError:
                 raise self.error(f"bad number literal {tok!r}") from None
             self.i += 1
-            return Const(value)
+            return _const(value)
         if first.isalpha() or first == "_":
             self.i += 1
             if self.tokens[self.i] != "(":
@@ -832,6 +853,9 @@ _COMPILE_NS = {
 }
 
 
+# memoized: every compile checks its parameter tuple, and a few tuples
+# recur; a tuple that raises is not cached and raises again
+@lru_cache(maxsize=256)
 def _check_params(params: tuple[str, ...]) -> None:
     # compiled code owns every name that starts with "_": its helpers are
     # globals (_sqrt, _div, ...) and its shared subtrees locals (_c0, ...)
@@ -1042,7 +1066,7 @@ def compile_system(
     tests are evaluated first, in order, so a subtree they share with the
     outputs is computed once, in the test.
     """
-    _check_params(params)
+    _check_params(tuple(params))  # hashable for the memo, whatever sequence it is
     codes = _emit_system((*(e for e, _ in tests), *outputs), params)
     # every lambda shares one namespace: the code only reads its globals,
     # and the names it binds (_c0, ...) are locals of the lambda

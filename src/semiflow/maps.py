@@ -28,6 +28,7 @@ from .expr import (
     Expr,
     ExprError,
     Var,
+    as_expr,
     check_relations,
     compile_system,
     diff,
@@ -152,7 +153,7 @@ class SmoothMap:
 
     def freeze(self, **values: float) -> "SmoothMap":
         """Substitute constants for some inputs, dropping them from the signature."""
-        mapping = {k: Const(float(v)) for k, v in values.items()}
+        mapping = {k: as_expr(float(v)) for k, v in values.items()}
         remaining = tuple(v for v in self.inputs if v not in values)
         return SmoothMap(
             remaining,

@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from semiflow.cli import main, run_suite
+from semiflow import cli
+from semiflow.cli import MAX_FLOW_STEPS, main, run_suite
 
 
 def test_list_command(capsys):
@@ -357,14 +358,29 @@ def test_flow_geometric_spacing_names_its_flags(t0, eps_start, tmp_path, capsys)
          "error: --t1 must exceed the start --t0 + --eps-start = 0.0; got 0.0"),
         (["--steps", "4", "--t1", "0.5", "--eps-start", "0.75"],
          "error: --t1 must exceed the start --t0 + --eps-start = 0.75; got 0.5"),
+        # too many steps to size a mesh: rejected before any array is allocated
+        (["--steps", str(2**60)], f"error: --steps must be at most {MAX_FLOW_STEPS}; got {2**60}"),
+        (["--steps", str(2**63)], f"error: --steps must be at most {MAX_FLOW_STEPS}; got {2**63}"),
     ],
-    ids=["steps-zero", "steps-negative", "t1-at-start", "t1-below-start"],
+    ids=["steps-zero", "steps-negative", "t1-at-start", "t1-below-start", "steps-2^60", "steps-2^63"],
 )
 def test_flow_steps_and_end_time_name_their_flags(extra, message, tmp_path, capsys):
     out = tmp_path / "f.csv"
     args = ["flow", "--system", "quadratic", "--t0", "0", "--t1", "1", "--out", str(out)]
     assert main(args + extra) == 2
     assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_flow_out_of_memory_is_bad_input(monkeypatch, tmp_path, capsys):
+    def integrate_flow(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "integrate_flow", integrate_flow)
+    out = tmp_path / "f.csv"
+    args = ["flow", "--system", "quadratic", "--t0", "0", "--t1", "1", "--steps", "4"]
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --steps 4 needs more memory than is available\n"
     assert not out.exists()
 
 

@@ -37,6 +37,7 @@ from semiflow.expr import (
     _TWO,
     _ZERO,
     RELATIONS,
+    _const_leaf,
     _constant_exponent,
     _emit_system,
     fold_add,
@@ -481,6 +482,44 @@ def test_parses_share_one_var_per_name():
     assert Var("x") == parse_expr("x") and Var("x") is not parse_expr("x")
 
 
+def test_parses_share_the_leaf_of_a_constant():
+    a, b = parse_expr("2*x + 2"), parse_expr("2*x + 2")
+    assert a.lhs.lhs is a.rhs is b.lhs.lhs is b.rhs
+    # a Const built outside the engine is a node of its own, equal to the shared one
+    assert Const(2.0) == a.rhs and Const(2.0) is not a.rhs
+
+
+def test_zero_and_minus_zero_are_two_leaves():
+    zero, minus_zero = parse_expr("0"), parse_expr("-0")
+    assert zero is not minus_zero and zero != minus_zero
+    assert zero is parse_expr("0") and minus_zero is parse_expr("-0")
+
+
+def test_a_nan_constant_is_a_leaf_of_its_own():
+    inf = Const(math.inf)
+    a, b = fold_sub(inf, inf), fold_sub(inf, inf)
+    assert math.isnan(a.value) and math.isnan(b.value) and a is not b
+    # where an infinite result is shared
+    assert fold_add(inf, _ONE) is fold_sub(inf, _ONE)
+
+
+def test_a_fold_shares_its_constant_result():
+    assert fold_mul(Const(2.0), Const(3.0)) is fold_add(Const(2.5), Const(3.5))
+    assert fold_div(Const(1.0), Const(4.0)) is parse_expr("0.25")
+
+
+def test_derivative_of_a_power_holds_its_exponent():
+    e = parse_expr("x^3")
+    assert any(n is e.rhs for n in _nodes(diff(e, "x")))
+
+
+def test_the_table_of_constant_leaves_stays_at_its_bound():
+    bound = _const_leaf.cache_info().maxsize
+    for k in range(bound + 10):
+        parse_expr(f"x + {k + 0.5}")
+    assert _const_leaf.cache_info().currsize == bound
+
+
 @pytest.mark.parametrize("text", ["sqrt(x*y)", "cbrt(x*y)", "tanh(x*y)", "exp(x*y)"])
 def test_derivative_holds_the_node_it_differentiates(text):
     e = parse_expr(text)
@@ -762,6 +801,11 @@ def test_domain_edges_raise_as_the_tree_walk_on_every_compiled_path(text, x):
     flow = OdeSystem(SmoothMap(("x",), (e,), name="edge"))
     got = _edge_outcome(lambda: integrate_flow(flow, 0.0, (x,), 1.0, 1).columns[0][-1])
     assert got == _rk4_step_outcome(e, float(x))
+
+
+def test_compile_system_takes_its_parameters_in_any_sequence():
+    assert compile_system((parse_expr("x*y"),), ["x", "y"])(2.0, 3.0) == (6.0,)
+    assert SmoothMap(["x"], (parse_expr("x*x"),))(3.0) == (9.0,)
 
 
 class TestReservedNames:
